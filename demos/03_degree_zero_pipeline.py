@@ -14,20 +14,20 @@ jump_index = valuation(f) + 1.
 import json
 
 from curvecoh import (
+    TwoPeriodicPresentation,
     hfp_degree_zero,
     nygaard_fil,
     pipeline_trace,
     rational_tps,
     rebase_round_trip,
     tate_degree_zero,
-    two_periodic_presentation,
 )
 
 M = 16
 
 for label, coeffs in [("1", [1]), ("1+xi", [1, 1]), ("xi", [0, 1])]:
     f = rational_tps(coeffs, M)
-    pres = two_periodic_presentation(f)
+    pres = TwoPeriodicPresentation(f=f)
     model = tate_degree_zero(pres, M)
     image = hfp_degree_zero(pres, M)
     print(f"f = {label}")
@@ -41,5 +41,5 @@ for label, coeffs in [("1", [1]), ("1+xi", [1, 1]), ("xi", [0, 1])]:
     print()
 
 print("a full machine-readable trace (f = 1+xi):")
-trace = pipeline_trace(two_periodic_presentation(rational_tps([1, 1], 8)), 8)
+trace = pipeline_trace(TwoPeriodicPresentation(f=rational_tps([1, 1], 8)), 8)
 print(json.dumps(trace, sort_keys=True, indent=2))

@@ -8,7 +8,6 @@ from curvecoh import (
     parse_gaussian,
     rational_tps,
     theta,
-    tps_inv,
 )
 
 print("Gaussian rationals:")
@@ -28,7 +27,7 @@ print(f"  90 - 90 = {x - x}   (an inexact zero: cancellation costs digits)")
 print()
 print("truncated power series over Q with the evaluation theta (xi -> 0):")
 f = rational_tps([1, -1], 6)  # 1 - xi
-inv = tps_inv(f)
+inv = f.inverse()
 print(f"  f      = {f}")
 print(f"  1/f    = {inv}")
 print(f"  f*(1/f)= {f * inv}")
@@ -42,4 +41,4 @@ from curvecoh import TruncatedPowerSeries
 
 pg = TruncatedPowerSeries(padic_g_coeffs, 4)
 print(f"  g = {pg}")
-print(f"  1/g = {tps_inv(pg)}")
+print(f"  1/g = {pg.inverse()}")

@@ -62,12 +62,9 @@ from .periodic import (
     rebase_round_trip,
     tate_degree_zero,
     trivial_action_model,
-    two_periodic_presentation,
 )
 from .presentation import (
     AffinePresentation,
-    basis_up_to,
-    embed_element,
     load_presentation,
     p1_presentation,
     twistor_presentation,
@@ -84,10 +81,7 @@ from .scalars import (
     gaussian_tps,
     parse_gaussian,
     rational_tps,
-    scalar_arith,
     theta,
-    tps_inv,
-    tps_mul,
 )
 from .section_ring import (
     SectionRing,
@@ -96,14 +90,11 @@ from .section_ring import (
     hilbert_function,
 )
 from .series import (
-    FiltrationLevel,
     LaurentWindow,
     MINUS_INFINITY,
     fil_member,
     gaussian_window,
     pole_order,
-    series_inv,
-    series_mul,
 )
 
 __version__ = "0.1.0"

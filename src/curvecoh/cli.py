@@ -20,13 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import cohomology as coh
 from . import section_ring as sect
 from .errors import ComputationError, CutoffTooSmall
 from .harbater import local_completion
-from .periodic import pipeline_trace, tate_degree_zero, two_periodic_presentation
+from .periodic import TwoPeriodicPresentation, pipeline_trace, tate_degree_zero
 from .presentation import load_presentation, p1_presentation, twistor_presentation
 from .scalars import (
     TruncatedPowerSeries,
@@ -56,7 +55,7 @@ def parse_f_expression(text: str, order: int) -> TruncatedPowerSeries:
             j = i
             while j < len(s) and (s[j].isdigit() or s[j] == "/"):
                 j += 1
-            tokens.append(("num", Fraction(s[i:j])))
+            tokens.append(("num", as_fraction(s[i:j])))
             i = j
         elif s.startswith("xi", i):
             tokens.append(("xi", None))
@@ -73,6 +72,8 @@ def parse_f_expression(text: str, order: int) -> TruncatedPowerSeries:
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError(f"f-expression {text!r} ends early")
         tok = tokens[pos]
         pos += 1
         return tok
@@ -218,7 +219,7 @@ def cmd_section_ring(args) -> int:
 
 def cmd_pipeline(args) -> int:
     f = parse_f_expression(args.f, args.M)
-    pres = two_periodic_presentation(f)
+    pres = TwoPeriodicPresentation(f=f)
     trace = pipeline_trace(pres, args.prec or args.M)
     checks_pass = trace["hfp_image_equals_fil0"] and trace["injective"]
     if args.format == "json":
@@ -384,12 +385,16 @@ _VALUE_FLAGS = {"--n", "--x", "--r", "--f", "--cutoff"}
 
 
 def _merge_negative_values(argv: list) -> list:
-    """Join value flags with arguments that look like options (e.g. --n -3..3)."""
+    """Join value flags with arguments that look like options (e.g. --n -3..3).
+
+    A bare ``--`` is argparse's end-of-options marker, never a value.
+    """
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and nxt.startswith("-") and len(nxt) > 1:
+        dashed = nxt is not None and nxt.startswith("-") and nxt not in ("-", "--")
+        if tok in _VALUE_FLAGS and dashed:
             out.append(f"{tok}={nxt}")
             i += 2
         else:

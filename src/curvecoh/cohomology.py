@@ -8,9 +8,18 @@ base field k0, truncating the affine algebra at a degree cutoff D.
 
 When the presentation is ``leading_exact`` the truncation is provably
 enough (an element of degree <= D cannot hide a pole above D), so the
-results carry ``certified=True``. Without the flag the H^1 dimension is
-re-computed at D, D+1, D+2 and must stabilize; results are then reported
-uncertified.
+results carry ``certified=True``; without the flag they are reported
+uncertified. The H^1 dimension is re-computed at D, D+1, D+2 and must
+stabilize for every presentation, ``leading_exact`` or not: leading
+coefficients that are k0-independent need not span k1 over k0, so the
+image can miss a direction in every degree (Q[t] inside Q(i)((t^-1))
+never reaches i*t^m) and only the drifting dimension shows it.
+
+H^0 and H^1 are the kernel and cokernel of one gluing map, the affine
+algebra up to degree D into the Laurent coefficients above Fil_n:
+``_sections`` eliminates it once for H^0, ``_h1_classes`` runs the
+stabilization loop for H^1, and ``h0``, ``h1``, ``compute`` and
+``curve_from_parts`` all go through these two.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -20,13 +29,22 @@ basis vector its pivot exponent and graded pieces a pivot count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
-from .errors import CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop, NotStabilized
-from .linalg import kernel_basis, rank, rref
-from .presentation import AffinePresentation
+from .errors import CutoffTooSmall, IndeterminateTop, NotStabilized
+from .linalg import rref
+from .presentation import (
+    AffinePresentation,
+    check_ring_map,
+    combine,
+    leading_exact_failure,
+    twistor_embedding,
+)
 from .scalars import GAUSSIAN_I, GAUSSIAN_ONE, GaussianRational
 from .series import MINUS_INFINITY, LaurentWindow
+
+_UNITS = (GAUSSIAN_ONE, GAUSSIAN_I)
 
 
 @dataclass
@@ -114,68 +132,55 @@ def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
 def _coords_at(pair, window: LaurentWindow, exponents) -> list:
     row = []
     for e in exponents:
-        c = window.coefficient(e)
-        row.extend(pair.coords(GaussianRational.of(c)))
+        row.extend(pair.coords(GaussianRational.of(window.coefficient(e))))
     return row
 
 
-def _column_exponents(top: int, bottom: int, coord_count: int):
-    """(exponent, part) columns ordered by decreasing exponent."""
-    return [(e, p) for e in range(top, bottom - 1, -1) for p in range(coord_count)]
+def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
+    """H^0 up to degree D: affine elements whose window has pole order <= fil_bound.
 
-
-def _h0_kernel(pair, windows, fil_bound: int, top: int):
-    """Kernel vectors of the 'coefficients above fil_bound' map."""
-    nbasis = len(windows)
-    zero, one = pair.base_zero(), pair.base_one()
-    exps = list(range(fil_bound + 1, top + 1))
-    rows = []
-    for e in exps:
-        for p in range(pair.coord_count):
-            rows.append([pair.coords(GaussianRational.of(w.coefficient(e)))[p] for w in windows])
-    return kernel_basis(rows, nbasis, zero, one)
-
-
-def _echelonize_h0(pair, vectors, windows, fil_bound: int):
-    """Canonical basis: RREF over window columns (t-exponent descending).
-
-    Returns (basis vectors, element windows, pivot exponents).
+    One reduced echelon form of [window coordinates t^top ... t^low |
+    identity over the affine basis]. Its rows with the pivot at or below
+    t^fil_bound span exactly the kernel part, and since the reduced echelon
+    form of a subspace is unique for a given column order, they are the
+    canonical basis. Returns (basis, element windows, graded pieces); each
+    basis vector {basis index: k0 coefficient} is rescaled so its first
+    affine coordinate is 1.
     """
-    if not vectors:
-        return [], [], []
-    zero = pair.base_zero()
-    elem_windows = []
-    lows = []
-    for vec in vectors:
-        w = LaurentWindow.zero()
-        for i, c in enumerate(vec):
-            w = w + windows[i].scale(pair.to_extension(c))
-        elem_windows.append(w)
-        if w.coeffs:
-            lows.append(min(w.coeffs))
-        if w.cutoff is not None:
-            lows.append(w.cutoff)
-    low = min(lows) if lows else 0
-    cols = _column_exponents(fil_bound, low, pair.coord_count)
-    aug = []
-    for vec, w in zip(vectors, elem_windows):
-        aug.append(_coords_at(pair, w, [e for e, p in cols][:: pair.coord_count]) + list(vec))
-    reduced, pivots = rref(aug, zero)
-    ncols_win = len(cols)
-    out_vecs, out_wins, out_pivots = [], [], []
+    pair = pres.pair
+    basis = pres.basis_up_to(D)
+    windows = [window(i) for i in basis]
+    _require_known(windows, fil_bound + 1)
+    tops = [w.pole_order() for w in windows]
+    top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
+    cutoffs = [w.cutoff for w in windows if w.cutoff is not None]
+    if cutoffs:
+        low = max(cutoffs)
+    else:
+        low = min((e for w in windows for e in w.coeffs), default=top + 1)
+    exps = range(top, low - 1, -1)
+    width = len(exps) * pair.coord_count
+    above = sum(e > fil_bound for e in exps) * pair.coord_count
+    zero, one = pair.base_zero(), pair.base_one()
+    rows = []
+    for k, w in enumerate(windows):
+        unit = [zero] * len(windows)
+        unit[k] = one
+        rows.append(_coords_at(pair, w, exps) + unit)
+    reduced, pivots = rref(rows)
+    vecs, wins, pivot_exps = [], [], []
     for row, pc in zip(reduced, pivots):
-        vec = {i: c for i, c in enumerate(row[ncols_win:]) if c != 0}
+        if pc < above:
+            continue
+        vec = {i: c for i, c in enumerate(row[width:]) if c != 0}
         # rescale so the first affine coordinate (basis order) is 1; the
         # subspace stays in reduced form, the elements read naturally
         lead = vec[min(vec)]
-        vec = {i: c / lead for i, c in vec.items()}
-        w = LaurentWindow.zero()
-        for i, c in vec.items():
-            w = w + windows[i].scale(pair.to_extension(c))
-        out_vecs.append(vec)
-        out_wins.append(w)
-        out_pivots.append(cols[pc][0] if pc < ncols_win else None)
-    return out_vecs, out_wins, out_pivots
+        vec = {basis[i]: c / lead for i, c in vec.items()}
+        vecs.append(vec)
+        wins.append(combine(window, vec, pair))
+        pivot_exps.append(exps[pc // pair.coord_count] if pc < width else None)
+    return vecs, wins, _graded_from_pivots(pivot_exps)
 
 
 def _graded_from_pivots(pivots) -> dict:
@@ -196,48 +201,63 @@ def _require_known(windows, down_to: int):
             )
 
 
-def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
-    """Global sections of O(n): affine elements with pole order <= n at infinity."""
+def _cutoff(pres: AffinePresentation, n: int, D: int | None, what: str) -> int:
+    """The affine degree cutoff: D, or the default; never below max(n, 0)."""
     if D is None:
         D = resolved_default_cutoff(pres, n)
     if D < max(n, 0):
-        raise CutoffTooSmall(f"h0 cutoff D={D} < max(n, 0) = {max(n, 0)}")
-    basis = pres.basis_up_to(D)
-    windows = [pres.embed_basis(i) for i in basis]
-    tops = [w.pole_order() for w in windows]
-    top = int(max([t for t in tops if t != MINUS_INFINITY], default=n))
-    _require_known(windows, n + 1)
-    kernel = _h0_kernel(pres.pair, windows, n, top)
-    vecs, wins, pivots = _echelonize_h0(pres.pair, kernel, windows, n)
-    result = CohomologyResult(
+        raise CutoffTooSmall(f"{what} cutoff D={D} < max(n, 0) = {max(n, 0)}")
+    return D
+
+
+def _free_columns(pair, windows, fil_bound: int, top: int) -> list:
+    """(exponent, part) columns of span{t^m : fil_bound < m <= top} off the image echelon."""
+    exps = range(top, fil_bound, -1)
+    _, pivots = rref([_coords_at(pair, w, exps) for w in windows])
+    pivots = set(pivots)
+    cols = [(e, p) for e in exps for p in range(pair.coord_count)]
+    return [col for k, col in enumerate(cols) if k not in pivots]
+
+
+def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: int):
+    """(representatives, graded) of the cokernel, stable over cutoffs D, D+1, D+2.
+
+    At cutoff D' the quotient target is span{t^m : fil_bound < m <=
+    max(D'*jump, fil_bound)}, so an image that stops growing leaves new
+    columns uncovered and the dimension drifts.
+    """
+    if pres.max_degree is not None and D + 2 > pres.max_degree:
+        raise CutoffTooSmall(
+            f"presentation declares degrees up to {pres.max_degree}; "
+            f"h1 stabilization needs D + 2 <= {pres.max_degree}, got D={D}"
+        )
+    runs = []
+    for cutoff in range(D, D + 3):
+        windows = [window(i) for i in pres.basis_up_to(cutoff)]
+        _require_known(windows, fil_bound + 1)
+        top = max(cutoff * jump, fil_bound)
+        runs.append(_free_columns(pres.pair, windows, fil_bound, top))
+    dims = [len(free) for free in runs]
+    if not dims[0] == dims[1] == dims[2]:
+        raise NotStabilized(f"h1 dimension still changing at cutoffs {D}..{D + 2}: {dims}")
+    free = runs[0]
+    reps = [LaurentWindow.monomial(e, _UNITS[p]) for e, p in free]
+    return reps, _graded_from_pivots([e for e, _ in free])
+
+
+def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
+    """Global sections of O(n): affine elements with pole order <= n at infinity."""
+    D = _cutoff(pres, n, D, "h0")
+    basis, windows, graded = _sections(pres, pres.embed_basis, n, D)
+    return CohomologyResult(
         n=n,
-        h0_basis=[{basis[i]: c for i, c in vec.items()} for vec in vecs],
-        h0_windows=wins,
-        h0_graded=_graded_from_pivots(pivots),
+        h0_basis=basis,
+        h0_windows=windows,
+        h0_graded=graded,
         certified=pres.leading_exact,
         cutoff_used=D,
-        labels={i: pres.label(i) for i in basis},
+        labels={i: pres.label(i) for i in pres.basis_up_to(D)},
     )
-    return result
-
-
-def _h1_at(pres: AffinePresentation, n: int, D: int):
-    """(dimension, free columns) of the cokernel at affine cutoff D.
-
-    The quotient target is span{t^m : n < m <= D} (so a degree-bounded
-    presentation whose image stops growing is caught by stabilization).
-    """
-    pair = pres.pair
-    basis = pres.basis_up_to(D)
-    windows = [pres.embed_basis(i) for i in basis]
-    top = max(D, n)
-    _require_known(windows, n + 1)
-    cols = _column_exponents(top, n + 1, pair.coord_count)
-    exps = [e for e, p in cols][:: pair.coord_count]
-    rows = [_coords_at(pair, w, exps) for w in windows]
-    reduced, pivots = rref(rows, pair.base_zero())
-    free = [cols[c] for c in range(len(cols)) if c not in set(pivots)]
-    return len(free), free
 
 
 def h1(
@@ -252,38 +272,20 @@ def h1(
     coefficient pair) at the free columns of the image echelon, reduced
     modulo the image by construction.
     """
-    if D is None:
-        D = resolved_default_cutoff(pres, n)
     if window_bottom is None:
         window_bottom = n
     if window_bottom > n:
         raise ValueError(f"window_bottom {window_bottom} must be <= n = {n}")
-    if D < max(n, 0):
-        raise CutoffTooSmall(f"h1 cutoff D={D} < max(n, 0) = {max(n, 0)}")
-    if pres.max_degree is not None and D + 2 > pres.max_degree:
-        raise CutoffTooSmall(
-            f"presentation declares degrees up to {pres.max_degree}; "
-            f"h1 stabilization needs D + 2 <= {pres.max_degree}, got D={D}"
-        )
-    dims_free = [_h1_at(pres, n, D + k) for k in range(3)]
-    dims = [d for d, _ in dims_free]
-    stable = dims[0] == dims[1] == dims[2]
-    if not stable:
-        raise NotStabilized(
-            f"h1 dimension still changing at cutoffs {D}..{D + 2}: {dims}"
-        )
-    free = dims_free[0][1]
-    units = [GAUSSIAN_ONE, GAUSSIAN_I]
-    reps = [LaurentWindow.monomial(e, units[p]) for e, p in free]
-    result = CohomologyResult(
+    D = _cutoff(pres, n, D, "h1")
+    reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1)
+    return CohomologyResult(
         n=n,
         h1_basis=reps,
-        h1_graded=_graded_from_pivots([e for e, p in free]),
+        h1_graded=graded,
         certified=pres.leading_exact,
         cutoff_used=D,
         window_bottom=window_bottom,
     )
-    return result
 
 
 def compute(
@@ -295,17 +297,12 @@ def compute(
     """Both cohomology groups of O(n) in one result."""
     r0 = h0(pres, n, D)
     r1 = h1(pres, n, D, window_bottom)
-    return CohomologyResult(
-        n=n,
-        h0_basis=r0.h0_basis,
-        h0_windows=r0.h0_windows,
-        h0_graded=r0.h0_graded,
+    return replace(
+        r0,
         h1_basis=r1.h1_basis,
         h1_graded=r1.h1_graded,
         certified=r0.certified and r1.certified,
-        cutoff_used=r0.cutoff_used,
         window_bottom=r1.window_bottom,
-        labels=r0.labels,
     )
 
 
@@ -338,37 +335,6 @@ def euler_characteristic(pres: AffinePresentation, n: int, D: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-class _FormalEmbedding:
-    """An affine presentation re-embedded into a filtered formal-disc model."""
-
-    def __init__(self, pres, model, embed_fn):
-        self.pres = pres
-        self.model = model
-        self._embed = embed_fn
-        self._cache: dict[int, LaurentWindow] = {}
-
-    def window(self, i: int) -> LaurentWindow:
-        if i not in self._cache:
-            self._cache[i] = self._embed(i)
-        return self._cache[i]
-
-    def verify_ring_map(self, max_degree: int = 4) -> None:
-        pres = self.pres
-        for i in pres.basis_up_to(max_degree):
-            for j in pres.basis_up_to(max_degree):
-                if pres.degree_of(i) + pres.degree_of(j) > max_degree:
-                    continue
-                lhs = self.window(i) * self.window(j)
-                rhs = LaurentWindow.zero()
-                for k, c in pres.mul_basis(i, j).items():
-                    rhs = rhs + self.window(k).scale(pres.pair.to_extension(c))
-                if not lhs.agrees_with(rhs):
-                    raise EmbeddingNotRingMap(
-                        f"formal embedding is not a ring map on "
-                        f"{pres.label(i)} * {pres.label(j)}"
-                    )
-
-
 def curve_from_parts(
     pres: AffinePresentation,
     model,
@@ -381,84 +347,29 @@ def curve_from_parts(
     ``embedding`` maps basis indices to windows in the model's carrier;
     it is checked to be a ring map on basis products up to degree 4. For
     a model with jump_index 1 this reproduces the direct computation.
+    The result is certified when degree-d elements peak at pole d*jump
+    with independent leading coefficients (the leading_exact property,
+    verified in the carrier up to D).
     """
-    if D is None:
-        D = resolved_default_cutoff(pres, n)
-    if D < max(n, 0):
-        raise CutoffTooSmall(f"cutoff D={D} < max(n, 0) = {max(n, 0)}")
-    if pres.max_degree is not None and D + 2 > pres.max_degree:
-        raise CutoffTooSmall(
-            f"presentation declares degrees up to {pres.max_degree}; "
-            f"stabilization needs D + 2 <= {pres.max_degree}, got D={D}"
-        )
-    fe = _FormalEmbedding(pres, model, embedding)
-    fe.verify_ring_map(4)
-    pair = pres.pair
+    D = _cutoff(pres, n, D, "assembly")
+    window = cache(embedding)
+    check_ring_map(pres, window, 4)
+    jump = model.jump_index
     fil_bound = model.fil_pole_bound(n)
-
-    basis = pres.basis_up_to(D)
-    windows = [fe.window(i) for i in basis]
-    _require_known(windows, fil_bound + 1)
-    tops = [w.pole_order() for w in windows]
-    top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
-
-    # certification: degree-d elements must peak at pole d*jump with
-    # independent leading coefficients (the leading_exact property,
-    # verified numerically in the carrier)
-    certified = True
-    for d in range(D + 1):
-        idxs = pres.indices_of_degree(d)
-        if not idxs:
-            continue
-        rows = []
-        for i in idxs:
-            w = fe.window(i)
-            if w.pole_order() != d * model.jump_index:
-                certified = False
-                break
-            rows.append(list(pair.coords(GaussianRational.of(w.coeffs[d * model.jump_index]))))
-        else:
-            if rank(rows, pair.base_zero()) != len(rows):
-                certified = False
-        if not certified:
-            break
-
-    kernel = _h0_kernel(pair, windows, fil_bound, top)
-    vecs, wins, pivots = _echelonize_h0(pair, kernel, windows, fil_bound)
-
-    # cokernel at D, D+1, D+2 with the model filtration; the target window
-    # is span{t^m : fil_bound < m <= (D+k) * jump} in carrier exponents
-    runs = []
-    for k in range(3):
-        bb = pres.basis_up_to(D + k)
-        ww = [fe.window(i) for i in bb]
-        _require_known(ww, fil_bound + 1)
-        tp = max((D + k) * model.jump_index, fil_bound)
-        cols = _column_exponents(tp, fil_bound + 1, pair.coord_count)
-        exps = [e for e, p in cols][:: pair.coord_count]
-        rows = [_coords_at(pair, w, exps) for w in ww]
-        reduced, piv = rref(rows, pair.base_zero())
-        free = [cols[c] for c in range(len(cols)) if c not in set(piv)]
-        runs.append(free)
-    if not (len(runs[0]) == len(runs[1]) == len(runs[2])):
-        raise NotStabilized(
-            f"assembled h1 dimension not stable at cutoffs {D}..{D + 2}"
-        )
-    free = runs[0]
-    units = [GAUSSIAN_ONE, GAUSSIAN_I]
-    reps = [LaurentWindow.monomial(e, units[p]) for e, p in free]
-
+    certified = leading_exact_failure(pres, window, jump, D) is None
+    reps, h1_graded = _h1_classes(pres, window, fil_bound, D, jump)
+    basis, windows, h0_graded = _sections(pres, window, fil_bound, D)
     return CohomologyResult(
         n=n,
-        h0_basis=[{basis[i]: c for i, c in vec.items()} for vec in vecs],
-        h0_windows=wins,
-        h0_graded=_graded_from_pivots(pivots),
+        h0_basis=basis,
+        h0_windows=windows,
+        h0_graded=h0_graded,
         h1_basis=reps,
-        h1_graded=_graded_from_pivots([e for e, p in free]),
+        h1_graded=h1_graded,
         certified=certified,
         cutoff_used=D,
         window_bottom=n,
-        labels={i: pres.label(i) for i in basis},
+        labels={i: pres.label(i) for i in pres.basis_up_to(D)},
     )
 
 
@@ -473,24 +384,4 @@ def p1_formal_embedding(model):
 
 def twistor_formal_embedding(model):
     """u -> (t - t^-1)/2, v -> -(i/2)(t + t^-1) in the model carrier."""
-    from fractions import Fraction
-
-    from .presentation import _twistor_decode
-    from .series import gaussian_window
-
-    u = gaussian_window({1: Fraction(1, 2), -1: Fraction(-1, 2)})
-    v = gaussian_window(
-        {
-            1: GaussianRational(Fraction(0), Fraction(-1, 2)),
-            -1: GaussianRational(Fraction(0), Fraction(-1, 2)),
-        }
-    )
-
-    def embed(i: int) -> LaurentWindow:
-        p, has_v = _twistor_decode(i)
-        w = u.power(p)
-        if has_v:
-            w = w * v
-        return w
-
-    return embed
+    return twistor_embedding()

@@ -895,13 +895,13 @@ class LocalCompletion:
 
     def base_presentation(self, f: TruncatedPowerSeries | None = None):
         """Package as a two-periodic presentation (default Bott coefficient 1)."""
-        from .periodic import two_periodic_presentation
+        from .periodic import TwoPeriodicPresentation
 
         if f is None:
             f = gaussian_tps([1], self.M)
         if f.order != self.M:
             raise ValueError("Bott coefficient must live in A = k[[xi]] mod xi^M")
-        return two_periodic_presentation(f)
+        return TwoPeriodicPresentation(f=f)
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .scalars import is_zero_scalar
 
 
-def rref(rows, zero):
+def rref(rows):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.
@@ -47,8 +47,8 @@ def rref(rows, zero):
     return rows[:r], pivots
 
 
-def rank(rows, zero):
-    return len(rref(rows, zero)[0])
+def rank(rows):
+    return len(rref(rows)[0])
 
 
 def kernel_basis(rows, ncols, zero, one):
@@ -58,7 +58,7 @@ def kernel_basis(rows, ncols, zero, one):
     free columns, so the basis is itself in echelon form with respect to
     the column order.
     """
-    reduced, pivots = rref(rows, zero)
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -82,7 +82,7 @@ def solve_in_span(basis_rows, target, zero):
         return [] if all(is_zero_scalar(t) for t in target) else None
     ncols = len(target)
     aug = [[basis_rows[i][c] for i in range(k)] + [target[c]] for c in range(ncols)]
-    reduced, pivots = rref(aug, zero)
+    reduced, pivots = rref(aug)
     if k in pivots:
         return None
     x = [zero] * k
@@ -91,13 +91,3 @@ def solve_in_span(basis_rows, target, zero):
     # consistency: rref leaves no stray rows because k was not a pivot
     return x
 
-
-def reduce_against(vec, reduced_rows, pivots):
-    """Reduce ``vec`` modulo a row space already in reduced echelon form."""
-    v = list(vec)
-    for row, pc in zip(reduced_rows, pivots):
-        f = v[pc]
-        if is_zero_scalar(f):
-            continue
-        v = [a - f * b for a, b in zip(v, row)]
-    return v

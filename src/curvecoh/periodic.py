@@ -68,12 +68,6 @@ class TwoPeriodicPresentation:
         }
 
 
-def two_periodic_presentation(
-    f: TruncatedPowerSeries, default_prec: int | None = None
-) -> TwoPeriodicPresentation:
-    return TwoPeriodicPresentation(f=f, default_prec=default_prec)
-
-
 def trivial_action_model(one, prec: int) -> TwoPeriodicPresentation:
     """The trivial-action, even case: A = R0 (M = 1), f = 1.
 
@@ -211,7 +205,7 @@ class DegreeZeroImage:
             coeffs[j] = one
             w = self.expand(TruncatedPowerSeries(coeffs, self.M))
             rows.append([w.coefficient(-k) for k in range(self.M)])
-        return rows, zero
+        return rows
 
     def image_equals_fil0(self) -> bool:
         """Image lands in Fil_0 and saturates every tracked coordinate of it."""
@@ -223,13 +217,11 @@ class DegreeZeroImage:
             w = self.expand(TruncatedPowerSeries(coeffs, self.M))
             if w.coeffs and w.pole_order() > 0:
                 return False
-        rows, z = self._matrix()
-        return rank(rows, z) == self.M
+        return rank(self._matrix()) == self.M
 
     def injective(self) -> bool:
         """Zero kernel of the A -> carrier coefficient map at this precision."""
-        rows, z = self._matrix()
-        return rank(rows, z) == self.M
+        return rank(self._matrix()) == self.M
 
     def residue_matches_theta(self, a: TruncatedPowerSeries) -> bool:
         return self.model.residue(self.expand(a)) == theta(a)

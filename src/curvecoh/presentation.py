@@ -97,10 +97,7 @@ class AffinePresentation:
 
     def embed_element(self, coeffs: dict) -> LaurentWindow:
         """k0-linear extension of the embedding; exact window."""
-        acc = LaurentWindow.zero()
-        for i, c in coeffs.items():
-            acc = acc + self.embed_basis(i).scale(self.pair.to_extension(c))
-        return acc
+        return combine(self.embed_basis, coeffs, self.pair)
 
     def mul_elements(self, a: dict, b: dict) -> dict:
         out: dict = {}
@@ -124,35 +121,59 @@ class AffinePresentation:
 
     def verify_ring_map(self, max_degree: int = 6) -> None:
         """Check embed(b_i)*embed(b_j) == embed(b_i * b_j) up to the degree bound."""
-        basis = self.basis_up_to(max_degree)
-        for i in basis:
-            for j in basis:
-                if self.degree_of(i) + self.degree_of(j) > max_degree:
-                    continue
-                lhs = self.embed_basis(i) * self.embed_basis(j)
-                rhs = self.embed_element(self.mul_basis(i, j))
-                if not lhs.agrees_with(rhs):
-                    raise EmbeddingNotRingMap(
-                        f"{self.name}: embed({self.label(i)})*embed({self.label(j)}) "
-                        f"!= embed of the product: {lhs} vs {rhs}"
-                    )
+        check_ring_map(self, self.embed_basis, max_degree)
 
     def verify_leading_exact(self, max_degree: int = 6) -> None:
         """Check both leading_exact conditions degree by degree."""
-        for d in range(max_degree + 1):
-            idxs = self.indices_of_degree(d)
-            rows = []
-            for i in idxs:
-                w = self.embed_basis(i)
-                if w.pole_order() != d:
-                    raise EmbeddingNotRingMap(
-                        f"{self.name}: pole_order(embed({self.label(i)})) != degree {d}"
-                    )
-                rows.append(list(self.pair.coords(w.coeffs[d])))
-            if rows and rank(rows, self.pair.base_zero()) != len(rows):
+        failure = leading_exact_failure(self, self.embed_basis, 1, max_degree)
+        if failure is not None:
+            raise EmbeddingNotRingMap(f"{self.name}: {failure}")
+
+
+def combine(window, coeffs: dict, pair: FieldPair) -> LaurentWindow:
+    """sum of c * window(i) over coeffs {i: k0 coefficient}; exact window."""
+    acc = LaurentWindow.zero()
+    for i, c in coeffs.items():
+        acc = acc + window(i).scale(pair.to_extension(c))
+    return acc
+
+
+def check_ring_map(pres: AffinePresentation, window, max_degree: int) -> None:
+    """Check window(b_i)*window(b_j) == window(b_i * b_j) up to the degree bound.
+
+    ``window`` maps basis indices to Laurent windows: the presentation's own
+    embedding or one into a formal-disc model.
+    """
+    basis = pres.basis_up_to(max_degree)
+    for i in basis:
+        for j in basis:
+            if pres.degree_of(i) + pres.degree_of(j) > max_degree:
+                continue
+            lhs = window(i) * window(j)
+            rhs = combine(window, pres.mul_basis(i, j), pres.pair)
+            if not lhs.agrees_with(rhs):
                 raise EmbeddingNotRingMap(
-                    f"{self.name}: leading coefficients in degree {d} are k0-dependent"
+                    f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
+                    f"!= embed of the product: {lhs} vs {rhs}"
                 )
+
+
+def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degree: int):
+    """Why ``window`` breaks the leading_exact conditions up to max_degree, or None.
+
+    Each basis element of degree d must have pole order d*jump, and the
+    leading coefficients within each degree must be k0-linearly independent.
+    """
+    for d in range(max_degree + 1):
+        rows = []
+        for i in pres.indices_of_degree(d):
+            w = window(i)
+            if w.pole_order() != d * jump:
+                return f"pole_order(embed({pres.label(i)})) != {d * jump} (degree {d})"
+            rows.append(list(pres.pair.coords(GaussianRational.of(w.coeffs[d * jump]))))
+        if rows and rank(rows) != len(rows):
+            return f"leading coefficients in degree {d} are k0-dependent"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +214,11 @@ def _twistor_encode(p: int, has_v: bool) -> int:
     return 2 * (p + 1)
 
 
-def twistor_presentation() -> AffinePresentation:
-    """The twistor projective line Q[u,v]/(u^2+v^2+1), reduced basis {u^i, u^i v}.
+def twistor_embedding():
+    """b_i -> u^p or u^p*v with u = (t - t^-1)/2, v = -(i/2)(t + t^-1).
 
-    The relation eliminates v^2, so every product of basis elements is a
-    short integer combination of basis elements, and the leading window
-    coefficients (1/2)^d and -i*(1/2)^d in each degree are Q-independent.
+    Powers of u are built incrementally (u^p = u^(p-1)*u) and kept, so
+    each one costs a single window product.
     """
     u = gaussian_window({1: Fraction(1, 2), -1: Fraction(-1, 2)})
     v = gaussian_window(
@@ -207,17 +227,24 @@ def twistor_presentation() -> AffinePresentation:
             -1: GaussianRational(Fraction(0), Fraction(-1, 2)),
         }
     )
-    cache: dict[int, LaurentWindow] = {}
+    powers = [u.power(0)]
 
-    def embed(i):
-        if i in cache:
-            return cache[i]
+    def embed(i: int) -> LaurentWindow:
         p, has_v = _twistor_decode(i)
-        w = u.power(p)
-        if has_v:
-            w = w * v
-        cache[i] = w
-        return w
+        while len(powers) <= p:
+            powers.append(powers[-1] * u)
+        return powers[p] * v if has_v else powers[p]
+
+    return embed
+
+
+def twistor_presentation() -> AffinePresentation:
+    """The twistor projective line Q[u,v]/(u^2+v^2+1), reduced basis {u^i, u^i v}.
+
+    The relation eliminates v^2, so every product of basis elements is a
+    short integer combination of basis elements, and the leading window
+    coefficients (1/2)^d and -i*(1/2)^d in each degree are Q-independent.
+    """
 
     def degree(i):
         p, has_v = _twistor_decode(i)
@@ -252,19 +279,11 @@ def twistor_presentation() -> AffinePresentation:
         pair=REAL_IN_GAUSSIAN,
         degree_fn=degree,
         indices_of_degree_fn=indices_of_degree,
-        embed_fn=embed,
+        embed_fn=twistor_embedding(),
         mul_fn=mul,
         label_fn=label,
         leading_exact=True,
     )
-
-
-def embed_element(pres: AffinePresentation, coeffs: dict) -> LaurentWindow:
-    return pres.embed_element(coeffs)
-
-
-def basis_up_to(pres: AffinePresentation, D: int) -> list[int]:
-    return pres.basis_up_to(D)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ from typing import Union
 
 from .errors import DivisionByZero, NotAUnit, PrecisionExhausted
 
-Rat = Fraction
-
 
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -34,7 +32,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     im = getattr(x, "im", None)
     if im is not None and im == 0:
         return x.re  # a Gaussian rational that happens to be real
@@ -149,20 +150,23 @@ def parse_gaussian(text: str) -> GaussianRational:
             cur += ch
     terms.append(cur)
     re_part, im_part = Fraction(0), Fraction(0)
-    for term in terms:
-        m = _IMAG_TERM.match(term)
-        if m:
-            sign = -1 if m.group(1) == "-" else 1
-            mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            if m.group(3):
-                mag /= int(m.group(3))
-            im_part += sign * mag
-            continue
-        m = _REAL_TERM.match(term)
-        if m:
-            re_part += Fraction(m.group(1))
-            continue
-        raise ValueError(f"cannot parse Gaussian rational term {term!r} in {text!r}")
+    try:
+        for term in terms:
+            m = _IMAG_TERM.match(term)
+            if m:
+                sign = -1 if m.group(1) == "-" else 1
+                mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+                if m.group(3):
+                    mag /= int(m.group(3))
+                im_part += sign * mag
+                continue
+            m = _REAL_TERM.match(term)
+            if m:
+                re_part += Fraction(m.group(1))
+                continue
+            raise ValueError(f"cannot parse Gaussian rational term {term!r} in {text!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in Gaussian rational {text!r}") from None
     return GaussianRational(re_part, im_part)
 
 
@@ -427,25 +431,6 @@ def is_unit_scalar(c) -> bool:
     return not is_zero_scalar(c)
 
 
-def scalar_arith(x, y, op: str):
-    """Dispatch {add, sub, mul, div} on any scalar kind. Exact."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if not isinstance(x, PAdic) and is_zero_scalar(y):
-            raise DivisionByZero("scalar division by zero")
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def format_scalar(c) -> str:
-    return str(c)
-
-
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
@@ -632,14 +617,6 @@ class TruncatedPowerSeries:
 
     def to_json(self):
         return {"coeffs": [str(c) for c in self.coeffs], "order": self.order}
-
-
-def tps_mul(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    return f * g
-
-
-def tps_inv(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    return f.inverse()
 
 
 def theta(f: TruncatedPowerSeries):

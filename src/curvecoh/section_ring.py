@@ -142,7 +142,7 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
         transpose = [[rows[i][c] for i in range(len(rows))] for c in range(cols)]
         from .linalg import rref
 
-        _, pivots = rref([list(r) for r in rows], zero)
+        _, pivots = rref([list(r) for r in rows])
         surjective[n] = len(pivots) == sr.dim(n)
         kern = kernel_basis(transpose, len(monos), zero, one)
         kernel_dims[n] = len(kern)

@@ -259,29 +259,6 @@ class LaurentWindow:
         return cls(coeffs, data["cutoff"])
 
 
-class FiltrationLevel:
-    """Fil_n = {s : pole_order(s) <= n}; Fil_n is contained in Fil_{n+1}."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def contains(self, a: LaurentWindow) -> bool:
-        return a.fil_member(self.n)
-
-    def __repr__(self):
-        return f"Fil_{self.n}"
-
-
-def series_mul(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
-    return a * b
-
-
-def series_inv(a: LaurentWindow, prec: int) -> LaurentWindow:
-    return a.inverse(prec)
-
-
 def pole_order(a: LaurentWindow):
     return a.pole_order()
 

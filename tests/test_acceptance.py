@@ -18,10 +18,10 @@ from curvecoh.harbater import (
     membership,
 )
 from curvecoh.periodic import (
+    TwoPeriodicPresentation,
     hfp_degree_zero,
     rebase_round_trip,
     tate_degree_zero,
-    two_periodic_presentation,
 )
 from curvecoh.presentation import p1_presentation, twistor_presentation
 from curvecoh.scalars import (
@@ -100,7 +100,7 @@ def test_criterion_4_pipeline():
     }
     for name, (f, jump) in cases.items():
         start = time.perf_counter()
-        pres = two_periodic_presentation(f)
+        pres = TwoPeriodicPresentation(f=f)
         model = tate_degree_zero(pres, 16)
         image = hfp_degree_zero(pres, 16)
         assert model.jump_index == jump, name

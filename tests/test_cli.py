@@ -85,6 +85,37 @@ def test_missing_argument_exits_2():
     assert info.value.code == 2
 
 
+_DREAM = ["--r", "1/2", "--M", "4", "--n", "0"]
+_BAD_FILES = {
+    "@bad-mul": "fields rational gaussian\nbasis a 0\nmul a a = 1/0*a\nembed a = 1*t^0\n",
+    "@bad-embed": "fields rational gaussian\nbasis a 0\nmul a a = 1*a\nembed a = 1/0*t^0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--curve", "@bad-mul", "--n", "0"],
+        ["cohomology", "--curve", "@bad-embed", "--n", "0"],
+        ["pipeline", "--f", "1/0", "--M", "4"],
+        ["pipeline", "--f", "1+", "--M", "4"],
+        ["pipeline", "--f", "xi^", "--M", "4"],
+        ["pipeline", "--f", "xi*", "--M", "4"],
+        ["dream", "--x", "1/0", *_DREAM],
+        ["dream", "--x", "i/0", *_DREAM],
+        ["dream", "--x", "--", *_DREAM],
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, argv):
+    path = tmp_path / "bad.pres"
+    for name, text in _BAD_FILES.items():
+        if name in argv:
+            path.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main([str(path) if a in _BAD_FILES else a for a in argv])
+    assert info.value.code == 2
+
+
 def test_section_ring_table(capsys):
     code, out, _ = run(capsys, "section-ring", "--curve", "twistor", "--max-degree", "6")
     assert code == 0

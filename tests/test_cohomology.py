@@ -4,9 +4,9 @@ import pytest
 
 from curvecoh import cohomology as coh
 from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap
-from curvecoh.periodic import tate_degree_zero, two_periodic_presentation
+from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
 from curvecoh.presentation import p1_presentation, twistor_presentation
-from curvecoh.scalars import gaussian_tps
+from curvecoh.scalars import GaussianRational, gaussian_tps
 from curvecoh.series import fil_member
 
 
@@ -128,9 +128,24 @@ def test_h1_not_stabilized_for_drifting_presentation():
             lines.append(f"mul x{i} x{j} = 1*x{min(i + j, 5)}")
     for i in range(6):
         lines.append(f"embed x{i} = {i + 1}*t^0")
-    pres = load_presentation("\n".join(lines), verify_degree=0)
-    with pytest.raises(NotStabilized):
-        coh.h1(pres, 0, D=3)
+    drifting = load_presentation("\n".join(lines), verify_degree=0)
+
+    # Q[t] over (Q, Q(i)) passes verify_leading_exact, yet its image never
+    # reaches i*t^m: H^1 is infinite and only stabilization sees it
+    lines = ["fields rational gaussian", "flags leading_exact"]
+    for i in range(7):
+        lines.append(f"basis x{i} {i}")
+    for i in range(7):
+        for j in range(i, 7 - i):
+            lines.append(f"mul x{i} x{j} = 1*x{i + j}")
+    for i in range(7):
+        lines.append(f"embed x{i} = 1*t^{i}")
+    real_line = load_presentation("\n".join(lines))
+    assert real_line.leading_exact
+
+    for pres, D in ((drifting, 3), (real_line, 4)):
+        with pytest.raises(NotStabilized):
+            coh.h1(pres, 0, D=D)
 
 
 def test_h1_cutoff_guard_for_degree_bounded_presentation():
@@ -157,7 +172,7 @@ def test_h1_cutoff_guard_for_degree_bounded_presentation():
 
 
 def test_curve_from_parts_equals_direct(p1, tw):
-    model = tate_degree_zero(two_periodic_presentation(gaussian_tps([1], 16)), 16)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
     for pres, embed in (
         (tw, coh.twistor_formal_embedding(model)),
         (p1, coh.p1_formal_embedding(model)),
@@ -171,7 +186,7 @@ def test_curve_from_parts_equals_direct(p1, tw):
 
 
 def test_curve_from_parts_examples(tw, p1):
-    model = tate_degree_zero(two_periodic_presentation(gaussian_tps([1], 16)), 16)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
     res = coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), 1)
     assert res.h0_dim == 3
     res = coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), -1)
@@ -184,14 +199,14 @@ def test_curve_from_parts_examples(tw, p1):
 def test_curve_from_parts_unit_rescale_invariance(tw):
     # pipeline output for f and f * unit are filtered-isomorphic
     for coeffs in ([1], [1, 1], [2]):
-        model = tate_degree_zero(two_periodic_presentation(gaussian_tps(coeffs, 16)), 16)
+        model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps(coeffs, 16)), 16)
         res = coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), 2)
         assert res.dims == (5, 0)
         assert res.graded == {0: (1, 0), 1: (2, 0), 2: (2, 0)}
 
 
 def test_curve_from_parts_rejects_non_ring_map(tw):
-    model = tate_degree_zero(two_periodic_presentation(gaussian_tps([1], 16)), 16)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
     good = coh.twistor_formal_embedding(model)
 
     def broken(i):
@@ -207,3 +222,48 @@ def test_result_json(tw):
     assert data["h0"] == 5 and data["h1"] == 0
     assert data["gr"] == {"0": 1, "1": 2, "2": 2}
     assert data["certified"] is True
+
+
+def _sympy_gluing_matrix(sympy, pres, n, D):
+    """Coordinates at t^m, n < m <= D, of the affine basis up to degree D.
+
+    Built with sympy from the basis labels (u = (t - 1/t)/2 and
+    v = -(i/2)(t + 1/t) on the twistor line), independently of the
+    package's Laurent windows. The kernel is H^0(O(n)), the cokernel H^1(O(n)).
+    """
+    t = sympy.Symbol("t")
+    names = {"t": t, "u": (t - 1 / t) / 2, "v": -sympy.I * (t + 1 / t) / 2}
+    basis = pres.basis_up_to(D)
+    exprs = [sympy.sympify(pres.label(i).replace("^", "**"), locals=names) for i in basis]
+    polys = [sympy.Poly(sympy.expand(e * t**D), t) for e in exprs]
+    rows = []
+    for m in range(D, n, -1):
+        coeffs = [p.coeff_monomial(t ** (m + D)) for p in polys]
+        if pres.pair.split:
+            rows += [[sympy.re(c) for c in coeffs], [sympy.im(c) for c in coeffs]]
+        else:
+            rows.append(coeffs)
+    return sympy.Matrix(rows), basis
+
+
+def _sympy_scalar(sympy, c):
+    z = GaussianRational.of(c)
+    return sympy.Rational(str(z.re)) + sympy.I * sympy.Rational(str(z.im))
+
+
+@pytest.mark.parametrize("curve", ["twistor", "p1"])
+@pytest.mark.parametrize("n", [-4, -1, 0, 3, 8])
+def test_dims_and_h0_span_match_sympy(curve, n):
+    sympy = pytest.importorskip("sympy")
+    pres = twistor_presentation() if curve == "twistor" else p1_presentation()
+    res = coh.compute(pres, n)
+    gluing, basis = _sympy_gluing_matrix(sympy, pres, n, res.cutoff_used)
+    kernel = gluing.nullspace()
+    assert res.h0_dim == len(kernel)
+    assert res.h1_dim == gluing.rows - gluing.rank()
+    if kernel:
+        ours = sympy.Matrix(
+            [[_sympy_scalar(sympy, vec.get(i, 0)) for i in basis] for vec in res.h0_basis]
+        )
+        theirs = sympy.Matrix.hstack(*kernel).T
+        assert ours.rank() == theirs.rank() == ours.col_join(theirs).rank()

@@ -4,13 +4,13 @@ import pytest
 
 from curvecoh.errors import PrecisionExhausted, ZeroBott
 from curvecoh.periodic import (
+    TwoPeriodicPresentation,
     hfp_degree_zero,
     nygaard_fil,
     pipeline_trace,
     rebase_round_trip,
     tate_degree_zero,
     trivial_action_model,
-    two_periodic_presentation,
 )
 from curvecoh.scalars import GAUSSIAN_ONE, gaussian_tps, rational_tps, theta
 
@@ -30,12 +30,12 @@ def _cases():
 def test_jump_index_is_valuation_plus_one():
     for a in (0, 1, 2):
         f = rational_tps([0] * a + [1, 1], M)
-        model = tate_degree_zero(two_periodic_presentation(f), M)
+        model = tate_degree_zero(TwoPeriodicPresentation(f=f), M)
         assert model.jump_index == a + 1
 
 
 def test_tau_equals_xi_for_f_one():
-    model = tate_degree_zero(two_periodic_presentation(rational_tps([1], M)), M)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([1], M)), M)
     assert model.parameter_name == "tau"
     assert model.parameter_expression == rational_tps([0, 1], M + 1)
     assert model.reversion == rational_tps([0, 1], M + 1)
@@ -43,14 +43,14 @@ def test_tau_equals_xi_for_f_one():
 
 def test_reversion_for_one_plus_xi():
     # tau = xi + xi^2; oracle: substitute back and get the identity
-    model = tate_degree_zero(two_periodic_presentation(rational_tps([1, 1], M)), M)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([1, 1], M)), M)
     assert list(model.reversion.coeffs[:6]) == [0, 1, -1, 2, -5, 14]
     back = model.parameter_expression.compose(model.reversion)
     assert all(c == (1 if j == 1 else 0) for j, c in enumerate(back.coeffs))
 
 
 def test_divided_bott_keeps_xi_carrier():
-    model = tate_degree_zero(two_periodic_presentation(rational_tps([0, 1], M)), M)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([0, 1], M)), M)
     assert model.jump_index == 2
     assert model.parameter_name == "xi"
     # tau = xi^2
@@ -59,7 +59,7 @@ def test_divided_bott_keeps_xi_carrier():
 
 def test_rebase_round_trip_identity():
     for name, f in _cases().items():
-        model = tate_degree_zero(two_periodic_presentation(f), M)
+        model = tate_degree_zero(TwoPeriodicPresentation(f=f), M)
         rt = rebase_round_trip(model)
         for j in range(min(13, rt.order)):
             assert rt.coeffs[j] == (1 if j == 1 else 0), (name, j)
@@ -67,19 +67,19 @@ def test_rebase_round_trip_identity():
 
 def test_hfp_image_equals_fil0_and_injective():
     for name, f in _cases().items():
-        image = hfp_degree_zero(two_periodic_presentation(f), M)
+        image = hfp_degree_zero(TwoPeriodicPresentation(f=f), M)
         assert image.image_equals_fil0(), name
         assert image.injective(), name
 
 
 def test_injectivity_at_every_precision():
     for m in (2, 4, 8, 16):
-        image = hfp_degree_zero(two_periodic_presentation(rational_tps([1, 1], m)), m)
+        image = hfp_degree_zero(TwoPeriodicPresentation(f=rational_tps([1, 1], m)), m)
         assert image.injective()
 
 
 def test_image_membership():
-    image = hfp_degree_zero(two_periodic_presentation(rational_tps([1], M)), M)
+    image = hfp_degree_zero(TwoPeriodicPresentation(f=rational_tps([1], M)), M)
     # tau^-1 has a pole, so it is not in the image
     assert not image.contains(image.model.monomial(1))
     assert image.contains(image.model.monomial(0))
@@ -87,7 +87,7 @@ def test_image_membership():
 
 
 def test_residue_is_theta():
-    image = hfp_degree_zero(two_periodic_presentation(rational_tps([1, 1], M)), M)
+    image = hfp_degree_zero(TwoPeriodicPresentation(f=rational_tps([1, 1], M)), M)
     for coeffs in ([3, 5, 7], [1], [0, 2, 0, 4]):
         a = rational_tps(coeffs, M)
         assert image.residue_matches_theta(a)
@@ -96,7 +96,7 @@ def test_residue_is_theta():
 
 def test_expand_base_of_geometric_series():
     # a = 1/(1-xi) expanded in tau for f = 1: coefficients stay 1
-    model = tate_degree_zero(two_periodic_presentation(rational_tps([1], M)), M)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([1], M)), M)
     w = model.expand_base(rational_tps([1] * M, M))
     for j in range(M):
         assert w.coefficient(-j) == 1
@@ -120,7 +120,7 @@ def test_trivial_action_model():
 
 
 def test_nygaard_fil_examples():
-    model = tate_degree_zero(two_periodic_presentation(rational_tps([1], M)), M)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([1], M)), M)
     fil2 = nygaard_fil(model, 2)
     assert fil2.contains(model.monomial(2))
     assert not fil2.contains(model.monomial(3))
@@ -130,20 +130,20 @@ def test_nygaard_fil_examples():
 
 
 def test_nygaard_fil_monotone():
-    model = tate_degree_zero(two_periodic_presentation(rational_tps([1], M)), M)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([1], M)), M)
     w = model.monomial(-1)
     memberships = [model.fil_member(w, n) for n in range(-3, 3)]
     assert memberships == sorted(memberships)  # once in, always in
 
 
 def test_nygaard_fil_precision():
-    model = tate_degree_zero(two_periodic_presentation(rational_tps([1], M)), 4)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([1], M)), 4)
     with pytest.raises(PrecisionExhausted):
         nygaard_fil(model, 7)
 
 
 def test_divided_bott_fil_jumps():
-    model = tate_degree_zero(two_periodic_presentation(rational_tps([0, 1], M)), M)
+    model = tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([0, 1], M)), M)
     # Fil_1 = tau^-1 * k[[xi]] reaches pole order 2
     assert model.fil_pole_bound(1) == 2
     assert nygaard_fil(model, 1).gr_dimension() == 2
@@ -157,8 +157,8 @@ def test_unit_rescale_filtered_isomorphism():
         (rational_tps([1], M), rational_tps([1, 1], M)),
         (rational_tps([0, 1], M), rational_tps([0, 1, 1], M)),
     ):
-        m1 = tate_degree_zero(two_periodic_presentation(f1), M)
-        m2 = tate_degree_zero(two_periodic_presentation(f2), M)
+        m1 = tate_degree_zero(TwoPeriodicPresentation(f=f1), M)
+        m2 = tate_degree_zero(TwoPeriodicPresentation(f=f2), M)
         assert m1.jump_index == m2.jump_index
         for n in range(-3, 4):
             assert nygaard_fil(m1, n).gr_dimension() == nygaard_fil(m2, n).gr_dimension()
@@ -167,16 +167,16 @@ def test_unit_rescale_filtered_isomorphism():
 
 def test_zero_bott():
     with pytest.raises(ZeroBott):
-        tate_degree_zero(two_periodic_presentation(rational_tps([0], 4)))
+        tate_degree_zero(TwoPeriodicPresentation(f=rational_tps([0], 4)))
 
 
 def test_gaussian_coefficients_supported():
-    image = hfp_degree_zero(two_periodic_presentation(gaussian_tps([1, 1], 8)), 8)
+    image = hfp_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1, 1], 8)), 8)
     assert image.image_equals_fil0() and image.injective()
 
 
 def test_pipeline_trace_shape():
-    trace = pipeline_trace(two_periodic_presentation(rational_tps([1, 1], 8)), 8)
+    trace = pipeline_trace(TwoPeriodicPresentation(f=rational_tps([1, 1], 8)), 8)
     assert trace["jump_index"] == 1
     assert trace["hfp_image_equals_fil0"] is True
     assert trace["injective"] is True

@@ -6,8 +6,6 @@ import pytest
 
 from curvecoh.errors import EmbeddingNotRingMap
 from curvecoh.presentation import (
-    basis_up_to,
-    embed_element,
     load_presentation,
     p1_presentation,
     twistor_presentation,
@@ -28,7 +26,7 @@ def tw():
 
 def test_p1_embeds(p1):
     assert p1.embed_basis(2) == gaussian_window({2: 1})
-    assert [p1.label(i) for i in basis_up_to(p1, 3)] == ["1", "t", "t^2", "t^3"]
+    assert [p1.label(i) for i in p1.basis_up_to(3)] == ["1", "t", "t^2", "t^3"]
     assert p1.mul_basis(1, 1) == {2: GaussianRational.of(1)}
 
 
@@ -43,23 +41,23 @@ def test_twistor_solves_the_linear_system(tw):
 def test_embed_element(tw, p1):
     # the defining relation u^2 + v^2 + 1 embeds to the certified zero:
     # 1 + u^2 plus the window of v*v
-    one_plus_u2 = embed_element(tw, {0: Fraction(1), 3: Fraction(1)})
+    one_plus_u2 = tw.embed_element({0: Fraction(1), 3: Fraction(1)})
     v2 = tw.embed_basis(2) * tw.embed_basis(2)
     assert (one_plus_u2 + v2).is_certified_zero
-    assert embed_element(tw, {2: Fraction(1)}) == gaussian_window(
+    assert tw.embed_element({2: Fraction(1)}) == gaussian_window(
         {1: GaussianRational(Fraction(0), Fraction(-1, 2)),
          -1: GaussianRational(Fraction(0), Fraction(-1, 2))}
     )
-    got = embed_element(p1, {0: GaussianRational.of(3), 1: GaussianRational.of(1)})
+    got = p1.embed_element({0: GaussianRational.of(3), 1: GaussianRational.of(1)})
     assert got == gaussian_window({0: 3, 1: 1})
 
 
 def test_basis_counts(tw, p1):
     for D in range(0, 7):
-        assert len(basis_up_to(tw, D)) == 2 * D + 1
-        assert len(basis_up_to(p1, D)) == D + 1
-    assert [tw.label(i) for i in basis_up_to(tw, 2)] == ["1", "u", "v", "u^2", "u*v"]
-    assert basis_up_to(p1, 0) == [0]
+        assert len(tw.basis_up_to(D)) == 2 * D + 1
+        assert len(p1.basis_up_to(D)) == D + 1
+    assert [tw.label(i) for i in tw.basis_up_to(2)] == ["1", "u", "v", "u^2", "u*v"]
+    assert p1.basis_up_to(0) == [0]
 
 
 def test_ring_map_and_leading_exact(tw, p1):
@@ -70,8 +68,8 @@ def test_ring_map_and_leading_exact(tw, p1):
 
 
 def test_degree_additivity(tw):
-    for i in basis_up_to(tw, 3):
-        for j in basis_up_to(tw, 3):
+    for i in tw.basis_up_to(3):
+        for j in tw.basis_up_to(3):
             prod = tw.mul_basis(i, j)
             degs = [tw.degree_of(k) for k in prod]
             total = tw.degree_of(i) + tw.degree_of(j)
