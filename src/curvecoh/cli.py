@@ -220,7 +220,7 @@ def cmd_section_ring(args) -> int:
 def cmd_pipeline(args) -> int:
     f = parse_f_expression(args.f, args.M)
     pres = TwoPeriodicPresentation(f=f)
-    trace = pipeline_trace(pres, args.prec or args.M)
+    trace = pipeline_trace(pres, args.M if args.prec is None else args.prec)
     checks_pass = trace["hfp_image_equals_fil0"] and trace["injective"]
     if args.format == "json":
         emit(trace, args)
@@ -347,7 +347,21 @@ def _apply_config(args, parser) -> None:
             setattr(args, attr, value)
 
 
+#: the type each option must have once flags and config are merged; a config
+#: file can supply any JSON value and ``--x=--`` makes argparse store []
+_OPTION_TYPES = {
+    "curve": str, "n": (str, int), "cutoff": int, "max_degree": int, "f": str,
+    "M": int, "prec": int, "x": str, "r": str, "format": str, "output": str,
+}
+
+
 def _validate(args, parser) -> None:
+    for key, expected in _OPTION_TYPES.items():
+        value = getattr(args, key, None)
+        if value is not None and (
+            not isinstance(value, expected) or isinstance(value, bool)
+        ):
+            parser.error(f"--{key.replace('_', '-')}: invalid value {value!r}")
     if args.format is None:
         args.format = "table"
     required = {

@@ -28,10 +28,11 @@ Convention: the Nygaard indexing is v-adic as stated above; a different
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PrecisionExhausted, ZeroBott
 from .linalg import rank
-from .scalars import TruncatedPowerSeries, theta
+from .scalars import TruncatedPowerSeries, is_zero_scalar, theta
 from .series import LaurentWindow
 
 
@@ -110,22 +111,39 @@ class FilteredRingModel:
     def fil_member(self, w: LaurentWindow, n: int) -> bool:
         return w.fil_member(self.fil_pole_bound(n))
 
+    @cached_property
+    def _coordinate_powers(self) -> list:
+        """reversion^k for 0 <= k < reversion.order; higher powers vanish there."""
+        r = self.reversion
+        if not is_zero_scalar(r.coeffs[0]):
+            raise ValueError("composition requires inner constant term 0")
+        powers = [TruncatedPowerSeries.constant(self.one, r.order)]
+        for _ in range(1, r.order):
+            powers.append(powers[-1] * r)
+        return powers
+
     def expand_base(self, a: TruncatedPowerSeries) -> LaurentWindow:
         """The image of an A-element in the carrier.
 
-        For a unit Bott coefficient the xi-coordinate is re-expressed in
-        tau by the reversion series; otherwise the carrier parameter is
-        xi itself. The window's cutoff records how deep the expansion is
-        certified.
+        A linear map. For a unit Bott coefficient the xi-coordinate is
+        re-expressed in tau by the reversion series: the image is
+        sum_k a_k * reversion^k over the cached coordinate powers, which
+        equals a.compose(reversion). Otherwise the carrier parameter is xi
+        itself and the image is a. The window's cutoff records how deep
+        the expansion is certified.
         """
         if self.jump_index == 1:
-            series = a.compose(self.reversion)
+            r = self.reversion
+            m = min(r.order, a.order * (r.valuation() or 1))
+            coeffs = [a.zero_coeff] * m
+            for k, (a_k, power) in enumerate(zip(a.coeffs, self._coordinate_powers)):
+                if is_zero_scalar(a_k):
+                    continue
+                for j in range(k, m):  # reversion^k has valuation >= k
+                    coeffs[j] = coeffs[j] + a_k * power.coeffs[j]
         else:
-            series = a
-        coeffs = {-j: c for j, c in enumerate(series.coeffs)}
-        return LaurentWindow(
-            {e: c for e, c in coeffs.items()}, cutoff=-(series.order - 1)
-        )
+            coeffs, m = a.coeffs, a.order
+        return LaurentWindow({-j: c for j, c in enumerate(coeffs)}, cutoff=-(m - 1))
 
     def residue(self, w: LaurentWindow):
         """Reduction at tau = 0 (the residue field of Fil_0)."""
@@ -196,32 +214,31 @@ class DegreeZeroImage:
         """Membership in the image ( = Fil_0) as far as the window certifies."""
         return self.model.fil_member(w, 0)
 
-    def _matrix(self):
+    @cached_property
+    def _basis_windows(self) -> list:
+        """The images of xi^0, ..., xi^(M-1): the rows of the coefficient map."""
         one = self.model.one
         zero = one * 0
-        rows = []
+        windows = []
         for j in range(self.M):
             coeffs = [zero] * self.M
             coeffs[j] = one
-            w = self.expand(TruncatedPowerSeries(coeffs, self.M))
-            rows.append([w.coefficient(-k) for k in range(self.M)])
-        return rows
+            windows.append(self.expand(TruncatedPowerSeries(coeffs, self.M)))
+        return windows
+
+    @cached_property
+    def _rank(self) -> int:
+        return rank([[w.coefficient(-k) for k in range(self.M)] for w in self._basis_windows])
 
     def image_equals_fil0(self) -> bool:
         """Image lands in Fil_0 and saturates every tracked coordinate of it."""
-        one = self.model.one
-        zero = one * 0
-        for j in range(self.M):
-            coeffs = [zero] * self.M
-            coeffs[j] = one
-            w = self.expand(TruncatedPowerSeries(coeffs, self.M))
-            if w.coeffs and w.pole_order() > 0:
-                return False
-        return rank(self._matrix()) == self.M
+        if any(w.coeffs and w.pole_order() > 0 for w in self._basis_windows):
+            return False
+        return self._rank == self.M
 
     def injective(self) -> bool:
         """Zero kernel of the A -> carrier coefficient map at this precision."""
-        return rank(self._matrix()) == self.M
+        return self._rank == self.M
 
     def residue_matches_theta(self, a: TruncatedPowerSeries) -> bool:
         return self.model.residue(self.expand(a)) == theta(a)

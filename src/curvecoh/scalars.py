@@ -500,7 +500,7 @@ class TruncatedPowerSeries:
                 [c * other for c in self.coeffs], self.order
             )
         m = self._binop_order(other)
-        out = [self.zero_coeff for _ in range(m)]
+        out = [self.zero_coeff] * m
         for j, a in enumerate(self.coeffs[:m]):
             if is_zero_scalar(a):
                 continue
@@ -534,9 +534,10 @@ class TruncatedPowerSeries:
             raise NotAUnit("constant term is not a unit")
         one = a0 / a0
         inv0 = one / a0
+        zero = self.zero_coeff
         out = [inv0]
         for m in range(1, self.order):
-            acc = self.zero_coeff
+            acc = zero
             for k in range(1, m + 1):
                 acc = acc + self.coeffs[k] * out[m - k]
             out.append(-inv0 * acc)
@@ -578,7 +579,14 @@ class TruncatedPowerSeries:
     def reversion(self) -> "TruncatedPowerSeries":
         """The compositional inverse g with self(g(x)) = x + O(x^order).
 
-        Requires zero constant term and unit linear coefficient.
+        Requires zero constant term and unit linear coefficient. Lagrange
+        inversion: with h = xi/self = self.shift_down(1).inverse(),
+        [xi^n] g = (1/n) * [xi^(n-1)] h^n, and the powers h^n are built by
+        successive multiplication, so this costs O(order) series
+        multiplications instead of one composition per coefficient.
+        Dividing by n needs characteristic 0, which holds for every caller
+        (coefficients in Q or Q(i)); over the p-adics a division by an n
+        divisible by p would lose precision.
         """
         if not is_zero_scalar(self.coeffs[0]):
             raise ValueError("reversion requires zero constant term")
@@ -587,12 +595,12 @@ class TruncatedPowerSeries:
                 # nothing to determine at order 1
                 return TruncatedPowerSeries([self.zero_coeff], 1)
             raise NotAUnit("reversion requires a unit linear coefficient")
-        one = self.coeffs[1] / self.coeffs[1]
-        g = [self.zero_coeff, one / self.coeffs[1]]
-        for m in range(2, self.order):
-            trial = TruncatedPowerSeries(g + [self.zero_coeff], m + 1)
-            err = self.compose(trial).coeffs[m]
-            g.append(-err / self.coeffs[1])
+        h = self.shift_down(1).inverse()
+        g = [self.zero_coeff, h.coeffs[0]]
+        h_n = h
+        for n in range(2, self.order):
+            h_n = h_n * h
+            g.append(h_n.coeffs[n - 1] / n)
         return TruncatedPowerSeries(g, self.order)
 
     def __str__(self):

@@ -89,6 +89,9 @@ _DREAM = ["--r", "1/2", "--M", "4", "--n", "0"]
 _BAD_FILES = {
     "@bad-mul": "fields rational gaussian\nbasis a 0\nmul a a = 1/0*a\nembed a = 1*t^0\n",
     "@bad-embed": "fields rational gaussian\nbasis a 0\nmul a a = 1*a\nembed a = 1/0*t^0\n",
+    "@numeric-x-r": '{"x": 5, "r": 0.5}',
+    "@numeric-f": '{"f": 1}',
+    "@string-M": '{"M": "8"}',
 }
 
 
@@ -104,6 +107,13 @@ _BAD_FILES = {
         ["dream", "--x", "1/0", *_DREAM],
         ["dream", "--x", "i/0", *_DREAM],
         ["dream", "--x", "--", *_DREAM],
+        ["pipeline", "--f", "1", "--M", "4", "--prec", "0"],
+        ["dream", "--x=--", *_DREAM],
+        ["pipeline", "--f=--", "--M", "4"],
+        ["cohomology", "--curve", "p1", "--n", "0", "--cutoff=--"],
+        ["dream", "--config", "@numeric-x-r", "--M", "4", "--n", "0"],
+        ["pipeline", "--config", "@numeric-f", "--M", "4"],
+        ["pipeline", "--config", "@string-M", "--f", "1"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):

@@ -1,9 +1,14 @@
 """The degree-zero extraction pipeline on two-periodic presentations."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from curvecoh.errors import PrecisionExhausted, ZeroBott
 from curvecoh.periodic import (
+    DegreeZeroImage,
+    FilteredRingModel,
     TwoPeriodicPresentation,
     hfp_degree_zero,
     nygaard_fil,
@@ -12,7 +17,8 @@ from curvecoh.periodic import (
     tate_degree_zero,
     trivial_action_model,
 )
-from curvecoh.scalars import GAUSSIAN_ONE, gaussian_tps, rational_tps, theta
+from curvecoh.scalars import GAUSSIAN_ONE, GaussianRational, gaussian_tps, rational_tps, theta
+from curvecoh.series import LaurentWindow
 
 M = 16
 
@@ -101,6 +107,46 @@ def test_expand_base_of_geometric_series():
     for j in range(M):
         assert w.coefficient(-j) == 1
     assert w.cutoff == -(M - 1)
+
+
+def _non_coordinate_model(m):
+    """A hand-built model whose coordinate series xi^2 has zero linear term."""
+    xi2 = rational_tps([0, 0, 1], m + 1)
+    return FilteredRingModel(
+        M=m, prec=m, jump_index=1, parameter_expression=xi2, unit_parameter=xi2,
+        reversion=xi2, unit_part=rational_tps([1], m), one=Fraction(1),
+    )
+
+
+def test_image_checks_fail_for_non_coordinate():
+    for m in (4, 9):
+        image = DegreeZeroImage(model=_non_coordinate_model(m), M=m)
+        assert image.injective() is False
+        assert image.image_equals_fil0() is False
+
+
+def test_expand_base_equals_compose():
+    rng = random.Random(11)
+
+    def coeff(gaussian):
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return GaussianRational(c, Fraction(rng.randint(-3, 3))) if gaussian else c
+
+    for m in (4, 9, 16):
+        models = [(_non_coordinate_model(m), False)]
+        for gaussian in (False, True):
+            f = (gaussian_tps if gaussian else rational_tps)(
+                [1, coeff(gaussian), coeff(gaussian)], m)
+            models.append((tate_degree_zero(TwoPeriodicPresentation(f=f), m), gaussian))
+        for model, gaussian in models:
+            for order in (m - 1, m, m + 2):
+                a = (gaussian_tps if gaussian else rational_tps)(
+                    [coeff(gaussian) for _ in range(order)], order)
+                series = a.compose(model.reversion)
+                want = LaurentWindow({-j: c for j, c in enumerate(series.coeffs)},
+                                     cutoff=-(series.order - 1))
+                got = model.expand_base(a)
+                assert (got.coeffs, got.cutoff) == (want.coeffs, want.cutoff), (m, order)
 
 
 def test_trivial_action_model():

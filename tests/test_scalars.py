@@ -11,6 +11,8 @@ from curvecoh.scalars import (
     GAUSSIAN_ONE,
     GaussianRational,
     PAdic,
+    TruncatedPowerSeries,
+    gaussian_tps,
     parse_gaussian,
     rational_tps,
     theta,
@@ -150,6 +152,79 @@ def test_tps_compose_and_reversion():
     assert list(g.coeffs[:6]) == [0, 1, -1, 2, -5, 14]
     ident = f.compose(g)
     assert all(c == (1 if j == 1 else 0) for j, c in enumerate(ident.coeffs))
+
+
+def _reference_reversion(f):
+    """Coefficient by coefficient: pick g_m so that f(g) has no xi^m term."""
+    one = f.coeffs[1] / f.coeffs[1]
+    g = [f.zero_coeff, one / f.coeffs[1]]
+    for m in range(2, f.order):
+        trial = TruncatedPowerSeries(g + [f.zero_coeff], m + 1)
+        err = f.compose(trial).coeffs[m]
+        g.append(-err / f.coeffs[1])
+    return TruncatedPowerSeries(g, f.order)
+
+
+def _random_reversible(rng, order, gaussian):
+    def coeff():
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        if gaussian:
+            return GaussianRational(c, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        return c
+
+    coeffs = [0] + [coeff() for _ in range(order - 1)]
+    while not coeffs[1]:
+        coeffs[1] = coeff()
+    return (gaussian_tps if gaussian else rational_tps)(coeffs, order)
+
+
+def _reversion_cases():
+    rng = random.Random(SEED + 4)
+    return [_random_reversible(rng, order, gaussian)
+            for gaussian in (False, True) for order in range(2, 17)]
+
+
+def test_reversion_matches_reference_and_inverts():
+    for f in _reversion_cases():
+        g = f.reversion()
+        assert g.order == f.order
+        assert list(g.coeffs) == list(_reference_reversion(f).coeffs), str(f)
+        xi = TruncatedPowerSeries.variable(f.coeffs[1] / f.coeffs[1], f.order)
+        assert f.compose(g) == xi, str(f)
+
+
+def test_reversion_errors():
+    with pytest.raises(ValueError):
+        rational_tps([1, 1, 1], 4).reversion()
+    with pytest.raises(NotAUnit):
+        rational_tps([0, 0, 1], 4).reversion()
+    with pytest.raises(NotAUnit):
+        gaussian_tps([0, 0, GAUSSIAN_I], 4).reversion()
+    assert rational_tps([0], 1).reversion().order == 1
+
+
+def test_reversion_matches_sympy():
+    ring_series = pytest.importorskip("sympy.polys.ring_series")
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.rings import ring
+
+    def frac(q):
+        return Fraction(int(q.numerator), int(q.denominator))
+
+    for f in _reversion_cases():
+        gaussian = isinstance(f.coeffs[1], GaussianRational)
+        domain = QQ_I if gaussian else QQ
+        _, x, y = ring("x,y", domain)
+        p = domain.zero
+        for k, c in enumerate(f.coeffs):
+            c = GaussianRational.of(c)
+            p += (domain(c.re, c.im) if gaussian else domain(c.re)) * x**k
+        r = ring_series.rs_series_reversion(p, x, f.order, y)
+        g = f.reversion()
+        for k in range(1, f.order):
+            c = r.coeff(y**k)
+            want = GaussianRational(frac(c.x), frac(c.y)) if gaussian else frac(c)
+            assert g.coeffs[k] == want, (str(f), k)
 
 
 def test_tps_str():
