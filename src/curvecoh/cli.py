@@ -352,15 +352,20 @@ def _apply_config(args, parser) -> None:
 _OPTION_TYPES = {
     "curve": str, "n": (str, int), "cutoff": int, "max_degree": int, "f": str,
     "M": int, "prec": int, "x": str, "r": str, "format": str, "output": str,
+    "uncertified_ok": bool,
 }
 
 
 def _validate(args, parser) -> None:
     for key, expected in _OPTION_TYPES.items():
-        value = getattr(args, key, None)
-        if value is not None and (
-            not isinstance(value, expected) or isinstance(value, bool)
-        ):
+        if not hasattr(args, key):
+            continue
+        value = getattr(args, key)
+        # None means "not given", except for a switch, which argparse sets to
+        # False; a bool is only a switch's value (JSON true is not an int)
+        if value is None and expected is not bool:
+            continue
+        if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
             parser.error(f"--{key.replace('_', '-')}: invalid value {value!r}")
     if args.format is None:
         args.format = "table"

@@ -8,12 +8,14 @@ base field k0, truncating the affine algebra at a degree cutoff D.
 
 When the presentation is ``leading_exact`` the truncation is provably
 enough (an element of degree <= D cannot hide a pole above D), so the
-results carry ``certified=True``; without the flag they are reported
-uncertified. The H^1 dimension is re-computed at D, D+1, D+2 and must
-stabilize for every presentation, ``leading_exact`` or not: leading
-coefficients that are k0-independent need not span k1 over k0, so the
-image can miss a direction in every degree (Q[t] inside Q(i)((t^-1))
-never reaches i*t^m) and only the drifting dimension shows it.
+results carry ``certified=True`` once the presentation's checks cover
+every degree read (D for H^0, D+2 for H^1; see ``certified_through``);
+without the flag they are reported uncertified. The H^1 dimension is
+re-computed at D, D+1, D+2 and must stabilize for every presentation,
+``leading_exact`` or not: leading coefficients that are k0-independent
+need not span k1 over k0, so the image can miss a direction in every
+degree (Q[t] inside Q(i)((t^-1)) never reaches i*t^m) and only the
+drifting dimension shows it.
 
 H^0 and H^1 are the kernel and cokernel of one gluing map, the affine
 algebra up to degree D into the Laurent coefficients above Fil_n:
@@ -37,7 +39,6 @@ from .linalg import rref
 from .presentation import (
     AffinePresentation,
     check_ring_map,
-    combine,
     leading_exact_failure,
     twistor_embedding,
 )
@@ -145,7 +146,9 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     form of a subspace is unique for a given column order, they are the
     canonical basis. Returns (basis, element windows, graded pieces); each
     basis vector {basis index: k0 coefficient} is rescaled so its first
-    affine coordinate is 1.
+    affine coordinate is 1. Each element's window is read off its row's
+    window block, known down to the largest cutoff of the basis windows
+    (exact when every basis window is).
     """
     pair = pres.pair
     basis = pres.basis_up_to(D)
@@ -153,14 +156,15 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     _require_known(windows, fil_bound + 1)
     tops = [w.pole_order() for w in windows]
     top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
-    cutoffs = [w.cutoff for w in windows if w.cutoff is not None]
-    if cutoffs:
-        low = max(cutoffs)
-    else:
+    cutoff = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
+    if cutoff is None:
         low = min((e for w in windows for e in w.coeffs), default=top + 1)
+    else:
+        low = cutoff
     exps = range(top, low - 1, -1)
-    width = len(exps) * pair.coord_count
-    above = sum(e > fil_bound for e in exps) * pair.coord_count
+    step = pair.coord_count
+    width = len(exps) * step
+    above = sum(e > fil_bound for e in exps) * step
     zero, one = pair.base_zero(), pair.base_one()
     rows = []
     for k, w in enumerate(windows):
@@ -176,10 +180,14 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
         # rescale so the first affine coordinate (basis order) is 1; the
         # subspace stays in reduced form, the elements read naturally
         lead = vec[min(vec)]
-        vec = {basis[i]: c / lead for i, c in vec.items()}
-        vecs.append(vec)
-        wins.append(combine(window, vec, pair))
-        pivot_exps.append(exps[pc // pair.coord_count] if pc < width else None)
+        vecs.append({basis[i]: c / lead for i, c in vec.items()})
+        # row operations keep "window block = identity block applied to the
+        # basis windows", so the rescaled window block is the element's window
+        blocks = ((e, row[j * step:(j + 1) * step]) for j, e in enumerate(exps))
+        wins.append(LaurentWindow(
+            {e: pair.from_coords([c / lead for c in cs]) for e, cs in blocks if any(cs)}, cutoff
+        ))
+        pivot_exps.append(exps[pc // step] if pc < width else None)
     return vecs, wins, _graded_from_pivots(pivot_exps)
 
 
@@ -248,13 +256,14 @@ def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: 
 def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
     """Global sections of O(n): affine elements with pole order <= n at infinity."""
     D = _cutoff(pres, n, D, "h0")
+    certified = pres.certified_through(D)
     basis, windows, graded = _sections(pres, pres.embed_basis, n, D)
     return CohomologyResult(
         n=n,
         h0_basis=basis,
         h0_windows=windows,
         h0_graded=graded,
-        certified=pres.leading_exact,
+        certified=certified,
         cutoff_used=D,
         labels={i: pres.label(i) for i in pres.basis_up_to(D)},
     )
@@ -282,7 +291,7 @@ def h1(
         n=n,
         h1_basis=reps,
         h1_graded=graded,
-        certified=pres.leading_exact,
+        certified=pres.certified_through(D + 2),
         cutoff_used=D,
         window_bottom=window_bottom,
     )

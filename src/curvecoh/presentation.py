@@ -55,6 +55,9 @@ class AffinePresentation:
         self.pair = pair
         self.leading_exact = leading_exact
         self.max_degree = max_degree
+        # degree through which leading_exact has been checked; None when
+        # it holds in every degree by construction (the built-in curves)
+        self.verified_degree: int | None = None
         self._degree = degree_fn
         self._indices_of_degree = indices_of_degree_fn
         self._embed = embed_fn
@@ -128,6 +131,25 @@ class AffinePresentation:
         failure = leading_exact_failure(self, self.embed_basis, 1, max_degree)
         if failure is not None:
             raise EmbeddingNotRingMap(f"{self.name}: {failure}")
+
+    def certified_through(self, degree: int) -> bool:
+        """Whether a result that reads basis degrees <= ``degree`` is certified.
+
+        It is when the presentation declares ``leading_exact`` and that
+        property is checked through ``degree``: the truncation argument
+        rests on it in every degree the computation reads, and it reads
+        only leading window coefficients, so the check is cheap. A check
+        that so far stops below ``degree`` is extended here (raising
+        EmbeddingNotRingMap if it fails), and the covered degree is kept.
+        """
+        if not self.leading_exact:
+            return False
+        if self.max_degree is not None:
+            degree = min(degree, self.max_degree)
+        if self.verified_degree is not None and degree > self.verified_degree:
+            self.verify_leading_exact(degree)
+            self.verified_degree = degree
+        return True
 
 
 def combine(window, coeffs: dict, pair: FieldPair) -> LaurentWindow:
@@ -312,7 +334,12 @@ def _parse_term(term: str):
 
 
 def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> AffinePresentation:
-    """Parse the declarative text format and verify the declared flags."""
+    """Parse the declarative text format and verify the declared flags.
+
+    Both checks run up to ``verify_degree`` here; a computation that reads
+    higher degrees extends the leading_exact check first
+    (``certified_through``).
+    """
     pair = None
     leading_exact = False
     symbols: list[str] = []
@@ -406,4 +433,5 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
     pres.verify_ring_map(cap)
     if leading_exact:
         pres.verify_leading_exact(cap)
+    pres.verified_degree = cap
     return pres

@@ -192,6 +192,13 @@ class FieldPair:
             return (z.re, z.im)
         return (z,)
 
+    def from_coords(self, parts) -> GaussianRational:
+        """The k1 scalar with the given k0 coordinates; inverse of ``coords``."""
+        if self.split:
+            return GaussianRational(*parts)
+        (z,) = parts
+        return z
+
     def base_zero(self):
         return Fraction(0) if self.split else GAUSSIAN_ZERO
 

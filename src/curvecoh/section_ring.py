@@ -52,17 +52,22 @@ class SectionRing:
 
     def express(self, k: int, vec: dict) -> list:
         """Express an affine element in the echelon basis of P_k (NotInSpan if impossible)."""
+        return self.express_all(k, [vec])[0]
+
+    def express_all(self, k: int, vecs: list) -> list:
+        """Coordinates of each affine element in the echelon basis of P_k, one elimination."""
         cols = self.affine_cols[k]
         zero = self.pres.pair.base_zero()
-        target = self._vector_coords(vec, cols)
+        targets = [self._vector_coords(vec, cols) for vec in vecs]
         rows = [self._vector_coords(bvec, cols) for bvec in self.bases[k]]
-        sol = solve_in_span(rows, target, zero)
-        if sol is None:
-            raise NotInSpan(
-                f"product does not lie in P_{k} (presentation bug): "
-                f"{self.pres.element_label(vec)}"
-            )
-        return sol
+        sols = solve_in_span(rows, targets, zero)
+        for vec, sol in zip(vecs, sols):
+            if sol is None:
+                raise NotInSpan(
+                    f"product does not lie in P_{k} (presentation bug): "
+                    f"{self.pres.element_label(vec)}"
+                )
+        return sols
 
 
 def build_section_ring(pres: AffinePresentation, D: int) -> SectionRing:
@@ -120,7 +125,9 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
     """Rank and kernel of the multiplication maps Sym^n(P_1) -> P_n.
 
     Monomials are ordered combinations of the echelonized P_1 basis, so
-    the report is deterministic.
+    the report is deterministic. Per degree, one elimination expresses
+    every monomial in P_n and one more gives the kernel; the rank follows
+    from the kernel's dimension.
     """
     if sr.D < 2:
         raise ValueError("degree-one generation needs D >= 2")
@@ -131,20 +138,19 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
     surjective, kernel_dims, kernel_gens, monomials = {}, {}, {}, {}
     for n in range(1, sr.D + 1):
         monos = list(combinations_with_replacement(range(d1), n))
-        rows = []
+        vecs = []
         for mono in monos:
             vec = dict(sr.bases[1][mono[0]])
             for j in mono[1:]:
                 vec = pres.mul_elements(vec, sr.bases[1][j])
-            rows.append(sr.express(n, vec))
-        # surjectivity: the rows span P_n; kernel: combinations of rows vanishing
+            vecs.append(vec)
+        rows = sr.express_all(n, vecs)
+        # kernel: combinations of rows vanishing; surjectivity: the rows span
+        # P_n, i.e. their rank len(monos) - dim kernel reaches dim P_n
         cols = len(rows[0]) if rows else 0
         transpose = [[rows[i][c] for i in range(len(rows))] for c in range(cols)]
-        from .linalg import rref
-
-        _, pivots = rref([list(r) for r in rows])
-        surjective[n] = len(pivots) == sr.dim(n)
         kern = kernel_basis(transpose, len(monos), zero, one)
+        surjective[n] = len(monos) - len(kern) == sr.dim(n)
         kernel_dims[n] = len(kern)
         monomials[n] = monos
         if n <= 3:

@@ -92,6 +92,9 @@ _BAD_FILES = {
     "@numeric-x-r": '{"x": 5, "r": 0.5}',
     "@numeric-f": '{"f": 1}',
     "@string-M": '{"M": "8"}',
+    "@string-switch": '{"uncertified_ok": "false"}',
+    "@numeric-switch": '{"uncertified_ok": 1}',
+    "@null-switch": '{"uncertified_ok": null}',
 }
 
 
@@ -114,6 +117,8 @@ _BAD_FILES = {
         ["dream", "--config", "@numeric-x-r", "--M", "4", "--n", "0"],
         ["pipeline", "--config", "@numeric-f", "--M", "4"],
         ["pipeline", "--config", "@string-M", "--f", "1"],
+        *(["cohomology", "--curve", "p1", "--n", "3", "--cutoff", "4", "--config", switch]
+          for switch in ("@string-switch", "@numeric-switch", "@null-switch")),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -200,6 +205,14 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert [d["h0"] for d in data] == [1, 2]
+
+
+def test_config_switch_takes_json_true(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"uncertified_ok": True}))
+    argv = ["cohomology", "--curve", "p1", "--n", "3", "--cutoff", "4"]
+    assert run(capsys, *argv, "--config", str(cfg))[0] == 0
+    assert run(capsys, *argv)[0] == 1  # CutoffTooSmall without the switch
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,11 +1,18 @@
 """The gluing-square cohomology engine against the known tables."""
 
+from fractions import Fraction
+
 import pytest
 
 from curvecoh import cohomology as coh
 from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap
 from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
-from curvecoh.presentation import p1_presentation, twistor_presentation
+from curvecoh.presentation import (
+    combine,
+    load_presentation,
+    p1_presentation,
+    twistor_presentation,
+)
 from curvecoh.scalars import GaussianRational, gaussian_tps
 from curvecoh.series import fil_member
 
@@ -215,6 +222,69 @@ def test_curve_from_parts_rejects_non_ring_map(tw):
 
     with pytest.raises(EmbeddingNotRingMap):
         coh.curve_from_parts(tw, model, broken, 1)
+
+
+def _gaussian_coeff(z) -> str:
+    """A Q(i) coefficient in the presentation file syntax (imaginary part as ``3/4i``)."""
+    if z.im == 0:
+        return str(z.re)
+    return f"{z.re}{'+' if z.im > 0 else ''}{z.im}i"
+
+
+def _shifted_line_file(top: int) -> str:
+    """Q(i)[w] with w -> (1+i)t + 1/2 up to degree ``top``: Gaussian, not monomial, windows."""
+    from curvecoh.series import gaussian_window
+
+    w = gaussian_window({1: GaussianRational(Fraction(1), Fraction(1)), 0: Fraction(1, 2)})
+    lines = ["fields gaussian gaussian", "flags leading_exact"]
+    lines += [f"basis w{k} {k}" for k in range(top + 1)]
+    lines += [f"mul w{i} w{j} = 1*w{i + j}" for i in range(top + 1) for j in range(i, top + 1 - i)]
+    for k in range(top + 1):
+        wk = w.power(k)
+        terms = [f"{_gaussian_coeff(wk.coeffs[e])}*t^{e}" for e in sorted(wk.coeffs, reverse=True)]
+        lines.append(f"embed w{k} = {' + '.join(terms)}")
+    return "\n".join(lines)
+
+
+def _assert_windows_combine_basis(res, window, pair):
+    assert len(res.h0_windows) == res.h0_dim
+    for vec, win in zip(res.h0_basis, res.h0_windows):
+        assert win == combine(window, vec, pair)
+
+
+def test_h0_windows_are_the_combined_basis_windows(p1, tw):
+    # the windows read off the reduced rows equal the elements' windows built
+    # by scale-and-sum over the basis windows
+    file_curve = load_presentation(_shifted_line_file(14), name="shifted")
+    for pres in (tw, p1, file_curve):
+        for n in range(-3, 13):
+            res = coh.h0(pres, n)
+            assert res.certified
+            _assert_windows_combine_basis(res, pres.embed_basis, pres.pair)
+
+
+def test_h0_windows_with_cutoffs_combine_basis_windows(p1, tw):
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+    for pres, embed in (
+        (tw, coh.twistor_formal_embedding(model)),
+        (p1, coh.p1_formal_embedding(model)),
+    ):
+        def clipped(i, embed=embed):
+            return embed(i).clip(-model.prec)
+
+        def staggered(i, embed=embed):
+            return embed(i).clip(-model.prec + i % 3)
+
+        for n in range(-3, 13):
+            res = coh.curve_from_parts(pres, model, clipped, n)
+            assert all(w.cutoff == -model.prec for w in res.h0_windows)
+            assert res.dims == coh.compute(pres, n).dims
+            _assert_windows_combine_basis(res, clipped, pres.pair)
+            # unequal cutoffs: every window is known down to the largest one
+            res = coh.curve_from_parts(pres, model, staggered, n)
+            for vec, win in zip(res.h0_basis, res.h0_windows):
+                assert win.cutoff == -model.prec + 2
+                assert win.agrees_with(combine(staggered, vec, pres.pair))
 
 
 def test_result_json(tw):
