@@ -34,11 +34,12 @@ for x in (Fraction(1, 3), parse_gaussian("i/2")):
         ("twistor", tw, twistor_formal_embedding(model)),
         ("p1", p1, p1_formal_embedding(model)),
     ):
+        ns = range(-3, 4)
         agree = all(
-            (lambda d, a: d.dims == a.dims and d.graded == a.graded)(
-                compute(pres, n), curve_from_parts(pres, model, embed, n)
+            d.dims == a.dims and d.graded == a.graded
+            for d, a in zip(
+                (compute(pres, n) for n in ns), curve_from_parts(pres, model, embed, ns)
             )
-            for n in range(-3, 4)
         )
         print(f"  {label:8s} assembled == direct for n in [-3, 3]: {agree}")
     print()

@@ -250,9 +250,8 @@ def cmd_dream(args) -> int:
     ]
     rows, all_ok = [], True
     for label, pres, embed in curves:
-        for n in ns:
+        for n, assembled in zip(ns, coh.curve_from_parts(pres, model, embed, ns)):
             direct = coh.compute(pres, n)
-            assembled = coh.curve_from_parts(pres, model, embed, n)
             ok = direct.dims == assembled.dims and direct.graded == assembled.graded
             all_ok = all_ok and ok
             rows.append(

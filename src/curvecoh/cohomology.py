@@ -348,38 +348,44 @@ def curve_from_parts(
     pres: AffinePresentation,
     model,
     embedding,
-    n: int,
+    ns,
     D: int | None = None,
-) -> CohomologyResult:
-    """Cohomology of O(n) with Fil_n taken from a formal-disc model.
+) -> list[CohomologyResult]:
+    """Cohomology of O(n) for each twist n in ``ns``, with Fil_n from a formal-disc model.
 
-    ``embedding`` maps basis indices to windows in the model's carrier;
-    it is checked to be a ring map on basis products up to degree 4. For
-    a model with jump_index 1 this reproduces the direct computation.
-    The result is certified when degree-d elements peak at pole d*jump
-    with independent leading coefficients (the leading_exact property,
-    verified in the carrier up to D).
+    ``embedding`` maps basis indices to windows in the model's carrier; it
+    is cached once and checked once to be a ring map on basis products up
+    to degree 4, since neither depends on the twist. Returns one result per
+    twist, in order. For a model with jump_index 1 this reproduces the
+    direct computation. A result is certified when degree-d elements peak
+    at pole d*jump with independent leading coefficients (the
+    leading_exact property, verified in the carrier up to the cutoff D
+    that twist reads).
     """
-    D = _cutoff(pres, n, D, "assembly")
+    ns = list(ns)
+    cutoffs = [_cutoff(pres, n, D, "assembly") for n in ns]
     window = cache(embedding)
     check_ring_map(pres, window, 4)
     jump = model.jump_index
-    fil_bound = model.fil_pole_bound(n)
-    certified = leading_exact_failure(pres, window, jump, D) is None
-    reps, h1_graded = _h1_classes(pres, window, fil_bound, D, jump)
-    basis, windows, h0_graded = _sections(pres, window, fil_bound, D)
-    return CohomologyResult(
-        n=n,
-        h0_basis=basis,
-        h0_windows=windows,
-        h0_graded=h0_graded,
-        h1_basis=reps,
-        h1_graded=h1_graded,
-        certified=certified,
-        cutoff_used=D,
-        window_bottom=n,
-        labels={i: pres.label(i) for i in pres.basis_up_to(D)},
-    )
+    results = []
+    for n, D_n in zip(ns, cutoffs):
+        fil_bound = model.fil_pole_bound(n)
+        certified = leading_exact_failure(pres, window, jump, D_n) is None
+        reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump)
+        basis, windows, h0_graded = _sections(pres, window, fil_bound, D_n)
+        results.append(CohomologyResult(
+            n=n,
+            h0_basis=basis,
+            h0_windows=windows,
+            h0_graded=h0_graded,
+            h1_basis=reps,
+            h1_graded=h1_graded,
+            certified=certified,
+            cutoff_used=D_n,
+            window_bottom=n,
+            labels={i: pres.label(i) for i in pres.basis_up_to(D_n)},
+        ))
+    return results
 
 
 def p1_formal_embedding(model):

@@ -6,8 +6,9 @@ entry gets ``GaussianRational`` entries back, any other matrix gets
 ``Fraction`` entries.
 
 Every function goes through one kernel, ``rref``. It multiplies each row
-by the common denominator of its entries, which leaves the row space
-unchanged, and stores the row sparsely as {column: integer}. When some
+by the common denominator of its entries (``scalars.integer_parts``, the
+step the series products share), which leaves the row space unchanged,
+and stores the row sparsely as {column: integer}. When some
 entry has a nonzero imaginary part the integers are Gaussian integers
 (``_GaussianInteger``); otherwise they are Python ints. Gauss-Jordan
 elimination then runs over that ring without a single division: a row
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import GAUSSIAN_ZERO, GaussianRational
+from .scalars import GAUSSIAN_ZERO, GaussianRational, integer_parts
 
 
 class _GaussianInteger:
@@ -92,44 +93,35 @@ def _gaussian_gcd(*values):
     return reduce(pair, values)
 
 
-def _sparse_parts(rows):
-    """Each row's nonzero entries as {column: (re, im)}; and whether any entry is Gaussian."""
-    typed = False
-    out = []
+def _integer_rows(rows):
+    """Each nonzero row times its common denominator as {column: integer}, content removed.
+
+    Also returns whether any entry is a GaussianRational (the output type)
+    and whether any has a nonzero imaginary part (then the integers are
+    Gaussian integers).
+    """
+    cleared, typed = [], False
     for row in rows:
-        parts = {}
-        for c, x in enumerate(row):
-            if isinstance(x, GaussianRational):
-                typed = True
-                if x:
-                    parts[c] = (x.re, x.im)
-            elif not isinstance(x, (int, Fraction)):
-                raise TypeError(f"entries must be int, Fraction or GaussianRational: {x!r}")
-            elif x:
-                parts[c] = (x, 0)
-        out.append(parts)
-    return out, typed
-
-
-def _integer_rows(sparse_rows, gaussian: bool) -> list:
-    """Each nonzero row times its common denominator, as {column: integer}, content removed."""
+        parts = integer_parts(row)
+        if parts is None:
+            bad = next(x for x in row if not isinstance(x, (int, Fraction, GaussianRational)))
+            raise TypeError(f"entries must be int, Fraction or GaussianRational: {bad!r}")
+        _, re, im, row_typed = parts
+        typed = typed or row_typed
+        cleared.append((re, im))
+    gaussian = any(any(im) for _, im in cleared)
     out = []
-    for parts in sparse_rows:
-        if not parts:
-            continue
-        den = lcm(*(q.denominator for re, im in parts.values() for q in (re, im)))
+    for re, im in cleared:
         if gaussian:
-            sparse = {
-                c: _GaussianInteger(re.numerator * (den // re.denominator),
-                                    im.numerator * (den // im.denominator))
-                for c, (re, im) in parts.items()
-            }
-            content = _gaussian_gcd(*sparse.values())
+            sparse = {c: _GaussianInteger(x, y) for c, (x, y) in enumerate(zip(re, im)) if x or y}
+            common = _gaussian_gcd
         else:
-            sparse = {c: re.numerator * (den // re.denominator) for c, (re, _) in parts.items()}
-            content = gcd(*sparse.values())
-        out.append({c: x // content for c, x in sparse.items()})
-    return out
+            sparse = {c: x for c, x in enumerate(re) if x}
+            common = gcd
+        if sparse:
+            content = common(*sparse.values())
+            out.append({c: x // content for c, x in sparse.items()})
+    return out, typed, gaussian
 
 
 def _eliminate(row, f, prow, p, common):
@@ -159,10 +151,8 @@ def rref(rows):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    sparse_rows, typed = _sparse_parts(rows)
-    gaussian = any(im for parts in sparse_rows for _, im in parts.values())
+    pending, typed, gaussian = _integer_rows(rows)
     common = _gaussian_gcd if gaussian else gcd
-    pending = _integer_rows(sparse_rows, gaussian)
     done, pivots = [], []
     for c in sorted(set().union(*pending)):
         # any row with an entry in column c gives the same output

@@ -13,14 +13,23 @@ Three scalar kinds are provided, all immutable and exact:
 A ``FieldPair`` records which subfield linear algebra is done over: the
 twistor computations use Q inside Q(i) (coordinates split into real and
 imaginary parts), the complex projective line uses Q(i) itself.
+
+Products of series over Q and Q(i) (truncated power series here, Laurent
+windows in ``series``) run through one kernel, ``exact_product``: each
+operand's denominators are cleared once (``integer_parts``, also the
+first step of ``linalg.rref``) and the terms are convolved as Python
+ints, schoolbook, with one division per output coefficient. Series over
+the p-adics, or any other coefficient kind, use the generic coefficient
+loop.
 """
 
 from __future__ import annotations
 
 import re as _re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 from .errors import DivisionByZero, NotAUnit, PrecisionExhausted
@@ -439,6 +448,105 @@ def is_unit_scalar(c) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# exact products over Python ints
+# ---------------------------------------------------------------------------
+
+
+def integer_parts(values):
+    """Clear the denominators of a sequence of int, Fraction and GaussianRational.
+
+    Returns (den, re, im, gaussian): ``den`` is the least common denominator
+    of all real and imaginary parts, ``re[k] + i*im[k] == den*values[k]``
+    with Python ints, and ``gaussian`` tells whether any value is a
+    GaussianRational (which fixes the output type of ``linalg`` and of the
+    series products). Returns None when some value is of another kind.
+    """
+    re, im = [], []
+    gaussian = False
+    for x in values:
+        if isinstance(x, GaussianRational):
+            gaussian = True
+            re.append(x.re.as_integer_ratio())
+            im.append(x.im.as_integer_ratio())
+        elif isinstance(x, (Fraction, int)):
+            re.append(x.as_integer_ratio())
+            im.append((0, 1))
+        else:
+            return None
+    den = lcm(*{d for _, d in re}, *{d for _, d in im})
+    if den == 1:
+        return 1, [n for n, _ in re], [n for n, _ in im], gaussian
+    return (
+        den,
+        [n * (den // d) for n, d in re],
+        [n * (den // d) for n, d in im],
+        gaussian,
+    )
+
+
+def _convolve_into(out: dict, a: list, b: list, lo, hi) -> None:
+    """out[e] += x*y over terms (e1, x) of a and (e2, y) of b with e = e1+e2 in [lo, hi).
+
+    Both term lists hold nonzero ints; ``b`` is sorted by exponent, so the
+    admissible partners of each term of ``a`` are one slice of it. A bound
+    of None is no bound.
+    """
+    if not a or not b:
+        return
+    exps = [e for e, _ in b]
+    get = out.get
+    for e1, x in a:
+        s = 0 if lo is None else bisect_left(exps, lo - e1)
+        t = len(exps) if hi is None else bisect_left(exps, hi - e1)
+        for e2, y in b[s:t]:
+            e = e1 + e2
+            out[e] = get(e, 0) + x * y
+
+
+def exact_product(a: dict, b: dict, lo=None, hi=None):
+    """The product of two sparse series {exponent: coefficient}, kept for lo <= e < hi.
+
+    Each operand's denominators are cleared once (``integer_parts``) and
+    the terms are convolved as Python ints: one convolution over Q, and
+    over Q(i) the four real ones re*re, im*im, re*im, im*re, of which
+    only those with nonzero parts run. Each output coefficient is built
+    once, over the product of the two denominators. It is a
+    GaussianRational when any input coefficient is one, a Fraction
+    otherwise.
+
+    Returns (terms, zero): the nonzero coefficients by exponent and the
+    zero of the output type. Returns None when a coefficient is not an
+    int, Fraction or GaussianRational; callers then multiply generically.
+    """
+    pa = integer_parts(a.values())
+    pb = None if pa is None else integer_parts(b.values())
+    if pb is None:
+        return None
+    da, ar, ai, ga = pa
+    db, br, bi, gb = pb
+
+    def terms(exps, ints):
+        return [(e, x) for e, x in zip(exps, ints) if x]
+
+    a_re, a_im = terms(a, ar), terms(a, ai)
+    b_re, b_im = sorted(terms(b, br)), sorted(terms(b, bi))
+    re, im = {}, {}
+    _convolve_into(re, a_re, b_re, lo, hi)
+    _convolve_into(re, [(e, -x) for e, x in a_im], b_im, lo, hi)
+    _convolve_into(im, a_re, b_im, lo, hi)
+    _convolve_into(im, a_im, b_re, lo, hi)
+    den = da * db
+    if not (ga or gb):
+        return {e: Fraction(x, den) for e, x in re.items() if x}, Fraction(0)
+    out = {}
+    for e in re.keys() | im.keys():
+        x, y = re.get(e, 0), im.get(e, 0)
+        if x or y:
+            out[e] = GaussianRational(Fraction(x, den), Fraction(y, den))
+    return out, GAUSSIAN_ZERO
+
+
+# ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
 
@@ -507,6 +615,14 @@ class TruncatedPowerSeries:
                 [c * other for c in self.coeffs], self.order
             )
         m = self._binop_order(other)
+        product = exact_product(dict(enumerate(self.coeffs)), dict(enumerate(other.coeffs)), 0, m)
+        if product is not None:
+            terms, zero = product
+            out = [zero] * m
+            for j, c in terms.items():
+                out[j] = c
+            return TruncatedPowerSeries(out, m)
+        # coefficients outside Q(i), e.g. p-adic: the generic loop
         out = [self.zero_coeff] * m
         for j, a in enumerate(self.coeffs[:m]):
             if is_zero_scalar(a):

@@ -125,9 +125,11 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
     """Rank and kernel of the multiplication maps Sym^n(P_1) -> P_n.
 
     Monomials are ordered combinations of the echelonized P_1 basis, so
-    the report is deterministic. Per degree, one elimination expresses
-    every monomial in P_n and one more gives the kernel; the rank follows
-    from the kernel's dimension.
+    the report is deterministic. Each degree-n monomial is the product of
+    its degree n-1 prefix, kept from the previous degree, with one more
+    degree-1 element. Per degree, one elimination expresses every monomial
+    in P_n and one more gives the kernel; the rank follows from the
+    kernel's dimension.
     """
     if sr.D < 2:
         raise ValueError("degree-one generation needs D >= 2")
@@ -138,13 +140,15 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
     surjective, kernel_dims, kernel_gens, monomials = {}, {}, {}, {}
     for n in range(1, sr.D + 1):
         monos = list(combinations_with_replacement(range(d1), n))
-        vecs = []
-        for mono in monos:
-            vec = dict(sr.bases[1][mono[0]])
-            for j in mono[1:]:
-                vec = pres.mul_elements(vec, sr.bases[1][j])
-            vecs.append(vec)
-        rows = sr.express_all(n, vecs)
+        if n == 1:
+            products = {mono: dict(sr.bases[1][mono[0]]) for mono in monos}
+        else:
+            # a sorted monomial's prefix is a degree n-1 monomial: one more factor each
+            products = {
+                mono: pres.mul_elements(products[mono[:-1]], sr.bases[1][mono[-1]])
+                for mono in monos
+            }
+        rows = sr.express_all(n, list(products.values()))
         # kernel: combinations of rows vanishing; surjectivity: the rows span
         # P_n, i.e. their rank len(monos) - dim kernel reaches dim P_n
         cols = len(rows[0]) if rows else 0

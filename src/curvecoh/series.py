@@ -10,6 +10,11 @@ decidable.
 
 Pole order at infinity (the top exponent) is the grading used everywhere
 downstream: Fil_n is the set of windows with pole order <= n.
+
+Window products clear each factor's denominators once and convolve
+Python ints (``scalars.exact_product``), keeping only the exponents the
+convolution-precision rule certifies; coefficients outside Q(i) use the
+generic loop.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import IndeterminateTop, ZeroInverse
-from .scalars import GaussianRational, is_zero_scalar
+from .scalars import GaussianRational, exact_product, is_zero_scalar
 
 #: pole order of the zero series
 MINUS_INFINITY = float("-inf")
@@ -142,6 +147,12 @@ class LaurentWindow:
             cutoff = c2 if cutoff is None else max(cutoff, c2)
         if cutoff == MINUS_INFINITY:
             cutoff = None
+        elif cutoff is not None:
+            cutoff = int(cutoff)
+        product = exact_product(self.coeffs, other.coeffs, cutoff)
+        if product is not None:
+            return LaurentWindow(product[0], cutoff)
+        # coefficients outside Q(i): the generic loop
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -149,7 +160,7 @@ class LaurentWindow:
                 if cutoff is not None and e < cutoff:
                     continue
                 out[e] = out.get(e, c1 * 0) + c1 * c2
-        return LaurentWindow(out, None if cutoff is None else int(cutoff))
+        return LaurentWindow(out, cutoff)
 
     def scale(self, c):
         return LaurentWindow({e: v * c for e, v in self.coeffs.items()}, self.cutoff)

@@ -124,9 +124,9 @@ def test_criterion_5_dream_assembly():
             (tw, coh.twistor_formal_embedding(model)),
             (p1, coh.p1_formal_embedding(model)),
         ):
-            for n in range(-3, 4):
+            ns = range(-3, 4)
+            for n, assembled in zip(ns, coh.curve_from_parts(pres, model, embed, ns), strict=True):
                 direct = coh.compute(pres, n)
-                assembled = coh.curve_from_parts(pres, model, embed, n)
                 assert assembled.dims == direct.dims, (str(x), pres.name, n)
                 assert assembled.graded == direct.graded, (str(x), pres.name, n)
     _report(5, "dream assembly reproduces both curves for x in {1/3, i/2}, n in [-3, 3]", start, 5.0)

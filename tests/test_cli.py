@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, JSON round trips."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -186,6 +187,47 @@ def test_dream_point_outside_disc_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["dream", "--x", "2", "--r", "1/2", "--M", "8", "--n", "1"])
     assert info.value.code == 2
+
+
+# sha256 of the parent's canonical JSON (per-twist ring-map checks, Fraction
+# series products) for ``dream --r 1/2 --M 24 --n -2..2 --format json``
+DREAM_DIGESTS = {
+    "1/3": "95818aa7fcc27b00f1a82e674216457d106877761c2f53273ef003fa9728e0ff",
+    "1/4+1/5i": "b7f7b6f4545d674d650451d9baa2c3412bad69cfcbe9f90bf9368f56c024a0db",
+}
+
+
+@pytest.mark.parametrize("x", sorted(DREAM_DIGESTS))
+def test_dream_json_is_unchanged(capsys, x):
+    code, out, _ = run(capsys, "dream", "--x", x, "--r", "1/2", "--M", "24", "--n", "-2..2",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DREAM_DIGESTS[x]
+
+
+def test_dream_checks_ring_map_once_per_curve(capsys, monkeypatch):
+    import curvecoh.cohomology as coh
+
+    checks, certified_to = [], []
+    check_ring_map, leading_exact_failure = coh.check_ring_map, coh.leading_exact_failure
+
+    def counting_check(pres, window, max_degree):
+        checks.append(pres.name)
+        return check_ring_map(pres, window, max_degree)
+
+    def recording_failure(pres, window, jump, max_degree):
+        certified_to.append((pres.name, max_degree))
+        return leading_exact_failure(pres, window, jump, max_degree)
+
+    monkeypatch.setattr(coh, "check_ring_map", counting_check)
+    monkeypatch.setattr(coh, "leading_exact_failure", recording_failure)
+    code, out, _ = run(capsys, "dream", "--x", "1/3", "--r", "1/2", "--M", "8", "--n", "-2..3",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["all_match"]
+    assert sorted(checks) == ["p1", "twistor"]
+    # leading_exact is still certified per twist, to the cutoff that twist reads
+    ns = range(-2, 4)
+    assert certified_to == [(name, coh.default_cutoff(n)) for name in ("twistor", "p1") for n in ns]
 
 
 def test_dream_single_n(capsys):

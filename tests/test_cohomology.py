@@ -184,9 +184,10 @@ def test_curve_from_parts_equals_direct(p1, tw):
         (tw, coh.twistor_formal_embedding(model)),
         (p1, coh.p1_formal_embedding(model)),
     ):
-        for n in range(-3, 4):
+        ns = range(-3, 4)
+        for n, assembled in zip(ns, coh.curve_from_parts(pres, model, embed, ns), strict=True):
             direct = coh.compute(pres, n)
-            assembled = coh.curve_from_parts(pres, model, embed, n)
+            assert assembled.n == n
             assert assembled.dims == direct.dims
             assert assembled.graded == direct.graded
             assert assembled.certified
@@ -194,12 +195,11 @@ def test_curve_from_parts_equals_direct(p1, tw):
 
 def test_curve_from_parts_examples(tw, p1):
     model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
-    res = coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), 1)
-    assert res.h0_dim == 3
-    res = coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), -1)
-    assert res.h1_dim == 1
-    for n in range(-3, 4):
-        res = coh.curve_from_parts(p1, model, coh.p1_formal_embedding(model), n)
+    res_1, res_m1 = coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), [1, -1])
+    assert res_1.h0_dim == 3
+    assert res_m1.h1_dim == 1
+    ns = range(-3, 4)
+    for n, res in zip(ns, coh.curve_from_parts(p1, model, coh.p1_formal_embedding(model), ns)):
         assert res.h0_dim - res.h1_dim == n + 1
 
 
@@ -207,7 +207,7 @@ def test_curve_from_parts_unit_rescale_invariance(tw):
     # pipeline output for f and f * unit are filtered-isomorphic
     for coeffs in ([1], [1, 1], [2]):
         model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps(coeffs, 16)), 16)
-        res = coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), 2)
+        (res,) = coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), [2])
         assert res.dims == (5, 0)
         assert res.graded == {0: (1, 0), 1: (2, 0), 2: (2, 0)}
 
@@ -221,7 +221,7 @@ def test_curve_from_parts_rejects_non_ring_map(tw):
         return w.scale(2) if i == 1 else w
 
     with pytest.raises(EmbeddingNotRingMap):
-        coh.curve_from_parts(tw, model, broken, 1)
+        coh.curve_from_parts(tw, model, broken, [1])
 
 
 def _gaussian_coeff(z) -> str:
@@ -275,13 +275,13 @@ def test_h0_windows_with_cutoffs_combine_basis_windows(p1, tw):
         def staggered(i, embed=embed):
             return embed(i).clip(-model.prec + i % 3)
 
-        for n in range(-3, 13):
-            res = coh.curve_from_parts(pres, model, clipped, n)
+        ns = range(-3, 13)
+        for n, res in zip(ns, coh.curve_from_parts(pres, model, clipped, ns)):
             assert all(w.cutoff == -model.prec for w in res.h0_windows)
             assert res.dims == coh.compute(pres, n).dims
             _assert_windows_combine_basis(res, clipped, pres.pair)
-            # unequal cutoffs: every window is known down to the largest one
-            res = coh.curve_from_parts(pres, model, staggered, n)
+        # unequal cutoffs: every window is known down to the largest one
+        for res in coh.curve_from_parts(pres, model, staggered, ns):
             for vec, win in zip(res.h0_basis, res.h0_windows):
                 assert win.cutoff == -model.prec + 2
                 assert win.agrees_with(combine(staggered, vec, pres.pair))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,10 @@ from curvecoh.scalars import (
     GaussianRational,
     PAdic,
     TruncatedPowerSeries,
+    exact_product,
     gaussian_tps,
+    integer_parts,
+    is_zero_scalar,
     parse_gaussian,
     rational_tps,
     theta,
@@ -244,3 +248,151 @@ def test_gaussian_str_forms():
     assert str(GaussianRational(Fraction(0), Fraction(-1))) == "-i"
     assert str(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
     assert str(GaussianRational(Fraction(-2), Fraction(0))) == "-2"
+
+
+# -- the integer product kernel -------------------------------------------------
+
+KINDS = ("rational", "gaussian", "real_gaussian", "mixed")
+
+
+def _random_coeff(rng, kind, zero_share):
+    """One coefficient of the given kind; zero with probability ``zero_share``."""
+    if rng.random() < zero_share:
+        re = im = Fraction(0)
+    else:
+        re = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 7, 9, 25, 1024]))
+        im = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 5, 8, 11]))
+    if kind == "mixed":
+        kind = rng.choice(("int", "rational", "gaussian", "real_gaussian"))
+    if kind == "int":
+        return int(re * 1024)
+    if kind == "rational":
+        return re
+    return GaussianRational(re, im if kind == "gaussian" else Fraction(0))
+
+
+def _random_series(rng, kind, order, zero_share):
+    return TruncatedPowerSeries([_random_coeff(rng, kind, zero_share) for _ in range(order)], order)
+
+
+def _reference_tps_mul(f, g):
+    """The generic coefficient loop (also the fallback for p-adic series)."""
+    m = min(f.order, g.order)
+    out = [f.zero_coeff] * m
+    for j, a in enumerate(f.coeffs[:m]):
+        if is_zero_scalar(a):
+            continue
+        for k, b in enumerate(g.coeffs[: m - j]):
+            out[j + k] = out[j + k] + a * b
+    return TruncatedPowerSeries(out, m)
+
+
+def _expected_type(*operands):
+    """GaussianRational when any input coefficient is one, Fraction otherwise."""
+    coeffs = [c for f in operands for c in f]
+    return GaussianRational if any(isinstance(c, GaussianRational) for c in coeffs) else Fraction
+
+
+def _tps_cases():
+    rng = random.Random(SEED + 5)
+    for kind_a in KINDS:
+        for kind_b in KINDS:
+            for zero_share in (0.0, 0.2, 0.8, 1.0):
+                for _ in range(3):
+                    f = _random_series(rng, kind_a, rng.randint(1, 14), zero_share)
+                    g = _random_series(rng, kind_b, rng.randint(1, 14), zero_share)
+                    yield f, g
+
+
+def test_integer_parts_clears_denominators():
+    rng = random.Random(SEED + 4)
+    for kind in KINDS:
+        for zero_share in (0.0, 0.5, 1.0):
+            values = [_random_coeff(rng, kind, zero_share) for _ in range(12)]
+            den, re, im, gaussian = integer_parts(values)
+            assert gaussian == any(isinstance(x, GaussianRational) for x in values)
+            parts = [GaussianRational.of(x) for x in values]
+            for x, r, i in zip(parts, re, im):
+                assert type(r) is int and type(i) is int
+                assert x == GaussianRational(Fraction(r, den), Fraction(i, den))
+            # the least common denominator, not just some common multiple
+            want = 1
+            for x in parts:
+                for q in (x.re, x.im):
+                    want = want * q.denominator // gcd(want, q.denominator)
+            assert den == want
+    assert integer_parts([]) == (1, [], [], False)
+    assert integer_parts([Fraction(1), 0.5]) is None
+    assert integer_parts([PAdic.from_int(3, 5, 4)]) is None
+
+
+def test_tps_mul_matches_reference_loop():
+    for f, g in _tps_cases():
+        ours, ref = f * g, _reference_tps_mul(f, g)
+        assert ours.order == ref.order == min(f.order, g.order)
+        assert ours.coeffs == ref.coeffs, (str(f), str(g))
+        want = _expected_type(f.coeffs, g.coeffs)
+        assert all(type(c) is want for c in ours.coeffs), (str(f), str(g))
+
+
+def test_exact_product_keeps_bounds_and_types():
+    rng = random.Random(SEED + 6)
+    for kind_a, kind_b in ((k, rng.choice(KINDS)) for k in KINDS for _ in range(6)):
+        a = {e: _random_coeff(rng, kind_a, 0.3) for e in rng.sample(range(-9, 10), rng.randint(0, 8))}
+        b = {e: _random_coeff(rng, kind_b, 0.3) for e in rng.sample(range(-9, 10), rng.randint(0, 8))}
+        lo, hi = rng.choice([None, -6, 0]), rng.choice([None, 1, 7])
+        terms, zero = exact_product(a, b, lo, hi)
+        want = {}
+        for e1, x in a.items():
+            for e2, y in b.items():
+                e = e1 + e2
+                if (lo is None or e >= lo) and (hi is None or e < hi):
+                    want[e] = want.get(e, 0) + GaussianRational.of(x) * GaussianRational.of(y)
+        assert terms == {e: c for e, c in want.items() if c}
+        rule = _expected_type(a.values(), b.values())
+        assert type(zero) is rule and not zero
+        assert all(type(c) is rule and c for c in terms.values())
+    assert exact_product({0: PAdic.from_int(3, 5, 4)}, {0: Fraction(1)}) is None
+
+
+def test_padic_tps_mul_uses_generic_loop():
+    def series(values):
+        return TruncatedPowerSeries([PAdic.from_int(v, 5, 6) for v in values], len(values))
+
+    f, g = series([1, 5, 0, 7]), series([3, 0, 25])
+    prod = f * g
+    assert prod.order == 3
+    assert all(isinstance(c, PAdic) for c in prod.coeffs)
+    assert prod == _reference_tps_mul(f, g)
+    assert prod == series([3, 15, 25])
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_tps_mul_matches_sympy(gaussian):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.rings import ring
+
+    domain = QQ_I if gaussian else QQ
+    R, x = ring("x", domain)
+
+    def to_sympy(f):
+        p = R.zero
+        for k, c in enumerate(f.coeffs):
+            c = GaussianRational.of(c)
+            p += x**k * (domain(c.re, c.im) if gaussian else domain(c.re))
+        return p
+
+    def frac(q):
+        return Fraction(int(q.numerator), int(q.denominator))
+
+    for f, g in _tps_cases():
+        if not gaussian and any(GaussianRational.of(c).im for c in f.coeffs + g.coeffs):
+            continue
+        prod = to_sympy(f) * to_sympy(g)
+        ours = f * g
+        for k in range(ours.order):
+            c = prod.coeff(x**k)
+            want = GaussianRational(frac(c.x), frac(c.y)) if gaussian else frac(c)
+            assert ours.coeffs[k] == want, (str(f), str(g), k)
+

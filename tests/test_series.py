@@ -165,3 +165,113 @@ def test_str_and_json():
     back = LaurentWindow.from_json(data)
     assert back == LaurentWindow({2: GaussianRational.of(3), 0: GaussianRational.of(Fraction(-1, 2))}, cutoff=-1)
     assert str(LaurentWindow.zero()) == "0"
+
+
+# -- window products through the integer kernel ----------------------------------
+
+KINDS = ("rational", "gaussian", "real_gaussian", "mixed")
+
+
+def _random_coeff(rng, kind):
+    re = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 4, 9, 16, 49]))
+    im = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 5, 7]))
+    if kind == "mixed":
+        kind = rng.choice(("int", "rational", "gaussian", "real_gaussian"))
+    if kind == "int":
+        return re.numerator
+    if kind == "rational":
+        return re
+    return GaussianRational(re, im if kind == "gaussian" else Fraction(0))
+
+
+def _random_window(rng, kind, cutoff, zero_share):
+    low = -8 if cutoff is None else cutoff
+    exps = [e for e in range(low, 9) if rng.random() >= zero_share]
+    return LaurentWindow({e: _random_coeff(rng, kind) for e in exps}, cutoff)
+
+
+def _reference_window_mul(a, b):
+    """The generic loop under the convolution-precision cutoff rule."""
+    if a.is_certified_zero or b.is_certified_zero:
+        return LaurentWindow.zero()
+    cutoff = None
+    if a.cutoff is not None:
+        cutoff = a.cutoff + b._effective_top()
+    if b.cutoff is not None:
+        c2 = b.cutoff + a._effective_top()
+        cutoff = c2 if cutoff is None else max(cutoff, c2)
+    if cutoff == MINUS_INFINITY:
+        cutoff = None
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if cutoff is not None and e < cutoff:
+                continue
+            out[e] = out.get(e, c1 * 0) + c1 * c2
+    return LaurentWindow(out, None if cutoff is None else int(cutoff))
+
+
+def _window_cases():
+    rng = random.Random(SEED + 4)
+    cutoff_pairs = [(None, None), (None, -3), (-2, None), (-4, -4), (-6, 1), (2, -7)]
+    for kind_a in KINDS:
+        for kind_b in KINDS:
+            for cut_a, cut_b in cutoff_pairs:
+                for zero_share in (0.0, 0.5, 0.9, 1.0):
+                    yield (_random_window(rng, kind_a, cut_a, zero_share),
+                           _random_window(rng, kind_b, cut_b, zero_share))
+
+
+def test_window_mul_matches_reference_loop():
+    for a, b in _window_cases():
+        ours, ref = a * b, _reference_window_mul(a, b)
+        assert ours.cutoff == ref.cutoff, (str(a), str(b))
+        assert ours.coeffs == ref.coeffs, (str(a), str(b))
+        gaussian = any(isinstance(c, GaussianRational) for w in (a, b) for c in w.coeffs.values())
+        want = GaussianRational if gaussian else Fraction
+        assert all(type(c) is want for c in ours.coeffs.values()), (str(a), str(b))
+        if ours.cutoff is not None:
+            assert all(e >= ours.cutoff for e in ours.coeffs)
+
+
+def test_window_mul_keeps_cutoff_rule_on_empty_windows():
+    unknown = LaurentWindow({}, cutoff=-2)  # zero above O(t^-3), not certified zero
+    b = LaurentWindow({3: Fraction(2), -1: Fraction(1, 3)}, cutoff=-1)
+    prod = unknown * b
+    assert prod == _reference_window_mul(unknown, b)
+    assert prod.cutoff == max(-2 + 3, -1 + (-3)) and not prod.coeffs
+    assert unknown * LaurentWindow.zero() == LaurentWindow.zero()
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_window_mul_matches_sympy(gaussian):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.rings import ring
+
+    domain = QQ_I if gaussian else QQ
+    R, x = ring("x", domain)
+
+    def to_sympy(w, low):
+        p = R.zero
+        for e, c in w.coeffs.items():
+            c = GaussianRational.of(c)
+            p += x ** (e - low) * (domain(c.re, c.im) if gaussian else domain(c.re))
+        return p
+
+    def frac(q):
+        return Fraction(int(q.numerator), int(q.denominator))
+
+    for a, b in _window_cases():
+        if not (a.is_exact and b.is_exact):
+            continue
+        if not gaussian and any(GaussianRational.of(c).im for w in (a, b) for c in w.coeffs.values()):
+            continue
+        low_a, low_b = min(a.coeffs, default=0), min(b.coeffs, default=0)
+        prod = to_sympy(a, low_a) * to_sympy(b, low_b)
+        want = {}
+        for (k,), c in prod.terms():
+            want[k + low_a + low_b] = GaussianRational(frac(c.x), frac(c.y)) if gaussian else frac(c)
+        assert (a * b).coeffs == want, (str(a), str(b))
+
