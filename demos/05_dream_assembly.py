@@ -38,7 +38,9 @@ for x in (Fraction(1, 3), parse_gaussian("i/2")):
         agree = all(
             d.dims == a.dims and d.graded == a.graded
             for d, a in zip(
-                (compute(pres, n) for n in ns), curve_from_parts(pres, model, embed, ns)
+                (compute(pres, n) for n in ns),
+                curve_from_parts(pres, model, embed, ns),
+                strict=True,
             )
         )
         print(f"  {label:8s} assembled == direct for n in [-3, 3]: {agree}")

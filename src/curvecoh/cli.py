@@ -250,7 +250,7 @@ def cmd_dream(args) -> int:
     ]
     rows, all_ok = [], True
     for label, pres, embed in curves:
-        for n, assembled in zip(ns, coh.curve_from_parts(pres, model, embed, ns)):
+        for n, assembled in zip(ns, coh.curve_from_parts(pres, model, embed, ns), strict=True):
             direct = coh.compute(pres, n)
             ok = direct.dims == assembled.dims and direct.graded == assembled.graded
             all_ok = all_ok and ok

@@ -516,7 +516,7 @@ def exact_product(a: dict, b: dict, lo=None, hi=None):
 
     Returns (terms, zero): the nonzero coefficients by exponent and the
     zero of the output type. Returns None when a coefficient is not an
-    int, Fraction or GaussianRational; callers then multiply generically.
+    int, Fraction or GaussianRational.
     """
     pa = integer_parts(a.values())
     pb = None if pa is None else integer_parts(b.values())
@@ -765,14 +765,8 @@ def gaussian_tps(coeffs, order: int) -> TruncatedPowerSeries:
 
 def primitive_integer_poly(coeffs) -> list[int]:
     """Clear denominators and divide by the content; [] stays []."""
-    fracs = [as_fraction(c) for c in coeffs]
-    if all(c == 0 for c in fracs):
-        return [0] * len(fracs)
-    denom = 1
-    for c in fracs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fracs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
+    _, ints, _, _ = integer_parts([as_fraction(c) for c in coeffs])
+    content = gcd(*ints)
+    if content == 0:
+        return ints
     return [c // content for c in ints]

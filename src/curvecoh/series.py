@@ -13,8 +13,8 @@ downstream: Fil_n is the set of windows with pole order <= n.
 
 Window products clear each factor's denominators once and convolve
 Python ints (``scalars.exact_product``), keeping only the exponents the
-convolution-precision rule certifies; coefficients outside Q(i) use the
-generic loop.
+convolution-precision rule certifies. Window coefficients are int,
+Fraction or GaussianRational; a product of any other kind is a TypeError.
 """
 
 from __future__ import annotations
@@ -150,17 +150,11 @@ class LaurentWindow:
         elif cutoff is not None:
             cutoff = int(cutoff)
         product = exact_product(self.coeffs, other.coeffs, cutoff)
-        if product is not None:
-            return LaurentWindow(product[0], cutoff)
-        # coefficients outside Q(i): the generic loop
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if cutoff is not None and e < cutoff:
-                    continue
-                out[e] = out.get(e, c1 * 0) + c1 * c2
-        return LaurentWindow(out, cutoff)
+        if product is None:
+            coeffs = (*self.coeffs.values(), *other.coeffs.values())
+            bad = next(c for c in coeffs if not isinstance(c, (int, Fraction, GaussianRational)))
+            raise TypeError(f"coefficients must be int, Fraction or GaussianRational: {bad!r}")
+        return LaurentWindow(product[0], cutoff)
 
     def scale(self, c):
         return LaurentWindow({e: v * c for e, v in self.coeffs.items()}, self.cutoff)

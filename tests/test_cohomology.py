@@ -199,7 +199,8 @@ def test_curve_from_parts_examples(tw, p1):
     assert res_1.h0_dim == 3
     assert res_m1.h1_dim == 1
     ns = range(-3, 4)
-    for n, res in zip(ns, coh.curve_from_parts(p1, model, coh.p1_formal_embedding(model), ns)):
+    p1_embed = coh.p1_formal_embedding(model)
+    for n, res in zip(ns, coh.curve_from_parts(p1, model, p1_embed, ns), strict=True):
         assert res.h0_dim - res.h1_dim == n + 1
 
 
@@ -276,12 +277,12 @@ def test_h0_windows_with_cutoffs_combine_basis_windows(p1, tw):
             return embed(i).clip(-model.prec + i % 3)
 
         ns = range(-3, 13)
-        for n, res in zip(ns, coh.curve_from_parts(pres, model, clipped, ns)):
+        for n, res in zip(ns, coh.curve_from_parts(pres, model, clipped, ns), strict=True):
             assert all(w.cutoff == -model.prec for w in res.h0_windows)
             assert res.dims == coh.compute(pres, n).dims
             _assert_windows_combine_basis(res, clipped, pres.pair)
         # unequal cutoffs: every window is known down to the largest one
-        for res in coh.curve_from_parts(pres, model, staggered, ns):
+        for _, res in zip(ns, coh.curve_from_parts(pres, model, staggered, ns), strict=True):
             for vec, win in zip(res.h0_basis, res.h0_windows):
                 assert win.cutoff == -model.prec + 2
                 assert win.agrees_with(combine(staggered, vec, pres.pair))

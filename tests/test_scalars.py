@@ -18,6 +18,7 @@ from curvecoh.scalars import (
     integer_parts,
     is_zero_scalar,
     parse_gaussian,
+    primitive_integer_poly,
     rational_tps,
     theta,
 )
@@ -302,6 +303,13 @@ def _tps_cases():
                     f = _random_series(rng, kind_a, rng.randint(1, 14), zero_share)
                     g = _random_series(rng, kind_b, rng.randint(1, 14), zero_share)
                     yield f, g
+
+
+def test_primitive_integer_poly():
+    assert primitive_integer_poly([]) == []
+    assert primitive_integer_poly([0, Fraction(0)]) == [0, 0]
+    assert primitive_integer_poly([Fraction(1, 2), Fraction(-1, 3), 2]) == [3, -2, 12]
+    assert primitive_integer_poly([-4, 6, 0]) == [-2, 3, 0]
 
 
 def test_integer_parts_clears_denominators():

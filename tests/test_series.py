@@ -244,6 +244,12 @@ def test_window_mul_keeps_cutoff_rule_on_empty_windows():
     assert unknown * LaurentWindow.zero() == LaurentWindow.zero()
 
 
+def test_window_mul_rejects_coefficients_outside_q_i():
+    a = LaurentWindow({0: Fraction(1), 1: 0.5})
+    with pytest.raises(TypeError, match="0.5"):
+        a * LaurentWindow({0: Fraction(2)})
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_window_mul_matches_sympy(gaussian):
     pytest.importorskip("sympy")
