@@ -101,9 +101,14 @@ def parse_f_expression(text: str, order: int) -> TruncatedPowerSeries:
             kind, value = take()
             if kind != "num" or value.denominator != 1:
                 raise ValueError("exponent must be a non-negative integer")
-            out = rational_tps([1], order)
-            for _ in range(int(value)):
-                out = out * base
+            # square-and-multiply: O(log k) products for base^k
+            k, out = int(value), rational_tps([1], order)
+            while k:
+                if k & 1:
+                    out = out * base
+                k >>= 1
+                if k:
+                    base = base * base
             base = out
         return base
 
@@ -122,7 +127,10 @@ def parse_f_expression(text: str, order: int) -> TruncatedPowerSeries:
             out = out + rhs if kind == "+" else out - rhs
         return out
 
-    result = expr()
+    try:
+        result = expr()
+    except RecursionError:
+        raise ValueError("f-expression nested too deeply") from None
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in f-expression {text!r}")
     return result

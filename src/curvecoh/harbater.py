@@ -48,8 +48,10 @@ from .scalars import (
     GaussianRational,
     TruncatedPowerSeries,
     as_fraction,
+    exact_product,
     gaussian_tps,
     primitive_integer_poly,
+    series_quotient,
 )
 
 # ---------------------------------------------------------------------------
@@ -78,15 +80,8 @@ def psub(a, b):
 
 
 def pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return ptrim(out)
+    terms, zero = exact_product(dict(enumerate(a)), dict(enumerate(b)))
+    return ptrim([terms.get(k, zero) for k in range(len(a) + len(b) - 1)])
 
 
 def pscale(a, c):
@@ -400,13 +395,7 @@ class RationalFn:
 
     def series_prefix(self, count: int):
         """First ``count`` Taylor coefficients via the denominator recurrence."""
-        out = []
-        for k in range(count):
-            acc = self.num[k] if k < len(self.num) else Fraction(0)
-            for j in range(1, min(k, len(self.den) - 1) + 1):
-                acc -= self.den[j] * out[k - j]
-            out.append(acc)  # den[0] == 1
-        return out
+        return series_quotient(self.num, self.den, count)
 
     def evaluate(self, x: GaussianRational):
         x = GaussianRational.of(x)
@@ -470,9 +459,6 @@ class CertifiedSeries:
             raise ValueError("prefix longer than the known head")
         return [self.coefficient(k) for k in range(count)]
 
-    def _envelope_at(self, k: int) -> Fraction:
-        return self.C * Fraction(k + self.offset + 1) ** self.poly_deg * self.s ** (-k)
-
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
@@ -516,14 +502,11 @@ class CertifiedSeries:
             )
         m = self.offset + other.offset
         top = min(self.head_top - other.offset, other.head_top - self.offset)
-        coeffs = []
-        for k in range(-m, top + 1):
-            acc = Fraction(0)
-            for i in range(-self.offset, self.head_top + 1):
-                j = k - i
-                if -other.offset <= j <= other.head_top:
-                    acc += self.coefficient(i) * other.coefficient(j)
-            coeffs.append(acc)
+        # index j holds T^(j - offset), so index j of the product holds T^(j - m)
+        terms, zero = exact_product(
+            dict(enumerate(self.coeffs)), dict(enumerate(other.coeffs)), 0, top + m + 1
+        )
+        coeffs = [terms.get(j, zero) for j in range(top + m + 1)]
         # sum over i+j=k of the two envelopes: at most (k+m+1) terms, each at
         # most C1*C2*(k+m+1)^(e1+e2)*s^-k with s = min(s1, s2)
         return CertifiedSeries(
@@ -828,13 +811,7 @@ def divide_exact(f, g, r, verify_window: int = 50):
             f"no exact coefficient envelope for 1/({poly_str(g)})"
         )
     C_inv, s_inv = env
-    coeffs = list(f.coeffs)
-    out = []
-    for k in range(len(coeffs)):
-        acc = coeffs[k]
-        for j in range(1, min(k, len(g) - 1) + 1):
-            acc -= g[j] * out[k - j]
-        out.append(acc / g[0])
+    out = series_quotient(f.coeffs, g, len(f.coeffs))
     s = min(f.s, s_inv) if s_inv is not None else f.s
     q = CertifiedSeries(
         out, offset, C=C_shift * C_inv, s=s, poly_deg=f.poly_deg + 1

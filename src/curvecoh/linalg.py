@@ -8,97 +8,52 @@ entry gets ``GaussianRational`` entries back, any other matrix gets
 Every function goes through one kernel, ``rref``. It multiplies each row
 by the common denominator of its entries (``scalars.integer_parts``, the
 step the series products share), which leaves the row space unchanged,
-and stores the row sparsely as {column: integer}. When some
-entry has a nonzero imaginary part the integers are Gaussian integers
-(``_GaussianInteger``); otherwise they are Python ints. Gauss-Jordan
-elimination then runs over that ring without a single division: a row
-with a nonzero entry f in the pivot column becomes (p/g)*row - (f/g)*pivot
-row, where p is the pivot and g = gcd(p, f), and then has its content (the
-gcd of its entries) divided out, which keeps the integers small. Rows with
-a zero in the pivot column are not touched. Only at the end is each pivot
+and stores the row sparsely as {column: int}. Gauss-Jordan elimination
+then runs over the Python ints without a single division: a row with a
+nonzero entry f in the pivot column becomes (p/g)*row - (f/g)*pivot row,
+where p is the pivot and g = gcd(p, f), and then has its content (the gcd
+of its entries) divided out, which keeps the integers small. Rows with a
+zero in the pivot column are not touched. Only at the end is each pivot
 row divided by its pivot and turned back into exact rationals.
 
 Every step multiplies a row by a nonzero scalar or adds a multiple of
 another row to it, so the row space never changes. A subspace has exactly
 one reduced row echelon form for a given column order, so the output does
-not depend on the ring the elimination ran in, on the choice of pivot rows
-or on the scaling of intermediate rows: it equals the reduced echelon form
-of textbook Gauss-Jordan elimination over the field. Column order is chosen
-by the caller and is what makes echelon bases unique, so all functions
-preserve it strictly.
+not depend on the choice of pivot rows or on the scaling of intermediate
+rows: it equals the reduced echelon form of textbook Gauss-Jordan
+elimination over the field. Column order is chosen by the caller and is
+what makes echelon bases unique, so all functions preserve it strictly.
+
+A matrix with a nonzero imaginary part is eliminated over Q as well, by
+realification. Write phi(v) for the real vector that replaces each entry
+a + b*i of v by the column pair (a, b), so column c becomes columns 2c
+and 2c+1. Each row r is replaced by the two real rows phi(r) and phi(i*r).
+Their Q-span is phi(W), W the Q(i)-span of the rows, because W is closed
+under multiplication by i. Let R_1..R_k be the reduced echelon form of W,
+R_j with pivot c_j. Then phi(R_j) is zero left of column 2c_j, is 1 there
+and 0 at 2c_j+1 (R_j is 1 at c_j); phi(i*R_j) is zero left of 2c_j+1, is
+0 at 2c_j and 1 at 2c_j+1; both vanish at the columns 2c_l, 2c_l+1 of the
+other pivots, where R_j is 0. These 2k rows lie in phi(W), which has
+Q-dimension 2k, and are in reduced echelon form, so they are the reduced
+echelon form of phi(W). Its rows that pivot at an even column 2c_j are
+therefore exactly phi(R_j): reassembled as re + i*im they are the Q(i)
+reduced echelon form, with pivot c_j = 2c_j // 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 
 from .scalars import GAUSSIAN_ZERO, GaussianRational, integer_parts
 
 
-class _GaussianInteger:
-    """a + b*i with a, b Python ints: the entries of a row over Z[i]."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __add__(self, o):
-        return _GaussianInteger(self.re + o.re, self.im + o.im)
-
-    def __mul__(self, o):
-        return _GaussianInteger(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __neg__(self):
-        return _GaussianInteger(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def _times_conjugate(self, o):
-        """(self * conj(o), |o|^2)."""
-        re = self.re * o.re + self.im * o.im
-        im = self.im * o.re - self.re * o.im
-        return re, im, o.re * o.re + o.im * o.im
-
-    def __floordiv__(self, o):
-        """Exact quotient; only called with a divisor of self."""
-        re, im, norm = self._times_conjugate(o)
-        return _GaussianInteger(re // norm, im // norm)
-
-    def __mod__(self, o):
-        """Remainder of division by the nearest Gaussian-integer quotient."""
-        re, im, norm = self._times_conjugate(o)
-        q = _GaussianInteger((2 * re + norm) // (2 * norm), (2 * im + norm) // (2 * norm))
-        r = o * q
-        return _GaussianInteger(self.re - r.re, self.im - r.im)
-
-    def over(self, pivot) -> GaussianRational:
-        """self / pivot in Q(i)."""
-        re, im, norm = self._times_conjugate(pivot)
-        return GaussianRational(Fraction(re, norm), Fraction(im, norm))
-
-
-def _gaussian_gcd(*values):
-    """A greatest common divisor in Z[i] (Euclid; the remainder norm halves)."""
-
-    def pair(a, b):
-        while b:
-            a, b = b, a % b
-        return a
-
-    return reduce(pair, values)
-
-
 def _integer_rows(rows):
-    """Each nonzero row times its common denominator as {column: integer}, content removed.
+    """Each nonzero row times its common denominator as {column: int}, content removed.
 
     Also returns whether any entry is a GaussianRational (the output type)
-    and whether any has a nonzero imaginary part (then the integers are
-    Gaussian integers).
+    and whether any has a nonzero imaginary part; then each row r comes out
+    as the two realified rows phi(r) and phi(i*r) (module docstring).
     """
     cleared, typed = [], False
     for row in rows:
@@ -110,23 +65,25 @@ def _integer_rows(rows):
         typed = typed or row_typed
         cleared.append((re, im))
     gaussian = any(any(im) for _, im in cleared)
+    if gaussian:
+        ints = []
+        for re, im in cleared:
+            ints.append([x for a, b in zip(re, im) for x in (a, b)])
+            ints.append([x for a, b in zip(re, im) for x in (-b, a)])
+    else:
+        ints = [re for re, _ in cleared]
     out = []
-    for re, im in cleared:
-        if gaussian:
-            sparse = {c: _GaussianInteger(x, y) for c, (x, y) in enumerate(zip(re, im)) if x or y}
-            common = _gaussian_gcd
-        else:
-            sparse = {c: x for c, x in enumerate(re) if x}
-            common = gcd
+    for row in ints:
+        sparse = {c: x for c, x in enumerate(row) if x}
         if sparse:
-            content = common(*sparse.values())
+            content = gcd(*sparse.values())
             out.append({c: x // content for c, x in sparse.items()})
     return out, typed, gaussian
 
 
-def _eliminate(row, f, prow, p, common):
+def _eliminate(row, f, prow, p):
     """(p/g)*row - (f/g)*prow with g = gcd(p, f), content divided out: zero at the pivot."""
-    g = common(p, f)
+    g = gcd(p, f)
     a, b = p // g, -(f // g)
     new = {col: a * x for col, x in row.items()}
     for col, y in prow.items():
@@ -138,7 +95,7 @@ def _eliminate(row, f, prow, p, common):
             del new[col]
     if not new:
         return new
-    content = common(*new.values())
+    content = gcd(*new.values())
     return {col: x // content for col, x in new.items()}
 
 
@@ -152,7 +109,6 @@ def rref(rows):
         return [], []
     ncols = len(rows[0])
     pending, typed, gaussian = _integer_rows(rows)
-    common = _gaussian_gcd if gaussian else gcd
     done, pivots = [], []
     for c in sorted(set().union(*pending)):
         # any row with an entry in column c gives the same output
@@ -165,28 +121,33 @@ def rref(rows):
             for k, row in enumerate(group):
                 f = row.get(c)
                 if f is not None:
-                    group[k] = _eliminate(row, f, prow, p, common)
+                    group[k] = _eliminate(row, f, prow, p)
         pending = [row for row in pending if row]
         done.append(prow)
         pivots.append(c)
         if not pending:
             break
-    if gaussian:
-        quotient = _GaussianInteger.over
-    elif typed:
-        def quotient(x, p):
-            return GaussianRational(Fraction(x, p), Fraction(0))
-    else:
-        quotient = Fraction
     zero = GAUSSIAN_ZERO if typed else Fraction(0)
-    reduced = []
+    reduced, kept = [], []
     for c, row in zip(pivots, done):
+        if gaussian and c % 2:
+            continue  # phi(i*R) for a kept row R
         p = row[c]
         dense = [zero] * ncols
-        for col, x in row.items():
-            dense[col] = quotient(x, p)
+        if gaussian:
+            c //= 2
+            for col in {k // 2 for k in row}:
+                re, im = row.get(2 * col, 0), row.get(2 * col + 1, 0)
+                dense[col] = GaussianRational(Fraction(re, p), Fraction(im, p))
+        elif typed:
+            for col, x in row.items():
+                dense[col] = GaussianRational(Fraction(x, p), Fraction(0))
+        else:
+            for col, x in row.items():
+                dense[col] = Fraction(x, p)
         reduced.append(dense)
-    return reduced, pivots
+        kept.append(c)
+    return reduced, kept
 
 
 def rank(rows):

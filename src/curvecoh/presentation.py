@@ -100,7 +100,7 @@ class AffinePresentation:
 
     def embed_element(self, coeffs: dict) -> LaurentWindow:
         """k0-linear extension of the embedding; exact window."""
-        return combine(self.embed_basis, coeffs, self.pair)
+        return combine(self.embed_basis, coeffs)
 
     def mul_elements(self, a: dict, b: dict) -> dict:
         out: dict = {}
@@ -152,11 +152,11 @@ class AffinePresentation:
         return True
 
 
-def combine(window, coeffs: dict, pair: FieldPair) -> LaurentWindow:
+def combine(window, coeffs: dict) -> LaurentWindow:
     """sum of c * window(i) over coeffs {i: k0 coefficient}; exact window."""
     acc = LaurentWindow.zero()
     for i, c in coeffs.items():
-        acc = acc + window(i).scale(pair.to_extension(c))
+        acc = acc + window(i).scale(GaussianRational.of(c))
     return acc
 
 
@@ -172,7 +172,7 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int) -> None:
             if pres.degree_of(i) + pres.degree_of(j) > max_degree:
                 continue
             lhs = window(i) * window(j)
-            rhs = combine(window, pres.mul_basis(i, j), pres.pair)
+            rhs = combine(window, pres.mul_basis(i, j))
             if not lhs.agrees_with(rhs):
                 raise EmbeddingNotRingMap(
                     f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "

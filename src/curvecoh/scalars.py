@@ -20,7 +20,9 @@ operand's denominators are cleared once (``integer_parts``, also the
 first step of ``linalg.rref``) and the terms are convolved as Python
 ints, schoolbook, with one division per output coefficient. Series over
 the p-adics, or any other coefficient kind, use the generic coefficient
-loop.
+loop. Quotients of power series (``TruncatedPowerSeries.inverse`` and the
+series expansions and divisions in ``harbater``) run through one
+recurrence, ``series_quotient``, in the coefficients' own arithmetic.
 """
 
 from __future__ import annotations
@@ -213,9 +215,6 @@ class FieldPair:
 
     def base_one(self):
         return Fraction(1) if self.split else GAUSSIAN_ONE
-
-    def to_extension(self, c) -> GaussianRational:
-        return GaussianRational.of(c)
 
 
 #: Q sitting inside Q(i): the "real inside complex" pair of the twistor line.
@@ -546,6 +545,27 @@ def exact_product(a: dict, b: dict, lo=None, hi=None):
     return out, GAUSSIAN_ZERO
 
 
+def series_quotient(num, den, count: int) -> list:
+    """The first ``count`` coefficients of the power series num/den.
+
+    ``num`` and ``den`` are coefficient sequences, lowest degree first, and
+    den[0] must be invertible. Each coefficient comes from the recurrence
+    q[k] = (num[k] - sum_{j>=1} den[j]*q[k-j]) / den[0], run in the
+    coefficients' own arithmetic (p-adic series too), dividing by den[0]
+    as a product with one/den[0].
+    """
+    one = den[0] / den[0]
+    inv0 = one / den[0]
+    zero = den[0] * 0
+    out = []
+    for k in range(count):
+        acc = num[k] if k < len(num) else zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[j] * out[k - j]
+        out.append(inv0 * acc)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
@@ -618,10 +638,7 @@ class TruncatedPowerSeries:
         product = exact_product(dict(enumerate(self.coeffs)), dict(enumerate(other.coeffs)), 0, m)
         if product is not None:
             terms, zero = product
-            out = [zero] * m
-            for j, c in terms.items():
-                out[j] = c
-            return TruncatedPowerSeries(out, m)
+            return TruncatedPowerSeries([terms.get(j, zero) for j in range(m)], m)
         # coefficients outside Q(i), e.g. p-adic: the generic loop
         out = [self.zero_coeff] * m
         for j, a in enumerate(self.coeffs[:m]):
@@ -655,16 +672,7 @@ class TruncatedPowerSeries:
         a0 = self.coeffs[0]
         if not is_unit_scalar(a0):
             raise NotAUnit("constant term is not a unit")
-        one = a0 / a0
-        inv0 = one / a0
-        zero = self.zero_coeff
-        out = [inv0]
-        for m in range(1, self.order):
-            acc = zero
-            for k in range(1, m + 1):
-                acc = acc + self.coeffs[k] * out[m - k]
-            out.append(-inv0 * acc)
-        return TruncatedPowerSeries(out, self.order)
+        return TruncatedPowerSeries(series_quotient([a0 / a0], self.coeffs, self.order), self.order)
 
     def valuation(self):
         """xi-adic valuation of the tracked part; None if all tracked coefficients vanish."""

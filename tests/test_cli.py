@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from curvecoh.cli import main, parse_f_expression, parse_range
-from curvecoh.scalars import rational_tps
+from curvecoh.scalars import TruncatedPowerSeries, rational_tps
 
 
 def run(capsys, *argv):
@@ -31,6 +31,27 @@ def test_parse_f_expression():
     with pytest.raises(ValueError):
         parse_f_expression("xi + %", 8)
 
+
+def test_parse_f_expression_powers_by_squaring(monkeypatch):
+    base = parse_f_expression("1/2+xi-3*xi*xi", 8)
+    expected = rational_tps([1], 8)
+    for k in range(13):
+        got = parse_f_expression(f"(1/2+xi-3*xi*xi)^{k}", 8)
+        assert (got.coeffs, got.order) == (expected.coeffs, expected.order), k
+        assert all(type(c) is Fraction for c in got.coeffs)
+        expected = expected * base
+    calls = []
+    mul = TruncatedPowerSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedPowerSeries, "__mul__", counted)
+    k = 10**5
+    parse_f_expression(f"(1+xi)^{k}", 4)
+    # one squaring per bit after the first, one product per set bit
+    assert len(calls) == (k.bit_length() - 1) + bin(k).count("1")
 
 
 def test_cohomology_table(capsys):
@@ -108,6 +129,8 @@ _BAD_FILES = {
         ["pipeline", "--f", "1+", "--M", "4"],
         ["pipeline", "--f", "xi^", "--M", "4"],
         ["pipeline", "--f", "xi*", "--M", "4"],
+        ["pipeline", "--f", "(" * 2000 + "1" + ")" * 2000, "--M", "4"],
+        ["pipeline", "--f=" + "-" * 2000 + "1", "--M", "4"],
         ["dream", "--x", "1/0", *_DREAM],
         ["dream", "--x", "i/0", *_DREAM],
         ["dream", "--x", "--", *_DREAM],

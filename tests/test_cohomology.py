@@ -247,10 +247,10 @@ def _shifted_line_file(top: int) -> str:
     return "\n".join(lines)
 
 
-def _assert_windows_combine_basis(res, window, pair):
+def _assert_windows_combine_basis(res, window):
     assert len(res.h0_windows) == res.h0_dim
     for vec, win in zip(res.h0_basis, res.h0_windows):
-        assert win == combine(window, vec, pair)
+        assert win == combine(window, vec)
 
 
 def test_h0_windows_are_the_combined_basis_windows(p1, tw):
@@ -261,7 +261,7 @@ def test_h0_windows_are_the_combined_basis_windows(p1, tw):
         for n in range(-3, 13):
             res = coh.h0(pres, n)
             assert res.certified
-            _assert_windows_combine_basis(res, pres.embed_basis, pres.pair)
+            _assert_windows_combine_basis(res, pres.embed_basis)
 
 
 def test_h0_windows_with_cutoffs_combine_basis_windows(p1, tw):
@@ -280,12 +280,12 @@ def test_h0_windows_with_cutoffs_combine_basis_windows(p1, tw):
         for n, res in zip(ns, coh.curve_from_parts(pres, model, clipped, ns), strict=True):
             assert all(w.cutoff == -model.prec for w in res.h0_windows)
             assert res.dims == coh.compute(pres, n).dims
-            _assert_windows_combine_basis(res, clipped, pres.pair)
+            _assert_windows_combine_basis(res, clipped)
         # unequal cutoffs: every window is known down to the largest one
         for _, res in zip(ns, coh.curve_from_parts(pres, model, staggered, ns), strict=True):
             for vec, win in zip(res.h0_basis, res.h0_windows):
                 assert win.cutoff == -model.prec + 2
-                assert win.agrees_with(combine(staggered, vec, pres.pair))
+                assert win.agrees_with(combine(staggered, vec))
 
 
 def test_result_json(tw):
@@ -299,11 +299,13 @@ def _sympy_gluing_matrix(sympy, pres, n, D):
     """Coordinates at t^m, n < m <= D, of the affine basis up to degree D.
 
     Built with sympy from the basis labels (u = (t - 1/t)/2 and
-    v = -(i/2)(t + 1/t) on the twistor line), independently of the
-    package's Laurent windows. The kernel is H^0(O(n)), the cokernel H^1(O(n)).
+    v = -(i/2)(t + 1/t) on the twistor line, wk = ((1+i)t + 1/2)^k on the
+    shifted line), independently of the package's Laurent windows. The
+    kernel is H^0(O(n)), the cokernel H^1(O(n)).
     """
     t = sympy.Symbol("t")
     names = {"t": t, "u": (t - 1 / t) / 2, "v": -sympy.I * (t + 1 / t) / 2}
+    names.update({f"w{k}": ((1 + sympy.I) * t + sympy.Rational(1, 2)) ** k for k in range(D + 1)})
     basis = pres.basis_up_to(D)
     exprs = [sympy.sympify(pres.label(i).replace("^", "**"), locals=names) for i in basis]
     polys = [sympy.Poly(sympy.expand(e * t**D), t) for e in exprs]
@@ -322,11 +324,16 @@ def _sympy_scalar(sympy, c):
     return sympy.Rational(str(z.re)) + sympy.I * sympy.Rational(str(z.im))
 
 
-@pytest.mark.parametrize("curve", ["twistor", "p1"])
+@pytest.mark.parametrize("curve", ["twistor", "p1", "shifted"])
 @pytest.mark.parametrize("n", [-4, -1, 0, 3, 8])
 def test_dims_and_h0_span_match_sympy(curve, n):
     sympy = pytest.importorskip("sympy")
-    pres = twistor_presentation() if curve == "twistor" else p1_presentation()
+    pres = {
+        "twistor": twistor_presentation,
+        "p1": p1_presentation,
+        # Gaussian windows: the eliminations see nonzero imaginary parts
+        "shifted": lambda: load_presentation(_shifted_line_file(14), name="shifted"),
+    }[curve]()
     res = coh.compute(pres, n)
     gluing, basis = _sympy_gluing_matrix(sympy, pres, n, res.cutoff_used)
     kernel = gluing.nullspace()

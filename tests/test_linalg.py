@@ -128,6 +128,18 @@ def _matrix(seed, kind):
 SEEDS = range(60)
 
 
+def _low_rank_matrix(seed, kind):
+    """A seeded m x n matrix (up to 12 x 16) of rank r < min(m, n): row combinations of r rows."""
+    rng = random.Random(f"low-rank/{kind}/{seed}")
+    m, n, r = ((12, 16, 7), (10, 14, 9), (12, 12, 11), (8, 16, 5))[seed % 4]
+    zero = GAUSSIAN_ZERO if kind != "rational" else Fraction(0)
+    base = [[_scalar(rng, kind) for _ in range(n)] for _ in range(r)]
+    return [
+        [sum((c * b[j] for c, b in zip(coeffs, base)), zero) for j in range(n)]
+        for coeffs in ([_scalar(rng, kind) for _ in base] for _ in range(m))
+    ]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_rref_matches_field_gauss_jordan(kind):
     for seed in SEEDS:
@@ -234,8 +246,8 @@ def test_rref_matches_sympy(kind):
     from sympy.polys.domains import QQ, QQ_I
 
     gaussian = kind != "rational"
-    for seed in SEEDS:
-        rows = _matrix(seed, kind)
+    matrices = [_matrix(seed, kind) for seed in SEEDS] + [_low_rank_matrix(s, kind) for s in range(4)]
+    for seed, rows in enumerate(matrices):
         if not rows or not rows[0]:
             continue
         theirs, their_pivots = _sympy_rref(QQ_I if gaussian else QQ, rows, gaussian)
