@@ -212,20 +212,40 @@ def test_dream_point_outside_disc_exits_2():
     assert info.value.code == 2
 
 
-# sha256 of the parent's canonical JSON (per-twist ring-map checks, Fraction
-# series products) for ``dream --r 1/2 --M 24 --n -2..2 --format json``
-DREAM_DIGESTS = {
-    "1/3": "95818aa7fcc27b00f1a82e674216457d106877761c2f53273ef003fa9728e0ff",
-    "1/4+1/5i": "b7f7b6f4545d674d650451d9baa2c3412bad69cfcbe9f90bf9368f56c024a0db",
+# sha256 of the canonical JSON (``--format json``) each command line printed
+# when its entry was recorded; ``@file`` is the twistor line up to degree 10
+# with t -> 3/2*t, written as a presentation file. The dream entries predate
+# the per-curve ring-map check and the integer series products; the others
+# predate the structural section-ring bases and image check.
+CANONICAL_DIGESTS = {
+    "dream --x 1/3 --r 1/2 --M 24 --n -2..2": "95818aa7fcc27b00f1a82e674216457d106877761c2f53273ef003fa9728e0ff",
+    "dream --x 1/4+1/5i --r 1/2 --M 24 --n -2..2": "b7f7b6f4545d674d650451d9baa2c3412bad69cfcbe9f90bf9368f56c024a0db",
+    "section-ring --curve twistor --max-degree 8": "05bbc141976ef61ba3a6ca6eae8d8ef9ede42651d3816e2f873c46be4ba6371a",
+    "section-ring --curve twistor --max-degree 14": "502a8379b8a55d0ebd2a228a4a22b2e7eb51129c46fbbc0da908e02dd7eeff3d",
+    "section-ring --curve p1 --max-degree 8": "9c4c2b848a4121430e24910a4ecc5da4b1c429987337f9c019bc401b9e992a9a",
+    "section-ring --curve p1 --max-degree 14": "ea8cdd749d358f490db045fc2387264a458e76aa1dc5b3b15b21a81b5df8197e",
+    "section-ring --curve @file --max-degree 8": "ca3b8e421f4a85429543c53f656c3bac5200f8b481f786394ccab57a16c9493a",
+    "pipeline --f 1+xi --M 12": "3bc5a3487b471328dc1dcd72fb9fd965aeebb3622c23cfb6f727a192807a0ff4",
+    "pipeline --f 1+xi --M 24": "90975a7dac64c4c89dd3b30d7c670cc6a1fe7f957dd6a8d2559546b93df0e49a",
+    "pipeline --f 1+xi --M 64": "dbbd893db4c92331fd5c4bb250a6d4b0d404e570f627f7017bcb6d04761c2f01",
+    "pipeline --f -1+2*xi+xi^2 --M 12": "531e42c5c71272b6642ea42d0f1ca9409c707519de0f3d75c2a49054b83b9b01",
+    "pipeline --f -1+2*xi+xi^2 --M 24": "e1dd4c39281730f3a9f3b0556e9dc2c836ada380400aa4a099292153d7fe2be0",
+    "pipeline --f -1+2*xi+xi^2 --M 64": "8d0fd76a413b388bbfd4939a19b069837b5c3b5818a83476c9c0244114179423",
+    "pipeline --f xi^2*(1+xi) --M 12": "dc01c2b78ef8fd0f5f2e1eebf0368885db23fe19112c51fe9d726e449146cd91",
+    "pipeline --f xi^2*(1+xi) --M 24": "8ae2f6971aaf4324a729944094ea03c3268e291e74a5078442fefb3276e72107",
+    "pipeline --f xi^2*(1+xi) --M 64": "b7a74f065f8da986a5067335439f234db4ca6445739cf86783adace498ad071d",
 }
 
 
-@pytest.mark.parametrize("x", sorted(DREAM_DIGESTS))
-def test_dream_json_is_unchanged(capsys, x):
-    code, out, _ = run(capsys, "dream", "--x", x, "--r", "1/2", "--M", "24", "--n", "-2..2",
-                       "--format", "json")
+@pytest.mark.parametrize("command", sorted(CANONICAL_DIGESTS),
+                         ids=lambda command: command.replace(" ", "_"))
+def test_canonical_json_is_unchanged(capsys, tmp_path, rescaled_twistor_file, command):
+    curve = tmp_path / "curve.pres"
+    curve.write_text(rescaled_twistor_file(10, Fraction(3, 2)))
+    argv = [str(curve) if a == "@file" else a for a in command.split()]
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == DREAM_DIGESTS[x]
+    assert hashlib.sha256(out.encode()).hexdigest() == CANONICAL_DIGESTS[command]
 
 
 def test_dream_checks_ring_map_once_per_curve(capsys, monkeypatch):
