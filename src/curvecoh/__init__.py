@@ -39,6 +39,7 @@ from .errors import (
     PoleAtPoint,
     PrecisionExhausted,
     RadiusNotCertified,
+    ResultTooLarge,
     ZeroBott,
     ZeroInverse,
 )

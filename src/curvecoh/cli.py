@@ -10,9 +10,10 @@ Subcommands::
 Output is an aligned table by default or canonical JSON with
 ``--format json`` (sorted keys, two-space indent, re-serializable to the
 same bytes). A JSON config file can replace flags (``--config``); flags
-given explicitly win. Exit codes: 0 success, 1 computation failure,
-2 usage/config failure. Reports always include certification status and
-the cutoffs used, so heuristic results are never silently exact-looking.
+given explicitly win. Exit codes: 0 success, 1 computation failure (a
+result too large to print included), 2 usage/config failure. Reports
+always include certification status and the cutoffs used, so heuristic
+results are never silently exact-looking.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import cohomology as coh
 from . import section_ring as sect
-from .errors import ComputationError, CutoffTooSmall
+from .errors import ComputationError, CutoffTooSmall, ResultTooLarge
 from .harbater import local_completion
 from .periodic import TwoPeriodicPresentation, pipeline_trace, tate_degree_zero
 from .presentation import load_presentation, p1_presentation, twistor_presentation
@@ -161,6 +163,18 @@ def emit(payload, args) -> None:
         print(text)
 
 
+@contextmanager
+def _printable():
+    """Report CPython's int-to-str digit limit as ResultTooLarge (input is parsed before)."""
+    try:
+        yield
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise ResultTooLarge(f"an integer in the result exceeds the {limit}-digit limit") from None
+
+
 def _table(rows: list, header: list) -> str:
     cols = [header] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cols) for i in range(len(header))]
@@ -180,112 +194,116 @@ def _table(rows: list, header: list) -> str:
 def cmd_cohomology(args) -> int:
     pres = resolve_curve(args.curve)
     ns = parse_range(str(args.n))
-    results = []
-    for n in ns:
-        default = coh.resolved_default_cutoff(pres, n)
-        cutoff = args.cutoff
-        if cutoff is not None and cutoff < default and not args.uncertified_ok:
-            raise CutoffTooSmall(
-                f"cutoff {cutoff} below the default {default} for n={n} "
-                f"(pass --uncertified-ok to force)"
-            )
-        results.append(coh.compute(pres, n, D=cutoff))
-    if args.format == "json":
-        payload = results[0].to_json() if len(results) == 1 else [r.to_json() for r in results]
-        emit(payload, args)
-    else:
-        rows = []
-        for r in results:
-            gr = ", ".join(f"{m}:{g0 + g1}" for m, (g0, g1) in r.graded.items())
-            rows.append([r.n, r.h0_dim, r.h1_dim, gr or "-", r.certified, r.cutoff_used])
-        emit(_table(rows, ["n", "h0", "h1", "gr", "certified", "cutoff"]), args)
-    return 0
+    with _printable():
+        results = []
+        for n in ns:
+            default = coh.resolved_default_cutoff(pres, n)
+            cutoff = args.cutoff
+            if cutoff is not None and cutoff < default and not args.uncertified_ok:
+                raise CutoffTooSmall(
+                    f"cutoff {cutoff} below the default {default} for n={n} "
+                    f"(pass --uncertified-ok to force)"
+                )
+            results.append(coh.compute(pres, n, D=cutoff))
+        if args.format == "json":
+            payload = results[0].to_json() if len(results) == 1 else [r.to_json() for r in results]
+            emit(payload, args)
+        else:
+            rows = []
+            for r in results:
+                gr = ", ".join(f"{m}:{g0 + g1}" for m, (g0, g1) in r.graded.items())
+                rows.append([r.n, r.h0_dim, r.h1_dim, gr or "-", r.certified, r.cutoff_used])
+            emit(_table(rows, ["n", "h0", "h1", "gr", "certified", "cutoff"]), args)
+        return 0
 
 
 def cmd_section_ring(args) -> int:
     pres = resolve_curve(args.curve)
-    sr = sect.build_section_ring(pres, args.max_degree)
-    hilbert = sect.hilbert_function(sr)
-    report = sect.degree_one_generation(sr)
-    if args.format == "json":
-        payload = {"hilbert": hilbert, **report.to_json()}
-        emit(payload, args)
-    else:
-        lines = [f"hilbert function: {hilbert}"]
-        rows = [
-            [n, report.surjective[n], report.kernel_dims[n]]
-            for n in sorted(report.surjective)
-        ]
-        lines.append(_table(rows, ["degree", "surjective", "relations"]))
-        for n, gens in sorted(report.kernel_generators.items()):
-            for gen in gens:
-                terms = " + ".join(f"{c}*{m}" if c != "1" else m for m, c in gen.items())
-                lines.append(f"degree-{n} relation: {terms}")
-        emit("\n".join(lines), args)
-    return 0
+    with _printable():
+        sr = sect.build_section_ring(pres, args.max_degree)
+        hilbert = sect.hilbert_function(sr)
+        report = sect.degree_one_generation(sr)
+        if args.format == "json":
+            payload = {"hilbert": hilbert, **report.to_json()}
+            emit(payload, args)
+        else:
+            lines = [f"hilbert function: {hilbert}"]
+            rows = [
+                [n, report.surjective[n], report.kernel_dims[n]]
+                for n in sorted(report.surjective)
+            ]
+            lines.append(_table(rows, ["degree", "surjective", "relations"]))
+            for n, gens in sorted(report.kernel_generators.items()):
+                for gen in gens:
+                    terms = " + ".join(f"{c}*{m}" if c != "1" else m for m, c in gen.items())
+                    lines.append(f"degree-{n} relation: {terms}")
+            emit("\n".join(lines), args)
+        return 0
 
 
 def cmd_pipeline(args) -> int:
     f = parse_f_expression(args.f, args.M)
-    pres = TwoPeriodicPresentation(f=f)
-    trace = pipeline_trace(pres, args.M if args.prec is None else args.prec)
-    checks_pass = trace["hfp_image_equals_fil0"] and trace["injective"]
-    if args.format == "json":
-        emit(trace, args)
-    else:
-        lines = [
-            f"f = {args.f}  (A = k[[xi]] mod xi^{args.M})",
-            f"beta*v = {trace['beta_v']}",
-            f"jump index = {trace['jump_index']}, carrier = {trace['carrier']}",
-            f"reversion: {trace['reversion']}",
-            f"rebase round trip: {trace['rebase_round_trip']}",
-            f"fixed-point image = Fil_0: {'PASS' if trace['hfp_image_equals_fil0'] else 'FAIL'}",
-            f"injectivity: {'PASS' if trace['injective'] else 'FAIL'}",
-        ]
-        emit("\n".join(lines), args)
-    return 0 if checks_pass else 1
+    with _printable():
+        pres = TwoPeriodicPresentation(f=f)
+        trace = pipeline_trace(pres, args.M if args.prec is None else args.prec)
+        checks_pass = trace["hfp_image_equals_fil0"] and trace["injective"]
+        if args.format == "json":
+            emit(trace, args)
+        else:
+            lines = [
+                f"f = {args.f}  (A = k[[xi]] mod xi^{args.M})",
+                f"beta*v = {trace['beta_v']}",
+                f"jump index = {trace['jump_index']}, carrier = {trace['carrier']}",
+                f"reversion: {trace['reversion']}",
+                f"rebase round trip: {trace['rebase_round_trip']}",
+                f"fixed-point image = Fil_0: {'PASS' if trace['hfp_image_equals_fil0'] else 'FAIL'}",
+                f"injectivity: {'PASS' if trace['injective'] else 'FAIL'}",
+            ]
+            emit("\n".join(lines), args)
+        return 0 if checks_pass else 1
 
 
 def cmd_dream(args) -> int:
     x = parse_gaussian(args.x)
     r = as_fraction(args.r)
     ns = parse_range(str(args.n))
-    completion = local_completion(x, r, args.M)
-    model = tate_degree_zero(completion.base_presentation(), args.M)
-    curves = [
-        ("twistor", twistor_presentation(), coh.twistor_formal_embedding(model)),
-        ("p1", p1_presentation(), coh.p1_formal_embedding(model)),
-    ]
-    rows, all_ok = [], True
-    for label, pres, embed in curves:
-        for n, assembled in zip(ns, coh.curve_from_parts(pres, model, embed, ns), strict=True):
-            direct = coh.compute(pres, n)
-            ok = direct.dims == assembled.dims and direct.graded == assembled.graded
-            all_ok = all_ok and ok
-            rows.append(
-                [label, n, f"{direct.dims}", f"{assembled.dims}", "PASS" if ok else "FAIL"]
-            )
-    if args.format == "json":
-        payload = {
-            "x": str(x),
-            "r": str(r),
-            "M": args.M,
-            "kernel_generator": str(completion.to_json()["xi"]),
-            "results": [
-                {"curve": c, "n": n, "direct": d, "assembled": a, "ok": s == "PASS"}
-                for c, n, d, a, s in rows
-            ],
-            "all_match": all_ok,
-        }
-        emit(payload, args)
-    else:
-        lines = [
-            f"completion at x = {x} (r = {r}, M = {args.M}); xi = {completion.to_json()['xi']}",
-            _table(rows, ["curve", "n", "direct", "assembled", "status"]),
-            f"overall: {'PASS' if all_ok else 'FAIL'}",
+    with _printable():
+        completion = local_completion(x, r, args.M)
+        model = tate_degree_zero(completion.base_presentation(), args.M)
+        curves = [
+            ("twistor", twistor_presentation(), coh.twistor_formal_embedding(model)),
+            ("p1", p1_presentation(), coh.p1_formal_embedding(model)),
         ]
-        emit("\n".join(lines), args)
-    return 0 if all_ok else 1
+        rows, all_ok = [], True
+        for label, pres, embed in curves:
+            for n, assembled in zip(ns, coh.curve_from_parts(pres, model, embed, ns), strict=True):
+                direct = coh.compute(pres, n)
+                ok = direct.dims == assembled.dims and direct.graded == assembled.graded
+                all_ok = all_ok and ok
+                rows.append(
+                    [label, n, f"{direct.dims}", f"{assembled.dims}", "PASS" if ok else "FAIL"]
+                )
+        if args.format == "json":
+            payload = {
+                "x": str(x),
+                "r": str(r),
+                "M": args.M,
+                "kernel_generator": str(completion.to_json()["xi"]),
+                "results": [
+                    {"curve": c, "n": n, "direct": d, "assembled": a, "ok": s == "PASS"}
+                    for c, n, d, a, s in rows
+                ],
+                "all_match": all_ok,
+            }
+            emit(payload, args)
+        else:
+            lines = [
+                f"completion at x = {x} (r = {r}, M = {args.M}); xi = {completion.to_json()['xi']}",
+                _table(rows, ["curve", "n", "direct", "assembled", "status"]),
+                f"overall: {'PASS' if all_ok else 'FAIL'}",
+            ]
+            emit("\n".join(lines), args)
+        return 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +362,7 @@ def _apply_config(args, parser) -> None:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a bad document or an over-long int
         parser.error(f"cannot read config {args.config!r}: {exc}")
     for key, value in config.items():
         attr = key.replace("-", "_")

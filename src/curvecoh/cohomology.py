@@ -269,22 +269,13 @@ def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
     )
 
 
-def h1(
-    pres: AffinePresentation,
-    n: int,
-    D: int | None = None,
-    window_bottom: int | None = None,
-) -> CohomologyResult:
+def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
     """First cohomology of O(n): Laurent tail classes modulo the affine algebra.
 
     Representatives are pure monomial classes t^m (and i*t^m for a split
     coefficient pair) at the free columns of the image echelon, reduced
     modulo the image by construction.
     """
-    if window_bottom is None:
-        window_bottom = n
-    if window_bottom > n:
-        raise ValueError(f"window_bottom {window_bottom} must be <= n = {n}")
     D = _cutoff(pres, n, D, "h1")
     reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1)
     return CohomologyResult(
@@ -293,19 +284,14 @@ def h1(
         h1_graded=graded,
         certified=pres.certified_through(D + 2),
         cutoff_used=D,
-        window_bottom=window_bottom,
+        window_bottom=n,
     )
 
 
-def compute(
-    pres: AffinePresentation,
-    n: int,
-    D: int | None = None,
-    window_bottom: int | None = None,
-) -> CohomologyResult:
+def compute(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
     """Both cohomology groups of O(n) in one result."""
     r0 = h0(pres, n, D)
-    r1 = h1(pres, n, D, window_bottom)
+    r1 = h1(pres, n, D)
     return replace(
         r0,
         h1_basis=r1.h1_basis,

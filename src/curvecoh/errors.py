@@ -33,6 +33,10 @@ class NotStabilized(ComputationError):
     """Heuristic H^1 dimension still changing at the working cutoff."""
 
 
+class ResultTooLarge(ComputationError):
+    """A result holds an integer too long for Python's int-to-str conversion limit."""
+
+
 class NotInSpan(ComputationError):
     pass
 

@@ -520,12 +520,9 @@ class CertifiedSeries:
     __rmul__ = __mul__
 
     def __str__(self):
-        tail = (
-            ",".join(
-                f"{j - self.offset}:{self.coeffs[j]}" for j in range(self.offset)
-            )
-            or "-"
-        )
+        tail = ",".join(
+            f"{j - self.offset}:{c}" for j, c in enumerate(self.coeffs[: self.offset])
+        ) or "-"
         head = " ".join(str(c) for c in self.coeffs[self.offset :])
         extra = f" deg {self.poly_deg}" if self.poly_deg else ""
         return f"{tail} ; {head} ; bound {self.C} {self.s}{extra}"

@@ -21,6 +21,12 @@ xi and the filtration jumps in steps of jump_index = a+1. The rebase
 machinery then works through the unit-normalized parameter
 sigma = xi * unit_part(f), which equals tau exactly when f is a unit.
 
+The fixed-point side's degree 0 is A, mapped into the carrier by
+``expand_base``: xi^j goes to xi^j when the carrier keeps xi and to
+reversion^j, of valuation >= j, otherwise. Only exponents <= 0 are
+written, so the image lies in Fil_0 by construction, and the map is
+triangular: injective exactly when every diagonal entry is nonzero.
+
 Convention: the Nygaard indexing is v-adic as stated above; a different
 (homological) normalization would uniformly rescale the Fil indices.
 """
@@ -30,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import PrecisionExhausted, ZeroBott
-from .linalg import rank
+from .errors import IndeterminateTop, PrecisionExhausted, ZeroBott
 from .scalars import TruncatedPowerSeries, is_zero_scalar, theta
 from .series import LaurentWindow
 
@@ -54,10 +59,6 @@ class TwoPeriodicPresentation:
     @property
     def one(self):
         return self.f.coeffs[0] * 0 + 1
-
-    @property
-    def xi(self) -> TruncatedPowerSeries:
-        return TruncatedPowerSeries.variable(self.one, self.M)
 
     def to_json(self) -> dict:
         return {
@@ -201,7 +202,7 @@ class DegreeZeroImage:
     """The fixed-point side's degree-0 ring mapped into the Tate model.
 
     The image is the 0th Nygaard stage Fil_0; the map is injective in
-    the even case, witnessed by an exact full-rank coefficient matrix.
+    the even case, read off the diagonal of its triangular matrix.
     """
 
     model: FilteredRingModel
@@ -214,31 +215,26 @@ class DegreeZeroImage:
         """Membership in the image ( = Fil_0) as far as the window certifies."""
         return self.model.fil_member(w, 0)
 
-    @cached_property
-    def _basis_windows(self) -> list:
-        """The images of xi^0, ..., xi^(M-1): the rows of the coefficient map."""
-        one = self.model.one
-        zero = one * 0
-        windows = []
-        for j in range(self.M):
-            coeffs = [zero] * self.M
-            coeffs[j] = one
-            windows.append(self.expand(TruncatedPowerSeries(coeffs, self.M)))
-        return windows
-
-    @cached_property
-    def _rank(self) -> int:
-        return rank([[w.coefficient(-k) for k in range(self.M)] for w in self._basis_windows])
-
     def image_equals_fil0(self) -> bool:
-        """Image lands in Fil_0 and saturates every tracked coordinate of it."""
-        if any(w.coeffs and w.pole_order() > 0 for w in self._basis_windows):
-            return False
-        return self._rank == self.M
+        """Image saturates every tracked coordinate t^0 .. t^-(M-1) of Fil_0.
+
+        The image lies in Fil_0 by construction (``expand_base`` writes only
+        exponents <= 0), so the verdict is injectivity.
+        """
+        return self.injective()
 
     def injective(self) -> bool:
-        """Zero kernel of the A -> carrier coefficient map at this precision."""
-        return self._rank == self.M
+        """Zero kernel of the A -> carrier coefficient map at this precision.
+
+        The diagonal entries are 1 when the carrier keeps xi, otherwise
+        [xi^j] reversion^j, read off the cached coordinate powers.
+        """
+        if self.model.jump_index > 1:
+            return True
+        powers = self.model._coordinate_powers
+        if len(powers) < self.M:
+            raise IndeterminateTop(f"reversion known to O(xi^{len(powers)}), need xi^{self.M - 1}")
+        return not any(is_zero_scalar(powers[j].coeffs[j]) for j in range(self.M))
 
     def residue_matches_theta(self, a: TruncatedPowerSeries) -> bool:
         return self.model.residue(self.expand(a)) == theta(a)

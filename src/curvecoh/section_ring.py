@@ -1,10 +1,13 @@
 """The graded ring of global sections P = (+)_{n>=0} H^0(X, O(n)).
 
-Built degree by degree from certified H^0 bases; products are computed
-inside the affine algebra and re-expressed in the echelon basis of the
-target degree. ``degree_one_generation`` checks that degree-1 sections
-generate, reporting the kernel of Sym^n(P_1) -> P_n per degree (for the
-twistor line the degree-2 kernel is spanned by u*u + v*v + 1*1, the
+All bases come from one certified H^0(O(D)). On a certified presentation an
+element's pole order is its degree (``leading_exact``), so P_n is the span
+of the affine basis up to degree n. The reduced echelon rows of H^0(O(D))
+that pivot at or below t^n span the elements vanishing above t^n and are in
+reduced echelon form; a subspace has one such form per column order, so
+they are H^0(O(n))'s own basis: the rows supported in degrees <= n.
+``degree_one_generation`` reports the kernel of Sym^n(P_1) -> P_n per degree
+(for the twistor line the degree-2 kernel is spanned by u*u + v*v + 1*1, the
 quadric relation; for the projective line all kernels vanish).
 """
 
@@ -24,7 +27,6 @@ class SectionRing:
     pres: AffinePresentation
     D: int
     bases: list          # bases[n] = list of {affine index: k0 coeff}
-    affine_cols: list    # affine_cols[n] = column order used for coordinates
 
     def dim(self, n: int) -> int:
         return len(self.bases[n])
@@ -52,34 +54,25 @@ class SectionRing:
 
     def express(self, k: int, vec: dict) -> list:
         """Express an affine element in the echelon basis of P_k (NotInSpan if impossible)."""
-        return self.express_all(k, [vec])[0]
-
-    def express_all(self, k: int, vecs: list) -> list:
-        """Coordinates of each affine element in the echelon basis of P_k, one elimination."""
-        cols = self.affine_cols[k]
-        zero = self.pres.pair.base_zero()
-        targets = [self._vector_coords(vec, cols) for vec in vecs]
+        cols = self.pres.basis_up_to(k)
+        target = self._vector_coords(vec, cols)
         rows = [self._vector_coords(bvec, cols) for bvec in self.bases[k]]
-        sols = solve_in_span(rows, targets, zero)
-        for vec, sol in zip(vecs, sols):
-            if sol is None:
-                raise NotInSpan(
-                    f"product does not lie in P_{k} (presentation bug): "
-                    f"{self.pres.element_label(vec)}"
-                )
-        return sols
+        [sol] = solve_in_span(rows, [target], self.pres.pair.base_zero())
+        if sol is None:
+            raise NotInSpan(
+                f"product does not lie in P_{k} (presentation bug): {self.pres.element_label(vec)}"
+            )
+        return sol
 
 
 def build_section_ring(pres: AffinePresentation, D: int) -> SectionRing:
-    """H^0 bases for all degrees 0..D; requires certified computations."""
-    bases, affine_cols = [], []
-    for n in range(D + 1):
-        res = h0(pres, n, max(n, 0))
-        if not res.certified:
-            raise NotStabilized(f"H^0(O({n})) is not certified; cannot build P_{n}")
-        bases.append(res.h0_basis)
-        affine_cols.append(pres.basis_up_to(n))
-    return SectionRing(pres=pres, D=D, bases=bases, affine_cols=affine_cols)
+    """H^0 bases for all degrees 0..D from one certified H^0(O(D)) (module docstring)."""
+    # without leading_exact no degree is certified, so P_0 is the first to fail
+    if not pres.certified_through(D):
+        raise NotStabilized("H^0(O(0)) is not certified; cannot build P_0")
+    top = h0(pres, D, D).h0_basis
+    bases = [[v for v in top if max(map(pres.degree_of, v)) <= n] for n in range(D + 1)]
+    return SectionRing(pres=pres, D=D, bases=bases)
 
 
 def hilbert_function(sr: SectionRing) -> list:
@@ -127,9 +120,10 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
     Monomials are ordered combinations of the echelonized P_1 basis, so
     the report is deterministic. Each degree-n monomial is the product of
     its degree n-1 prefix, kept from the previous degree, with one more
-    degree-1 element. Per degree, one elimination expresses every monomial
-    in P_n and one more gives the kernel; the rank follows from the
-    kernel's dimension.
+    degree-1 element. P_n spans every affine element of degree <= n, so
+    the products (one column per monomial) have the same dependencies over
+    the affine basis as over P_n's: one elimination of their affine
+    coordinates gives the kernel, and the rank follows from its dimension.
     """
     if sr.D < 2:
         raise ValueError("degree-one generation needs D >= 2")
@@ -148,12 +142,11 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
                 mono: pres.mul_elements(products[mono[:-1]], sr.bases[1][mono[-1]])
                 for mono in monos
             }
-        rows = sr.express_all(n, list(products.values()))
-        # kernel: combinations of rows vanishing; surjectivity: the rows span
-        # P_n, i.e. their rank len(monos) - dim kernel reaches dim P_n
-        cols = len(rows[0]) if rows else 0
-        transpose = [[rows[i][c] for i in range(len(rows))] for c in range(cols)]
-        kern = kernel_basis(transpose, len(monos), zero, one)
+        affine = pres.basis_up_to(n)
+        cols = [sr._vector_coords(prod, affine) for prod in products.values()]
+        # kernel: combinations of the columns vanishing; surjectivity: they
+        # span P_n, i.e. their rank len(monos) - dim kernel reaches dim P_n
+        kern = kernel_basis(list(zip(*cols)), len(monos), zero, one)
         surjective[n] = len(monos) - len(kern) == sr.dim(n)
         kernel_dims[n] = len(kern)
         monomials[n] = monos

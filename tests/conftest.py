@@ -1,4 +1,4 @@
-"""Shared fixtures: the twistor line written out as a presentation file."""
+"""Shared fixtures: the twistor line and the projective line written out as presentation files."""
 
 from fractions import Fraction
 
@@ -38,3 +38,18 @@ def _rescaled_twistor_file(top: int, c: Fraction) -> str:
 def rescaled_twistor_file():
     """``(top, c) -> text`` of the twistor line with Gaussian coefficients, t -> c*t."""
     return _rescaled_twistor_file
+
+
+def _p1_file(top: int, embed_exponent) -> str:
+    """p1 up to degree ``top`` as a presentation file; t_k embeds as t^embed_exponent(k)."""
+    lines = ["fields gaussian gaussian", "flags leading_exact"]
+    lines += [f"basis t{k} {k}" for k in range(top + 1)]
+    lines += [f"mul t{i} t{j} = 1*t{i + j}" for i in range(top + 1) for j in range(i, top + 1 - i)]
+    lines += [f"embed t{k} = 1*t^{embed_exponent(k)}" for k in range(top + 1)]
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="session")
+def p1_file():
+    """``(top, embed_exponent) -> text`` of p1 with t_k embedded as t^embed_exponent(k)."""
+    return _p1_file

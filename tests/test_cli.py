@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,7 @@ _BAD_FILES = {
     "@string-switch": '{"uncertified_ok": "false"}',
     "@numeric-switch": '{"uncertified_ok": 1}',
     "@null-switch": '{"uncertified_ok": null}',
+    "@huge-M": '{"M": ' + "1" * 5000 + "}",
 }
 
 
@@ -143,6 +145,10 @@ _BAD_FILES = {
         ["pipeline", "--config", "@string-M", "--f", "1"],
         *(["cohomology", "--curve", "p1", "--n", "3", "--cutoff", "4", "--config", switch]
           for switch in ("@string-switch", "@numeric-switch", "@null-switch")),
+        # literals and config values over the int-to-str digit limit
+        ["pipeline", "--config", "@huge-M", "--f", "1"],
+        ["dream", "--x", "1" * 5000, *_DREAM],
+        ["pipeline", "--f", "1" * 5000 + "+xi", "--M", "4"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -199,6 +205,15 @@ def test_pipeline_m_too_small_exits_2():
     assert info.value.code == 2
 
 
+def test_result_too_large_to_print_exits_1(capsys):
+    # parses and computes; the reversion's coefficients outgrow int-to-str conversion
+    code, out, err = run(capsys, "pipeline", "--f", "1+2^2000*xi", "--M", "32")
+    assert code == 1 and out == ""
+    assert err.startswith("error: pipeline: ResultTooLarge:")
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+    assert "Traceback" not in err
+
+
 def test_dream_pass(capsys):
     code, out, _ = run(capsys, "dream", "--x", "i/2", "--r", "1/2", "--M", "16", "--n", "-2..2")
     assert code == 0
@@ -212,11 +227,11 @@ def test_dream_point_outside_disc_exits_2():
     assert info.value.code == 2
 
 
-# sha256 of the canonical JSON (``--format json``) each command line printed
-# when its entry was recorded; ``@file`` is the twistor line up to degree 10
-# with t -> 3/2*t, written as a presentation file. The dream entries predate
-# the per-curve ring-map check and the integer series products; the others
-# predate the structural section-ring bases and image check.
+# sha256 of the canonical JSON (``--format json``) of each command line, each
+# recorded on an earlier implementation of the code it covers (dream: per-twist
+# ring-map checks and Fraction series products; section-ring and pipeline:
+# per-degree H^0 eliminations and a rank of the image). ``@file`` is the
+# twistor line up to degree 10 with t -> 3/2*t, written as a presentation file.
 CANONICAL_DIGESTS = {
     "dream --x 1/3 --r 1/2 --M 24 --n -2..2": "95818aa7fcc27b00f1a82e674216457d106877761c2f53273ef003fa9728e0ff",
     "dream --x 1/4+1/5i --r 1/2 --M 24 --n -2..2": "b7f7b6f4545d674d650451d9baa2c3412bad69cfcbe9f90bf9368f56c024a0db",

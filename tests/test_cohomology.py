@@ -116,11 +116,6 @@ def test_cutoff_too_small(p1):
         coh.h1(p1, 3, D=1)
 
 
-def test_window_bottom_validation(p1):
-    with pytest.raises(ValueError):
-        coh.h1(p1, 0, window_bottom=1)
-
-
 def test_h1_not_stabilized_for_drifting_presentation():
     # embeddings whose poles do not grow with the degree leave the quotient
     # window uncovered, so the dimension drifts and stabilization catches it

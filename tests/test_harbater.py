@@ -284,6 +284,15 @@ def test_element_grammar_roundtrip():
     assert poly_str([-7, 0, 0, 1]) == "T^3 - 7"
 
 
+def test_str_lists_the_stored_coefficients():
+    # T^-2 (1 + 2T + 3T^2) squared: the known head ends at T^-2, below T^0
+    sq = CertifiedSeries([1, 2, 3], 2) * CertifiedSeries([1, 2, 3], 2)
+    assert (sq.offset, sq.coeffs, sq.head_top) == (4, (1, 4, 10), -2)
+    assert str(sq).startswith("-4:1,-3:4,-2:10 ;  ; bound ")
+    cs = CertifiedSeries([5, 6], 1)
+    assert str(cs).startswith("-1:5 ; 6 ; bound ")
+
+
 def test_base_presentation_plugs_into_pipeline():
     from curvecoh.periodic import hfp_degree_zero, tate_degree_zero
 

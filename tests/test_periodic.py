@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvecoh.errors import PrecisionExhausted, ZeroBott
+from curvecoh.errors import IndeterminateTop, PrecisionExhausted, ZeroBott
+from curvecoh.linalg import rank
 from curvecoh.periodic import (
     DegreeZeroImage,
     FilteredRingModel,
@@ -119,10 +120,53 @@ def _non_coordinate_model(m):
 
 
 def test_image_checks_fail_for_non_coordinate():
-    for m in (4, 9):
+    for m in (2, 4, 9):
         image = DegreeZeroImage(model=_non_coordinate_model(m), M=m)
         assert image.injective() is False
         assert image.image_equals_fil0() is False
+    # the only diagonal entry at M = 1 is [xi^0] reversion^0 = 1
+    image = DegreeZeroImage(model=_non_coordinate_model(1), M=1)
+    assert image.injective() is True and image.image_equals_fil0() is True
+
+
+def _reference_injective(image) -> bool:
+    """Full rank of the M x M matrix of the images of xi^0 .. xi^(M-1)."""
+    m = image.M
+    rows = [[image.expand(rational_tps([0] * j + [1], m)).coefficient(-k) for k in range(m)]
+            for j in range(m)]
+    return rank(rows) == m
+
+
+def test_injective_agrees_with_the_rank_of_the_coefficient_matrix():
+    rng = random.Random(5)
+    images = [DegreeZeroImage(model=_non_coordinate_model(m), M=m) for m in (1, 2, 5)]
+    for m in (1, 2, 3, 6):
+        for f in ([1, 1], [-1, 2, 1], [0, 1, 1], [0, 0, 3])[: m + 1]:  # f = 0 mod xi^m left out
+            images.append(hfp_degree_zero(TwoPeriodicPresentation(f=rational_tps(f, m)), m))
+        for _ in range(3):
+            r = rational_tps([0, rng.choice([0, 1, Fraction(-2, 3)])]
+                             + [rng.randint(-3, 3) for _ in range(m)], m + 1)
+            model = FilteredRingModel(
+                M=m, prec=m, jump_index=1, parameter_expression=r, unit_parameter=r,
+                reversion=r, unit_part=rational_tps([1], m), one=Fraction(1),
+            )
+            images.append(DegreeZeroImage(model=model, M=m))
+    verdicts = [image.injective() for image in images]
+    assert verdicts == [_reference_injective(image) for image in images]
+    assert True in verdicts and False in verdicts
+
+
+def test_injective_needs_a_reversion_as_long_as_m():
+    r = rational_tps([0, 1, 1], 3)
+    model = FilteredRingModel(
+        M=5, prec=5, jump_index=1, parameter_expression=r, unit_parameter=r,
+        reversion=r, unit_part=rational_tps([1], 5), one=Fraction(1),
+    )
+    image = DegreeZeroImage(model=model, M=5)
+    with pytest.raises(IndeterminateTop, match=r"known to O\(xi\^3\), need xi\^4"):
+        image.injective()
+    with pytest.raises(IndeterminateTop):
+        image.image_equals_fil0()
 
 
 def test_expand_base_equals_compose():

@@ -146,26 +146,17 @@ def test_load_gaussian_coefficient_presentation():
     assert res.h0_dim == 2  # same curve slice as p1 in a rotated coordinate
 
 
-def _p1_file(top: int, embed_exponent) -> str:
-    """p1 up to degree ``top`` as a presentation file; t_k embeds as t^embed_exponent(k)."""
-    lines = ["fields gaussian gaussian", "flags leading_exact"]
-    lines += [f"basis t{k} {k}" for k in range(top + 1)]
-    lines += [f"mul t{i} t{j} = 1*t{i + j}" for i in range(top + 1) for j in range(i, top + 1 - i)]
-    lines += [f"embed t{k} = 1*t^{embed_exponent(k)}" for k in range(top + 1)]
-    return "\n".join(lines)
-
-
-def test_certification_extends_leading_exact_check_to_the_degrees_read():
+def test_certification_extends_leading_exact_check_to_the_degrees_read(p1_file):
     from curvecoh import cohomology as coh
 
-    good = load_presentation(_p1_file(10, lambda k: k))
+    good = load_presentation(p1_file(10, lambda k: k))
     assert good.verified_degree == 6
     res = coh.compute(good, 4)  # cutoff 8; H^1 stabilization reads degree 10
     assert res.dims == (5, 0) and res.certified
     assert good.verified_degree == 10
 
     # t8 -> t^7 breaks leading_exact at degree 8, past the load-time checks
-    bad = load_presentation(_p1_file(10, lambda k: 7 if k == 8 else k))
+    bad = load_presentation(p1_file(10, lambda k: 7 if k == 8 else k))
     assert coh.compute(bad, 2, D=4).certified  # reads degrees <= 6 only
     with pytest.raises(EmbeddingNotRingMap):
         coh.compute(bad, 4)

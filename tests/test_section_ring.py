@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from curvecoh.errors import NotInSpan
+import curvecoh.section_ring as section_ring
+from curvecoh.cohomology import h0
+from curvecoh.errors import EmbeddingNotRingMap, NotInSpan, NotStabilized
+from curvecoh.linalg import kernel_basis
 from curvecoh.presentation import load_presentation, p1_presentation, twistor_presentation
 from curvecoh.section_ring import (
     build_section_ring,
@@ -26,6 +29,17 @@ def sr_p1():
 @pytest.fixture(scope="module")
 def sr_tw():
     return build_section_ring(twistor_presentation(), 8)
+
+
+@pytest.fixture(scope="module")
+def rings(rescaled_twistor_file):
+    """The twistor line, p1 and a file curve with Gaussian coefficients, at the bench degrees."""
+    file_curve = load_presentation(rescaled_twistor_file(10, Fraction(3, 2)), name="file")
+    return {
+        "twistor": build_section_ring(twistor_presentation(), 9),
+        "p1": build_section_ring(p1_presentation(), 14),
+        "file": build_section_ring(file_curve, 8),
+    }
 
 
 def test_hilbert_functions(sr_p1, sr_tw):
@@ -112,11 +126,84 @@ def _generation_digest(sr) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
-def test_generation_reports_are_unchanged(rescaled_twistor_file):
-    file_curve = load_presentation(rescaled_twistor_file(10, Fraction(3, 2)), name="file")
-    for name, pres, D in (("twistor", twistor_presentation(), 9), ("p1", p1_presentation(), 14),
-                          ("file", file_curve, 8)):
-        assert _generation_digest(build_section_ring(pres, D)) == GENERATION_DIGESTS[name], name
+def test_generation_reports_are_unchanged(rings):
+    for name, sr in rings.items():
+        assert _generation_digest(sr) == GENERATION_DIGESTS[name], name
+
+
+def test_bases_equal_each_degree_h0(rings):
+    # the rows of H^0(O(D)) supported in degrees <= n are H^0(O(n))'s own echelon basis
+    for name, sr in rings.items():
+        for n in range(sr.D + 1):
+            own = h0(sr.pres, n, n).h0_basis
+            assert [list(v.items()) for v in sr.bases[n]] == [list(v.items()) for v in own], (name, n)
+
+
+def _reference_generation(sr):
+    """(surjective, kernel dims, degree <= 3 generators), each product first expressed in P_n."""
+    pres = sr.pres
+    zero, one = pres.pair.base_zero(), pres.pair.base_one()
+    surjective, dims, gens = {}, {}, {}
+    for n in range(1, sr.D + 1):
+        monos = list(itertools.combinations_with_replacement(range(sr.dim(1)), n))
+        coords = []
+        for mono in monos:
+            prod = sr.bases[1][mono[0]]
+            for j in mono[1:]:
+                prod = pres.mul_elements(prod, sr.bases[1][j])
+            coords.append(sr.express(n, prod))
+        kern = kernel_basis(list(zip(*coords)), len(monos), zero, one)
+        surjective[n] = len(monos) - len(kern) == sr.dim(n)
+        dims[n] = len(kern)
+        if n <= 3:
+            gens[n] = [
+                {"*".join(sr.element_label(1, j) for j in monos[k]): str(c)
+                 for k, c in enumerate(v) if c != 0}
+                for v in kern
+            ]
+    return surjective, dims, gens
+
+
+def test_generation_kernels_match_expressing_in_p_n(rings):
+    for name, sr in rings.items():
+        report = degree_one_generation(sr)
+        got = (report.surjective, report.kernel_dims, report.kernel_generators)
+        assert got == _reference_generation(sr), name
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_h0_per_ring_and_one_elimination_per_degree(monkeypatch):
+    h0_calls = _counting(monkeypatch, section_ring, "h0")
+    solves = _counting(monkeypatch, section_ring, "solve_in_span")
+    kernels = _counting(monkeypatch, section_ring, "kernel_basis")
+    sr = build_section_ring(twistor_presentation(), 6)
+    assert [args[1:] for args in h0_calls] == [(6, 6)]
+    degree_one_generation(sr)
+    assert len(kernels) == 6 and solves == []
+
+
+def test_build_keeps_certification_errors(rescaled_twistor_file, p1_file):
+    uncertified = load_presentation(
+        rescaled_twistor_file(6, Fraction(3, 2)).replace("flags leading_exact", "")
+    )
+    with pytest.raises(NotStabilized, match=r"^H\^0\(O\(0\)\) is not certified; cannot build P_0$"):
+        build_section_ring(uncertified, 4)
+    # t8 -> t^7 breaks leading_exact at degree 8, past the load-time checks
+    bad = load_presentation(p1_file(10, lambda k: 7 if k == 8 else k))
+    assert hilbert_function(build_section_ring(bad, 7)) == [n + 1 for n in range(8)]
+    with pytest.raises(EmbeddingNotRingMap, match=r"pole_order\(embed\(t8\)\) != 8 \(degree 8\)"):
+        build_section_ring(bad, 8)
 
 
 def test_generation_multiplies_once_per_monomial(sr_tw, monkeypatch):
