@@ -345,8 +345,8 @@ def curve_from_parts(
     twist, in order. For a model with jump_index 1 this reproduces the
     direct computation. A result is certified when degree-d elements peak
     at pole d*jump with independent leading coefficients (the
-    leading_exact property, verified in the carrier up to the cutoff D
-    that twist reads).
+    leading_exact property, verified in the carrier through D + 2, the
+    highest degree that twist's H^1 stabilization reads).
     """
     ns = list(ns)
     cutoffs = [_cutoff(pres, n, D, "assembly") for n in ns]
@@ -356,7 +356,7 @@ def curve_from_parts(
     results = []
     for n, D_n in zip(ns, cutoffs):
         fil_bound = model.fil_pole_bound(n)
-        certified = leading_exact_failure(pres, window, jump, D_n) is None
+        certified = leading_exact_failure(pres, window, jump, D_n + 2) is None
         reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump)
         basis, windows, h0_graded = _sections(pres, window, fil_bound, D_n)
         results.append(CohomologyResult(

@@ -23,7 +23,10 @@ its kernel is principal, generated by the primitive integer polynomial
 vanishing at x (``kernel_generator``), and ``divide_exact`` witnesses
 divisibility of kernel elements by the generator. ``local_completion``
 expands elements in powers of xi = g(T) around the point, producing the
-truncated power series base ring used by the degree-zero pipeline.
+truncated power series base ring used by the degree-zero pipeline: it
+reverts xi = g(x + delta) and substitutes T = x + delta(xi) into
+numerator and denominator. Every such substitution, like evaluation at
+a point, is one Horner pass of ``peval``.
 
 Quotients of divisions may pick up rational (non-integer) coefficients;
 every element carries an ``is_integral`` flag rather than guessing a
@@ -44,7 +47,7 @@ from .errors import (
     RadiusNotCertified,
 )
 from .scalars import (
-    GAUSSIAN_ZERO,
+    GAUSSIAN_ONE,
     GaussianRational,
     TruncatedPowerSeries,
     as_fraction,
@@ -117,7 +120,11 @@ def pgcd(a, b):
 
 
 def peval(p, x):
-    """Horner evaluation; x may be a Fraction or a GaussianRational."""
+    """Horner evaluation of p at x.
+
+    x may be a Fraction, a GaussianRational or a TruncatedPowerSeries: every
+    substitution into a polynomial in this module goes through here.
+    """
     acc = x * 0
     for c in reversed(p):
         acc = acc * x + c
@@ -126,24 +133,6 @@ def peval(p, x):
 
 def pderiv(p):
     return ptrim([c * k for k, c in enumerate(p)][1:])
-
-
-def ptaylor(p, x):
-    """Coefficients of p(x + d) as a polynomial in d (repeated synthetic division)."""
-    work = [c * (x * 0 + 1) for c in p]
-    out = []
-    for _ in range(len(p)):
-        new = []
-        carry = x * 0
-        for c in reversed(work):
-            carry = c + carry * x
-            new.append(carry)
-        new.reverse()
-        out.append(new[0])  # remainder = value of the current quotient at x
-        work = new[1:]
-        if not work:
-            break
-    return out
 
 
 def poly_str(p) -> str:
@@ -531,9 +520,6 @@ class CertifiedSeries:
         return f"CertifiedSeries({self})"
 
 
-HarbaterElement = (RationalFn, CertifiedSeries)
-
-
 def parse_element(text: str):
     """Parse the element grammar: "poly / poly" or "tail ; heads ; bound C s"."""
     if ";" in text:
@@ -645,20 +631,12 @@ def evaluate(e, x, r):
         raise PoleAtPoint("Laurent tail evaluated at T = 0")
     if not membership(e, r).is_member:
         raise NotMemberError(f"element not certified in Z((T))_>{r}")
-    acc = GAUSSIAN_ZERO
-    for k in range(-e.offset, e.head_top + 1):
-        c = e.coefficient(k)
-        if c == 0:
-            continue
-        if k >= 0:
-            term = GaussianRational.of(1)
-            for _ in range(k):
-                term = term * x
-        else:
-            term = GaussianRational.of(1)
-            for _ in range(-k):
-                term = term / x
-        acc = acc + term * c
+    # the known head at x plus the polar part at 1/x; polar exponents above
+    # head_top (when head_top < -1) are not stored and read as 0
+    acc = peval(e.coeffs[e.offset :], x)
+    polar = e.coeffs[: e.offset]
+    if polar:
+        acc = acc + peval([0] * (e.offset - len(polar) + 1) + list(reversed(polar)), 1 / x)
     # tail: sum_{k>K} C (k+m+1)^e rho^k with rho >= |x|/s rational, rho < 1
     m2 = x.norm_squared / (e.s * e.s)
     rho = (1 + m2) / 2 if m2 < 1 else None
@@ -861,11 +839,8 @@ class LocalCompletion:
         return num * den.inverse()
 
     def _poly_in_xi(self, p) -> TruncatedPowerSeries:
-        taylor = ptaylor([GaussianRational.of(c) for c in p], self.x)
-        series = TruncatedPowerSeries(
-            [GaussianRational.of(c) for c in taylor], self.M
-        )
-        return series.compose(self.delta_of_xi)
+        """p(T) with T = x + delta(xi), to O(xi^M)."""
+        return peval(p, self.delta_of_xi.truncate(self.M) + self.x)
 
     def base_presentation(self, f: TruncatedPowerSeries | None = None):
         """Package as a two-periodic presentation (default Bott coefficient 1)."""
@@ -903,10 +878,7 @@ def local_completion(x, r, M: int) -> LocalCompletion:
     gprime = peval([GaussianRational.of(c) for c in pderiv(g)], x)
     if not gprime:
         raise NotSimpleRoot(f"kernel generator has a multiple root at {x}")
-    taylor = ptaylor([GaussianRational.of(c) for c in g], x)
-    xi_of_delta = TruncatedPowerSeries(
-        [GaussianRational.of(c) for c in taylor], M + 1
-    )
+    xi_of_delta = peval(g, TruncatedPowerSeries.variable(GAUSSIAN_ONE, M + 1) + x)
     return LocalCompletion(
         x=x, r=r, M=M, g=g, delta_of_xi=xi_of_delta.reversion()
     )

@@ -19,13 +19,15 @@ When f = xi^a * unit with a > 0 (a divided Bott element), tau = f*xi has
 valuation a+1 and is not a coordinate: the carrier keeps the parameter
 xi and the filtration jumps in steps of jump_index = a+1. The rebase
 machinery then works through the unit-normalized parameter
-sigma = xi * unit_part(f), which equals tau exactly when f is a unit.
+sigma = xi * (f / xi^a), which equals tau exactly when f is a unit.
 
 The fixed-point side's degree 0 is A, mapped into the carrier by
-``expand_base``: xi^j goes to xi^j when the carrier keeps xi and to
-reversion^j, of valuation >= j, otherwise. Only exponents <= 0 are
+``expand_base``: a goes to a when the carrier keeps xi and to
+a(reversion), one Horner composition, otherwise. Only exponents <= 0 are
 written, so the image lies in Fil_0 by construction, and the map is
-triangular: injective exactly when every diagonal entry is nonzero.
+triangular: xi^j goes to reversion^j, whose diagonal entry is r_1^j for
+the linear coefficient r_1 of the reversion. So the map is injective
+exactly when r_1 != 0 (or M < 2).
 
 Convention: the Nygaard indexing is v-adic as stated above; a different
 (homological) normalization would uniformly rescale the Fil indices.
@@ -34,7 +36,6 @@ Convention: the Nygaard indexing is v-adic as stated above; a different
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import IndeterminateTop, PrecisionExhausted, ZeroBott
 from .scalars import TruncatedPowerSeries, is_zero_scalar, theta
@@ -46,7 +47,6 @@ class TwoPeriodicPresentation:
     """A[u,v]/(uv - xi) and A[v^(+-1)] with beta = f*u, |u| = 2, |v| = -2."""
 
     f: TruncatedPowerSeries
-    default_prec: int | None = None
 
     degree_u = 2
     degree_v = -2
@@ -70,15 +70,14 @@ class TwoPeriodicPresentation:
         }
 
 
-def trivial_action_model(one, prec: int) -> TwoPeriodicPresentation:
+def trivial_action_model(one) -> TwoPeriodicPresentation:
     """The trivial-action, even case: A = R0 (M = 1), f = 1.
 
     The pipeline sends this to the Laurent field R0((t^-1)) with the
-    t-adic filtration and t^-1 = beta*v, jump_index 1.
+    t-adic filtration and t^-1 = beta*v, jump_index 1; its working window
+    is the ``prec`` passed to ``tate_degree_zero``.
     """
-    return TwoPeriodicPresentation(
-        f=TruncatedPowerSeries([one * 0 + 1], 1), default_prec=prec
-    )
+    return TwoPeriodicPresentation(f=TruncatedPowerSeries([one * 0 + 1], 1))
 
 
 @dataclass
@@ -98,7 +97,6 @@ class FilteredRingModel:
     parameter_expression: TruncatedPowerSeries
     unit_parameter: TruncatedPowerSeries
     reversion: TruncatedPowerSeries
-    unit_part: TruncatedPowerSeries
     one: object
 
     @property
@@ -112,39 +110,18 @@ class FilteredRingModel:
     def fil_member(self, w: LaurentWindow, n: int) -> bool:
         return w.fil_member(self.fil_pole_bound(n))
 
-    @cached_property
-    def _coordinate_powers(self) -> list:
-        """reversion^k for 0 <= k < reversion.order; higher powers vanish there."""
-        r = self.reversion
-        if not is_zero_scalar(r.coeffs[0]):
-            raise ValueError("composition requires inner constant term 0")
-        powers = [TruncatedPowerSeries.constant(self.one, r.order)]
-        for _ in range(1, r.order):
-            powers.append(powers[-1] * r)
-        return powers
-
     def expand_base(self, a: TruncatedPowerSeries) -> LaurentWindow:
         """The image of an A-element in the carrier.
 
         A linear map. For a unit Bott coefficient the xi-coordinate is
         re-expressed in tau by the reversion series: the image is
-        sum_k a_k * reversion^k over the cached coordinate powers, which
-        equals a.compose(reversion). Otherwise the carrier parameter is xi
-        itself and the image is a. The window's cutoff records how deep
-        the expansion is certified.
+        a.compose(reversion). Otherwise the carrier parameter is xi itself
+        and the image is a. The window's cutoff records how deep the
+        expansion is certified.
         """
         if self.jump_index == 1:
-            r = self.reversion
-            m = min(r.order, a.order * (r.valuation() or 1))
-            coeffs = [a.zero_coeff] * m
-            for k, (a_k, power) in enumerate(zip(a.coeffs, self._coordinate_powers)):
-                if is_zero_scalar(a_k):
-                    continue
-                for j in range(k, m):  # reversion^k has valuation >= k
-                    coeffs[j] = coeffs[j] + a_k * power.coeffs[j]
-        else:
-            coeffs, m = a.coeffs, a.order
-        return LaurentWindow({-j: c for j, c in enumerate(coeffs)}, cutoff=-(m - 1))
+            a = a.compose(self.reversion)
+        return LaurentWindow({-j: c for j, c in enumerate(a.coeffs)}, cutoff=-(a.order - 1))
 
     def residue(self, w: LaurentWindow):
         """Reduction at tau = 0 (the residue field of Fil_0)."""
@@ -175,7 +152,7 @@ def tate_degree_zero(
     by series reversion when f is a unit.
     """
     if prec is None:
-        prec = pres.default_prec if pres.default_prec is not None else pres.M
+        prec = pres.M
     if prec < 1:
         raise ValueError("prec must be >= 1")
     f = pres.f
@@ -192,7 +169,6 @@ def tate_degree_zero(
         parameter_expression=tau,
         unit_parameter=sigma,
         reversion=sigma.reversion(),
-        unit_part=unit_part,
         one=pres.one,
     )
 
@@ -206,7 +182,6 @@ class DegreeZeroImage:
     """
 
     model: FilteredRingModel
-    M: int
 
     def expand(self, a: TruncatedPowerSeries) -> LaurentWindow:
         return self.model.expand_base(a)
@@ -227,14 +202,17 @@ class DegreeZeroImage:
         """Zero kernel of the A -> carrier coefficient map at this precision.
 
         The diagonal entries are 1 when the carrier keeps xi, otherwise
-        [xi^j] reversion^j, read off the cached coordinate powers.
+        [xi^j] reversion^j = r_1^j for j < M, since the reversion has zero
+        constant term; they are all nonzero iff M < 2 or r_1 != 0.
         """
         if self.model.jump_index > 1:
             return True
-        powers = self.model._coordinate_powers
-        if len(powers) < self.M:
-            raise IndeterminateTop(f"reversion known to O(xi^{len(powers)}), need xi^{self.M - 1}")
-        return not any(is_zero_scalar(powers[j].coeffs[j]) for j in range(self.M))
+        r, M = self.model.reversion, self.model.M
+        if not is_zero_scalar(r.coeffs[0]):
+            raise ValueError("composition requires inner constant term 0")
+        if r.order < M:
+            raise IndeterminateTop(f"reversion known to O(xi^{r.order}), need xi^{M - 1}")
+        return M < 2 or not is_zero_scalar(r.coeffs[1])
 
     def residue_matches_theta(self, a: TruncatedPowerSeries) -> bool:
         return self.model.residue(self.expand(a)) == theta(a)
@@ -244,7 +222,7 @@ def hfp_degree_zero(
     pres: TwoPeriodicPresentation, prec: int | None = None
 ) -> DegreeZeroImage:
     """Degree-0 of the fixed-point side, as a sub-object of the Tate model."""
-    return DegreeZeroImage(model=tate_degree_zero(pres, prec), M=pres.M)
+    return DegreeZeroImage(model=tate_degree_zero(pres, prec))
 
 
 @dataclass
@@ -285,7 +263,7 @@ def rebase_round_trip(model: FilteredRingModel) -> TruncatedPowerSeries:
 def pipeline_trace(pres: TwoPeriodicPresentation, prec: int | None = None) -> dict:
     """JSON-serializable record of one pipeline run."""
     model = tate_degree_zero(pres, prec)
-    image = DegreeZeroImage(model=model, M=pres.M)
+    image = DegreeZeroImage(model=model)
     fil_table = {}
     for n in range(-min(3, model.prec // model.jump_index), min(3, model.prec // model.jump_index) + 1):
         fil_table[str(n)] = {

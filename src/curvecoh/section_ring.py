@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .cohomology import h0
-from .errors import NotInSpan, NotStabilized
+from .errors import CutoffTooSmall, NotInSpan, NotStabilized
 from .linalg import kernel_basis, solve_in_span
 from .presentation import AffinePresentation
 
@@ -67,6 +67,11 @@ class SectionRing:
 
 def build_section_ring(pres: AffinePresentation, D: int) -> SectionRing:
     """H^0 bases for all degrees 0..D from one certified H^0(O(D)) (module docstring)."""
+    if pres.max_degree is not None and D > pres.max_degree:
+        raise CutoffTooSmall(
+            f"presentation declares degrees up to {pres.max_degree}; "
+            f"the section ring needs D <= {pres.max_degree}, got D={D}"
+        )
     # without leading_exact no degree is certified, so P_0 is the first to fail
     if not pres.certified_through(D):
         raise NotStabilized("H^0(O(0)) is not certified; cannot build P_0")

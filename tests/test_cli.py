@@ -178,6 +178,16 @@ def test_section_ring_p1_json(capsys):
     assert all(v == 0 for v in data["kernel_dims"].values())
 
 
+def test_section_ring_past_the_declared_degree_exits_1(capsys, tmp_path, rescaled_twistor_file):
+    curve = tmp_path / "curve.txt"
+    curve.write_text(rescaled_twistor_file(6, Fraction(3, 2)))
+    code, out, err = run(capsys, "section-ring", "--curve", str(curve), "--max-degree", "9")
+    assert (code, out) == (1, "")
+    assert "CutoffTooSmall: presentation declares degrees up to 6" in err
+    code, out, _ = run(capsys, "section-ring", "--curve", str(curve), "--max-degree", "6")
+    assert code == 0 and "[1, 3, 5, 7, 9, 11, 13]" in out
+
+
 def test_pipeline_pass(capsys):
     code, out, _ = run(capsys, "pipeline", "--f", "1", "--M", "16")
     assert code == 0
@@ -283,9 +293,11 @@ def test_dream_checks_ring_map_once_per_curve(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0 and json.loads(out)["all_match"]
     assert sorted(checks) == ["p1", "twistor"]
-    # leading_exact is still certified per twist, to the cutoff that twist reads
+    # leading_exact is still certified per twist, through the degree D + 2 its H^1 reads
     ns = range(-2, 4)
-    assert certified_to == [(name, coh.default_cutoff(n)) for name in ("twistor", "p1") for n in ns]
+    assert certified_to == [
+        (name, coh.default_cutoff(n) + 2) for name in ("twistor", "p1") for n in ns
+    ]
 
 
 def test_dream_single_n(capsys):

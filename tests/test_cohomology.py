@@ -220,6 +220,24 @@ def test_curve_from_parts_rejects_non_ring_map(tw):
         coh.curve_from_parts(tw, model, broken, [1])
 
 
+def test_curve_from_parts_certifies_every_degree_h1_reads(p1):
+    # n = 0 reads cutoff D = 4, and H^1 stabilization reads D + 1 and D + 2;
+    # t^5 peaking at pole 6 breaks leading_exact in degree 5
+    from curvecoh.presentation import leading_exact_failure
+    from curvecoh.series import gaussian_window
+
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+
+    def embed(i):
+        return gaussian_window({5: 1, 6: 1} if i == 5 else {i: 1})
+
+    assert leading_exact_failure(p1, embed, 1, 6) == "pole_order(embed(t^5)) != 5 (degree 5)"
+    (res,) = coh.curve_from_parts(p1, model, embed, [0])
+    assert res.cutoff_used == 4 and not res.certified
+    (res,) = coh.curve_from_parts(p1, model, coh.p1_formal_embedding(model), [0])
+    assert res.certified
+
+
 def _gaussian_coeff(z) -> str:
     """A Q(i) coefficient in the presentation file syntax (imaginary part as ``3/4i``)."""
     if z.im == 0:

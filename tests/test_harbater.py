@@ -25,7 +25,7 @@ from curvecoh.harbater import (
     poly_str,
     radius_lower_bound,
 )
-from curvecoh.scalars import GaussianRational, parse_gaussian
+from curvecoh.scalars import GaussianRational, TruncatedPowerSeries, parse_gaussian
 
 SEED = 653
 R = Fraction(1, 2)
@@ -224,6 +224,47 @@ def test_laurent_tail_evaluation():
     assert iv.center == Fraction(2) / Fraction(1, 4) + 1 + Fraction(1, 4)
     with pytest.raises(PoleAtPoint):
         evaluate(cs, Fraction(0), R)
+
+
+def _per_term_sum(e: CertifiedSeries, x: GaussianRational) -> GaussianRational:
+    """sum of a_k * x^k over the stored coefficients, one power at a time."""
+    acc = GaussianRational.of(0)
+    for j, c in enumerate(e.coeffs):
+        term = GaussianRational.of(c)
+        for _ in range(abs(j - e.offset)):
+            term = term * x if j >= e.offset else term / x
+        acc = acc + term
+    return acc
+
+
+def test_evaluate_equals_the_per_term_sum():
+    rng = random.Random(SEED + 3)
+    cases = [CertifiedSeries([1, 2, 3], 2) * CertifiedSeries([1, 2, 3], 2)]  # head_top = -2
+    for _ in range(150):
+        offset = rng.randint(0, 5)
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(0, 8))]
+        e = CertifiedSeries(coeffs, offset, C=1, s=Fraction(rng.randint(3, 6), 4))
+        if rng.random() < 0.3:
+            e = e * CertifiedSeries(coeffs[:3] or [1], rng.randint(0, 2), C=2, s=1)
+        cases.append(e)
+    assert any(e.head_top < -1 for e in cases) and any(e.offset == 0 for e in cases)
+    for e in cases:
+        x = GaussianRational(Fraction(rng.randint(1, 2), 8), Fraction(rng.randint(-2, 2), 8))
+        if e.offset == 0 and rng.random() < 0.2:
+            x = GaussianRational.of(0)
+        value = evaluate(e, x, R)
+        assert isinstance(value.center, GaussianRational)
+        assert value.center == _per_term_sum(e, x), str(e)
+
+
+def test_local_completion_inverts_the_kernel_generator():
+    # substituting T = x + delta(xi) into g gives xi back: g(T) is the coordinate
+    for point in ("1/3", "-1/4", "0", "i/2", "1/3+1/3*i", "1/5-2/5*i"):
+        for M in (1, 2, 7, 16):
+            lc = local_completion(parse_gaussian(point), R, M)
+            back = lc._poly_in_xi(lc.g)
+            assert back.order == M
+            assert back == TruncatedPowerSeries.variable(GaussianRational.of(1), M), (point, M)
 
 
 def test_local_completion_head():

@@ -18,7 +18,14 @@ from curvecoh.periodic import (
     tate_degree_zero,
     trivial_action_model,
 )
-from curvecoh.scalars import GAUSSIAN_ONE, GaussianRational, gaussian_tps, rational_tps, theta
+from curvecoh.scalars import (
+    GAUSSIAN_ONE,
+    GaussianRational,
+    TruncatedPowerSeries,
+    gaussian_tps,
+    rational_tps,
+    theta,
+)
 from curvecoh.series import LaurentWindow
 
 M = 16
@@ -115,23 +122,23 @@ def _non_coordinate_model(m):
     xi2 = rational_tps([0, 0, 1], m + 1)
     return FilteredRingModel(
         M=m, prec=m, jump_index=1, parameter_expression=xi2, unit_parameter=xi2,
-        reversion=xi2, unit_part=rational_tps([1], m), one=Fraction(1),
+        reversion=xi2, one=Fraction(1),
     )
 
 
 def test_image_checks_fail_for_non_coordinate():
     for m in (2, 4, 9):
-        image = DegreeZeroImage(model=_non_coordinate_model(m), M=m)
+        image = DegreeZeroImage(model=_non_coordinate_model(m))
         assert image.injective() is False
         assert image.image_equals_fil0() is False
     # the only diagonal entry at M = 1 is [xi^0] reversion^0 = 1
-    image = DegreeZeroImage(model=_non_coordinate_model(1), M=1)
+    image = DegreeZeroImage(model=_non_coordinate_model(1))
     assert image.injective() is True and image.image_equals_fil0() is True
 
 
 def _reference_injective(image) -> bool:
     """Full rank of the M x M matrix of the images of xi^0 .. xi^(M-1)."""
-    m = image.M
+    m = image.model.M
     rows = [[image.expand(rational_tps([0] * j + [1], m)).coefficient(-k) for k in range(m)]
             for j in range(m)]
     return rank(rows) == m
@@ -139,7 +146,7 @@ def _reference_injective(image) -> bool:
 
 def test_injective_agrees_with_the_rank_of_the_coefficient_matrix():
     rng = random.Random(5)
-    images = [DegreeZeroImage(model=_non_coordinate_model(m), M=m) for m in (1, 2, 5)]
+    images = [DegreeZeroImage(model=_non_coordinate_model(m)) for m in (1, 2, 5)]
     for m in (1, 2, 3, 6):
         for f in ([1, 1], [-1, 2, 1], [0, 1, 1], [0, 0, 3])[: m + 1]:  # f = 0 mod xi^m left out
             images.append(hfp_degree_zero(TwoPeriodicPresentation(f=rational_tps(f, m)), m))
@@ -148,9 +155,9 @@ def test_injective_agrees_with_the_rank_of_the_coefficient_matrix():
                              + [rng.randint(-3, 3) for _ in range(m)], m + 1)
             model = FilteredRingModel(
                 M=m, prec=m, jump_index=1, parameter_expression=r, unit_parameter=r,
-                reversion=r, unit_part=rational_tps([1], m), one=Fraction(1),
+                reversion=r, one=Fraction(1),
             )
-            images.append(DegreeZeroImage(model=model, M=m))
+            images.append(DegreeZeroImage(model=model))
     verdicts = [image.injective() for image in images]
     assert verdicts == [_reference_injective(image) for image in images]
     assert True in verdicts and False in verdicts
@@ -160,9 +167,9 @@ def test_injective_needs_a_reversion_as_long_as_m():
     r = rational_tps([0, 1, 1], 3)
     model = FilteredRingModel(
         M=5, prec=5, jump_index=1, parameter_expression=r, unit_parameter=r,
-        reversion=r, unit_part=rational_tps([1], 5), one=Fraction(1),
+        reversion=r, one=Fraction(1),
     )
-    image = DegreeZeroImage(model=model, M=5)
+    image = DegreeZeroImage(model=model)
     with pytest.raises(IndeterminateTop, match=r"known to O\(xi\^3\), need xi\^4"):
         image.injective()
     with pytest.raises(IndeterminateTop):
@@ -194,10 +201,10 @@ def test_expand_base_equals_compose():
 
 
 def test_trivial_action_model():
-    pres = trivial_action_model(GAUSSIAN_ONE, 8)
+    pres = trivial_action_model(GAUSSIAN_ONE)
     assert pres.M == 1 and pres.even
     assert (pres.degree_u, pres.degree_v) == (2, -2)
-    model = tate_degree_zero(pres)
+    model = tate_degree_zero(pres, 8)
     assert model.jump_index == 1
     assert model.prec == 8
     fil0 = nygaard_fil(model, 0)
@@ -274,8 +281,27 @@ def test_pipeline_trace_shape():
     assert "fil" in trace and trace["fil"]["0"]["gr_dim"] == 1
 
 
+def test_pipeline_trace_makes_at_most_2m_series_products(monkeypatch):
+    # M - 1 for the reversion's power chain, M + 1 for the round trip's Horner
+    # composition; injectivity reads the reversion's linear coefficient
+    products = []
+    mul = TruncatedPowerSeries.__mul__
+
+    def counting(self, other):
+        if isinstance(other, TruncatedPowerSeries):
+            products.append(self.order)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedPowerSeries, "__mul__", counting)
+    for m in (2, 8, 24, 32):
+        for f in (rational_tps([1, 1], m), rational_tps([-1, 2, 1], m), gaussian_tps([1, 1], m)):
+            products.clear()
+            assert pipeline_trace(TwoPeriodicPresentation(f=f), m)["injective"]
+            assert len(products) <= 2 * m, (m, str(f))
+
+
 def test_trivial_action_carrier_field():
-    model = tate_degree_zero(trivial_action_model(GAUSSIAN_ONE, 6))
+    model = tate_degree_zero(trivial_action_model(GAUSSIAN_ONE), 6)
     one = model.monomial(0).coefficient(0)
     from curvecoh.scalars import GaussianRational
 
@@ -283,5 +309,5 @@ def test_trivial_action_carrier_field():
     # rational base field variant
     from fractions import Fraction
 
-    model_q = tate_degree_zero(trivial_action_model(Fraction(1), 6))
+    model_q = tate_degree_zero(trivial_action_model(Fraction(1)), 6)
     assert isinstance(model_q.monomial(0).coefficient(0), Fraction)

@@ -9,7 +9,7 @@ import pytest
 
 import curvecoh.section_ring as section_ring
 from curvecoh.cohomology import h0
-from curvecoh.errors import EmbeddingNotRingMap, NotInSpan, NotStabilized
+from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap, NotInSpan, NotStabilized
 from curvecoh.linalg import kernel_basis
 from curvecoh.presentation import load_presentation, p1_presentation, twistor_presentation
 from curvecoh.section_ring import (
@@ -204,6 +204,13 @@ def test_build_keeps_certification_errors(rescaled_twistor_file, p1_file):
     assert hilbert_function(build_section_ring(bad, 7)) == [n + 1 for n in range(8)]
     with pytest.raises(EmbeddingNotRingMap, match=r"pole_order\(embed\(t8\)\) != 8 \(degree 8\)"):
         build_section_ring(bad, 8)
+
+
+def test_build_rejects_degrees_past_the_declared_top(rescaled_twistor_file):
+    pres = load_presentation(rescaled_twistor_file(6, Fraction(3, 2)))
+    assert hilbert_function(build_section_ring(pres, 6)) == quadric_quotient_reference(6)
+    with pytest.raises(CutoffTooSmall, match=r"declares degrees up to 6; .* got D=9$"):
+        build_section_ring(pres, 9)
 
 
 def test_generation_multiplies_once_per_monomial(sr_tw, monkeypatch):
