@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from . import cohomology as coh
 from . import section_ring as sect
@@ -311,7 +312,9 @@ def cmd_dream(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``main`` never changes it."""
     parser = argparse.ArgumentParser(
         prog="curvecoh",
         description="Exact cohomology of line bundles on curves glued from an "

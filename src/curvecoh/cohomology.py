@@ -18,10 +18,13 @@ degree (Q[t] inside Q(i)((t^-1)) never reaches i*t^m) and only the
 drifting dimension shows it.
 
 H^0 and H^1 are the kernel and cokernel of one gluing map, the affine
-algebra up to degree D into the Laurent coefficients above Fil_n:
-``_sections`` eliminates it once for H^0, ``_h1_classes`` runs the
-stabilization loop for H^1, and ``h0``, ``h1``, ``compute`` and
-``curve_from_parts`` all go through these two.
+algebra up to degree D into the Laurent coefficients above Fil_n. Its
+rows are integer rows built straight from each window's coefficients
+(``gluing_rows``: one denominator per row, realified over Q(i)).
+``_sections`` reduces them once for H^0 and builds exact rationals only
+for the coefficients it outputs; ``_h1_classes`` runs the stabilization
+loop for H^1 on forward passes, which give the pivots alone. ``h0``,
+``h1``, ``compute`` and ``curve_from_parts`` all go through these two.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -32,13 +35,15 @@ basis vector its pivot exponent and graded pieces a pivot count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cache
 
 from .errors import CutoffTooSmall, IndeterminateTop, NotStabilized
-from .linalg import rref
+from .linalg import pivot_columns, reduced_rows
 from .presentation import (
     AffinePresentation,
     check_ring_map,
+    gluing_rows,
     leading_exact_failure,
     twistor_embedding,
 )
@@ -130,25 +135,24 @@ def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
     return D
 
 
-def _coords_at(pair, window: LaurentWindow, exponents) -> list:
-    row = []
-    for e in exponents:
-        row.extend(pair.coords(GaussianRational.of(window.coefficient(e))))
-    return row
+def _quotient(x: int, y: int, a: int, b: int) -> GaussianRational:
+    """(x + i*y) / (a + i*b)."""
+    n = a * a + b * b
+    return GaussianRational(Fraction(x * a + y * b, n), Fraction(y * a - x * b, n))
 
 
 def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     """H^0 up to degree D: affine elements whose window has pole order <= fil_bound.
 
     One reduced echelon form of [window coordinates t^top ... t^low |
-    identity over the affine basis]. Its rows with the pivot at or below
-    t^fil_bound span exactly the kernel part, and since the reduced echelon
-    form of a subspace is unique for a given column order, they are the
-    canonical basis. Returns (basis, element windows, graded pieces); each
-    basis vector {basis index: k0 coefficient} is rescaled so its first
-    affine coordinate is 1. Each element's window is read off its row's
-    window block, known down to the largest cutoff of the basis windows
-    (exact when every basis window is).
+    identity over the affine basis] (``gluing_rows``). Its rows with the
+    pivot at or below t^fil_bound span exactly the kernel part, and since
+    the reduced echelon form of a subspace is unique for a given column
+    order, they are the canonical basis. Returns (basis, element windows,
+    graded pieces); each basis vector {basis index: k0 coefficient} is
+    rescaled so its first affine coordinate is 1. Each element's window is
+    its integer row's window block over the same lead, known down to the
+    largest cutoff of the basis windows (exact when every basis window is).
     """
     pair = pres.pair
     basis = pres.basis_up_to(D)
@@ -157,37 +161,29 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     tops = [w.pole_order() for w in windows]
     top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
     cutoff = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
-    if cutoff is None:
-        low = min((e for w in windows for e in w.coeffs), default=top + 1)
-    else:
-        low = cutoff
-    exps = range(top, low - 1, -1)
+    low = min((e for w in windows for e in w.coeffs), default=top + 1) if cutoff is None else cutoff
     step = pair.coord_count
-    width = len(exps) * step
-    above = sum(e > fil_bound for e in exps) * step
-    zero, one = pair.base_zero(), pair.base_one()
-    rows = []
-    for k, w in enumerate(windows):
-        unit = [zero] * len(windows)
-        unit[k] = one
-        rows.append(_coords_at(pair, w, exps) + unit)
-    reduced, pivots = rref(rows)
+    width = (top - low + 1) * step
     vecs, wins, pivot_exps = [], [], []
-    for row, pc in zip(reduced, pivots):
-        if pc < above:
+    for pc, re, im in reduced_rows(gluing_rows(pair, windows, top, low, identity=True)):
+        m = top - pc // step if pc < width else None
+        if m is not None and m > fil_bound:
             continue
-        vec = {i: c for i, c in enumerate(row[width:]) if c != 0}
-        # rescale so the first affine coordinate (basis order) is 1; the
-        # subspace stays in reduced form, the elements read naturally
-        lead = vec[min(vec)]
-        vecs.append({basis[i]: c / lead for i, c in vec.items()})
-        # row operations keep "window block = identity block applied to the
-        # basis windows", so the rescaled window block is the element's window
-        blocks = ((e, row[j * step:(j + 1) * step]) for j, e in enumerate(exps))
+        coords = [(i, re.get(width + k, 0), im.get(width + k, 0)) for k, i in enumerate(basis)]
+        coords = [c for c in coords if c[1] or c[2]]
+        # rescale so the first affine coordinate (basis order) is 1; row operations
+        # keep "window block = identity block applied to the basis windows"
+        _, a, b = coords[0]
+        if pair.split:
+            vecs.append({i: Fraction(x, a) for i, x, _ in coords})
+            blocks = [(re.get(c, 0), re.get(c + 1, 0)) for c in range(0, width, 2)]
+        else:
+            vecs.append({i: _quotient(x, y, a, b) for i, x, y in coords})
+            blocks = [(re.get(c, 0), im.get(c, 0)) for c in range(width)]
         wins.append(LaurentWindow(
-            {e: pair.from_coords([c / lead for c in cs]) for e, cs in blocks if any(cs)}, cutoff
+            {top - j: _quotient(x, y, a, b) for j, (x, y) in enumerate(blocks) if x or y}, cutoff
         ))
-        pivot_exps.append(exps[pc // step] if pc < width else None)
+        pivot_exps.append(m)
     return vecs, wins, _graded_from_pivots(pivot_exps)
 
 
@@ -218,15 +214,6 @@ def _cutoff(pres: AffinePresentation, n: int, D: int | None, what: str) -> int:
     return D
 
 
-def _free_columns(pair, windows, fil_bound: int, top: int) -> list:
-    """(exponent, part) columns of span{t^m : fil_bound < m <= top} off the image echelon."""
-    exps = range(top, fil_bound, -1)
-    _, pivots = rref([_coords_at(pair, w, exps) for w in windows])
-    pivots = set(pivots)
-    cols = [(e, p) for e in exps for p in range(pair.coord_count)]
-    return [col for k, col in enumerate(cols) if k not in pivots]
-
-
 def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: int):
     """(representatives, graded) of the cokernel, stable over cutoffs D, D+1, D+2.
 
@@ -244,7 +231,10 @@ def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: 
         windows = [window(i) for i in pres.basis_up_to(cutoff)]
         _require_known(windows, fil_bound + 1)
         top = max(cutoff * jump, fil_bound)
-        runs.append(_free_columns(pres.pair, windows, fil_bound, top))
+        # the (exponent, part) columns of the target off the image echelon
+        pivots = set(pivot_columns(gluing_rows(pres.pair, windows, top, fil_bound + 1)))
+        cols = [(e, p) for e in range(top, fil_bound, -1) for p in range(pres.pair.coord_count)]
+        runs.append([col for k, col in enumerate(cols) if k not in pivots])
     dims = [len(free) for free in runs]
     if not dims[0] == dims[1] == dims[2]:
         raise NotStabilized(f"h1 dimension still changing at cutoffs {D}..{D + 2}: {dims}")
@@ -353,10 +343,12 @@ def curve_from_parts(
     window = cache(embedding)
     check_ring_map(pres, window, 4)
     jump = model.jump_index
+    # one pass through the highest degree read; twists reading below its failure stay certified
+    failure = leading_exact_failure(pres, window, jump, max(cutoffs, default=0) + 2)
     results = []
     for n, D_n in zip(ns, cutoffs):
         fil_bound = model.fil_pole_bound(n)
-        certified = leading_exact_failure(pres, window, jump, D_n + 2) is None
+        certified = failure is None or failure[0] > D_n + 2
         reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump)
         basis, windows, h0_graded = _sections(pres, window, fil_bound, D_n)
         results.append(CohomologyResult(

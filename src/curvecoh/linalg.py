@@ -5,26 +5,26 @@ Matrices are lists of row lists. Entries may be ``int``, ``Fraction`` or
 entry gets ``GaussianRational`` entries back, any other matrix gets
 ``Fraction`` entries.
 
-Every function goes through one kernel, ``rref``. It multiplies each row
-by the common denominator of its entries (``scalars.integer_parts``, the
-step the series products share), which leaves the row space unchanged,
-and stores the row sparsely as {column: int}. Gauss-Jordan elimination
-then runs over the Python ints without a single division: a row with a
-nonzero entry f in the pivot column becomes (p/g)*row - (f/g)*pivot row,
-where p is the pivot and g = gcd(p, f), and then has its content (the gcd
-of its entries) divided out, which keeps the integers small. Rows with a
-zero in the pivot column are not touched. Only at the end is each pivot
-row divided by its pivot and turned back into exact rationals.
+Everything runs on one integer core. Its rows are pairs (re, im) of sparse
+integer rows {column: int}, a row of Q(i) entries times a common
+denominator, which keeps the row space; ``presentation.gluing_rows``
+builds them straight from window coefficients, ``rref`` and ``rank`` with
+``scalars.cleared_terms``. Elimination runs over the Python ints without
+a single division: a row with a nonzero entry f in the pivot column
+becomes (p/g)*row - (f/g)*pivot row, where p is the pivot and
+g = gcd(p, f), and then has its content divided out, which keeps the
+integers small. ``pivot_columns`` is the forward pass alone, which clears
+each pivot column in the rows not yet used as pivots; ``reduced_rows``
+clears it in the earlier pivot rows too. Every step multiplies a row by a
+nonzero scalar or adds a multiple of another row to it, so the row space
+never changes. A subspace has one reduced echelon form and one set of
+pivot columns for a given column order, so neither depends on the choice
+of pivot rows or on the scaling of rows: ``reduced_rows`` gives that of
+textbook Gauss-Jordan elimination up to one integer factor per row, and
+only ``rref`` divides it out. The caller's column order is what makes
+echelon bases unique, so all functions preserve it strictly.
 
-Every step multiplies a row by a nonzero scalar or adds a multiple of
-another row to it, so the row space never changes. A subspace has exactly
-one reduced row echelon form for a given column order, so the output does
-not depend on the choice of pivot rows or on the scaling of intermediate
-rows: it equals the reduced echelon form of textbook Gauss-Jordan
-elimination over the field. Column order is chosen by the caller and is
-what makes echelon bases unique, so all functions preserve it strictly.
-
-A matrix with a nonzero imaginary part is eliminated over Q as well, by
+Rows with a nonzero imaginary part are eliminated over Q as well, by
 realification. Write phi(v) for the real vector that replaces each entry
 a + b*i of v by the column pair (a, b), so column c becomes columns 2c
 and 2c+1. Each row r is replaced by the two real rows phi(r) and phi(i*r).
@@ -37,7 +37,8 @@ other pivots, where R_j is 0. These 2k rows lie in phi(W), which has
 Q-dimension 2k, and are in reduced echelon form, so they are the reduced
 echelon form of phi(W). Its rows that pivot at an even column 2c_j are
 therefore exactly phi(R_j): reassembled as re + i*im they are the Q(i)
-reduced echelon form, with pivot c_j = 2c_j // 2.
+reduced echelon form, with pivot c_j = 2c_j // 2, and the pivots of W are
+the even pivots of phi(W), halved.
 """
 
 from __future__ import annotations
@@ -45,40 +46,31 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import GAUSSIAN_ZERO, GaussianRational, integer_parts
+from .scalars import GAUSSIAN_ZERO, GaussianRational, cleared_terms
 
 
 def _integer_rows(rows):
-    """Each nonzero row times its common denominator as {column: int}, content removed.
-
-    Also returns whether any entry is a GaussianRational (the output type)
-    and whether any has a nonzero imaginary part; then each row r comes out
-    as the two realified rows phi(r) and phi(i*r) (module docstring).
-    """
-    cleared, typed = [], False
+    """Each row as an integer row (re, im), and whether any entry is a GaussianRational."""
+    out, typed = [], False
     for row in rows:
-        parts = integer_parts(row)
+        parts = cleared_terms(dict(enumerate(row)))
         if parts is None:
             bad = next(x for x in row if not isinstance(x, (int, Fraction, GaussianRational)))
             raise TypeError(f"entries must be int, Fraction or GaussianRational: {bad!r}")
-        _, re, im, row_typed = parts
-        typed = typed or row_typed
-        cleared.append((re, im))
-    gaussian = any(any(im) for _, im in cleared)
-    if gaussian:
-        ints = []
-        for re, im in cleared:
-            ints.append([x for a, b in zip(re, im) for x in (a, b)])
-            ints.append([x for a, b in zip(re, im) for x in (-b, a)])
-    else:
-        ints = [re for re, _ in cleared]
-    out = []
-    for row in ints:
-        sparse = {c: x for c, x in enumerate(row) if x}
-        if sparse:
-            content = gcd(*sparse.values())
-            out.append({c: x // content for c, x in sparse.items()})
-    return out, typed, gaussian
+        _, (re, im), gaussian = parts
+        typed = typed or gaussian
+        out.append((dict(re), dict(im)))
+    return out, typed
+
+
+def phi(re, im):
+    """The row re + i*im over Q: column c becomes columns 2c (re) and 2c+1 (im)."""
+    return {**{2 * c: x for c, x in re.items()}, **{2 * c + 1: y for c, y in im.items()}}
+
+
+def _primitive(row):
+    content = gcd(*row.values())
+    return row if content == 1 else {col: x // content for col, x in row.items()}
 
 
 def _eliminate(row, f, prow, p):
@@ -93,10 +85,56 @@ def _eliminate(row, f, prow, p):
             new[col] = v
         else:
             del new[col]
-    if not new:
-        return new
-    content = gcd(*new.values())
-    return {col: x // content for col, x in new.items()}
+    return _primitive(new) if new else new
+
+
+def _echelon(rows, reduce):
+    """(pivot rows, pivot columns, realified) of integer rows (re, im), over Q."""
+    gaussian = any(im for _, im in rows)
+    if gaussian:
+        rows = [r for re, im in rows for r in (phi(re, im), phi({c: -y for c, y in im.items()}, re))]
+    else:
+        rows = [re for re, _ in rows]
+    pending = [_primitive(row) for row in rows if row]
+    done, pivots = [], []
+    groups = (done, pending) if reduce else (pending,)
+    for c in sorted(set().union(*pending)):
+        # any row with an entry in column c gives the same output
+        k = next((k for k, row in enumerate(pending) if c in row), None)
+        if k is None:
+            continue
+        prow = pending.pop(k)
+        p = prow[c]
+        for group in groups:
+            for k, row in enumerate(group):
+                f = row.get(c)
+                if f is not None:
+                    group[k] = _eliminate(row, f, prow, p)
+        pending[:] = [row for row in pending if row]
+        done.append(prow)
+        pivots.append(c)
+        if not pending:
+            break
+    return done, pivots, gaussian
+
+
+def pivot_columns(rows):
+    """Pivot columns of the Q(i)-span of integer rows (re, im), by the forward pass alone."""
+    _, pivots, gaussian = _echelon(rows, reduce=False)
+    return [c // 2 for c in pivots if not c % 2] if gaussian else pivots
+
+
+def reduced_rows(rows):
+    """(pivot column, re, im) per row of the reduced echelon form, re + i*im times an integer."""
+    done, pivots, gaussian = _echelon(rows, reduce=True)
+    if not gaussian:
+        return [(c, row, {}) for c, row in zip(pivots, done)]
+    out = []
+    for c, row in zip(pivots, done):
+        if not c % 2:  # phi(R) for a row R of the Q(i) form; the odd pivots are phi(i*R)
+            re, im = ({k // 2: x for k, x in row.items() if k % 2 == odd} for odd in (0, 1))
+            out.append((c // 2, re, im))
+    return out
 
 
 def rref(rows):
@@ -108,50 +146,22 @@ def rref(rows):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pending, typed, gaussian = _integer_rows(rows)
-    done, pivots = [], []
-    for c in sorted(set().union(*pending)):
-        # any row with an entry in column c gives the same output
-        k = next((k for k, row in enumerate(pending) if c in row), None)
-        if k is None:
-            continue
-        prow = pending.pop(k)
-        p = prow[c]
-        for group in (done, pending):
-            for k, row in enumerate(group):
-                f = row.get(c)
-                if f is not None:
-                    group[k] = _eliminate(row, f, prow, p)
-        pending = [row for row in pending if row]
-        done.append(prow)
-        pivots.append(c)
-        if not pending:
-            break
+    pairs, typed = _integer_rows(rows)
     zero = GAUSSIAN_ZERO if typed else Fraction(0)
     reduced, kept = [], []
-    for c, row in zip(pivots, done):
-        if gaussian and c % 2:
-            continue  # phi(i*R) for a kept row R
-        p = row[c]
+    for c, re, im in reduced_rows(pairs):
+        p = re[c]
         dense = [zero] * ncols
-        if gaussian:
-            c //= 2
-            for col in {k // 2 for k in row}:
-                re, im = row.get(2 * col, 0), row.get(2 * col + 1, 0)
-                dense[col] = GaussianRational(Fraction(re, p), Fraction(im, p))
-        elif typed:
-            for col, x in row.items():
-                dense[col] = GaussianRational(Fraction(x, p), Fraction(0))
-        else:
-            for col, x in row.items():
-                dense[col] = Fraction(x, p)
+        for col in re.keys() | im.keys():
+            x = Fraction(re.get(col, 0), p)
+            dense[col] = GaussianRational(x, Fraction(im.get(col, 0), p)) if typed else x
         reduced.append(dense)
         kept.append(c)
     return reduced, kept
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return len(pivot_columns(_integer_rows(rows)[0]))
 
 
 def kernel_basis(rows, ncols, zero, one):

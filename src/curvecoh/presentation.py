@@ -16,7 +16,8 @@ The ``leading_exact`` flag declares that pole_order(embed(b)) equals
 degree(b) and that leading coefficients of equal-degree basis elements
 are k0-linearly independent; this is what turns the downstream linear
 algebra into certified computations, and it is checked, not assumed
-(``verify_leading_exact``).
+(``verify_leading_exact``), as is the ring map (``check_ring_map``, one
+integer identity per product), through every degree a result reads.
 
 User presentations load from a small text format, see ``load_presentation``.
 """
@@ -24,15 +25,20 @@ User presentations load from a small text format, see ``load_presentation``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from .errors import EmbeddingNotRingMap
-from .linalg import rank
+from .linalg import phi, pivot_columns
 from .scalars import (
     GAUSSIAN_PAIR,
     REAL_IN_GAUSSIAN,
     FieldPair,
     GaussianRational,
     as_fraction,
+    cleared_terms,
+    integer_parts,
+    integer_product,
     parse_gaussian,
 )
 from .series import LaurentWindow, gaussian_window
@@ -130,17 +136,16 @@ class AffinePresentation:
         """Check both leading_exact conditions degree by degree."""
         failure = leading_exact_failure(self, self.embed_basis, 1, max_degree)
         if failure is not None:
-            raise EmbeddingNotRingMap(f"{self.name}: {failure}")
+            raise EmbeddingNotRingMap(f"{self.name}: {failure[1]}")
 
     def certified_through(self, degree: int) -> bool:
         """Whether a result that reads basis degrees <= ``degree`` is certified.
 
-        It is when the presentation declares ``leading_exact`` and that
-        property is checked through ``degree``: the truncation argument
-        rests on it in every degree the computation reads, and it reads
-        only leading window coefficients, so the check is cheap. A check
-        that so far stops below ``degree`` is extended here (raising
-        EmbeddingNotRingMap if it fails), and the covered degree is kept.
+        It is when the presentation declares ``leading_exact`` and both it
+        (the truncation argument rests on it) and the ring map are checked
+        through ``degree``. Checks that so far stop below it are extended
+        here, leading_exact first, the ring map from the covered degree up
+        (raising EmbeddingNotRingMap on failure); the covered degree is kept.
         """
         if not self.leading_exact:
             return False
@@ -148,6 +153,7 @@ class AffinePresentation:
             degree = min(degree, self.max_degree)
         if self.verified_degree is not None and degree > self.verified_degree:
             self.verify_leading_exact(degree)
+            check_ring_map(self, self.embed_basis, degree, self.verified_degree)
             self.verified_degree = degree
         return True
 
@@ -160,41 +166,86 @@ def combine(window, coeffs: dict) -> LaurentWindow:
     return acc
 
 
-def check_ring_map(pres: AffinePresentation, window, max_degree: int) -> None:
-    """Check window(b_i)*window(b_j) == window(b_i * b_j) up to the degree bound.
+def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int = -1) -> None:
+    """Check window(b_i)*window(b_j) == window(b_i * b_j) in product degrees (above, max_degree].
 
     ``window`` maps basis indices to Laurent windows: the presentation's own
-    embedding or one into a formal-disc model.
+    embedding or one into a formal-disc model. Each product is checked over
+    the integers, on each basis window cleared once (``cleared_terms``), at
+    the exponents ``LaurentWindow.agrees_with`` compares. Window products
+    commute, so b_j * b_i is checked only when its rule differs from b_i * b_j's.
     """
     basis = pres.basis_up_to(max_degree)
-    for i in basis:
-        for j in basis:
-            if pres.degree_of(i) + pres.degree_of(j) > max_degree:
+    degrees = [pres.degree_of(i) for i in basis]
+    numerator = cache(lambda i: cleared_terms(window(i).coeffs)[:2])
+    rules = {}
+    for x, i in enumerate(basis):
+        for y, j in enumerate(basis):
+            if not above < degrees[x] + degrees[y] <= max_degree:
                 continue
-            lhs = window(i) * window(j)
-            rhs = combine(window, pres.mul_basis(i, j))
-            if not lhs.agrees_with(rhs):
+            rule = rules[i, j] = pres.mul_basis(i, j)
+            if y < x and rules[j, i] == rule:
+                continue
+            if not _ring_identity_holds(window, numerator, i, j, rule):
+                lhs, rhs = window(i) * window(j), combine(window, rule)
                 raise EmbeddingNotRingMap(
                     f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
                     f"!= embed of the product: {lhs} vs {rhs}"
                 )
 
 
-def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degree: int):
-    """Why ``window`` breaks the leading_exact conditions up to max_degree, or None.
+def _ring_identity_holds(window, numerator, i, j, rule) -> bool:
+    """window(i)*window(j) agrees with the sum of s*window(k) over the rule {k: s}."""
+    cutoff = window(i).product_cutoff(window(j))
+    for k in rule:
+        cutoff = LaurentWindow._merge_cutoff(cutoff, window(k).cutoff)
+    (di, a), (dj, b) = numerator(i), numerator(j)
+    lhs = integer_product(a, b, cutoff)
+    # the right-hand side over delta * common: constants over delta, windows over common
+    delta, s_re, s_im, _ = integer_parts(rule.values())
+    common = lcm(*(numerator(k)[0] for k in rule))
+    rhs = ({}, {})
+    for k, x, y in zip(rule, s_re, s_im):
+        dk, terms = numerator(k)
+        integer_product(([(0, x * common // dk)], [(0, y * common // dk)]), terms, cutoff, out=rhs)
+    p, q = delta * common, di * dj
+    return all(u.get(e, 0) * p == v.get(e, 0) * q for u, v in zip(lhs, rhs) for e in u | v)
 
-    Each basis element of degree d must have pole order d*jump, and the
-    leading coefficients within each degree must be k0-linearly independent.
+
+def gluing_rows(pair, windows, top: int, low: int, identity: bool = False) -> list:
+    """The windows' coefficients at t^top .. t^low as integer rows (re, im) of ``linalg``.
+
+    Each window is cleared to one denominator; t^e goes to column top - e,
+    realified to columns 2(top - e), 2(top - e) + 1 when k0 is Q. With
+    ``identity``, row k also holds its denominator at column width + k.
+    """
+    width = (top - low + 1) * pair.coord_count
+    rows = []
+    for k, w in enumerate(windows):
+        den, parts, _ = cleared_terms(w.coeffs)
+        re, im = ({top - e: x for e, x in part if low <= e <= top} for part in parts)
+        row = (phi(re, im), {}) if pair.split else (re, im)
+        if identity:
+            row[0][width + k] = den
+        rows.append(row)
+    return rows
+
+
+def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degree: int):
+    """(first failing degree, why) for ``window`` and the leading_exact conditions, or None.
+
+    Degrees 0..max_degree are checked in order. Each basis element of
+    degree d must have pole order d*jump, and the leading coefficients
+    within each degree must be k0-linearly independent.
     """
     for d in range(max_degree + 1):
-        rows = []
-        for i in pres.indices_of_degree(d):
-            w = window(i)
-            if w.pole_order() != d * jump:
-                return f"pole_order(embed({pres.label(i)})) != {d * jump} (degree {d})"
-            rows.append(list(pres.pair.coords(GaussianRational.of(w.coeffs[d * jump]))))
-        if rows and rank(rows) != len(rows):
-            return f"leading coefficients in degree {d} are k0-dependent"
+        indices = pres.indices_of_degree(d)
+        for i in indices:
+            if window(i).pole_order() != d * jump:
+                return d, f"pole_order(embed({pres.label(i)})) != {d * jump} (degree {d})"
+        rows = gluing_rows(pres.pair, [window(i) for i in indices], d * jump, d * jump)
+        if len(pivot_columns(rows)) != len(rows):
+            return d, f"leading coefficients in degree {d} are k0-dependent"
     return None
 
 

@@ -16,9 +16,10 @@ imaginary parts), the complex projective line uses Q(i) itself.
 
 Products of series over Q and Q(i) (truncated power series here, Laurent
 windows in ``series``) run through one kernel, ``exact_product``: each
-operand's denominators are cleared once (``integer_parts``, also the
-first step of ``linalg.rref``) and the terms are convolved as Python
-ints, schoolbook, with one division per output coefficient. Series over
+operand's denominators are cleared once (``cleared_terms``, which also
+gives ``linalg`` its integer rows and the ring-map check its numerators)
+and the numerators are convolved as Python ints (``integer_product``),
+schoolbook, with one division per output coefficient. Series over
 the p-adics, or any other coefficient kind, use the generic coefficient
 loop. Quotients of power series (``TruncatedPowerSeries.inverse`` and the
 series expansions and divisions in ``harbater``) run through one
@@ -197,18 +198,6 @@ class FieldPair:
     @property
     def coord_count(self) -> int:
         return 2 if self.split else 1
-
-    def coords(self, z: GaussianRational):
-        if self.split:
-            return (z.re, z.im)
-        return (z,)
-
-    def from_coords(self, parts) -> GaussianRational:
-        """The k1 scalar with the given k0 coordinates; inverse of ``coords``."""
-        if self.split:
-            return GaussianRational(*parts)
-        (z,) = parts
-        return z
 
     def base_zero(self):
         return Fraction(0) if self.split else GAUSSIAN_ZERO
@@ -502,38 +491,51 @@ def _convolve_into(out: dict, a: list, b: list, lo, hi) -> None:
             out[e] = get(e, 0) + x * y
 
 
+def cleared_terms(series: dict):
+    """(den, (re, im), gaussian): ``integer_parts`` of a series {exponent: coefficient}.
+
+    ``re`` and ``im`` hold the nonzero numerators as [(exponent, int)], sorted.
+    """
+    parts = integer_parts(series.values())
+    if parts is None:
+        return None
+    den, re, im, gaussian = parts
+    return den, tuple(sorted((e, x) for e, x in zip(series, p) if x) for p in (re, im)), gaussian
+
+
+def integer_product(a, b, lo=None, hi=None, out=None):
+    """(a_re + i*a_im) * (b_re + i*b_im) as (re, im) dicts {exponent: int}, for lo <= e < hi.
+
+    ``a`` and ``b`` are term lists (re, im) as ``cleared_terms`` gives; ``out`` accumulates.
+    """
+    (a_re, a_im), (b_re, b_im) = a, b
+    re, im = out or ({}, {})
+    _convolve_into(re, a_re, b_re, lo, hi)
+    _convolve_into(re, [(e, -x) for e, x in a_im], b_im, lo, hi)
+    _convolve_into(im, a_re, b_im, lo, hi)
+    _convolve_into(im, a_im, b_re, lo, hi)
+    return re, im
+
+
 def exact_product(a: dict, b: dict, lo=None, hi=None):
     """The product of two sparse series {exponent: coefficient}, kept for lo <= e < hi.
 
-    Each operand's denominators are cleared once (``integer_parts``) and
-    the terms are convolved as Python ints: one convolution over Q, and
-    over Q(i) the four real ones re*re, im*im, re*im, im*re, of which
-    only those with nonzero parts run. Each output coefficient is built
-    once, over the product of the two denominators. It is a
-    GaussianRational when any input coefficient is one, a Fraction
+    Each operand's denominators are cleared once (``cleared_terms``) and the
+    numerators convolved as Python ints (``integer_product``). Each output
+    coefficient is built once, over the product of the two denominators. It
+    is a GaussianRational when any input coefficient is one, a Fraction
     otherwise.
 
     Returns (terms, zero): the nonzero coefficients by exponent and the
     zero of the output type. Returns None when a coefficient is not an
     int, Fraction or GaussianRational.
     """
-    pa = integer_parts(a.values())
-    pb = None if pa is None else integer_parts(b.values())
+    pa = cleared_terms(a)
+    pb = None if pa is None else cleared_terms(b)
     if pb is None:
         return None
-    da, ar, ai, ga = pa
-    db, br, bi, gb = pb
-
-    def terms(exps, ints):
-        return [(e, x) for e, x in zip(exps, ints) if x]
-
-    a_re, a_im = terms(a, ar), terms(a, ai)
-    b_re, b_im = sorted(terms(b, br)), sorted(terms(b, bi))
-    re, im = {}, {}
-    _convolve_into(re, a_re, b_re, lo, hi)
-    _convolve_into(re, [(e, -x) for e, x in a_im], b_im, lo, hi)
-    _convolve_into(im, a_re, b_im, lo, hi)
-    _convolve_into(im, a_im, b_re, lo, hi)
+    (da, ta, ga), (db, tb, gb) = pa, pb
+    re, im = integer_product(ta, tb, lo, hi)
     den = da * db
     if not (ga or gb):
         return {e: Fraction(x, den) for e, x in re.items() if x}, Fraction(0)

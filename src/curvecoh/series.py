@@ -137,24 +137,23 @@ class LaurentWindow:
             return self.scale(other)
         if self.is_certified_zero or other.is_certified_zero:
             return LaurentWindow.zero()
-        # convolution-precision rule: the coefficient at e is certified when
-        # unknown regions of either factor cannot reach it
-        cutoff = None
-        if self.cutoff is not None:
-            cutoff = self.cutoff + other._effective_top()
-        if other.cutoff is not None:
-            c2 = other.cutoff + self._effective_top()
-            cutoff = c2 if cutoff is None else max(cutoff, c2)
-        if cutoff == MINUS_INFINITY:
-            cutoff = None
-        elif cutoff is not None:
-            cutoff = int(cutoff)
+        cutoff = self.product_cutoff(other)
         product = exact_product(self.coeffs, other.coeffs, cutoff)
         if product is None:
             coeffs = (*self.coeffs.values(), *other.coeffs.values())
             bad = next(c for c in coeffs if not isinstance(c, (int, Fraction, GaussianRational)))
             raise TypeError(f"coefficients must be int, Fraction or GaussianRational: {bad!r}")
         return LaurentWindow(product[0], cutoff)
+
+    def product_cutoff(self, other: "LaurentWindow"):
+        """The cutoff of self * other (None: exact): unknown regions of a factor reach below it."""
+        cutoff = None
+        if self.cutoff is not None:
+            cutoff = self.cutoff + other._effective_top()
+        if other.cutoff is not None:
+            c2 = other.cutoff + self._effective_top()
+            cutoff = c2 if cutoff is None else max(cutoff, c2)
+        return None if cutoff in (None, MINUS_INFINITY) else int(cutoff)
 
     def scale(self, c):
         return LaurentWindow({e: v * c for e, v in self.coeffs.items()}, self.cutoff)

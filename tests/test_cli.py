@@ -293,11 +293,9 @@ def test_dream_checks_ring_map_once_per_curve(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0 and json.loads(out)["all_match"]
     assert sorted(checks) == ["p1", "twistor"]
-    # leading_exact is still certified per twist, through the degree D + 2 its H^1 reads
-    ns = range(-2, 4)
-    assert certified_to == [
-        (name, coh.default_cutoff(n) + 2) for name in ("twistor", "p1") for n in ns
-    ]
+    # one leading_exact pass per curve, through the highest degree D + 2 an H^1 reads
+    top = max(coh.default_cutoff(n) for n in range(-2, 4)) + 2
+    assert certified_to == [("twistor", top), ("p1", top)]
 
 
 def test_dream_single_n(capsys):
@@ -354,3 +352,48 @@ def test_readme_quickstart_runs():
     blocks = _re.findall(r"```python\n(.*?)```", readme.read_text(), _re.S)
     assert blocks, "README quick start block missing"
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_consecutive_calls_match_fresh_processes(tmp_path):
+    import contextlib
+    import io
+    import os
+    import pathlib
+    import subprocess
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"curve": "p1", "n": "-1..1", "format": "json"}))
+    switch = tmp_path / "switch.json"
+    switch.write_text(json.dumps({"uncertified_ok": True}))
+    commands = [
+        ["cohomology", "--curve", "p1", "--n", "-2..2"],
+        ["section-ring", "--curve", "twistor", "--max-degree", "4", "--format", "json"],
+        ["cohomology", "--config", str(cfg)],
+        ["cohomology", "--curve", "no-such-curve", "--n", "0"],
+        ["pipeline", "--f", "1+xi"],
+        ["cohomology", "--curve", "p1", "--n", "3", "--cutoff", "2"],
+        ["cohomology", "--curve", "p1", "--n", "3", "--cutoff", "2", "--config", str(switch)],
+        ["pipeline", "--f", "1+xi", "--M", "4", "--config", str(cfg)],
+        ["dream", "--x", "1/3", "--r", "1/2", "--M", "4", "--n", "0"],
+        ["cohomology", "--curve", "p1", "--n", "-2..2"],
+    ]
+
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    codes = set()
+    for argv in commands:
+        fresh = subprocess.run([sys.executable, "-m", "curvecoh.cli", *argv], env=env,
+                               cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.add(fresh.returncode)
+    assert codes == {0, 1, 2}

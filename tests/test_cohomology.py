@@ -231,7 +231,7 @@ def test_curve_from_parts_certifies_every_degree_h1_reads(p1):
     def embed(i):
         return gaussian_window({5: 1, 6: 1} if i == 5 else {i: 1})
 
-    assert leading_exact_failure(p1, embed, 1, 6) == "pole_order(embed(t^5)) != 5 (degree 5)"
+    assert leading_exact_failure(p1, embed, 1, 6) == (5, "pole_order(embed(t^5)) != 5 (degree 5)")
     (res,) = coh.curve_from_parts(p1, model, embed, [0])
     assert res.cutoff_used == 4 and not res.certified
     (res,) = coh.curve_from_parts(p1, model, coh.p1_formal_embedding(model), [0])
@@ -358,3 +358,134 @@ def test_dims_and_h0_span_match_sympy(curve, n):
         )
         theirs = sympy.Matrix.hstack(*kernel).T
         assert ours.rank() == theirs.rank() == ours.col_join(theirs).rank()
+
+
+# ---------------------------------------------------------------------------
+# the integer gluing rows against the dense coordinate rows they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_coords(pair, window, exps):
+    row = []
+    for e in exps:
+        z = GaussianRational.of(window.coefficient(e))
+        row.extend((z.re, z.im) if pair.split else (z,))
+    return row
+
+
+def _reference_sections(pres, window, fil_bound, D):
+    """H^0 from dense GaussianRational coordinate rows [window | identity] through ``rref``."""
+    from curvecoh.linalg import rref
+    from curvecoh.series import MINUS_INFINITY
+
+    pair = pres.pair
+    basis = pres.basis_up_to(D)
+    windows = [window(i) for i in basis]
+    tops = [w.pole_order() for w in windows]
+    top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
+    cutoff = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
+    low = min((e for w in windows for e in w.coeffs), default=top + 1) if cutoff is None else cutoff
+    exps = range(top, low - 1, -1)
+    step = pair.coord_count
+    width = len(exps) * step
+    zero, one = pair.base_zero(), pair.base_one()
+    rows = [
+        _reference_coords(pair, w, exps) + [one if j == k else zero for j in range(len(windows))]
+        for k, w in enumerate(windows)
+    ]
+    reduced, pivots = rref(rows)
+    vecs, wins, pivot_exps = [], [], []
+    for row, pc in zip(reduced, pivots):
+        if pc < sum(e > fil_bound for e in exps) * step:
+            continue
+        vec = {i: c for i, c in enumerate(row[width:]) if c != 0}
+        lead = vec[min(vec)]
+        vecs.append({basis[i]: c / lead for i, c in vec.items()})
+        coeffs = {}
+        for j, e in enumerate(exps):
+            cs = [c / lead for c in row[j * step:(j + 1) * step]]
+            if any(cs):
+                coeffs[e] = GaussianRational(*cs) if pair.split else cs[0]
+        wins.append(coh.LaurentWindow(coeffs, cutoff))
+        pivot_exps.append(exps[pc // step] if pc < width else None)
+    return vecs, wins, coh._graded_from_pivots(pivot_exps)
+
+
+def _reference_free_columns(pres, window, fil_bound, D, jump):
+    """H^1's free (exponent, part) columns at cutoff D from dense coordinate rows through ``rref``."""
+    from curvecoh.linalg import rref
+
+    windows = [window(i) for i in pres.basis_up_to(D)]
+    exps = range(max(D * jump, fil_bound), fil_bound, -1)
+    _, pivots = rref([_reference_coords(pres.pair, w, exps) for w in windows])
+    cols = [(e, p) for e in exps for p in range(pres.pair.coord_count)]
+    return [col for k, col in enumerate(cols) if k not in set(pivots)]
+
+
+def _assert_same_typed(ours, theirs):
+    assert ours == theirs
+    for a, b in zip(ours, theirs):
+        assert type(a) is type(b), (a, b)
+
+
+def _assert_matches_reference(pres, window, fil_bound, D, jump=1):
+    vecs, wins, graded = coh._sections(pres, window, fil_bound, D)
+    ref_vecs, ref_wins, ref_graded = _reference_sections(pres, window, fil_bound, D)
+    assert graded == ref_graded
+    assert [list(v) for v in vecs] == [list(v) for v in ref_vecs]  # keys in basis order
+    for v, ref in zip(vecs, ref_vecs, strict=True):
+        _assert_same_typed(list(v.values()), list(ref.values()))
+    for w, ref in zip(wins, ref_wins, strict=True):
+        assert w.cutoff == ref.cutoff
+        _assert_same_typed(sorted(w.coeffs.items()), sorted(ref.coeffs.items()))
+        _assert_same_typed(sorted(w.coeffs.values(), key=str), sorted(ref.coeffs.values(), key=str))
+    reps, _ = coh._h1_classes(pres, window, fil_bound, D, jump)
+    free = [(e, coh._UNITS.index(c)) for w in reps for e, c in w.coeffs.items()]
+    assert free == _reference_free_columns(pres, window, fil_bound, D, jump)
+
+
+def _gaussian_scaled_file(top: int, c: GaussianRational) -> str:
+    """p1 in the coordinate c*t over (Q(i), Q(i)): Gaussian windows with one term each."""
+    lines = ["fields gaussian gaussian", "flags leading_exact"]
+    lines += [f"basis w{k} {k}" for k in range(top + 1)]
+    lines += [f"mul w{i} w{j} = 1*w{i + j}" for i in range(top + 1) for j in range(i, top + 1 - i)]
+    z = GaussianRational.of(1)
+    for k in range(top + 1):
+        lines.append(f"embed w{k} = {_gaussian_coeff(z)}*t^{k}")
+        z = z * c
+    return "\n".join(lines)
+
+
+def test_integer_gluing_rows_match_dense_rows_on_builtin_curves(p1, tw):
+    for pres in (tw, p1):
+        for n in range(-5, 31):
+            _assert_matches_reference(pres, pres.embed_basis, n, coh.resolved_default_cutoff(pres, n))
+
+
+def test_integer_gluing_rows_match_dense_rows_on_file_curves(rescaled_twistor_file):
+    curves = [
+        load_presentation(_shifted_line_file(14), name="shifted"),
+        load_presentation(_gaussian_scaled_file(14, GaussianRational(Fraction(2, 3), Fraction(-1, 5)))),
+        load_presentation(rescaled_twistor_file(14, Fraction(3, 2))),
+    ]
+    for pres in curves:
+        for n in range(-6, 13):
+            _assert_matches_reference(pres, pres.embed_basis, n, coh.resolved_default_cutoff(pres, n))
+
+
+def test_integer_gluing_rows_match_dense_rows_with_cutoffs(p1, tw):
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+    for pres, embed in (
+        (tw, coh.twistor_formal_embedding(model)),
+        (p1, coh.p1_formal_embedding(model)),
+    ):
+        def clipped(i, embed=embed):
+            return embed(i).clip(-model.prec)
+
+        def staggered(i, embed=embed):
+            return embed(i).clip(-model.prec + i % 3)
+
+        for window in (clipped, staggered):
+            for n in range(-3, 13):
+                D = coh.default_cutoff(n)
+                _assert_matches_reference(pres, window, model.fil_pole_bound(n), D, model.jump_index)

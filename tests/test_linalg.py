@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from curvecoh.linalg import kernel_basis, rank, rref, solve_in_span
+from curvecoh.linalg import kernel_basis, pivot_columns, rank, reduced_rows, rref, solve_in_span
 from curvecoh.scalars import GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational, is_zero_scalar
 
 
@@ -255,3 +256,33 @@ def test_rref_matches_sympy(kind):
         assert pivots == their_pivots, seed
         theirs = [[_from_sympy(y, gaussian) for y in row] for row in theirs]
         assert [[GaussianRational.of(x) for x in row] for row in ours] == theirs, seed
+
+
+def _integer_pairs(rows):
+    """Each row times the lcm of its denominators, as sparse integer rows (re, im)."""
+    out = []
+    for row in rows:
+        zs = [GaussianRational.of(x) for x in row]
+        den = lcm(*(q.denominator for z in zs for q in (z.re, z.im)))
+        re, im = ({c: int(q * den) for c, q in enumerate(qs) if q} for qs in
+                  ([z.re for z in zs], [z.im for z in zs]))
+        out.append((re, im))
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_forward_pass_pivots_match_rref(kind):
+    matrices = [_matrix(seed, kind) for seed in SEEDS] + [_low_rank_matrix(s, kind) for s in range(4)]
+    for seed, rows in enumerate(matrices):
+        reduced, pivots = rref(rows)
+        pairs = _integer_pairs(rows)
+        assert pivot_columns(pairs) == pivots, seed
+        # the integer reduced rows are the rref rows times their pivot entries
+        ours = reduced_rows(pairs)
+        assert [c for c, _, _ in ours] == pivots, seed
+        for (c, re, im), row in zip(ours, reduced):
+            p = re[c]
+            assert [GaussianRational.of(x) for x in row] == [
+                GaussianRational(Fraction(re.get(k, 0), p), Fraction(im.get(k, 0), p))
+                for k in range(len(row))
+            ], seed

@@ -1,17 +1,19 @@
 """Built-in curve presentations and the declarative loader."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from curvecoh.errors import EmbeddingNotRingMap
 from curvecoh.presentation import (
+    AffinePresentation,
     load_presentation,
     p1_presentation,
     twistor_presentation,
 )
 from curvecoh.scalars import GAUSSIAN_I, GaussianRational
-from curvecoh.series import gaussian_window
+from curvecoh.series import LaurentWindow, gaussian_window
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +164,181 @@ def test_certification_extends_leading_exact_check_to_the_degrees_read(p1_file):
         coh.compute(bad, 4)
     with pytest.raises(EmbeddingNotRingMap):
         coh.h0(bad, 4, D=8)
+
+
+# ---------------------------------------------------------------------------
+# the integer ring-map check against window products and ``combine``
+# ---------------------------------------------------------------------------
+
+
+def _reference_check_ring_map(pres, window, max_degree):
+    """Every ordered basis product as a window product, compared with ``combine``."""
+    from curvecoh.presentation import combine
+
+    basis = pres.basis_up_to(max_degree)
+    for i in basis:
+        for j in basis:
+            if pres.degree_of(i) + pres.degree_of(j) > max_degree:
+                continue
+            lhs = window(i) * window(j)
+            rhs = combine(window, pres.mul_basis(i, j))
+            if not lhs.agrees_with(rhs):
+                raise EmbeddingNotRingMap(
+                    f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
+                    f"!= embed of the product: {lhs} vs {rhs}"
+                )
+
+
+def _outcome(check, pres, window, max_degree):
+    try:
+        check(pres, window, max_degree)
+    except EmbeddingNotRingMap as exc:
+        return str(exc)
+    return None
+
+
+def _same_outcome(pres, window, max_degree):
+    from curvecoh.presentation import check_ring_map
+
+    ours = _outcome(check_ring_map, pres, window, max_degree)
+    assert ours == _outcome(_reference_check_ring_map, pres, window, max_degree)
+    return ours
+
+
+def _perturbed(window, k, e, delta):
+    def perturbed(i):
+        w = window(i)
+        if i != k:
+            return w
+        coeffs = dict(w.coeffs)
+        coeffs[e] = coeffs.get(e, 0) + delta
+        return LaurentWindow(coeffs, w.cutoff)
+
+    return perturbed
+
+
+def _gaussian_constants_presentation(max_degree=8):
+    """Basis b_k = c^k t^k over (Q(i), Q(i)): b_i * b_j = (c^i c^j / c^(i+j)) b_(i+j), c^k varying."""
+    from curvecoh.scalars import GAUSSIAN_PAIR
+
+    scales = [GaussianRational(Fraction(k + 1, 3), Fraction(1 - k, 2)) for k in range(max_degree + 1)]
+    return AffinePresentation(
+        name="gaussian-constants",
+        pair=GAUSSIAN_PAIR,
+        degree_fn=lambda i: i,
+        indices_of_degree_fn=lambda d: [d],
+        embed_fn=lambda i: LaurentWindow({i: scales[i]}, None),
+        mul_fn=lambda i, j: {i + j: scales[i] * scales[j] / scales[i + j]},
+        label_fn=lambda i: f"b{i}",
+        leading_exact=True,
+        max_degree=max_degree,
+    )
+
+
+def test_integer_ring_map_check_matches_window_products(tw, p1, rescaled_twistor_file):
+    from curvecoh.scalars import GAUSSIAN_I
+
+    rng = random.Random(9)
+    curves = [tw, p1, load_presentation(rescaled_twistor_file(8, Fraction(3, 2))),
+              _gaussian_constants_presentation()]
+    failures = set()
+    for pres in curves:
+        assert _same_outcome(pres, pres.embed_basis, 8) is None
+        for _ in range(12):
+            k = rng.choice(pres.basis_up_to(4))
+            w = pres.embed_basis(k)
+            e = rng.choice(sorted(w.coeffs) + [min(w.coeffs) - 1])
+            # a real part, then an imaginary part
+            for delta in (Fraction(rng.choice([-1, 1]), rng.randint(1, 5)), GAUSSIAN_I * rng.randint(1, 3)):
+                failures.add(_same_outcome(pres, _perturbed(pres.embed_basis, k, e, delta), 8) is None)
+    assert failures == {False}
+
+
+def test_integer_ring_map_check_matches_with_gaussian_constants():
+    pres = _gaussian_constants_presentation()
+    rules = pres._mul
+    for i, j in ((1, 2), (3, 3), (0, 5), (4, 4)):
+        def perturbed(a, b, i=i, j=j):
+            rule = rules(a, b)
+            if (a, b) == (i, j):
+                return {k: s + GaussianRational(Fraction(0), Fraction(1, 7)) for k, s in rule.items()}
+            return rule
+
+        pres._mul = perturbed
+        message = _same_outcome(pres, pres.embed_basis, 8)
+        assert message.startswith(f"gaussian-constants: embed(b{i})*embed(b{j}) != ")
+    pres._mul = rules
+
+
+def test_integer_ring_map_check_matches_on_windows_with_cutoffs(tw, p1):
+    from curvecoh import cohomology as coh
+    from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
+    from curvecoh.scalars import GAUSSIAN_I, gaussian_tps
+
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 8)), 8)
+    rng = random.Random(4)
+    outcomes = set()
+    for pres, embed in ((tw, coh.twistor_formal_embedding(model)), (p1, coh.p1_formal_embedding(model))):
+        for cut in (-2, -1, 0):
+            def staggered(i, embed=embed, cut=cut):
+                return embed(i).clip(cut + i % 3)
+
+            # products are known down to other cutoffs than their right-hand
+            # sides: only the exponents above both can be compared
+            assert _same_outcome(pres, staggered, 6) is None
+            for _ in range(10):
+                k = rng.choice(pres.basis_up_to(3))
+                w = staggered(k)
+                e = rng.randint(w.cutoff, (w.top if w.top is not None else w.cutoff) + 1)
+                window = _perturbed(staggered, k, e, GAUSSIAN_I * rng.choice([-1, 1]) + 1)
+                outcomes.add(_same_outcome(pres, window, 6) is None)
+    assert outcomes == {False}
+
+
+def test_ring_map_is_certified_through_the_degrees_read(p1_file, tmp_path, capsys):
+    from curvecoh import cohomology as coh
+    from curvecoh.cli import main
+    from curvecoh.section_ring import build_section_ring
+
+    # a wrong product rule in degree 7, past the load-time checks
+    text = p1_file(10, lambda k: k).replace("mul t1 t6 = 1*t7", "mul t1 t6 = 1*t6")
+    bad = load_presentation(text)
+    assert bad.verified_degree == 6
+    assert coh.compute(bad, 1, D=4).certified  # reads degrees <= 6 only
+    with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t1\)\*embed\(t6\) != embed of the product"):
+        build_section_ring(bad, 8)
+    curve = tmp_path / "bad.pres"
+    curve.write_text(text)
+    assert main(["section-ring", "--curve", str(curve), "--max-degree", "8"]) == 1
+    assert "EmbeddingNotRingMap" in capsys.readouterr().err
+
+    # a perturbed constant at the top degree read: compute(pres, 4) reads D + 2 = 10
+    top = load_presentation(p1_file(10, lambda k: k).replace("mul t4 t6 = 1*t10", "mul t4 t6 = 2*t10"))
+    assert coh.compute(top, 4, D=7).certified  # reads degree 9
+    with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t4\)\*embed\(t6\)"):
+        coh.compute(top, 4)
+    good = load_presentation(p1_file(10, lambda k: k))
+    assert coh.compute(good, 4).certified and good.verified_degree == 10
+
+
+def test_ring_map_extension_checks_each_product_degree_once(p1_file, monkeypatch):
+    from curvecoh import presentation
+
+    calls = []
+    check = presentation.check_ring_map
+
+    def recording(pres, window, max_degree, above=-1):
+        calls.append((above, max_degree))
+        return check(pres, window, max_degree, above)
+
+    monkeypatch.setattr(presentation, "check_ring_map", recording)
+    pres = load_presentation(p1_file(10, lambda k: k))
+    for degree in (5, 8, 8, 10, 12):
+        assert pres.certified_through(degree)
+    assert calls == [(-1, 6), (6, 8), (8, 10)]
+
+
+def test_ring_map_checks_both_orders_when_the_rules_differ(p1_file):
+    # t1*t2 and t2*t1 share the window product but not the rule
+    with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t2\)\*embed\(t1\) != "):
+        load_presentation(p1_file(6, lambda k: k) + "\nmul t2 t1 = 1*t2")
