@@ -19,12 +19,13 @@ drifting dimension shows it.
 
 H^0 and H^1 are the kernel and cokernel of one gluing map, the affine
 algebra up to degree D into the Laurent coefficients above Fil_n. Its
-rows are integer rows built straight from each window's coefficients
-(``gluing_rows``: one denominator per row, realified over Q(i)).
-``_sections`` reduces them once for H^0 and builds exact rationals only
-for the coefficients it outputs; ``_h1_classes`` runs the stabilization
-loop for H^1 on forward passes, which give the pivots alone. ``h0``,
-``h1``, ``compute`` and ``curve_from_parts`` all go through these two.
+rows are each window's own integer numerators and denominator
+(``gluing_rows``, realified over Q(i)). ``_sections`` reduces them once
+for H^0, builds exact rationals only for the basis vectors it outputs
+and the element windows straight from the integer rows; ``_h1_classes``
+runs the stabilization loop for H^1 on forward passes, which give the
+pivots alone. ``h0``, ``h1``, ``compute`` and ``curve_from_parts`` all go
+through these two.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -151,8 +152,9 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     order, they are the canonical basis. Returns (basis, element windows,
     graded pieces); each basis vector {basis index: k0 coefficient} is
     rescaled so its first affine coordinate is 1. Each element's window is
-    its integer row's window block over the same lead, known down to the
-    largest cutoff of the basis windows (exact when every basis window is).
+    its integer row's window block over the same lead a + i*b (numerators
+    times a - i*b over a^2 + b^2), known down to the largest cutoff of the
+    basis windows (exact when every basis window is).
     """
     pair = pres.pair
     basis = pres.basis_up_to(D)
@@ -161,7 +163,9 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     tops = [w.pole_order() for w in windows]
     top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
     cutoff = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
-    low = min((e for w in windows for e in w.coeffs), default=top + 1) if cutoff is None else cutoff
+    low = cutoff
+    if cutoff is None:
+        low = min((part[0][0] for w in windows for part in w.terms if part), default=top + 1)
     step = pair.coord_count
     width = (top - low + 1) * step
     vecs, wins, pivot_exps = [], [], []
@@ -174,14 +178,20 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
         # rescale so the first affine coordinate (basis order) is 1; row operations
         # keep "window block = identity block applied to the basis windows"
         _, a, b = coords[0]
-        if pair.split:
-            vecs.append({i: Fraction(x, a) for i, x, _ in coords})
-            blocks = [(re.get(c, 0), re.get(c + 1, 0)) for c in range(0, width, 2)]
-        else:
-            vecs.append({i: _quotient(x, y, a, b) for i, x, y in coords})
-            blocks = [(re.get(c, 0), im.get(c, 0)) for c in range(width)]
-        wins.append(LaurentWindow(
-            {top - j: _quotient(x, y, a, b) for j, (x, y) in enumerate(blocks) if x or y}, cutoff
+        vecs.append({i: Fraction(u, a) if pair.split else _quotient(u, v, a, b)
+                     for i, u, v in coords})
+        # the window block's real and imaginary numerators by exponent (a split row is all in re)
+        x, y = {}, {}
+        for part, row in enumerate((re, im)):
+            for c, u in row.items():
+                if c < width:
+                    (y if part + c % step else x)[top - c // step] = u
+        exps = x.keys() | y.keys()
+        wins.append(LaurentWindow.from_integers(
+            a * a + b * b,
+            {e: x.get(e, 0) * a + y.get(e, 0) * b for e in exps},
+            {e: y.get(e, 0) * a - x.get(e, 0) * b for e in exps},
+            cutoff,
         ))
         pivot_exps.append(m)
     return vecs, wins, _graded_from_pivots(pivot_exps)

@@ -125,8 +125,10 @@ def peval(p, x):
     x may be a Fraction, a GaussianRational or a TruncatedPowerSeries: every
     substitution into a polynomial in this module goes through here.
     """
-    acc = x * 0
-    for c in reversed(p):
+    if not p:
+        return x * 0
+    acc = x * 0 + p[-1]
+    for c in reversed(p[:-1]):
         acc = acc * x + c
     return acc
 

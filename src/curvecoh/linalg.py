@@ -8,7 +8,7 @@ entry gets ``GaussianRational`` entries back, any other matrix gets
 Everything runs on one integer core. Its rows are pairs (re, im) of sparse
 integer rows {column: int}, a row of Q(i) entries times a common
 denominator, which keeps the row space; ``presentation.gluing_rows``
-builds them straight from window coefficients, ``rref`` and ``rank`` with
+builds them straight from window numerators, ``rref`` and ``rank`` with
 ``scalars.cleared_terms``. Elimination runs over the Python ints without
 a single division: a row with a nonzero entry f in the pivot column
 becomes (p/g)*row - (f/g)*pivot row, where p is the pivot and
@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import GAUSSIAN_ZERO, GaussianRational, cleared_terms
+from .scalars import GAUSSIAN_ZERO, GaussianRational, cleared_terms, outside_q_i
 
 
 def _integer_rows(rows):
@@ -55,8 +55,7 @@ def _integer_rows(rows):
     for row in rows:
         parts = cleared_terms(dict(enumerate(row)))
         if parts is None:
-            bad = next(x for x in row if not isinstance(x, (int, Fraction, GaussianRational)))
-            raise TypeError(f"entries must be int, Fraction or GaussianRational: {bad!r}")
+            raise outside_q_i(row)
         _, (re, im), gaussian = parts
         typed = typed or gaussian
         out.append((dict(re), dict(im)))

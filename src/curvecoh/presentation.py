@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .errors import EmbeddingNotRingMap
 from .linalg import phi, pivot_columns
@@ -36,12 +35,9 @@ from .scalars import (
     FieldPair,
     GaussianRational,
     as_fraction,
-    cleared_terms,
-    integer_parts,
-    integer_product,
     parse_gaussian,
 )
-from .series import LaurentWindow, gaussian_window
+from .series import LaurentWindow, gaussian_window, linear_combination
 
 
 class AffinePresentation:
@@ -159,25 +155,22 @@ class AffinePresentation:
 
 
 def combine(window, coeffs: dict) -> LaurentWindow:
-    """sum of c * window(i) over coeffs {i: k0 coefficient}; exact window."""
-    acc = LaurentWindow.zero()
-    for i, c in coeffs.items():
-        acc = acc + window(i).scale(GaussianRational.of(c))
-    return acc
+    """sum of c * window(i) over coeffs {i: k0 coefficient}, over one denominator."""
+    return linear_combination([(c, window(i)) for i, c in coeffs.items()])
 
 
 def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int = -1) -> None:
     """Check window(b_i)*window(b_j) == window(b_i * b_j) in product degrees (above, max_degree].
 
     ``window`` maps basis indices to Laurent windows: the presentation's own
-    embedding or one into a formal-disc model. Each product is checked over
-    the integers, on each basis window cleared once (``cleared_terms``), at
-    the exponents ``LaurentWindow.agrees_with`` compares. Window products
-    commute, so b_j * b_i is checked only when its rule differs from b_i * b_j's.
+    embedding or one into a formal-disc model. Each product is an identity
+    between the windows' integer numerators (a window product against
+    ``combine``), compared where ``LaurentWindow.agrees_with`` compares.
+    Window products commute, so b_j * b_i is checked only when its rule
+    differs from b_i * b_j's.
     """
     basis = pres.basis_up_to(max_degree)
     degrees = [pres.degree_of(i) for i in basis]
-    numerator = cache(lambda i: cleared_terms(window(i).coeffs)[:2])
     rules = {}
     for x, i in enumerate(basis):
         for y, j in enumerate(basis):
@@ -186,47 +179,28 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
             rule = rules[i, j] = pres.mul_basis(i, j)
             if y < x and rules[j, i] == rule:
                 continue
-            if not _ring_identity_holds(window, numerator, i, j, rule):
-                lhs, rhs = window(i) * window(j), combine(window, rule)
+            lhs, rhs = window(i) * window(j), combine(window, rule)
+            if not lhs.agrees_with(rhs):
                 raise EmbeddingNotRingMap(
                     f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
                     f"!= embed of the product: {lhs} vs {rhs}"
                 )
 
 
-def _ring_identity_holds(window, numerator, i, j, rule) -> bool:
-    """window(i)*window(j) agrees with the sum of s*window(k) over the rule {k: s}."""
-    cutoff = window(i).product_cutoff(window(j))
-    for k in rule:
-        cutoff = LaurentWindow._merge_cutoff(cutoff, window(k).cutoff)
-    (di, a), (dj, b) = numerator(i), numerator(j)
-    lhs = integer_product(a, b, cutoff)
-    # the right-hand side over delta * common: constants over delta, windows over common
-    delta, s_re, s_im, _ = integer_parts(rule.values())
-    common = lcm(*(numerator(k)[0] for k in rule))
-    rhs = ({}, {})
-    for k, x, y in zip(rule, s_re, s_im):
-        dk, terms = numerator(k)
-        integer_product(([(0, x * common // dk)], [(0, y * common // dk)]), terms, cutoff, out=rhs)
-    p, q = delta * common, di * dj
-    return all(u.get(e, 0) * p == v.get(e, 0) * q for u, v in zip(lhs, rhs) for e in u | v)
-
-
 def gluing_rows(pair, windows, top: int, low: int, identity: bool = False) -> list:
-    """The windows' coefficients at t^top .. t^low as integer rows (re, im) of ``linalg``.
+    """The windows' numerators at t^top .. t^low as integer rows (re, im) of ``linalg``.
 
-    Each window is cleared to one denominator; t^e goes to column top - e,
-    realified to columns 2(top - e), 2(top - e) + 1 when k0 is Q. With
-    ``identity``, row k also holds its denominator at column width + k.
+    t^e goes to column top - e, realified to columns 2(top - e),
+    2(top - e) + 1 when k0 is Q. With ``identity``, row k also holds its
+    window's denominator at column width + k.
     """
     width = (top - low + 1) * pair.coord_count
     rows = []
     for k, w in enumerate(windows):
-        den, parts, _ = cleared_terms(w.coeffs)
-        re, im = ({top - e: x for e, x in part if low <= e <= top} for part in parts)
+        re, im = ({top - e: x for e, x in part if low <= e <= top} for part in w.terms)
         row = (phi(re, im), {}) if pair.split else (re, im)
         if identity:
-            row[0][width + k] = den
+            row[0][width + k] = w.den
         rows.append(row)
     return rows
 
@@ -395,11 +369,8 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
     leading_exact = False
     symbols: list[str] = []
     degrees: dict[str, int] = {}
-    mul_table: dict[tuple[str, str], dict[str, object]] = {}
+    mul_table: dict[tuple[str, str], dict[str, str]] = {}
     embeds: dict[str, LaurentWindow] = {}
-
-    def coeff_of(s: str, gaussian: bool):
-        return parse_gaussian(s) if gaussian else as_fraction(s)
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -460,14 +431,18 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
     by_degree: dict[int, list[int]] = {}
     for s in symbols:
         by_degree.setdefault(degrees[s], []).append(index[s])
+    # structure constants as k0 scalars, parsed once: a malformed one fails the load
+    k0_scalar = cache(as_fraction if pair.split else parse_gaussian)
+    rules = {
+        key: {index[s]: k0_scalar(c) for s, c in entry.items()} for key, entry in mul_table.items()
+    }
 
     def mul(i, j):
         key = (symbols[i], symbols[j])
-        entry = mul_table.get(key) or mul_table.get((key[1], key[0]))
-        if entry is None:
+        rule = rules.get(key) or rules.get((key[1], key[0]))
+        if rule is None:
             raise ValueError(f"no product rule for {key[0]} * {key[1]}")
-        zero = pair.base_zero()
-        return {index[s]: zero + coeff_of(c, not pair.split) for s, c in entry.items()}
+        return rule
 
     pres = AffinePresentation(
         name=name,

@@ -14,16 +14,17 @@ A ``FieldPair`` records which subfield linear algebra is done over: the
 twistor computations use Q inside Q(i) (coordinates split into real and
 imaginary parts), the complex projective line uses Q(i) itself.
 
-Products of series over Q and Q(i) (truncated power series here, Laurent
-windows in ``series``) run through one kernel, ``exact_product``: each
-operand's denominators are cleared once (``cleared_terms``, which also
-gives ``linalg`` its integer rows and the ring-map check its numerators)
-and the numerators are convolved as Python ints (``integer_product``),
-schoolbook, with one division per output coefficient. Series over
-the p-adics, or any other coefficient kind, use the generic coefficient
-loop. Quotients of power series (``TruncatedPowerSeries.inverse`` and the
-series expansions and divisions in ``harbater``) run through one
-recurrence, ``series_quotient``, in the coefficients' own arithmetic.
+Products of truncated power series over Q and Q(i) run through
+``exact_product``: each operand's denominators are cleared once
+(``cleared_terms``, also the stored form of a Laurent window in ``series``
+and the source of ``linalg``'s integer rows) and the numerators are
+convolved as Python ints (``integer_product``, which window products call
+on their stored numerators), schoolbook, with one division per output
+coefficient. Series over the p-adics, or any other coefficient kind, use
+the generic coefficient loop. Quotients of power series
+(``TruncatedPowerSeries.inverse`` and the series expansions and divisions
+in ``harbater``) run through one recurrence, ``series_quotient``, in the
+coefficients' own arithmetic.
 """
 
 from __future__ import annotations
@@ -470,6 +471,12 @@ def integer_parts(values):
         [n * (den // d) for n, d in im],
         gaussian,
     )
+
+
+def outside_q_i(values) -> TypeError:
+    """A TypeError naming the first of ``values`` outside Q(i) (int, Fraction, GaussianRational)."""
+    bad = next(x for x in values if not isinstance(x, (int, Fraction, GaussianRational)))
+    return TypeError(f"coefficients must be int, Fraction or GaussianRational: {bad!r}")
 
 
 def _convolve_into(out: dict, a: list, b: list, lo, hi) -> None:

@@ -11,27 +11,36 @@ decidable.
 Pole order at infinity (the top exponent) is the grading used everywhere
 downstream: Fil_n is the set of windows with pole order <= n.
 
-Window products clear each factor's denominators once and convolve
-Python ints (``scalars.exact_product``), keeping only the exponents the
-convolution-precision rule certifies. Window coefficients are int,
-Fraction or GaussianRational; a product of any other kind is a TypeError.
+A window over Q(i) is stored as one integer form, the layout of FLINT's
+``fmpq_poly``: a denominator ``den`` > 0 over integer numerators ``terms``
+= (re, im), sorted lists [(exponent, int)] of the nonzero real and
+imaginary parts, in lowest terms as ``scalars.cleared_terms`` gives them,
+so equal windows have equal forms. Products convolve the numerators
+(``scalars.integer_product``); sums, scalings and comparisons accumulate
+them over one denominator (``linear_combination``). Coefficients are built
+only when read (``coeffs``): GaussianRational when ``gaussian`` is set,
+Fraction otherwise. A window with a coefficient outside Q(i) has no
+integer form (``den`` is None): it can be read, and arithmetic on it
+raises TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import IndeterminateTop, ZeroInverse
-from .scalars import GaussianRational, exact_product, is_zero_scalar
+from .scalars import (GaussianRational, cleared_terms, integer_parts, integer_product,
+                      is_zero_scalar, outside_q_i)
 
 #: pole order of the zero series
 MINUS_INFINITY = float("-inf")
 
 
 class LaurentWindow:
-    """Exact coefficients c_e * t^e for cutoff <= e <= top."""
+    """Exact coefficients c_e * t^e for cutoff <= e <= top, as integers over one denominator."""
 
-    __slots__ = ("coeffs", "cutoff")
+    __slots__ = ("den", "terms", "gaussian", "cutoff", "_coeffs")
 
     def __init__(self, coeffs: dict, cutoff: int | None = None):
         clean = {}
@@ -40,8 +49,24 @@ class LaurentWindow:
                 raise ValueError(f"coefficient at t^{e} below cutoff {cutoff}")
             if not is_zero_scalar(c):
                 clean[int(e)] = c
-        self.coeffs = clean
         self.cutoff = cutoff
+        self.den, self.terms, self.gaussian = cleared_terms(clean) or (None, ([], []), False)
+        # a window outside Q(i) keeps its coefficients only to be read back
+        self._coeffs = clean if self.den is None else None
+
+    @classmethod
+    def from_integers(cls, den: int, re: dict, im: dict, cutoff=None, gaussian=True):
+        """The window (re[e] + i*im[e])/den (den > 0) at the exponents e >= cutoff, in lowest terms."""
+        if cutoff is not None:
+            re, im = ({e: x for e, x in part.items() if e >= cutoff} for part in (re, im))
+        g = gcd(den, *re.values(), *im.values())
+        w = cls.__new__(cls)
+        w.den = den // g
+        w.terms = tuple(sorted((e, x // g) for e, x in part.items() if x) for part in (re, im))
+        w.gaussian = gaussian
+        w.cutoff = cutoff
+        w._coeffs = None
+        return w
 
     # -- constructors ---------------------------------------------------
 
@@ -53,11 +78,25 @@ class LaurentWindow:
     def monomial(cls, e: int, c) -> "LaurentWindow":
         return cls({e: c}, None)
 
-    @classmethod
-    def constant(cls, c) -> "LaurentWindow":
-        return cls({0: c}, None)
-
     # -- structure --------------------------------------------------------
+
+    @property
+    def coeffs(self) -> dict:
+        """{exponent: coefficient}, GaussianRational for a Gaussian window, else Fraction.
+
+        Built from the numerators on first read and kept.
+        """
+        if self._coeffs is None:
+            den = self.den
+            re, im = (dict(part) for part in self.terms)
+            if self.gaussian:
+                self._coeffs = {
+                    e: GaussianRational(Fraction(re.get(e, 0), den), Fraction(im.get(e, 0), den))
+                    for e in sorted(re.keys() | im.keys())
+                }
+            else:
+                self._coeffs = {e: Fraction(x, den) for e, x in re.items()}
+        return self._coeffs
 
     @property
     def is_exact(self) -> bool:
@@ -65,27 +104,27 @@ class LaurentWindow:
 
     @property
     def is_certified_zero(self) -> bool:
-        return self.is_exact and not self.coeffs
+        return self.is_exact and self.top is None
 
     @property
     def top(self):
         """Largest stored exponent; None when no nonzero coefficient is tracked."""
-        return max(self.coeffs) if self.coeffs else None
+        tops = [part[-1][0] for part in self.terms if part]
+        return max(tops) if tops else None
 
     def _effective_top(self) -> int | float:
         """Sound upper bound for any nonzero exponent (known or not)."""
-        if self.coeffs:
-            return max(self.coeffs)
+        top = self.top
+        if top is not None:
+            return top
         if self.cutoff is None:
             return MINUS_INFINITY
         return self.cutoff - 1
 
     def coefficient(self, e: int):
-        if e in self.coeffs:
-            return self.coeffs[e]
         if self.cutoff is not None and e < self.cutoff:
             raise IndeterminateTop(f"coefficient at t^{e} below cutoff {self.cutoff}")
-        return Fraction(0)
+        return self.coeffs.get(e, Fraction(0))
 
     def pole_order(self):
         """Top exponent, MINUS_INFINITY for certified zero.
@@ -93,8 +132,9 @@ class LaurentWindow:
         Raises IndeterminateTop when the window is zero down to a finite
         cutoff but not certified zero.
         """
-        if self.coeffs:
-            return max(self.coeffs)
+        top = self.top
+        if top is not None:
+            return top
         if self.cutoff is None:
             return MINUS_INFINITY
         raise IndeterminateTop(
@@ -107,27 +147,13 @@ class LaurentWindow:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _merge_cutoff(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return max(a, b)
-
     def __add__(self, other):
         if not isinstance(other, LaurentWindow):
             return NotImplemented
-        cutoff = self._merge_cutoff(self.cutoff, other.cutoff)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, c * 0) + c
-        if cutoff is not None:
-            out = {e: c for e, c in out.items() if e >= cutoff}
-        return LaurentWindow(out, cutoff)
+        return linear_combination([(1, self), (1, other)])
 
     def __neg__(self):
-        return LaurentWindow({e: -c for e, c in self.coeffs.items()}, self.cutoff)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -135,56 +161,46 @@ class LaurentWindow:
     def __mul__(self, other):
         if not isinstance(other, LaurentWindow):
             return self.scale(other)
+        _require_integer_form([self, other])
         if self.is_certified_zero or other.is_certified_zero:
             return LaurentWindow.zero()
-        cutoff = self.product_cutoff(other)
-        product = exact_product(self.coeffs, other.coeffs, cutoff)
-        if product is None:
-            coeffs = (*self.coeffs.values(), *other.coeffs.values())
-            bad = next(c for c in coeffs if not isinstance(c, (int, Fraction, GaussianRational)))
-            raise TypeError(f"coefficients must be int, Fraction or GaussianRational: {bad!r}")
-        return LaurentWindow(product[0], cutoff)
-
-    def product_cutoff(self, other: "LaurentWindow"):
-        """The cutoff of self * other (None: exact): unknown regions of a factor reach below it."""
+        # unknown regions of a factor reach below the product's cutoff
         cutoff = None
         if self.cutoff is not None:
             cutoff = self.cutoff + other._effective_top()
         if other.cutoff is not None:
             c2 = other.cutoff + self._effective_top()
             cutoff = c2 if cutoff is None else max(cutoff, c2)
-        return None if cutoff in (None, MINUS_INFINITY) else int(cutoff)
+        cutoff = None if cutoff in (None, MINUS_INFINITY) else int(cutoff)
+        re, im = integer_product(self.terms, other.terms, cutoff)
+        return LaurentWindow.from_integers(
+            self.den * other.den, re, im, cutoff, self.gaussian or other.gaussian
+        )
 
     def scale(self, c):
-        return LaurentWindow({e: v * c for e, v in self.coeffs.items()}, self.cutoff)
+        return linear_combination([(c, self)])
 
     def __eq__(self, other):
         if not isinstance(other, LaurentWindow):
             return NotImplemented
-        return self.cutoff == other.cutoff and self.coeffs == other.coeffs
+        if self.den is None or other.den is None:
+            return self.cutoff == other.cutoff and self.coeffs == other.coeffs
+        return (self.cutoff, self.den, self.terms) == (other.cutoff, other.den, other.terms)
 
     def __hash__(self):
         raise TypeError("LaurentWindow is unhashable")
 
     def agrees_with(self, other: "LaurentWindow") -> bool:
         """Equality of all coefficients on the common guaranteed window."""
-        cutoff = self._merge_cutoff(self.cutoff, other.cutoff)
-        exps = set(self.coeffs) | set(other.coeffs)
-        for e in exps:
-            if cutoff is not None and e < cutoff:
-                continue
-            if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
-                return False
-        return True
+        if self.cutoff is None and other.cutoff is None and self.den is not None:
+            return self == other
+        return not any((self - other).terms)
 
     def power(self, k: int) -> "LaurentWindow":
         if k < 0:
             raise ValueError("use inverse() for negative powers")
         if k == 0:
-            if self.coeffs:
-                c = next(iter(self.coeffs.values()))
-                return LaurentWindow.constant(c / c)
-            return LaurentWindow.constant(Fraction(1))
+            return LaurentWindow.from_integers(1, {0: 1}, {}, None, self.gaussian)
         acc = self
         for _ in range(k - 1):
             acc = acc * self
@@ -196,23 +212,26 @@ class LaurentWindow:
         The leading term must be exactly known; the result has top equal
         to minus the top of self.
         """
-        if not self.coeffs:
+        m = self.top
+        if m is None:
             if self.is_certified_zero:
                 raise ZeroInverse("inverse of the zero series")
             raise IndeterminateTop("leading term not exactly known")
-        m = max(self.coeffs)
         prec = min(prec, -m)  # the result's top is -m; never clip it away
-        c = self.coeffs[m]
-        lead_inv = LaurentWindow.monomial(-m, (c / c) / c)
+        # 1/c for the leading c = (x + i*y)/den is den*(x - i*y)/(x^2 + y^2)
+        x, y = (dict(part).get(m, 0) for part in self.terms)
+        lead_inv = LaurentWindow.from_integers(
+            x * x + y * y, {-m: self.den * x}, {-m: -self.den * y}, None, self.gaussian
+        )
+        one = self.power(0)
         # r = 1 - a * lead_inv has top < 0; sum the geometric series,
         # letting clipped terms feed their uncertainty into the result
-        r = LaurentWindow.constant(c / c) - self * lead_inv
-        acc = LaurentWindow.constant(c / c)
-        term = LaurentWindow.constant(c / c)
+        r = one - self * lead_inv
+        acc = term = one
         while True:
             term = (term * r).clip(prec + m)
             acc = acc + term
-            if not term.coeffs:
+            if term.top is None:
                 break
         result = lead_inv * acc
         return result if acc.is_exact else result.clip(prec)
@@ -222,18 +241,17 @@ class LaurentWindow:
         if self.is_certified_zero:
             return self
         new_cut = cutoff if self.cutoff is None else max(cutoff, self.cutoff)
-        return LaurentWindow(
-            {e: c for e, c in self.coeffs.items() if e >= new_cut}, new_cut
-        )
+        return LaurentWindow.from_integers(self.den, *map(dict, self.terms), new_cut, self.gaussian)
 
     # -- i/o -----------------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs and self.cutoff is None:
+        coeffs = self.coeffs
+        if not coeffs and self.cutoff is None:
             return "0"
         parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = str(self.coeffs[e])
+        for e in sorted(coeffs, reverse=True):
+            c = str(coeffs[e])
             if any(op in c[1:] for op in "+-") or "*" in c:
                 c = f"({c})"
             if e == 0:
@@ -250,8 +268,9 @@ class LaurentWindow:
         return f"LaurentWindow({self})"
 
     def to_json(self):
+        coeffs = self.coeffs
         return {
-            "terms": [[e, str(self.coeffs[e])] for e in sorted(self.coeffs, reverse=True)],
+            "terms": [[e, str(coeffs[e])] for e in sorted(coeffs, reverse=True)],
             "cutoff": self.cutoff,
         }
 
@@ -261,6 +280,35 @@ class LaurentWindow:
 
         coeffs = {int(e): parse_gaussian(c) for e, c in data["terms"]}
         return cls(coeffs, data["cutoff"])
+
+
+def _require_integer_form(windows) -> None:
+    for w in windows:
+        if w.den is None:
+            raise outside_q_i(w.coeffs.values())
+
+
+def linear_combination(pairs) -> LaurentWindow:
+    """The sum of c * w over ``pairs`` [(c, w)], c in Q(i): one integer accumulation.
+
+    Each window's numerators are brought to the common denominator of all
+    windows and scalars and multiplied by the scalar's numerator; the
+    result is known down to the largest cutoff of the windows.
+    """
+    scalars = integer_parts([c for c, _ in pairs])
+    if scalars is None:
+        raise outside_q_i(c for c, _ in pairs)
+    delta, s_re, s_im, gaussian = scalars
+    windows = [w for _, w in pairs]
+    _require_integer_form(windows)
+    common = lcm(*(w.den for w in windows))
+    out = ({}, {})
+    for w, x, y in zip(windows, s_re, s_im):
+        f = common // w.den
+        integer_product(([(0, x * f)] if x else [], [(0, y * f)] if y else []), w.terms, out=out)
+    cutoff = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
+    gaussian = gaussian or any(w.gaussian for w in windows)
+    return LaurentWindow.from_integers(delta * common, *out, cutoff, gaussian)
 
 
 def pole_order(a: LaurentWindow):

@@ -161,6 +161,17 @@ def test_malformed_input_exits_2(tmp_path, argv):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["cohomology", "--n", "1"], ["section-ring", "--max-degree", "8"]])
+def test_malformed_mul_constant_above_the_checked_degrees_exits_2(capsys, tmp_path, p1_file, command):
+    # t1*t7 lies in degree 8: above the load-time checks (degree 6) and above what --n 1 reads
+    curve = tmp_path / "bad.pres"
+    curve.write_text(p1_file(8, lambda k: k).replace("mul t1 t7 = 1*t8", "mul t1 t7 = 1/0*t8"))
+    with pytest.raises(SystemExit) as info:
+        main([command[0], "--curve", str(curve), *command[1:]])
+    assert info.value.code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_section_ring_table(capsys):
     code, out, _ = run(capsys, "section-ring", "--curve", "twistor", "--max-degree", "6")
     assert code == 0

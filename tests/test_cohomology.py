@@ -456,10 +456,20 @@ def _gaussian_scaled_file(top: int, c: GaussianRational) -> str:
     return "\n".join(lines)
 
 
+def _tailed_window(i):
+    """c^i * t^i + d*(i+1) * t^-1 over Q(i): complex leads, and a column (t^-1) no row pivots at."""
+    c, z = GaussianRational(Fraction(2, 3), Fraction(-1, 5)), GaussianRational.of(1)
+    for _ in range(i):
+        z = z * c
+    return coh.LaurentWindow({i: z, -1: GaussianRational(Fraction(1, 2), Fraction(3)) * (i + 1)})
+
+
 def test_integer_gluing_rows_match_dense_rows_on_builtin_curves(p1, tw):
     for pres in (tw, p1):
         for n in range(-5, 31):
             _assert_matches_reference(pres, pres.embed_basis, n, coh.resolved_default_cutoff(pres, n))
+    for n in range(-3, 9):
+        _assert_matches_reference(p1, _tailed_window, n, coh.default_cutoff(n))
 
 
 def test_integer_gluing_rows_match_dense_rows_on_file_curves(rescaled_twistor_file):

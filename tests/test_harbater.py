@@ -342,3 +342,29 @@ def test_base_presentation_plugs_into_pipeline():
     model = tate_degree_zero(pres, 8)
     assert model.jump_index == 1
     assert hfp_degree_zero(pres, 8).image_equals_fil0()
+
+
+def test_peval_starts_horner_at_the_leading_coefficient(monkeypatch):
+    from curvecoh.harbater import peval
+
+    x = TruncatedPowerSeries([Fraction(1, 3), Fraction(1), Fraction(-2, 5)], 6)
+    products = []
+    mul = TruncatedPowerSeries.__mul__
+
+    def counted(self, other):
+        if isinstance(other, TruncatedPowerSeries):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedPowerSeries, "__mul__", counted)
+    for p in ([Fraction(2)], [1, Fraction(-1, 2)], [3, 0, Fraction(1, 7), GaussianRational.of(2), -1]):
+        products.clear()
+        got = peval(p, x)
+        assert len(products) == len(p) - 1
+        want, power = TruncatedPowerSeries([Fraction(0)], 6), TruncatedPowerSeries([Fraction(1)], 6)
+        for c in p:
+            want, power = want + power * c, mul(power, x)
+        assert got == want and got.order == 6
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert peval([], x) == TruncatedPowerSeries([Fraction(0)], 6)
+    assert peval([1, 2], Fraction(1, 2)) == 2 and peval([], Fraction(1, 2)) == 0

@@ -342,3 +342,77 @@ def test_ring_map_checks_both_orders_when_the_rules_differ(p1_file):
     # t1*t2 and t2*t1 share the window product but not the rule
     with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t2\)\*embed\(t1\) != "):
         load_presentation(p1_file(6, lambda k: k) + "\nmul t2 t1 = 1*t2")
+
+
+# ---------------------------------------------------------------------------
+# mutation: one perturbed window numerator at the top degree a result reads
+# ---------------------------------------------------------------------------
+
+
+def _benchmark_curve_text() -> str:
+    """The rescaled twistor file of the benchmark's seed-1 cohomology sweep (degrees 0..14)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses look their module up by name
+    return workloads.build("cohomology-sweep", 1).curve_text
+
+
+def _gaussian_line_text(top: int, c: GaussianRational) -> str:
+    """p1 in the coordinate c*t over (Q(i), Q(i)): w_k embeds as c^k * t^k."""
+    lines = ["fields gaussian gaussian", "flags leading_exact"]
+    lines += [f"basis w{k} {k}" for k in range(top + 1)]
+    lines += [f"mul w{i} w{j} = 1*w{i + j}" for i in range(top + 1) for j in range(i, top + 1 - i)]
+    z = GaussianRational.of(1)
+    for k in range(top + 1):
+        sign = "+" if z.im >= 0 else ""
+        lines.append(f"embed w{k} = {z.re}{sign}{z.im}i*t^{k}")
+        z = z * c
+    return "\n".join(lines)
+
+
+def _numerator_plus_one(w: LaurentWindow, e: int, part: int) -> LaurentWindow:
+    """w with 1 added to its real (part 0) or imaginary (part 1) numerator at t^e."""
+    re, im = (dict(p) for p in w.terms)
+    num = (re, im)[part]
+    num[e] = num.get(e, 0) + 1
+    return LaurentWindow.from_integers(w.den, re, im, w.cutoff, w.gaussian)
+
+
+# (curve text, twist whose H^1 reads the file's top degree, label, exponent, part)
+_MUTATIONS = [
+    *((_benchmark_curve_text, 10, label, e, part)
+      for label, e, part in (("u14", 12, 0), ("u14", 0, 1), ("u13v", 2, 1), ("u13v", -14, 0))),
+    *((lambda: _gaussian_line_text(10, GaussianRational(Fraction(1, 2), Fraction(1, 3))), 6, "w10", e, part)
+      for e, part in ((10, 0), (10, 1), (3, 1))),
+]
+
+
+@pytest.mark.parametrize("text, n, label, e, part", _MUTATIONS)
+def test_perturbed_window_numerator_fails_the_top_degree_read(text, n, label, e, part, tmp_path,
+                                                              capsys, monkeypatch):
+    from curvecoh import cli
+    from curvecoh import cohomology as coh
+
+    def perturbed_load(*args, **kwargs):
+        pres = load_presentation(*args, **kwargs)
+        k = next(i for i in pres.basis_up_to(pres.max_degree) if pres.label(i) == label)
+        assert pres.degree_of(k) == pres.max_degree == coh.resolved_default_cutoff(pres, n) + 2
+        assert k not in pres._embed_cache  # above the load-time checks
+        pres._embed_cache[k] = _numerator_plus_one(pres.embed_basis(k), e, part)
+        return pres
+
+    curve = tmp_path / "curve.txt"
+    curve.write_text(text())
+    argv = ["cohomology", "--curve", str(curve), "--n", str(n), "--format", "json"]
+    assert cli.main(argv) == 0 and '"certified": true' in capsys.readouterr().out
+    monkeypatch.setattr(cli, "load_presentation", perturbed_load)
+    with pytest.raises(EmbeddingNotRingMap):
+        coh.compute(perturbed_load(text()), n)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "EmbeddingNotRingMap" in err

@@ -281,3 +281,185 @@ def test_window_mul_matches_sympy(gaussian):
             want[k + low_a + low_b] = GaussianRational(frac(c.x), frac(c.y)) if gaussian else frac(c)
         assert (a * b).coeffs == want, (str(a), str(b))
 
+
+
+# -- the integer carrier against plain {exponent: coefficient} dicts -------------
+
+
+class _Ref:
+    """A window as a plain dict of Fraction/GaussianRational values and a cutoff."""
+
+    def __init__(self, coeffs, cutoff):
+        self.coeffs = {e: c for e, c in coeffs.items() if c != 0 and (cutoff is None or e >= cutoff)}
+        self.cutoff = cutoff
+
+    def zero(self):
+        return self.cutoff is None and not self.coeffs
+
+    def top(self):
+        if self.coeffs:
+            return max(self.coeffs)
+        return MINUS_INFINITY if self.cutoff is None else self.cutoff - 1
+
+
+def _merged(a, b):
+    cuts = [c for c in (a, b) if c is not None]
+    return max(cuts) if cuts else None
+
+
+def _ref_add(a, b):
+    out = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        out[e] = out.get(e, 0) + c
+    return _Ref(out, _merged(a.cutoff, b.cutoff))
+
+
+def _ref_scale(a, s):
+    return _Ref({e: c * s for e, c in a.coeffs.items()}, a.cutoff)
+
+
+def _ref_mul(a, b):
+    if a.zero() or b.zero():
+        return _Ref({}, None)
+    cutoff = None
+    if a.cutoff is not None:
+        cutoff = a.cutoff + b.top()
+    if b.cutoff is not None:
+        cutoff = _merged(cutoff, b.cutoff + a.top())
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return _Ref(out, cutoff)
+
+
+def _ref_clip(a, cutoff):
+    return a if a.zero() else _Ref(a.coeffs, _merged(a.cutoff, cutoff))
+
+
+def _ref_inverse(a, prec):
+    """The geometric series of the lead's inverse, in dict arithmetic."""
+    m = max(a.coeffs)
+    prec = min(prec, -m)
+    c = a.coeffs[m]
+    lead_inv = _Ref({-m: Fraction(1) / c}, None)
+    one = _Ref({0: GaussianRational.of(1) if isinstance(c, GaussianRational) else Fraction(1)}, None)
+    r = _ref_add(one, _ref_scale(_ref_mul(a, lead_inv), -1))
+    acc = term = one
+    while True:
+        term = _ref_clip(_ref_mul(term, r), prec + m)
+        acc = _ref_add(acc, term)
+        if not term.coeffs:
+            break
+    result = _ref_mul(lead_inv, acc)
+    return result if acc.cutoff is None else _ref_clip(result, prec)
+
+
+def _ref_agrees(a, b):
+    cutoff = _merged(a.cutoff, b.cutoff)
+    return all(a.coeffs.get(e, 0) == b.coeffs.get(e, 0)
+               for e in a.coeffs.keys() | b.coeffs.keys() if cutoff is None or e >= cutoff)
+
+
+def _carrier_pair(rng, kind, cutoff, zero_share):
+    """(LaurentWindow, _Ref) built from the same random dict."""
+    low = -6 if cutoff is None else cutoff
+    coeffs = {e: _random_coeff(rng, kind) for e in range(low, 7) if rng.random() >= zero_share}
+    return LaurentWindow(coeffs, cutoff), _Ref(coeffs, cutoff)
+
+
+def _assert_same(w, ref):
+    assert w.cutoff == ref.cutoff, (str(w), ref.coeffs)
+    assert w.coeffs == ref.coeffs, (str(w), ref.coeffs)
+    assert w.to_json() == {
+        "terms": [[e, str(ref.coeffs[e])] for e in sorted(ref.coeffs, reverse=True)],
+        "cutoff": ref.cutoff,
+    }
+    try:
+        assert w.pole_order() == ref.top()
+    except IndeterminateTop:
+        assert not ref.coeffs and ref.cutoff is not None
+
+
+def _carrier_cases():
+    rng = random.Random(SEED + 5)
+    for kind_a in KINDS:
+        for kind_b in KINDS:
+            for cut_a, cut_b in ((None, None), (None, -2), (-3, None), (-1, -4), (2, 0)):
+                for zero_share in (0.0, 0.6, 1.0):
+                    yield (rng, _carrier_pair(rng, kind_a, cut_a, zero_share),
+                           _carrier_pair(rng, kind_b, cut_b, zero_share))
+
+
+def test_window_carrier_matches_dict_reference():
+    scalars = [0, 3, Fraction(-2, 9), GaussianRational(Fraction(1, 4), Fraction(-5, 6)),
+               GaussianRational(Fraction(0), Fraction(7))]
+    for rng, (a, ra), (b, rb) in _carrier_cases():
+        _assert_same(a, ra)
+        _assert_same(a + b, _ref_add(ra, rb))
+        _assert_same(a - b, _ref_add(ra, _ref_scale(rb, -1)))
+        _assert_same(-a, _ref_scale(ra, -1))
+        _assert_same(a * b, _ref_mul(ra, rb))
+        s = rng.choice(scalars)
+        _assert_same(a.scale(s), _ref_scale(ra, s))
+        _assert_same(a * s, _ref_scale(ra, s))
+        cut = rng.randint(-5, 5)
+        _assert_same(a.clip(cut), _ref_clip(ra, cut))
+        assert a.agrees_with(b) == _ref_agrees(ra, rb)
+        assert a.agrees_with(a.clip(cut)) and a.clip(cut).agrees_with(a)
+        assert (a == b) == (ra.cutoff == rb.cutoff and ra.coeffs == rb.coeffs)
+        assert LaurentWindow.from_json(a.to_json()) == a
+        if ra.coeffs:
+            prec = rng.randint(-8, 0)
+            _assert_same(a.inverse(prec), _ref_inverse(ra, prec))
+        else:
+            with pytest.raises(ZeroInverse if ra.cutoff is None else IndeterminateTop):
+                a.inverse(-3)
+
+
+def test_window_carrier_reads_back_typed_coefficients():
+    for _, (a, ra), (b, rb) in _carrier_cases():
+        gaussian = any(isinstance(c, GaussianRational) for c in (*ra.coeffs.values(), *rb.coeffs.values()))
+        want = GaussianRational if gaussian else Fraction
+        for w in (a + b, a * b):
+            assert all(type(c) is want for c in w.coeffs.values())
+            assert all(type(w.coefficient(e)) is want for e in w.coeffs)
+
+
+def test_window_carrier_is_one_lowest_terms_form():
+    half = LaurentWindow({1: Fraction(1, 2), -1: Fraction(3)})
+    routes = [
+        LaurentWindow({1: GaussianRational.of(Fraction(1, 2)), -1: GaussianRational.of(3)}),
+        LaurentWindow.from_integers(12, {1: 6, -1: 36, 4: 0}, {}),
+        half.scale(Fraction(3, 7)).scale(Fraction(7, 3)),
+        (half + gaussian_window({5: Fraction(1, 3)})) - gaussian_window({5: Fraction(1, 3)}),
+        half * LaurentWindow.monomial(0, Fraction(1)),
+        (half * gaussian_window({2: 6})) * gaussian_window({-2: Fraction(1, 6)}),
+        LaurentWindow({1: Fraction(1, 2), -1: Fraction(3), -9: Fraction(1, 8)}, cutoff=-9).clip(-2),
+        half.inverse(-12).inverse(-12),
+    ]
+    for w in routes[:-2]:
+        assert w == half and (w.den, w.terms) == (2, ([(-1, 6), (1, 1)], []))
+    assert routes[-2] == LaurentWindow({1: Fraction(1, 2), -1: Fraction(3)}, cutoff=-2)
+    assert routes[-2].den == 2
+    assert routes[-1].agrees_with(half)
+    with pytest.raises(TypeError):
+        hash(half)
+    assert LaurentWindow.zero() == LaurentWindow({0: 0, 3: GaussianRational.of(0)})
+
+
+def test_window_carrier_refuses_coefficients_outside_q_i():
+    from curvecoh.scalars import PAdic
+
+    w = gaussian_window({1: 1, 0: Fraction(1, 3)})
+    for bad in (0.5, PAdic.from_int(3, 5, 4)):
+        odd = LaurentWindow({0: Fraction(1), 2: bad})
+        assert odd.coeffs[2] is bad and odd.coefficient(0) == 1  # still readable
+        with pytest.raises(TypeError, match="must be int, Fraction or GaussianRational"):
+            odd * w
+        with pytest.raises(TypeError, match="must be int, Fraction or GaussianRational"):
+            w * odd
+        with pytest.raises(TypeError):
+            odd + w
+        with pytest.raises(TypeError, match="must be int, Fraction or GaussianRational"):
+            w.scale(bad)
