@@ -270,6 +270,8 @@ CANONICAL_DIGESTS = {
     "pipeline --f xi^2*(1+xi) --M 12": "dc01c2b78ef8fd0f5f2e1eebf0368885db23fe19112c51fe9d726e449146cd91",
     "pipeline --f xi^2*(1+xi) --M 24": "8ae2f6971aaf4324a729944094ea03c3268e291e74a5078442fefb3276e72107",
     "pipeline --f xi^2*(1+xi) --M 64": "b7a74f065f8da986a5067335439f234db4ca6445739cf86783adace498ad071d",
+    "pipeline --f 1-xi-xi^2 --M 128": "623b3fb3eb8188af4e01a7709b1ab54423da474cf558d5d20fccb7af6467e8b0",
+    "dream --x 1/3+1/3i --r 1/2 --M 32 --n -2..2": "0a11870f77ba361c34ad6b1b4fadc6d8ff944ce868f9697759e9376902a45a60",
 }
 
 
