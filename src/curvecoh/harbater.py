@@ -51,7 +51,6 @@ from .scalars import (
     GaussianRational,
     TruncatedPowerSeries,
     as_fraction,
-    exact_product,
     gaussian_tps,
     primitive_integer_poly,
     series_quotient,
@@ -82,9 +81,15 @@ def psub(a, b):
     return padd(a, pneg(b))
 
 
+def _product(a, b, n: int) -> list:
+    """The first n coefficients of the product of two coefficient lists: one series product."""
+    if n < 1:
+        return []
+    return list((TruncatedPowerSeries(a, n) * TruncatedPowerSeries(b, n)).coeffs)
+
+
 def pmul(a, b):
-    terms, zero = exact_product(dict(enumerate(a)), dict(enumerate(b)))
-    return ptrim([terms.get(k, zero) for k in range(len(a) + len(b) - 1)])
+    return ptrim(_product(a, b, len(a) + len(b) - 1))
 
 
 def pscale(a, c):
@@ -494,10 +499,7 @@ class CertifiedSeries:
         m = self.offset + other.offset
         top = min(self.head_top - other.offset, other.head_top - self.offset)
         # index j holds T^(j - offset), so index j of the product holds T^(j - m)
-        terms, zero = exact_product(
-            dict(enumerate(self.coeffs)), dict(enumerate(other.coeffs)), 0, top + m + 1
-        )
-        coeffs = [terms.get(j, zero) for j in range(top + m + 1)]
+        coeffs = _product(self.coeffs, other.coeffs, top + m + 1)
         # sum over i+j=k of the two envelopes: at most (k+m+1) terms, each at
         # most C1*C2*(k+m+1)^(e1+e2)*s^-k with s = min(s1, s2)
         return CertifiedSeries(
@@ -836,7 +838,7 @@ class LocalCompletion:
             raise TypeError("local expansion is defined for RationalFn elements")
         num = self._poly_in_xi(e.num)
         den = self._poly_in_xi(e.den)
-        if not den.coeffs[0]:
+        if den.valuation() != 0:
             raise PoleAtPoint(f"pole at the completion point {self.x}")
         return num * den.inverse()
 

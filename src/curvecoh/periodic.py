@@ -58,7 +58,7 @@ class TwoPeriodicPresentation:
 
     @property
     def one(self):
-        return self.f.coeffs[0] * 0 + 1
+        return self.f.zero_coeff + 1
 
     def to_json(self) -> dict:
         return {
@@ -121,7 +121,8 @@ class FilteredRingModel:
         """
         if self.jump_index == 1:
             a = a.compose(self.reversion)
-        return LaurentWindow({-j: c for j, c in enumerate(a.coeffs)}, cutoff=-(a.order - 1))
+        re, im = ({-j: x for j, x in part} for part in a.terms)
+        return LaurentWindow.from_integers(a.den, re, im, -(a.order - 1), a.gaussian)
 
     def residue(self, w: LaurentWindow):
         """Reduction at tau = 0 (the residue field of Fil_0)."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .errors import EmbeddingNotRingMap
 from .linalg import phi, pivot_columns
@@ -35,6 +36,7 @@ from .scalars import (
     FieldPair,
     GaussianRational,
     as_fraction,
+    gaussian_numerators,
     parse_gaussian,
 )
 from .series import LaurentWindow, gaussian_window, linear_combination
@@ -261,26 +263,27 @@ def _twistor_encode(p: int, has_v: bool) -> int:
     return 2 * (p + 1)
 
 
+_TWISTOR_U = gaussian_window({1: Fraction(1, 2), -1: Fraction(-1, 2)})
+_TWISTOR_V = gaussian_window({1: GaussianRational(Fraction(0), Fraction(-1, 2)),
+                              -1: GaussianRational(Fraction(0), Fraction(-1, 2))})
+#: u^0, u^1, ...: immutable windows, extended on demand and shared by every
+#: twistor embedding in the process, so each power is built once
+_TWISTOR_POWERS = [_TWISTOR_U.power(0)]
+
+
 def twistor_embedding():
     """b_i -> u^p or u^p*v with u = (t - t^-1)/2, v = -(i/2)(t + t^-1).
 
-    Powers of u are built incrementally (u^p = u^(p-1)*u) and kept, so
-    each one costs a single window product.
+    Powers of u come from one module-level list, extended by one window
+    product per new power (u^p = u^(p-1)*u).
     """
-    u = gaussian_window({1: Fraction(1, 2), -1: Fraction(-1, 2)})
-    v = gaussian_window(
-        {
-            1: GaussianRational(Fraction(0), Fraction(-1, 2)),
-            -1: GaussianRational(Fraction(0), Fraction(-1, 2)),
-        }
-    )
-    powers = [u.power(0)]
+    powers = _TWISTOR_POWERS
 
     def embed(i: int) -> LaurentWindow:
         p, has_v = _twistor_decode(i)
         while len(powers) <= p:
-            powers.append(powers[-1] * u)
-        return powers[p] * v if has_v else powers[p]
+            powers.append(powers[-1] * _TWISTOR_U)
+        return powers[p] * _TWISTOR_V if has_v else powers[p]
 
     return embed
 
@@ -405,7 +408,7 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
         elif head == "embed":
             sym, rhs = body.split("=", 1)
             sym = sym.strip()
-            terms = {}
+            terms = {}  # exponent -> (den, re, im) numerators
             for term in rhs.strip().split(" + "):
                 coeff, mono = _parse_term(term)
                 if mono == "t":
@@ -416,8 +419,10 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
                     e = 0
                 else:
                     raise ValueError(f"bad embed monomial {mono!r}")
-                terms[e] = parse_gaussian(coeff)
-            embeds[sym] = LaurentWindow(terms, None)
+                terms[e] = gaussian_numerators(coeff)
+            den = lcm(*(d for d, _, _ in terms.values()))
+            re, im = ({e: x[k] * (den // x[0]) for e, x in terms.items()} for k in (1, 2))
+            embeds[sym] = LaurentWindow.from_integers(den, re, im)
         else:
             raise ValueError(f"unknown directive {head!r}")
 

@@ -14,17 +14,18 @@ A ``FieldPair`` records which subfield linear algebra is done over: the
 twistor computations use Q inside Q(i) (coordinates split into real and
 imaginary parts), the complex projective line uses Q(i) itself.
 
-Products of truncated power series over Q and Q(i) run through
-``exact_product``: each operand's denominators are cleared once
-(``cleared_terms``, also the stored form of a Laurent window in ``series``
-and the source of ``linalg``'s integer rows) and the numerators are
-convolved as Python ints (``integer_product``, which window products call
-on their stored numerators), schoolbook, with one division per output
-coefficient. Series over the p-adics, or any other coefficient kind, use
-the generic coefficient loop. Quotients of power series
-(``TruncatedPowerSeries.inverse`` and the series expansions and divisions
-in ``harbater``) run through one recurrence, ``series_quotient``, in the
-coefficients' own arithmetic.
+A truncated power series over Q or Q(i) is stored as a Laurent window in
+``series`` is, the layout of FLINT's ``fmpq_poly``: one denominator over
+sparse integer numerators (re, im), in lowest terms (``cleared_terms``,
+also the source of ``linalg``'s integer rows). Products convolve the
+numerators as Python ints (``integer_product``, schoolbook, the kernel of
+window products too) and reduce once; sums, shifts, truncation, Horner
+composition, Lagrange reversion and the inverse's quotient recurrence run
+on the numerators as well, and Fractions are built only when a coefficient
+is read. Series over the p-adics, or any other coefficient kind, keep their
+coefficients and use the generic coefficient loop; their inverse, and the
+series expansions and divisions in ``harbater``, run through one
+recurrence, ``series_quotient``, in the coefficients' own arithmetic.
 """
 
 from __future__ import annotations
@@ -148,8 +149,12 @@ _IMAG_TERM = _re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*?)?i(?:/(\d+))?$")
 _REAL_TERM = _re.compile(r"^([+-]?\d+(?:/\d+)?)$")
 
 
-def parse_gaussian(text: str) -> GaussianRational:
-    """Parse "a/b", "a/b+c/d*i", "i/2", "-i", "3-2*i" into an exact Q(i) value."""
+def gaussian_numerators(text: str) -> tuple:
+    """(den, re, im) with den > 0 and text = (re + im*i)/den, parsed as ``parse_gaussian`` parses.
+
+    Each term "a/b" or "a/b*i" (also "i/2", "-i") is added as integers, so
+    no Fraction is built; ``den`` is a common denominator, not always the least.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty Gaussian rational")
@@ -162,25 +167,33 @@ def parse_gaussian(text: str) -> GaussianRational:
         else:
             cur += ch
     terms.append(cur)
-    re_part, im_part = Fraction(0), Fraction(0)
-    try:
-        for term in terms:
-            m = _IMAG_TERM.match(term)
-            if m:
-                sign = -1 if m.group(1) == "-" else 1
-                mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-                if m.group(3):
-                    mag /= int(m.group(3))
-                im_part += sign * mag
-                continue
+    parts = [[0, 1], [0, 1]]  # re and im as [numerator, denominator]
+    for term in terms:
+        m = _IMAG_TERM.match(term)
+        if m:
+            sign, mag, div = m.groups()
+            part = parts[1]
+        else:
             m = _REAL_TERM.match(term)
-            if m:
-                re_part += Fraction(m.group(1))
-                continue
-            raise ValueError(f"cannot parse Gaussian rational term {term!r} in {text!r}")
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in Gaussian rational {text!r}") from None
-    return GaussianRational(re_part, im_part)
+            if not m:
+                raise ValueError(f"cannot parse Gaussian rational term {term!r} in {text!r}")
+            sign, mag, div = "", m.group(1), None
+            part = parts[0]
+        num, _, den = (mag or "1").partition("/")
+        num, den = int(num), int(den or 1) * int(div or 1)
+        if den == 0:
+            raise ValueError(f"zero denominator in Gaussian rational {text!r}")
+        if sign == "-":
+            num = -num
+        part[0], part[1] = part[0] * den + num * part[1], part[1] * den
+    (re, d_re), (im, d_im) = parts
+    return d_re * d_im, re * d_im, im * d_re
+
+
+def parse_gaussian(text: str) -> GaussianRational:
+    """Parse "a/b", "a/b+c/d*i", "i/2", "-i", "3-2*i" into an exact Q(i) value."""
+    den, re, im = gaussian_numerators(text)
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 @dataclass(frozen=True)
@@ -524,36 +537,6 @@ def integer_product(a, b, lo=None, hi=None, out=None):
     return re, im
 
 
-def exact_product(a: dict, b: dict, lo=None, hi=None):
-    """The product of two sparse series {exponent: coefficient}, kept for lo <= e < hi.
-
-    Each operand's denominators are cleared once (``cleared_terms``) and the
-    numerators convolved as Python ints (``integer_product``). Each output
-    coefficient is built once, over the product of the two denominators. It
-    is a GaussianRational when any input coefficient is one, a Fraction
-    otherwise.
-
-    Returns (terms, zero): the nonzero coefficients by exponent and the
-    zero of the output type. Returns None when a coefficient is not an
-    int, Fraction or GaussianRational.
-    """
-    pa = cleared_terms(a)
-    pb = None if pa is None else cleared_terms(b)
-    if pb is None:
-        return None
-    (da, ta, ga), (db, tb, gb) = pa, pb
-    re, im = integer_product(ta, tb, lo, hi)
-    den = da * db
-    if not (ga or gb):
-        return {e: Fraction(x, den) for e, x in re.items() if x}, Fraction(0)
-    out = {}
-    for e in re.keys() | im.keys():
-        x, y = re.get(e, 0), im.get(e, 0)
-        if x or y:
-            out[e] = GaussianRational(Fraction(x, den), Fraction(y, den))
-    return out, GAUSSIAN_ZERO
-
-
 def series_quotient(num, den, count: int) -> list:
     """The first ``count`` coefficients of the power series num/den.
 
@@ -580,14 +563,39 @@ def series_quotient(num, den, count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+#: the scalar kinds a series is added to, multiplied by or compared with
+_SCALARS = (int, Fraction, GaussianRational, PAdic)
+
+
+def _gmul(a, b):
+    """The product of two Gaussian integers given as pairs (re, im)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _require_integer_form(*series) -> None:
+    for s in series:
+        if s.den is None:
+            raise outside_q_i(s.coeffs)
+
+
 class TruncatedPowerSeries:
     """a_0 + a_1*xi + ... + a_{M-1}*xi^{M-1} + O(xi^M) over an exact field.
 
     The order M is carried per value and shrinks under binary operations
     (min rule), so every stored coefficient is exact.
+
+    A series over Q(i) is stored as a ``series.LaurentWindow`` is: a
+    denominator ``den`` > 0 over integer numerators ``terms`` = (re, im),
+    sorted lists [(exponent, int)] of the nonzero parts, in lowest terms,
+    so equal series of one order have one form. Coefficients are built when
+    ``coeffs`` is first read: GaussianRational when ``gaussian`` is set (some
+    input was Gaussian), Fraction otherwise. A series with a coefficient
+    outside Q(i), such as a p-adic one, keeps its coefficients (``den`` is
+    None): products, sums, differences, comparisons and ``inverse`` run the
+    coefficient loops on it, and every other operation raises TypeError.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("den", "terms", "gaussian", "order", "_coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
@@ -595,11 +603,30 @@ class TruncatedPowerSeries:
             order = len(coeffs)
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        if len(coeffs) < order:
-            zero = coeffs[0] * 0 if coeffs else Fraction(0)
-            coeffs += [zero] * (order - len(coeffs))
-        self.coeffs = tuple(coeffs[:order])
+        coeffs = coeffs[:order]
         self.order = order
+        parts = cleared_terms(dict(enumerate(coeffs)))
+        if parts is None:
+            self.den, self.terms, self.gaussian = None, ([], []), False
+            self._coeffs = tuple(coeffs + [coeffs[0] * 0] * (order - len(coeffs)))
+        else:
+            self.den, self.terms, self.gaussian = parts
+            self._coeffs = None
+
+    @classmethod
+    def from_integers(cls, den: int, re: dict, im: dict, order: int, gaussian: bool):
+        """The series sum of (re[k] + i*im[k])/den * xi^k + O(xi^order) (den > 0), in lowest terms."""
+        if order < 1:
+            raise ValueError("truncation order must be >= 1")
+        re, im = ({e: x for e, x in part.items() if x and e < order} for part in (re, im))
+        g = gcd(den, *re.values(), *im.values())
+        s = cls.__new__(cls)
+        s.den = den // g
+        s.terms = tuple(sorted((e, x // g) for e, x in part.items()) for part in (re, im))
+        s.gaussian = gaussian
+        s.order = order
+        s._coeffs = None
+        return s
 
     # -- constructors ---------------------------------------------------
 
@@ -612,64 +639,97 @@ class TruncatedPowerSeries:
         """The series xi, with 1 represented by ``one`` of the target field."""
         return cls([one * 0, one], order)
 
-    # -- ring structure ---------------------------------------------------
+    # -- structure --------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """(a_0, ..., a_{M-1}), built from the numerators on first read and kept."""
+        if self._coeffs is None:
+            den, zero = self.den, self.zero_coeff
+            out = [zero] * self.order
+            re, im = (dict(part) for part in self.terms)
+            if self.gaussian:
+                for e in re.keys() | im.keys():
+                    out[e] = GaussianRational(Fraction(re.get(e, 0), den), Fraction(im.get(e, 0), den))
+            else:
+                for e, x in re.items():
+                    out[e] = Fraction(x, den)
+            self._coeffs = tuple(out)
+        return self._coeffs
 
     @property
     def zero_coeff(self):
-        return self.coeffs[0] * 0
+        if self.den is None:
+            return self._coeffs[0] * 0
+        return GAUSSIAN_ZERO if self.gaussian else Fraction(0)
 
-    def _binop_order(self, other):
-        return min(self.order, other.order)
+    # -- ring structure ---------------------------------------------------
+
+    def _coerce(self, other):
+        """``other`` as a series; a scalar becomes a constant of this order, anything else None."""
+        if isinstance(other, TruncatedPowerSeries):
+            return other
+        if isinstance(other, _SCALARS):
+            return TruncatedPowerSeries.constant(self.zero_coeff + other, self.order)
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        m = self._binop_order(other)
-        return TruncatedPowerSeries(
-            [self.coeffs[j] + other.coeffs[j] for j in range(m)], m
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + sign*other: the numerators brought to one denominator and added."""
         other = self._coerce(other)
-        m = self._binop_order(other)
-        return TruncatedPowerSeries(
-            [self.coeffs[j] - other.coeffs[j] for j in range(m)], m
-        )
+        if other is None:
+            return NotImplemented
+        m = min(self.order, other.order)
+        if self.den is None or other.den is None:
+            return TruncatedPowerSeries(
+                [a + b if sign > 0 else a - b for a, b in zip(self.coeffs, other.coeffs)], m
+            )
+        common = lcm(self.den, other.den)
+        out = ({}, {})
+        for f, s in ((common // self.den, self), (sign * common // other.den, other)):
+            integer_product(([(0, f)], []), s.terms, None, m, out)
+        return TruncatedPowerSeries.from_integers(common, *out, m, self.gaussian or other.gaussian)
 
     def __neg__(self):
-        return TruncatedPowerSeries([-c for c in self.coeffs], self.order)
+        return self * -1
 
     def __mul__(self, other):
-        if not isinstance(other, TruncatedPowerSeries):
-            return TruncatedPowerSeries(
-                [c * other for c in self.coeffs], self.order
-            )
-        m = self._binop_order(other)
-        product = exact_product(dict(enumerate(self.coeffs)), dict(enumerate(other.coeffs)), 0, m)
-        if product is not None:
-            terms, zero = product
-            return TruncatedPowerSeries([terms.get(j, zero) for j in range(m)], m)
-        # coefficients outside Q(i), e.g. p-adic: the generic loop
-        out = [self.zero_coeff] * m
-        for j, a in enumerate(self.coeffs[:m]):
-            if is_zero_scalar(a):
-                continue
-            for k, b in enumerate(other.coeffs[: m - j]):
-                out[j + k] = out[j + k] + a * b
-        return TruncatedPowerSeries(out, m)
+        """The product, truncated at the smaller order; a scalar is a constant series."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        m = min(self.order, other.order)
+        if self.den is None or other.den is None:
+            # coefficients outside Q(i), e.g. p-adic: the generic loop
+            out = [self.zero_coeff] * m
+            for j, a in enumerate(self.coeffs[:m]):
+                if is_zero_scalar(a):
+                    continue
+                for k, b in enumerate(other.coeffs[: m - j]):
+                    out[j + k] = out[j + k] + a * b
+            return TruncatedPowerSeries(out, m)
+        re, im = integer_product(self.terms, other.terms, None, m)
+        return TruncatedPowerSeries.from_integers(
+            self.den * other.den, re, im, m, self.gaussian or other.gaussian
+        )
 
     def __rmul__(self, other):
         return self * other
 
-    def _coerce(self, other) -> "TruncatedPowerSeries":
-        if isinstance(other, TruncatedPowerSeries):
-            return other
-        return TruncatedPowerSeries.constant(self.zero_coeff + other, self.order)
-
     def __eq__(self, other):
-        if not isinstance(other, TruncatedPowerSeries):
-            other = self._coerce(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         m = min(self.order, other.order)
-        return all(self.coeffs[j] == other.coeffs[j] for j in range(m))
+        if self.den is None or other.den is None:
+            return all(a == b for a, b in zip(self.coeffs[:m], other.coeffs[:m]))
+        a, b = self.truncate(m), other.truncate(m)
+        return (a.den, a.terms) == (b.den, b.terms)
 
     def __hash__(self):
         raise TypeError("TruncatedPowerSeries compares up to order and is unhashable")
@@ -677,44 +737,103 @@ class TruncatedPowerSeries:
     # -- series operations ------------------------------------------------
 
     def inverse(self) -> "TruncatedPowerSeries":
-        """Multiplicative inverse; requires the constant term to be a unit."""
-        a0 = self.coeffs[0]
-        if not is_unit_scalar(a0):
+        """Multiplicative inverse; requires the constant term to be a unit.
+
+        Over Q(i) the quotient recurrence runs on the numerators A_j of
+        self = A/den: 1/A = sum_k N_k/A_0^(k+1) * xi^k with N_0 = 1 and
+        N_k = -sum_{j>=1} A_j*A_0^(j-1)*N_(k-j), so the inverse is
+        den*N_k*A_0^(M-1-k) over A_0^M. A Gaussian A_0^M is divided out by
+        multiplying with its conjugate over its norm.
+        """
+        if self.den is None:
+            a0 = self.coeffs[0]
+            if not is_unit_scalar(a0):
+                raise NotAUnit("constant term is not a unit")
+            return TruncatedPowerSeries(series_quotient([a0 / a0], self.coeffs, self.order), self.order)
+        re, im = (dict(part) for part in self.terms)
+        a0 = (re.pop(0, 0), im.pop(0, 0))
+        if a0 == (0, 0):
             raise NotAUnit("constant term is not a unit")
-        return TruncatedPowerSeries(series_quotient([a0 / a0], self.coeffs, self.order), self.order)
+        m = self.order
+        powers = [(1, 0)]  # A_0^k for k <= M
+        for _ in range(m):
+            powers.append(_gmul(powers[-1], a0))
+        steps = [(j, _gmul((re.get(j, 0), im.get(j, 0)), powers[j - 1]))
+                 for j in sorted(re.keys() | im.keys())]
+        n = [(1, 0)]
+        for k in range(1, m):
+            x = y = 0
+            for j, (cr, ci) in steps:
+                if j > k:
+                    break
+                nr, ni = n[k - j]
+                x -= cr * nr - ci * ni
+                y -= cr * ni + ci * nr
+            n.append((x, y))
+        num = [_gmul(nk, powers[m - 1 - k]) for k, nk in enumerate(n)]
+        den_re, den_im = powers[m]
+        if den_im:
+            num = [_gmul(nk, (den_re, -den_im)) for nk in num]
+            den_re = den_re * den_re + den_im * den_im
+        sign = self.den if den_re > 0 else -self.den
+        return TruncatedPowerSeries.from_integers(
+            abs(den_re), *({k: sign * nk[p] for k, nk in enumerate(num)} for p in (0, 1)), m, self.gaussian
+        )
 
     def valuation(self):
         """xi-adic valuation of the tracked part; None if all tracked coefficients vanish."""
-        for j, c in enumerate(self.coeffs):
-            if not is_zero_scalar(c):
-                return j
-        return None
+        _require_integer_form(self)
+        lows = [part[0][0] for part in self.terms if part]
+        return min(lows) if lows else None
 
     def shift_up(self, k: int) -> "TruncatedPowerSeries":
         """Multiply by the exact monomial xi^k (order grows by k)."""
-        return TruncatedPowerSeries(
-            [self.zero_coeff] * k + list(self.coeffs), self.order + k
-        )
+        _require_integer_form(self)
+        re, im = ({e + k: x for e, x in part} for part in self.terms)
+        return TruncatedPowerSeries.from_integers(self.den, re, im, self.order + k, self.gaussian)
 
     def shift_down(self, k: int) -> "TruncatedPowerSeries":
         """Divide by xi^k; the first k coefficients must vanish."""
-        if any(not is_zero_scalar(c) for c in self.coeffs[:k]):
+        v = self.valuation()
+        if v is not None and v < k:
             raise ValueError("series not divisible by xi^k")
-        return TruncatedPowerSeries(list(self.coeffs[k:]), self.order - k)
+        return self.shift_up(-k)
 
     def truncate(self, order: int) -> "TruncatedPowerSeries":
-        return TruncatedPowerSeries(list(self.coeffs[:order]), min(order, self.order))
+        _require_integer_form(self)
+        if order >= self.order:
+            return self
+        return TruncatedPowerSeries.from_integers(self.den, *map(dict, self.terms), order, self.gaussian)
 
     def compose(self, inner: "TruncatedPowerSeries") -> "TruncatedPowerSeries":
-        """self(inner(x)); ``inner`` must have zero constant term."""
-        if not is_zero_scalar(inner.coeffs[0]):
+        """self(inner(x)); ``inner`` must have zero constant term.
+
+        Horner over the numerators: with self = S/D and inner = I/d, the
+        accumulator A <- A*I + S_k*d^(J-k), from the top exponent J down,
+        ends at D*d^J*self(inner), reduced once. A step costs one integer
+        product by I, O(M) multiply-adds when I has a bounded number of terms.
+        """
+        _require_integer_form(self, inner)
+        v = inner.valuation()
+        if v == 0:
             raise ValueError("composition requires inner constant term 0")
-        m = min(inner.order, self.order * max(inner.valuation() or 1, 1))
+        m = min(inner.order, self.order * (v or 1))
         inner_t = inner.truncate(m)
-        acc = TruncatedPowerSeries.constant(self.zero_coeff, m)
-        for c in reversed(self.coeffs):
-            acc = acc * inner_t + c
-        return acc.truncate(m)
+        s_re, s_im = (dict(part) for part in self.terms)
+        top = max(s_re.keys() | s_im.keys(), default=0)
+        acc, scale = ([], []), 1  # scale = d^(J-k)
+        for k in range(top, -1, -1):
+            prod = integer_product(acc, inner_t.terms, None, m)
+            # A*I has no constant term, so S_k*d^(J-k) is a new first term
+            acc = tuple(
+                ([(0, s[k] * scale)] if s.get(k) else []) + sorted((e, x) for e, x in p.items() if x)
+                for s, p in zip((s_re, s_im), prod)
+            )
+            if k:
+                scale *= inner_t.den
+        return TruncatedPowerSeries.from_integers(
+            self.den * scale, *map(dict, acc), m, self.gaussian or inner.gaussian
+        )
 
     def reversion(self) -> "TruncatedPowerSeries":
         """The compositional inverse g with self(g(x)) = x + O(x^order).
@@ -723,25 +842,28 @@ class TruncatedPowerSeries:
         inversion: with h = xi/self = self.shift_down(1).inverse(),
         [xi^n] g = (1/n) * [xi^(n-1)] h^n, and the powers h^n are built by
         successive multiplication, so this costs O(order) series
-        multiplications instead of one composition per coefficient.
-        Dividing by n needs characteristic 0, which holds for every caller
-        (coefficients in Q or Q(i)); over the p-adics a division by an n
-        divisible by p would lose precision.
+        multiplications instead of one composition per coefficient. Each
+        [xi^(n-1)] h^n is read off h^n's numerators over den(h^n)*n, and g is
+        brought to their common denominator once. Dividing by n needs
+        characteristic 0, which holds over Q and Q(i).
         """
-        if not is_zero_scalar(self.coeffs[0]):
+        v = self.valuation()
+        if v == 0:
             raise ValueError("reversion requires zero constant term")
-        if self.order < 2 or not is_unit_scalar(self.coeffs[1]):
-            if self.order < 2:
-                # nothing to determine at order 1
-                return TruncatedPowerSeries([self.zero_coeff], 1)
+        if self.order < 2:
+            # nothing to determine at order 1
+            return TruncatedPowerSeries([self.zero_coeff], 1)
+        if v != 1:
             raise NotAUnit("reversion requires a unit linear coefficient")
         h = self.shift_down(1).inverse()
-        g = [self.zero_coeff, h.coeffs[0]]
-        h_n = h
-        for n in range(2, self.order):
-            h_n = h_n * h
-            g.append(h_n.coeffs[n - 1] / n)
-        return TruncatedPowerSeries(g, self.order)
+        h_n, picked = h, []
+        for n in range(1, self.order):
+            if n > 1:
+                h_n = h_n * h
+            picked.append((n, [dict(part).get(n - 1, 0) for part in h_n.terms], h_n.den * n))
+        den = lcm(*(d for _, _, d in picked))
+        re, im = ({n: x[p] * (den // d) for n, x, d in picked} for p in (0, 1))
+        return TruncatedPowerSeries.from_integers(den, re, im, self.order, self.gaussian)
 
     def __str__(self):
         parts = []

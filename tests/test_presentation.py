@@ -12,7 +12,7 @@ from curvecoh.presentation import (
     p1_presentation,
     twistor_presentation,
 )
-from curvecoh.scalars import GAUSSIAN_I, GaussianRational
+from curvecoh.scalars import GAUSSIAN_I, GaussianRational, parse_gaussian
 from curvecoh.series import LaurentWindow, gaussian_window
 
 
@@ -121,6 +121,69 @@ def test_load_presentation_rejects_bad_table():
 def test_load_presentation_requires_fields():
     with pytest.raises(ValueError):
         load_presentation("basis one 0\nembed one = 1*t^0")
+
+
+def test_twistor_presentations_share_power_windows(capsys):
+    import hashlib
+
+    from curvecoh.cli import main
+
+    a, b = twistor_presentation(), twistor_presentation()
+    for i in range(40):
+        assert a.embed_basis(i) == b.embed_basis(i)
+    # u^p (odd indices) is the one shared window, not an equal copy
+    assert all(a.embed_basis(i) is b.embed_basis(i) for i in range(1, 40, 2))
+    # every twistor job reads the shared powers; the JSON is the one recorded before sharing
+    assert main(["cohomology", "--curve", "twistor", "--n", "-6..16", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "382fc5b41fa2ce38b6053f4de59a30501229173ac125f8684a55d7294b4e3936"
+
+
+def _random_coefficient(rng):
+    """(text, value): a coefficient in the file grammar (no '*', which ends it) and its value.
+
+    Real and imaginary terms with signs and slashes, "i/d" and bare "i"; the
+    value is summed term by term in Fractions, not by the parser.
+    """
+    def magnitude():
+        n, d = rng.randint(0, 40), rng.randint(1, 12) if rng.random() < 0.6 else None
+        return (f"{n}/{d}", Fraction(n, d)) if d else (str(n), Fraction(n))
+
+    text, re, im = "", Fraction(0), Fraction(0)
+    for k in range(rng.randint(1, 3)):
+        sign = rng.choice(["", "-"] if k == 0 else ["+", "-"])
+        form = rng.randrange(4)
+        if form == 0:
+            t, v = magnitude()
+        elif form == 1:
+            t, v = magnitude()
+            t += "i"
+        elif form == 2:
+            d = rng.randint(1, 9)
+            t, v = f"i/{d}", Fraction(1, d)
+        else:
+            t, v = "i", Fraction(1)
+        v = -v if sign == "-" else v
+        if form == 0:
+            re += v
+        else:
+            im += v
+        text += sign + t
+    return text, GaussianRational(re, im)
+
+
+def test_embed_coefficients_read_into_integer_windows():
+    rng = random.Random(11)
+    for _ in range(60):
+        exps = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]  # repeats: the last one wins
+        coeffs = [_random_coefficient(rng) for _ in exps]
+        rhs = " + ".join(f"{c}*t^{e}" for (c, _), e in zip(coeffs, exps))
+        text = ("fields gaussian gaussian\nbasis one 0\nbasis b 1\nmul one one = 1*one\n"
+                f"mul one b = 1*b\nembed one = 1*t^0\nembed b = {rhs}\n")
+        window = load_presentation(text).embed_basis(1)
+        assert window == LaurentWindow({e: v for (_, v), e in zip(coeffs, exps)}), rhs
+        assert window.gaussian and all(type(c) is GaussianRational for c in window.coeffs.values())
+        assert all(parse_gaussian(c) == v for c, v in coeffs)
 
 
 GAUSSIAN_SCALED = """

@@ -13,13 +13,13 @@ from curvecoh.scalars import (
     GaussianRational,
     PAdic,
     TruncatedPowerSeries,
-    exact_product,
     gaussian_tps,
     integer_parts,
     is_zero_scalar,
     parse_gaussian,
     primitive_integer_poly,
     rational_tps,
+    series_quotient,
     theta,
 )
 
@@ -125,6 +125,12 @@ def test_tps_inverse():
     assert rational_tps([2], 3).inverse() == rational_tps([Fraction(1, 2)], 3)
     with pytest.raises(NotAUnit):
         rational_tps([0, 1], 4).inverse()
+
+
+def test_tps_inverse_of_integer_coefficients_is_exact():
+    inv = TruncatedPowerSeries([2, 1], 4).inverse()  # int coefficients, as the constructor allows
+    assert list(inv.coeffs) == [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)]
+    assert all(type(c) is Fraction for c in inv.coeffs)
 
 
 def test_theta():
@@ -343,24 +349,33 @@ def test_tps_mul_matches_reference_loop():
         assert all(type(c) is want for c in ours.coeffs), (str(f), str(g))
 
 
-def test_exact_product_keeps_bounds_and_types():
+def test_tps_product_keeps_bounds_and_types():
+    """The inputs of the former sparse-dict product, shifted by xi^9 each into series."""
     rng = random.Random(SEED + 6)
     for kind_a, kind_b in ((k, rng.choice(KINDS)) for k in KINDS for _ in range(6)):
         a = {e: _random_coeff(rng, kind_a, 0.3) for e in rng.sample(range(-9, 10), rng.randint(0, 8))}
         b = {e: _random_coeff(rng, kind_b, 0.3) for e in rng.sample(range(-9, 10), rng.randint(0, 8))}
         lo, hi = rng.choice([None, -6, 0]), rng.choice([None, 1, 7])
-        terms, zero = exact_product(a, b, lo, hi)
+        # exponent e of a product sits at index e + 18; hi becomes the order
+        order = 37 if hi is None else hi + 18
+        f, g = (TruncatedPowerSeries([d.get(e - 9, 0) for e in range(19)], order) for d in (a, b))
+        prod = f * g
         want = {}
         for e1, x in a.items():
             for e2, y in b.items():
                 e = e1 + e2
                 if (lo is None or e >= lo) and (hi is None or e < hi):
                     want[e] = want.get(e, 0) + GaussianRational.of(x) * GaussianRational.of(y)
-        assert terms == {e: c for e, c in want.items() if c}
+        kept = {j - 18: c for j, c in enumerate(prod.coeffs) if c and (lo is None or j - 18 >= lo)}
+        assert prod.order == order and kept == {e: c for e, c in want.items() if c}
         rule = _expected_type(a.values(), b.values())
-        assert type(zero) is rule and not zero
-        assert all(type(c) is rule and c for c in terms.values())
-    assert exact_product({0: PAdic.from_int(3, 5, 4)}, {0: Fraction(1)}) is None
+        assert type(prod.zero_coeff) is rule and not prod.zero_coeff
+        assert all(type(c) is rule for c in prod.coeffs)
+    # p-adic coefficients have no integer form; the generic loop refuses the mixed product
+    padic = TruncatedPowerSeries([PAdic.from_int(3, 5, 4)])
+    assert padic.den is None
+    with pytest.raises(TypeError):
+        padic * TruncatedPowerSeries([Fraction(1)])
 
 
 def test_padic_tps_mul_uses_generic_loop():
@@ -404,3 +419,176 @@ def test_tps_mul_matches_sympy(gaussian):
             want = GaussianRational(frac(c.x), frac(c.y)) if gaussian else frac(c)
             assert ours.coeffs[k] == want, (str(f), str(g), k)
 
+
+def test_tps_eq_with_a_non_scalar_is_not_implemented():
+    f = rational_tps([1, 2], 3)
+    for other in (None, "x", 0.5, [1, 2], object()):
+        assert f.__eq__(other) is NotImplemented
+        assert not f == other and f != other
+    assert f in [None, f] and None not in [f]
+    assert f == rational_tps([1, 2, 0, 7], 4) and f != 1 and rational_tps([1], 2) == 1
+
+
+# -- the integer carrier against the coefficient-list series it replaced ----------------
+
+
+class _RefSeries:
+    """The Fraction-list series: one coefficient per exponent, each op coefficient by coefficient."""
+
+    def __init__(self, coeffs, order):
+        coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs][:order]
+        zero = coeffs[0] * 0 if coeffs else Fraction(0)
+        self.c, self.order = coeffs + [zero] * (order - len(coeffs)), order
+
+    def zero(self):
+        return self.c[0] * 0
+
+    def __add__(self, o):
+        m = min(self.order, o.order)
+        return _RefSeries([a + b for a, b in zip(self.c, o.c)], m)
+
+    def __sub__(self, o):
+        m = min(self.order, o.order)
+        return _RefSeries([a - b for a, b in zip(self.c, o.c)], m)
+
+    def __neg__(self):
+        return _RefSeries([-a for a in self.c], self.order)
+
+    def scale(self, s):
+        return _RefSeries([a * s for a in self.c], self.order)
+
+    def __mul__(self, o):
+        m = min(self.order, o.order)
+        out = [self.zero()] * m
+        for j, a in enumerate(self.c[:m]):
+            for k, b in enumerate(o.c[: m - j]):
+                out[j + k] = out[j + k] + a * b
+        return _RefSeries(out, m)
+
+    def __eq__(self, o):
+        return all(a == b for a, b in zip(self.c, o.c))
+
+    def shift_up(self, k):
+        return _RefSeries([self.zero()] * k + self.c, self.order + k)
+
+    def shift_down(self, k):
+        assert all(is_zero_scalar(a) for a in self.c[:k])
+        return _RefSeries(self.c[k:], self.order - k)
+
+    def truncate(self, order):
+        return _RefSeries(self.c[:order], min(order, self.order))
+
+    def inverse(self):
+        a0 = self.c[0]
+        return _RefSeries(series_quotient([a0 / a0], self.c, self.order), self.order)
+
+    def compose(self, inner):
+        v = next((j for j, a in enumerate(inner.c) if not is_zero_scalar(a)), None)
+        m = min(inner.order, self.order * (v or 1))
+        inner = inner.truncate(m)
+        acc = _RefSeries([self.zero()], m)
+        for a in reversed(self.c):
+            acc = acc * inner + _RefSeries([a], m)
+        return acc.truncate(m)
+
+    def reversion(self):
+        if self.order < 2:
+            return _RefSeries([self.zero()], 1)
+        h = self.shift_down(1).inverse()
+        g, h_n = [self.zero(), h.c[0]], h
+        for n in range(2, self.order):
+            h_n = h_n * h
+            g.append(h_n.c[n - 1] / n)
+        return _RefSeries(g, self.order)
+
+    def __str__(self):
+        parts = []
+        for j, c in enumerate(self.c):
+            if is_zero_scalar(c):
+                continue
+            cs = str(c)
+            if any(op in cs[1:] for op in "+-") or "*" in cs:
+                cs = f"({cs})"
+            mono = "" if j == 0 else ("xi" if j == 1 else f"xi^{j}")
+            parts.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
+        return " + ".join(parts + [f"O(xi^{self.order})"])
+
+
+def _carrier_cases(rng):
+    """Seeded series of every coefficient kind and order 1..12, with their references."""
+    for _ in range(40):
+        kind = rng.choice(KINDS)
+        order = rng.choice([1, 1, 2, 3, 5, 8, 12])
+        coeffs = [_random_coeff(rng, kind, rng.choice([0.0, 0.3, 0.7])) for _ in range(rng.randint(1, order))]
+        yield TruncatedPowerSeries(coeffs, order), _RefSeries(coeffs, order), _is_gaussian(coeffs)
+
+
+def _is_gaussian(values):
+    return any(isinstance(c, GaussianRational) for c in values)
+
+
+def _assert_matches(ours, ref, gaussian, label):
+    assert ours.order == ref.order, label
+    assert list(ours.coeffs) == ref.c, label
+    want = GaussianRational if gaussian else Fraction
+    assert all(type(c) is want for c in ours.coeffs), label
+    assert type(ours.zero_coeff) is want, label
+    assert str(ours) == str(ref), label
+    assert ours.to_json() == {"coeffs": [str(c) for c in ref.c], "order": ref.order}, label
+
+
+def _unit_constant(f, ref):
+    """f with a nonzero constant term (1 added where it vanishes)."""
+    if is_zero_scalar(ref.c[0]):
+        one = TruncatedPowerSeries([1], f.order)
+        return f + one, ref + _RefSeries([Fraction(1)], f.order)
+    return f, ref
+
+
+def test_tps_carrier_matches_fraction_reference():
+    rng = random.Random(SEED + 7)
+    cases = list(_carrier_cases(rng))
+    for (f, rf, gf), (g, rg, gg) in zip(cases, cases[1:] + cases[:1]):
+        both = gf or gg
+        _assert_matches(f, rf, gf, str(f))
+        _assert_matches(f + g, rf + rg, both, ("+", str(f), str(g)))
+        _assert_matches(f - g, rf - rg, both, ("-", str(f), str(g)))
+        _assert_matches(-f, -rf, gf, ("neg", str(f)))
+        _assert_matches(f * g, rf * rg, both, ("*", str(f), str(g)))
+        for s in (0, 3, Fraction(-2, 7), GaussianRational(Fraction(1, 2), Fraction(-3))):
+            _assert_matches(f * s, rf.scale(s), gf or isinstance(s, GaussianRational), ("scale", str(f), s))
+            if not isinstance(s, GaussianRational):  # a GaussianRational on the left does not defer
+                _assert_matches(s * f, rf.scale(s), gf, ("rscale", str(f), s))
+        assert (f == g) == (rf == rg) and (f == f) and (f == -(-f))
+        k = rng.randint(0, 3)
+        _assert_matches(f.shift_up(k), rf.shift_up(k), gf, ("up", str(f), k))
+        _assert_matches(f.shift_up(k).shift_down(k), rf, gf, ("down", str(f), k))
+        cut = rng.randint(1, f.order + 2)
+        _assert_matches(f.truncate(cut), rf.truncate(cut), gf, ("truncate", str(f), cut))
+        u, ru = _unit_constant(f, rf)
+        _assert_matches(u.inverse(), ru.inverse(), gf, ("inverse", str(u)))
+        inner, r_inner = g.shift_up(1), rg.shift_up(1)
+        _assert_matches(f.compose(inner), rf.compose(r_inner), both, ("compose", str(f), str(inner)))
+        sigma, r_sigma = u.shift_up(1), ru.shift_up(1)
+        _assert_matches(sigma.reversion(), r_sigma.reversion(), gf, ("reversion", str(sigma)))
+
+
+def _form(f):
+    return f.den, f.terms, f.order
+
+
+def test_tps_equal_values_have_one_stored_form():
+    rng = random.Random(SEED + 8)
+    cases = list(_carrier_cases(rng))
+    for (f, rf, _), (g, _, _) in zip(cases, cases[1:] + cases[:1]):
+        m = min(f.order, g.order)
+        f_m = f.truncate(m)
+        assert _form((f + g) - g) == _form(f_m) == _form(f_m * 1)
+        assert _form(f.shift_up(2).shift_down(2)) == _form(f)
+        assert _form(f * 3 * Fraction(1, 3)) == _form(TruncatedPowerSeries(list(rf.c), f.order))
+        assert _form(f - f) == _form(TruncatedPowerSeries([], f.order)) == (1, ([], []), f.order)
+        u, _ = _unit_constant(f, rf)
+        assert _form(u * u.inverse()) == _form(TruncatedPowerSeries([1], u.order))
+        if u.order > 1:
+            sigma = u.shift_up(1)
+            assert _form(sigma.compose(sigma.reversion())) == _form(TruncatedPowerSeries([0, 1], sigma.order))
