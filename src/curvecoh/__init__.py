@@ -10,7 +10,8 @@ degree-zero extraction pipeline for two-periodic presentations, and the
 Harbater ring of integer Laurent series with certified convergence.
 
 All values are immutable and all arithmetic is exact; independent
-computations can run concurrently without coordination.
+computations can run concurrently without coordination (the shared cache
+of twistor power windows grows under its own lock).
 """
 
 from .cohomology import (

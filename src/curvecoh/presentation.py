@@ -24,9 +24,9 @@ User presentations load from a small text format, see ``load_presentation``.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .errors import EmbeddingNotRingMap
 from .linalg import phi, pivot_columns
@@ -36,6 +36,7 @@ from .scalars import (
     FieldPair,
     GaussianRational,
     as_fraction,
+    common_denominator,
     gaussian_numerators,
     parse_gaussian,
 )
@@ -269,21 +270,26 @@ _TWISTOR_V = gaussian_window({1: GaussianRational(Fraction(0), Fraction(-1, 2)),
 #: u^0, u^1, ...: immutable windows, extended on demand and shared by every
 #: twistor embedding in the process, so each power is built once
 _TWISTOR_POWERS = [_TWISTOR_U.power(0)]
+#: held while the list grows, so concurrent embeddings cannot append one power twice
+_TWISTOR_POWERS_LOCK = threading.Lock()
+
+
+def _twistor_power(p: int) -> LaurentWindow:
+    """u^p from the shared list, extended by one window product per new power."""
+    powers = _TWISTOR_POWERS
+    if p >= len(powers):
+        with _TWISTOR_POWERS_LOCK:
+            while len(powers) <= p:
+                powers.append(powers[-1] * _TWISTOR_U)
+    return powers[p]
 
 
 def twistor_embedding():
-    """b_i -> u^p or u^p*v with u = (t - t^-1)/2, v = -(i/2)(t + t^-1).
-
-    Powers of u come from one module-level list, extended by one window
-    product per new power (u^p = u^(p-1)*u).
-    """
-    powers = _TWISTOR_POWERS
+    """b_i -> u^p or u^p*v with u = (t - t^-1)/2, v = -(i/2)(t + t^-1)."""
 
     def embed(i: int) -> LaurentWindow:
         p, has_v = _twistor_decode(i)
-        while len(powers) <= p:
-            powers.append(powers[-1] * _TWISTOR_U)
-        return powers[p] * _TWISTOR_V if has_v else powers[p]
+        return _twistor_power(p) * _TWISTOR_V if has_v else _twistor_power(p)
 
     return embed
 
@@ -420,9 +426,7 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
                 else:
                     raise ValueError(f"bad embed monomial {mono!r}")
                 terms[e] = gaussian_numerators(coeff)
-            den = lcm(*(d for d, _, _ in terms.values()))
-            re, im = ({e: x[k] * (den // x[0]) for e, x in terms.items()} for k in (1, 2))
-            embeds[sym] = LaurentWindow.from_integers(den, re, im)
+            embeds[sym] = LaurentWindow.from_integers(*common_denominator(terms))
         else:
             raise ValueError(f"unknown directive {head!r}")
 

@@ -17,15 +17,17 @@ imaginary parts), the complex projective line uses Q(i) itself.
 A truncated power series over Q or Q(i) is stored as a Laurent window in
 ``series`` is, the layout of FLINT's ``fmpq_poly``: one denominator over
 sparse integer numerators (re, im), in lowest terms (``cleared_terms``,
-also the source of ``linalg``'s integer rows). Products convolve the
-numerators as Python ints (``integer_product``, schoolbook, the kernel of
-window products too) and reduce once; sums, shifts, truncation, Horner
-composition, Lagrange reversion and the inverse's quotient recurrence run
-on the numerators as well, and Fractions are built only when a coefficient
-is read. Series over the p-adics, or any other coefficient kind, keep their
-coefficients and use the generic coefficient loop; their inverse, and the
-series expansions and divisions in ``harbater``, run through one
-recurrence, ``series_quotient``, in the coefficients' own arithmetic.
+also the source of ``linalg``'s integer rows). Both carriers reduce, read
+and add up that form through the same helpers here (``reduced_form``,
+``form_values``, ``form_combination``). Products convolve the numerators
+as Python ints (``integer_product``, schoolbook) and reduce once; shifts,
+truncation, Horner composition, Lagrange reversion and the inverse's
+quotient recurrence run on the numerators as well, and Fractions are
+built only when a coefficient is read. Series over the p-adics, or any
+other coefficient kind, keep their coefficients and use the generic
+coefficient loop; their inverse, and the series expansions and divisions
+in ``harbater``, run through one recurrence, ``series_quotient``, in the
+coefficients' own arithmetic.
 """
 
 from __future__ import annotations
@@ -167,27 +169,25 @@ def gaussian_numerators(text: str) -> tuple:
         else:
             cur += ch
     terms.append(cur)
-    parts = [[0, 1], [0, 1]]  # re and im as [numerator, denominator]
+    den, re, im = 1, 0, 0
     for term in terms:
-        m = _IMAG_TERM.match(term)
-        if m:
-            sign, mag, div = m.groups()
-            part = parts[1]
-        else:
-            m = _REAL_TERM.match(term)
-            if not m:
-                raise ValueError(f"cannot parse Gaussian rational term {term!r} in {text!r}")
-            sign, mag, div = "", m.group(1), None
-            part = parts[0]
-        num, _, den = (mag or "1").partition("/")
-        num, den = int(num), int(den or 1) * int(div or 1)
-        if den == 0:
+        imag = _IMAG_TERM.match(term)
+        m = imag or _REAL_TERM.match(term)
+        if not m:
+            raise ValueError(f"cannot parse Gaussian rational term {term!r} in {text!r}")
+        sign, mag, div = imag.groups() if imag else ("", m.group(1), None)
+        num, _, d = (mag or "1").partition("/")
+        num, d = int(sign + num), int(d or 1) * int(div or 1)
+        if d == 0:
             raise ValueError(f"zero denominator in Gaussian rational {text!r}")
-        if sign == "-":
-            num = -num
-        part[0], part[1] = part[0] * den + num * part[1], part[1] * den
-    (re, d_re), (im, d_im) = parts
-    return d_re * d_im, re * d_im, im * d_re
+        # (re + i*im)/den + num/d, over den*d
+        re, im = re * d, im * d
+        if imag:
+            im += num * den
+        else:
+            re += num * den
+        den *= d
+    return den, re, im
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -537,6 +537,85 @@ def integer_product(a, b, lo=None, hi=None, out=None):
     return re, im
 
 
+# ---------------------------------------------------------------------------
+# the integer form of series and windows
+# ---------------------------------------------------------------------------
+# ``den`` > 0 over ``terms`` = (re, im), sorted lists [(exponent, int)] of the
+# nonzero numerators, in lowest terms; ``gaussian`` picks the coefficient type.
+
+
+def reduced_form(den: int, re: dict, im: dict, lo=None, hi=None) -> tuple:
+    """(den, terms): (re[e] + i*im[e])/den in lowest terms, for lo <= e < hi (None: no bound)."""
+    if lo is not None:
+        re, im = ({e: x for e, x in part.items() if e >= lo} for part in (re, im))
+    if hi is not None:
+        re, im = ({e: x for e, x in part.items() if e < hi} for part in (re, im))
+    g = gcd(den, *re.values(), *im.values())
+    return den // g, tuple(sorted((e, x // g) for e, x in part.items() if x) for part in (re, im))
+
+
+def form_values(den: int, terms, gaussian: bool) -> dict:
+    """{exponent: coefficient} of the nonzero terms: GaussianRational if ``gaussian``, else Fraction."""
+    re, im = (dict(part) for part in terms)
+    if gaussian:
+        return {e: GaussianRational(Fraction(re.get(e, 0), den), Fraction(im.get(e, 0), den))
+                for e in sorted(re.keys() | im.keys())}
+    return {e: Fraction(x, den) for e, x in re.items()}
+
+
+def require_integer_form(*forms) -> None:
+    """TypeError for the first of ``forms`` (series or windows) with a coefficient outside Q(i)."""
+    for f in forms:
+        if f.den is None:
+            values = f.coeffs
+            raise outside_q_i(values.values() if isinstance(values, dict) else values)
+
+
+def form_combination(pairs) -> tuple:
+    """(den, re, im, gaussian) of the sum of c*f over ``pairs`` [(c, f)], c in Q(i), f in integer form.
+
+    One integer accumulation: each form's numerators are brought to the
+    common denominator of all forms and scalars and multiplied by the
+    scalar's numerator. The result is not reduced.
+    """
+    scalars = integer_parts([c for c, _ in pairs])
+    if scalars is None:
+        raise outside_q_i(c for c, _ in pairs)
+    delta, s_re, s_im, gaussian = scalars
+    forms = [f for _, f in pairs]
+    require_integer_form(*forms)
+    common = lcm(*(f.den for f in forms))
+    out = ({}, {})
+    for f, x, y in zip(forms, s_re, s_im):
+        k = common // f.den
+        integer_product(([(0, x * k)] if x else [], [(0, y * k)] if y else []), f.terms, out=out)
+    return delta * common, *out, gaussian or any(f.gaussian for f in forms)
+
+
+def common_denominator(values: dict) -> tuple:
+    """(den, re, im): values {e: (d, x, y)}, each (x + i*y)/d, over den = lcm of the d."""
+    den = lcm(*(d for d, _, _ in values.values()))
+    return den, *({e: v[k] * (den // v[0]) for e, v in values.items()} for k in (1, 2))
+
+
+def format_term(c, var: str, e: int) -> str:
+    """c*var^e as series print it: a sum or product c in parentheses, a coefficient 1 left out."""
+    cs = str(c)
+    if any(op in cs[1:] for op in "+-") or "*" in cs:
+        cs = f"({cs})"
+    if e == 0:
+        return cs
+    mono = var if e == 1 else f"{var}^{e}"
+    return mono if cs == "1" else f"{cs}*{mono}"
+
+
+def gaussian_reciprocal(x: int, y: int) -> tuple:
+    """(a, b, d) with 1/(x + i*y) = (a + i*b)/d and d > 0, for a nonzero Gaussian integer."""
+    if y == 0:
+        return (1 if x > 0 else -1), 0, abs(x)
+    return x, -y, x * x + y * y
+
+
 def series_quotient(num, den, count: int) -> list:
     """The first ``count`` coefficients of the power series num/den.
 
@@ -572,27 +651,19 @@ def _gmul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _require_integer_form(*series) -> None:
-    for s in series:
-        if s.den is None:
-            raise outside_q_i(s.coeffs)
-
-
 class TruncatedPowerSeries:
     """a_0 + a_1*xi + ... + a_{M-1}*xi^{M-1} + O(xi^M) over an exact field.
 
     The order M is carried per value and shrinks under binary operations
     (min rule), so every stored coefficient is exact.
 
-    A series over Q(i) is stored as a ``series.LaurentWindow`` is: a
-    denominator ``den`` > 0 over integer numerators ``terms`` = (re, im),
-    sorted lists [(exponent, int)] of the nonzero parts, in lowest terms,
-    so equal series of one order have one form. Coefficients are built when
-    ``coeffs`` is first read: GaussianRational when ``gaussian`` is set (some
-    input was Gaussian), Fraction otherwise. A series with a coefficient
-    outside Q(i), such as a p-adic one, keeps its coefficients (``den`` is
-    None): products, sums, differences, comparisons and ``inverse`` run the
-    coefficient loops on it, and every other operation raises TypeError.
+    A series over Q(i) is stored in the integer form above, as a
+    ``series.LaurentWindow`` is, so equal series of one order have one form;
+    ``coeffs`` is built on first read (GaussianRational when some input was
+    Gaussian). A series with a coefficient outside Q(i), such as a p-adic
+    one, keeps its coefficients (``den`` is None): products, sums,
+    differences, comparisons and ``inverse`` run the coefficient loops on
+    it, and every other operation raises TypeError.
     """
 
     __slots__ = ("den", "terms", "gaussian", "order", "_coeffs")
@@ -606,23 +677,17 @@ class TruncatedPowerSeries:
         coeffs = coeffs[:order]
         self.order = order
         parts = cleared_terms(dict(enumerate(coeffs)))
-        if parts is None:
-            self.den, self.terms, self.gaussian = None, ([], []), False
-            self._coeffs = tuple(coeffs + [coeffs[0] * 0] * (order - len(coeffs)))
-        else:
-            self.den, self.terms, self.gaussian = parts
-            self._coeffs = None
+        self.den, self.terms, self.gaussian = parts or (None, ([], []), False)
+        # a series outside Q(i) keeps its coefficients
+        self._coeffs = None if self.den else tuple(coeffs + [coeffs[0] * 0] * (order - len(coeffs)))
 
     @classmethod
     def from_integers(cls, den: int, re: dict, im: dict, order: int, gaussian: bool):
         """The series sum of (re[k] + i*im[k])/den * xi^k + O(xi^order) (den > 0), in lowest terms."""
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        re, im = ({e: x for e, x in part.items() if x and e < order} for part in (re, im))
-        g = gcd(den, *re.values(), *im.values())
         s = cls.__new__(cls)
-        s.den = den // g
-        s.terms = tuple(sorted((e, x // g) for e, x in part.items()) for part in (re, im))
+        s.den, s.terms = reduced_form(den, re, im, hi=order)
         s.gaussian = gaussian
         s.order = order
         s._coeffs = None
@@ -645,15 +710,9 @@ class TruncatedPowerSeries:
     def coeffs(self) -> tuple:
         """(a_0, ..., a_{M-1}), built from the numerators on first read and kept."""
         if self._coeffs is None:
-            den, zero = self.den, self.zero_coeff
-            out = [zero] * self.order
-            re, im = (dict(part) for part in self.terms)
-            if self.gaussian:
-                for e in re.keys() | im.keys():
-                    out[e] = GaussianRational(Fraction(re.get(e, 0), den), Fraction(im.get(e, 0), den))
-            else:
-                for e, x in re.items():
-                    out[e] = Fraction(x, den)
+            out = [self.zero_coeff] * self.order
+            for e, c in form_values(self.den, self.terms, self.gaussian).items():
+                out[e] = c
             self._coeffs = tuple(out)
         return self._coeffs
 
@@ -689,11 +748,8 @@ class TruncatedPowerSeries:
             return TruncatedPowerSeries(
                 [a + b if sign > 0 else a - b for a, b in zip(self.coeffs, other.coeffs)], m
             )
-        common = lcm(self.den, other.den)
-        out = ({}, {})
-        for f, s in ((common // self.den, self), (sign * common // other.den, other)):
-            integer_product(([(0, f)], []), s.terms, None, m, out)
-        return TruncatedPowerSeries.from_integers(common, *out, m, self.gaussian or other.gaussian)
+        den, re, im, gaussian = form_combination([(1, self), (sign, other)])
+        return TruncatedPowerSeries.from_integers(den, re, im, m, gaussian)
 
     def __neg__(self):
         return self * -1
@@ -742,8 +798,8 @@ class TruncatedPowerSeries:
         Over Q(i) the quotient recurrence runs on the numerators A_j of
         self = A/den: 1/A = sum_k N_k/A_0^(k+1) * xi^k with N_0 = 1 and
         N_k = -sum_{j>=1} A_j*A_0^(j-1)*N_(k-j), so the inverse is
-        den*N_k*A_0^(M-1-k) over A_0^M. A Gaussian A_0^M is divided out by
-        multiplying with its conjugate over its norm.
+        den*N_k*A_0^(M-1-k) over A_0^M, and A_0^M is divided out as a
+        product with its ``gaussian_reciprocal``.
         """
         if self.den is None:
             a0 = self.coeffs[0]
@@ -770,25 +826,22 @@ class TruncatedPowerSeries:
                 x -= cr * nr - ci * ni
                 y -= cr * ni + ci * nr
             n.append((x, y))
-        num = [_gmul(nk, powers[m - 1 - k]) for k, nk in enumerate(n)]
-        den_re, den_im = powers[m]
-        if den_im:
-            num = [_gmul(nk, (den_re, -den_im)) for nk in num]
-            den_re = den_re * den_re + den_im * den_im
-        sign = self.den if den_re > 0 else -self.den
+        a, b, d = gaussian_reciprocal(*powers[m])
+        scale = (self.den * a, self.den * b)
+        num = [_gmul(_gmul(nk, powers[m - 1 - k]), scale) for k, nk in enumerate(n)]
         return TruncatedPowerSeries.from_integers(
-            abs(den_re), *({k: sign * nk[p] for k, nk in enumerate(num)} for p in (0, 1)), m, self.gaussian
+            d, *({k: nk[p] for k, nk in enumerate(num)} for p in (0, 1)), m, self.gaussian
         )
 
     def valuation(self):
         """xi-adic valuation of the tracked part; None if all tracked coefficients vanish."""
-        _require_integer_form(self)
+        require_integer_form(self)
         lows = [part[0][0] for part in self.terms if part]
         return min(lows) if lows else None
 
     def shift_up(self, k: int) -> "TruncatedPowerSeries":
         """Multiply by the exact monomial xi^k (order grows by k)."""
-        _require_integer_form(self)
+        require_integer_form(self)
         re, im = ({e + k: x for e, x in part} for part in self.terms)
         return TruncatedPowerSeries.from_integers(self.den, re, im, self.order + k, self.gaussian)
 
@@ -800,7 +853,7 @@ class TruncatedPowerSeries:
         return self.shift_up(-k)
 
     def truncate(self, order: int) -> "TruncatedPowerSeries":
-        _require_integer_form(self)
+        require_integer_form(self)
         if order >= self.order:
             return self
         return TruncatedPowerSeries.from_integers(self.den, *map(dict, self.terms), order, self.gaussian)
@@ -813,7 +866,7 @@ class TruncatedPowerSeries:
         ends at D*d^J*self(inner), reduced once. A step costs one integer
         product by I, O(M) multiply-adds when I has a bounded number of terms.
         """
-        _require_integer_form(self, inner)
+        require_integer_form(self, inner)
         v = inner.valuation()
         if v == 0:
             raise ValueError("composition requires inner constant term 0")
@@ -856,31 +909,16 @@ class TruncatedPowerSeries:
         if v != 1:
             raise NotAUnit("reversion requires a unit linear coefficient")
         h = self.shift_down(1).inverse()
-        h_n, picked = h, []
+        h_n, picked = h, {}
         for n in range(1, self.order):
             if n > 1:
                 h_n = h_n * h
-            picked.append((n, [dict(part).get(n - 1, 0) for part in h_n.terms], h_n.den * n))
-        den = lcm(*(d for _, _, d in picked))
-        re, im = ({n: x[p] * (den // d) for n, x, d in picked} for p in (0, 1))
-        return TruncatedPowerSeries.from_integers(den, re, im, self.order, self.gaussian)
+            picked[n] = (h_n.den * n, *(dict(part).get(n - 1, 0) for part in h_n.terms))
+        return TruncatedPowerSeries.from_integers(*common_denominator(picked), self.order, self.gaussian)
 
     def __str__(self):
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if is_zero_scalar(c):
-                continue
-            cs = str(c)
-            if any(op in cs[1:] for op in "+-") or "*" in cs:
-                cs = f"({cs})"
-            if j == 0:
-                parts.append(cs)
-            elif j == 1:
-                parts.append(f"{cs}*xi" if cs != "1" else "xi")
-            else:
-                parts.append(f"{cs}*xi^{j}" if cs != "1" else f"xi^{j}")
-        parts.append(f"O(xi^{self.order})")
-        return " + ".join(parts)
+        parts = [format_term(c, "xi", j) for j, c in enumerate(self.coeffs) if not is_zero_scalar(c)]
+        return " + ".join([*parts, f"O(xi^{self.order})"])
 
     def __repr__(self):
         return f"TruncatedPowerSeries({self})"

@@ -27,11 +27,11 @@ raises TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import IndeterminateTop, ZeroInverse
-from .scalars import (GaussianRational, cleared_terms, integer_parts, integer_product,
-                      is_zero_scalar, outside_q_i)
+from .scalars import (GaussianRational, cleared_terms, form_combination, form_values, format_term,
+                      gaussian_reciprocal, integer_product, is_zero_scalar, reduced_form,
+                      require_integer_form)
 
 #: pole order of the zero series
 MINUS_INFINITY = float("-inf")
@@ -57,12 +57,8 @@ class LaurentWindow:
     @classmethod
     def from_integers(cls, den: int, re: dict, im: dict, cutoff=None, gaussian=True):
         """The window (re[e] + i*im[e])/den (den > 0) at the exponents e >= cutoff, in lowest terms."""
-        if cutoff is not None:
-            re, im = ({e: x for e, x in part.items() if e >= cutoff} for part in (re, im))
-        g = gcd(den, *re.values(), *im.values())
         w = cls.__new__(cls)
-        w.den = den // g
-        w.terms = tuple(sorted((e, x // g) for e, x in part.items() if x) for part in (re, im))
+        w.den, w.terms = reduced_form(den, re, im, lo=cutoff)
         w.gaussian = gaussian
         w.cutoff = cutoff
         w._coeffs = None
@@ -87,15 +83,7 @@ class LaurentWindow:
         Built from the numerators on first read and kept.
         """
         if self._coeffs is None:
-            den = self.den
-            re, im = (dict(part) for part in self.terms)
-            if self.gaussian:
-                self._coeffs = {
-                    e: GaussianRational(Fraction(re.get(e, 0), den), Fraction(im.get(e, 0), den))
-                    for e in sorted(re.keys() | im.keys())
-                }
-            else:
-                self._coeffs = {e: Fraction(x, den) for e, x in re.items()}
+            self._coeffs = form_values(self.den, self.terms, self.gaussian)
         return self._coeffs
 
     @property
@@ -161,7 +149,7 @@ class LaurentWindow:
     def __mul__(self, other):
         if not isinstance(other, LaurentWindow):
             return self.scale(other)
-        _require_integer_form([self, other])
+        require_integer_form(self, other)
         if self.is_certified_zero or other.is_certified_zero:
             return LaurentWindow.zero()
         # unknown regions of a factor reach below the product's cutoff
@@ -218,11 +206,10 @@ class LaurentWindow:
                 raise ZeroInverse("inverse of the zero series")
             raise IndeterminateTop("leading term not exactly known")
         prec = min(prec, -m)  # the result's top is -m; never clip it away
-        # 1/c for the leading c = (x + i*y)/den is den*(x - i*y)/(x^2 + y^2)
-        x, y = (dict(part).get(m, 0) for part in self.terms)
-        lead_inv = LaurentWindow.from_integers(
-            x * x + y * y, {-m: self.den * x}, {-m: -self.den * y}, None, self.gaussian
-        )
+        # 1/c for the leading c = (x + i*y)/den is den*(a + i*b)/d with 1/(x + i*y) = (a + i*b)/d
+        a, b, d = gaussian_reciprocal(*(dict(part).get(m, 0) for part in self.terms))
+        lead_inv = LaurentWindow.from_integers(d, {-m: self.den * a}, {-m: self.den * b},
+                                               None, self.gaussian)
         one = self.power(0)
         # r = 1 - a * lead_inv has top < 0; sum the geometric series,
         # letting clipped terms feed their uncertainty into the result
@@ -247,19 +234,7 @@ class LaurentWindow:
 
     def __str__(self):
         coeffs = self.coeffs
-        if not coeffs and self.cutoff is None:
-            return "0"
-        parts = []
-        for e in sorted(coeffs, reverse=True):
-            c = str(coeffs[e])
-            if any(op in c[1:] for op in "+-") or "*" in c:
-                c = f"({c})"
-            if e == 0:
-                parts.append(c)
-            elif e == 1:
-                parts.append(f"{c}*t" if c != "1" else "t")
-            else:
-                parts.append(f"{c}*t^{e}" if c != "1" else f"t^{e}")
+        parts = [format_term(coeffs[e], "t", e) for e in sorted(coeffs, reverse=True)]
         if self.cutoff is not None:
             parts.append(f"O(t^{self.cutoff - 1})")
         return " + ".join(parts) if parts else "0"
@@ -282,33 +257,15 @@ class LaurentWindow:
         return cls(coeffs, data["cutoff"])
 
 
-def _require_integer_form(windows) -> None:
-    for w in windows:
-        if w.den is None:
-            raise outside_q_i(w.coeffs.values())
-
-
 def linear_combination(pairs) -> LaurentWindow:
     """The sum of c * w over ``pairs`` [(c, w)], c in Q(i): one integer accumulation.
 
-    Each window's numerators are brought to the common denominator of all
-    windows and scalars and multiplied by the scalar's numerator; the
-    result is known down to the largest cutoff of the windows.
+    The numerators add up by ``scalars.form_combination``; the result is
+    known down to the largest cutoff of the windows.
     """
-    scalars = integer_parts([c for c, _ in pairs])
-    if scalars is None:
-        raise outside_q_i(c for c, _ in pairs)
-    delta, s_re, s_im, gaussian = scalars
-    windows = [w for _, w in pairs]
-    _require_integer_form(windows)
-    common = lcm(*(w.den for w in windows))
-    out = ({}, {})
-    for w, x, y in zip(windows, s_re, s_im):
-        f = common // w.den
-        integer_product(([(0, x * f)] if x else [], [(0, y * f)] if y else []), w.terms, out=out)
-    cutoff = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
-    gaussian = gaussian or any(w.gaussian for w in windows)
-    return LaurentWindow.from_integers(delta * common, *out, cutoff, gaussian)
+    cutoff = max((w.cutoff for _, w in pairs if w.cutoff is not None), default=None)
+    den, re, im, gaussian = form_combination(pairs)
+    return LaurentWindow.from_integers(den, re, im, cutoff, gaussian)
 
 
 def pole_order(a: LaurentWindow):

@@ -139,6 +139,39 @@ def test_twistor_presentations_share_power_windows(capsys):
     assert digest == "382fc5b41fa2ce38b6053f4de59a30501229173ac125f8684a55d7294b4e3936"
 
 
+def test_twistor_powers_extend_once_under_concurrent_embeddings(monkeypatch):
+    import sys
+    import threading
+
+    from curvecoh import presentation
+
+    u = presentation._TWISTOR_U
+    monkeypatch.setattr(presentation, "_TWISTOR_POWERS", [u.power(0)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so unguarded appends would interleave
+    start = threading.Barrier(6)
+    seen = []
+
+    def worker(order):
+        embed = presentation.twistor_embedding()
+        start.wait()
+        seen.extend((i, embed(i)) for i in order)
+
+    orders = [range(1, 80, 2), range(79, 0, -2)] * 3
+    threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    powers = presentation._TWISTOR_POWERS
+    assert len(powers) == 41
+    assert all(w == u.power(p) for p, w in enumerate(powers))
+    assert len(seen) == 6 * 40 and all(w is powers[(i + 1) // 2] for i, w in seen)
+
+
 def _random_coefficient(rng):
     """(text, value): a coefficient in the file grammar (no '*', which ends it) and its value.
 

@@ -13,12 +13,16 @@ from curvecoh.scalars import (
     GaussianRational,
     PAdic,
     TruncatedPowerSeries,
+    common_denominator,
+    form_values,
+    gaussian_reciprocal,
     gaussian_tps,
     integer_parts,
     is_zero_scalar,
     parse_gaussian,
     primitive_integer_poly,
     rational_tps,
+    reduced_form,
     series_quotient,
     theta,
 )
@@ -338,6 +342,27 @@ def test_integer_parts_clears_denominators():
     assert integer_parts([]) == (1, [], [], False)
     assert integer_parts([Fraction(1), 0.5]) is None
     assert integer_parts([PAdic.from_int(3, 5, 4)]) is None
+
+
+def test_integer_form_helpers():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        x, y = rng.randint(-9, 9), rng.choice([0, 0, rng.randint(-9, 9)])
+        if (x, y) == (0, 0):
+            continue
+        a, b, d = gaussian_reciprocal(x, y)
+        assert d > 0
+        assert GaussianRational(Fraction(a, d), Fraction(b, d)) * GaussianRational(Fraction(x), Fraction(y)) == 1
+    # lowest terms over the kept exponents only; zero numerators dropped
+    assert reduced_form(12, {0: 6, 1: 3, 5: 4, -1: 1}, {1: 0, 2: 9}, 0, 3) == (4, ([(0, 2), (1, 1)], [(2, 3)]))
+    assert reduced_form(5, {}, {}) == (1, ([], []))
+    den, re, im = common_denominator({0: (2, 1, 0), 3: (3, 0, -2), 4: (4, 3, 1)})
+    assert (den, re, im) == (12, {0: 6, 3: 0, 4: 9}, {0: 0, 3: -8, 4: 3})
+    values = form_values(6, ([(0, 3), (2, -4)], [(2, 1)]), True)
+    assert values == {0: GaussianRational(Fraction(1, 2), Fraction(0)),
+                      2: GaussianRational(Fraction(-2, 3), Fraction(1, 6))}
+    assert all(type(v) is GaussianRational for v in values.values())
+    assert form_values(6, ([(0, 3)], []), False) == {0: Fraction(1, 2)}
 
 
 def test_tps_mul_matches_reference_loop():
