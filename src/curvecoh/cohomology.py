@@ -22,10 +22,11 @@ algebra up to degree D into the Laurent coefficients above Fil_n. Its
 rows are each window's own integer numerators and denominator
 (``gluing_rows``, realified over Q(i)). ``_sections`` reduces them once
 for H^0, builds exact rationals only for the basis vectors it outputs
-and the element windows straight from the integer rows; ``_h1_classes``
-runs the stabilization loop for H^1 on forward passes, which give the
-pivots alone. ``h0``, ``h1``, ``compute`` and ``curve_from_parts`` all go
-through these two.
+and the element windows straight from the integer rows, each row divided
+by its first affine coordinate through one ``scalars.gaussian_reciprocal``;
+``_h1_classes`` runs the stabilization loop for H^1 on forward passes,
+which give the pivots alone. ``h0``, ``h1``, ``compute`` and
+``curve_from_parts`` all go through these two.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -48,7 +49,7 @@ from .presentation import (
     leading_exact_failure,
     twistor_embedding,
 )
-from .scalars import GAUSSIAN_I, GAUSSIAN_ONE, GaussianRational
+from .scalars import GAUSSIAN_I, GAUSSIAN_ONE, GaussianRational, gaussian_reciprocal
 from .series import MINUS_INFINITY, LaurentWindow
 
 _UNITS = (GAUSSIAN_ONE, GAUSSIAN_I)
@@ -136,12 +137,6 @@ def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
     return D
 
 
-def _quotient(x: int, y: int, a: int, b: int) -> GaussianRational:
-    """(x + i*y) / (a + i*b)."""
-    n = a * a + b * b
-    return GaussianRational(Fraction(x * a + y * b, n), Fraction(y * a - x * b, n))
-
-
 def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     """H^0 up to degree D: affine elements whose window has pole order <= fil_bound.
 
@@ -152,9 +147,9 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     order, they are the canonical basis. Returns (basis, element windows,
     graded pieces); each basis vector {basis index: k0 coefficient} is
     rescaled so its first affine coordinate is 1. Each element's window is
-    its integer row's window block over the same lead a + i*b (numerators
-    times a - i*b over a^2 + b^2), known down to the largest cutoff of the
-    basis windows (exact when every basis window is).
+    its integer row's window block divided by the same lead (one
+    ``gaussian_reciprocal`` per row), known down to the largest cutoff of
+    the basis windows (exact when every basis window is).
     """
     pair = pres.pair
     basis = pres.basis_up_to(D)
@@ -177,8 +172,9 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
         coords = [c for c in coords if c[1] or c[2]]
         # rescale so the first affine coordinate (basis order) is 1; row operations
         # keep "window block = identity block applied to the basis windows"
-        _, a, b = coords[0]
-        vecs.append({i: Fraction(u, a) if pair.split else _quotient(u, v, a, b)
+        ra, rb, d = gaussian_reciprocal(*coords[0][1:])
+        vecs.append({i: Fraction(u * ra, d) if pair.split
+                     else GaussianRational(Fraction(u * ra - v * rb, d), Fraction(u * rb + v * ra, d))
                      for i, u, v in coords})
         # the window block's real and imaginary numerators by exponent (a split row is all in re)
         x, y = {}, {}
@@ -188,9 +184,9 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
                     (y if part + c % step else x)[top - c // step] = u
         exps = x.keys() | y.keys()
         wins.append(LaurentWindow.from_integers(
-            a * a + b * b,
-            {e: x.get(e, 0) * a + y.get(e, 0) * b for e in exps},
-            {e: y.get(e, 0) * a - x.get(e, 0) * b for e in exps},
+            d,
+            {e: x.get(e, 0) * ra - y.get(e, 0) * rb for e in exps},
+            {e: x.get(e, 0) * rb + y.get(e, 0) * ra for e in exps},
             cutoff,
         ))
         pivot_exps.append(m)

@@ -5,9 +5,9 @@ coefficients that converge absolutely on a disc of radius r' for some
 r' > r. Two representations are supported, both with fully certified
 radius accounting:
 
-* ``RationalFn`` -- num/den with den(0) != 0; the series expansion comes
-  from the denominator recurrence, the radius from exact root data
-  (denominator degree <= 2) or a classical Cauchy-type bound;
+* ``RationalFn`` -- num/den with den(0) != 0; the series expansion is
+  num times the series inverse of den, the radius comes from exact root
+  data (denominator degree <= 2) or a classical Cauchy-type bound;
 * ``CertifiedSeries`` -- a finite Laurent tail, explicitly known head
   coefficients a_0..a_K, and an envelope |a_k| <= C*(k+m+1)^e * s^-k
   valid for every k, which certifies convergence on |T| < s. The
@@ -21,7 +21,9 @@ radius to exceed r; an element with a pole exactly at modulus r is out.
 Evaluation at a point x with |x| <= r is the continuous ring map T -> x;
 its kernel is principal, generated by the primitive integer polynomial
 vanishing at x (``kernel_generator``), and ``divide_exact`` witnesses
-divisibility of kernel elements by the generator. ``local_completion``
+divisibility of kernel elements by the generator. Every power-series
+quotient here is one product by ``TruncatedPowerSeries.inverse``, and
+every root a certificate or envelope reads comes from ``_roots_of``. ``local_completion``
 expands elements in powers of xi = g(T) around the point, producing the
 truncated power series base ring used by the degree-zero pipeline: it
 reverts xi = g(x + delta) and substitutes T = x + delta(xi) into
@@ -53,7 +55,7 @@ from .scalars import (
     as_fraction,
     gaussian_tps,
     primitive_integer_poly,
-    series_quotient,
+    split_terms,
 )
 
 # ---------------------------------------------------------------------------
@@ -77,15 +79,18 @@ def pneg(a):
     return [-c for c in a]
 
 
-def psub(a, b):
-    return padd(a, pneg(b))
-
-
 def _product(a, b, n: int) -> list:
     """The first n coefficients of the product of two coefficient lists: one series product."""
     if n < 1:
         return []
     return list((TruncatedPowerSeries(a, n) * TruncatedPowerSeries(b, n)).coeffs)
+
+
+def _quotient(a, b, n: int) -> list:
+    """The first n coefficients of a/b (b[0] != 0): one series product by the inverse of b."""
+    if n < 1:
+        return []
+    return list((TruncatedPowerSeries(a, n) * TruncatedPowerSeries(b, n).inverse()).coeffs)
 
 
 def pmul(a, b):
@@ -172,16 +177,8 @@ def poly_parse(text: str):
     s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise ValueError("empty polynomial")
-    terms, cur = [], ""
-    for idx, ch in enumerate(s):
-        if ch in "+-" and idx > 0 and s[idx - 1] not in "+-*/^":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
     coeffs: dict[int, Fraction] = {}
-    for term in terms:
+    for term in split_terms(s):
         sign = Fraction(1)
         while term and term[0] in "+-":
             if term[0] == "-":
@@ -362,10 +359,7 @@ class RationalFn:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return RationalFn(
-            psub(pmul(self.num, o.den), pmul(o.num, self.den)), pmul(self.den, o.den)
-        )
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -390,8 +384,8 @@ class RationalFn:
     # -- series view ----------------------------------------------------------
 
     def series_prefix(self, count: int):
-        """First ``count`` Taylor coefficients via the denominator recurrence."""
-        return series_quotient(self.num, self.den, count)
+        """First ``count`` Taylor coefficients."""
+        return _quotient(self.num, self.den, count)
 
     def evaluate(self, x: GaussianRational):
         x = GaussianRational.of(x)
@@ -457,9 +451,14 @@ class CertifiedSeries:
 
     # -- ring operations -------------------------------------------------------
 
+    def _coerce(self, other) -> "CertifiedSeries":
+        if isinstance(other, CertifiedSeries):
+            return other
+        c = as_fraction(other)
+        return CertifiedSeries([c], 0, C=abs(c) or 1, s=self.s)
+
     def __add__(self, other):
-        if not isinstance(other, CertifiedSeries):
-            other = CertifiedSeries([as_fraction(other)], 0, C=abs(as_fraction(other)) or 1, s=self.s)
+        other = self._coerce(other)
         m = max(self.offset, other.offset)
         top = min(self.head_top, other.head_top)
         coeffs = []
@@ -482,9 +481,7 @@ class CertifiedSeries:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, CertifiedSeries):
-            other = CertifiedSeries([as_fraction(other)], 0, C=abs(as_fraction(other)) or 1, s=self.s)
-        return self + (-other)
+        return self + -self._coerce(other)
 
     def __mul__(self, other):
         if not isinstance(other, CertifiedSeries):
@@ -559,29 +556,14 @@ def parse_element(text: str):
 def _quadratic_root_data(den):
     """(modulus_squared of nearest root, witness) for deg <= 2, or None."""
     den = ptrim(list(den))
-    deg = len(den) - 1
-    if deg == 1:
-        root = -den[0] / den[1]
-        return root * root, root
-    if deg == 2:
-        c0, c1, c2 = den
-        disc = c1 * c1 - 4 * c0 * c2
-        if disc < 0:
-            # conjugate pair, |root|^2 = c0/c2 exactly
-            m2 = c0 / c2
-            sq = _sqrt_lower(-disc)
-            witness = None
-            if sq * sq == -disc:
-                witness = GaussianRational(-c1 / (2 * c2), sq / (2 * c2))
-            return m2, witness
-        sq = _sqrt_lower(disc)
-        if sq * sq == disc:
-            r1 = (-c1 + sq) / (2 * c2)
-            r2 = (-c1 - sq) / (2 * c2)
-            near = r1 if abs(r1) <= abs(r2) else r2
-            return near * near, near
+    roots = _roots_of(den)
+    if len(den) == 3 and den[1] * den[1] < 4 * den[0] * den[2]:
+        # conjugate pair, |root|^2 = c0/c2 exactly; a witness when the roots are rational
+        return den[0] / den[2], roots and roots[0]
+    if roots is None:
         return None  # real irrational pair: fall back to the classical bound
-    return None
+    near = min((r.re for r in roots), key=abs)
+    return near * near, near
 
 
 def radius_lower_bound(e) -> RadiusCertificate:
@@ -705,52 +687,42 @@ def _roots_of(g):
 def _inverse_envelope(g):
     """(C, s) with |coefficients of 1/g| <= C*s^-k, exact rationals, or None.
 
-    Supported: linear denominators (rational root) and quadratics with a
-    conjugate root pair whose modulus and imaginary part are rational.
+    Supported: linear denominators (rational root) and quadratics with
+    rational roots, real and distinct or a conjugate pair of rational modulus.
     """
     g = ptrim([as_fraction(c) for c in g])
-    deg = len(g) - 1
-    if deg == 0:
+    if len(g) == 1:
         return Fraction(1) / abs(g[0]), None
-    if deg == 1:
-        s = abs(g[0] / g[1])
-        return Fraction(1) / abs(g[0]), s
-    if deg == 2:
-        c0, c1, c2 = g
-        disc = c1 * c1 - 4 * c0 * c2
-        if disc >= 0:
-            roots = _roots_of(g)
-            if roots is None:
-                return None
-            mods = [abs(r.re) for r in roots]
-            if 0 in mods:
-                return None
-            s = min(mods)
-            # partial fractions 1/g = A/(T-r1) + B/(T-r2)
-            r1, r2 = roots[0].re, roots[1].re
-            if r1 == r2:
-                return None
-            A = 1 / (c2 * (r1 - r2))
-            return abs(A) / abs(r1) + abs(A) / abs(r2), s
-        m2 = c0 / c2
-        s = _sqrt_lower(m2)
-        if s * s != m2:
+    roots = _roots_of(g)
+    if roots is None:
+        return None
+    if len(g) == 2:
+        return Fraction(1) / abs(g[0]), abs(roots[0].re)
+    c0, _, c2 = g
+    if roots[0].im:
+        # conjugate pair: 1/g = A/(T-r) + conj(A)/(T-conj r) with |A| = 1/(2*|c2|*|Im r|)
+        s = _sqrt_lower(c0 / c2)
+        if s * s != c0 / c2:
             return None
-        im2 = -disc / (4 * c2 * c2)
-        im = _sqrt_lower(im2)
-        if im * im != im2:
-            return None
-        amod = 1 / (2 * abs(c2) * im)
-        return 2 * amod / s, s
-    return None
+        return 1 / (abs(c2) * abs(roots[0].im) * s), s
+    r1, r2 = roots[0].re, roots[1].re
+    if 0 in (r1, r2) or r1 == r2:
+        return None
+    # partial fractions 1/g = A/(T-r1) + B/(T-r2)
+    A = 1 / (c2 * (r1 - r2))
+    return abs(A) / abs(r1) + abs(A) / abs(r2), min(abs(r1), abs(r2))
 
 
-def divide_exact(f, g, r, verify_window: int = 50):
+#: coefficients on which ``divide_exact`` re-verifies the round trip q*g = f
+VERIFY_WINDOW = 50
+
+
+def divide_exact(f, g, r):
     """Quotient q with f = q * g, for g an integer polynomial kernel generator.
 
     Divisibility is decided exactly (polynomial remainder for RationalFn,
     known-head long division for CertifiedSeries); the round trip q*g = f
-    is re-verified on ``verify_window`` coefficients. Quotients may have
+    is re-verified on ``VERIFY_WINDOW`` coefficients. Quotients may have
     rational coefficients; they carry is_integral flags.
     """
     g = ptrim([as_fraction(c) for c in g])
@@ -773,7 +745,8 @@ def divide_exact(f, g, r, verify_window: int = 50):
         if len(common) > 1:
             raise NotDivisible(f"{f} has a pole at a root of {poly_str(g)}")
         q = RationalFn(q_num, list(f.den))
-        _verify_roundtrip(q, g, f, verify_window)
+        if (q * RationalFn.from_poly(g)).series_prefix(VERIFY_WINDOW) != f.series_prefix(VERIFY_WINDOW):
+            raise NotDivisible("round trip q*g != f on the verification window")
         return q
     # CertifiedSeries: strip any pure T-power factor of g (T is invertible
     # in the Laurent ring, so this just shifts the window), then long-divide
@@ -790,7 +763,7 @@ def divide_exact(f, g, r, verify_window: int = 50):
             f"no exact coefficient envelope for 1/({poly_str(g)})"
         )
     C_inv, s_inv = env
-    out = series_quotient(f.coeffs, g, len(f.coeffs))
+    out = _quotient(f.coeffs, g, len(f.coeffs))
     s = min(f.s, s_inv) if s_inv is not None else f.s
     q = CertifiedSeries(
         out, offset, C=C_shift * C_inv, s=s, poly_deg=f.poly_deg + 1
@@ -798,19 +771,11 @@ def divide_exact(f, g, r, verify_window: int = 50):
     back = q * CertifiedSeries(
         g_full, 0, C=max(abs(c) for c in g_full), s=1
     )
-    top = min(back.head_top, f.head_top, verify_window - f.offset)
+    top = min(back.head_top, f.head_top, VERIFY_WINDOW - f.offset)
     for k in range(-f.offset, top + 1):
         if back.coefficient(k) != f.coefficient(k):
             raise NotDivisible(f"round trip failed at coefficient T^{k}")
     return q
-
-
-def _verify_roundtrip(q: RationalFn, g, f: RationalFn, window: int):
-    prod = q * RationalFn.from_poly(g)
-    a = prod.series_prefix(window)
-    b = f.series_prefix(window)
-    if a != b:
-        raise NotDivisible("round trip q*g != f on the verification window")
 
 
 # ---------------------------------------------------------------------------

@@ -354,17 +354,38 @@ def twistor_presentation() -> AffinePresentation:
 #
 # Coefficients are rationals "a/b" or Gaussians "a/b+c/d*i"; terms are
 # separated by " + " (the spaces matter, Gaussian coefficients contain
-# bare '+'). Lines starting with '#' are comments. Products not listed
-# default to commutativity (mul b a is looked up when mul a b is absent);
-# everything else must be explicit.
+# bare '+'), and a term's coefficient ends at the first '*' that a symbol
+# or monomial follows. Lines starting with '#' are comments. Products not
+# listed default to commutativity (mul b a is looked up when mul a b is
+# absent); everything else must be explicit.
 
 
-def _parse_term(term: str):
-    if "*" in term:
-        coeff, sym = term.split("*", 1)
-    else:
-        coeff, sym = "1", term
-    return coeff.strip(), sym.strip()
+def _parse_term(term: str, read):
+    """(coefficient, target, read(target)) of "<coeff>*<target>", or of "<target>" with coefficient "1".
+
+    ``read`` gives None for text that is no target. The cut is the first '*'
+    that a target follows, so a coefficient "c/d*i" and a symbol containing
+    '*' both read whole. With no such '*' the cut is the first one and the
+    value None, for the caller to report.
+    """
+    first = k = term.find("*")
+    if k < 0:
+        target = term.strip()
+        return "1", target, read(target)
+    while k >= 0:
+        target = term[k + 1:].strip()
+        value = read(target)
+        if value is not None:
+            return term[:k].strip(), target, value
+        k = term.find("*", k + 1)
+    return term[:first].strip(), term[first + 1:].strip(), None
+
+
+def _embed_exponent(mono: str):
+    """The exponent of an embed monomial "t", "t^e" or "1"; None for anything else."""
+    if mono.startswith("t^"):
+        return int(mono[2:])
+    return 1 if mono == "t" else 0 if mono == "1" else None
 
 
 def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> AffinePresentation:
@@ -406,8 +427,8 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
             a, b = lhs.split()
             entry = {}
             for term in rhs.strip().split(" + "):
-                coeff, sym = _parse_term(term)
-                if sym not in degrees:
+                coeff, sym, degree = _parse_term(term, degrees.get)
+                if degree is None:
                     raise ValueError(f"mul result references unknown symbol {sym!r}")
                 entry[sym] = coeff
             mul_table[(a, b)] = entry
@@ -416,14 +437,8 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
             sym = sym.strip()
             terms = {}  # exponent -> (den, re, im) numerators
             for term in rhs.strip().split(" + "):
-                coeff, mono = _parse_term(term)
-                if mono == "t":
-                    e = 1
-                elif mono.startswith("t^"):
-                    e = int(mono[2:])
-                elif mono == "1":
-                    e = 0
-                else:
+                coeff, mono, e = _parse_term(term, _embed_exponent)
+                if e is None:
                     raise ValueError(f"bad embed monomial {mono!r}")
                 terms[e] = gaussian_numerators(coeff)
             embeds[sym] = LaurentWindow.from_integers(*common_denominator(terms))

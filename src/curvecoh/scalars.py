@@ -23,11 +23,12 @@ and add up that form through the same helpers here (``reduced_form``,
 as Python ints (``integer_product``, schoolbook) and reduce once; shifts,
 truncation, Horner composition, Lagrange reversion and the inverse's
 quotient recurrence run on the numerators as well, and Fractions are
-built only when a coefficient is read. Series over the p-adics, or any
+built only when a coefficient is read. That inverse is the one quotient
+over Q(i): the Laurent window inverse in ``series`` and the expansions and
+divisions in ``harbater`` go through it. Series over the p-adics, or any
 other coefficient kind, keep their coefficients and use the generic
-coefficient loop; their inverse, and the series expansions and divisions
-in ``harbater``, run through one recurrence, ``series_quotient``, in the
-coefficients' own arithmetic.
+coefficient loop; their inverse runs the recurrence ``series_quotient`` in
+the coefficients' own arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
 
 from .errors import DivisionByZero, NotAUnit, PrecisionExhausted
 
@@ -71,36 +71,53 @@ class GaussianRational:
             return x
         return GaussianRational(as_fraction(x), Fraction(0))
 
+    @staticmethod
+    def _operand(x):
+        """``x`` as a GaussianRational if it is an int, Fraction or GaussianRational, else None.
+
+        The operators return NotImplemented for None, so that the other
+        operand's reflected operator runs (a series times a scalar, say).
+        """
+        if isinstance(x, GaussianRational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return GaussianRational(as_fraction(x), Fraction(0))
+        return None
+
     def __add__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = GaussianRational._operand(other)
+        return NotImplemented if o is None else GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = GaussianRational._operand(other)
+        return NotImplemented if o is None else GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) - self
+        o = GaussianRational._operand(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(
+        o = GaussianRational._operand(other)
+        return NotImplemented if o is None else GaussianRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussianRational.of(other)
+        o = GaussianRational._operand(other)
+        if o is None:
+            return NotImplemented
         n2 = o.norm_squared
         if n2 == 0:
             raise DivisionByZero("division by zero in Q(i)")
         return self * GaussianRational(o.re / n2, -o.im / n2)
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
+        o = GaussianRational._operand(other)
+        return NotImplemented if o is None else o / self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -149,6 +166,17 @@ GAUSSIAN_I = GaussianRational(Fraction(0), Fraction(1))
 
 _IMAG_TERM = _re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*?)?i(?:/(\d+))?$")
 _REAL_TERM = _re.compile(r"^([+-]?\d+(?:/\d+)?)$")
+#: the start of a term: a sign that none of ``+-*/^`` precedes
+_TERM_START = _re.compile(r"(?<=[^+\-*/^])(?=[+-])")
+
+
+def split_terms(s: str) -> list:
+    """``s`` (spaces removed) cut into signed terms, as "3-2*i" into ["3", "-2*i"].
+
+    A sign right after one of ``+-*/^`` belongs to the number that follows
+    it, as in "1/-2" or "T^-1", and does not start a term.
+    """
+    return _TERM_START.split(s)
 
 
 def gaussian_numerators(text: str) -> tuple:
@@ -160,17 +188,8 @@ def gaussian_numerators(text: str) -> tuple:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty Gaussian rational")
-    # split into top-level terms at +/- signs (keeping the sign)
-    terms, cur = [], ""
-    for idx, ch in enumerate(s):
-        if ch in "+-" and idx > 0 and s[idx - 1] not in "+-*/":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
     den, re, im = 1, 0, 0
-    for term in terms:
+    for term in split_terms(s):
         imag = _IMAG_TERM.match(term)
         m = imag or _REAL_TERM.match(term)
         if not m:
@@ -431,8 +450,6 @@ class PAdic:
 # generic scalar helpers
 # ---------------------------------------------------------------------------
 
-Scalar = Union[Fraction, GaussianRational, PAdic]
-
 
 def is_zero_scalar(c) -> bool:
     """Certified-exact zero test (an inexact p-adic zero is not 'zero')."""
@@ -622,8 +639,9 @@ def series_quotient(num, den, count: int) -> list:
     ``num`` and ``den`` are coefficient sequences, lowest degree first, and
     den[0] must be invertible. Each coefficient comes from the recurrence
     q[k] = (num[k] - sum_{j>=1} den[j]*q[k-j]) / den[0], run in the
-    coefficients' own arithmetic (p-adic series too), dividing by den[0]
-    as a product with one/den[0].
+    coefficients' own arithmetic, dividing by den[0] as a product with
+    one/den[0]. It is the inverse of series outside Q(i), such as p-adic
+    ones; quotients over Q(i) go through ``TruncatedPowerSeries.inverse``.
     """
     one = den[0] / den[0]
     inv0 = one / den[0]

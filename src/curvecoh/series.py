@@ -19,9 +19,8 @@ so equal windows have equal forms. Products convolve the numerators
 (``scalars.integer_product``); sums, scalings and comparisons accumulate
 them over one denominator (``linear_combination``). Coefficients are built
 only when read (``coeffs``): GaussianRational when ``gaussian`` is set,
-Fraction otherwise. A window with a coefficient outside Q(i) has no
-integer form (``den`` is None): it can be read, and arithmetic on it
-raises TypeError.
+Fraction otherwise. A coefficient outside Q(i) is refused at construction
+with a TypeError.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import IndeterminateTop, ZeroInverse
-from .scalars import (GaussianRational, cleared_terms, form_combination, form_values, format_term,
-                      gaussian_reciprocal, integer_product, is_zero_scalar, reduced_form,
-                      require_integer_form)
+from .scalars import (GaussianRational, TruncatedPowerSeries, cleared_terms, form_combination,
+                      form_values, format_term, integer_product, is_zero_scalar, outside_q_i,
+                      reduced_form)
 
 #: pole order of the zero series
 MINUS_INFINITY = float("-inf")
@@ -49,10 +48,12 @@ class LaurentWindow:
                 raise ValueError(f"coefficient at t^{e} below cutoff {cutoff}")
             if not is_zero_scalar(c):
                 clean[int(e)] = c
+        form = cleared_terms(clean)
+        if form is None:
+            raise outside_q_i(clean.values())
         self.cutoff = cutoff
-        self.den, self.terms, self.gaussian = cleared_terms(clean) or (None, ([], []), False)
-        # a window outside Q(i) keeps its coefficients only to be read back
-        self._coeffs = clean if self.den is None else None
+        self.den, self.terms, self.gaussian = form
+        self._coeffs = None
 
     @classmethod
     def from_integers(cls, den: int, re: dict, im: dict, cutoff=None, gaussian=True):
@@ -149,7 +150,6 @@ class LaurentWindow:
     def __mul__(self, other):
         if not isinstance(other, LaurentWindow):
             return self.scale(other)
-        require_integer_form(self, other)
         if self.is_certified_zero or other.is_certified_zero:
             return LaurentWindow.zero()
         # unknown regions of a factor reach below the product's cutoff
@@ -171,8 +171,6 @@ class LaurentWindow:
     def __eq__(self, other):
         if not isinstance(other, LaurentWindow):
             return NotImplemented
-        if self.den is None or other.den is None:
-            return self.cutoff == other.cutoff and self.coeffs == other.coeffs
         return (self.cutoff, self.den, self.terms) == (other.cutoff, other.den, other.terms)
 
     def __hash__(self):
@@ -180,7 +178,7 @@ class LaurentWindow:
 
     def agrees_with(self, other: "LaurentWindow") -> bool:
         """Equality of all coefficients on the common guaranteed window."""
-        if self.cutoff is None and other.cutoff is None and self.den is not None:
+        if self.cutoff is None and other.cutoff is None:
             return self == other
         return not any((self - other).terms)
 
@@ -198,7 +196,10 @@ class LaurentWindow:
         """Multiplicative inverse, guaranteed for exponents >= prec.
 
         The leading term must be exactly known; the result has top equal
-        to minus the top of self.
+        to minus the top of self. With self = t^m * s(t^-1), the inverse is
+        t^-m / s(t^-1): one ``TruncatedPowerSeries.inverse`` of s, whose
+        coefficient at t^(-m-k) reads s down to t^(m-k), so a window cut
+        at c determines it down to t^(c-2m). An exact monomial stays exact.
         """
         m = self.top
         if m is None:
@@ -206,22 +207,15 @@ class LaurentWindow:
                 raise ZeroInverse("inverse of the zero series")
             raise IndeterminateTop("leading term not exactly known")
         prec = min(prec, -m)  # the result's top is -m; never clip it away
-        # 1/c for the leading c = (x + i*y)/den is den*(a + i*b)/d with 1/(x + i*y) = (a + i*b)/d
-        a, b, d = gaussian_reciprocal(*(dict(part).get(m, 0) for part in self.terms))
-        lead_inv = LaurentWindow.from_integers(d, {-m: self.den * a}, {-m: self.den * b},
-                                               None, self.gaussian)
-        one = self.power(0)
-        # r = 1 - a * lead_inv has top < 0; sum the geometric series,
-        # letting clipped terms feed their uncertainty into the result
-        r = one - self * lead_inv
-        acc = term = one
-        while True:
-            term = (term * r).clip(prec + m)
-            acc = acc + term
-            if term.top is None:
-                break
-        result = lead_inv * acc
-        return result if acc.is_exact else result.clip(prec)
+        cutoff = prec if self.cutoff is None else max(prec, self.cutoff - 2 * m)
+        re, im = ({m - e: x for e, x in part} for part in self.terms)
+        s = TruncatedPowerSeries.from_integers(self.den, re, im, -m - cutoff + 1, self.gaussian)
+        inv = s.inverse()
+        if self.cutoff is None and {e for part in self.terms for e, _ in part} == {m}:
+            cutoff = None
+        return LaurentWindow.from_integers(
+            inv.den, *({-m - k: x for k, x in part} for part in inv.terms), cutoff, inv.gaussian
+        )
 
     def clip(self, cutoff: int) -> "LaurentWindow":
         """Forget everything below ``cutoff`` (weaker guarantee, same exactness)."""

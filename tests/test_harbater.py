@@ -1,5 +1,6 @@
 """The convergent integer Laurent series ring: radii, evaluation, division."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from curvecoh.harbater import (
     CertifiedSeries,
     Interval,
     RationalFn,
+    _inverse_envelope,
+    _quadratic_root_data,
     divide_exact,
     evaluate,
     kernel_generator,
@@ -23,9 +26,10 @@ from curvecoh.harbater import (
     parse_element,
     poly_parse,
     poly_str,
+    ptrim,
     radius_lower_bound,
 )
-from curvecoh.scalars import GaussianRational, TruncatedPowerSeries, parse_gaussian
+from curvecoh.scalars import GaussianRational, TruncatedPowerSeries, parse_gaussian, series_quotient
 
 SEED = 653
 R = Fraction(1, 2)
@@ -368,3 +372,139 @@ def test_peval_starts_horner_at_the_leading_coefficient(monkeypatch):
         assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
     assert peval([], x) == TruncatedPowerSeries([Fraction(0)], 6)
     assert peval([1, 2], Fraction(1, 2)) == 2 and peval([], Fraction(1, 2)) == 0
+
+
+# ---------------------------------------------------------------------------
+# root data, envelopes and quotients against the routines they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_sqrt_lower(m2):
+    if m2 <= 0:
+        return Fraction(0)
+    return Fraction(math.isqrt(m2.numerator * m2.denominator), m2.denominator)
+
+
+def _ref_roots_of(g):
+    g = ptrim([Fraction(c) for c in g])
+    if len(g) == 2:
+        return [GaussianRational.of(-g[0] / g[1])]
+    c0, c1, c2 = g
+    disc = c1 * c1 - 4 * c0 * c2
+    sq = _ref_sqrt_lower(abs(disc))
+    if sq * sq != abs(disc):
+        return None
+    if disc < 0:
+        re, im = -c1 / (2 * c2), sq / (2 * c2)
+        return [GaussianRational(re, im), GaussianRational(re, -im)]
+    return [GaussianRational.of((-c1 + sq) / (2 * c2)), GaussianRational.of((-c1 - sq) / (2 * c2))]
+
+
+def _ref_quadratic_root_data(den):
+    """The root data of a denominator of degree 1 or 2, solved on its own discriminant."""
+    den = ptrim(list(den))
+    if len(den) == 2:
+        root = -den[0] / den[1]
+        return root * root, root
+    c0, c1, c2 = den
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        sq = _ref_sqrt_lower(-disc)
+        witness = GaussianRational(-c1 / (2 * c2), sq / (2 * c2)) if sq * sq == -disc else None
+        return c0 / c2, witness
+    sq = _ref_sqrt_lower(disc)
+    if sq * sq == disc:
+        r1, r2 = (-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)
+        near = r1 if abs(r1) <= abs(r2) else r2
+        return near * near, near
+    return None
+
+
+def _ref_inverse_envelope(g):
+    """(C, s) for 1/g from partial fractions, the modulus and imaginary part solved on their own."""
+    g = ptrim([Fraction(c) for c in g])
+    if len(g) == 2:
+        return Fraction(1) / abs(g[0]), abs(g[0] / g[1])
+    c0, c1, c2 = g
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc >= 0:
+        roots = _ref_roots_of(g)
+        if roots is None or 0 in [r.re for r in roots] or roots[0].re == roots[1].re:
+            return None
+        r1, r2 = roots[0].re, roots[1].re
+        A = 1 / (c2 * (r1 - r2))
+        return abs(A) / abs(r1) + abs(A) / abs(r2), min(abs(r1), abs(r2))
+    m2 = c0 / c2
+    s = _ref_sqrt_lower(m2)
+    im2 = -disc / (4 * c2 * c2)
+    im = _ref_sqrt_lower(im2)
+    if s * s != m2 or im * im != im2:
+        return None
+    return 2 * (1 / (2 * abs(c2) * im)) / s, s
+
+
+def _random_denominators(rng, count):
+    """Degree 1 and 2 denominators: rational, Gaussian-rational and irrational roots, c2 of either sign."""
+    def q(lo=-9, hi=9, nonzero=True):
+        while True:
+            x = Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+            if x or not nonzero:
+                return x
+
+    for k in range(count):
+        c2 = q()
+        kind = k % 4
+        if kind == 0:
+            yield [q(), q()]
+        elif kind == 1:  # rational roots, a double or zero root now and then
+            r1, r2 = q(nonzero=False), q(nonzero=False)
+            yield [c2 * r1 * r2, -c2 * (r1 + r2), c2]
+        elif kind == 2:  # conjugate pair a +- b*i, of rational modulus when (a, b) is a Pythagorean pair
+            a, b = (q(), q()) if rng.random() < 0.5 else (Fraction(3, 5) * q(), Fraction(4, 5) * q())
+            yield [c2 * (a * a + b * b), -2 * c2 * a, c2]
+        else:  # any coefficients: irrational roots of either kind, mostly
+            yield [q(), q(nonzero=False), c2]
+
+
+def test_root_data_and_envelopes_match_the_replaced_routines():
+    rng = random.Random(SEED + 3)
+    seen = set()
+    for den in _random_denominators(rng, 4000):
+        want = _ref_quadratic_root_data(den)
+        got = _quadratic_root_data(den)
+        assert got == want, den
+        if got is not None:
+            assert type(got[1]) is type(want[1]), den
+        if den[0]:
+            cert = radius_lower_bound(RationalFn([1], den))
+            data = _ref_quadratic_root_data(RationalFn([1], den).den)
+            if data is None:
+                assert cert.method == "classical-bound" and cert.modulus_squared is None
+            else:
+                assert (cert.modulus_squared, cert.witness) == data
+                assert type(cert.witness) is type(data[1])
+        env = _inverse_envelope(den)
+        assert env == _ref_inverse_envelope(den), den
+        seen.add((len(den), want is None, want is not None and type(want[1]).__name__, env is None))
+    # every branch was reached: linear, real and conjugate pairs with and without witnesses and envelopes
+    assert len(seen) >= 7, seen
+
+
+@pytest.mark.parametrize("count", [0, 1, 200])
+def test_series_quotients_match_the_recurrence(count):
+    rng = random.Random(SEED + count)
+    for _ in range(12):
+        num = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))]
+        den = [Fraction(1)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+        e = RationalFn(num, den)
+        got = e.series_prefix(count)
+        assert got == series_quotient(list(e.num), list(e.den), count)
+        assert all(type(c) is Fraction for c in got)
+    generators = [[-1, 3], [0, -2, 5], kernel_generator(GaussianRational(Fraction(3, 5), Fraction(4, 5)))]
+    for g in generators:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(count)]
+        f = CertifiedSeries(coeffs, 0, C=10, s=Fraction(1, 2))
+        q = divide_exact(f, g, R)
+        stripped = ptrim(g)[next(k for k, c in enumerate(g) if c):]
+        assert list(q.coeffs) == series_quotient(coeffs, [Fraction(c) for c in stripped], count)
+        assert q.offset == g.index(next(c for c in g if c))

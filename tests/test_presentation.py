@@ -512,3 +512,53 @@ def test_perturbed_window_numerator_fails_the_top_degree_read(text, n, label, e,
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and "EmbeddingNotRingMap" in err
+
+
+def _scaled_line_text(zs, star: bool) -> str:
+    """Q(i)[w] with w_k -> z_k*t^k: Gaussian embed coefficients and structure constants.
+
+    Imaginary parts are written "c/d*i" when ``star`` is set, else "c/di".
+    """
+    def coeff(z):
+        if z.im == 0:
+            return str(z.re)
+        imag = f"{z.im}*i" if star else f"{z.im}i"
+        return imag if z.re == 0 else f"{z.re}{'+' if z.im > 0 else ''}{imag}"
+
+    top = len(zs) - 1
+    lines = ["fields gaussian gaussian", "flags leading_exact"]
+    lines += [f"basis w{k} {k}" for k in range(top + 1)]
+    lines += [f"mul w{i} w{j} = {coeff(zs[i] * zs[j] / zs[i + j])}*w{i + j}"
+              for i in range(top + 1) for j in range(i, top + 1 - i)]
+    lines += [f"embed w{k} = {coeff(z)}*t^{k}" for k, z in enumerate(zs)]
+    return "\n".join(lines) + "\n"
+
+
+def test_star_i_coefficients_load_like_the_short_form(tmp_path, capsys, rescaled_twistor_file):
+    import re
+
+    from curvecoh.cli import main
+
+    rng = random.Random(17)
+    zs = [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                           Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)))
+          for _ in range(9)]
+    twistor = rescaled_twistor_file(8, Fraction(3, 2))
+    for short, star in [(_scaled_line_text(zs, False), _scaled_line_text(zs, True)),
+                        (twistor, re.sub(r"(\d+(?:/\d+)?)i\*", r"\1*i*", twistor))]:
+        assert "*i*" in star and "*i*" not in short
+        a, b = load_presentation(short), load_presentation(star)
+        basis = a.basis_up_to(8)
+        assert b.basis_up_to(8) == basis
+        for i in basis:
+            assert b.embed_basis(i) == a.embed_basis(i)
+            for j in basis:
+                if a.degree_of(i) + a.degree_of(j) <= 8:
+                    assert b.mul_basis(i, j) == a.mul_basis(i, j)
+        outputs = []
+        for text in (short, star):
+            (tmp_path / "curve.pres").write_text(text)
+            code = main(["cohomology", "--curve", str(tmp_path / "curve.pres"), "--n", "-3..5",
+                         "--format", "json"])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]

@@ -24,6 +24,7 @@ from curvecoh.scalars import (
     rational_tps,
     reduced_form,
     series_quotient,
+    split_terms,
     theta,
 )
 
@@ -72,6 +73,32 @@ def test_gaussian_parse_roundtrip():
     for text in ("5/4", "1/2+3/4*i", "1/2-3/4*i", "-i", "i/2", "3-2*i", "0"):
         z = parse_gaussian(text)
         assert parse_gaussian(str(z)) == z
+
+
+def _ref_split_terms(s):
+    """The character loop the Gaussian and polynomial parsers each ran."""
+    terms, cur = [], ""
+    for idx, ch in enumerate(s):
+        if ch in "+-" and idx > 0 and s[idx - 1] not in "+-*/^":
+            terms.append(cur)
+            cur = ch
+        else:
+            cur += ch
+    terms.append(cur)
+    return terms
+
+
+def test_one_term_splitter_for_gaussians_and_polynomials():
+    from curvecoh.harbater import poly_parse
+
+    assert split_terms("3-2*i") == ["3", "-2*i"]
+    assert split_terms("-1/2+-3/4*i") == ["-1/2", "+-3/4*i"]
+    assert split_terms("9*T^2-T^-1+1") == ["9*T^2", "-T^-1", "+1"]
+    assert poly_parse("9*T^2 - 3T + -1") == [-1, -3, 9]
+    rng = random.Random(SEED)
+    for _ in range(20000):
+        s = "".join(rng.choice("+-*/^0123iT ") for _ in range(rng.randint(0, 12)))
+        assert split_terms(s) == _ref_split_terms(s), s
 
 
 def test_padic_div_one_by_three():
@@ -452,6 +479,25 @@ def test_tps_eq_with_a_non_scalar_is_not_implemented():
         assert not f == other and f != other
     assert f in [None, f] and None not in [f]
     assert f == rational_tps([1, 2, 0, 7], 4) and f != 1 and rational_tps([1], 2) == 1
+
+
+def test_gaussian_operators_leave_other_operands_to_them():
+    import operator
+
+    z = GaussianRational(Fraction(1), Fraction(1))
+    f = gaussian_tps([1, Fraction(1, 2), GAUSSIAN_I], 4)
+    assert z * f == f * z == gaussian_tps([z, z / 2, z * GAUSSIAN_I], 4)
+    assert type((z * f).coeffs[0]) is GaussianRational
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        assert getattr(z, name)(f) is NotImplemented, name
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((z, "2"), ("2", z), (z, 0.5)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError, match="cannot interpret"):
+        GaussianRational.of(f)
+    assert z - 1 == GAUSSIAN_I and 1 - z == -GAUSSIAN_I and 2 / z == z.conjugate
 
 
 # -- the integer carrier against the coefficient-list series it replaced ----------------
