@@ -189,7 +189,7 @@ def poly_parse(text: str):
             coeff_s = coeff_s.rstrip("*")
             coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
             k = int(rest[1:]) if rest.startswith("^") else (1 if not rest else None)
-            if k is None:
+            if k is None or k < 0:
                 raise ValueError(f"bad polynomial term {term!r}")
         else:
             coeff, k = Fraction(term), 0

@@ -8,12 +8,13 @@ entry gets ``GaussianRational`` entries back, any other matrix gets
 Everything runs on one integer core. Its rows are pairs (re, im) of sparse
 integer rows {column: int}, a row of Q(i) entries times a common
 denominator, which keeps the row space; ``presentation.gluing_rows``
-builds them straight from window numerators, ``rref`` and ``rank`` with
-``scalars.cleared_terms``. Elimination runs over the Python ints without
-a single division: a row with a nonzero entry f in the pivot column
-becomes (p/g)*row - (f/g)*pivot row, where p is the pivot and
-g = gcd(p, f), and then has its content divided out, which keeps the
-integers small. ``pivot_columns`` is the forward pass alone, which clears
+builds them straight from window numerators, ``section_ring`` from
+elements in integer form, and ``rref``, ``rank``, ``kernel_basis`` and
+``solve_in_span`` with ``scalars.cleared_terms``. Elimination runs over
+the Python ints without a single division: a row with a nonzero entry f
+in the pivot column becomes (p/g)*row - (f/g)*pivot row, where p is the
+pivot and g = gcd(p, f), and then has its content divided out, which
+keeps the integers small. ``pivot_columns`` is the forward pass alone, which clears
 each pivot column in the rows not yet used as pivots; ``reduced_rows``
 clears it in the earlier pivot rows too. Every step multiplies a row by a
 nonzero scalar or adds a multiple of another row to it, so the row space
@@ -21,8 +22,9 @@ never changes. A subspace has one reduced echelon form and one set of
 pivot columns for a given column order, so neither depends on the choice
 of pivot rows or on the scaling of rows: ``reduced_rows`` gives that of
 textbook Gauss-Jordan elimination up to one integer factor per row, and
-only ``rref`` divides it out. The caller's column order is what makes
-echelon bases unique, so all functions preserve it strictly.
+only the entries a caller reads are divided by it (``_entry``, for
+``rref`` and ``kernel_vectors``). The caller's column order is what
+makes echelon bases unique, so all functions preserve it strictly.
 
 Rows with a nonzero imaginary part are eliminated over Q as well, by
 realification. Write phi(v) for the real vector that replaces each entry
@@ -46,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import GAUSSIAN_ZERO, GaussianRational, cleared_terms, outside_q_i
+from .scalars import GaussianRational, cleared_terms, outside_q_i
 
 
 def _integer_rows(rows):
@@ -136,77 +138,74 @@ def reduced_rows(rows):
     return out
 
 
+def _entry(row, col, gaussian):
+    """Entry ``col`` of a reduced row (c, re, im) over its pivot entry, GaussianRational if ``gaussian``."""
+    c, re, im = row
+    x = Fraction(re.get(col, 0), re[c])
+    return GaussianRational(x, Fraction(im.get(col, 0), re[c])) if gaussian else x
+
+
 def rref(rows):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.
     """
     rows = list(rows)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     pairs, typed = _integer_rows(rows)
-    zero = GAUSSIAN_ZERO if typed else Fraction(0)
-    reduced, kept = [], []
-    for c, re, im in reduced_rows(pairs):
-        p = re[c]
-        dense = [zero] * ncols
-        for col in re.keys() | im.keys():
-            x = Fraction(re.get(col, 0), p)
-            dense[col] = GaussianRational(x, Fraction(im.get(col, 0), p)) if typed else x
-        reduced.append(dense)
-        kept.append(c)
-    return reduced, kept
+    reduced = reduced_rows(pairs)
+    ncols = len(rows[0]) if rows else 0
+    dense = [[_entry(row, col, typed) for col in range(ncols)] for row in reduced]
+    return dense, [c for c, _, _ in reduced]
 
 
 def rank(rows):
     return len(pivot_columns(_integer_rows(rows)[0]))
 
 
-def kernel_basis(rows, ncols, zero, one):
-    """Basis of {v : M v = 0} for the matrix with the given rows.
+def kernel_vectors(rows, ncols, gaussian):
+    """Basis of the kernel of integer rows (re, im) over columns 0..ncols-1, sparse.
 
-    Each kernel vector has a 1 in "its" free column and zeros in the other
-    free columns, so the basis is itself in echelon form with respect to
-    the column order.
+    One (free column, {pivot column: nonzero entry}) per vector, which is
+    1 at its free column and 0 at the other free columns, so the basis is
+    in echelon form for the column order. Entries are GaussianRational if
+    ``gaussian`` or a row has an imaginary part, else Fraction.
     """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for prow, pc in zip(reduced, pivots):
-            v[pc] = -prow[fc]
-        basis.append(v)
-    return basis
+    gaussian = gaussian or any(im for _, im in rows)
+    reduced = reduced_rows(rows)
+    pivots = {c for c, _, _ in reduced}
+    return [
+        (fc, {c: -_entry((c, re, im), fc, gaussian) for c, re, im in reduced if fc in re or fc in im})
+        for fc in range(ncols) if fc not in pivots
+    ]
+
+
+def span_coordinates(rows, k, gaussian):
+    """{j: x_j} with sum_j x_j*(column j) = column k of integer rows (re, im), or None if none exists.
+
+    Column k lies in the span of columns 0..k-1 exactly when it is free, and
+    then the kernel vector that is 1 there holds -x (x_j = 0 at free j < k).
+    """
+    for fc, entries in kernel_vectors(rows, k + 1, gaussian):
+        if fc == k:
+            return {j: -x for j, x in entries.items()}
+    return None
+
+
+def kernel_basis(rows, ncols, zero, one):
+    """Basis of {v : M v = 0} for the matrix with the given rows: ``kernel_vectors``, dense."""
+    pairs, typed = _integer_rows(rows)
+    return [[one if c == fc else entries.get(c, zero) for c in range(ncols)]
+            for fc, entries in kernel_vectors(pairs, ncols, typed)]
 
 
 def solve_in_span(basis_rows, targets, zero):
     """For each target, coefficients expressing it in the span of ``basis_rows``, or None.
 
-    Solves sum_i x_i * basis_rows[i] = target for every target with one
-    elimination of the transposed system [basis^T | targets^T]. A target
-    lies in the span exactly when every reduced row without a basis pivot
-    is zero in its column.
+    One ``span_coordinates`` per target, on the columns [basis^T | target^T].
     """
-    k = len(basis_rows)
-    if not targets:
-        return []
-    ncols = len(targets[0])
-    aug = [
-        [basis_rows[i][c] for i in range(k)] + [t[c] for t in targets] for c in range(ncols)
-    ]
-    reduced, pivots = rref(aug)
     solutions = []
-    for j in range(k, k + len(targets)):
-        if any(pc >= k and prow[j] for prow, pc in zip(reduced, pivots)):
-            solutions.append(None)
-            continue
-        x = [zero] * k
-        for prow, pc in zip(reduced, pivots):
-            if pc < k:
-                x[pc] = prow[j]
-        solutions.append(x)
+    for t in targets:
+        pairs, typed = _integer_rows(zip(*basis_rows, t))
+        x = span_coordinates(pairs, len(basis_rows), typed)
+        solutions.append(None if x is None else [x.get(j, zero) for j in range(len(basis_rows))])
     return solutions

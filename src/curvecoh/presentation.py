@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
 from .errors import EmbeddingNotRingMap
 from .linalg import phi, pivot_columns
@@ -38,6 +39,8 @@ from .scalars import (
     as_fraction,
     common_denominator,
     gaussian_numerators,
+    integer_parts,
+    outside_q_i,
     parse_gaussian,
 )
 from .series import LaurentWindow, gaussian_window, linear_combination
@@ -69,6 +72,7 @@ class AffinePresentation:
         self._mul = mul_fn
         self._label = label_fn
         self._embed_cache: dict[int, LaurentWindow] = {}
+        self._rule_cache: dict[tuple[int, int], tuple] = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -107,13 +111,41 @@ class AffinePresentation:
         """k0-linear extension of the embedding; exact window."""
         return combine(self.embed_basis, coeffs)
 
+    def integer_product(self, a: tuple, b: tuple) -> tuple:
+        """a * b for elements in integer form (``integer_element``), in lowest terms.
+
+        Each rule b_i * b_j is cleared once per presentation. A product
+        brings the rules it reads to their common denominator and adds up
+        (x_a + i*y_a)(x_b + i*y_b)(u + i*v) over their terms as Python ints.
+        """
+        (da, a_terms), (db, b_terms) = a, b
+        rules = self._rule_cache
+        terms = []
+        for i, (xa, ya) in a_terms.items():
+            for j, (xb, yb) in b_terms.items():
+                rule = rules.get((i, j))
+                if rule is None:
+                    rule = rules[i, j] = integer_element(self.mul_basis(i, j))
+                terms.append((xa * xb - ya * yb, xa * yb + ya * xb, rule))
+        common = lcm(*{d for _, _, (d, _) in terms})
+        out = {}
+        for x, y, (d, constants) in terms:
+            if d != common:
+                x, y = x * (common // d), y * (common // d)
+            for k, (u, v) in constants.items():
+                re, im = out.get(k, (0, 0))
+                out[k] = (re + x * u - y * v, im + x * v + y * u)
+        den = da * db * common
+        g = gcd(den, *(z for pair in out.values() for z in pair))
+        return den // g, {k: (x // g, y // g) for k, (x, y) in out.items() if x or y}
+
     def mul_elements(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                for k, s in self.mul_basis(i, j).items():
-                    out[k] = out.get(k, ca * 0) + ca * cb * s
-        return {k: c for k, c in out.items() if c != 0}
+        """a * b for elements {index: k0 coefficient}: ``integer_product``, read back."""
+        den, terms = self.integer_product(integer_element(a), integer_element(b))
+        if self.pair.split and not any(y for _, y in terms.values()):
+            return {k: Fraction(x, den) for k, (x, _) in terms.items()}
+        return {k: GaussianRational(Fraction(x, den), Fraction(y, den))
+                for k, (x, y) in terms.items()}
 
     def element_label(self, coeffs: dict) -> str:
         parts = []
@@ -155,6 +187,15 @@ class AffinePresentation:
             check_ring_map(self, self.embed_basis, degree, self.verified_degree)
             self.verified_degree = degree
         return True
+
+
+def integer_element(coeffs: dict) -> tuple:
+    """(den, {index: (re, im)}): re + i*im == den*coeffs[index] in Python ints, zeros dropped."""
+    parts = integer_parts(coeffs.values())
+    if parts is None:
+        raise outside_q_i(coeffs.values())
+    den, re, im, _ = parts
+    return den, {k: (x, y) for k, x, y in zip(coeffs, re, im) if x or y}
 
 
 def combine(window, coeffs: dict) -> LaurentWindow:

@@ -8,18 +8,24 @@ reduced echelon form; a subspace has one such form per column order, so
 they are H^0(O(n))'s own basis: the rows supported in degrees <= n.
 ``degree_one_generation`` reports the kernel of Sym^n(P_1) -> P_n per degree
 (for the twistor line the degree-2 kernel is spanned by u*u + v*v + 1*1, the
-quadric relation; for the projective line all kernels vanish).
+quadric relation; for the projective line all kernels vanish). It runs on
+integer rows, with two arguments. One common denominator per degree keeps
+the kernel: the products are brought to it, and scaling every column by the
+same nonzero scalar does not change which combinations of them vanish. From
+degree 4 on the report gives only the kernel's dimension, len(monomials) -
+rank, and the forward pass alone decides the rank (``linalg.pivot_columns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .cohomology import h0
 from .errors import CutoffTooSmall, NotInSpan, NotStabilized
-from .linalg import kernel_basis, solve_in_span
-from .presentation import AffinePresentation
+from .linalg import kernel_vectors, pivot_columns, span_coordinates
+from .presentation import AffinePresentation, integer_element
 
 
 @dataclass
@@ -34,17 +40,6 @@ class SectionRing:
     def element_label(self, n: int, j: int) -> str:
         return self.pres.element_label(self.bases[n][j])
 
-    def _vector_coords(self, vec: dict, cols: list) -> list:
-        zero = self.pres.pair.base_zero()
-        extra = set(vec) - set(cols)
-        if extra:
-            raise NotInSpan(f"element uses affine basis indices {sorted(extra)} outside the slice")
-        pos = {c: k for k, c in enumerate(cols)}
-        row = [zero] * len(cols)
-        for i, c in vec.items():
-            row[pos[i]] = zero + c
-        return row
-
     def multiply(self, m: int, a: int, n: int, b: int) -> list:
         """Coordinates of (basis element a of P_m) * (b of P_n) in the P_{m+n} basis."""
         if m + n > self.D:
@@ -54,15 +49,36 @@ class SectionRing:
 
     def express(self, k: int, vec: dict) -> list:
         """Express an affine element in the echelon basis of P_k (NotInSpan if impossible)."""
-        cols = self.pres.basis_up_to(k)
-        target = self._vector_coords(vec, cols)
-        rows = [self._vector_coords(bvec, cols) for bvec in self.bases[k]]
-        [sol] = solve_in_span(rows, [target], self.pres.pair.base_zero())
-        if sol is None:
+        extra = set(vec) - set(self.pres.basis_up_to(k))
+        if extra:
+            raise NotInSpan(f"element uses affine basis indices {sorted(extra)} outside the slice")
+        forms = [integer_element(b) for b in self.bases[k]] + [integer_element(vec)]
+        x = span_coordinates(_column_rows(forms), self.dim(k), not self.pres.pair.split)
+        if x is None:
             raise NotInSpan(
                 f"product does not lie in P_{k} (presentation bug): {self.pres.element_label(vec)}"
             )
-        return sol
+        return [x.get(j, self.pres.pair.base_zero()) for j in range(self.dim(k))]
+
+
+def _column_rows(forms) -> list:
+    """Integer rows (re, im) of the matrix whose column m is forms[m], one row per affine index.
+
+    The forms are elements in integer form (``integer_element``), each
+    column is brought to their common denominator, and scaling all columns
+    by one nonzero scalar keeps the kernel and the rank.
+    """
+    common = lcm(*(den for den, _ in forms))
+    rows = {}
+    for m, (den, terms) in enumerate(forms):
+        s = common // den
+        for i, (x, y) in terms.items():
+            re, im = rows.setdefault(i, ({}, {}))
+            if x:
+                re[m] = x * s
+            if y:
+                im[m] = y * s
+    return list(rows.values())
 
 
 def build_section_ring(pres: AffinePresentation, D: int) -> SectionRing:
@@ -125,47 +141,51 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
     Monomials are ordered combinations of the echelonized P_1 basis, so
     the report is deterministic. Each degree-n monomial is the product of
     its degree n-1 prefix, kept from the previous degree, with one more
-    degree-1 element. P_n spans every affine element of degree <= n, so
-    the products (one column per monomial) have the same dependencies over
-    the affine basis as over P_n's: one elimination of their affine
-    coordinates gives the kernel, and the rank follows from its dimension.
+    degree-1 element, in integer form (``integer_product``). P_n spans
+    every affine element of degree <= n, so the products (one column per
+    monomial) have the same dependencies over the affine basis as over
+    P_n's, and one elimination per degree decides them:
+
+    * the columns are brought to one common denominator (``_column_rows``);
+      scaling every column by the same nonzero scalar leaves the kernel
+      unchanged, so the kernel of the integer matrix is that of the
+      products;
+    * in degrees n >= 4 the report gives only the kernel's dimension,
+      len(monomials) - rank, and the rank is the number of pivot columns,
+      which the forward pass alone decides (``pivot_columns``). Only the
+      degrees n <= 3, whose generators are listed, are fully reduced.
     """
     if sr.D < 2:
         raise ValueError("degree-one generation needs D >= 2")
     pres = sr.pres
-    zero = pres.pair.base_zero()
+    gaussian = not pres.pair.split
     one = pres.pair.base_one()
-    d1 = sr.dim(1)
+    degree_one = [integer_element(v) for v in sr.bases[1]]
     surjective, kernel_dims, kernel_gens, monomials = {}, {}, {}, {}
     for n in range(1, sr.D + 1):
-        monos = list(combinations_with_replacement(range(d1), n))
+        monos = list(combinations_with_replacement(range(len(degree_one)), n))
         if n == 1:
-            products = {mono: dict(sr.bases[1][mono[0]]) for mono in monos}
+            products = {mono: degree_one[mono[0]] for mono in monos}
         else:
             # a sorted monomial's prefix is a degree n-1 monomial: one more factor each
             products = {
-                mono: pres.mul_elements(products[mono[:-1]], sr.bases[1][mono[-1]])
+                mono: pres.integer_product(products[mono[:-1]], degree_one[mono[-1]])
                 for mono in monos
             }
-        affine = pres.basis_up_to(n)
-        cols = [sr._vector_coords(prod, affine) for prod in products.values()]
-        # kernel: combinations of the columns vanishing; surjectivity: they
-        # span P_n, i.e. their rank len(monos) - dim kernel reaches dim P_n
-        kern = kernel_basis(list(zip(*cols)), len(monos), zero, one)
-        surjective[n] = len(monos) - len(kern) == sr.dim(n)
-        kernel_dims[n] = len(kern)
-        monomials[n] = monos
+        rows = _column_rows(list(products.values()))
         if n <= 3:
-            gens = []
-            for kv in kern:
-                gen = {}
-                for idx, c in enumerate(kv):
-                    if c == 0:
-                        continue
-                    label = "*".join(sr.element_label(1, j) for j in monos[idx])
-                    gen[label] = str(c)
-                gens.append(gen)
-            kernel_gens[n] = gens
+            kern = kernel_vectors(rows, len(monos), gaussian)
+            rank = len(monos) - len(kern)
+            kernel_gens[n] = [
+                {"*".join(sr.element_label(1, j) for j in monos[k]): str(c)
+                 for k, c in sorted({fc: one, **entries}.items())}
+                for fc, entries in kern
+            ]
+        else:
+            rank = len(pivot_columns(rows))
+        surjective[n] = rank == sr.dim(n)
+        kernel_dims[n] = len(monos) - rank
+        monomials[n] = monos
     return GenerationReport(
         degrees=list(range(1, sr.D + 1)),
         surjective=surjective,

@@ -329,6 +329,18 @@ def test_element_grammar_roundtrip():
     assert poly_str([-7, 0, 0, 1]) == "T^3 - 7"
 
 
+@pytest.mark.parametrize("parse, text", [
+    (poly_parse, "2+T^-1"),
+    (poly_parse, "T^-1+2"),
+    (poly_parse, "T^-1"),
+    (parse_element, "1 / 2+T^-1"),
+])
+def test_negative_exponents_are_rejected(parse, text):
+    # T^-1 once landed at the last list index: lost, written over the constant, or IndexError
+    with pytest.raises(ValueError, match=r"^bad polynomial term 'T\^-1'$"):
+        parse(text)
+
+
 def test_str_lists_the_stored_coefficients():
     # T^-2 (1 + 2T + 3T^2) squared: the known head ends at T^-2, below T^0
     sq = CertifiedSeries([1, 2, 3], 2) * CertifiedSeries([1, 2, 3], 2)

@@ -3,15 +3,18 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import curvecoh.linalg as linalg
 import curvecoh.section_ring as section_ring
 from curvecoh.cohomology import h0
 from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap, NotInSpan, NotStabilized
 from curvecoh.linalg import kernel_basis
-from curvecoh.presentation import load_presentation, p1_presentation, twistor_presentation
+from curvecoh.presentation import integer_element, load_presentation, p1_presentation, twistor_presentation
+from curvecoh.scalars import GaussianRational
 from curvecoh.section_ring import (
     build_section_ring,
     degree_one_generation,
@@ -31,14 +34,35 @@ def sr_tw():
     return build_section_ring(twistor_presentation(), 8)
 
 
+def _gaussian_scale(k):
+    """lambda_k = (k+1) + i/(k+2): b_i*b_j = lambda_i*lambda_j/lambda_(i+j) * b_(i+j)."""
+    return GaussianRational(Fraction(k + 1), Fraction(1, k + 2))
+
+
+def _rational_scale(k):
+    return Fraction(k + 2, 2 * k + 3)
+
+
 @pytest.fixture(scope="module")
-def rings(rescaled_twistor_file):
-    """The twistor line, p1 and a file curve with Gaussian coefficients, at the bench degrees."""
+def rings(rescaled_twistor_file, p1_file):
+    """The twistor line, p1 and three file curves, at the bench degrees.
+
+    "file" has Gaussian embedding coefficients and structure constants +-1;
+    "gaussian-p1" (k0 = Q(i)) and "rescaled-twistor" (k0 = Q) have rescaled
+    bases, so their structure constants are non-unit Gaussian rationals and
+    fractions.
+    """
     file_curve = load_presentation(rescaled_twistor_file(10, Fraction(3, 2)), name="file")
+    gaussian_p1 = load_presentation(p1_file(12, lambda k: k, _gaussian_scale), name="gaussian-p1")
+    rescaled = load_presentation(
+        rescaled_twistor_file(10, Fraction(3, 2), _rational_scale), name="rescaled-twistor"
+    )
     return {
         "twistor": build_section_ring(twistor_presentation(), 9),
         "p1": build_section_ring(p1_presentation(), 14),
         "file": build_section_ring(file_curve, 8),
+        "gaussian-p1": build_section_ring(gaussian_p1, 10),
+        "rescaled-twistor": build_section_ring(rescaled, 8),
     }
 
 
@@ -107,16 +131,26 @@ def test_generation_report_json(sr_tw):
 
 
 def test_express_outside_span_raises(sr_p1):
-    with pytest.raises(NotInSpan):
+    one = sr_p1.pres.pair.base_one()
+    with pytest.raises(NotInSpan, match=r"indices \[2\] outside the slice"):
         # t^2 does not lie in P_1
-        sr_p1.express(1, {2: sr_p1.pres.pair.base_one()})
+        sr_p1.express(1, {2: one})
+    # a basis that misses an element of the slice: 1 is not in the span of t
+    partial = section_ring.SectionRing(pres=sr_p1.pres, D=1, bases=[[{0: one}], [{1: one}]])
+    assert partial.express(1, {1: one * 3}) == [one * 3]
+    with pytest.raises(NotInSpan, match=r"^product does not lie in P_1 \(presentation bug\): 3\+i\*1$"):
+        partial.express(1, {0: GaussianRational(Fraction(3), Fraction(1))})
 
 
-# sha256 of the parent's reports (monomial products rebuilt from scratch)
+# sha256 of the reports of earlier implementations: the first three of one
+# that rebuilt every monomial product from scratch, the last two of the
+# Fraction products and the dense kernel_basis elimination per degree
 GENERATION_DIGESTS = {
     "twistor": "5f8addaecfbc6c3ba05a2bcabf017fb6b80f38a6ed6c17f5b55ad6fec85f4dd6",
     "p1": "63329bc79783df67030ed82965afddd47b4a079b25363beadacdac9ff2084fdf",
     "file": "4a16ca15eb9fb5c2b1d09d006390d61e7e91b50a1c46a344be5e7340131b431b",
+    "gaussian-p1": "c0084d80812721e44997c32587cbe8f2443ba743947cd6d652b585302c4cb2b7",
+    "rescaled-twistor": "64625e6fbabc80036fec65306834498deb328b0e280e4edec0f2bc2c845396c5",
 }
 
 
@@ -127,8 +161,60 @@ def _generation_digest(sr) -> str:
 
 
 def test_generation_reports_are_unchanged(rings):
+    assert rings.keys() == GENERATION_DIGESTS.keys()
     for name, sr in rings.items():
         assert _generation_digest(sr) == GENERATION_DIGESTS[name], name
+
+
+def _fraction_product(pres, a, b):
+    """The product as the three-fold loop over structure constants in Fraction/GaussianRational arithmetic."""
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            for k, s in pres.mul_basis(i, j).items():
+                out[k] = out.get(k, ca * 0) + ca * cb * s
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _seeded_element(rng, pres, top):
+    """Up to four basis elements of degree <= top with seeded k0 coefficients (some zero)."""
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    indices = rng.sample(pres.basis_up_to(top), min(4, len(pres.basis_up_to(top))))
+    one = pres.pair.base_one()
+    return {i: one * (q() if pres.pair.split else GaussianRational(q(), q())) for i in indices}
+
+
+def test_integer_products_match_the_fraction_loop(rings):
+    rng = random.Random(13)
+    outcomes = set()
+    for name, sr in rings.items():
+        pres = sr.pres
+        for _ in range(40):
+            a, b = (_seeded_element(rng, pres, sr.D // 2) for _ in range(2))
+            expected = _fraction_product(pres, a, b)
+            got = pres.mul_elements(a, b)
+            assert got == expected, name
+            assert [type(got[k]) for k in expected] == [type(c) for c in expected.values()], name
+            # the integer form itself, read back by hand
+            den, terms = pres.integer_product(integer_element(a), integer_element(b))
+            assert {k: GaussianRational(Fraction(x, den), Fraction(y, den))
+                    for k, (x, y) in terms.items()} == expected, name
+            outcomes.add(den > 1)
+    assert True in outcomes  # products with a denominator occur
+
+
+def test_rescaled_rings_carry_denominators(rings):
+    # the structure constants and the kernel entries of the rescaled curves are not +-1
+    gaussian, rational = rings["gaussian-p1"].pres, rings["rescaled-twistor"].pres
+    lam = _gaussian_scale
+    assert gaussian.integer_product((1, {1: (1, 0)}), (1, {1: (1, 0)})) == integer_element(
+        {2: lam(1) * lam(1) / lam(2)})
+    # b1*b1 = 81/125*b3 in the file; (2/5 + 0i)*b1 squared gives 4/25 of it
+    assert rational.integer_product((5, {1: (2, 0)}), (5, {1: (2, 0)})) == (3125, {3: (324, 0)})
+    relations = degree_one_generation(rings["rescaled-twistor"]).kernel_generators[2]
+    assert relations == [{"b1*b1": "100/81", "b2*b2": "49/36", "b0*b0": "1"}]
 
 
 def test_bases_equal_each_degree_h0(rings):
@@ -185,12 +271,15 @@ def _counting(monkeypatch, module, name):
 
 def test_one_h0_per_ring_and_one_elimination_per_degree(monkeypatch):
     h0_calls = _counting(monkeypatch, section_ring, "h0")
-    solves = _counting(monkeypatch, section_ring, "solve_in_span")
-    kernels = _counting(monkeypatch, section_ring, "kernel_basis")
+    kernels = _counting(monkeypatch, section_ring, "kernel_vectors")
+    forward = _counting(monkeypatch, section_ring, "pivot_columns")
+    dense = [_counting(monkeypatch, linalg, name) for name in ("rref", "kernel_basis", "solve_in_span")]
     sr = build_section_ring(twistor_presentation(), 6)
     assert [args[1:] for args in h0_calls] == [(6, 6)]
     degree_one_generation(sr)
-    assert len(kernels) == 6 and solves == []
+    # degrees 1..3 list the kernel, 4..6 read the rank off the forward pass alone
+    assert len(kernels) == 3 and len(forward) == 3
+    assert dense == [[], [], []]
 
 
 def test_build_keeps_certification_errors(rescaled_twistor_file, p1_file):
@@ -214,15 +303,9 @@ def test_build_rejects_degrees_past_the_declared_top(rescaled_twistor_file):
 
 
 def test_generation_multiplies_once_per_monomial(sr_tw, monkeypatch):
-    calls = []
-    mul_elements = sr_tw.pres.mul_elements
-
-    def counting(a, b):
-        calls.append(1)
-        return mul_elements(a, b)
-
-    monkeypatch.setattr(sr_tw.pres, "mul_elements", counting)
+    products = _counting(monkeypatch, sr_tw.pres, "integer_product")
+    fraction_products = _counting(monkeypatch, sr_tw.pres, "mul_elements")
     report = degree_one_generation(sr_tw)
-    # every monomial of degree >= 2 is its prefix times one more factor
-    assert len(calls) == sum(len(report.monomials[n]) for n in range(2, sr_tw.D + 1))
-
+    # every monomial of degree >= 2 is its prefix times one more factor, in integer form
+    assert len(products) == sum(len(report.monomials[n]) for n in range(2, sr_tw.D + 1))
+    assert fraction_products == []
