@@ -183,6 +183,7 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
             ]
         else:
             rank = len(pivot_columns(rows))
+        # surjective: the products span P_n
         surjective[n] = rank == sr.dim(n)
         kernel_dims[n] = len(monos) - rank
         monomials[n] = monos
