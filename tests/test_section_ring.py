@@ -177,13 +177,18 @@ def _fraction_product(pres, a, b):
 
 
 def _seeded_element(rng, pres, top):
-    """Up to four basis elements of degree <= top with seeded k0 coefficients (some zero)."""
+    """Up to four basis elements of degree <= top with seeded k0 coefficients (some zero).
+
+    Over Q(i) a third of the elements have real coefficients, so some
+    products are real and must still come back as GaussianRational.
+    """
     def q():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
 
     indices = rng.sample(pres.basis_up_to(top), min(4, len(pres.basis_up_to(top))))
     one = pres.pair.base_one()
-    return {i: one * (q() if pres.pair.split else GaussianRational(q(), q())) for i in indices}
+    real = pres.pair.split or rng.random() < 1 / 3
+    return {i: one * (q() if real else GaussianRational(q(), q())) for i in indices}
 
 
 def test_integer_products_match_the_fraction_loop(rings):
