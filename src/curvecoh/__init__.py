@@ -10,8 +10,8 @@ degree-zero extraction pipeline for two-periodic presentations, and the
 Harbater ring of integer Laurent series with certified convergence.
 
 All values are immutable and all arithmetic is exact; independent
-computations can run concurrently without coordination (the shared cache
-of twistor power windows grows under its own lock).
+computations can run concurrently without coordination. The built-in
+curves are shared values whose caches only ever gain equal entries.
 """
 
 from .cohomology import (

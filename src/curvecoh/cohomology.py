@@ -47,7 +47,8 @@ from .presentation import (
     check_ring_map,
     gluing_rows,
     leading_exact_failure,
-    twistor_embedding,
+    p1_presentation,
+    twistor_presentation,
 )
 from .scalars import GAUSSIAN_I, GAUSSIAN_ONE, GaussianRational, gaussian_reciprocal
 from .series import MINUS_INFINITY, LaurentWindow
@@ -373,14 +374,10 @@ def curve_from_parts(
 
 
 def p1_formal_embedding(model):
-    """t^k -> t^k in the model carrier (t = inverse of the local parameter)."""
-
-    def embed(i: int) -> LaurentWindow:
-        return LaurentWindow.monomial(i, GAUSSIAN_ONE)
-
-    return embed
+    """t^k -> t^k in the model carrier (t = inverse of the local parameter): p1's own windows."""
+    return p1_presentation().embed_basis
 
 
 def twistor_formal_embedding(model):
-    """u -> (t - t^-1)/2, v -> -(i/2)(t + t^-1) in the model carrier."""
-    return twistor_embedding()
+    """u -> (t - t^-1)/2, v -> -(i/2)(t + t^-1) in the model carrier: the twistor line's own windows."""
+    return twistor_presentation().embed_basis

@@ -3,7 +3,7 @@
 An ``AffinePresentation`` lists a k0-basis b_0, b_1, ... with degrees, a
 multiplication table with structure constants in k0, and an embedding of
 each basis element into the Laurent field k1((t^-1)) as an exact window.
-Two presentations are built in:
+Two presentations are built in, each one shared value per process:
 
 * ``p1_presentation`` -- the coordinate algebra k1[t] of the complex
   projective line minus infinity, basis {t^i}, over the trivial pair
@@ -24,7 +24,6 @@ User presentations load from a small text format, see ``load_presentation``.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -163,9 +162,9 @@ class AffinePresentation:
         """Check embed(b_i)*embed(b_j) == embed(b_i * b_j) up to the degree bound."""
         check_ring_map(self, self.embed_basis, max_degree)
 
-    def verify_leading_exact(self, max_degree: int = 6) -> None:
-        """Check both leading_exact conditions degree by degree."""
-        failure = leading_exact_failure(self, self.embed_basis, 1, max_degree)
+    def verify_leading_exact(self, max_degree: int = 6, above: int = -1) -> None:
+        """Check both leading_exact conditions degree by degree, in degrees (above, max_degree]."""
+        failure = leading_exact_failure(self, self.embed_basis, 1, max_degree, above)
         if failure is not None:
             raise EmbeddingNotRingMap(f"{self.name}: {failure[1]}")
 
@@ -175,15 +174,15 @@ class AffinePresentation:
         It is when the presentation declares ``leading_exact`` and both it
         (the truncation argument rests on it) and the ring map are checked
         through ``degree``. Checks that so far stop below it are extended
-        here, leading_exact first, the ring map from the covered degree up
-        (raising EmbeddingNotRingMap on failure); the covered degree is kept.
+        here from the covered degree up, leading_exact first, then the ring
+        map (raising EmbeddingNotRingMap on failure); the covered degree is kept.
         """
         if not self.leading_exact:
             return False
         if self.max_degree is not None:
             degree = min(degree, self.max_degree)
         if self.verified_degree is not None and degree > self.verified_degree:
-            self.verify_leading_exact(degree)
+            self.verify_leading_exact(degree, self.verified_degree)
             check_ring_map(self, self.embed_basis, degree, self.verified_degree)
             self.verified_degree = degree
         return True
@@ -249,14 +248,15 @@ def gluing_rows(pair, windows, top: int, low: int, identity: bool = False) -> li
     return rows
 
 
-def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degree: int):
+def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degree: int,
+                          above: int = -1):
     """(first failing degree, why) for ``window`` and the leading_exact conditions, or None.
 
-    Degrees 0..max_degree are checked in order. Each basis element of
+    Degrees above+1..max_degree are checked in order. Each basis element of
     degree d must have pole order d*jump, and the leading coefficients
     within each degree must be k0-linearly independent.
     """
-    for d in range(max_degree + 1):
+    for d in range(above + 1, max_degree + 1):
         indices = pres.indices_of_degree(d)
         for i in indices:
             if window(i).pole_order() != d * jump:
@@ -272,8 +272,9 @@ def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degre
 # ---------------------------------------------------------------------------
 
 
+@cache
 def p1_presentation() -> AffinePresentation:
-    """The complex projective line: basis {t^i}, embed(t^i) = t^i."""
+    """The complex projective line: basis {t^i}, embed(t^i) = t^i; one shared value."""
 
     def label(i):
         return "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
@@ -308,40 +309,29 @@ def _twistor_encode(p: int, has_v: bool) -> int:
 _TWISTOR_U = gaussian_window({1: Fraction(1, 2), -1: Fraction(-1, 2)})
 _TWISTOR_V = gaussian_window({1: GaussianRational(Fraction(0), Fraction(-1, 2)),
                               -1: GaussianRational(Fraction(0), Fraction(-1, 2))})
-#: u^0, u^1, ...: immutable windows, extended on demand and shared by every
-#: twistor embedding in the process, so each power is built once
-_TWISTOR_POWERS = [_TWISTOR_U.power(0)]
-#: held while the list grows, so concurrent embeddings cannot append one power twice
-_TWISTOR_POWERS_LOCK = threading.Lock()
 
 
-def _twistor_power(p: int) -> LaurentWindow:
-    """u^p from the shared list, extended by one window product per new power."""
-    powers = _TWISTOR_POWERS
-    if p >= len(powers):
-        with _TWISTOR_POWERS_LOCK:
-            while len(powers) <= p:
-                powers.append(powers[-1] * _TWISTOR_U)
-    return powers[p]
-
-
-def twistor_embedding():
-    """b_i -> u^p or u^p*v with u = (t - t^-1)/2, v = -(i/2)(t + t^-1)."""
-
-    def embed(i: int) -> LaurentWindow:
-        p, has_v = _twistor_decode(i)
-        return _twistor_power(p) * _TWISTOR_V if has_v else _twistor_power(p)
-
-    return embed
-
-
+@cache
 def twistor_presentation() -> AffinePresentation:
-    """The twistor projective line Q[u,v]/(u^2+v^2+1), reduced basis {u^i, u^i v}.
+    """The twistor projective line Q[u,v]/(u^2+v^2+1), reduced basis {u^i, u^i v}; one shared value.
 
     The relation eliminates v^2, so every product of basis elements is a
     short integer combination of basis elements, and the leading window
     coefficients (1/2)^d and -i*(1/2)^d in each degree are Q-independent.
+    u^p is built as u^(p-1)*u and u^p*v as u^p*v from the presentation's
+    own window cache. Its entries are keyed by basis index, so threads
+    that fill one entry at the same time store equal windows.
     """
+
+    def embed(i):
+        p, has_v = _twistor_decode(i)
+        if has_v:
+            return pres.embed_basis(_twistor_encode(p, False)) * _TWISTOR_V
+        if p == 0:
+            return _TWISTOR_U.power(0)
+        for q in range(1, p):  # lower powers first, so a cold high power recurses one level
+            pres.embed_basis(_twistor_encode(q, False))
+        return pres.embed_basis(_twistor_encode(p - 1, False)) * _TWISTOR_U
 
     def degree(i):
         p, has_v = _twistor_decode(i)
@@ -371,16 +361,17 @@ def twistor_presentation() -> AffinePresentation:
         up = "u" if p == 1 else f"u^{p}"
         return f"{up}*v" if has_v else up
 
-    return AffinePresentation(
+    pres = AffinePresentation(
         name="twistor",
         pair=REAL_IN_GAUSSIAN,
         degree_fn=degree,
         indices_of_degree_fn=indices_of_degree,
-        embed_fn=twistor_embedding(),
+        embed_fn=embed,
         mul_fn=mul,
         label_fn=label,
         leading_exact=True,
     )
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +420,16 @@ def _embed_exponent(mono: str):
     return 1 if mono == "t" else 0 if mono == "1" else None
 
 
-def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> AffinePresentation:
+#: degree through which ``load_presentation`` checks the ring map and leading_exact
+LOAD_VERIFY_DEGREE = 6
+
+
+def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     """Parse the declarative text format and verify the declared flags.
 
-    Both checks run up to ``verify_degree`` here; a computation that reads
-    higher degrees extends the leading_exact check first
-    (``certified_through``).
+    Both checks run up to ``LOAD_VERIFY_DEGREE`` (capped at the file's top
+    degree) here; a computation that reads higher degrees extends them from
+    there, the leading_exact check first (``certified_through``).
     """
     pair = None
     leading_exact = False
@@ -520,7 +515,7 @@ def load_presentation(text: str, name: str = "user", verify_degree: int = 6) -> 
         leading_exact=leading_exact,
         max_degree=max(degrees.values()) if degrees else 0,
     )
-    cap = min(verify_degree, pres.max_degree)
+    cap = min(LOAD_VERIFY_DEGREE, pres.max_degree)
     pres.verify_ring_map(cap)
     if leading_exact:
         pres.verify_leading_exact(cap)

@@ -129,8 +129,8 @@ def test_h1_not_stabilized_for_drifting_presentation():
         for j in range(i, 6):
             lines.append(f"mul x{i} x{j} = 1*x{min(i + j, 5)}")
     for i in range(6):
-        lines.append(f"embed x{i} = {i + 1}*t^0")
-    drifting = load_presentation("\n".join(lines), verify_degree=0)
+        lines.append(f"embed x{i} = 1*t^0")
+    drifting = load_presentation("\n".join(lines))
 
     # Q[t] over (Q, Q(i)) passes verify_leading_exact, yet its image never
     # reaches i*t^m: H^1 is infinite and only stabilization sees it
@@ -165,7 +165,7 @@ def test_h1_cutoff_guard_for_degree_bounded_presentation():
                 lines.append(f"mul y{i} y{j} = 1*y{i + j}")
     for i in range(5):
         lines.append(f"embed y{i} = 1*t^{i}")
-    pres = load_presentation("\n".join(lines), verify_degree=2)
+    pres = load_presentation("\n".join(lines))
     assert coh.resolved_default_cutoff(pres, 0) == 2
     res = coh.compute(pres, 0)
     assert res.dims == (1, 0) and res.certified

@@ -106,7 +106,7 @@ embed a4 = 16*t^4
 
 
 def test_load_presentation():
-    pres = load_presentation(RESCALED_P1, name="p1-rescaled", verify_degree=4)
+    pres = load_presentation(RESCALED_P1, name="p1-rescaled")
     assert pres.leading_exact
     assert [pres.label(i) for i in pres.basis_up_to(2)] == ["one", "a", "a2"]
     assert pres.embed_basis(1) == gaussian_window({1: 2})
@@ -115,7 +115,7 @@ def test_load_presentation():
 def test_load_presentation_rejects_bad_table():
     bad = RESCALED_P1.replace("mul a a = 1*a2", "mul a a = 1*a3")
     with pytest.raises(EmbeddingNotRingMap):
-        load_presentation(bad, verify_degree=4)
+        load_presentation(bad)
 
 
 def test_load_presentation_requires_fields():
@@ -129,35 +129,34 @@ def test_twistor_presentations_share_power_windows(capsys):
     from curvecoh.cli import main
 
     a, b = twistor_presentation(), twistor_presentation()
-    for i in range(40):
-        assert a.embed_basis(i) == b.embed_basis(i)
-    # u^p (odd indices) is the one shared window, not an equal copy
-    assert all(a.embed_basis(i) is b.embed_basis(i) for i in range(1, 40, 2))
-    # every twistor job reads the shared powers; the JSON is the one recorded before sharing
+    assert a is b and p1_presentation() is p1_presentation()
+    windows = [a.embed_basis(i) for i in range(40)]
+    # u^p (odd indices) and u^p*v (even indices) are built once and then read back
+    assert all(b.embed_basis(i) is w for i, w in enumerate(windows))
+    # every twistor job reads the shared windows; the JSON is the one recorded before sharing
     assert main(["cohomology", "--curve", "twistor", "--n", "-6..16", "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "382fc5b41fa2ce38b6053f4de59a30501229173ac125f8684a55d7294b4e3936"
 
 
-def test_twistor_powers_extend_once_under_concurrent_embeddings(monkeypatch):
+def test_twistor_windows_fill_once_under_concurrent_embeddings():
     import sys
     import threading
 
     from curvecoh import presentation
 
-    u = presentation._TWISTOR_U
-    monkeypatch.setattr(presentation, "_TWISTOR_POWERS", [u.power(0)])
+    u, v = presentation._TWISTOR_U, presentation._TWISTOR_V
+    pres = presentation.twistor_presentation.__wrapped__()  # a fresh value, its cache empty
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so unguarded appends would interleave
+    sys.setswitchinterval(1e-6)  # switch threads often, so concurrent fills interleave
     start = threading.Barrier(6)
     seen = []
 
     def worker(order):
-        embed = presentation.twistor_embedding()
         start.wait()
-        seen.extend((i, embed(i)) for i in order)
+        seen.extend((i, pres.embed_basis(i)) for i in order)
 
-    orders = [range(1, 80, 2), range(79, 0, -2)] * 3
+    orders = [range(1, 81), range(80, 0, -1)] * 3
     threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
     try:
         for t in threads:
@@ -166,10 +165,25 @@ def test_twistor_powers_extend_once_under_concurrent_embeddings(monkeypatch):
             t.join()
     finally:
         sys.setswitchinterval(interval)
-    powers = presentation._TWISTOR_POWERS
-    assert len(powers) == 41
-    assert all(w == u.power(p) for p, w in enumerate(powers))
-    assert len(seen) == 6 * 40 and all(w is powers[(i + 1) // 2] for i, w in seen)
+    def expected(i):
+        p, has_v = presentation._twistor_decode(i)
+        return u.power(p) * v if has_v else u.power(p)
+
+    assert sorted(pres._embed_cache) == list(range(81))
+    assert all(w == expected(i) for i, w in pres._embed_cache.items())
+    assert len(seen) == 6 * 80 and all(w == expected(i) for i, w in seen)
+
+
+def test_formal_embeddings_hand_back_the_shared_windows():
+    from curvecoh import cohomology as coh
+    from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
+    from curvecoh.scalars import gaussian_tps
+
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 8)), 8)
+    for pres, factory in ((twistor_presentation(), coh.twistor_formal_embedding),
+                          (p1_presentation(), coh.p1_formal_embedding)):
+        embed = factory(model)
+        assert all(embed(i) is pres.embed_basis(i) for i in pres.basis_up_to(12))
 
 
 def _random_coefficient(rng):
@@ -237,7 +251,7 @@ embed w2 = -1*t^2
 
 
 def test_load_gaussian_coefficient_presentation():
-    pres = load_presentation(GAUSSIAN_SCALED, name="gauss-scaled", verify_degree=2)
+    pres = load_presentation(GAUSSIAN_SCALED, name="gauss-scaled")
     from curvecoh import cohomology as coh
 
     res = coh.h0(pres, 1, D=1)
@@ -432,6 +446,25 @@ def test_ring_map_extension_checks_each_product_degree_once(p1_file, monkeypatch
     for degree in (5, 8, 8, 10, 12):
         assert pres.certified_through(degree)
     assert calls == [(-1, 6), (6, 8), (8, 10)]
+
+
+def test_leading_exact_extension_scans_each_degree_once(monkeypatch):
+    from curvecoh import cohomology as coh
+    from curvecoh import presentation
+
+    scanned = []
+    rows = presentation.gluing_rows
+
+    def recording(pair, windows, top, low, identity=False):
+        scanned.append(top)  # leading_exact_failure reads one degree's leading row per call
+        return rows(pair, windows, top, low, identity)
+
+    monkeypatch.setattr(presentation, "gluing_rows", recording)
+    pres = load_presentation(_benchmark_curve_text())
+    assert scanned == list(range(7))
+    res = coh.compute(pres, 11)  # cutoff 12: H^0 reads degree 12, H^1 degree 14
+    assert res.certified and res.cutoff_used == 12
+    assert scanned == list(range(15))
 
 
 def test_ring_map_checks_both_orders_when_the_rules_differ(p1_file):
