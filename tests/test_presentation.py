@@ -165,6 +165,7 @@ def test_twistor_windows_fill_once_under_concurrent_embeddings():
             t.join()
     finally:
         sys.setswitchinterval(interval)
+
     def expected(i):
         p, has_v = presentation._twistor_decode(i)
         return u.power(p) * v if has_v else u.power(p)
