@@ -87,8 +87,6 @@ def parse_f_expression(text: str, order: int) -> TruncatedPowerSeries:
             return rational_tps([value], order)
         if kind == "xi":
             return rational_tps([0, 1], order)
-        if kind == "-":
-            return -atom()
         if kind == "(":
             e = expr()
             if peek() != ")":
@@ -98,6 +96,10 @@ def parse_f_expression(text: str, order: int) -> TruncatedPowerSeries:
         raise ValueError(f"unexpected token {kind!r} in f-expression")
 
     def factor() -> TruncatedPowerSeries:
+        # unary minus binds looser than ^: -a^b is -(a^b)
+        if peek() == "-":
+            take()
+            return -factor()
         base = atom()
         while peek() == "^":
             take()

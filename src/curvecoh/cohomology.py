@@ -21,12 +21,13 @@ H^0 and H^1 are the kernel and cokernel of one gluing map, the affine
 algebra up to degree D into the Laurent coefficients above Fil_n. Its
 rows are each window's own integer numerators and denominator
 (``gluing_rows``, realified over Q(i)). ``_sections`` reduces them once
-for H^0, builds exact rationals only for the basis vectors it outputs
-and the element windows straight from the integer rows, each row divided
-by its first affine coordinate through one ``scalars.gaussian_reciprocal``;
-``_h1_classes`` runs the stabilization loop for H^1 on forward passes,
-which give the pivots alone. ``h0``, ``h1``, ``compute`` and
-``curve_from_parts`` all go through these two.
+for H^0 and builds exact rationals only for the basis vectors it
+outputs, each row divided by its first affine coordinate through one
+``scalars.gaussian_reciprocal``; an element's window is its image under
+the embedding (``AffinePresentation.embed_element``). ``_h1_classes``
+runs the stabilization loop for H^1 on forward passes, which give the
+pivots alone. ``h0``, ``h1``, ``compute`` and ``curve_from_parts`` all go
+through these two.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -67,13 +68,11 @@ class CohomologyResult:
 
     n: int
     h0_basis: list | None = None
-    h0_windows: list | None = None
     h0_graded: dict | None = None
     h1_basis: list | None = None
     h1_graded: dict | None = None
     certified: bool = False
     cutoff_used: int = 0
-    window_bottom: int | None = None
     labels: list | None = None
 
     @property
@@ -83,6 +82,11 @@ class CohomologyResult:
     @property
     def h1_dim(self):
         return None if self.h1_basis is None else len(self.h1_basis)
+
+    @property
+    def window_bottom(self):
+        """n for a result that carries H^1 (its classes live above Fil_n), else None."""
+        return None if self.h1_basis is None else self.n
 
     @property
     def dims(self):
@@ -145,12 +149,10 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     identity over the affine basis] (``gluing_rows``). Its rows with the
     pivot at or below t^fil_bound span exactly the kernel part, and since
     the reduced echelon form of a subspace is unique for a given column
-    order, they are the canonical basis. Returns (basis, element windows,
-    graded pieces); each basis vector {basis index: k0 coefficient} is
-    rescaled so its first affine coordinate is 1. Each element's window is
-    its integer row's window block divided by the same lead (one
-    ``gaussian_reciprocal`` per row), known down to the largest cutoff of
-    the basis windows (exact when every basis window is).
+    order, they are the canonical basis. Returns (basis, graded pieces);
+    each basis vector {basis index: k0 coefficient}, keys in basis order,
+    is the row's identity block rescaled so its first affine coordinate is
+    1 (one ``gaussian_reciprocal`` per row).
     """
     pair = pres.pair
     basis = pres.basis_up_to(D)
@@ -158,40 +160,25 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     _require_known(windows, fil_bound + 1)
     tops = [w.pole_order() for w in windows]
     top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
-    cutoff = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
-    low = cutoff
-    if cutoff is None:
+    low = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
+    if low is None:
         low = min((part[0][0] for w in windows for part in w.terms if part), default=top + 1)
     step = pair.coord_count
     width = (top - low + 1) * step
-    vecs, wins, pivot_exps = [], [], []
+    vecs, pivot_exps = [], []
     for pc, re, im in reduced_rows(gluing_rows(pair, windows, top, low, identity=True)):
         m = top - pc // step if pc < width else None
         if m is not None and m > fil_bound:
             continue
-        coords = [(i, re.get(width + k, 0), im.get(width + k, 0)) for k, i in enumerate(basis)]
-        coords = [c for c in coords if c[1] or c[2]]
-        # rescale so the first affine coordinate (basis order) is 1; row operations
-        # keep "window block = identity block applied to the basis windows"
+        # the identity block's entries: column width + k is the coordinate at basis[k]
+        coords = [(basis[c - width], re.get(c, 0), im.get(c, 0))
+                  for c in sorted(re.keys() | im.keys()) if c >= width]
         ra, rb, d = gaussian_reciprocal(*coords[0][1:])
         vecs.append({i: Fraction(u * ra, d) if pair.split
                      else GaussianRational(Fraction(u * ra - v * rb, d), Fraction(u * rb + v * ra, d))
                      for i, u, v in coords})
-        # the window block's real and imaginary numerators by exponent (a split row is all in re)
-        x, y = {}, {}
-        for part, row in enumerate((re, im)):
-            for c, u in row.items():
-                if c < width:
-                    (y if part + c % step else x)[top - c // step] = u
-        exps = x.keys() | y.keys()
-        wins.append(LaurentWindow.from_integers(
-            d,
-            {e: x.get(e, 0) * ra - y.get(e, 0) * rb for e in exps},
-            {e: x.get(e, 0) * rb + y.get(e, 0) * ra for e in exps},
-            cutoff,
-        ))
         pivot_exps.append(m)
-    return vecs, wins, _graded_from_pivots(pivot_exps)
+    return vecs, _graded_from_pivots(pivot_exps)
 
 
 def _graded_from_pivots(pivots) -> dict:
@@ -254,11 +241,10 @@ def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
     """Global sections of O(n): affine elements with pole order <= n at infinity."""
     D = _cutoff(pres, n, D, "h0")
     certified = pres.certified_through(D)
-    basis, windows, graded = _sections(pres, pres.embed_basis, n, D)
+    basis, graded = _sections(pres, pres.embed_basis, n, D)
     return CohomologyResult(
         n=n,
         h0_basis=basis,
-        h0_windows=windows,
         h0_graded=graded,
         certified=certified,
         cutoff_used=D,
@@ -281,7 +267,6 @@ def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
         h1_graded=graded,
         certified=pres.certified_through(D + 2),
         cutoff_used=D,
-        window_bottom=n,
     )
 
 
@@ -294,7 +279,6 @@ def compute(pres: AffinePresentation, n: int, D: int | None = None) -> Cohomolog
         h1_basis=r1.h1_basis,
         h1_graded=r1.h1_graded,
         certified=r0.certified and r1.certified,
-        window_bottom=r1.window_bottom,
     )
 
 
@@ -357,17 +341,15 @@ def curve_from_parts(
         fil_bound = model.fil_pole_bound(n)
         certified = failure is None or failure[0] > D_n + 2
         reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump)
-        basis, windows, h0_graded = _sections(pres, window, fil_bound, D_n)
+        basis, h0_graded = _sections(pres, window, fil_bound, D_n)
         results.append(CohomologyResult(
             n=n,
             h0_basis=basis,
-            h0_windows=windows,
             h0_graded=h0_graded,
             h1_basis=reps,
             h1_graded=h1_graded,
             certified=certified,
             cutoff_used=D_n,
-            window_bottom=n,
             labels={i: pres.label(i) for i in pres.basis_up_to(D_n)},
         ))
     return results

@@ -29,6 +29,11 @@ def test_parse_f_expression():
     assert parse_f_expression("xi*(1+xi)", 8) == rational_tps([0, 1, 1], 8)
     assert parse_f_expression("2", 8) == rational_tps([2], 8)
     assert parse_f_expression("xi^2 - 3/2", 8) == rational_tps([Fraction(-3, 2), 0, 1], 8)
+    # unary minus binds looser than ^
+    assert parse_f_expression("-xi^2", 8) == rational_tps([0, 0, -1], 8)
+    assert parse_f_expression("-(1+xi)^2", 8) == rational_tps([-1, -2, -1], 8)
+    assert parse_f_expression("-2^2", 8) == rational_tps([-4], 8)
+    assert parse_f_expression("xi*-xi^2", 8) == rational_tps([0, 0, 0, -1], 8)
     with pytest.raises(ValueError):
         parse_f_expression("xi + %", 8)
 
