@@ -25,9 +25,17 @@ for H^0 and builds exact rationals only for the basis vectors it
 outputs, each row divided by its first affine coordinate through one
 ``scalars.gaussian_reciprocal``; an element's window is its image under
 the embedding (``AffinePresentation.embed_element``). ``_h1_classes``
-runs the stabilization loop for H^1 on forward passes, which give the
-pivots alone. ``h0``, ``h1``, ``compute`` and ``curve_from_parts`` all go
+runs the stabilization loop for H^1, which needs only the image's pivot
+columns. ``h0``, ``h1``, ``compute`` and ``curve_from_parts`` all go
 through these two.
+
+Where the window used is certified leading_exact through every degree a
+result reads, structure decides what elimination would (a degree-d
+element peaks at t^(d*jump) with k0-independent leading coefficients):
+H^1's image pivots are each degree's leading pivots
+(``presentation.leading_pivots``), and H^0 reduces only the rows that
+can enter the kernel. Uncertified windows run the eliminations, the only
+way to see drift without the certificate.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -39,15 +47,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
-from .errors import CutoffTooSmall, IndeterminateTop, NotStabilized
+from .errors import CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop, NotStabilized
 from .linalg import pivot_columns, reduced_rows
 from .presentation import (
     AffinePresentation,
     check_ring_map,
     gluing_rows,
     leading_exact_failure,
+    leading_pivots,
     p1_presentation,
     twistor_presentation,
 )
@@ -142,7 +151,8 @@ def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
     return D
 
 
-def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
+def _sections(pres: AffinePresentation, window, fil_bound: int, D: int,
+              kernel_degree: int | None = None):
     """H^0 up to degree D: affine elements whose window has pole order <= fil_bound.
 
     One reduced echelon form of [window coordinates t^top ... t^low |
@@ -153,11 +163,19 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     each basis vector {basis index: k0 coefficient}, keys in basis order,
     is the row's identity block rescaled so its first affine coordinate is
     1 (one ``gaussian_reciprocal`` per row).
+
+    ``kernel_degree`` is fil_bound // jump for a window certified
+    leading_exact through D: an element with a part of higher degree d
+    peaks at t^(d*jump) > t^fil_bound, so only the rows of degree <=
+    kernel_degree are reduced. The kernel, and with it its reduced
+    echelon form, is the same; ``top``, ``low`` and the known-coefficient
+    check still read every window up to D.
     """
     pair = pres.pair
     basis = pres.basis_up_to(D)
     windows = [window(i) for i in basis]
     _require_known(windows, fil_bound + 1)
+    rows = windows if kernel_degree is None else windows[:len(pres.basis_up_to(kernel_degree))]
     tops = [w.pole_order() for w in windows]
     top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
     low = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
@@ -166,7 +184,7 @@ def _sections(pres: AffinePresentation, window, fil_bound: int, D: int):
     step = pair.coord_count
     width = (top - low + 1) * step
     vecs, pivot_exps = [], []
-    for pc, re, im in reduced_rows(gluing_rows(pair, windows, top, low, identity=True)):
+    for pc, re, im in reduced_rows(gluing_rows(pair, rows, top, low, identity=True)):
         m = top - pc // step if pc < width else None
         if m is not None and m > fil_bound:
             continue
@@ -208,27 +226,52 @@ def _cutoff(pres: AffinePresentation, n: int, D: int | None, what: str) -> int:
     return D
 
 
-def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: int):
-    """(representatives, graded) of the cokernel, stable over cutoffs D, D+1, D+2.
-
-    At cutoff D' the quotient target is span{t^m : fil_bound < m <=
-    max(D'*jump, fil_bound)}, so an image that stops growing leaves new
-    columns uncovered and the dimension drifts.
-    """
+def _require_declared(pres: AffinePresentation, D: int):
+    """H^1 stabilization reads degrees up to D + 2: refuse a presentation that stops below."""
     if pres.max_degree is not None and D + 2 > pres.max_degree:
         raise CutoffTooSmall(
             f"presentation declares degrees up to {pres.max_degree}; "
             f"h1 stabilization needs D + 2 <= {pres.max_degree}, got D={D}"
         )
-    runs = []
-    for cutoff in range(D, D + 3):
+
+
+def _h1_free_columns(pres: AffinePresentation, window, fil_bound: int, cutoff: int, jump: int,
+                     pivots=None) -> list:
+    """The (exponent, part) columns of the H^1 target at ``cutoff`` that the image misses.
+
+    The target is span{t^m : fil_bound < m <= max(cutoff*jump, fil_bound)},
+    realified for a (Q, Q(i)) pair. The image's pivot columns come from one
+    forward pass over the rows of degree <= cutoff, or, with ``pivots``
+    (degree d -> ``presentation.leading_pivots``, for a window certified
+    leading_exact through ``cutoff``), are read off: a degree-d element
+    peaks at t^(d*jump) with k0-independent leading coefficients, so the
+    image pivots at (d*jump, p) for p among degree d's leading pivots,
+    d*jump > fil_bound, and nowhere else.
+    """
+    top = max(cutoff * jump, fil_bound)
+    cols = [(e, p) for e in range(top, fil_bound, -1) for p in range(pres.pair.coord_count)]
+    if pivots is None:
         windows = [window(i) for i in pres.basis_up_to(cutoff)]
-        _require_known(windows, fil_bound + 1)
-        top = max(cutoff * jump, fil_bound)
-        # the (exponent, part) columns of the target off the image echelon
-        pivots = set(pivot_columns(gluing_rows(pres.pair, windows, top, fil_bound + 1)))
-        cols = [(e, p) for e in range(top, fil_bound, -1) for p in range(pres.pair.coord_count)]
-        runs.append([col for k, col in enumerate(cols) if k not in pivots])
+        rows = gluing_rows(pres.pair, windows, top, fil_bound + 1)
+        image = {cols[k] for k in pivot_columns(rows)}
+    else:
+        image = {(d * jump, p) for d in range(max(fil_bound // jump + 1, 0), cutoff + 1)
+                 for p in pivots(d)}
+    return [col for col in cols if col not in image]
+
+
+def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: int,
+                pivots=None):
+    """(representatives, graded) of the cokernel, stable over cutoffs D, D+1, D+2.
+
+    At cutoff D' the quotient target is span{t^m : fil_bound < m <=
+    max(D'*jump, fil_bound)}, so an image that stops growing leaves new
+    columns uncovered and the dimension drifts. ``pivots`` is passed on to
+    ``_h1_free_columns``, for a window certified leading_exact through D + 2.
+    """
+    _require_known([window(i) for i in pres.basis_up_to(D + 2)], fil_bound + 1)
+    runs = [_h1_free_columns(pres, window, fil_bound, cutoff, jump, pivots)
+            for cutoff in range(D, D + 3)]
     dims = [len(free) for free in runs]
     if not dims[0] == dims[1] == dims[2]:
         raise NotStabilized(f"h1 dimension still changing at cutoffs {D}..{D + 2}: {dims}")
@@ -241,7 +284,7 @@ def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
     """Global sections of O(n): affine elements with pole order <= n at infinity."""
     D = _cutoff(pres, n, D, "h0")
     certified = pres.certified_through(D)
-    basis, graded = _sections(pres, pres.embed_basis, n, D)
+    basis, graded = _sections(pres, pres.embed_basis, n, D, n if certified else None)
     return CohomologyResult(
         n=n,
         h0_basis=basis,
@@ -260,12 +303,19 @@ def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
     modulo the image by construction.
     """
     D = _cutoff(pres, n, D, "h1")
-    reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1)
+    _require_declared(pres, D)
+    try:
+        certified = pres.certified_through(D + 2)
+    except EmbeddingNotRingMap:
+        _h1_classes(pres, pres.embed_basis, n, D, 1)  # the elimination's own errors come first
+        raise
+    pivots = pres.leading_pivots if certified else None
+    reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1, pivots)
     return CohomologyResult(
         n=n,
         h1_basis=reps,
         h1_graded=graded,
-        certified=pres.certified_through(D + 2),
+        certified=certified,
         cutoff_used=D,
     )
 
@@ -322,26 +372,34 @@ def curve_from_parts(
 
     ``embedding`` maps basis indices to windows in the model's carrier; it
     is cached once and checked once to be a ring map on basis products up
-    to degree 4, since neither depends on the twist. Returns one result per
-    twist, in order. For a model with jump_index 1 this reproduces the
-    direct computation. A result is certified when degree-d elements peak
-    at pole d*jump with independent leading coefficients (the
-    leading_exact property, verified in the carrier through D + 2, the
-    highest degree that twist's H^1 stabilization reads).
+    to max(D) + 2, the highest degree any twist reads, since neither
+    depends on the twist. Returns one result per twist, in order. For a
+    model with jump_index 1 this reproduces the direct computation. A
+    result is certified when degree-d elements peak at pole d*jump with
+    independent leading coefficients (the leading_exact property, verified
+    in the carrier through D + 2, the highest degree that twist's H^1
+    stabilization reads); its H^0 and H^1 are then read off the leading
+    pivots that check computed, kept for this call.
     """
     ns = list(ns)
     cutoffs = [_cutoff(pres, n, D, "assembly") for n in ns]
+    for D_n in cutoffs:
+        _require_declared(pres, D_n)
     window = cache(embedding)
-    check_ring_map(pres, window, 4)
     jump = model.jump_index
+    top = max(cutoffs, default=0) + 2
+    check_ring_map(pres, window, top)
+    pivots = cache(partial(leading_pivots, pres, window, jump))
     # one pass through the highest degree read; twists reading below its failure stay certified
-    failure = leading_exact_failure(pres, window, jump, max(cutoffs, default=0) + 2)
+    failure = leading_exact_failure(pres, window, jump, top, pivots=pivots)
     results = []
     for n, D_n in zip(ns, cutoffs):
         fil_bound = model.fil_pole_bound(n)
         certified = failure is None or failure[0] > D_n + 2
-        reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump)
-        basis, h0_graded = _sections(pres, window, fil_bound, D_n)
+        reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump,
+                                      pivots if certified else None)
+        basis, h0_graded = _sections(pres, window, fil_bound, D_n,
+                                     fil_bound // jump if certified else None)
         results.append(CohomologyResult(
             n=n,
             h0_basis=basis,

@@ -25,7 +25,7 @@ User presentations load from a small text format, see ``load_presentation``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd, lcm
 
 from .errors import EmbeddingNotRingMap
@@ -72,6 +72,7 @@ class AffinePresentation:
         self._label = label_fn
         self._embed_cache: dict[int, LaurentWindow] = {}
         self._rule_cache: dict[tuple[int, int], tuple] = {}
+        self._pivot_cache: dict[int, list] = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -99,6 +100,13 @@ class AffinePresentation:
         if i not in self._embed_cache:
             self._embed_cache[i] = self._embed(i)
         return self._embed_cache[i]
+
+    def leading_pivots(self, d: int) -> list:
+        """``leading_pivots`` of the presentation's own embedding in degree d, computed once."""
+        pivots = self._pivot_cache.get(d)
+        if pivots is None:
+            pivots = self._pivot_cache[d] = leading_pivots(self, self.embed_basis, 1, d)
+        return pivots
 
     def mul_basis(self, i: int, j: int) -> dict:
         """Structure constants of b_i * b_j as {index: k0 coefficient}."""
@@ -164,7 +172,8 @@ class AffinePresentation:
 
     def verify_leading_exact(self, max_degree: int = 6, above: int = -1) -> None:
         """Check both leading_exact conditions degree by degree, in degrees (above, max_degree]."""
-        failure = leading_exact_failure(self, self.embed_basis, 1, max_degree, above)
+        failure = leading_exact_failure(self, self.embed_basis, 1, max_degree, above,
+                                        self.leading_pivots)
         if failure is not None:
             raise EmbeddingNotRingMap(f"{self.name}: {failure[1]}")
 
@@ -248,21 +257,34 @@ def gluing_rows(pair, windows, top: int, low: int, identity: bool = False) -> li
     return rows
 
 
+def leading_pivots(pres: AffinePresentation, window, jump: int, d: int) -> list:
+    """The pivot parts of degree d's leading coefficients at t^(d*jump), over k0.
+
+    Part p is the real (0) or imaginary (1) coordinate for a (Q, Q(i))
+    pair, and 0 over Q(i). There is one per basis element of degree d
+    exactly when those coefficients are k0-independent.
+    """
+    windows = [window(i) for i in pres.indices_of_degree(d)]
+    return pivot_columns(gluing_rows(pres.pair, windows, d * jump, d * jump))
+
+
 def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degree: int,
-                          above: int = -1):
+                          above: int = -1, pivots=None):
     """(first failing degree, why) for ``window`` and the leading_exact conditions, or None.
 
     Degrees above+1..max_degree are checked in order. Each basis element of
     degree d must have pole order d*jump, and the leading coefficients
-    within each degree must be k0-linearly independent.
+    within each degree must be k0-linearly independent, that is, have one
+    ``leading_pivots`` entry per element. ``pivots`` maps d to those
+    pivots when the caller keeps them for the H^1 read-off.
     """
+    pivots = pivots or partial(leading_pivots, pres, window, jump)
     for d in range(above + 1, max_degree + 1):
         indices = pres.indices_of_degree(d)
         for i in indices:
             if window(i).pole_order() != d * jump:
                 return d, f"pole_order(embed({pres.label(i)})) != {d * jump} (degree {d})"
-        rows = gluing_rows(pres.pair, [window(i) for i in indices], d * jump, d * jump)
-        if len(pivot_columns(rows)) != len(rows):
+        if len(pivots(d)) != len(indices):
             return d, f"leading coefficients in degree {d} are k0-dependent"
     return None
 

@@ -298,21 +298,22 @@ def test_dream_checks_ring_map_once_per_curve(capsys, monkeypatch):
     check_ring_map, leading_exact_failure = coh.check_ring_map, coh.leading_exact_failure
 
     def counting_check(pres, window, max_degree):
-        checks.append(pres.name)
+        checks.append((pres.name, max_degree))
         return check_ring_map(pres, window, max_degree)
 
-    def recording_failure(pres, window, jump, max_degree):
+    def recording_failure(pres, window, jump, max_degree, **kwargs):
         certified_to.append((pres.name, max_degree))
-        return leading_exact_failure(pres, window, jump, max_degree)
+        return leading_exact_failure(pres, window, jump, max_degree, **kwargs)
 
     monkeypatch.setattr(coh, "check_ring_map", counting_check)
     monkeypatch.setattr(coh, "leading_exact_failure", recording_failure)
     code, out, _ = run(capsys, "dream", "--x", "1/3", "--r", "1/2", "--M", "8", "--n", "-2..3",
                        "--format", "json")
     assert code == 0 and json.loads(out)["all_match"]
-    assert sorted(checks) == ["p1", "twistor"]
-    # one leading_exact pass per curve, through the highest degree D + 2 an H^1 reads
+    # one ring-map check and one leading_exact pass per curve, both through
+    # the highest degree D + 2 an H^1 reads
     top = max(coh.default_cutoff(n) for n in range(-2, 4)) + 2
+    assert checks == [("twistor", top), ("p1", top)]
     assert certified_to == [("twistor", top), ("p1", top)]
 
 

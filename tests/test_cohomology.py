@@ -1,19 +1,24 @@
 """The gluing-square cohomology engine against the known tables."""
 
+import gc
+import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from curvecoh import cohomology as coh
-from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap
+from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop, NotStabilized
 from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
 from curvecoh.presentation import (
+    leading_exact_failure,
+    leading_pivots,
     load_presentation,
     p1_presentation,
     twistor_presentation,
 )
 from curvecoh.scalars import GaussianRational, gaussian_tps
-from curvecoh.series import fil_member
+from curvecoh.series import fil_member, gaussian_window
 
 
 @pytest.fixture(scope="module")
@@ -219,12 +224,6 @@ def test_curve_from_parts_rejects_non_ring_map(tw):
         coh.curve_from_parts(tw, model, broken, [1])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="curve_from_parts checks the ring map through degree 4 only, while n = 0 "
-    "reads degrees up to D + 2 = 6; ROADMAP open item 1 extends the check",
-)
 def test_curve_from_parts_refuses_a_ring_map_broken_above_degree_4(tw):
     from curvecoh.presentation import check_ring_map
     from curvecoh.series import LaurentWindow
@@ -246,22 +245,126 @@ def test_curve_from_parts_refuses_a_ring_map_broken_above_degree_4(tw):
     assert not res.certified
 
 
+def _dependent_degree_5_file() -> str:
+    """Q(i)[t] up to degree 6 with a second degree-5 element g -> t^5 + t^4, so g = x5 + x4.
+
+    Its ring map holds (g*x1 = x6 + x5), but the leading coefficients of x5
+    and g at t^5 are dependent: leading_exact fails in degree 5 only.
+    """
+    lines = ["fields gaussian gaussian"]
+    lines += [f"basis x{k} {k}" for k in range(7)] + ["basis g 5"]
+    lines += [f"mul x{i} x{j} = 1*x{i + j}" for i in range(7) for j in range(i, 7 - i)]
+    lines += ["mul g x0 = 1*g", "mul g x1 = 1*x6 + 1*x5"]
+    lines += [f"embed x{k} = 1*t^{k}" for k in range(7)] + ["embed g = 1*t^5 + 1*t^4"]
+    return "\n".join(lines)
+
+
 def test_curve_from_parts_certifies_every_degree_h1_reads(p1):
     # n = 0 reads cutoff D = 4, and H^1 stabilization reads D + 1 and D + 2;
-    # t^5 peaking at pole 6 breaks leading_exact in degree 5
-    from curvecoh.presentation import leading_exact_failure
-    from curvecoh.series import gaussian_window
-
+    # the dependent leading coefficients in degree 5 leave the twist uncertified
     model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
-
-    def embed(i):
-        return gaussian_window({5: 1, 6: 1} if i == 5 else {i: 1})
-
-    assert leading_exact_failure(p1, embed, 1, 6) == (5, "pole_order(embed(t^5)) != 5 (degree 5)")
-    (res,) = coh.curve_from_parts(p1, model, embed, [0])
+    pres = load_presentation(_dependent_degree_5_file(), name="dependent")
+    assert pres.max_degree == 6
+    assert leading_exact_failure(pres, pres.embed_basis, 1, 6) == (
+        5, "leading coefficients in degree 5 are k0-dependent")
+    (res,) = coh.curve_from_parts(pres, model, pres.embed_basis, [0])
     assert res.cutoff_used == 4 and not res.certified
+    assert res.dims == (1, 0)
     (res,) = coh.curve_from_parts(p1, model, coh.p1_formal_embedding(model), [0])
     assert res.certified
+
+
+def test_a_loaded_presentation_is_collected_after_use():
+    # the leading pivots live on the presentation (and per call in
+    # curve_from_parts), so nothing outlives a loaded file but its results
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+    pres = load_presentation(_shifted_line_file(14), name="shifted")
+    results = [coh.compute(pres, 3), coh.h1(pres, -2)]
+    results += coh.curve_from_parts(pres, model, pres.embed_basis, [-2, 0, 3])
+    assert all(res.certified for res in results)
+    assert pres._pivot_cache  # the read-off ran
+    ref = weakref.ref(pres)
+    del pres
+    gc.collect()
+    assert ref() is None
+
+
+def _p1_file(top: int, embeds: dict) -> str:
+    """Q(i)[t] up to degree ``top``, leading_exact declared, x_k -> embeds.get(k, t^k)."""
+    lines = ["fields gaussian gaussian", "flags leading_exact"]
+    lines += [f"basis x{k} {k}" for k in range(top + 1)]
+    lines += [f"mul x{i} x{j} = 1*x{i + j}" for i in range(top + 1) for j in range(i, top + 1 - i)]
+    lines += [f"embed x{k} = {embeds.get(k, f'1*t^{k}')}" for k in range(top + 1)]
+    return "\n".join(lines)
+
+
+def test_read_off_keeps_the_elimination_errors(p1):
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+    # n = 0 reads D = 4, and H^1 reads D + 1 and D + 2: a window there known
+    # only above t^1 is indeterminate, on the read-off path as before
+    for degree in (5, 6):
+        def clipped(i, degree=degree):
+            w = p1.embed_basis(i)
+            return w.clip(2) if i == degree else w
+
+        assert leading_exact_failure(p1, clipped, 1, 6) is None  # certified: the read-off runs
+        messages = []
+        for pivots in (None, partial(leading_pivots, p1, clipped, 1)):
+            with pytest.raises(IndeterminateTop) as exc:
+                coh._h1_classes(p1, clipped, 0, 4, 1, pivots)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        with pytest.raises(IndeterminateTop) as exc:
+            coh.curve_from_parts(p1, model, clipped, [0])
+        assert str(exc.value) == messages[0]
+
+    # x7 -> t^8 breaks leading_exact (and the ring map) in degree 7, above
+    # the degree 6 the loader checks
+    pres = load_presentation(_p1_file(8, {7: "1*t^8"}))
+    assert pres.verified_degree == 6
+    # D + 2 > max_degree is refused before any check would reach degree 7
+    with pytest.raises(CutoffTooSmall, match="got D=7"):
+        coh.h1(pres, 0, D=7)
+    with pytest.raises(CutoffTooSmall, match="got D=7"):
+        coh.curve_from_parts(pres, model, pres.embed_basis, [0], D=7)
+    # the elimination's own error comes before the failing certificate
+    with pytest.raises(NotStabilized, match=r"cutoffs 5\.\.7: \[0, 0, 1\]"):
+        coh.h1(pres, 0, D=5)
+    assert pres.verified_degree == 6
+    with pytest.raises(EmbeddingNotRingMap):
+        pres.certified_through(7)
+
+
+def test_certified_results_eliminate_only_what_structure_leaves_open(tw, monkeypatch):
+    # certified: H^1 runs no forward pass and H^0 reduces the rows of degree
+    # <= fil_bound only; uncertified: a pass per cutoff D..D+2 and every row
+    from curvecoh import linalg
+
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+    passes, reduced = [], []
+
+    def forward_pass(rows):
+        passes.append(len(rows))
+        return linalg.pivot_columns(rows)
+
+    def reduction(rows):
+        reduced.append(len(rows))
+        return linalg.reduced_rows(rows)
+
+    monkeypatch.setattr(coh, "pivot_columns", forward_pass)
+    monkeypatch.setattr(coh, "reduced_rows", reduction)
+    for n in (-3, 2, 9):
+        assert coh.compute(tw, n).certified
+        assert passes == [] and reduced == [len(tw.basis_up_to(n))]
+        reduced.clear()
+    for res in coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), [-3, 2, 9]):
+        assert res.certified
+    assert passes == [] and reduced == [len(tw.basis_up_to(n)) for n in (-3, 2, 9)]
+    reduced.clear()
+
+    pres = load_presentation(_p1_file(8, {}).replace("flags leading_exact\n", ""))
+    assert not coh.compute(pres, 0, D=4).certified
+    assert passes == [5, 6, 7] and reduced == [5]
 
 
 def _gaussian_coeff(z) -> str:
@@ -434,16 +537,41 @@ def _assert_same_typed(ours, theirs):
         assert type(a) is type(b), (a, b)
 
 
-def _assert_matches_reference(pres, window, fil_bound, D, jump=1):
-    vecs, graded = coh._sections(pres, window, fil_bound, D)
+def _h1_outcome(pres, window, fil_bound, D, jump, pivots):
+    """The free (exponent, part) columns ``_h1_classes`` returns, or its NotStabilized message."""
+    try:
+        reps, _ = coh._h1_classes(pres, window, fil_bound, D, jump, pivots)
+    except NotStabilized as exc:
+        return str(exc)
+    return [(e, coh._UNITS.index(c)) for w in reps for e, c in w.coeffs.items()]
+
+
+def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
+    """The elimination path and the leading-pivot read-off against dense ``rref``.
+
+    Every input is certified leading_exact through D + 2, which the read-off
+    needs. H^1's free columns are compared at D, D + 1 and D + 2, and the
+    stabilized classes (or, when not ``stable``, the NotStabilized message)
+    must be the same on both paths.
+    """
+    assert leading_exact_failure(pres, window, jump, D + 2) is None
     ref_vecs, ref_graded = _reference_sections(pres, window, fil_bound, D)
-    assert graded == ref_graded
-    assert [list(v) for v in vecs] == [list(v) for v in ref_vecs]  # keys in basis order
-    for v, ref in zip(vecs, ref_vecs, strict=True):
-        _assert_same_typed(list(v.values()), list(ref.values()))
-    reps, _ = coh._h1_classes(pres, window, fil_bound, D, jump)
-    free = [(e, coh._UNITS.index(c)) for w in reps for e, c in w.coeffs.items()]
-    assert free == _reference_free_columns(pres, window, fil_bound, D, jump)
+    ref_free = [_reference_free_columns(pres, window, fil_bound, c, jump) for c in range(D, D + 3)]
+    outcomes = []
+    read_off = partial(leading_pivots, pres, window, jump)
+    for kernel_degree, pivots in ((None, None), (fil_bound // jump, read_off)):
+        vecs, graded = coh._sections(pres, window, fil_bound, D, kernel_degree)
+        assert graded == ref_graded
+        assert [list(v) for v in vecs] == [list(v) for v in ref_vecs]  # keys in basis order
+        for v, ref in zip(vecs, ref_vecs, strict=True):
+            _assert_same_typed(list(v.values()), list(ref.values()))
+        for c, ref in zip(range(D, D + 3), ref_free, strict=True):
+            assert coh._h1_free_columns(pres, window, fil_bound, c, jump, pivots) == ref
+        outcomes.append(_h1_outcome(pres, window, fil_bound, D, jump, pivots))
+    if stable:
+        assert outcomes == [ref_free[0], ref_free[0]]
+    else:
+        assert outcomes[0] == outcomes[1] and "still changing" in outcomes[0]
 
 
 def _gaussian_scaled_file(top: int, c: GaussianRational) -> str:
@@ -501,3 +629,21 @@ def test_integer_gluing_rows_match_dense_rows_with_cutoffs(p1, tw):
             for n in range(-3, 13):
                 D = coh.default_cutoff(n)
                 _assert_matches_reference(pres, window, model.fil_pole_bound(n), D, model.jump_index)
+
+
+def test_integer_gluing_rows_match_dense_rows_with_jump_2(p1):
+    # t^k -> t^2k against a divided Bott model: degree d peaks at t^2d, so the
+    # odd exponents carry no leading row, and H^1 drifts by one per degree
+    divided = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([0, 1], 16)), 16)
+    assert divided.jump_index == 2
+
+    def doubled(i):
+        return gaussian_window({2 * i: 1})
+
+    for n in range(-3, 9):
+        _assert_matches_reference(p1, doubled, divided.fil_pole_bound(n), coh.default_cutoff(n),
+                                  divided.jump_index, stable=False)
+    for fil_bound in (-5, -1, 1, 3, 9):  # odd bounds: fil_bound // 2 rounds down
+        _assert_matches_reference(p1, doubled, fil_bound, 6, 2, stable=False)
+    with pytest.raises(NotStabilized):
+        coh.curve_from_parts(p1, divided, doubled, [0])
