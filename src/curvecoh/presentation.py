@@ -62,9 +62,11 @@ class AffinePresentation:
         self.pair = pair
         self.leading_exact = leading_exact
         self.max_degree = max_degree
-        # degree through which leading_exact has been checked; None when
-        # it holds in every degree by construction (the built-in curves)
-        self.verified_degree: int | None = None
+        # degree through which leading_exact and the ring map have been
+        # checked: -1 (none yet) for a new presentation, so that
+        # certified_through checks them lazily; None when they hold in every
+        # degree by construction (the built-in curves set it)
+        self.verified_degree: int | None = -1
         self._degree = degree_fn
         self._indices_of_degree = indices_of_degree_fn
         self._embed = embed_fn
@@ -301,7 +303,7 @@ def p1_presentation() -> AffinePresentation:
     def label(i):
         return "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
 
-    return AffinePresentation(
+    pres = AffinePresentation(
         name="p1",
         pair=GAUSSIAN_PAIR,
         degree_fn=lambda i: i,
@@ -311,6 +313,8 @@ def p1_presentation() -> AffinePresentation:
         label_fn=label,
         leading_exact=True,
     )
+    pres.verified_degree = None
+    return pres
 
 
 def _twistor_decode(i: int):
@@ -393,6 +397,7 @@ def twistor_presentation() -> AffinePresentation:
         label_fn=label,
         leading_exact=True,
     )
+    pres.verified_degree = None
     return pres
 
 

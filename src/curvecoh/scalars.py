@@ -21,14 +21,14 @@ also the source of ``linalg``'s integer rows). Both carriers reduce, read
 and add up that form through the same helpers here (``reduced_form``,
 ``form_values``, ``form_combination``). Products convolve the numerators
 as Python ints (``integer_product``, schoolbook) and reduce once; shifts,
-truncation, Horner composition, Lagrange reversion and the inverse's
-quotient recurrence run on the numerators as well, and Fractions are
-built only when a coefficient is read. That inverse is the one quotient
-over Q(i): the Laurent window inverse in ``series`` and the expansions and
-divisions in ``harbater`` go through it. Series over the p-adics, or any
-other coefficient kind, keep their coefficients and use the generic
-coefficient loop; their inverse runs the recurrence ``series_quotient`` in
-the coefficients' own arithmetic.
+truncation, Horner composition, the reversion's coefficient recurrence and
+the inverse's quotient recurrence run on the numerators as well, and
+Fractions are built only when a coefficient is read. That inverse is the
+one quotient over Q(i): the Laurent window inverse in ``series`` and the
+expansions and divisions in ``harbater`` go through it. Series over the
+p-adics, or any other coefficient kind, keep their coefficients and use
+the generic coefficient loop; their inverse runs the recurrence
+``series_quotient`` in the coefficients' own arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DivisionByZero, NotAUnit, PrecisionExhausted
 
@@ -909,30 +910,65 @@ class TruncatedPowerSeries:
     def reversion(self) -> "TruncatedPowerSeries":
         """The compositional inverse g with self(g(x)) = x + O(x^order).
 
-        Requires zero constant term and unit linear coefficient. Lagrange
-        inversion: with h = xi/self = self.shift_down(1).inverse(),
-        [xi^n] g = (1/n) * [xi^(n-1)] h^n, and the powers h^n are built by
-        successive multiplication, so this costs O(order) series
-        multiplications instead of one composition per coefficient. Each
-        [xi^(n-1)] h^n is read off h^n's numerators over den(h^n)*n, and g is
-        brought to their common denominator once. Dividing by n needs
-        characteristic 0, which holds over Q and Q(i).
+        Requires zero constant term and unit linear coefficient. With
+        self = S/den over Gaussian-integer numerators S_k and a = S_1, the
+        series tau(y) = y + sum_{k>=2} S_k*a^(k-2)*y^k has Gaussian-integer
+        coefficients, so its reversion r has too, and the scaling identity
+        g(xi) = a*r(den*xi/a^2) gives g_n = r_n*den^n / a^(2n-1). From
+        tau(r(y)) = y, r_n = -sum_{k=2..K} tau_k*[y^n] r^k with K = deg self,
+        and each power is kept one coefficient ahead by
+        [y^n] r^k = sum_i r_i*[y^(n-i)] r^(k-1), which reads only
+        coefficients below n. For order M that is about K*M^2/2
+        multiply-adds on Gaussian integers and no series product: O(M^2)
+        for the polynomials of bounded degree the pipeline and the
+        completion reverse, O(M^3) on larger numbers for a dense self.
+        g is brought over a^(2M-3), divided out as a product with its
+        ``gaussian_reciprocal``, and reduced once.
         """
         v = self.valuation()
         if v == 0:
             raise ValueError("reversion requires zero constant term")
-        if self.order < 2:
+        m = self.order
+        if m < 2:
             # nothing to determine at order 1
             return TruncatedPowerSeries([self.zero_coeff], 1)
         if v != 1:
             raise NotAUnit("reversion requires a unit linear coefficient")
-        h = self.shift_down(1).inverse()
-        h_n, picked = h, {}
-        for n in range(1, self.order):
-            if n > 1:
-                h_n = h_n * h
-            picked[n] = (h_n.den * n, *(dict(part).get(n - 1, 0) for part in h_n.terms))
-        return TruncatedPowerSeries.from_integers(*common_denominator(picked), self.order, self.gaussian)
+        s_re, s_im = (dict(part) for part in self.terms)
+        a = (s_re.get(1, 0), s_im.get(1, 0))
+        top = max(s_re.keys() | s_im.keys())
+        tau, a_pow = [None, None], (1, 0)  # tau[k] = S_k*a^(k-2)
+        for k in range(2, top + 1):
+            tau.append(_gmul((s_re.get(k, 0), s_im.get(k, 0)), a_pow))
+            a_pow = _gmul(a_pow, a)
+        # powers[k] = ([y^n] r^k for n < M) as (re, im) lists; powers[1] is r
+        powers = [None] + [([0] * m, [0] * m) for _ in range(top)]
+        r_re, r_im = powers[1]
+        r_re[1] = 1
+        for n in range(2, m):
+            x = y = 0
+            for k in range(2, min(n, top) + 1):
+                # [y^n] r^k = sum_{i=1..n-k+1} r_i*[y^(n-i)] r^(k-1)
+                p_re, p_im = (part[n - 1:k - 2:-1] for part in powers[k - 1])
+                q_re, q_im = r_re[1:n - k + 2], r_im[1:n - k + 2]
+                c_re = sum(map(mul, q_re, p_re)) - sum(map(mul, q_im, p_im))
+                c_im = sum(map(mul, q_re, p_im)) + sum(map(mul, q_im, p_re))
+                powers[k][0][n], powers[k][1][n] = c_re, c_im
+                t_re, t_im = tau[k]
+                x -= t_re * c_re - t_im * c_im
+                y -= t_re * c_im + t_im * c_re
+            r_re[n], r_im[n] = x, y
+        # g_n = r_n*den^n*a^(2(M-1-n)) / a^(2M-3), and a^(2M-3) = a*(a^2)^(M-2)
+        a2, scale = _gmul(a, a), a
+        for _ in range(m - 2):
+            scale = _gmul(scale, a2)
+        p, q, d = gaussian_reciprocal(*scale)
+        scale, g_re, g_im = (p, q), {}, {}
+        for n in range(m - 1, 0, -1):
+            den_n = self.den ** n
+            g_re[n], g_im[n] = _gmul((r_re[n] * den_n, r_im[n] * den_n), scale)
+            scale = _gmul(scale, a2)
+        return TruncatedPowerSeries.from_integers(d, g_re, g_im, m, self.gaussian)
 
     def __str__(self):
         parts = [format_term(c, "xi", j) for j, c in enumerate(self.coeffs) if not is_zero_scalar(c)]

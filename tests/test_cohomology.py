@@ -11,13 +11,14 @@ from curvecoh import cohomology as coh
 from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop, NotStabilized
 from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
 from curvecoh.presentation import (
+    AffinePresentation,
     leading_exact_failure,
     leading_pivots,
     load_presentation,
     p1_presentation,
     twistor_presentation,
 )
-from curvecoh.scalars import GaussianRational, gaussian_tps
+from curvecoh.scalars import GAUSSIAN_PAIR, GaussianRational, gaussian_tps
 from curvecoh.series import fil_member, gaussian_window
 
 
@@ -629,6 +630,26 @@ def test_integer_gluing_rows_match_dense_rows_with_cutoffs(p1, tw):
             for n in range(-3, 13):
                 D = coh.default_cutoff(n)
                 _assert_matches_reference(pres, window, model.fil_pole_bound(n), D, model.jump_index)
+
+
+def test_a_hand_built_leading_exact_flag_is_checked():
+    # t^k -> t^2k is a ring map, but degree 1 peaks at t^2, not t^1: a
+    # presentation built by hand has its flag checked lazily, as a loaded one has
+    doubled = AffinePresentation(
+        name="doubled",
+        pair=GAUSSIAN_PAIR,
+        degree_fn=lambda i: i,
+        indices_of_degree_fn=lambda d: [d],
+        embed_fn=lambda i: gaussian_window({2 * i: 1}),
+        mul_fn=lambda i, j: {i + j: GaussianRational.of(1)},
+        label_fn=lambda i: f"t^{i}",
+        leading_exact=True,
+    )
+    assert doubled.verified_degree == -1
+    with pytest.raises(EmbeddingNotRingMap, match=r"\(degree 1\)"):
+        coh.compute(doubled, 0)
+    assert p1_presentation().verified_degree is None
+    assert twistor_presentation().verified_degree is None
 
 
 def test_integer_gluing_rows_match_dense_rows_with_jump_2(p1):

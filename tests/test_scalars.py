@@ -245,7 +245,8 @@ def test_reversion_errors():
     assert rational_tps([0], 1).reversion().order == 1
 
 
-def test_reversion_matches_sympy():
+def _sympy_reversion(f):
+    """[y^k] of sympy's ``rs_series_reversion`` of f, for k < f.order, as Fraction or GaussianRational."""
     ring_series = pytest.importorskip("sympy.polys.ring_series")
     from sympy.polys.domains import QQ, QQ_I
     from sympy.polys.rings import ring
@@ -253,20 +254,81 @@ def test_reversion_matches_sympy():
     def frac(q):
         return Fraction(int(q.numerator), int(q.denominator))
 
+    gaussian = isinstance(f.coeffs[1], GaussianRational)
+    domain = QQ_I if gaussian else QQ
+    _, x, y = ring("x,y", domain)
+    p = domain.zero
+    for k, c in enumerate(f.coeffs):
+        c = GaussianRational.of(c)
+        p += (domain(c.re, c.im) if gaussian else domain(c.re)) * x**k
+    r = ring_series.rs_series_reversion(p, x, f.order, y)
+    out = [f.zero_coeff]
+    for k in range(1, f.order):
+        c = r.coeff(y**k)
+        out.append(GaussianRational(frac(c.x), frac(c.y)) if gaussian else frac(c))
+    return out
+
+
+def test_reversion_matches_sympy():
     for f in _reversion_cases():
-        gaussian = isinstance(f.coeffs[1], GaussianRational)
-        domain = QQ_I if gaussian else QQ
-        _, x, y = ring("x,y", domain)
-        p = domain.zero
-        for k, c in enumerate(f.coeffs):
-            c = GaussianRational.of(c)
-            p += (domain(c.re, c.im) if gaussian else domain(c.re)) * x**k
-        r = ring_series.rs_series_reversion(p, x, f.order, y)
-        g = f.reversion()
-        for k in range(1, f.order):
-            c = r.coeff(y**k)
-            want = GaussianRational(frac(c.x), frac(c.y)) if gaussian else frac(c)
-            assert g.coeffs[k] == want, (str(f), k)
+        assert list(f.reversion().coeffs) == _sympy_reversion(f), str(f)
+
+
+def _lagrange_reversion(f):
+    """Lagrange inversion: [xi^n] g = (1/n) [xi^(n-1)] h^n for h = xi/f, with M - 2 series products."""
+    h = f.shift_down(1).inverse()
+    h_n, picked = h, {}
+    for n in range(1, f.order):
+        if n > 1:
+            h_n = h_n * h
+        picked[n] = (h_n.den * n, *(dict(part).get(n - 1, 0) for part in h_n.terms))
+    return TruncatedPowerSeries.from_integers(*common_denominator(picked), f.order, f.gaussian)
+
+
+def _short_sigma(rng, order, gaussian):
+    """A seeded sigma = S/den of degree 2 or 3 (at most order - 1), with den > 1 and |S_1|^2 > 1."""
+    def coeff():
+        den = rng.choice([2, 3])
+        c = Fraction(rng.randint(-2, 2), den)
+        return GaussianRational(c, Fraction(rng.randint(-2, 2), den)) if gaussian else c
+
+    degree = min(rng.choice([2, 3]), order - 1)
+    while True:
+        coeffs = [0] + [coeff() for _ in range(degree)]
+        f = (gaussian_tps if gaussian else rational_tps)(coeffs, order)
+        re, im = (dict(part) for part in f.terms)
+        if coeffs[degree] and f.den > 1 and re.get(1, 0) ** 2 + im.get(1, 0) ** 2 > 1:
+            return f
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_reversion_of_short_sigma_matches_lagrange_and_sympy(gaussian):
+    rng = random.Random(SEED + 5 + gaussian)
+    for order in (2, 3, 32, 64, 128):
+        for _ in range(2 if order < 64 else 1):
+            f = _short_sigma(rng, order, gaussian)
+            g = f.reversion()
+            label = (order, str(f))
+            assert _form(g) == _form(_lagrange_reversion(f)), label
+            assert f.compose(g) == TruncatedPowerSeries.variable(f.coeffs[1] / f.coeffs[1], order), label
+            assert type(g.zero_coeff) is type(f.zero_coeff), label
+            if order <= 32:
+                assert list(g.coeffs) == _sympy_reversion(f), label
+
+
+def test_reversion_makes_no_series_product(monkeypatch):
+    calls = {"__mul__": 0, "inverse": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(TruncatedPowerSeries, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(TruncatedPowerSeries, name, counted)
+    f = gaussian_tps([0, GaussianRational(Fraction(2, 3), Fraction(1, 5)), Fraction(-1, 2), GAUSSIAN_I], 64)
+    g = f.reversion()
+    assert calls == {"__mul__": 0, "inverse": 0}
+    assert g.order == 64 and g.coeffs[1] == 1 / f.coeffs[1]
+    _lagrange_reversion(f)
+    assert calls["__mul__"] == 62 and calls["inverse"] == 1  # the counters see the products
 
 
 def test_tps_str():
