@@ -665,6 +665,38 @@ def series_quotient(num, den, count: int) -> list:
 _SCALARS = (int, Fraction, GaussianRational, PAdic)
 
 
+def power_cover(dens: dict) -> int:
+    """A positive integer L with d | L^k for every k: d in ``dens`` (k >= 1, d >= 1).
+
+    Each exponent of L is the least one that covers its d's, read over a
+    coprime base of the d's (factor refinement by gcds, no factoring), so
+    L is the least such integer when that base is squarefree: d = 3^k for
+    k = 1..K gives L = 3, where the lcm of the d's is 3^K.
+    """
+    base, pending = [], [d for d in dens.values() if d > 1]
+    while pending:
+        x = pending.pop()
+        for j, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                # b and x become g, b/g and x/g; the log-sum drops by log g
+                del base[j]
+                pending += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    cover = 1
+    for b in base:
+        need = 0
+        for k, d in dens.items():
+            e = 0
+            while d % b == 0:
+                d, e = d // b, e + 1
+            need = max(need, -(-e // k))
+        cover *= b ** need
+    return cover
+
+
 def _gmul(a, b):
     """The product of two Gaussian integers given as pairs (re, im)."""
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
@@ -911,19 +943,23 @@ class TruncatedPowerSeries:
         """The compositional inverse g with self(g(x)) = x + O(x^order).
 
         Requires zero constant term and unit linear coefficient. With
-        self = S/den over Gaussian-integer numerators S_k and a = S_1, the
-        series tau(y) = y + sum_{k>=2} S_k*a^(k-2)*y^k has Gaussian-integer
-        coefficients, so its reversion r has too, and the scaling identity
-        g(xi) = a*r(den*xi/a^2) gives g_n = r_n*den^n / a^(2n-1). From
+        self = S/den over Gaussian-integer numerators S_k, write
+        c_k = S_k/S_1 = (x_k + i*y_k)/d_k in lowest terms and take the
+        integer lam = ``power_cover`` with d_k | lam^(k-1) for every k. Then
+        tau(y) = y + sum_{k>=2} c_k*lam^(k-1)*y^k has Gaussian-integer
+        coefficients, self(xi) = self_1*lam*tau(xi/lam), so the reversion r of
+        tau is integral and g_n = r_n / (self_1^n * lam^(n-1)). From
         tau(r(y)) = y, r_n = -sum_{k=2..K} tau_k*[y^n] r^k with K = deg self,
         and each power is kept one coefficient ahead by
         [y^n] r^k = sum_i r_i*[y^(n-i)] r^(k-1), which reads only
         coefficients below n. For order M that is about K*M^2/2
         multiply-adds on Gaussian integers and no series product: O(M^2)
-        for the polynomials of bounded degree the pipeline and the
-        completion reverse, O(M^3) on larger numbers for a dense self.
-        g is brought over a^(2M-3), divided out as a product with its
-        ``gaussian_reciprocal``, and reduced once.
+        for a polynomial of bounded degree, O(M^3) on larger numbers for a
+        dense self (for log(1 + xi), lam is the product of the primes below
+        M). lam keeps the numbers small: for xi*(1 + xi/3)^k it is 3, where
+        the scale S_1 = 3^k would carry k times the digits. g is brought
+        over the common denominator e^(M-1)*lam^(M-2), with 1/self_1 = w/e,
+        and reduced once.
         """
         v = self.valuation()
         if v == 0:
@@ -935,12 +971,19 @@ class TruncatedPowerSeries:
         if v != 1:
             raise NotAUnit("reversion requires a unit linear coefficient")
         s_re, s_im = (dict(part) for part in self.terms)
-        a = (s_re.get(1, 0), s_im.get(1, 0))
         top = max(s_re.keys() | s_im.keys())
-        tau, a_pow = [None, None], (1, 0)  # tau[k] = S_k*a^(k-2)
-        for k in range(2, top + 1):
-            tau.append(_gmul((s_re.get(k, 0), s_im.get(k, 0)), a_pow))
-            a_pow = _gmul(a_pow, a)
+        # c_k = S_k/S_1 = (x_k + i*y_k)/d_k in lowest terms, over |S_1|^2
+        a_re, a_im = s_re.pop(1, 0), s_im.pop(1, 0)
+        norm, c = a_re * a_re + a_im * a_im, {}
+        for k in s_re.keys() | s_im.keys():
+            x, y = _gmul((s_re.get(k, 0), s_im.get(k, 0)), (a_re, -a_im))
+            g = gcd(x, y, norm)
+            c[k] = (x // g, y // g, norm // g)
+        lam = power_cover({k - 1: d for k, (_, _, d) in c.items()})
+        tau = [(0, 0)] * (top + 1)  # tau[k] = c_k*lam^(k-1)
+        for k, (x, y, d) in c.items():
+            t = lam ** (k - 1) // d
+            tau[k] = (x * t, y * t)
         # powers[k] = ([y^n] r^k for n < M) as (re, im) lists; powers[1] is r
         powers = [None] + [([0] * m, [0] * m) for _ in range(top)]
         r_re, r_im = powers[1]
@@ -958,17 +1001,19 @@ class TruncatedPowerSeries:
                 x -= t_re * c_re - t_im * c_im
                 y -= t_re * c_im + t_im * c_re
             r_re[n], r_im[n] = x, y
-        # g_n = r_n*den^n*a^(2(M-1-n)) / a^(2M-3), and a^(2M-3) = a*(a^2)^(M-2)
-        a2, scale = _gmul(a, a), a
+        # g_n = r_n*w^n / (e^n*lam^(n-1)) with 1/self_1 = den/S_1 = w/e, over e^(M-1)*lam^(M-2)
+        x, y = self.den * a_re, -self.den * a_im
+        h = gcd(x, y, norm)
+        w, e = (x // h, y // h), norm // h
+        fill = [1]  # fill[j] = (e*lam)^j
         for _ in range(m - 2):
-            scale = _gmul(scale, a2)
-        p, q, d = gaussian_reciprocal(*scale)
-        scale, g_re, g_im = (p, q), {}, {}
-        for n in range(m - 1, 0, -1):
-            den_n = self.den ** n
-            g_re[n], g_im[n] = _gmul((r_re[n] * den_n, r_im[n] * den_n), scale)
-            scale = _gmul(scale, a2)
-        return TruncatedPowerSeries.from_integers(d, g_re, g_im, m, self.gaussian)
+            fill.append(fill[-1] * e * lam)
+        w_n, g_re, g_im = (1, 0), {}, {}
+        for n in range(1, m):
+            w_n = _gmul(w_n, w)
+            z = fill[m - 1 - n]
+            g_re[n], g_im[n] = _gmul((r_re[n] * z, r_im[n] * z), w_n)
+        return TruncatedPowerSeries.from_integers(e ** (m - 1) * lam ** (m - 2), g_re, g_im, m, self.gaussian)
 
     def __str__(self):
         parts = [format_term(c, "xi", j) for j, c in enumerate(self.coeffs) if not is_zero_scalar(c)]

@@ -20,6 +20,7 @@ from curvecoh.scalars import (
     integer_parts,
     is_zero_scalar,
     parse_gaussian,
+    power_cover,
     primitive_integer_poly,
     rational_tps,
     reduced_form,
@@ -220,17 +221,59 @@ def _random_reversible(rng, order, gaussian):
     return (gaussian_tps if gaussian else rational_tps)(coeffs, order)
 
 
+def _short_sigma(rng, order, gaussian):
+    """A seeded sigma = S/den of degree 2 or 3 (at most order - 1), with den > 1 and |S_1|^2 > 1."""
+    def coeff():
+        den = rng.randint(2, 60)
+        c = Fraction(rng.randint(-99, 99), den)
+        return GaussianRational(c, Fraction(rng.randint(-99, 99), den)) if gaussian else c
+
+    degree = min(rng.choice([2, 3]), order - 1)
+    while True:
+        coeffs = [0] + [coeff() for _ in range(degree)]
+        f = (gaussian_tps if gaussian else rational_tps)(coeffs, order)
+        re, im = (dict(part) for part in f.terms)
+        if coeffs[degree] and f.den > 1 and re.get(1, 0) ** 2 + im.get(1, 0) ** 2 > 1:
+            return f
+
+
+def _power_sigma(rng, order, gaussian):
+    """xi*(p + q*xi)^k with fractional p, q and k = order - 2: dense, its den a k-th power."""
+    def coeff():
+        c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        return GaussianRational(c, Fraction(rng.randint(-9, 9), rng.randint(2, 9))) if gaussian else c
+
+    one = GAUSSIAN_ONE if gaussian else Fraction(1)
+    base = TruncatedPowerSeries([coeff() * one, coeff() * one], order)
+    out = TruncatedPowerSeries([one], order)
+    for _ in range(order - 2):
+        out = out * base
+    return out.shift_up(1).truncate(order)
+
+
 def _reversion_cases():
+    """Dense seeded series at orders 2..16, seeded sigma of degree <= 3 up to order 128, and xi*(p + q*xi)^k.
+
+    ``f.compose(g) == xi`` determines g, so it checks every case; the
+    coefficient-by-coefficient reference is O(M^3) in compositions and is
+    read up to order 64, sympy up to order 32.
+    """
     rng = random.Random(SEED + 4)
-    return [_random_reversible(rng, order, gaussian)
-            for gaussian in (False, True) for order in range(2, 17)]
+    dense = [_random_reversible(rng, order, gaussian)
+             for gaussian in (False, True) for order in range(2, 17)]
+    short = [_short_sigma(rng, order, gaussian)
+             for gaussian in (False, True) for order in (2, 3, 32, 64, 128)]
+    powers = [_power_sigma(rng, order, gaussian) for gaussian in (False, True) for order in (8, 16)]
+    return dense + short + powers
 
 
 def test_reversion_matches_reference_and_inverts():
     for f in _reversion_cases():
         g = f.reversion()
         assert g.order == f.order
-        assert list(g.coeffs) == list(_reference_reversion(f).coeffs), str(f)
+        assert type(g.zero_coeff) is type(f.zero_coeff), str(f)
+        if f.order <= 64:
+            assert list(g.coeffs) == list(_reference_reversion(f).coeffs), str(f)
         xi = TruncatedPowerSeries.variable(f.coeffs[1] / f.coeffs[1], f.order)
         assert f.compose(g) == xi, str(f)
 
@@ -271,49 +314,8 @@ def _sympy_reversion(f):
 
 def test_reversion_matches_sympy():
     for f in _reversion_cases():
-        assert list(f.reversion().coeffs) == _sympy_reversion(f), str(f)
-
-
-def _lagrange_reversion(f):
-    """Lagrange inversion: [xi^n] g = (1/n) [xi^(n-1)] h^n for h = xi/f, with M - 2 series products."""
-    h = f.shift_down(1).inverse()
-    h_n, picked = h, {}
-    for n in range(1, f.order):
-        if n > 1:
-            h_n = h_n * h
-        picked[n] = (h_n.den * n, *(dict(part).get(n - 1, 0) for part in h_n.terms))
-    return TruncatedPowerSeries.from_integers(*common_denominator(picked), f.order, f.gaussian)
-
-
-def _short_sigma(rng, order, gaussian):
-    """A seeded sigma = S/den of degree 2 or 3 (at most order - 1), with den > 1 and |S_1|^2 > 1."""
-    def coeff():
-        den = rng.choice([2, 3])
-        c = Fraction(rng.randint(-2, 2), den)
-        return GaussianRational(c, Fraction(rng.randint(-2, 2), den)) if gaussian else c
-
-    degree = min(rng.choice([2, 3]), order - 1)
-    while True:
-        coeffs = [0] + [coeff() for _ in range(degree)]
-        f = (gaussian_tps if gaussian else rational_tps)(coeffs, order)
-        re, im = (dict(part) for part in f.terms)
-        if coeffs[degree] and f.den > 1 and re.get(1, 0) ** 2 + im.get(1, 0) ** 2 > 1:
-            return f
-
-
-@pytest.mark.parametrize("gaussian", [False, True])
-def test_reversion_of_short_sigma_matches_lagrange_and_sympy(gaussian):
-    rng = random.Random(SEED + 5 + gaussian)
-    for order in (2, 3, 32, 64, 128):
-        for _ in range(2 if order < 64 else 1):
-            f = _short_sigma(rng, order, gaussian)
-            g = f.reversion()
-            label = (order, str(f))
-            assert _form(g) == _form(_lagrange_reversion(f)), label
-            assert f.compose(g) == TruncatedPowerSeries.variable(f.coeffs[1] / f.coeffs[1], order), label
-            assert type(g.zero_coeff) is type(f.zero_coeff), label
-            if order <= 32:
-                assert list(g.coeffs) == _sympy_reversion(f), label
+        if f.order <= 32:
+            assert list(f.reversion().coeffs) == _sympy_reversion(f), str(f)
 
 
 def test_reversion_makes_no_series_product(monkeypatch):
@@ -327,8 +329,27 @@ def test_reversion_makes_no_series_product(monkeypatch):
     g = f.reversion()
     assert calls == {"__mul__": 0, "inverse": 0}
     assert g.order == 64 and g.coeffs[1] == 1 / f.coeffs[1]
-    _lagrange_reversion(f)
-    assert calls["__mul__"] == 62 and calls["inverse"] == 1  # the counters see the products
+    # Lagrange inversion, [xi^n] g = (1/n) [xi^(n-1)] h^n for h = xi/f: the counters see its products
+    h = f.shift_down(1).inverse()
+    h_n, picked = h, {}
+    for n in range(1, f.order):
+        if n > 1:
+            h_n = h_n * h
+        picked[n] = (h_n.den * n, *(dict(part).get(n - 1, 0) for part in h_n.terms))
+    assert calls == {"__mul__": 62, "inverse": 1}
+    assert TruncatedPowerSeries.from_integers(*common_denominator(picked), 64, True) == g
+
+
+def test_power_cover():
+    assert power_cover({}) == 1
+    assert power_cover({1: 12}) == 12
+    assert power_cover({k: 3**k for k in range(1, 40)}) == 3
+    assert power_cover({1: 6, 2: 2**5, 4: 3**9}) == 2**3 * 3**3
+    rng = random.Random(SEED + 5)
+    for _ in range(50):
+        dens = {k: rng.randint(1, 10**6) for k in rng.sample(range(1, 9), 4)}
+        cover = power_cover(dens)
+        assert all(cover**k % d == 0 for k, d in dens.items()), dens
 
 
 def test_tps_str():
