@@ -16,8 +16,14 @@ The ``leading_exact`` flag declares that pole_order(embed(b)) equals
 degree(b) and that leading coefficients of equal-degree basis elements
 are k0-linearly independent; this is what turns the downstream linear
 algebra into certified computations, and it is checked, not assumed
-(``verify_leading_exact``), as is the ring map (``check_ring_map``, one
-integer identity per product), through every degree a result reads.
+(``verify_leading_exact``), as is the ring map, through every degree a
+result reads. ``check_ring_map`` packs each window's numerators over one
+denominator into a big int at t = 2^B, with B large enough that every
+coefficient of a product's difference D has |d| < 2^(B-1); D vanishing
+from the comparison cutoff c up is then |D| < 2^(B*(c-o)-1) for the
+frame's lowest exponent o (D == 0 with no cutoff). A product whose
+exponent span is large against its stored terms checks the same identity
+term by term (``scalars.integer_product``).
 
 User presentations load from a small text format, see ``load_presentation``.
 """
@@ -39,6 +45,7 @@ from .scalars import (
     common_denominator,
     gaussian_numerators,
     integer_parts,
+    integer_product,
     outside_q_i,
     parse_gaussian,
 )
@@ -217,15 +224,34 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     """Check window(b_i)*window(b_j) == window(b_i * b_j) in product degrees (above, max_degree].
 
     ``window`` maps basis indices to Laurent windows: the presentation's own
-    embedding or one into a formal-disc model. Each product is an identity
-    between the windows' integer numerators (a window product against
-    ``combine``), compared where ``LaurentWindow.agrees_with`` compares.
-    Window products commute, so b_j * b_i is checked only when its rule
-    differs from b_i * b_j's.
+    embedding or one into a formal-disc model. Each window is read once and
+    its numerators N_k are brought to the common denominator Delta of all
+    windows read; each rule b_i * b_j = sum (u_k + i*v_k)/rho * b_k is
+    cleared once (``integer_element``). The product holds when the
+    Gaussian-integer polynomial D = rho*N_i*N_j - Delta*sum (u_k + i*v_k)*N_k
+    vanishes at every exponent >= c, the cutoff ``LaurentWindow.agrees_with``
+    compares above (the larger of the product's and the right-hand side's
+    cutoffs); with no cutoff, everywhere.
+
+    D is one identity on big ints: each N_k is packed at t = 2^B from its
+    lowest exponent, the factors are multiplied once and the terms aligned
+    by shifts to the frame's lowest exponent o. B is the least with
+    rho*w*H^2 + Delta*U*H < 2^(B-1), for H the largest numerator part, w the
+    most nonzero parts in one window, and rho and U = sum |u_k| + |v_k| the
+    largest over the rules, so every coefficient d of every D has
+    |d| < 2^(B-1). Then D vanishes at every exponent >= c exactly when its
+    real and imaginary parts have |D| < 2^(B*(c-o)-1), and exactly when
+    D == 0 if there is no cutoff or c <= o. A packed frame grows with the
+    exponent span, not with the stored terms: a product whose span is at
+    least ``_PACKED_SPAN`` times its windows' stored terms (a sparse window,
+    or windows far apart) checks the same identity on the same numerators
+    by ``scalars.integer_product``. Windows are built only to report a
+    failing product. Window products commute, so b_j * b_i is checked only
+    when its rule differs from b_i * b_j's.
     """
     basis = pres.basis_up_to(max_degree)
     degrees = [pres.degree_of(i) for i in basis]
-    rules = {}
+    rules, products, windows = {}, [], {}
     for x, i in enumerate(basis):
         for y, j in enumerate(basis):
             if not above < degrees[x] + degrees[y] <= max_degree:
@@ -233,12 +259,87 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
             rule = rules[i, j] = pres.mul_basis(i, j)
             if y < x and rules[j, i] == rule:
                 continue
-            lhs, rhs = window(i) * window(j), combine(window, rule)
-            if not lhs.agrees_with(rhs):
-                raise EmbeddingNotRingMap(
-                    f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
-                    f"!= embed of the product: {lhs} vs {rhs}"
-                )
+            products.append((i, j, rule, *integer_element(rule)))
+            for k in (i, j, *rule):
+                if k not in windows:
+                    windows[k] = window(k)
+    if not products:
+        return
+    delta = lcm(*(w.den for w in windows.values()))
+    scale = {k: delta // w.den for k, w in windows.items()}
+    # (lowest exponent, top, stored parts) of each window with a nonzero term
+    frame = {k: (min(part[0][0] for part in w.terms if part), w.top, len(w.terms[0]) + len(w.terms[1]))
+             for k, w in windows.items() if w.top is not None}
+    height = max((scale[k] * abs(x) for k, w in windows.items() for part in w.terms for _, x in part),
+                 default=0)
+    width = max((f[2] for f in frame.values()), default=0)
+    bits = 1 + max(rho * width * height**2 + delta * height * sum(abs(u) + abs(v) for u, v in c.values())
+                   for *_, rho, c in products).bit_length()
+    clipped = any(w.cutoff is not None for w in windows.values())
+    packed = {}
+
+    def pack(k):
+        """N_k at t = 2^bits from its lowest exponent, as (re, im), once per call."""
+        if k not in packed:
+            lo = frame[k][0]
+            packed[k] = tuple(scale[k] * sum(x << bits * (e - lo) for e, x in part)
+                              for part in windows[k].terms)
+        return packed[k]
+
+    def numerators(k, factor=1):
+        """factor * N_k as term lists (re, im)."""
+        m = factor * scale[k]
+        return windows[k].terms if m == 1 else tuple([(e, m * x) for e, x in part]
+                                                      for part in windows[k].terms)
+
+    for i, j, rule, rho, constants in products:
+        a, b = windows[i], windows[j]
+        cut = None
+        if clipped:  # the larger of the product's and the right-hand side's cutoffs
+            cut = max((c for c in (a.product_cutoff(b), *(windows[k].cutoff for k in rule))
+                       if c is not None), default=None)
+        # the frames of D's terms: each nonzero N_k of the rule, and rho*N_i*N_j unless a factor is zero
+        rhs = [k for k in constants if k in frame]
+        ends = [frame[k] for k in rhs]
+        lhs = i in frame and j in frame
+        if lhs:
+            (lo_i, top_i, n_i), (lo_j, top_j, n_j) = frame[i], frame[j]
+            ends.append((lo_i + lo_j, top_i + top_j, n_i + n_j))
+        if not ends:
+            continue
+        lows, tops, counts = zip(*ends)
+        lo = min(lows)
+        if max(tops) - lo < _PACKED_SPAN * sum(counts):
+            re = im = 0
+            for k in rhs:
+                (pr, pi), (u, v), shift = pack(k), constants[k], bits * (frame[k][0] - lo)
+                re += (u * pr - v * pi) << shift
+                im += (u * pi + v * pr) << shift
+            re, im = -delta * re, -delta * im
+            if lhs:
+                (ar, ai), (br, bi), shift = pack(i), pack(j), bits * (lo_i + lo_j - lo)
+                re += rho * (ar * br - ai * bi) << shift
+                im += rho * (ar * bi + ai * br) << shift
+            limit = 0 if cut is None or cut <= lo else bits * (cut - lo) - 1
+            holds = re.bit_length() <= limit and im.bit_length() <= limit
+        else:
+            out = integer_product(numerators(i, rho), numerators(j), cut) if lhs else ({}, {})
+            for k in rhs:
+                u, v = constants[k]
+                integer_product(([(0, -delta * u)] if u else [], [(0, -delta * v)] if v else []),
+                                numerators(k), cut, out=out)
+            holds = not any(out[0].values()) and not any(out[1].values())
+        if not holds:
+            product, image = a * b, combine(windows.__getitem__, rule)
+            raise EmbeddingNotRingMap(
+                f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
+                f"!= embed of the product: {product} vs {image}"
+            )
+
+
+#: ``check_ring_map`` packs a product whose exponent span is below this many
+#: times the stored terms of its windows, and checks any other term by term
+_PACKED_SPAN = 4
 
 
 def gluing_rows(pair, windows, top: int, low: int, identity: bool = False) -> list:
@@ -454,6 +555,12 @@ LOAD_VERIFY_DEGREE = 6
 def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     """Parse the declarative text format and verify the declared flags.
 
+    A malformed line raises ValueError naming its number: besides text that
+    does not parse, a repeated basis symbol, a negative degree, a second
+    rule for one ordered product or a second embedding of one symbol, a
+    symbol repeated on the right of a rule, an exponent repeated in one
+    embedding, and a rule or embedding of an undeclared symbol.
+
     Both checks run up to ``LOAD_VERIFY_DEGREE`` (capped at the file's top
     degree) here; a computation that reads higher degrees extends them from
     there, the leading_exact check first (``certified_through``).
@@ -464,52 +571,74 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     degrees: dict[str, int] = {}
     mul_table: dict[tuple[str, str], dict[str, str]] = {}
     embeds: dict[str, LaurentWindow] = {}
+    sources: dict[tuple, int] = {}  # ("mul", a, b) or ("embed", s) -> its line, for symbol checks
 
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, *rest = line.split(None, 1)
-        body = rest[0] if rest else ""
-        if head == "fields":
-            k0, k1 = body.split()
-            if (k0, k1) == ("rational", "gaussian"):
-                pair = REAL_IN_GAUSSIAN
-            elif (k0, k1) == ("gaussian", "gaussian"):
-                pair = GAUSSIAN_PAIR
+        try:  # a malformed line raises ValueError, reported with its number
+            head, *rest = line.split(None, 1)
+            body = rest[0] if rest else ""
+            if head == "fields":
+                k0, k1 = body.split()
+                if (k0, k1) == ("rational", "gaussian"):
+                    pair = REAL_IN_GAUSSIAN
+                elif (k0, k1) == ("gaussian", "gaussian"):
+                    pair = GAUSSIAN_PAIR
+                else:
+                    raise ValueError(f"unsupported field pair {k0} {k1}")
+            elif head == "flags":
+                leading_exact = "leading_exact" in body.split()
+            elif head == "basis":
+                sym, deg = body.split()
+                if sym in degrees:
+                    raise ValueError(f"basis symbol {sym!r} declared twice")
+                if int(deg) < 0:
+                    raise ValueError(f"negative degree {deg} for {sym!r}")
+                symbols.append(sym)
+                degrees[sym] = int(deg)
+            elif head == "mul":
+                lhs, rhs = body.split("=", 1)
+                a, b = lhs.split()
+                if (a, b) in mul_table:
+                    raise ValueError(f"second rule for {a} * {b}")
+                entry = {}
+                for term in rhs.strip().split(" + "):
+                    coeff, sym, degree = _parse_term(term, degrees.get)
+                    if degree is None:
+                        raise ValueError(f"mul result references unknown symbol {sym!r}")
+                    if sym in entry:
+                        raise ValueError(f"symbol {sym!r} repeated in the rule for {a} * {b}")
+                    entry[sym] = coeff
+                mul_table[(a, b)] = entry
+                sources["mul", a, b] = number
+            elif head == "embed":
+                sym, rhs = body.split("=", 1)
+                sym = sym.strip()
+                if sym in embeds:
+                    raise ValueError(f"second embedding of {sym!r}")
+                terms = {}  # exponent -> (den, re, im) numerators
+                for term in rhs.strip().split(" + "):
+                    coeff, mono, e = _parse_term(term, _embed_exponent)
+                    if e is None:
+                        raise ValueError(f"bad embed monomial {mono!r}")
+                    if e in terms:
+                        raise ValueError(f"exponent {e} repeated in the embedding of {sym!r}")
+                    terms[e] = gaussian_numerators(coeff)
+                embeds[sym] = LaurentWindow.from_integers(*common_denominator(terms))
+                sources["embed", sym] = number
             else:
-                raise ValueError(f"unsupported field pair {k0} {k1}")
-        elif head == "flags":
-            leading_exact = "leading_exact" in body.split()
-        elif head == "basis":
-            sym, deg = body.split()
-            symbols.append(sym)
-            degrees[sym] = int(deg)
-        elif head == "mul":
-            lhs, rhs = body.split("=", 1)
-            a, b = lhs.split()
-            entry = {}
-            for term in rhs.strip().split(" + "):
-                coeff, sym, degree = _parse_term(term, degrees.get)
-                if degree is None:
-                    raise ValueError(f"mul result references unknown symbol {sym!r}")
-                entry[sym] = coeff
-            mul_table[(a, b)] = entry
-        elif head == "embed":
-            sym, rhs = body.split("=", 1)
-            sym = sym.strip()
-            terms = {}  # exponent -> (den, re, im) numerators
-            for term in rhs.strip().split(" + "):
-                coeff, mono, e = _parse_term(term, _embed_exponent)
-                if e is None:
-                    raise ValueError(f"bad embed monomial {mono!r}")
-                terms[e] = gaussian_numerators(coeff)
-            embeds[sym] = LaurentWindow.from_integers(*common_denominator(terms))
-        else:
-            raise ValueError(f"unknown directive {head!r}")
+                raise ValueError(f"unknown directive {head!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
 
     if pair is None:
         raise ValueError("missing 'fields' line")
+    for key, number in sources.items():
+        unknown = [s for s in key[1:] if s not in degrees]
+        if unknown:
+            raise ValueError(f"line {number}: {key[0]} names undeclared symbol {unknown[0]!r}")
     missing = [s for s in symbols if s not in embeds]
     if missing:
         raise ValueError(f"missing embeddings for {missing}")
@@ -520,9 +649,12 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
         by_degree.setdefault(degrees[s], []).append(index[s])
     # structure constants as k0 scalars, parsed once: a malformed one fails the load
     k0_scalar = cache(as_fraction if pair.split else parse_gaussian)
-    rules = {
-        key: {index[s]: k0_scalar(c) for s, c in entry.items()} for key, entry in mul_table.items()
-    }
+    rules = {}
+    for key, entry in mul_table.items():
+        try:
+            rules[key] = {index[s]: k0_scalar(c) for s, c in entry.items()}
+        except ValueError as exc:
+            raise ValueError(f"line {sources['mul', *key]}: {exc}") from None
 
     def mul(i, j):
         key = (symbols[i], symbols[j])

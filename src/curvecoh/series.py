@@ -152,18 +152,24 @@ class LaurentWindow:
             return self.scale(other)
         if self.is_certified_zero or other.is_certified_zero:
             return LaurentWindow.zero()
-        # unknown regions of a factor reach below the product's cutoff
-        cutoff = None
-        if self.cutoff is not None:
-            cutoff = self.cutoff + other._effective_top()
-        if other.cutoff is not None:
-            c2 = other.cutoff + self._effective_top()
-            cutoff = c2 if cutoff is None else max(cutoff, c2)
-        cutoff = None if cutoff in (None, MINUS_INFINITY) else int(cutoff)
+        cutoff = self.product_cutoff(other)
         re, im = integer_product(self.terms, other.terms, cutoff)
         return LaurentWindow.from_integers(
             self.den * other.den, re, im, cutoff, self.gaussian or other.gaussian
         )
+
+    def product_cutoff(self, other: "LaurentWindow"):
+        """The cutoff of self * other, None when the product is exact.
+
+        The unknown region of a factor reaches down to its cutoff plus the
+        other factor's top, so the product is known from the larger such sum
+        up; a certified-zero factor makes the product exact.
+        """
+        exact = self.cutoff is None and other.cutoff is None
+        if exact or self.is_certified_zero or other.is_certified_zero:
+            return None
+        return max(a.cutoff + b._effective_top() for a, b in ((self, other), (other, self))
+                   if a.cutoff is not None)
 
     def scale(self, c):
         return linear_combination([(c, self)])

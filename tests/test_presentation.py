@@ -123,6 +123,43 @@ def test_load_presentation_requires_fields():
         load_presentation("basis one 0\nembed one = 1*t^0")
 
 
+# what the file does wrong -> (line of RESCALED_P1 replaced, or None to append; new lines).
+# The last new line is the one refused.
+_MALFORMED = {
+    "repeated_embed_exponent": ("embed a = 2*t^1", ["embed a = 1*t^1 + 1*t^1"]),
+    "repeated_mul_symbol": ("mul a a = 1*a2", ["mul a a = 1/2*a2 + 1/2*a2"]),
+    "second_embed_line": (None, ["embed a = 2*t^1"]),
+    "second_mul_line": (None, ["mul a a = 1*a2"]),
+    "undeclared_embed_symbol": (None, ["embed b = 1*t^1"]),
+    "undeclared_mul_symbol": (None, ["mul b a = 1*a2"]),
+    "negative_basis_degree": ("basis a4 4", ["embed b = 1*t^-1", "basis a4 4", "basis b -1"]),
+    "repeated_basis_line": ("basis a4 4", ["basis a4 4", "basis a 1"]),
+    "malformed_mul_constant": ("mul a a = 1*a2", ["mul a a = 1/0*a2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_load_presentation_refuses_malformed_lines(case, tmp_path, capsys):
+    from curvecoh.cli import main
+
+    old, new = _MALFORMED[case]
+    lines = RESCALED_P1.splitlines()
+    if old is None:
+        lines += new
+    else:
+        k = lines.index(old)
+        lines[k:k + 1] = new
+    number = len(lines) - lines[::-1].index(new[-1])
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError, match=rf"^line {number}: "):
+        load_presentation(text)
+    (tmp_path / "curve.pres").write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(["cohomology", "--curve", str(tmp_path / "curve.pres"), "--n", "0"])
+    assert info.value.code == 2
+    assert f"line {number}: " in capsys.readouterr().err
+
+
 def test_twistor_presentations_share_power_windows(capsys):
     import hashlib
 
@@ -223,7 +260,7 @@ def _random_coefficient(rng):
 def test_embed_coefficients_read_into_integer_windows():
     rng = random.Random(11)
     for _ in range(60):
-        exps = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]  # repeats: the last one wins
+        exps = rng.sample(range(-4, 5), rng.randint(1, 5))  # a repeated exponent is refused
         coeffs = [_random_coefficient(rng) for _ in exps]
         rhs = " + ".join(f"{c}*t^{e}" for (c, _), e in zip(coeffs, exps))
         text = ("fields gaussian gaussian\nbasis one 0\nbasis b 1\nmul one one = 1*one\n"
@@ -282,14 +319,14 @@ def test_certification_extends_leading_exact_check_to_the_degrees_read(p1_file):
 # ---------------------------------------------------------------------------
 
 
-def _reference_check_ring_map(pres, window, max_degree):
-    """Every ordered basis product as a window product, compared with ``combine``."""
+def _reference_check_ring_map(pres, window, max_degree, above=-1):
+    """Every ordered basis product in degrees (above, max_degree] as a window product, against ``combine``."""
     from curvecoh.presentation import combine
 
     basis = pres.basis_up_to(max_degree)
     for i in basis:
         for j in basis:
-            if pres.degree_of(i) + pres.degree_of(j) > max_degree:
+            if not above < pres.degree_of(i) + pres.degree_of(j) <= max_degree:
                 continue
             lhs = window(i) * window(j)
             rhs = combine(window, pres.mul_basis(i, j))
@@ -300,19 +337,19 @@ def _reference_check_ring_map(pres, window, max_degree):
                 )
 
 
-def _outcome(check, pres, window, max_degree):
+def _outcome(check, pres, window, max_degree, above=-1):
     try:
-        check(pres, window, max_degree)
+        check(pres, window, max_degree, above)
     except EmbeddingNotRingMap as exc:
         return str(exc)
     return None
 
 
-def _same_outcome(pres, window, max_degree):
+def _same_outcome(pres, window, max_degree, above=-1):
     from curvecoh.presentation import check_ring_map
 
-    ours = _outcome(check_ring_map, pres, window, max_degree)
-    assert ours == _outcome(_reference_check_ring_map, pres, window, max_degree)
+    ours = _outcome(check_ring_map, pres, window, max_degree, above)
+    assert ours == _outcome(_reference_check_ring_map, pres, window, max_degree, above)
     return ours
 
 
@@ -472,6 +509,164 @@ def test_ring_map_checks_both_orders_when_the_rules_differ(p1_file):
     # t1*t2 and t2*t1 share the window product but not the rule
     with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t2\)\*embed\(t1\) != "):
         load_presentation(p1_file(6, lambda k: k) + "\nmul t2 t1 = 1*t2")
+
+
+def _sparse_tail_text(G: int, top: int = 8) -> str:
+    """p1 with t_k embedded as (t + t^-G)^k: windows of k + 1 terms spanning k*(G + 1) exponents."""
+    from math import comb
+
+    lines = ["fields gaussian gaussian", "flags leading_exact"]
+    lines += [f"basis t{k} {k}" for k in range(top + 1)]
+    lines += [f"mul t{i} t{j} = 1*t{i + j}" for i in range(top + 1) for j in range(i, top + 1 - i)]
+    lines += [f"embed t{k} = " + " + ".join(f"{comb(k, m)}*t^{k - m * (G + 1)}" for m in range(k + 1))
+              for k in range(top + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_sparse_tail_checks_term_by_term(tmp_path, capsys, monkeypatch):
+    import json
+
+    from curvecoh import presentation
+    from curvecoh.cli import main
+
+    term_by_term = []
+    product = presentation.integer_product
+
+    def recording(*args, **kwargs):
+        term_by_term.append(args[0])
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(presentation, "integer_product", recording)
+    # the load checks through degree 6: a packed frame would span 6*(G + 1) exponents
+    for G in (10**3, 10**9):  # the smaller tail first, whose packed frames would still fit
+        term_by_term.clear()
+        pres = load_presentation(_sparse_tail_text(G))
+        assert term_by_term
+    curve = tmp_path / "tail.pres"
+    curve.write_text(_sparse_tail_text(G))
+    assert main(["cohomology", "--curve", str(curve), "--n", "0..2", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)
+    assert [(r["n"], r["h0"], r["h1"], r["certified"]) for r in results] == [
+        (0, 1, 0, True), (1, 2, 0, True), (2, 3, 0, True)]
+
+    assert _same_outcome(pres, pres.embed_basis, 8) is None
+    for k, e in ((8, 8 - 4 * (G + 1)), (5, -5 * G), (3, 3 - 3 * (G + 1)), (8, 8)):
+        assert _same_outcome(pres, _perturbed(pres.embed_basis, k, e, Fraction(1, 3)), 8) is not None
+
+
+def test_ring_map_check_is_exact_on_numerators_of_200_bits(rescaled_twistor_file):
+    from math import lcm
+
+    # b<k> stands for (7/5)^k times the built-in element: structure constants over 5^m and 7^m
+    pres = load_presentation(rescaled_twistor_file(14, Fraction(97, 89), lambda k: Fraction(7, 5) ** k))
+    basis = pres.basis_up_to(14)
+    windows = [pres.embed_basis(i) for i in basis]
+    delta = lcm(*(w.den for w in windows))
+    assert max(abs(x) * delta // w.den for w in windows for part in w.terms for _, x in part).bit_length() >= 200
+    assert _same_outcome(pres, pres.embed_basis, 14) is None
+    # 1/den at a window's lowest exponent; above = 13 reaches the degree-7 ones only
+    # through products of degree 14, whose differences have the largest coefficients
+    for above, degree in ((-1, 14), (13, 7), (13, 14), (9, 5)):
+        for k in pres.indices_of_degree(degree):
+            w = pres.embed_basis(k)
+            for part in (0, 1):
+                lowest = min(e for p in w.terms for e, _ in p)
+                bad = _numerator_plus_one(w, lowest, part)
+                window = lambda i, k=k, bad=bad: bad if i == k else pres.embed_basis(i)  # noqa: E731
+                assert _same_outcome(pres, window, 14, above) is not None
+
+
+def _clipped_square_presentation(windows, square=1):
+    """b_0, b_1, b_2 of degrees 0, 1, 2 with b_i * b_j = b_(i+j), but b_1 * b_1 = square*b_2."""
+    from curvecoh.scalars import GAUSSIAN_PAIR
+
+    return AffinePresentation(
+        name="clipped", pair=GAUSSIAN_PAIR, degree_fn=lambda i: i, indices_of_degree_fn=lambda d: [d],
+        embed_fn=windows.__getitem__,
+        mul_fn=lambda i, j: {i + j: GaussianRational.of(square if (i, j) == (1, 1) else 1)},
+        label_fn=lambda i: f"b{i}", max_degree=2,
+    )
+
+
+@pytest.mark.parametrize("unit", [(1, 0), (-1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("signs", ["equal", "alternating"])
+def test_ring_map_check_is_exact_at_the_comparison_cutoff(unit, signs):
+    from curvecoh.presentation import check_ring_map
+
+    # w1 = sum h*t^e over e = -20..1 with |h| of 150 bits, integral so that a right-hand
+    # side off by one leaves D one unit at the cutoff; below it D holds w1^2's coefficients,
+    # up to 22*h^2, of either sign, so the packed D borrows across the cutoff
+    h = (1 << 150) - 1
+    x, y = unit
+    span = range(-20, 2)
+    re = {e: x * h * (-1) ** (e % 2 * (signs == "alternating")) for e in span}
+    im = {e: y * h * (-1) ** (e % 2 * (signs == "alternating")) for e in span}
+    w1 = LaurentWindow.from_integers(1, re, {e: v for e, v in im.items() if v})
+    square = w1 * w1
+    one = LaurentWindow.from_integers(1, {0: 1}, {})
+    for cut in (-19, -18, -5, 2):
+        outcomes = {}
+        for delta in (0, 1, -1, GAUSSIAN_I):
+            for at in (cut, cut + 1):
+                # the right-hand side clipped at the cutoff, off by delta at t^at
+                coeffs = dict(square.coeffs)
+                coeffs[at] = coeffs.get(at, 0) + delta
+                windows = {0: one, 1: w1, 2: LaurentWindow({e: c for e, c in coeffs.items() if e >= cut}, cut)}
+                outcomes[delta, at] = _same_outcome(_clipped_square_presentation(windows), windows.get, 2)
+            # the factors clipped instead: the product is known from cut + 1 up
+            coeffs = dict(square.coeffs)
+            coeffs[cut] = coeffs.get(cut, 0) + delta
+            clipped = w1.clip(cut - 1)
+            windows = {0: one, 1: clipped, 2: LaurentWindow(coeffs, None)}
+            assert (clipped * clipped).cutoff == cut
+            outcomes[delta, "factors"] = _same_outcome(_clipped_square_presentation(windows), windows.get, 2)
+            if delta:
+                with pytest.raises(EmbeddingNotRingMap, match=r"^clipped: embed\(b1\)\*embed\(b1\)"):
+                    check_ring_map(_clipped_square_presentation(windows), windows.get, 2)
+        assert {key for key, message in outcomes.items() if message is None} == {
+            (0, cut), (0, cut + 1), (0, "factors")}
+
+
+@pytest.mark.parametrize("x, y", [(1, 0), (-1, 0), (1, 1), (1, -1)])
+def test_ring_map_check_at_the_height_bound(x, y):
+    # b_1 * b_1 = 0*b_2 with b_1 -> h*(x + i*y)*t and b_2 known to be zero from t^cut up:
+    # D = rho*N_1^2 is one coefficient at t^2 of height exactly rho*w*H^2, the bound that
+    # fixes B, and it lies just below the comparison cutoff 3 or at the cutoff 2
+    for h in (1, 3, (1 << 61) - 1, (1 << 200) + 1):
+        w1 = LaurentWindow.from_integers(1, {1: h * x}, {1: h * y} if y else {})
+        for cut, holds in ((3, True), (2, False)):
+            windows = {0: LaurentWindow.from_integers(1, {0: 1}, {}), 1: w1,
+                       2: LaurentWindow({}, cut)}
+            outcome = _same_outcome(_clipped_square_presentation(windows, 0), windows.get, 2)
+            assert (outcome is None) == holds
+
+
+def test_ring_map_check_packs_each_window_once(tw, monkeypatch):
+    from collections import Counter
+
+    from curvecoh import presentation, series
+
+    curves = [(tw, 12), (load_presentation(_benchmark_curve_text()), 14)]
+    for pres, top in curves:
+        for i in pres.basis_up_to(top):
+            pres.embed_basis(i)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a passing ring-map check built a window or multiplied term by term")
+
+    monkeypatch.setattr(series.LaurentWindow, "from_integers", refused)
+    monkeypatch.setattr(series, "linear_combination", refused)
+    monkeypatch.setattr(presentation, "linear_combination", refused)
+    monkeypatch.setattr(presentation, "integer_product", refused)
+    for pres, top in curves:
+        reads = Counter()
+
+        def window(i, pres=pres, reads=reads):
+            reads[i] += 1
+            return pres.embed_basis(i)
+
+        presentation.check_ring_map(pres, window, top)
+        assert reads == Counter(pres.basis_up_to(top))
 
 
 # ---------------------------------------------------------------------------
