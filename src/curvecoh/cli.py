@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -244,12 +245,18 @@ def cmd_section_ring(args) -> int:
         return 0
 
 
+#: the parameter xi at any tracked order, as a series prints it
+_PARAMETER = re.compile(r"xi \+ O\(xi\^\d+\)")
+
+
 def cmd_pipeline(args) -> int:
     f = parse_f_expression(args.f, args.M)
     with _printable():
         pres = TwoPeriodicPresentation(f=f)
         trace = pipeline_trace(pres, args.M if args.prec is None else args.prec)
-        checks_pass = trace["hfp_image_equals_fil0"] and trace["injective"]
+        # series print one form per value, so this is rebase_round_trip(model) == xi + O(xi^order)
+        round_trip = _PARAMETER.fullmatch(trace["rebase_round_trip"]) is not None
+        checks_pass = trace["hfp_image_equals_fil0"] and trace["injective"] and round_trip
         if args.format == "json":
             emit(trace, args)
         else:
@@ -258,7 +265,7 @@ def cmd_pipeline(args) -> int:
                 f"beta*v = {trace['beta_v']}",
                 f"jump index = {trace['jump_index']}, carrier = {trace['carrier']}",
                 f"reversion: {trace['reversion']}",
-                f"rebase round trip: {trace['rebase_round_trip']}",
+                f"rebase round trip: {trace['rebase_round_trip']}{'' if round_trip else '  FAIL'}",
                 f"fixed-point image = Fil_0: {'PASS' if trace['hfp_image_equals_fil0'] else 'FAIL'}",
                 f"injectivity: {'PASS' if trace['injective'] else 'FAIL'}",
             ]

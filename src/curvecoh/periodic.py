@@ -210,7 +210,7 @@ class DegreeZeroImage:
             return True
         r, M = self.model.reversion, self.model.M
         if not is_zero_scalar(r.coeffs[0]):
-            raise ValueError("composition requires inner constant term 0")
+            raise ValueError(f"the reversion must have constant term 0, not {r.coeffs[0]}")
         if r.order < M:
             raise IndeterminateTop(f"reversion known to O(xi^{r.order}), need xi^{M - 1}")
         return M < 2 or not is_zero_scalar(r.coeffs[1])

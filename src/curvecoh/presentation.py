@@ -18,8 +18,8 @@ are k0-linearly independent; this is what turns the downstream linear
 algebra into certified computations, and it is checked, not assumed
 (``verify_leading_exact``), as is the ring map, through every degree a
 result reads. ``check_ring_map`` packs each window's numerators over one
-denominator into a big int at t = 2^B, with B large enough that every
-coefficient of a product's difference D has |d| < 2^(B-1); D vanishing
+denominator into a big int at t = 2^B (``kronecker``), with B large enough
+that every coefficient of a product's difference D has |d| < 2^(B-1); D vanishing
 from the comparison cutoff c up is then |D| < 2^(B*(c-o)-1) for the
 frame's lowest exponent o (D == 0 with no cutoff). A product whose
 exponent span is large against its stored terms checks the same identity
@@ -35,6 +35,7 @@ from functools import cache, partial
 from math import gcd, lcm
 
 from .errors import EmbeddingNotRingMap
+from .kronecker import pack
 from .linalg import phi, pivot_columns
 from .scalars import (
     GAUSSIAN_PAIR,
@@ -141,7 +142,7 @@ class AffinePresentation:
             for j, (xb, yb) in b_terms.items():
                 rule = rules.get((i, j))
                 if rule is None:
-                    rule = rules[i, j] = integer_element(self.mul_basis(i, j))
+                    rule = rules[i, j] = integer_element(self.mul_basis(i, j), named=True)
                 terms.append((xa * xb - ya * yb, xa * yb + ya * xb, rule))
         common = lcm(*{d for _, _, (d, _) in terms})
         out = {}
@@ -206,13 +207,17 @@ class AffinePresentation:
         return True
 
 
-def integer_element(coeffs: dict) -> tuple:
-    """(den, {index: (re, im)}): re + i*im == den*coeffs[index] in Python ints, zeros dropped."""
+def integer_element(coeffs: dict, named: bool = False) -> tuple:
+    """(den, {index: (re, im)}): re + i*im == den*coeffs[index] in Python ints.
+
+    Zeros are dropped unless ``named``: a cleared rule keeps every index it
+    names, since their windows' cutoffs bound what ``check_ring_map`` compares.
+    """
     parts = integer_parts(coeffs.values())
     if parts is None:
         raise outside_q_i(coeffs.values())
     den, re, im, _ = parts
-    return den, {k: (x, y) for k, x, y in zip(coeffs, re, im) if x or y}
+    return den, {k: (x, y) for k, x, y in zip(coeffs, re, im) if named or x or y}
 
 
 def combine(window, coeffs: dict) -> LaurentWindow:
@@ -226,8 +231,14 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     ``window`` maps basis indices to Laurent windows: the presentation's own
     embedding or one into a formal-disc model. Each window is read once and
     its numerators N_k are brought to the common denominator Delta of all
-    windows read; each rule b_i * b_j = sum (u_k + i*v_k)/rho * b_k is
-    cleared once (``integer_element``). The product holds when the
+    windows read. Each rule b_i * b_j = sum (u_k + i*v_k)/rho * b_k is
+    cleared once per presentation (``integer_element``, keeping the indices
+    it names with coefficient 0) and kept in the cache of cleared rules that
+    ``AffinePresentation.integer_product`` reads and fills too, so a
+    presentation's rules are fixed once it is built. A rule met for the
+    first time is read with ``mul_basis``; b_j * b_i shares the cleared form
+    of b_i * b_j when the two rules are equal. ``mul_basis`` is called again
+    only to report a failing product. The product holds when the
     Gaussian-integer polynomial D = rho*N_i*N_j - Delta*sum (u_k + i*v_k)*N_k
     vanishes at every exponent >= c, the cutoff ``LaurentWindow.agrees_with``
     compares above (the larger of the product's and the right-hand side's
@@ -247,20 +258,33 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     or windows far apart) checks the same identity on the same numerators
     by ``scalars.integer_product``. Windows are built only to report a
     failing product. Window products commute, so b_j * b_i is checked only
-    when its rule differs from b_i * b_j's.
+    when its cleared rule differs from b_i * b_j's.
     """
     basis = pres.basis_up_to(max_degree)
     degrees = [pres.degree_of(i) for i in basis]
-    rules, products, windows = {}, [], {}
+    cleared, raw, products, windows = pres._rule_cache, {}, [], {}
+    lookup, mul = cleared.get, pres.mul_basis
     for x, i in enumerate(basis):
         for y, j in enumerate(basis):
-            if not above < degrees[x] + degrees[y] <= max_degree:
+            d = degrees[x] + degrees[y]
+            if d > max_degree:
+                break  # the basis is ordered by degree
+            if d <= above:
                 continue
-            rule = rules[i, j] = pres.mul_basis(i, j)
-            if y < x and rules[j, i] == rule:
+            key = i, j
+            rule = lookup(key)
+            if rule is None:
+                given = mul(i, j)
+                if y < x and raw.get((j, i)) == given:  # b_j * b_i, met before, has this rule
+                    cleared[key] = cleared[j, i]
+                    continue
+                if y > x:
+                    raw[key] = given
+                rule = cleared[key] = integer_element(given, named=True)
+            elif y < x and cleared[j, i] == rule:
                 continue
-            products.append((i, j, rule, *integer_element(rule)))
-            for k in (i, j, *rule):
+            products.append((i, j, *rule))
+            for k in (i, j, *rule[1]):
                 if k not in windows:
                     windows[k] = window(k)
     if not products:
@@ -278,12 +302,11 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     clipped = any(w.cutoff is not None for w in windows.values())
     packed = {}
 
-    def pack(k):
+    def packed_window(k):
         """N_k at t = 2^bits from its lowest exponent, as (re, im), once per call."""
         if k not in packed:
             lo = frame[k][0]
-            packed[k] = tuple(scale[k] * sum(x << bits * (e - lo) for e, x in part)
-                              for part in windows[k].terms)
+            packed[k] = tuple(scale[k] * pack(part, bits, lo) for part in windows[k].terms)
         return packed[k]
 
     def numerators(k, factor=1):
@@ -292,13 +315,14 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
         return windows[k].terms if m == 1 else tuple([(e, m * x) for e, x in part]
                                                       for part in windows[k].terms)
 
-    for i, j, rule, rho, constants in products:
+    for i, j, rho, constants in products:
         a, b = windows[i], windows[j]
         cut = None
         if clipped:  # the larger of the product's and the right-hand side's cutoffs
-            cut = max((c for c in (a.product_cutoff(b), *(windows[k].cutoff for k in rule))
+            cut = max((c for c in (a.product_cutoff(b), *(windows[k].cutoff for k in constants))
                        if c is not None), default=None)
-        # the frames of D's terms: each nonzero N_k of the rule, and rho*N_i*N_j unless a factor is zero
+        # the frames of D's terms: each nonzero N_k the rule names (a coefficient 0 adds nothing
+        # to D), and rho*N_i*N_j unless a factor is zero
         rhs = [k for k in constants if k in frame]
         ends = [frame[k] for k in rhs]
         lhs = i in frame and j in frame
@@ -312,12 +336,12 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
         if max(tops) - lo < _PACKED_SPAN * sum(counts):
             re = im = 0
             for k in rhs:
-                (pr, pi), (u, v), shift = pack(k), constants[k], bits * (frame[k][0] - lo)
+                (pr, pi), (u, v), shift = packed_window(k), constants[k], bits * (frame[k][0] - lo)
                 re += (u * pr - v * pi) << shift
                 im += (u * pi + v * pr) << shift
             re, im = -delta * re, -delta * im
             if lhs:
-                (ar, ai), (br, bi), shift = pack(i), pack(j), bits * (lo_i + lo_j - lo)
+                (ar, ai), (br, bi), shift = packed_window(i), packed_window(j), bits * (lo_i + lo_j - lo)
                 re += rho * (ar * br - ai * bi) << shift
                 im += rho * (ar * bi + ai * br) << shift
             limit = 0 if cut is None or cut <= lo else bits * (cut - lo) - 1
@@ -330,7 +354,7 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
                                 numerators(k), cut, out=out)
             holds = not any(out[0].values()) and not any(out[1].values())
         if not holds:
-            product, image = a * b, combine(windows.__getitem__, rule)
+            product, image = a * b, combine(windows.__getitem__, pres.mul_basis(i, j))
             raise EmbeddingNotRingMap(
                 f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
                 f"!= embed of the product: {product} vs {image}"

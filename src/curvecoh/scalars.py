@@ -21,7 +21,8 @@ also the source of ``linalg``'s integer rows). Both carriers reduce, read
 and add up that form through the same helpers here (``reduced_form``,
 ``form_values``, ``form_combination``). Products convolve the numerators
 as Python ints (``integer_product``, schoolbook) and reduce once; shifts,
-truncation, Horner composition, the reversion's coefficient recurrence and
+truncation, Horner composition (on packed big ints, ``kronecker``, when the
+inner series is sparse), the reversion's coefficient recurrence and
 the inverse's quotient recurrence run on the numerators as well, and
 Fractions are built only when a coefficient is read. That inverse is the
 one quotient over Q(i): the Laurent window inverse in ``series`` and the
@@ -41,6 +42,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DivisionByZero, NotAUnit, PrecisionExhausted
+from .kronecker import horner
 
 
 def as_fraction(x) -> Fraction:
@@ -697,6 +699,14 @@ def power_cover(dens: dict) -> int:
     return cover
 
 
+#: ``TruncatedPowerSeries.compose`` packs its accumulator while
+#: (``_HORNER_TERMS`` + t)*B, for t stored terms of the inner series and digit
+#: width B, stays below this many bits times the share of exponents up to J at
+#: which the outer series has a term
+_PACKED_HORNER_BITS = 1 << 15
+_HORNER_TERMS = 12
+
+
 def _gmul(a, b):
     """The product of two Gaussian integers given as pairs (re, im)."""
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
@@ -912,31 +922,61 @@ class TruncatedPowerSeries:
     def compose(self, inner: "TruncatedPowerSeries") -> "TruncatedPowerSeries":
         """self(inner(x)); ``inner`` must have zero constant term.
 
-        Horner over the numerators: with self = S/D and inner = I/d, the
-        accumulator A <- A*I + S_k*d^(J-k), from the top exponent J down,
-        ends at D*d^J*self(inner), reduced once. A step costs one integer
-        product by I, O(M) multiply-adds when I has a bounded number of terms.
+        Horner over the numerators: with self = S/D and inner = I/d of
+        valuation v, the accumulator A <- A*I + S_k*d^(J-k), from the top
+        exponent J down, ends at D*d^J*self(inner), reduced once. A_k is read
+        below xi^(m-k*v) only, and S_k with k*v >= m is not read.
+
+        Every coefficient of every A is below H_0 in size, where
+        H_k = H_(k+1)*L + max|S_k|*d^(J-k) and L is the sum of |re| + |im|
+        over the numerators of I (1.5-1.8 times the bit length of the
+        largest true coefficient on the pipeline's round trips at M = 24 to
+        128). With B the least whole number of bytes
+        with H_0 < 2^(B-1), each part (re, im) of A is one int at t = 2^B
+        with signed digits (``kronecker.horner``): a step is one shifted
+        multiply-add per stored term of I on m*B-bit ints, a mask and a
+        symmetric lift, and A is unpacked once. The Horner loop on term
+        lists (``integer_product``) instead pays Python overhead per
+        multiply-add, but only for the terms A has and at their true sizes.
+        So A is packed while (``_HORNER_TERMS`` + t)*B*(J + 1) is below
+        ``_PACKED_HORNER_BITS`` times the number of exponents <= J where S
+        has a term, t the stored terms of I: a sparse inner of small
+        coefficients, as the reversion's round trip at M up to a few
+        hundred. A dense inner, a wide B or a sparse S runs the term lists.
         """
         require_integer_form(self, inner)
         v = inner.valuation()
         if v == 0:
             raise ValueError("composition requires inner constant term 0")
         m = min(inner.order, self.order * (v or 1))
+        v = v or m  # a zero inner: only S_0 is read
         inner_t = inner.truncate(m)
         s_re, s_im = (dict(part) for part in self.terms)
-        top = max(s_re.keys() | s_im.keys(), default=0)
-        acc, scale = ([], []), 1  # scale = d^(J-k)
+        # S_k*I^k vanishes below xi^m once k*v >= m
+        top = min(max(s_re.keys() | s_im.keys(), default=0), (m - 1) // v)
+        spread = sum(abs(x) for part in inner_t.terms for _, x in part)
+        height, scale = 0, 1  # scale = d^(J-k)
         for k in range(top, -1, -1):
-            prod = integer_product(acc, inner_t.terms, None, m)
-            # A*I has no constant term, so S_k*d^(J-k) is a new first term
-            acc = tuple(
-                ([(0, s[k] * scale)] if s.get(k) else []) + sorted((e, x) for e, x in p.items() if x)
-                for s, p in zip((s_re, s_im), prod)
-            )
+            height = height * spread + max(abs(s_re.get(k, 0)), abs(s_im.get(k, 0))) * scale
             if k:
                 scale *= inner_t.den
+        nbytes = height.bit_length() // 8 + 1  # height < 2^(8*nbytes - 1)
+        cost = (_HORNER_TERMS + len(inner_t.terms[0]) + len(inner_t.terms[1])) * 8 * nbytes * (top + 1)
+        if cost < _PACKED_HORNER_BITS * sum(1 for k in s_re.keys() | s_im.keys() if k <= top):
+            re, im = horner(s_re, s_im, top, inner_t.terms, inner_t.den, m, v, nbytes)
+        else:
+            acc, power = ([], []), 1  # power = d^(J-k)
+            for k in range(top, -1, -1):
+                prod = integer_product(acc, inner_t.terms, None, m - k * v)
+                # A*I has no constant term, so S_k*d^(J-k) is a new first term
+                acc = tuple(
+                    ([(0, s[k] * power)] if s.get(k) else []) + sorted((e, x) for e, x in p.items() if x)
+                    for s, p in zip((s_re, s_im), prod)
+                )
+                power *= inner_t.den
+            re, im = map(dict, acc)
         return TruncatedPowerSeries.from_integers(
-            self.den * scale, *map(dict, acc), m, self.gaussian or inner.gaussian
+            self.den * scale, re, im, m, self.gaussian or inner.gaussian
         )
 
     def reversion(self) -> "TruncatedPowerSeries":

@@ -219,6 +219,26 @@ def test_pipeline_reversion_printed(capsys):
     assert "rebase round trip: xi + O" in out
 
 
+def test_pipeline_fails_when_the_round_trip_fails(capsys, monkeypatch):
+    reversion = TruncatedPowerSeries.reversion
+
+    def perturbed(self):
+        g = reversion(self)
+        coeffs = list(g.coeffs)
+        coeffs[3] += 1
+        return TruncatedPowerSeries(coeffs, g.order)
+
+    monkeypatch.setattr(TruncatedPowerSeries, "reversion", perturbed)
+    code, out, _ = run(capsys, "pipeline", "--f", "1+xi", "--M", "16")
+    assert code == 1
+    line = next(line for line in out.splitlines() if line.startswith("rebase round trip:"))
+    assert line.endswith("  FAIL") and not line.startswith("rebase round trip: xi + O(")
+    code, out, _ = run(capsys, "pipeline", "--f", "1+xi", "--M", "16", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["injective"] and payload["hfp_image_equals_fil0"]
+    assert payload["rebase_round_trip"] != "xi + O(xi^17)"
+
+
 def test_pipeline_zero_bott_exits_1(capsys):
     code, _, err = run(capsys, "pipeline", "--f", "0", "--M", "8")
     assert code == 1

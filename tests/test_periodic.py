@@ -163,6 +163,16 @@ def test_injective_agrees_with_the_rank_of_the_coefficient_matrix():
     assert True in verdicts and False in verdicts
 
 
+def test_injective_names_a_reversion_with_a_constant_term():
+    r = rational_tps([Fraction(2, 3), 1, 1], 6)
+    model = FilteredRingModel(
+        M=5, prec=5, jump_index=1, parameter_expression=r, unit_parameter=r,
+        reversion=r, one=Fraction(1),
+    )
+    with pytest.raises(ValueError, match=r"^the reversion must have constant term 0, not 2/3$"):
+        DegreeZeroImage(model=model).injective()
+
+
 def test_injective_needs_a_reversion_as_long_as_m():
     r = rational_tps([0, 1, 1], 3)
     model = FilteredRingModel(

@@ -403,10 +403,13 @@ def test_integer_ring_map_check_matches_window_products(tw, p1, rescaled_twistor
 
 
 def test_integer_ring_map_check_matches_with_gaussian_constants():
-    pres = _gaussian_constants_presentation()
-    rules = pres._mul
+    # a presentation's rules are fixed once it is built (its cleared rules are
+    # kept), so each perturbation gets a fresh presentation
     for i, j in ((1, 2), (3, 3), (0, 5), (4, 4)):
-        def perturbed(a, b, i=i, j=j):
+        pres = _gaussian_constants_presentation()
+        rules = pres._mul
+
+        def perturbed(a, b, i=i, j=j, rules=rules):
             rule = rules(a, b)
             if (a, b) == (i, j):
                 return {k: s + GaussianRational(Fraction(0), Fraction(1, 7)) for k, s in rule.items()}
@@ -415,7 +418,79 @@ def test_integer_ring_map_check_matches_with_gaussian_constants():
         pres._mul = perturbed
         message = _same_outcome(pres, pres.embed_basis, 8)
         assert message.startswith(f"gaussian-constants: embed(b{i})*embed(b{j}) != ")
-    pres._mul = rules
+
+
+def test_ring_map_check_reads_the_rules_integer_product_cleared():
+    from curvecoh.presentation import integer_element
+
+    tw = twistor_presentation.__wrapped__()  # a fresh value, its rules cleared by integer_product only
+    basis = tw.basis_up_to(8)
+    for i in basis:
+        for j in basis:
+            tw.integer_product(integer_element({i: 1}), integer_element({j: 1}))
+    assert len(tw._rule_cache) == len(basis) ** 2
+    rng = random.Random(19)
+    for _ in range(6):
+        k = rng.choice(tw.basis_up_to(4))
+        e = rng.choice(sorted(tw.embed_basis(k).coeffs))
+        message = _same_outcome(tw, _perturbed(tw.embed_basis, k, e, Fraction(rng.choice([-1, 1]), 3)), 8)
+        assert message.startswith("twistor: embed(") and " != embed of the product: " in message
+
+
+def test_ring_map_check_clears_each_rule_once_per_presentation(monkeypatch):
+    from curvecoh import presentation
+
+    tw = twistor_presentation.__wrapped__()
+    rules, cleared = tw._mul, []
+    calls = []
+    tw._mul = lambda i, j: calls.append((i, j)) or rules(i, j)
+    clear = presentation.integer_element
+    monkeypatch.setattr(presentation, "integer_element",
+                        lambda *args, **kwargs: cleared.append(args) or clear(*args, **kwargs))
+    presentation.check_ring_map(tw, tw.embed_basis, 8)
+    # a cold cache: one rule call per ordered pair, one clearing per rule that
+    # differs from the other order's
+    basis = tw.basis_up_to(8)
+    pairs = [(i, j) for i in basis for j in basis if tw.degree_of(i) + tw.degree_of(j) <= 8]
+    distinct = [(i, j) for i, j in pairs if basis.index(j) >= basis.index(i) or rules(i, j) != rules(j, i)]
+    assert calls == pairs and len(cleared) == len(distinct)
+    calls.clear()
+    cleared.clear()
+    presentation.check_ring_map(tw, tw.embed_basis, 8)
+    assert calls == [] and cleared == []
+
+
+def test_ring_map_check_reads_both_orders_of_an_asymmetric_rule():
+    # b_2 * b_1 differs from b_1 * b_2: the check must not take one for the other,
+    # whether the rules are cleared cold or were cleared before by integer_product
+    from curvecoh.presentation import integer_element
+
+    for warm in (False, True):
+        pres = _gaussian_constants_presentation()
+        rules = pres._mul
+        pres._mul = lambda a, b: ({k: s + GAUSSIAN_I for k, s in rules(a, b).items()} if (a, b) == (2, 1)
+                                  else rules(a, b))
+        if warm:
+            for i in pres.basis_up_to(8):
+                for j in pres.basis_up_to(8 - i):
+                    pres.integer_product(integer_element({i: 1}), integer_element({j: 1}))
+        message = _same_outcome(pres, pres.embed_basis, 8)
+        assert message.startswith("gaussian-constants: embed(b2)*embed(b1) != ")
+
+
+def test_cleared_rules_keep_the_indices_named_with_zero_coefficients():
+    from curvecoh.presentation import integer_element
+
+    # b_1 * b_1 = 0*b_2: b_2's cutoff still bounds the comparison when the
+    # rule was first cleared by integer_product
+    h = 5
+    w1 = LaurentWindow.from_integers(1, {1: h}, {})
+    for cut, holds in ((3, True), (2, False)):
+        windows = {0: LaurentWindow.from_integers(1, {0: 1}, {}), 1: w1, 2: LaurentWindow({}, cut)}
+        pres = _clipped_square_presentation(windows, 0)
+        assert pres.integer_product(integer_element({1: 1}), integer_element({1: 1})) == (1, {})
+        assert pres._rule_cache[1, 1] == (1, {2: (0, 0)})
+        assert (_same_outcome(pres, windows.get, 2) is None) == holds
 
 
 def test_integer_ring_map_check_matches_on_windows_with_cutoffs(tw, p1):

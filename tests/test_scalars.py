@@ -746,3 +746,88 @@ def test_tps_equal_values_have_one_stored_form():
         if u.order > 1:
             sigma = u.shift_up(1)
             assert _form(sigma.compose(sigma.reversion())) == _form(TruncatedPowerSeries([0, 1], sigma.order))
+
+
+def _kernel_forms(f, inner, monkeypatch):
+    """The stored form (den, terms, order, gaussian) of f.compose(inner), by term lists, then packed."""
+    from curvecoh import scalars
+
+    forms = []
+    for bits in (0, 1 << 60):  # below and above every (12 + t)*B*(J + 1)
+        monkeypatch.setattr(scalars, "_PACKED_HORNER_BITS", bits)
+        c = f.compose(inner)
+        forms.append((c.den, c.terms, c.order, c.gaussian))
+    return forms
+
+
+def _reference_form(f, inner):
+    want = _RefSeries(f.coeffs, f.order).compose(_RefSeries(inner.coeffs, inner.order))
+    ref = TruncatedPowerSeries(want.c, want.order)
+    return ref.den, ref.terms, ref.order, f.gaussian or inner.gaussian
+
+
+def test_packed_compose_matches_the_fraction_reference(monkeypatch):
+    g = GaussianRational
+    xi = rational_tps([0, 1], 2)
+    sigma = rational_tps([0, 1, -1, -1], 25)  # 1 - xi - xi^2, the pipeline's sparse case
+    cases = [
+        # all coefficients positive: no cancellation, the digits run up to the bound H
+        (rational_tps([k + 1 for k in range(12)], 12), rational_tps([0, 3, 1, 4, 1, 5], 12)),
+        (rational_tps([0, 127], 2), xi),  # H = 127: the digit 127 fills B = 8 exactly
+        (rational_tps([0, 128], 2), xi),  # 128 needs a second byte
+        (gaussian_tps([0, g(Fraction(127), Fraction(127))], 2), gaussian_tps([0, GAUSSIAN_I], 2)),
+        # a negative digit at the top kept exponent m - 1
+        (rational_tps([0, -127], 2), xi),
+        (rational_tps([3, 0, -(2**15 - 1)], 3), rational_tps([0, 1], 3)),
+        (rational_tps([1, 2, 3, 4, -5], 5), rational_tps([0, 1, 1], 5)),
+        # a purely imaginary Gaussian inner
+        (rational_tps([1, Fraction(-2, 3), 5, 0, 7], 9),
+         gaussian_tps([0, GAUSSIAN_I / 2, 0, -3 * GAUSSIAN_I], 9)),
+        (gaussian_tps([g(Fraction(1), Fraction(-2)), GAUSSIAN_I, 3], 6),
+         gaussian_tps([0, 5 * GAUSSIAN_I], 6)),
+        # inner.den > 1 and self.den > 1
+        (rational_tps([Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), Fraction(-4, 9)], 10),
+         rational_tps([0, Fraction(1, 3), Fraction(2, 5)], 10)),
+        # inner valuation 2
+        (rational_tps([1, -1, 2, Fraction(1, 2), 3], 5), rational_tps([0, 0, 1, Fraction(1, 2)], 9)),
+        (rational_tps([0, 1, 1, 1], 4), rational_tps([0, 0, -1], 12)),
+        # an inner that is zero (valuation None)
+        (rational_tps([2, 3, 4], 6), rational_tps([0], 6)),
+        (gaussian_tps([GAUSSIAN_I, 3], 4), gaussian_tps([0, 0], 3)),
+        # self of order 1, and a constant self
+        (rational_tps([Fraction(5, 3)], 1), rational_tps([0, 1, 2], 3)),
+        (rational_tps([Fraction(5, 3)], 6), rational_tps([0, 1, 2], 6)),
+        (rational_tps([0], 6), rational_tps([0, 1, 2], 6)),
+        # the rebase round trip
+        (sigma.reversion(), sigma),
+    ]
+    for f, inner in cases:
+        want = _reference_form(f, inner)
+        assert _kernel_forms(f, inner, monkeypatch) == [want, want], (str(f), str(inner))
+    assert _kernel_forms(sigma.reversion(), sigma, monkeypatch)[0][1] == ([(1, 1)], [])
+
+
+def test_packed_compose_matches_on_random_series(monkeypatch):
+    rng = random.Random(SEED + 19)
+    cases = list(_carrier_cases(rng))
+    for (f, _, _), (g, _, _) in zip(cases, cases[1:] + cases[:1]):
+        for v in (1, 2):
+            inner = g.shift_up(v)
+            want = _reference_form(f, inner)
+            assert _kernel_forms(f, inner, monkeypatch) == [want, want], (str(f), str(inner))
+
+
+def test_compose_packs_sparse_inner_series_only(monkeypatch):
+    from curvecoh import scalars
+    from curvecoh.cli import parse_f_expression
+
+    packed = []
+    kernel = scalars.horner
+    monkeypatch.setattr(scalars, "horner", lambda *args: packed.append(args) or kernel(*args))
+    # the round trip of a sparse sigma at M = 24 packs; a dense inner, or one of
+    # wide coefficients, runs the term lists
+    for f, packs in (("1-xi-xi^2", True), ("1+xi", True), ("(1+1/3*xi)^40", False)):
+        sigma = parse_f_expression(f, 24).shift_up(1)
+        packed.clear()
+        assert sigma.reversion().compose(sigma) == rational_tps([0, 1], 25)
+        assert len(packed) == packs, f
