@@ -198,17 +198,15 @@ def _table(rows: list, header: list) -> str:
 def cmd_cohomology(args) -> int:
     pres = resolve_curve(args.curve)
     ns = parse_range(str(args.n))
+    for n in ns:
+        default = coh.resolved_default_cutoff(pres, n)
+        if args.cutoff is not None and args.cutoff < default and not args.uncertified_ok:
+            raise CutoffTooSmall(
+                f"cutoff {args.cutoff} below the default {default} for n={n} "
+                f"(pass --uncertified-ok to force)"
+            )
     with _printable():
-        results = []
-        for n in ns:
-            default = coh.resolved_default_cutoff(pres, n)
-            cutoff = args.cutoff
-            if cutoff is not None and cutoff < default and not args.uncertified_ok:
-                raise CutoffTooSmall(
-                    f"cutoff {cutoff} below the default {default} for n={n} "
-                    f"(pass --uncertified-ok to force)"
-                )
-            results.append(coh.compute(pres, n, D=cutoff))
+        results = coh.compute_twists(pres, ns, D=args.cutoff)
         if args.format == "json":
             payload = results[0].to_json() if len(results) == 1 else [r.to_json() for r in results]
             emit(payload, args)
@@ -286,8 +284,8 @@ def cmd_dream(args) -> int:
         ]
         rows, all_ok = [], True
         for label, pres, embed in curves:
-            for n, assembled in zip(ns, coh.curve_from_parts(pres, model, embed, ns), strict=True):
-                direct = coh.compute(pres, n)
+            pairs = zip(coh.curve_from_parts(pres, model, embed, ns), coh.compute_twists(pres, ns))
+            for n, (assembled, direct) in zip(ns, pairs, strict=True):
                 ok = direct.dims == assembled.dims and direct.graded == assembled.graded
                 all_ok = all_ok and ok
                 rows.append(

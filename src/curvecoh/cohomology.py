@@ -20,22 +20,31 @@ drifting dimension shows it.
 H^0 and H^1 are the kernel and cokernel of one gluing map, the affine
 algebra up to degree D into the Laurent coefficients above Fil_n. Its
 rows are each window's own integer numerators and denominator
-(``gluing_rows``, realified over Q(i)). ``_sections`` reduces them once
-for H^0 and builds exact rationals only for the basis vectors it
-outputs, each row divided by its first affine coordinate through one
-``scalars.gaussian_reciprocal``; an element's window is its image under
-the embedding (``AffinePresentation.embed_element``). ``_h1_classes``
-runs the stabilization loop for H^1, which needs only the image's pivot
-columns. ``h0``, ``h1``, ``compute`` and ``curve_from_parts`` all go
+(``gluing_rows``, realified over Q(i)). ``_section_rows`` reduces them,
+with an identity block, for H^0 and builds exact rationals only for the
+basis vectors it outputs, each row divided by its first affine coordinate
+through one ``scalars.gaussian_reciprocal``. ``_h1_classes`` runs the
+stabilization loop for H^1, which needs only the image's pivot columns.
+``h0``, ``h1``, ``compute_twists`` and ``curve_from_parts`` all go
 through these two.
 
 Where the window used is certified leading_exact through every degree a
 result reads, structure decides what elimination would (a degree-d
-element peaks at t^(d*jump) with k0-independent leading coefficients):
+element peaks at t^(d*jump) with k0-independent leading coefficients).
 H^1's image pivots are each degree's leading pivots
-(``presentation.leading_pivots``), and H^0 reduces only the rows that
-can enter the kernel. Uncertified windows run the eliminations, the only
-way to see drift without the certificate.
+(``presentation.leading_pivots``). The elements of pole order <= f are
+those of degree <= f // jump, so in the reduced echelon form of the rows
+up to any degree K >= f // jump the rows that pivot at or below t^f (a
+suffix, as pivots run down the exponents) span them in reduced echelon
+form, unique per column order: one elimination at the largest kernel
+degree K gives every H^0 basis of a range of twists (suffix argument).
+
+Lower twists read that echelon before degree K is certified. That is
+safe, as certification is all or nothing: on a leading_exact
+presentation ``certified_through`` returns True or raises, and the twist
+of largest n certifies through its D >= K, so a bad degree <= K raises
+before ``compute_twists`` returns. Uncertified windows run the
+eliminations twist by twist, the only way to see drift without it.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -151,60 +160,54 @@ def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
     return D
 
 
-def _sections(pres: AffinePresentation, window, fil_bound: int, D: int,
-              kernel_degree: int | None = None):
-    """H^0 up to degree D: affine elements whose window has pole order <= fil_bound.
+def _section_rows(pres: AffinePresentation, window, degree: int, fil_bound: int | None = None):
+    """(pivot exponent or None, basis vector) per reduced row of [gluing | identity] up to ``degree``.
 
-    One reduced echelon form of [window coordinates t^top ... t^low |
-    identity over the affine basis] (``gluing_rows``). Its rows with the
-    pivot at or below t^fil_bound span exactly the kernel part, and since
-    the reduced echelon form of a subspace is unique for a given column
-    order, they are the canonical basis. Returns (basis, graded pieces);
-    each basis vector {basis index: k0 coefficient}, keys in basis order,
-    is the row's identity block rescaled so its first affine coordinate is
-    1 (one ``gaussian_reciprocal`` per row).
-
-    ``kernel_degree`` is fil_bound // jump for a window certified
-    leading_exact through D: an element with a part of higher degree d
-    peaks at t^(d*jump) > t^fil_bound, so only the rows of degree <=
-    kernel_degree are reduced. The kernel, and with it its reduced
-    echelon form, is the same; ``top``, ``low`` and the known-coefficient
-    check still read every window up to D.
+    Rows that pivot above t^fil_bound are skipped. A vector {basis index: k0
+    coefficient} is the row's identity block scaled to a first coordinate 1.
     """
     pair = pres.pair
-    basis = pres.basis_up_to(D)
+    basis = pres.basis_up_to(degree)
     windows = [window(i) for i in basis]
-    _require_known(windows, fil_bound + 1)
-    rows = windows if kernel_degree is None else windows[:len(pres.basis_up_to(kernel_degree))]
     tops = [w.pole_order() for w in windows]
-    top = int(max([t for t in tops if t != MINUS_INFINITY], default=fil_bound))
+    top = int(max([t for t in tops if t != MINUS_INFINITY], default=0))
     low = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
     if low is None:
         low = min((part[0][0] for w in windows for part in w.terms if part), default=top + 1)
     step = pair.coord_count
     width = (top - low + 1) * step
-    vecs, pivot_exps = [], []
-    for pc, re, im in reduced_rows(gluing_rows(pair, rows, top, low, identity=True)):
+    rows = []
+    for pc, re, im in reduced_rows(gluing_rows(pair, windows, top, low, identity=True)):
         m = top - pc // step if pc < width else None
-        if m is not None and m > fil_bound:
+        if m is not None and fil_bound is not None and m > fil_bound:
             continue
         # the identity block's entries: column width + k is the coordinate at basis[k]
         coords = [(basis[c - width], re.get(c, 0), im.get(c, 0))
                   for c in sorted(re.keys() | im.keys()) if c >= width]
         ra, rb, d = gaussian_reciprocal(*coords[0][1:])
-        vecs.append({i: Fraction(u * ra, d) if pair.split
-                     else GaussianRational(Fraction(u * ra - v * rb, d), Fraction(u * rb + v * ra, d))
-                     for i, u, v in coords})
-        pivot_exps.append(m)
-    return vecs, _graded_from_pivots(pivot_exps)
+        rows.append((m, {i: Fraction(u * ra, d) if pair.split
+                         else GaussianRational(Fraction(u * ra - v * rb, d), Fraction(u * rb + v * ra, d))
+                         for i, u, v in coords}))
+    return rows
+
+
+def _sections(pres: AffinePresentation, window, fil_bound: int, D: int, rows=None):
+    """(basis, graded pieces) of H^0 up to degree D: windows with pole order <= fil_bound.
+
+    The ``_section_rows`` that pivot at or below t^fil_bound, of ``rows()`` (certified windows, a
+    kernel degree >= fil_bound // jump) or of every row up to D; ``_require_known`` reads all D first.
+    """
+    _require_known([window(i) for i in pres.basis_up_to(D)], fil_bound + 1)
+    rows = _section_rows(pres, window, D, fil_bound) if rows is None else rows()
+    picked = [(m, vec) for m, vec in rows if m is None or m <= fil_bound]
+    return [vec for _, vec in picked], _graded_from_pivots(m for m, _ in picked)
 
 
 def _graded_from_pivots(pivots) -> dict:
     out: dict = {}
     for m in pivots:
-        if m is None:
-            continue
-        out[m] = out.get(m, 0) + 1
+        if m is not None:
+            out[m] = out.get(m, 0) + 1
     return dict(sorted(out.items()))
 
 
@@ -260,14 +263,20 @@ def _h1_free_columns(pres: AffinePresentation, window, fil_bound: int, cutoff: i
     return [col for col in cols if col not in image]
 
 
+def _unit_monomial(e: int, p: int) -> LaurentWindow:
+    """t^e for part p = 0, i*t^e for p = 1."""
+    return LaurentWindow.monomial(e, _UNITS[p])
+
+
 def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: int,
-                pivots=None):
+                pivots=None, monomial=_unit_monomial):
     """(representatives, graded) of the cokernel, stable over cutoffs D, D+1, D+2.
 
     At cutoff D' the quotient target is span{t^m : fil_bound < m <=
     max(D'*jump, fil_bound)}, so an image that stops growing leaves new
     columns uncovered and the dimension drifts. ``pivots`` is passed on to
     ``_h1_free_columns``, for a window certified leading_exact through D + 2.
+    ``monomial`` builds the representative of each free (exponent, part).
     """
     _require_known([window(i) for i in pres.basis_up_to(D + 2)], fil_bound + 1)
     runs = [_h1_free_columns(pres, window, fil_bound, cutoff, jump, pivots)
@@ -276,15 +285,16 @@ def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: 
     if not dims[0] == dims[1] == dims[2]:
         raise NotStabilized(f"h1 dimension still changing at cutoffs {D}..{D + 2}: {dims}")
     free = runs[0]
-    reps = [LaurentWindow.monomial(e, _UNITS[p]) for e, p in free]
+    reps = [monomial(e, p) for e, p in free]
     return reps, _graded_from_pivots([e for e, _ in free])
 
 
-def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
-    """Global sections of O(n): affine elements with pole order <= n at infinity."""
+def h0(pres: AffinePresentation, n: int, D: int | None = None, rows=None) -> CohomologyResult:
+    """Global sections of O(n): affine elements with pole order <= n, if certified off ``rows()``."""
     D = _cutoff(pres, n, D, "h0")
     certified = pres.certified_through(D)
-    basis, graded = _sections(pres, pres.embed_basis, n, D, n if certified else None)
+    rows = (rows or partial(_section_rows, pres, pres.embed_basis, n)) if certified else None
+    basis, graded = _sections(pres, pres.embed_basis, n, D, rows)
     return CohomologyResult(
         n=n,
         h0_basis=basis,
@@ -295,12 +305,12 @@ def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
     )
 
 
-def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
+def h1(pres: AffinePresentation, n: int, D: int | None = None, monomial=_unit_monomial) -> CohomologyResult:
     """First cohomology of O(n): Laurent tail classes modulo the affine algebra.
 
     Representatives are pure monomial classes t^m (and i*t^m for a split
     coefficient pair) at the free columns of the image echelon, reduced
-    modulo the image by construction.
+    modulo the image by construction, built by ``monomial``.
     """
     D = _cutoff(pres, n, D, "h1")
     _require_declared(pres, D)
@@ -310,7 +320,7 @@ def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
         _h1_classes(pres, pres.embed_basis, n, D, 1)  # the elimination's own errors come first
         raise
     pivots = pres.leading_pivots if certified else None
-    reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1, pivots)
+    reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1, pivots, monomial)
     return CohomologyResult(
         n=n,
         h1_basis=reps,
@@ -320,16 +330,25 @@ def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
     )
 
 
+def compute_twists(pres: AffinePresentation, ns, D: int | None = None) -> list[CohomologyResult]:
+    """``compute`` for each twist n in ``ns``, in order, and with its errors in that order.
+
+    Certified H^0s share one reduced echelon form at the largest kernel degree, min(max n, D),
+    built inside the first ``h0``, and H^1 representatives are built once per (exponent, part),
+    for this call only.
+    """
+    ns = list(ns)
+    kernel = max(ns, default=-1) if D is None else min(max(ns, default=-1), D)
+    rows = cache(partial(_section_rows, pres, pres.embed_basis, kernel)) if pres.leading_exact else None
+    monomial = cache(_unit_monomial)
+    pairs = [(h0(pres, n, D, rows), h1(pres, n, D, monomial)) for n in ns]
+    return [replace(r0, h1_basis=r1.h1_basis, h1_graded=r1.h1_graded,
+                    certified=r0.certified and r1.certified) for r0, r1 in pairs]
+
+
 def compute(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
     """Both cohomology groups of O(n) in one result."""
-    r0 = h0(pres, n, D)
-    r1 = h1(pres, n, D)
-    return replace(
-        r0,
-        h1_basis=r1.h1_basis,
-        h1_graded=r1.h1_graded,
-        certified=r0.certified and r1.certified,
-    )
+    return compute_twists(pres, [n], D)[0]
 
 
 def graded_pieces(res: CohomologyResult) -> dict:
@@ -378,8 +397,9 @@ def curve_from_parts(
     result is certified when degree-d elements peak at pole d*jump with
     independent leading coefficients (the leading_exact property, verified
     in the carrier through D + 2, the highest degree that twist's H^1
-    stabilization reads); its H^0 and H^1 are then read off the leading
-    pivots that check computed, kept for this call.
+    stabilization reads). Its H^1 is then read off the leading pivots that
+    check computed, its H^0 off one echelon form of the certified twists at
+    their largest fil_bound // jump, both kept for this call only.
     """
     ns = list(ns)
     cutoffs = [_cutoff(pres, n, D, "assembly") for n in ns]
@@ -392,21 +412,23 @@ def curve_from_parts(
     pivots = cache(partial(leading_pivots, pres, window, jump))
     # one pass through the highest degree read; twists reading below its failure stay certified
     failure = leading_exact_failure(pres, window, jump, top, pivots=pivots)
+    certified = [failure is None or failure[0] > D_n + 2 for D_n in cutoffs]
+    kernel = max((model.fil_pole_bound(n) // jump for n, c in zip(ns, certified) if c), default=-1)
+    rows = cache(partial(_section_rows, pres, window, kernel))
+    monomial = cache(_unit_monomial)
     results = []
-    for n, D_n in zip(ns, cutoffs):
+    for n, D_n, cert in zip(ns, cutoffs, certified):
         fil_bound = model.fil_pole_bound(n)
-        certified = failure is None or failure[0] > D_n + 2
         reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump,
-                                      pivots if certified else None)
-        basis, h0_graded = _sections(pres, window, fil_bound, D_n,
-                                     fil_bound // jump if certified else None)
+                                      pivots if cert else None, monomial)
+        basis, h0_graded = _sections(pres, window, fil_bound, D_n, rows if cert else None)
         results.append(CohomologyResult(
             n=n,
             h0_basis=basis,
             h0_graded=h0_graded,
             h1_basis=reps,
             h1_graded=h1_graded,
-            certified=certified,
+            certified=cert,
             cutoff_used=D_n,
             labels={i: pres.label(i) for i in pres.basis_up_to(D_n)},
         ))

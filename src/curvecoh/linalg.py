@@ -5,8 +5,8 @@ Matrices are lists of row lists. Entries may be ``int``, ``Fraction`` or
 entry gets ``GaussianRational`` entries back, any other matrix gets
 ``Fraction`` entries.
 
-Everything runs on one integer core. Its rows are pairs (re, im) of sparse
-integer rows {column: int}, a row of Q(i) entries times a common
+Everything runs on one integer core. Its rows are pairs (re, im) of
+sparse integer rows {column: int}, a row of Q(i) entries times a common
 denominator, which keeps the row space; ``presentation.gluing_rows``
 builds them straight from window numerators, ``section_ring`` from
 elements in integer form, and ``rref``, ``rank``, ``kernel_basis`` and
@@ -14,17 +14,22 @@ elements in integer form, and ``rref``, ``rank``, ``kernel_basis`` and
 the Python ints without a single division: a row with a nonzero entry f
 in the pivot column becomes (p/g)*row - (f/g)*pivot row, where p is the
 pivot and g = gcd(p, f), and then has its content divided out, which
-keeps the integers small. ``pivot_columns`` is the forward pass alone, which clears
-each pivot column in the rows not yet used as pivots; ``reduced_rows``
-clears it in the earlier pivot rows too. Every step multiplies a row by a
-nonzero scalar or adds a multiple of another row to it, so the row space
-never changes. A subspace has one reduced echelon form and one set of
-pivot columns for a given column order, so neither depends on the choice
-of pivot rows or on the scaling of rows: ``reduced_rows`` gives that of
-textbook Gauss-Jordan elimination up to one integer factor per row, and
-only the entries a caller reads are divided by it (``_entry``, for
-``rref`` and ``kernel_vectors``). The caller's column order is what
-makes echelon bases unique, so all functions preserve it strictly.
+keeps the integers small. ``pivot_columns`` is the forward pass alone,
+which clears each pivot column in the rows not yet used as pivots.
+``reduced_rows`` then back-substitutes from the bottom pivot row up
+(after Bareiss, Math. Comp. 22, 1968): the rows R_c below row k are
+final and vanish at every pivot but their own c, so row k becomes
+L*row - sum_c (L*f_c/p_c)*R_c over its entries f_c at those pivots, L
+the least positive integer making each coefficient integral, and then
+loses its content: one rescaling per row. Every step multiplies a row by a nonzero scalar or
+adds a multiple of another row to it, so the row space never changes. A
+subspace has one reduced echelon form and one set of pivot columns for a
+given column order, so neither depends on the choice of pivot rows or on
+the scaling of rows: ``reduced_rows`` gives that of textbook
+Gauss-Jordan elimination up to one integer factor per row, and only the
+entries a caller reads are divided by it (``_entry``, for ``rref`` and
+``kernel_vectors``). The caller's column order is what makes echelon
+bases unique, so all functions preserve it strictly.
 
 Rows with a nonzero imaginary part are eliminated over Q as well, by
 realification. Write phi(v) for the real vector that replaces each entry
@@ -46,7 +51,7 @@ the even pivots of phi(W), halved.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import GaussianRational, cleared_terms, outside_q_i
 
@@ -89,8 +94,8 @@ def _eliminate(row, f, prow, p):
     return _primitive(new) if new else new
 
 
-def _echelon(rows, reduce):
-    """(pivot rows, pivot columns, realified) of integer rows (re, im), over Q."""
+def _echelon(rows):
+    """(pivot rows, pivot columns, realified) of integer rows (re, im) over Q: the forward pass."""
     gaussian = any(im for _, im in rows)
     if gaussian:
         rows = [r for re, im in rows for r in (phi(re, im), phi({c: -y for c, y in im.items()}, re))]
@@ -98,7 +103,6 @@ def _echelon(rows, reduce):
         rows = [re for re, _ in rows]
     pending = [_primitive(row) for row in rows if row]
     done, pivots = [], []
-    groups = (done, pending) if reduce else (pending,)
     for c in sorted(set().union(*pending)):
         # any row with an entry in column c gives the same output
         k = next((k for k, row in enumerate(pending) if c in row), None)
@@ -106,11 +110,10 @@ def _echelon(rows, reduce):
             continue
         prow = pending.pop(k)
         p = prow[c]
-        for group in groups:
-            for k, row in enumerate(group):
-                f = row.get(c)
-                if f is not None:
-                    group[k] = _eliminate(row, f, prow, p)
+        for k, row in enumerate(pending):
+            f = row.get(c)
+            if f is not None:
+                pending[k] = _eliminate(row, f, prow, p)
         pending[:] = [row for row in pending if row]
         done.append(prow)
         pivots.append(c)
@@ -121,13 +124,25 @@ def _echelon(rows, reduce):
 
 def pivot_columns(rows):
     """Pivot columns of the Q(i)-span of integer rows (re, im), by the forward pass alone."""
-    _, pivots, gaussian = _echelon(rows, reduce=False)
+    _, pivots, gaussian = _echelon(rows)
     return [c // 2 for c in pivots if not c % 2] if gaussian else pivots
 
 
 def reduced_rows(rows):
     """(pivot column, re, im) per row of the reduced echelon form, re + i*im times an integer."""
-    done, pivots, gaussian = _echelon(rows, reduce=True)
+    done, pivots, gaussian = _echelon(rows)
+    at = {c: k for k, c in enumerate(pivots)}
+    for k in range(len(done) - 2, -1, -1):
+        row = done[k]
+        later = [(row[c], done[at[c]], c) for c in row if c in at and c != pivots[k]]
+        if later:
+            scale = lcm(*(R[c] // gcd(f, R[c]) for f, R, c in later))
+            new = {col: scale * x for col, x in row.items()}
+            for f, R, c in later:
+                m = scale * f // R[c]
+                for col, y in R.items():
+                    new[col] = new.get(col, 0) - m * y
+            done[k] = _primitive({col: x for col, x in new.items() if x})
     if not gaussian:
         return [(c, row, {}) for c, row in zip(pivots, done)]
     out = []

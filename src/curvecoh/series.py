@@ -29,8 +29,8 @@ from fractions import Fraction
 
 from .errors import IndeterminateTop, ZeroInverse
 from .scalars import (GaussianRational, TruncatedPowerSeries, cleared_terms, form_combination,
-                      form_values, format_term, integer_product, is_zero_scalar, outside_q_i,
-                      reduced_form)
+                      form_values, format_term, integer_parts, integer_product, is_zero_scalar,
+                      outside_q_i, reduced_form)
 
 #: pole order of the zero series
 MINUS_INFINITY = float("-inf")
@@ -73,7 +73,12 @@ class LaurentWindow:
 
     @classmethod
     def monomial(cls, e: int, c) -> "LaurentWindow":
-        return cls({e: c}, None)
+        """c*t^e, exact: its integer form read off the one Q(i) scalar c."""
+        parts = integer_parts([c])
+        if parts is None:
+            raise outside_q_i([c])
+        den, (x,), (y,), gaussian = parts
+        return cls.from_integers(den, {e: x}, {e: y}, None, gaussian and bool(x or y))
 
     # -- structure --------------------------------------------------------
 

@@ -94,6 +94,29 @@ def test_cutoff_too_small_exits_1(capsys):
     assert "CutoffTooSmall" in err
 
 
+def test_cutoff_is_checked_for_every_twist_before_any_is_computed(capsys, tmp_path, monkeypatch,
+                                                                   p1_file):
+    import curvecoh.cohomology as coh
+
+    computed = []
+    compute_twists = coh.compute_twists
+    monkeypatch.setattr(coh, "compute_twists",
+                        lambda pres, ns, D=None: computed.append(ns) or compute_twists(pres, ns, D))
+    code, out, err = run(capsys, "cohomology", "--curve", "twistor", "--n", "0..6", "--cutoff", "8")
+    assert (code, out, computed) == (1, "", [])
+    assert "CutoffTooSmall: cutoff 8 below the default 9 for n=5" in err
+    # t9 -> t^10 fails the certificate in degree 9, which n = 0 reads at D = 9;
+    # the cutoff too small for n = 6 is reported first
+    curve = tmp_path / "broken.pres"
+    curve.write_text(p1_file(12, lambda k: 10 if k == 9 else k))
+    code, out, err = run(capsys, "cohomology", "--curve", str(curve), "--n", "0..10", "--cutoff", "9")
+    assert (code, out, computed) == (1, "", [])
+    assert "CutoffTooSmall: cutoff 9 below the default 10 for n=6" in err
+    code, out, err = run(capsys, "cohomology", "--curve", str(curve), "--n", "0..5", "--cutoff", "9")
+    assert (code, out, len(computed)) == (1, "", 1)
+    assert "EmbeddingNotRingMap" in err
+
+
 def test_cutoff_forced_with_uncertified_ok(capsys):
     code, out, _ = run(
         capsys, "cohomology", "--curve", "p1", "--n", "-8", "--cutoff", "1", "--uncertified-ok"
@@ -297,6 +320,11 @@ CANONICAL_DIGESTS = {
     "pipeline --f xi^2*(1+xi) --M 64": "b7a74f065f8da986a5067335439f234db4ca6445739cf86783adace498ad071d",
     "pipeline --f 1-xi-xi^2 --M 128": "623b3fb3eb8188af4e01a7709b1ab54423da474cf558d5d20fccb7af6467e8b0",
     "dream --x 1/3+1/3i --r 1/2 --M 32 --n -2..2": "0a11870f77ba361c34ad6b1b4fadc6d8ff944ce868f9697759e9376902a45a60",
+    # recorded with one H^0 elimination per twist
+    "cohomology --curve p1 --n -24..24": "02992cab322d77abbc266ac23bb56bd39d36b48154e4cc3e8b4d3fa556c337b1",
+    "cohomology --curve twistor --n -12..24": "cc2760e81b09b47ea8994183ad126f7b2ecb1196c1419c992d140d810de03a4c",
+    "cohomology --curve @file --n -6..8": "93fecda19c2ad84fa89f2db0f4cdc2962025136bf702427a75adb7d795c399cd",
+    "cohomology --curve twistor --n 0..6 --cutoff 8 --uncertified-ok": "1fa7491d8a967d7e78e1b30052215af22d486b05d1ced040193c3293ad35105a",
 }
 
 
@@ -335,6 +363,27 @@ def test_dream_checks_ring_map_once_per_curve(capsys, monkeypatch):
     top = max(coh.default_cutoff(n) for n in range(-2, 4)) + 2
     assert checks == [("twistor", top), ("p1", top)]
     assert certified_to == [("twistor", top), ("p1", top)]
+
+
+def test_dream_computes_the_direct_rows_once_per_curve(capsys, monkeypatch):
+    import curvecoh.cohomology as coh
+
+    calls = []
+    compute_twists = coh.compute_twists
+
+    def counting(pres, ns, D=None):
+        calls.append((pres.name, list(ns), D))
+        return compute_twists(pres, ns, D)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("compute called per twist")
+
+    monkeypatch.setattr(coh, "compute_twists", counting)
+    monkeypatch.setattr(coh, "compute", refused)
+    code, out, _ = run(capsys, "dream", "--x", "1/3", "--r", "1/2", "--M", "8", "--n", "-2..2",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["all_match"]
+    assert calls == [("twistor", [-2, -1, 0, 1, 2], None), ("p1", [-2, -1, 0, 1, 2], None)]
 
 
 def test_dream_single_n(capsys):

@@ -338,7 +338,8 @@ def test_read_off_keeps_the_elimination_errors(p1):
 
 def test_certified_results_eliminate_only_what_structure_leaves_open(tw, monkeypatch):
     # certified: H^1 runs no forward pass and H^0 reduces the rows of degree
-    # <= fil_bound only; uncertified: a pass per cutoff D..D+2 and every row
+    # <= fil_bound only, once for all the twists of one call, at the largest;
+    # uncertified: a pass per cutoff D..D+2 and every row
     from curvecoh import linalg
 
     model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
@@ -360,7 +361,7 @@ def test_certified_results_eliminate_only_what_structure_leaves_open(tw, monkeyp
         reduced.clear()
     for res in coh.curve_from_parts(tw, model, coh.twistor_formal_embedding(model), [-3, 2, 9]):
         assert res.certified
-    assert passes == [] and reduced == [len(tw.basis_up_to(n)) for n in (-3, 2, 9)]
+    assert passes == [] and reduced == [len(tw.basis_up_to(9))]
     reduced.clear()
 
     pres = load_presentation(_p1_file(8, {}).replace("flags leading_exact\n", ""))
@@ -551,7 +552,9 @@ def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
     """The elimination path and the leading-pivot read-off against dense ``rref``.
 
     Every input is certified leading_exact through D + 2, which the read-off
-    needs. H^1's free columns are compared at D, D + 1 and D + 2, and the
+    needs. H^0 is read off the rows up to D, the rows up to fil_bound // jump
+    and, as ``compute_twists`` shares them, the rows up to D again with no
+    bound. H^1's free columns are compared at D, D + 1 and D + 2, and the
     stabilized classes (or, when not ``stable``, the NotStabilized message)
     must be the same on both paths.
     """
@@ -560,8 +563,10 @@ def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
     ref_free = [_reference_free_columns(pres, window, fil_bound, c, jump) for c in range(D, D + 3)]
     outcomes = []
     read_off = partial(leading_pivots, pres, window, jump)
-    for kernel_degree, pivots in ((None, None), (fil_bound // jump, read_off)):
-        vecs, graded = coh._sections(pres, window, fil_bound, D, kernel_degree)
+    shared = coh._section_rows(pres, window, D)
+    kernel_rows = partial(coh._section_rows, pres, window, fil_bound // jump)
+    for rows, pivots in ((None, None), (kernel_rows, read_off), (lambda: shared, read_off)):
+        vecs, graded = coh._sections(pres, window, fil_bound, D, rows)
         assert graded == ref_graded
         assert [list(v) for v in vecs] == [list(v) for v in ref_vecs]  # keys in basis order
         for v, ref in zip(vecs, ref_vecs, strict=True):
@@ -570,9 +575,9 @@ def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
             assert coh._h1_free_columns(pres, window, fil_bound, c, jump, pivots) == ref
         outcomes.append(_h1_outcome(pres, window, fil_bound, D, jump, pivots))
     if stable:
-        assert outcomes == [ref_free[0], ref_free[0]]
+        assert outcomes == [ref_free[0]] * 3
     else:
-        assert outcomes[0] == outcomes[1] and "still changing" in outcomes[0]
+        assert outcomes[0] == outcomes[1] == outcomes[2] and "still changing" in outcomes[0]
 
 
 def _gaussian_scaled_file(top: int, c: GaussianRational) -> str:
@@ -668,3 +673,59 @@ def test_integer_gluing_rows_match_dense_rows_with_jump_2(p1):
         _assert_matches_reference(p1, doubled, fil_bound, 6, 2, stable=False)
     with pytest.raises(NotStabilized):
         coh.curve_from_parts(p1, divided, doubled, [0])
+
+
+def test_compute_twists_equals_compute_per_twist(p1, tw, rescaled_twistor_file):
+    uncertified = load_presentation(_p1_file(8, {}).replace("flags leading_exact\n", ""))
+    cases = [
+        (p1, range(-6, 13), (None, 14)),
+        (tw, range(-6, 13), (None, 14)),
+        (load_presentation(rescaled_twistor_file(10, Fraction(3, 2))), range(-6, 9), (None, 8)),
+        (uncertified, range(-3, 7), (None, 6)),
+    ]
+    for pres, ns, cutoffs in cases:
+        for D in cutoffs:
+            ours = coh.compute_twists(pres, ns, D)
+            theirs = [coh.compute(pres, n, D) for n in ns]
+            assert [r.to_json() for r in ours] == [r.to_json() for r in theirs], (pres.name, D)
+            assert [r.certified for r in ours] == [r.certified for r in theirs]
+            assert all(r.certified for r in ours) == pres.leading_exact
+    assert coh.compute_twists(tw, []) == []
+
+
+def test_a_certified_range_reduces_once_and_keeps_nothing(tw, monkeypatch):
+    from curvecoh import linalg
+
+    reduced = []
+
+    def reduction(rows):
+        reduced.append(len(rows))
+        return linalg.reduced_rows(rows)
+
+    monkeypatch.setattr(coh, "reduced_rows", reduction)
+    state = dict(vars(tw))
+    for _ in range(2):
+        results = coh.compute_twists(tw, range(-4, 10))
+        assert all(r.certified for r in results)
+    # one elimination per call, at the largest twist; the presentation keeps no echelon
+    assert reduced == [len(tw.basis_up_to(9))] * 2
+    assert vars(tw).keys() == state.keys()
+    assert coh.compute_twists(tw, range(-3, 0)) and reduced[2:] == [0]
+
+
+def test_a_range_reading_a_broken_ring_map_fails_as_one_twist_at_a_time_did(tmp_path, capsys):
+    # x9 -> t^10 breaks leading_exact and the ring map in degree 9, which the
+    # shared H^0 elimination of --n 0..10 reads from the first twist on; the
+    # failure is the one the twists meet in order (n = 3 reads D + 2 = 9)
+    from curvecoh.cli import main
+
+    curve = tmp_path / "broken.pres"
+    curve.write_text(_p1_file(12, {9: "1*t^10"}))
+    assert main(["cohomology", "--curve", str(curve), "--n", "0..10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cohomology: NotStabilized: h1 dimension still changing "
+                            "at cutoffs 7..9: [0, 0, 1]\n")
+    pres = load_presentation(_p1_file(12, {9: "1*t^10"}))
+    with pytest.raises(EmbeddingNotRingMap, match=r"\(degree 9\)"):
+        coh.compute_twists(pres, [0, 7])

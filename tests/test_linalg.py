@@ -286,3 +286,42 @@ def test_forward_pass_pivots_match_rref(kind):
                 GaussianRational(Fraction(re.get(k, 0), p), Fraction(im.get(k, 0), p))
                 for k in range(len(row))
             ], seed
+
+
+def _assert_reduced_rows_match_reference(rows, pairs):
+    """``reduced_rows`` of integer rows ``pairs`` is field Gauss-Jordan of ``rows``, row by row up to scale."""
+    theirs, their_pivots = _reference_rref(_promoted(rows))
+    ours = reduced_rows(pairs)
+    assert [c for c, _, _ in ours] == their_pivots
+    for (c, re, im), row in zip(ours, theirs, strict=True):
+        p = re[c]
+        assert not im.get(c)
+        assert [GaussianRational(Fraction(re.get(k, 0), p), Fraction(im.get(k, 0), p))
+                for k in range(len(row))] == [GaussianRational.of(x) for x in row]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_back_substitution_matches_gauss_jordan_with_zero_and_repeated_rows(kind):
+    for seed in SEEDS:
+        rows = _matrix(seed, kind)
+        if not rows or not rows[0]:
+            continue
+        rng = random.Random(f"repeated/{kind}/{seed}")
+        rows = rows + [[x * 0 for x in rows[0]], list(rng.choice(rows))]
+        rows.insert(rng.randrange(len(rows)), list(rng.choice(rows)))
+        _assert_reduced_rows_match_reference(rows, _integer_pairs(rows))
+
+
+def test_back_substitution_matches_gauss_jordan_on_twistor_gluing_rows():
+    # [W | I] for the twistor windows up to degree n: each degree's row peaks
+    # one exponent higher (a triangular W), realified, identity entries = denominators
+    from curvecoh.presentation import gluing_rows, twistor_presentation
+
+    tw = twistor_presentation()
+    for n in (0, 1, 2, 5, 12, 40):
+        windows = [tw.embed_basis(i) for i in tw.basis_up_to(n)]
+        pairs = gluing_rows(tw.pair, windows, n, -n, identity=True)
+        ncols = 2 * (2 * n + 1) + len(windows)
+        rows = [[Fraction(re.get(c, 0), w.den) for c in range(ncols)]
+                for (re, _), w in zip(pairs, windows)]
+        _assert_reduced_rows_match_reference(rows, pairs)

@@ -463,3 +463,17 @@ def test_window_carrier_refuses_coefficients_outside_q_i():
             odd() + w
         with pytest.raises(TypeError, match="must be int, Fraction or GaussianRational"):
             w.scale(bad)
+
+
+def test_monomial_is_the_window_of_its_one_coefficient():
+    scalars = [0, 1, -3, Fraction(3, 4), Fraction(-7, 6), GaussianRational.of(0),
+               GaussianRational.of(2), GaussianRational(Fraction(0), Fraction(1)),
+               GaussianRational(Fraction(1, 2), Fraction(-1, 3)), GaussianRational(Fraction(4, 6), 2)]
+    for e in (-5, 0, 7):
+        for c in scalars:
+            ours, theirs = LaurentWindow.monomial(e, c), LaurentWindow({e: c})
+            assert (ours.den, ours.terms, ours.gaussian, ours.cutoff) == \
+                (theirs.den, theirs.terms, theirs.gaussian, theirs.cutoff), (e, c)
+            assert str(ours) == str(theirs)
+    with pytest.raises(TypeError):
+        LaurentWindow.monomial(1, 1.5)
