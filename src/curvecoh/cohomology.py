@@ -22,29 +22,24 @@ algebra up to degree D into the Laurent coefficients above Fil_n. Its
 rows are each window's own integer numerators and denominator
 (``gluing_rows``, realified over Q(i)). ``_section_rows`` reduces them,
 with an identity block, for H^0 and builds exact rationals only for the
-basis vectors it outputs, each row divided by its first affine coordinate
-through one ``scalars.gaussian_reciprocal``. ``_h1_classes`` runs the
-stabilization loop for H^1, which needs only the image's pivot columns.
-``h0``, ``h1``, ``compute_twists`` and ``curve_from_parts`` all go
-through these two.
+basis vectors it outputs. ``_h1_classes`` runs the stabilization loop
+for H^1, which needs only the image's pivot columns. ``h0``, ``h1``,
+``compute_twists`` and ``curve_from_parts`` all go through these two.
 
 Where the window used is certified leading_exact through every degree a
 result reads, structure decides what elimination would (a degree-d
 element peaks at t^(d*jump) with k0-independent leading coefficients).
 H^1's image pivots are each degree's leading pivots
-(``presentation.leading_pivots``). The elements of pole order <= f are
-those of degree <= f // jump, so in the reduced echelon form of the rows
-up to any degree K >= f // jump the rows that pivot at or below t^f (a
-suffix, as pivots run down the exponents) span them in reduced echelon
-form, unique per column order: one elimination at the largest kernel
-degree K gives every H^0 basis of a range of twists (suffix argument).
-
-Lower twists read that echelon before degree K is certified. That is
-safe, as certification is all or nothing: on a leading_exact
-presentation ``certified_through`` returns True or raises, and the twist
-of largest n certifies through its D >= K, so a bad degree <= K raises
-before ``compute_twists`` returns. Uncertified windows run the
-eliminations twist by twist, the only way to see drift without it.
+(``presentation.leading_pivots``). Elements of pole order <= f have
+degree <= f // jump, so in the reduced echelon form of the rows up to
+any K >= f // jump the rows that pivot at or below t^f (a suffix) are
+their unique reduced basis: one elimination serves a range of twists on
+exact windows (suffix argument; a clipped window's cutoff sets the
+lowest column a twist reads). Lower twists read it before degree K is
+certified, which is safe as on a leading_exact presentation
+``certified_through`` returns True or raises, and the largest twist
+certifies through D >= K before ``compute_twists`` returns. Uncertified
+windows reduce twist by twist, the only way to see drift.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -160,15 +155,18 @@ def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
     return D
 
 
-def _section_rows(pres: AffinePresentation, window, degree: int, fil_bound: int | None = None):
-    """(pivot exponent or None, basis vector) per reduced row of [gluing | identity] up to ``degree``.
+def _section_rows(pres: AffinePresentation, window, degree: int, fil_bound: int | None = None,
+                  kernel_degree: int | None = None):
+    """(pivot exponent or None, basis vector) per reduced row of [gluing | identity].
 
-    Rows that pivot above t^fil_bound are skipped. A vector {basis index: k0
-    coefficient} is the row's identity block scaled to a first coordinate 1.
+    Columns down to the lowest exponent every window up to ``degree`` knows, rows up to
+    ``kernel_degree`` (default ``degree``), none that pivot above t^fil_bound. A vector
+    {basis index: k0 coefficient} is the row's identity block scaled to a first coordinate 1.
     """
     pair = pres.pair
     basis = pres.basis_up_to(degree)
     windows = [window(i) for i in basis]
+    rows = windows if kernel_degree is None else windows[:len(pres.basis_up_to(kernel_degree))]
     tops = [w.pole_order() for w in windows]
     top = int(max([t for t in tops if t != MINUS_INFINITY], default=0))
     low = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
@@ -176,8 +174,8 @@ def _section_rows(pres: AffinePresentation, window, degree: int, fil_bound: int 
         low = min((part[0][0] for w in windows for part in w.terms if part), default=top + 1)
     step = pair.coord_count
     width = (top - low + 1) * step
-    rows = []
-    for pc, re, im in reduced_rows(gluing_rows(pair, windows, top, low, identity=True)):
+    out = []
+    for pc, re, im in reduced_rows(gluing_rows(pair, rows, top, low, identity=True)):
         m = top - pc // step if pc < width else None
         if m is not None and fil_bound is not None and m > fil_bound:
             continue
@@ -185,20 +183,22 @@ def _section_rows(pres: AffinePresentation, window, degree: int, fil_bound: int 
         coords = [(basis[c - width], re.get(c, 0), im.get(c, 0))
                   for c in sorted(re.keys() | im.keys()) if c >= width]
         ra, rb, d = gaussian_reciprocal(*coords[0][1:])
-        rows.append((m, {i: Fraction(u * ra, d) if pair.split
-                         else GaussianRational(Fraction(u * ra - v * rb, d), Fraction(u * rb + v * ra, d))
-                         for i, u, v in coords}))
-    return rows
+        out.append((m, {i: Fraction(u * ra, d) if pair.split
+                        else GaussianRational(Fraction(u * ra - v * rb, d), Fraction(u * rb + v * ra, d))
+                        for i, u, v in coords}))
+    return out
 
 
-def _sections(pres: AffinePresentation, window, fil_bound: int, D: int, rows=None):
+def _sections(pres: AffinePresentation, window, fil_bound: int, D: int,
+              kernel_degree: int | None = None, shared=None):
     """(basis, graded pieces) of H^0 up to degree D: windows with pole order <= fil_bound.
 
-    The ``_section_rows`` that pivot at or below t^fil_bound, of ``rows()`` (certified windows, a
-    kernel degree >= fil_bound // jump) or of every row up to D; ``_require_known`` reads all D first.
+    The ``_section_rows`` that pivot at or below t^fil_bound, of ``shared()`` (one echelon at a
+    kernel degree >= fil_bound // jump) or of the rows up to ``kernel_degree`` (fil_bound // jump
+    if certified, else D), with the columns every window up to D knows, which are read first.
     """
     _require_known([window(i) for i in pres.basis_up_to(D)], fil_bound + 1)
-    rows = _section_rows(pres, window, D, fil_bound) if rows is None else rows()
+    rows = shared() if shared else _section_rows(pres, window, D, fil_bound, kernel_degree)
     picked = [(m, vec) for m, vec in rows if m is None or m <= fil_bound]
     return [vec for _, vec in picked], _graded_from_pivots(m for m, _ in picked)
 
@@ -275,8 +275,8 @@ def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: 
     At cutoff D' the quotient target is span{t^m : fil_bound < m <=
     max(D'*jump, fil_bound)}, so an image that stops growing leaves new
     columns uncovered and the dimension drifts. ``pivots`` is passed on to
-    ``_h1_free_columns``, for a window certified leading_exact through D + 2.
-    ``monomial`` builds the representative of each free (exponent, part).
+    ``_h1_free_columns``, for a window certified leading_exact through D + 2;
+    ``monomial(e, p)`` builds the representative of free column (e, p).
     """
     _require_known([window(i) for i in pres.basis_up_to(D + 2)], fil_bound + 1)
     runs = [_h1_free_columns(pres, window, fil_bound, cutoff, jump, pivots)
@@ -290,11 +290,10 @@ def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: 
 
 
 def h0(pres: AffinePresentation, n: int, D: int | None = None, rows=None) -> CohomologyResult:
-    """Global sections of O(n): affine elements with pole order <= n, if certified off ``rows()``."""
+    """Global sections of O(n): affine elements with pole order <= n; certified, off ``rows()`` if given."""
     D = _cutoff(pres, n, D, "h0")
     certified = pres.certified_through(D)
-    rows = (rows or partial(_section_rows, pres, pres.embed_basis, n)) if certified else None
-    basis, graded = _sections(pres, pres.embed_basis, n, D, rows)
+    basis, graded = _sections(pres, pres.embed_basis, n, D, *((n, rows) if certified else ()))
     return CohomologyResult(
         n=n,
         h0_basis=basis,
@@ -333,13 +332,15 @@ def h1(pres: AffinePresentation, n: int, D: int | None = None, monomial=_unit_mo
 def compute_twists(pres: AffinePresentation, ns, D: int | None = None) -> list[CohomologyResult]:
     """``compute`` for each twist n in ``ns``, in order, and with its errors in that order.
 
-    Certified H^0s share one reduced echelon form at the largest kernel degree, min(max n, D),
-    built inside the first ``h0``, and H^1 representatives are built once per (exponent, part),
-    for this call only.
+    Certified H^0s on exact windows share one reduced echelon form at the largest kernel degree,
+    min(max n, D), built inside the first ``h0``, and H^1 representatives are built once per
+    (exponent, part), for this call only.
     """
     ns = list(ns)
     kernel = max(ns, default=-1) if D is None else min(max(ns, default=-1), D)
-    rows = cache(partial(_section_rows, pres, pres.embed_basis, kernel)) if pres.leading_exact else None
+    reads = max((resolved_default_cutoff(pres, n) for n in ns), default=-1) if D is None else D
+    shared = pres.leading_exact and all(pres.embed_basis(i).cutoff is None for i in pres.basis_up_to(reads))
+    rows = cache(partial(_section_rows, pres, pres.embed_basis, kernel)) if shared else None
     monomial = cache(_unit_monomial)
     pairs = [(h0(pres, n, D, rows), h1(pres, n, D, monomial)) for n in ns]
     return [replace(r0, h1_basis=r1.h1_basis, h1_graded=r1.h1_graded,
@@ -398,8 +399,8 @@ def curve_from_parts(
     independent leading coefficients (the leading_exact property, verified
     in the carrier through D + 2, the highest degree that twist's H^1
     stabilization reads). Its H^1 is then read off the leading pivots that
-    check computed, its H^0 off one echelon form of the certified twists at
-    their largest fil_bound // jump, both kept for this call only.
+    check computed, its H^0 (exact windows) off one echelon form at the
+    largest fil_bound // jump, both kept for this call only.
     """
     ns = list(ns)
     cutoffs = [_cutoff(pres, n, D, "assembly") for n in ns]
@@ -414,14 +415,16 @@ def curve_from_parts(
     failure = leading_exact_failure(pres, window, jump, top, pivots=pivots)
     certified = [failure is None or failure[0] > D_n + 2 for D_n in cutoffs]
     kernel = max((model.fil_pole_bound(n) // jump for n, c in zip(ns, certified) if c), default=-1)
-    rows = cache(partial(_section_rows, pres, window, kernel))
+    exact = all(window(i).cutoff is None for i in pres.basis_up_to(top))
+    rows = cache(partial(_section_rows, pres, window, kernel)) if exact else None
     monomial = cache(_unit_monomial)
     results = []
     for n, D_n, cert in zip(ns, cutoffs, certified):
         fil_bound = model.fil_pole_bound(n)
         reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump,
                                       pivots if cert else None, monomial)
-        basis, h0_graded = _sections(pres, window, fil_bound, D_n, rows if cert else None)
+        basis, h0_graded = _sections(pres, window, fil_bound, D_n,
+                                     *((fil_bound // jump, rows) if cert else ()))
         results.append(CohomologyResult(
             n=n,
             h0_basis=basis,

@@ -5,8 +5,8 @@ Matrices are lists of row lists. Entries may be ``int``, ``Fraction`` or
 entry gets ``GaussianRational`` entries back, any other matrix gets
 ``Fraction`` entries.
 
-Everything runs on one integer core. Its rows are pairs (re, im) of
-sparse integer rows {column: int}, a row of Q(i) entries times a common
+Everything runs on one integer core. Its rows are pairs (re, im) of sparse
+integer rows {column: int}, a row of Q(i) entries times a common
 denominator, which keeps the row space; ``presentation.gluing_rows``
 builds them straight from window numerators, ``section_ring`` from
 elements in integer form, and ``rref``, ``rank``, ``kernel_basis`` and
@@ -14,22 +14,20 @@ elements in integer form, and ``rref``, ``rank``, ``kernel_basis`` and
 the Python ints without a single division: a row with a nonzero entry f
 in the pivot column becomes (p/g)*row - (f/g)*pivot row, where p is the
 pivot and g = gcd(p, f), and then has its content divided out, which
-keeps the integers small. ``pivot_columns`` is the forward pass alone,
-which clears each pivot column in the rows not yet used as pivots.
+keeps the integers small. ``pivot_columns`` is the forward pass alone.
 ``reduced_rows`` then back-substitutes from the bottom pivot row up
-(after Bareiss, Math. Comp. 22, 1968): the rows R_c below row k are
-final and vanish at every pivot but their own c, so row k becomes
-L*row - sum_c (L*f_c/p_c)*R_c over its entries f_c at those pivots, L
-the least positive integer making each coefficient integral, and then
-loses its content: one rescaling per row. Every step multiplies a row by a nonzero scalar or
-adds a multiple of another row to it, so the row space never changes. A
-subspace has one reduced echelon form and one set of pivot columns for a
-given column order, so neither depends on the choice of pivot rows or on
-the scaling of rows: ``reduced_rows`` gives that of textbook
-Gauss-Jordan elimination up to one integer factor per row, and only the
-entries a caller reads are divided by it (``_entry``, for ``rref`` and
-``kernel_vectors``). The caller's column order is what makes echelon
-bases unique, so all functions preserve it strictly.
+(after Bareiss, Math. Comp. 22, 1968): the rows R_c below row k are final
+and vanish at every pivot but their own c, so row k becomes L*row -
+sum_c (L*f_c/p_c)*R_c, L the least integer making each term integral,
+and then loses its content: one rescaling per row. Every step multiplies
+a row by a nonzero scalar or adds a multiple of another row to it, so the
+row space never changes. A subspace has one reduced echelon form and one
+set of pivot columns for a given column order, so neither depends on the
+choice of pivot rows or on the scaling of rows: ``reduced_rows`` gives
+that of Gauss-Jordan elimination up to one integer factor per row, and
+only the entries a caller reads are divided by it (``_entry``, for
+``rref`` and ``kernel_vectors``). The caller's column order is what
+makes echelon bases unique, so all functions preserve it strictly.
 
 Rows with a nonzero imaginary part are eliminated over Q as well, by
 realification. Write phi(v) for the real vector that replaces each entry

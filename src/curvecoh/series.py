@@ -74,8 +74,7 @@ class LaurentWindow:
     @classmethod
     def monomial(cls, e: int, c) -> "LaurentWindow":
         """c*t^e, exact: its integer form read off the one Q(i) scalar c."""
-        parts = integer_parts([c])
-        if parts is None:
+        if (parts := integer_parts([c])) is None:
             raise outside_q_i([c])
         den, (x,), (y,), gaussian = parts
         return cls.from_integers(den, {e: x}, {e: y}, None, gaussian and bool(x or y))

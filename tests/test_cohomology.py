@@ -564,9 +564,10 @@ def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
     outcomes = []
     read_off = partial(leading_pivots, pres, window, jump)
     shared = coh._section_rows(pres, window, D)
-    kernel_rows = partial(coh._section_rows, pres, window, fil_bound // jump)
-    for rows, pivots in ((None, None), (kernel_rows, read_off), (lambda: shared, read_off)):
-        vecs, graded = coh._sections(pres, window, fil_bound, D, rows)
+    paths = ((None, None, None), (fil_bound // jump, None, read_off),
+             (fil_bound // jump, lambda: shared, read_off))
+    for kernel_degree, rows, pivots in paths:
+        vecs, graded = coh._sections(pres, window, fil_bound, D, kernel_degree, rows)
         assert graded == ref_graded
         assert [list(v) for v in vecs] == [list(v) for v in ref_vecs]  # keys in basis order
         for v, ref in zip(vecs, ref_vecs, strict=True):
@@ -729,3 +730,47 @@ def test_a_range_reading_a_broken_ring_map_fails_as_one_twist_at_a_time_did(tmp_
     pres = load_presentation(_p1_file(12, {9: "1*t^10"}))
     with pytest.raises(EmbeddingNotRingMap, match=r"\(degree 9\)"):
         coh.compute_twists(pres, [0, 7])
+
+
+def test_clipped_windows_read_h0_off_their_own_columns(p1):
+    # a window known only above O(t^(c-1)) sets the lowest gluing column of
+    # every twist that reads it; a twist that does not read it keeps its
+    # lower columns, so no echelon is shared across them
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+
+    def clipped_at(cutoff, degree=8):
+        def window(i):
+            w = p1.embed_basis(i)
+            return w.clip(cutoff) if i == degree else w
+        return window
+
+    def assert_reference(pres, window, results):
+        for r in results:
+            assert r.certified
+            vecs, graded = _reference_sections(pres, window, r.n, r.cutoff_used)
+            assert (r.h0_basis, r.h0_graded) == (vecs, graded), r.n
+
+    # n = 0 reads degrees <= 4 and n = 10 reads the degree-8 window clipped at 5
+    window = clipped_at(5)
+    together = coh.curve_from_parts(p1, model, window, [0, 10])
+    alone = [coh.curve_from_parts(p1, model, window, [n])[0] for n in (0, 10)]
+    assert [r.to_json() for r in together] == [r.to_json() for r in alone]
+    assert together[0].h0_dim == 1
+    assert_reference(p1, window, together)
+
+    # the same through compute_twists, and a single twist reading the clipped
+    # window above its kernel degree: D = 10 > n = 0, cutoff 1 = n + 1
+    for cutoff, ns, D in ((5, [0, 10], None), (1, [0], 10), (1, [0, 3], 10)):
+        pres = AffinePresentation(
+            name="clipped",
+            pair=GAUSSIAN_PAIR,
+            degree_fn=lambda i: i,
+            indices_of_degree_fn=lambda d: [d],
+            embed_fn=clipped_at(cutoff),
+            mul_fn=lambda i, j: {i + j: GaussianRational.of(1)},
+            label_fn=lambda i: f"t^{i}",
+            leading_exact=True,
+        )
+        results = coh.compute_twists(pres, ns, D)
+        assert [r.to_json() for r in results] == [coh.compute(pres, n, D).to_json() for n in ns]
+        assert_reference(pres, pres.embed_basis, results)
