@@ -27,6 +27,7 @@ from .cohomology import (
 )
 from .errors import (
     ComputationError,
+    CutoffTooLarge,
     CutoffTooSmall,
     DivisionByZero,
     EmbeddingNotRingMap,
@@ -77,7 +78,6 @@ from .scalars import (
     GAUSSIAN_ONE,
     GAUSSIAN_PAIR,
     GaussianRational,
-    PAdic,
     REAL_IN_GAUSSIAN,
     TruncatedPowerSeries,
     gaussian_tps,

@@ -53,7 +53,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 
-from .errors import CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop, NotStabilized
+from .errors import (CutoffTooLarge, CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop,
+                     NotStabilized)
 from .linalg import pivot_columns, reduced_rows
 from .presentation import (
     AffinePresentation,
@@ -232,7 +233,7 @@ def _cutoff(pres: AffinePresentation, n: int, D: int | None, what: str) -> int:
 def _require_declared(pres: AffinePresentation, D: int):
     """H^1 stabilization reads degrees up to D + 2: refuse a presentation that stops below."""
     if pres.max_degree is not None and D + 2 > pres.max_degree:
-        raise CutoffTooSmall(
+        raise CutoffTooLarge(
             f"presentation declares degrees up to {pres.max_degree}; "
             f"h1 stabilization needs D + 2 <= {pres.max_degree}, got D={D}"
         )

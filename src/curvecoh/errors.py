@@ -29,6 +29,10 @@ class CutoffTooSmall(ComputationError):
     pass
 
 
+class CutoffTooLarge(ComputationError):
+    """A cutoff reads degrees beyond those a presentation declares."""
+
+
 class NotStabilized(ComputationError):
     """Heuristic H^1 dimension still changing at the working cutoff."""
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndeterminateTop, PrecisionExhausted, ZeroBott
-from .scalars import TruncatedPowerSeries, is_zero_scalar, theta
+from .scalars import TruncatedPowerSeries, theta
 from .series import LaurentWindow
 
 
@@ -209,11 +209,11 @@ class DegreeZeroImage:
         if self.model.jump_index > 1:
             return True
         r, M = self.model.reversion, self.model.M
-        if not is_zero_scalar(r.coeffs[0]):
+        if r.coeffs[0]:
             raise ValueError(f"the reversion must have constant term 0, not {r.coeffs[0]}")
         if r.order < M:
             raise IndeterminateTop(f"reversion known to O(xi^{r.order}), need xi^{M - 1}")
-        return M < 2 or not is_zero_scalar(r.coeffs[1])
+        return M < 2 or r.coeffs[1] != 0
 
     def residue_matches_theta(self, a: TruncatedPowerSeries) -> bool:
         return self.model.residue(self.expand(a)) == theta(a)

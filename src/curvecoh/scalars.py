@@ -1,35 +1,31 @@
-"""Exact coefficient arithmetic.
+"""Exact coefficient arithmetic over Q and Q(i).
 
-Three scalar kinds are provided, all immutable and exact:
+Two kinds are provided, both immutable and exact:
 
 * Gaussian rationals ``GaussianRational`` (the field Q(i)), with plain
   ``fractions.Fraction`` playing the role of Q;
-* p-adic numbers ``PAdic`` with capped relative precision (a value is a
-  unit times p^v, known modulo p^(v+N));
-* truncated power series ``TruncatedPowerSeries`` over either of the
-  above, a_0 + a_1*xi + ... + a_{M-1}*xi^{M-1} + O(xi^M), with the
-  evaluation map ``theta`` (xi -> 0).
+* truncated power series ``TruncatedPowerSeries`` over them,
+  a_0 + a_1*xi + ... + a_{M-1}*xi^{M-1} + O(xi^M), with the evaluation
+  map ``theta`` (xi -> 0).
 
 A ``FieldPair`` records which subfield linear algebra is done over: the
 twistor computations use Q inside Q(i) (coordinates split into real and
 imaginary parts), the complex projective line uses Q(i) itself.
 
-A truncated power series over Q or Q(i) is stored as a Laurent window in
-``series`` is, the layout of FLINT's ``fmpq_poly``: one denominator over
-sparse integer numerators (re, im), in lowest terms (``cleared_terms``,
-also the source of ``linalg``'s integer rows). Both carriers reduce, read
-and add up that form through the same helpers here (``reduced_form``,
-``form_values``, ``form_combination``). Products convolve the numerators
-as Python ints (``integer_product``, schoolbook) and reduce once; shifts,
-truncation, Horner composition (on packed big ints, ``kronecker``, when the
-inner series is sparse), the reversion's coefficient recurrence and
-the inverse's quotient recurrence run on the numerators as well, and
+A truncated power series is stored as a Laurent window in ``series`` is,
+the layout of FLINT's ``fmpq_poly``: one denominator over sparse integer
+numerators (re, im), in lowest terms (``cleared_terms``, also the source
+of ``linalg``'s integer rows). Both carriers reduce, read and add up that
+form through the same helpers here (``reduced_form``, ``form_values``,
+``form_combination``) and refuse a coefficient outside Q(i)
+(``outside_q_i``). Products convolve the numerators as Python ints
+(``integer_product``, schoolbook) and reduce once; shifts, truncation,
+Horner composition (on packed big ints, ``kronecker``, when the inner
+series is sparse), the reversion's coefficient recurrence and the
+inverse's quotient recurrence run on the numerators as well, and
 Fractions are built only when a coefficient is read. That inverse is the
 one quotient over Q(i): the Laurent window inverse in ``series`` and the
-expansions and divisions in ``harbater`` go through it. Series over the
-p-adics, or any other coefficient kind, keep their coefficients and use
-the generic coefficient loop; their inverse runs the recurrence
-``series_quotient`` in the coefficients' own arithmetic.
+expansions and divisions in ``harbater`` go through it.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DivisionByZero, NotAUnit, PrecisionExhausted
+from .errors import DivisionByZero, NotAUnit
 from .kronecker import horner
 
 
@@ -249,227 +245,6 @@ GAUSSIAN_PAIR = FieldPair("Q(i)", split=False)
 
 
 # ---------------------------------------------------------------------------
-# p-adic numbers with capped relative precision
-# ---------------------------------------------------------------------------
-
-
-class PAdic:
-    """u * p^v known modulo p^(v+n), u a unit modulo p.
-
-    Zeros come in two flavours: the exact zero, and the inexact zero
-    O(p^m) produced by cancellation, whose valuation is unknown.
-    Arithmetic never reports digits beyond what the operands certify.
-    """
-
-    __slots__ = ("p", "v", "unit", "n")
-
-    def __init__(self, p: int, v, unit, n: int):
-        self.p = p
-        self.v = v
-        self.unit = unit
-        self.n = n
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def exact_zero(cls, p: int) -> "PAdic":
-        return cls(p, None, None, 0)
-
-    @classmethod
-    def inexact_zero(cls, p: int, abs_prec: int) -> "PAdic":
-        return cls(p, abs_prec, None, 0)
-
-    @classmethod
-    def from_int(cls, value: int, p: int, prec: int) -> "PAdic":
-        if value == 0:
-            return cls.exact_zero(p)
-        v = 0
-        while value % p == 0:
-            value //= p
-            v += 1
-        return cls(p, v, value % p**prec, prec)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction, p: int, prec: int) -> "PAdic":
-        value = as_fraction(value)
-        return cls.from_int(value.numerator, p, prec) / cls.from_int(
-            value.denominator, p, prec
-        )
-
-    # -- structure ----------------------------------------------------
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return self.unit is None and self.v is None
-
-    @property
-    def is_zero(self) -> bool:
-        """No certified nonzero digit (exact or inexact zero)."""
-        return self.unit is None
-
-    @property
-    def abs_prec(self):
-        """Exponent m such that the value is known modulo p^m (None = exact)."""
-        if self.is_exact_zero:
-            return None
-        if self.unit is None:
-            return self.v
-        return self.v + self.n
-
-    def digits(self):
-        """The n base-p digits of the unit part, lowest first."""
-        if self.unit is None:
-            return []
-        u, out = self.unit, []
-        for _ in range(self.n):
-            out.append(u % self.p)
-            u //= self.p
-        return out
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _check(self, other) -> "PAdic":
-        if isinstance(other, int):
-            other = PAdic.from_int(other, self.p, max(self.n, 1))
-        if not isinstance(other, PAdic):
-            raise TypeError("p-adic arithmetic requires both operands p-adic")
-        if self.p != other.p:
-            raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
-        return other
-
-    @classmethod
-    def _normalize(cls, p: int, p_pow_num: int, v_shift: int, abs_prec: int) -> "PAdic":
-        """Build from an integer numerator * p^v_shift known mod p^abs_prec."""
-        m = abs_prec - v_shift
-        if m <= 0:
-            return cls.inexact_zero(p, abs_prec)
-        val = p_pow_num % p**m
-        if val == 0:
-            return cls.inexact_zero(p, abs_prec)
-        v = 0
-        while val % p == 0:
-            val //= p
-            v += 1
-        n = m - v
-        return cls(p, v + v_shift, val % p**n, n)
-
-    def __add__(self, other):
-        other = self._check(other)
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
-            return self
-        ap = min(self.abs_prec, other.abs_prec)
-        shift = min(self.v, other.v)
-        total = 0
-        for x in (self, other):
-            if x.unit is not None:
-                total += x.unit * x.p ** (x.v - shift)
-        return PAdic._normalize(self.p, total, shift, ap)
-
-    def __neg__(self):
-        if self.unit is None:
-            return self
-        return PAdic(self.p, self.v, (-self.unit) % self.p**self.n, self.n)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if self.is_exact_zero or other.is_exact_zero:
-            return PAdic.exact_zero(self.p)
-        if self.unit is None or other.unit is None:
-            # O(p^a) * (u*p^v + ...) = O(p^(a+v)); for two inexact zeros the bounds add
-            return PAdic.inexact_zero(self.p, self.v + other.v)
-        n = min(self.n, other.n)
-        return PAdic(
-            self.p, self.v + other.v, (self.unit * other.unit) % self.p**n, n
-        )
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other.is_exact_zero:
-            raise DivisionByZero("p-adic division by exact zero")
-        if other.unit is None:
-            raise PrecisionExhausted(
-                "divisor is an inexact zero: valuation unknown, no certified digits"
-            )
-        if self.is_exact_zero:
-            return self
-        if self.unit is None:
-            return PAdic.inexact_zero(self.p, self.v - other.v)
-        n = min(self.n, other.n)
-        inv = pow(other.unit, -1, self.p**n)
-        return PAdic(self.p, self.v - other.v, (self.unit * inv) % self.p**n, n)
-
-    def __rmul__(self, other):
-        return self * other
-
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        """Indistinguishable at the coarser of the two precisions."""
-        if isinstance(other, int):
-            other = PAdic.from_int(other, self.p, max(self.n, 1) + abs(self.v or 0) + 1)
-        if not isinstance(other, PAdic):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        diff = self - other
-        return diff.unit is None
-
-    def __hash__(self):
-        raise TypeError("PAdic values compare up to precision and are unhashable")
-
-    def __str__(self):
-        if self.is_exact_zero:
-            return "0"
-        if self.unit is None:
-            return f"O({self.p}^{self.v})"
-        terms = []
-        for j, d in enumerate(self.digits()):
-            if d == 0:
-                continue
-            e = self.v + j
-            if e == 0:
-                terms.append(f"{d}")
-            elif e == 1:
-                terms.append(f"{d}*{self.p}")
-            else:
-                terms.append(f"{d}*{self.p}^{e}")
-        terms.append(f"O({self.p}^{self.abs_prec})")
-        return " + ".join(terms)
-
-    def __repr__(self):
-        return f"PAdic({self})"
-
-
-# ---------------------------------------------------------------------------
-# generic scalar helpers
-# ---------------------------------------------------------------------------
-
-
-def is_zero_scalar(c) -> bool:
-    """Certified-exact zero test (an inexact p-adic zero is not 'zero')."""
-    if isinstance(c, PAdic):
-        return c.is_exact_zero
-    if isinstance(c, GaussianRational):
-        return not c
-    return c == 0
-
-
-def is_unit_scalar(c) -> bool:
-    if isinstance(c, PAdic):
-        return c.unit is not None
-    return not is_zero_scalar(c)
-
-
-# ---------------------------------------------------------------------------
 # exact products over Python ints
 # ---------------------------------------------------------------------------
 
@@ -583,14 +358,6 @@ def form_values(den: int, terms, gaussian: bool) -> dict:
     return {e: Fraction(x, den) for e, x in re.items()}
 
 
-def require_integer_form(*forms) -> None:
-    """TypeError for the first of ``forms`` (series or windows) with a coefficient outside Q(i)."""
-    for f in forms:
-        if f.den is None:
-            values = f.coeffs
-            raise outside_q_i(values.values() if isinstance(values, dict) else values)
-
-
 def form_combination(pairs) -> tuple:
     """(den, re, im, gaussian) of the sum of c*f over ``pairs`` [(c, f)], c in Q(i), f in integer form.
 
@@ -603,7 +370,6 @@ def form_combination(pairs) -> tuple:
         raise outside_q_i(c for c, _ in pairs)
     delta, s_re, s_im, gaussian = scalars
     forms = [f for _, f in pairs]
-    require_integer_form(*forms)
     common = lcm(*(f.den for f in forms))
     out = ({}, {})
     for f, x, y in zip(forms, s_re, s_im):
@@ -643,8 +409,9 @@ def series_quotient(num, den, count: int) -> list:
     den[0] must be invertible. Each coefficient comes from the recurrence
     q[k] = (num[k] - sum_{j>=1} den[j]*q[k-j]) / den[0], run in the
     coefficients' own arithmetic, dividing by den[0] as a product with
-    one/den[0]. It is the inverse of series outside Q(i), such as p-adic
-    ones; quotients over Q(i) go through ``TruncatedPowerSeries.inverse``.
+    one/den[0]. It is the coefficient-loop reference that the tests
+    compare ``TruncatedPowerSeries.inverse`` and ``harbater``'s quotients
+    against; the library's quotients go through that inverse.
     """
     one = den[0] / den[0]
     inv0 = one / den[0]
@@ -664,7 +431,7 @@ def series_quotient(num, den, count: int) -> list:
 
 
 #: the scalar kinds a series is added to, multiplied by or compared with
-_SCALARS = (int, Fraction, GaussianRational, PAdic)
+_SCALARS = (int, Fraction, GaussianRational)
 
 
 def power_cover(dens: dict) -> int:
@@ -718,13 +485,10 @@ class TruncatedPowerSeries:
     The order M is carried per value and shrinks under binary operations
     (min rule), so every stored coefficient is exact.
 
-    A series over Q(i) is stored in the integer form above, as a
-    ``series.LaurentWindow`` is, so equal series of one order have one form;
-    ``coeffs`` is built on first read (GaussianRational when some input was
-    Gaussian). A series with a coefficient outside Q(i), such as a p-adic
-    one, keeps its coefficients (``den`` is None): products, sums,
-    differences, comparisons and ``inverse`` run the coefficient loops on
-    it, and every other operation raises TypeError.
+    It is stored in the integer form above, as a ``series.LaurentWindow``
+    is, so equal series of one order have one form; ``coeffs`` is built on
+    first read (GaussianRational when some input was Gaussian). A
+    coefficient outside Q(i) is refused at construction with a TypeError.
     """
 
     __slots__ = ("den", "terms", "gaussian", "order", "_coeffs")
@@ -738,9 +502,10 @@ class TruncatedPowerSeries:
         coeffs = coeffs[:order]
         self.order = order
         parts = cleared_terms(dict(enumerate(coeffs)))
-        self.den, self.terms, self.gaussian = parts or (None, ([], []), False)
-        # a series outside Q(i) keeps its coefficients
-        self._coeffs = None if self.den else tuple(coeffs + [coeffs[0] * 0] * (order - len(coeffs)))
+        if parts is None:
+            raise outside_q_i(coeffs)
+        self.den, self.terms, self.gaussian = parts
+        self._coeffs = None
 
     @classmethod
     def from_integers(cls, den: int, re: dict, im: dict, order: int, gaussian: bool):
@@ -779,8 +544,6 @@ class TruncatedPowerSeries:
 
     @property
     def zero_coeff(self):
-        if self.den is None:
-            return self._coeffs[0] * 0
         return GAUSSIAN_ZERO if self.gaussian else Fraction(0)
 
     # -- ring structure ---------------------------------------------------
@@ -805,10 +568,6 @@ class TruncatedPowerSeries:
         if other is None:
             return NotImplemented
         m = min(self.order, other.order)
-        if self.den is None or other.den is None:
-            return TruncatedPowerSeries(
-                [a + b if sign > 0 else a - b for a, b in zip(self.coeffs, other.coeffs)], m
-            )
         den, re, im, gaussian = form_combination([(1, self), (sign, other)])
         return TruncatedPowerSeries.from_integers(den, re, im, m, gaussian)
 
@@ -821,15 +580,6 @@ class TruncatedPowerSeries:
         if other is None:
             return NotImplemented
         m = min(self.order, other.order)
-        if self.den is None or other.den is None:
-            # coefficients outside Q(i), e.g. p-adic: the generic loop
-            out = [self.zero_coeff] * m
-            for j, a in enumerate(self.coeffs[:m]):
-                if is_zero_scalar(a):
-                    continue
-                for k, b in enumerate(other.coeffs[: m - j]):
-                    out[j + k] = out[j + k] + a * b
-            return TruncatedPowerSeries(out, m)
         re, im = integer_product(self.terms, other.terms, None, m)
         return TruncatedPowerSeries.from_integers(
             self.den * other.den, re, im, m, self.gaussian or other.gaussian
@@ -843,8 +593,6 @@ class TruncatedPowerSeries:
         if other is None:
             return NotImplemented
         m = min(self.order, other.order)
-        if self.den is None or other.den is None:
-            return all(a == b for a, b in zip(self.coeffs[:m], other.coeffs[:m]))
         a, b = self.truncate(m), other.truncate(m)
         return (a.den, a.terms) == (b.den, b.terms)
 
@@ -856,17 +604,12 @@ class TruncatedPowerSeries:
     def inverse(self) -> "TruncatedPowerSeries":
         """Multiplicative inverse; requires the constant term to be a unit.
 
-        Over Q(i) the quotient recurrence runs on the numerators A_j of
-        self = A/den: 1/A = sum_k N_k/A_0^(k+1) * xi^k with N_0 = 1 and
+        The quotient recurrence runs on the numerators A_j of self = A/den:
+        1/A = sum_k N_k/A_0^(k+1) * xi^k with N_0 = 1 and
         N_k = -sum_{j>=1} A_j*A_0^(j-1)*N_(k-j), so the inverse is
         den*N_k*A_0^(M-1-k) over A_0^M, and A_0^M is divided out as a
         product with its ``gaussian_reciprocal``.
         """
-        if self.den is None:
-            a0 = self.coeffs[0]
-            if not is_unit_scalar(a0):
-                raise NotAUnit("constant term is not a unit")
-            return TruncatedPowerSeries(series_quotient([a0 / a0], self.coeffs, self.order), self.order)
         re, im = (dict(part) for part in self.terms)
         a0 = (re.pop(0, 0), im.pop(0, 0))
         if a0 == (0, 0):
@@ -896,13 +639,11 @@ class TruncatedPowerSeries:
 
     def valuation(self):
         """xi-adic valuation of the tracked part; None if all tracked coefficients vanish."""
-        require_integer_form(self)
         lows = [part[0][0] for part in self.terms if part]
         return min(lows) if lows else None
 
     def shift_up(self, k: int) -> "TruncatedPowerSeries":
         """Multiply by the exact monomial xi^k (order grows by k)."""
-        require_integer_form(self)
         re, im = ({e + k: x for e, x in part} for part in self.terms)
         return TruncatedPowerSeries.from_integers(self.den, re, im, self.order + k, self.gaussian)
 
@@ -914,7 +655,6 @@ class TruncatedPowerSeries:
         return self.shift_up(-k)
 
     def truncate(self, order: int) -> "TruncatedPowerSeries":
-        require_integer_form(self)
         if order >= self.order:
             return self
         return TruncatedPowerSeries.from_integers(self.den, *map(dict, self.terms), order, self.gaussian)
@@ -944,7 +684,6 @@ class TruncatedPowerSeries:
         coefficients, as the reversion's round trip at M up to a few
         hundred. A dense inner, a wide B or a sparse S runs the term lists.
         """
-        require_integer_form(self, inner)
         v = inner.valuation()
         if v == 0:
             raise ValueError("composition requires inner constant term 0")
@@ -1056,7 +795,7 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries.from_integers(e ** (m - 1) * lam ** (m - 2), g_re, g_im, m, self.gaussian)
 
     def __str__(self):
-        parts = [format_term(c, "xi", j) for j, c in enumerate(self.coeffs) if not is_zero_scalar(c)]
+        parts = [format_term(c, "xi", j) for j, c in enumerate(self.coeffs) if c]
         return " + ".join([*parts, f"O(xi^{self.order})"])
 
     def __repr__(self):

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 
 from .cohomology import h0
-from .errors import CutoffTooSmall, NotInSpan, NotStabilized
+from .errors import CutoffTooLarge, NotInSpan, NotStabilized
 from .linalg import kernel_vectors, pivot_columns, span_coordinates
 from .presentation import AffinePresentation, integer_element
 
@@ -84,7 +84,7 @@ def _column_rows(forms) -> list:
 def build_section_ring(pres: AffinePresentation, D: int) -> SectionRing:
     """H^0 bases for all degrees 0..D from one certified H^0(O(D)) (module docstring)."""
     if pres.max_degree is not None and D > pres.max_degree:
-        raise CutoffTooSmall(
+        raise CutoffTooLarge(
             f"presentation declares degrees up to {pres.max_degree}; "
             f"the section ring needs D <= {pres.max_degree}, got D={D}"
         )

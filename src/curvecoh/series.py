@@ -29,8 +29,8 @@ from fractions import Fraction
 
 from .errors import IndeterminateTop, ZeroInverse
 from .scalars import (GaussianRational, TruncatedPowerSeries, cleared_terms, form_combination,
-                      form_values, format_term, integer_parts, integer_product, is_zero_scalar,
-                      outside_q_i, reduced_form)
+                      form_values, format_term, integer_parts, integer_product, outside_q_i,
+                      reduced_form)
 
 #: pole order of the zero series
 MINUS_INFINITY = float("-inf")
@@ -46,7 +46,7 @@ class LaurentWindow:
         for e, c in coeffs.items():
             if cutoff is not None and e < cutoff:
                 raise ValueError(f"coefficient at t^{e} below cutoff {cutoff}")
-            if not is_zero_scalar(c):
+            if c != 0:
                 clean[int(e)] = c
         form = cleared_terms(clean)
         if form is None:

@@ -222,7 +222,7 @@ def test_section_ring_past_the_declared_degree_exits_1(capsys, tmp_path, rescale
     curve.write_text(rescaled_twistor_file(6, Fraction(3, 2)))
     code, out, err = run(capsys, "section-ring", "--curve", str(curve), "--max-degree", "9")
     assert (code, out) == (1, "")
-    assert "CutoffTooSmall: presentation declares degrees up to 6" in err
+    assert "CutoffTooLarge: presentation declares degrees up to 6" in err
     code, out, _ = run(capsys, "section-ring", "--curve", str(curve), "--max-degree", "6")
     assert code == 0 and "[1, 3, 5, 7, 9, 11, 13]" in out
 

@@ -8,7 +8,8 @@ from functools import partial
 import pytest
 
 from curvecoh import cohomology as coh
-from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop, NotStabilized
+from curvecoh.errors import (CutoffTooLarge, CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop,
+                             NotStabilized)
 from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
 from curvecoh.presentation import (
     AffinePresentation,
@@ -158,7 +159,6 @@ def test_h1_not_stabilized_for_drifting_presentation():
 def test_h1_cutoff_guard_for_degree_bounded_presentation():
     # a slice declared only up to degree 4 cannot support stabilization at
     # D = 4 (needs D + 2 declared degrees); the default cutoff respects that
-    from curvecoh.errors import CutoffTooSmall
     from curvecoh.presentation import load_presentation
 
     lines = ["fields gaussian gaussian", "flags leading_exact"]
@@ -174,7 +174,7 @@ def test_h1_cutoff_guard_for_degree_bounded_presentation():
     assert coh.resolved_default_cutoff(pres, 0) == 2
     res = coh.compute(pres, 0)
     assert res.dims == (1, 0) and res.certified
-    with pytest.raises(CutoffTooSmall):
+    with pytest.raises(CutoffTooLarge):
         coh.h1(pres, 0, D=4)
 
 
@@ -324,9 +324,9 @@ def test_read_off_keeps_the_elimination_errors(p1):
     pres = load_presentation(_p1_file(8, {7: "1*t^8"}))
     assert pres.verified_degree == 6
     # D + 2 > max_degree is refused before any check would reach degree 7
-    with pytest.raises(CutoffTooSmall, match="got D=7"):
+    with pytest.raises(CutoffTooLarge, match="got D=7"):
         coh.h1(pres, 0, D=7)
-    with pytest.raises(CutoffTooSmall, match="got D=7"):
+    with pytest.raises(CutoffTooLarge, match="got D=7"):
         coh.curve_from_parts(pres, model, pres.embed_basis, [0], D=7)
     # the elimination's own error comes before the failing certificate
     with pytest.raises(NotStabilized, match=r"cutoffs 5\.\.7: \[0, 0, 1\]"):

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from curvecoh.linalg import kernel_basis, pivot_columns, rank, reduced_rows, rref, solve_in_span
-from curvecoh.scalars import GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational, is_zero_scalar
+from curvecoh.scalars import GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational
 
 
 def _reference_rref(rows):
@@ -21,7 +21,7 @@ def _reference_rref(rows):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(rows)):
-            if not is_zero_scalar(rows[i][c]):
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -33,7 +33,7 @@ def _reference_rref(rows):
             if i == r:
                 continue
             f = rows[i][c]
-            if is_zero_scalar(f):
+            if not f:
                 continue
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -58,7 +58,7 @@ def _reference_kernel(rows, ncols, zero, one):
 def _reference_solve(basis_rows, target, zero):
     k = len(basis_rows)
     if k == 0:
-        return [] if all(is_zero_scalar(t) for t in target) else None
+        return [] if not any(target) else None
     aug = [[basis_rows[i][c] for i in range(k)] + [target[c]] for c in range(len(target))]
     reduced, pivots = _reference_rref(aug)
     if k in pivots:

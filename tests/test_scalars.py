@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Gaussian rationals, p-adics, truncated series."""
+"""Exact scalar arithmetic: Gaussian rationals, truncated series."""
 
 import random
 from fractions import Fraction
@@ -6,19 +6,17 @@ from math import gcd
 
 import pytest
 
-from curvecoh.errors import DivisionByZero, NotAUnit, PrecisionExhausted
+from curvecoh.errors import DivisionByZero, NotAUnit
 from curvecoh.scalars import (
     GAUSSIAN_I,
     GAUSSIAN_ONE,
     GaussianRational,
-    PAdic,
     TruncatedPowerSeries,
     common_denominator,
     form_values,
     gaussian_reciprocal,
     gaussian_tps,
     integer_parts,
-    is_zero_scalar,
     parse_gaussian,
     power_cover,
     primitive_integer_poly,
@@ -40,15 +38,11 @@ def test_gaussian_norm():
 def test_sub_self_is_zero():
     for x in (Fraction(7, 3), GaussianRational(Fraction(2), Fraction(-5, 4))):
         assert x - x == 0
-    p = PAdic.from_int(90, 7, 5)
-    assert (p - p).is_zero
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         GAUSSIAN_ONE / GaussianRational(Fraction(0), Fraction(0))
-    with pytest.raises(DivisionByZero):
-        PAdic.from_int(3, 5, 4) / PAdic.exact_zero(5)
 
 
 def test_field_axioms_random_sample():
@@ -100,40 +94,6 @@ def test_one_term_splitter_for_gaussians_and_polynomials():
     for _ in range(20000):
         s = "".join(rng.choice("+-*/^0123iT ") for _ in range(rng.randint(0, 12)))
         assert split_terms(s) == _ref_split_terms(s), s
-
-
-def test_padic_div_one_by_three():
-    # oracle: x with 3*x = 1 mod 5^4; frozen digits follow from it
-    q = PAdic.from_int(1, 5, 4) / PAdic.from_int(3, 5, 4)
-    assert (q * PAdic.from_int(3, 5, 4)) == 1
-    assert q.digits() == [2, 3, 1, 3]
-    assert str(q) == "2 + 3*5 + 1*5^2 + 3*5^3 + O(5^4)"
-
-
-def test_padic_matches_integer_arithmetic():
-    rng = random.Random(SEED + 1)
-    p, N = 7, 6
-    for _ in range(200):
-        a, b = rng.randint(-500, 500), rng.randint(-500, 500)
-        pa, pb = PAdic.from_int(a, p, N), PAdic.from_int(b, p, N)
-        for op, got, res in (
-            ("add", pa + pb, a + b),
-            ("sub", pa - pb, a - b),
-            ("mul", pa * pb, a * b),
-        ):
-            want = PAdic.from_int(res, p, N)
-            assert got == want, (a, b, op)
-
-
-def test_padic_precision_propagation():
-    x = PAdic.from_int(25, 5, 3)  # 5^2 * 1, known mod 5^5
-    y = PAdic.from_int(5, 5, 3)   # 5 * 1, known mod 5^4
-    q = x / y
-    assert q.v == 1 and q.n == 3
-    z = x - PAdic.from_int(25, 5, 3)
-    assert z.unit is None and z.abs_prec == 5
-    with pytest.raises(PrecisionExhausted):
-        PAdic.from_int(1, 5, 3) / z
 
 
 def test_tps_mul_examples():
@@ -356,14 +316,6 @@ def test_tps_str():
     assert str(rational_tps([1, 3], 4)) == "1 + 3*xi + O(xi^4)"
 
 
-def test_padic_from_fraction():
-    p = PAdic.from_fraction(Fraction(7, 4), 5, 5)
-    # 1/4 mod 5^5: 4 * x = 1 mod 5^5
-    assert (p * PAdic.from_int(4, 5, 5)) == PAdic.from_int(7, 5, 5)
-    half = PAdic.from_fraction(Fraction(1, 5), 5, 4)
-    assert half.v == -1 and half.digits()[0] == 1
-
-
 def test_gaussian_str_forms():
     assert str(GaussianRational(Fraction(0), Fraction(1))) == "i"
     assert str(GaussianRational(Fraction(0), Fraction(-1))) == "-i"
@@ -397,11 +349,11 @@ def _random_series(rng, kind, order, zero_share):
 
 
 def _reference_tps_mul(f, g):
-    """The generic coefficient loop (also the fallback for p-adic series)."""
+    """The coefficient loop over the field itself."""
     m = min(f.order, g.order)
     out = [f.zero_coeff] * m
     for j, a in enumerate(f.coeffs[:m]):
-        if is_zero_scalar(a):
+        if not a:
             continue
         for k, b in enumerate(g.coeffs[: m - j]):
             out[j + k] = out[j + k] + a * b
@@ -451,7 +403,6 @@ def test_integer_parts_clears_denominators():
             assert den == want
     assert integer_parts([]) == (1, [], [], False)
     assert integer_parts([Fraction(1), 0.5]) is None
-    assert integer_parts([PAdic.from_int(3, 5, 4)]) is None
 
 
 def test_integer_form_helpers():
@@ -506,23 +457,10 @@ def test_tps_product_keeps_bounds_and_types():
         rule = _expected_type(a.values(), b.values())
         assert type(prod.zero_coeff) is rule and not prod.zero_coeff
         assert all(type(c) is rule for c in prod.coeffs)
-    # p-adic coefficients have no integer form; the generic loop refuses the mixed product
-    padic = TruncatedPowerSeries([PAdic.from_int(3, 5, 4)])
-    assert padic.den is None
-    with pytest.raises(TypeError):
-        padic * TruncatedPowerSeries([Fraction(1)])
-
-
-def test_padic_tps_mul_uses_generic_loop():
-    def series(values):
-        return TruncatedPowerSeries([PAdic.from_int(v, 5, 6) for v in values], len(values))
-
-    f, g = series([1, 5, 0, 7]), series([3, 0, 25])
-    prod = f * g
-    assert prod.order == 3
-    assert all(isinstance(c, PAdic) for c in prod.coeffs)
-    assert prod == _reference_tps_mul(f, g)
-    assert prod == series([3, 15, 25])
+    # a coefficient outside Q(i) has no integer form and is refused
+    for bad in (None, "", 0.5):
+        with pytest.raises(TypeError, match="coefficients must be int, Fraction or GaussianRational"):
+            TruncatedPowerSeries([Fraction(1), bad])
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -626,7 +564,7 @@ class _RefSeries:
         return _RefSeries([self.zero()] * k + self.c, self.order + k)
 
     def shift_down(self, k):
-        assert all(is_zero_scalar(a) for a in self.c[:k])
+        assert not any(self.c[:k])
         return _RefSeries(self.c[k:], self.order - k)
 
     def truncate(self, order):
@@ -637,7 +575,7 @@ class _RefSeries:
         return _RefSeries(series_quotient([a0 / a0], self.c, self.order), self.order)
 
     def compose(self, inner):
-        v = next((j for j, a in enumerate(inner.c) if not is_zero_scalar(a)), None)
+        v = next((j for j, a in enumerate(inner.c) if a), None)
         m = min(inner.order, self.order * (v or 1))
         inner = inner.truncate(m)
         acc = _RefSeries([self.zero()], m)
@@ -658,7 +596,7 @@ class _RefSeries:
     def __str__(self):
         parts = []
         for j, c in enumerate(self.c):
-            if is_zero_scalar(c):
+            if not c:
                 continue
             cs = str(c)
             if any(op in cs[1:] for op in "+-") or "*" in cs:
@@ -693,7 +631,7 @@ def _assert_matches(ours, ref, gaussian, label):
 
 def _unit_constant(f, ref):
     """f with a nonzero constant term (1 added where it vanishes)."""
-    if is_zero_scalar(ref.c[0]):
+    if not ref.c[0]:
         one = TruncatedPowerSeries([1], f.order)
         return f + one, ref + _RefSeries([Fraction(1)], f.order)
     return f, ref

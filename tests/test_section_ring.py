@@ -11,7 +11,7 @@ import pytest
 import curvecoh.linalg as linalg
 import curvecoh.section_ring as section_ring
 from curvecoh.cohomology import h0
-from curvecoh.errors import CutoffTooSmall, EmbeddingNotRingMap, NotInSpan, NotStabilized
+from curvecoh.errors import CutoffTooLarge, EmbeddingNotRingMap, NotInSpan, NotStabilized
 from curvecoh.linalg import kernel_basis
 from curvecoh.presentation import integer_element, load_presentation, p1_presentation, twistor_presentation
 from curvecoh.scalars import GaussianRational
@@ -303,7 +303,7 @@ def test_build_keeps_certification_errors(rescaled_twistor_file, p1_file):
 def test_build_rejects_degrees_past_the_declared_top(rescaled_twistor_file):
     pres = load_presentation(rescaled_twistor_file(6, Fraction(3, 2)))
     assert hilbert_function(build_section_ring(pres, 6)) == quadric_quotient_reference(6)
-    with pytest.raises(CutoffTooSmall, match=r"declares degrees up to 6; .* got D=9$"):
+    with pytest.raises(CutoffTooLarge, match=r"declares degrees up to 6; .* got D=9$"):
         build_section_ring(pres, 9)
 
 

@@ -448,10 +448,8 @@ def test_window_carrier_is_one_lowest_terms_form():
 
 
 def test_window_carrier_refuses_coefficients_outside_q_i():
-    from curvecoh.scalars import PAdic
-
     w = gaussian_window({1: 1, 0: Fraction(1, 3)})
-    for bad in (0.5, PAdic.from_int(3, 5, 4)):
+    for bad in (0.5, None):
         def odd():
             return LaurentWindow({0: Fraction(1), 2: bad})
 
