@@ -28,7 +28,7 @@ from functools import cache
 from . import cohomology as coh
 from . import section_ring as sect
 from .errors import ComputationError, CutoffTooSmall, ResultTooLarge
-from .harbater import local_completion
+from .harbater import local_completion, poly_str
 from .periodic import TwoPeriodicPresentation, pipeline_trace, tate_degree_zero
 from .presentation import load_presentation, p1_presentation, twistor_presentation
 from .scalars import (
@@ -296,7 +296,7 @@ def cmd_dream(args) -> int:
                 "x": str(x),
                 "r": str(r),
                 "M": args.M,
-                "kernel_generator": str(completion.to_json()["xi"]),
+                "kernel_generator": poly_str(completion.g),
                 "results": [
                     {"curve": c, "n": n, "direct": d, "assembled": a, "ok": s == "PASS"}
                     for c, n, d, a, s in rows
@@ -306,7 +306,7 @@ def cmd_dream(args) -> int:
             emit(payload, args)
         else:
             lines = [
-                f"completion at x = {x} (r = {r}, M = {args.M}); xi = {completion.to_json()['xi']}",
+                f"completion at x = {x} (r = {r}, M = {args.M}); xi = {poly_str(completion.g)}",
                 _table(rows, ["curve", "n", "direct", "assembled", "status"]),
                 f"overall: {'PASS' if all_ok else 'FAIL'}",
             ]

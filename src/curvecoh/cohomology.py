@@ -31,15 +31,16 @@ result reads, structure decides what elimination would (a degree-d
 element peaks at t^(d*jump) with k0-independent leading coefficients).
 H^1's image pivots are each degree's leading pivots
 (``presentation.leading_pivots``). Elements of pole order <= f have
-degree <= f // jump, so in the reduced echelon form of the rows up to
-any K >= f // jump the rows that pivot at or below t^f (a suffix) are
-their unique reduced basis: one elimination serves a range of twists on
-exact windows (suffix argument; a clipped window's cutoff sets the
-lowest column a twist reads). Lower twists read it before degree K is
-certified, which is safe as on a leading_exact presentation
-``certified_through`` returns True or raises, and the largest twist
-certifies through D >= K before ``compute_twists`` returns. Uncertified
-windows reduce twist by twist, the only way to see drift.
+degree <= f // jump and rows of higher degree pivot above t^f, so in the
+reduced echelon form of the rows up to any K >= f // jump the rows that
+pivot at or below t^f (a suffix) are their unique reduced basis over the
+columns read. These end at a twist's column floor (its windows' largest
+cutoff, None if all are exact): one elimination per floor serves a range
+of twists. Lower twists read it before degree K is certified, which is
+safe as on a leading_exact presentation ``certified_through`` returns
+True or raises, and the largest twist certifies through D >= K before
+``compute_twists`` returns. Uncertified windows reduce twist by twist,
+the only way to see drift.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -66,7 +67,7 @@ from .presentation import (
     twistor_presentation,
 )
 from .scalars import GAUSSIAN_I, GAUSSIAN_ONE, GaussianRational, gaussian_reciprocal
-from .series import MINUS_INFINITY, LaurentWindow
+from .series import LaurentWindow
 
 _UNITS = (GAUSSIAN_ONE, GAUSSIAN_I)
 
@@ -156,30 +157,25 @@ def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
     return D
 
 
-def _section_rows(pres: AffinePresentation, window, degree: int, fil_bound: int | None = None,
-                  kernel_degree: int | None = None):
+def _section_rows(pres: AffinePresentation, window, degree: int, floor: int | None):
     """(pivot exponent or None, basis vector) per reduced row of [gluing | identity].
 
-    Columns down to the lowest exponent every window up to ``degree`` knows, rows up to
-    ``kernel_degree`` (default ``degree``), none that pivot above t^fil_bound. A vector
-    {basis index: k0 coefficient} is the row's identity block scaled to a first coordinate 1.
+    Rows up to ``degree``, columns down to t^floor, or to the rows' lowest term if ``floor`` is
+    None. A vector {basis index: k0 coefficient} is the row's identity block scaled to a first
+    coordinate 1.
     """
     pair = pres.pair
     basis = pres.basis_up_to(degree)
     windows = [window(i) for i in basis]
-    rows = windows if kernel_degree is None else windows[:len(pres.basis_up_to(kernel_degree))]
-    tops = [w.pole_order() for w in windows]
-    top = int(max([t for t in tops if t != MINUS_INFINITY], default=0))
-    low = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
-    if low is None:
-        low = min((part[0][0] for w in windows for part in w.terms if part), default=top + 1)
+    # the terms, not pole_order: a shared echelon reads rows that a later twist certifies
+    top = max((part[-1][0] for w in windows for part in w.terms if part), default=0)
+    if floor is None:
+        floor = min((part[0][0] for w in windows for part in w.terms if part), default=top + 1)
     step = pair.coord_count
-    width = (top - low + 1) * step
+    width = (top - floor + 1) * step
     out = []
-    for pc, re, im in reduced_rows(gluing_rows(pair, rows, top, low, identity=True)):
+    for pc, re, im in reduced_rows(gluing_rows(pair, windows, top, floor, identity=True)):
         m = top - pc // step if pc < width else None
-        if m is not None and fil_bound is not None and m > fil_bound:
-            continue
         # the identity block's entries: column width + k is the coordinate at basis[k]
         coords = [(basis[c - width], re.get(c, 0), im.get(c, 0))
                   for c in sorted(re.keys() | im.keys()) if c >= width]
@@ -190,17 +186,18 @@ def _section_rows(pres: AffinePresentation, window, degree: int, fil_bound: int 
     return out
 
 
-def _sections(pres: AffinePresentation, window, fil_bound: int, D: int,
-              kernel_degree: int | None = None, shared=None):
+def _sections(pres: AffinePresentation, window, fil_bound: int, D: int, rows=None):
     """(basis, graded pieces) of H^0 up to degree D: windows with pole order <= fil_bound.
 
-    The ``_section_rows`` that pivot at or below t^fil_bound, of ``shared()`` (one echelon at a
-    kernel degree >= fil_bound // jump) or of the rows up to ``kernel_degree`` (fil_bound // jump
-    if certified, else D), with the columns every window up to D knows, which are read first.
+    The ``_section_rows`` that pivot at or below t^fil_bound, at the twist's column floor (its
+    windows' largest cutoff, None if all are exact): of ``rows(floor)``, a certified twist's
+    echelon at a kernel degree >= fil_bound // jump, or else of its own rows up to D.
     """
-    _require_known([window(i) for i in pres.basis_up_to(D)], fil_bound + 1)
-    rows = shared() if shared else _section_rows(pres, window, D, fil_bound, kernel_degree)
-    picked = [(m, vec) for m, vec in rows if m is None or m <= fil_bound]
+    windows = [window(i) for i in pres.basis_up_to(D)]
+    _require_known(windows, fil_bound + 1)
+    floor = max((w.cutoff for w in windows if w.cutoff is not None), default=None)
+    echelon = rows(floor) if rows else _section_rows(pres, window, D, floor)
+    picked = [(m, vec) for m, vec in echelon if m is None or m <= fil_bound]
     return [vec for _, vec in picked], _graded_from_pivots(m for m, _ in picked)
 
 
@@ -291,10 +288,11 @@ def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: 
 
 
 def h0(pres: AffinePresentation, n: int, D: int | None = None, rows=None) -> CohomologyResult:
-    """Global sections of O(n): affine elements with pole order <= n; certified, off ``rows()`` if given."""
+    """Global sections of O(n): affine elements with pole order <= n; if certified, off ``rows(floor)``."""
     D = _cutoff(pres, n, D, "h0")
     certified = pres.certified_through(D)
-    basis, graded = _sections(pres, pres.embed_basis, n, D, *((n, rows) if certified else ()))
+    rows = (rows or partial(_section_rows, pres, pres.embed_basis, n)) if certified else None
+    basis, graded = _sections(pres, pres.embed_basis, n, D, rows)
     return CohomologyResult(
         n=n,
         h0_basis=basis,
@@ -333,15 +331,13 @@ def h1(pres: AffinePresentation, n: int, D: int | None = None, monomial=_unit_mo
 def compute_twists(pres: AffinePresentation, ns, D: int | None = None) -> list[CohomologyResult]:
     """``compute`` for each twist n in ``ns``, in order, and with its errors in that order.
 
-    Certified H^0s on exact windows share one reduced echelon form at the largest kernel degree,
-    min(max n, D), built inside the first ``h0``, and H^1 representatives are built once per
-    (exponent, part), for this call only.
+    Certified H^0s share one reduced echelon form per column floor at the largest kernel degree,
+    min(max n, D), each built inside the first ``h0`` that reads it, and H^1 representatives are
+    built once per (exponent, part), for this call only.
     """
     ns = list(ns)
     kernel = max(ns, default=-1) if D is None else min(max(ns, default=-1), D)
-    reads = max((resolved_default_cutoff(pres, n) for n in ns), default=-1) if D is None else D
-    shared = pres.leading_exact and all(pres.embed_basis(i).cutoff is None for i in pres.basis_up_to(reads))
-    rows = cache(partial(_section_rows, pres, pres.embed_basis, kernel)) if shared else None
+    rows = cache(partial(_section_rows, pres, pres.embed_basis, kernel))
     monomial = cache(_unit_monomial)
     pairs = [(h0(pres, n, D, rows), h1(pres, n, D, monomial)) for n in ns]
     return [replace(r0, h1_basis=r1.h1_basis, h1_graded=r1.h1_graded,
@@ -400,7 +396,7 @@ def curve_from_parts(
     independent leading coefficients (the leading_exact property, verified
     in the carrier through D + 2, the highest degree that twist's H^1
     stabilization reads). Its H^1 is then read off the leading pivots that
-    check computed, its H^0 (exact windows) off one echelon form at the
+    check computed, its H^0 off one echelon form per column floor at the
     largest fil_bound // jump, both kept for this call only.
     """
     ns = list(ns)
@@ -416,16 +412,14 @@ def curve_from_parts(
     failure = leading_exact_failure(pres, window, jump, top, pivots=pivots)
     certified = [failure is None or failure[0] > D_n + 2 for D_n in cutoffs]
     kernel = max((model.fil_pole_bound(n) // jump for n, c in zip(ns, certified) if c), default=-1)
-    exact = all(window(i).cutoff is None for i in pres.basis_up_to(top))
-    rows = cache(partial(_section_rows, pres, window, kernel)) if exact else None
+    rows = cache(partial(_section_rows, pres, window, kernel))
     monomial = cache(_unit_monomial)
     results = []
     for n, D_n, cert in zip(ns, cutoffs, certified):
         fil_bound = model.fil_pole_bound(n)
         reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump,
                                       pivots if cert else None, monomial)
-        basis, h0_graded = _sections(pres, window, fil_bound, D_n,
-                                     *((fil_bound // jump, rows) if cert else ()))
+        basis, h0_graded = _sections(pres, window, fil_bound, D_n, rows if cert else None)
         results.append(CohomologyResult(
             n=n,
             h0_basis=basis,

@@ -42,7 +42,6 @@ from .scalars import (
     REAL_IN_GAUSSIAN,
     FieldPair,
     GaussianRational,
-    as_fraction,
     common_denominator,
     gaussian_numerators,
     integer_parts,
@@ -672,7 +671,12 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     for s in symbols:
         by_degree.setdefault(degrees[s], []).append(index[s])
     # structure constants as k0 scalars, parsed once: a malformed one fails the load
-    k0_scalar = cache(as_fraction if pair.split else parse_gaussian)
+    @cache
+    def k0_scalar(text):  # in the grammar of an embed coefficient; a rational pair refuses i
+        z = parse_gaussian(text)
+        if pair.split and z.im:
+            raise ValueError(f"structure constant {text!r} is not rational")
+        return z.re if pair.split else z
     rules = {}
     for key, entry in mul_table.items():
         try:

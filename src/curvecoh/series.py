@@ -46,8 +46,8 @@ class LaurentWindow:
         for e, c in coeffs.items():
             if cutoff is not None and e < cutoff:
                 raise ValueError(f"coefficient at t^{e} below cutoff {cutoff}")
-            if c != 0:
-                clean[int(e)] = c
+            if c != 0 or not isinstance(c, (int, Fraction, GaussianRational)):
+                clean[int(e)] = c  # a zero outside Q(i) too, for cleared_terms to refuse
         form = cleared_terms(clean)
         if form is None:
             raise outside_q_i(clean.values())

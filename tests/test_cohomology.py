@@ -552,22 +552,21 @@ def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
     """The elimination path and the leading-pivot read-off against dense ``rref``.
 
     Every input is certified leading_exact through D + 2, which the read-off
-    needs. H^0 is read off the rows up to D, the rows up to fil_bound // jump
-    and, as ``compute_twists`` shares them, the rows up to D again with no
-    bound. H^1's free columns are compared at D, D + 1 and D + 2, and the
-    stabilized classes (or, when not ``stable``, the NotStabilized message)
-    must be the same on both paths.
+    needs. H^0 is read off the twist's own rows up to D and, as a certified
+    twist reads the echelon at its column floor, off the rows up to
+    fil_bound // jump and up to D. H^1's free columns are compared at D,
+    D + 1 and D + 2, and the stabilized classes (or, when not ``stable``,
+    the NotStabilized message) must be the same on both paths.
     """
     assert leading_exact_failure(pres, window, jump, D + 2) is None
     ref_vecs, ref_graded = _reference_sections(pres, window, fil_bound, D)
     ref_free = [_reference_free_columns(pres, window, fil_bound, c, jump) for c in range(D, D + 3)]
     outcomes = []
     read_off = partial(leading_pivots, pres, window, jump)
-    shared = coh._section_rows(pres, window, D)
-    paths = ((None, None, None), (fil_bound // jump, None, read_off),
-             (fil_bound // jump, lambda: shared, read_off))
-    for kernel_degree, rows, pivots in paths:
-        vecs, graded = coh._sections(pres, window, fil_bound, D, kernel_degree, rows)
+    paths = ((None, None), (partial(coh._section_rows, pres, window, fil_bound // jump), read_off),
+             (partial(coh._section_rows, pres, window, D), read_off))
+    for rows, pivots in paths:
+        vecs, graded = coh._sections(pres, window, fil_bound, D, rows)
         assert graded == ref_graded
         assert [list(v) for v in vecs] == [list(v) for v in ref_vecs]  # keys in basis order
         for v, ref in zip(vecs, ref_vecs, strict=True):
@@ -774,3 +773,88 @@ def test_clipped_windows_read_h0_off_their_own_columns(p1):
         results = coh.compute_twists(pres, ns, D)
         assert [r.to_json() for r in results] == [coh.compute(pres, n, D).to_json() for n in ns]
         assert_reference(pres, pres.embed_basis, results)
+
+
+def _clipped_p1(clips: dict, leading_exact=True) -> AffinePresentation:
+    """p1 by hand, with the window of each degree d in ``clips`` known only from t^clips[d] up."""
+    p1 = p1_presentation()
+
+    def window(i):
+        w = p1.embed_basis(i)
+        return w.clip(clips[i]) if i in clips else w
+
+    return AffinePresentation(
+        name="clipped",
+        pair=GAUSSIAN_PAIR,
+        degree_fn=lambda i: i,
+        indices_of_degree_fn=lambda d: [d],
+        embed_fn=window,
+        mul_fn=lambda i, j: {i + j: GaussianRational.of(1)},
+        label_fn=lambda i: f"t^{i}",
+        leading_exact=leading_exact,
+    )
+
+
+def test_a_certified_range_reduces_once_per_column_floor(p1, monkeypatch):
+    # the degree-8 window clipped at 5: twists 0 and 1 read only exact windows
+    # (floor None), twists 4..10 read it (floor 5); one echelon each, at n = 10
+    from curvecoh import linalg
+
+    reduced = []
+
+    def reduction(rows):
+        reduced.append(len(rows))
+        return linalg.reduced_rows(rows)
+
+    monkeypatch.setattr(coh, "reduced_rows", reduction)
+    ns = [0, 1, *range(4, 11)]
+    pres = _clipped_p1({8: 5})
+    results = coh.compute_twists(pres, ns)
+    assert reduced == [len(pres.basis_up_to(10))] * 2
+    assert [r.to_json() for r in results] == [coh.compute(_clipped_p1({8: 5}), n).to_json() for n in ns]
+    for r in results:
+        assert r.certified
+        assert (r.h0_basis, r.h0_graded) == _reference_sections(pres, pres.embed_basis, r.n, r.cutoff_used)
+
+    # the same two floors through curve_from_parts, with Fil_n from a Tate model
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+    window = pres.embed_basis
+    del reduced[:]
+    together = coh.curve_from_parts(p1, model, window, ns)
+    assert reduced == [len(p1.basis_up_to(10))] * 2
+    alone = [coh.curve_from_parts(p1, model, window, [n])[0] for n in ns]
+    assert [r.to_json() for r in together] == [r.to_json() for r in alone]
+    assert [(r.h0_basis, r.graded) for r in together] == [(r.h0_basis, r.graded) for r in results]
+    for r in together:
+        assert (r.h0_basis, r.h0_graded) == _reference_sections(p1, window, r.n, r.cutoff_used)
+
+
+def test_a_clipped_range_fails_as_one_twist_at_a_time_did():
+    # the degree-8 window clipped at 9 is zero above O(t^8), not certified zero
+    def outcome(run):
+        try:
+            return [r.to_json() for r in run()]
+        except IndeterminateTop as exc:
+            return str(exc)
+
+    for clips, ns, D, why in (
+        ({8: 9}, [0, 10], 10, "window is zero above O(t^8)"),
+        ({8: 9}, [0, 3], 10, "window is zero above O(t^8)"),
+        # twist 0 builds the echelon through degree 10 in its H^0, yet its own
+        # H^1 (through degree 6, the degree-5 window clipped at 3) fails first
+        ({8: 9, 5: 3}, [0, 10], None, "only known above O(t^2), need coefficients down to t^1"),
+    ):
+        ours = outcome(lambda: coh.compute_twists(_clipped_p1(clips), ns, D))
+        assert ours == outcome(lambda: [coh.compute(_clipped_p1(clips), n, D) for n in ns])
+        assert why in ours
+
+
+def test_an_uncertified_h0_reads_a_window_known_zero_down_to_its_cutoff():
+    # the degree-3 window is zero above O(t^3): its pole order is unknown but at
+    # most 3, so O(3) holds it; H^0 reads it as H^1 does instead of refusing it
+    pres = _clipped_p1({3: 4}, leading_exact=False)
+    for n in (3, 6):
+        res = coh.compute(pres, n)
+        assert (res.dims, res.certified) == ((n + 1, 0), False)
+    with pytest.raises(IndeterminateTop, match="only known above O"):
+        coh.h0(pres, 2)

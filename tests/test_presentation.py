@@ -140,8 +140,6 @@ _MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_load_presentation_refuses_malformed_lines(case, tmp_path, capsys):
-    from curvecoh.cli import main
-
     old, new = _MALFORMED[case]
     lines = RESCALED_P1.splitlines()
     if old is None:
@@ -150,8 +148,26 @@ def test_load_presentation_refuses_malformed_lines(case, tmp_path, capsys):
         k = lines.index(old)
         lines[k:k + 1] = new
     number = len(lines) - lines[::-1].index(new[-1])
-    text = "\n".join(lines) + "\n"
-    with pytest.raises(ValueError, match=rf"^line {number}: "):
+    _assert_refused("\n".join(lines) + "\n", number, "", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("constant", ["0.5", "1e0", "1/2*i"])
+def test_a_rational_pair_reads_constants_in_the_gaussian_grammar(constant, tmp_path, capsys):
+    # one grammar for every coefficient of a file, as an embed line reads it;
+    # a rational pair then refuses an imaginary part, naming the constant
+    lines = RESCALED_P1.replace("fields gaussian gaussian", "fields rational gaussian").splitlines()
+    assert load_presentation("\n".join(lines)).mul_basis(0, 1) == {1: Fraction(1)}
+    number = lines.index("mul one a = 1*a") + 1
+    lines[number - 1] = f"mul one a = {constant}*a"
+    why = r"structure constant '1/2\*i' is not rational" if "i" in constant else "cannot parse"
+    _assert_refused("\n".join(lines) + "\n", number, why, tmp_path, capsys)
+
+
+def _assert_refused(text, number, why, tmp_path, capsys):
+    """The loader refuses line ``number`` of ``text`` (message starting ``why``); the CLI exits 2."""
+    from curvecoh.cli import main
+
+    with pytest.raises(ValueError, match=rf"^line {number}: {why}"):
         load_presentation(text)
     (tmp_path / "curve.pres").write_text(text)
     with pytest.raises(SystemExit) as info:

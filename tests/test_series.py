@@ -449,7 +449,7 @@ def test_window_carrier_is_one_lowest_terms_form():
 
 def test_window_carrier_refuses_coefficients_outside_q_i():
     w = gaussian_window({1: 1, 0: Fraction(1, 3)})
-    for bad in (0.5, None):
+    for bad in (0.5, None, 0.0):
         def odd():
             return LaurentWindow({0: Fraction(1), 2: bad})
 
@@ -461,6 +461,12 @@ def test_window_carrier_refuses_coefficients_outside_q_i():
             odd() + w
         with pytest.raises(TypeError, match="must be int, Fraction or GaussianRational"):
             w.scale(bad)
+    # zeros inside Q(i) are dropped, and leave the window's type alone
+    t = LaurentWindow({1: Fraction(1)})
+    for zero in (0, Fraction(0), GaussianRational.of(0)):
+        ours = LaurentWindow({0: zero, 1: Fraction(1)})
+        assert (ours.den, ours.terms, ours.gaussian) == (t.den, t.terms, False)
+        assert type(ours.coefficient(1)) is Fraction
 
 
 def test_monomial_is_the_window_of_its_one_coefficient():
