@@ -8,12 +8,17 @@ reduced echelon form; a subspace has one such form per column order, so
 they are H^0(O(n))'s own basis: the rows supported in degrees <= n.
 ``degree_one_generation`` reports the kernel of Sym^n(P_1) -> P_n per degree
 (for the twistor line the degree-2 kernel is spanned by u*u + v*v + 1*1, the
-quadric relation; for the projective line all kernels vanish). It runs on
-integer rows, with two arguments. One common denominator per degree keeps
-the kernel: the products are brought to it, and scaling every column by the
-same nonzero scalar does not change which combinations of them vanish. From
-degree 4 on the report gives only the kernel's dimension, len(monomials) -
-rank, and the forward pass alone decides the rank (``linalg.pivot_columns``).
+quadric relation; for the projective line all kernels vanish). From degree 4
+on it reports only len(monomials) - rank, and certifies rank = dim P_n
+without forming a product when it can:
+
+* rank <= dim P_n: each rule b_i * b_j with b_j in P_1's support keeps to
+  degrees <= deg b_i + deg b_j (checked), so the monomials lie in P_n;
+* rank >= sum r_m: the ring map is certified through D, so a monomial's
+  window is the product of its factors': pole orders add and leading
+  coefficients multiply. r_m monomials of pole order m with k0-independent
+  leading coefficients (r_m = 1 over Q(i); over Q, 2 when some two are not
+  Q-proportional) are triangular by pole order, hence independent.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 
 from .cohomology import h0
-from .errors import CutoffTooLarge, NotInSpan, NotStabilized
+from .errors import CutoffTooLarge, EmbeddingNotRingMap, NotInSpan, NotStabilized
 from .linalg import kernel_vectors, pivot_columns, span_coordinates
 from .presentation import AffinePresentation, integer_element
 
@@ -34,21 +39,27 @@ class SectionRing:
     D: int
     bases: list          # bases[n] = list of {affine index: k0 coeff}
 
+    def _degree(self, n: int) -> int:
+        if not 0 <= n <= self.D:
+            raise ValueError(f"degree {n} outside the ring's degrees 0..{self.D}")
+        return n
+
     def dim(self, n: int) -> int:
-        return len(self.bases[n])
+        return len(self.bases[self._degree(n)])
 
     def element_label(self, n: int, j: int) -> str:
-        return self.pres.element_label(self.bases[n][j])
+        return self.pres.element_label(self.bases[self._degree(n)][j])
 
     def multiply(self, m: int, a: int, n: int, b: int) -> list:
         """Coordinates of (basis element a of P_m) * (b of P_n) in the P_{m+n} basis."""
-        if m + n > self.D:
+        if self._degree(m) + self._degree(n) > self.D:
             raise ValueError(f"product degree {m + n} exceeds ring cutoff {self.D}")
         prod = self.pres.mul_elements(self.bases[m][a], self.bases[n][b])
         return self.express(m + n, prod)
 
     def express(self, k: int, vec: dict) -> list:
         """Express an affine element in the echelon basis of P_k (NotInSpan if impossible)."""
+        self._degree(k)
         extra = set(vec) - set(self.pres.basis_up_to(k))
         if extra:
             raise NotInSpan(f"element uses affine basis indices {sorted(extra)} outside the slice")
@@ -92,7 +103,8 @@ def build_section_ring(pres: AffinePresentation, D: int) -> SectionRing:
     if not pres.certified_through(D):
         raise NotStabilized("H^0(O(0)) is not certified; cannot build P_0")
     top = h0(pres, D, D).h0_basis
-    bases = [[v for v in top if max(map(pres.degree_of, v)) <= n] for n in range(D + 1)]
+    degrees = [max(map(pres.degree_of, v)) for v in top]
+    bases = [[v for v, d in zip(top, degrees) if d <= n] for n in range(D + 1)]
     return SectionRing(pres=pres, D=D, bases=bases)
 
 
@@ -138,55 +150,62 @@ class GenerationReport:
 def degree_one_generation(sr: SectionRing) -> GenerationReport:
     """Rank and kernel of the multiplication maps Sym^n(P_1) -> P_n.
 
-    Monomials are ordered combinations of the echelonized P_1 basis, so
-    the report is deterministic. Each degree-n monomial is the product of
-    its degree n-1 prefix, kept from the previous degree, with one more
-    degree-1 element, in integer form (``integer_product``). P_n spans
-    every affine element of degree <= n, so the products (one column per
-    monomial) have the same dependencies over the affine basis as over
-    P_n's, and one elimination per degree decides them:
+    Monomials are ordered combinations of the echelonized P_1 basis, so the
+    report is deterministic. The rules are checked graded first. From degree
+    4 on, when the k0-ranks r_m of the monomials' leading coefficients (read
+    off ``embed_element``, each from its degree n-1 prefix's) add up to dim
+    P_n, that is the rank (module docstring). Otherwise, and in degrees <= 3,
+    each monomial is its prefix's product, built on first need, times one
+    more degree-1 element (``integer_product``). P_n spans every affine
+    element of degree <= n, so the products (one column per monomial) have
+    the same dependencies over the affine basis as over P_n's, and one
+    elimination decides them:
 
     * the columns are brought to one common denominator (``_column_rows``);
       scaling every column by the same nonzero scalar leaves the kernel
       unchanged, so the kernel of the integer matrix is that of the
       products;
-    * in degrees n >= 4 the report gives only the kernel's dimension,
-      len(monomials) - rank, and the rank is the number of pivot columns,
-      which the forward pass alone decides (``pivot_columns``). Only the
-      degrees n <= 3, whose generators are listed, are fully reduced.
+    * in degrees n >= 4 the rank is the number of pivot columns, which the
+      forward pass alone decides (``pivot_columns``). Only the degrees
+      n <= 3, whose generators are listed, are fully reduced.
     """
     if sr.D < 2:
         raise ValueError("degree-one generation needs D >= 2")
     pres = sr.pres
+    _check_graded(sr)
     gaussian = not pres.pair.split
     one = pres.pair.base_one()
     degree_one = [integer_element(v) for v in sr.bases[1]]
+    # (pole order, leading numerators re, im) of each P_1 element, then of each monomial
+    firsts = [(w.top, *(dict(p).get(w.top, 0) for p in w.terms)) for w in map(pres.embed_element, sr.bases[1])]
+    leads, products, built = {(): (0, 1, 0)}, {(j,): f for j, f in enumerate(degree_one)}, 1
     surjective, kernel_dims, kernel_gens, monomials = {}, {}, {}, {}
     for n in range(1, sr.D + 1):
-        monos = list(combinations_with_replacement(range(len(degree_one)), n))
-        if n == 1:
-            products = {mono: degree_one[mono[0]] for mono in monos}
+        monos = monomials[n] = list(combinations_with_replacement(range(len(degree_one)), n))
+        leads = {mono: (m + e, x * u - y * v, x * v + y * u)  # orders add, leading numerators multiply
+                 for mono in monos for (m, x, y), (e, u, v) in [(leads[mono[:-1]], firsts[mono[-1]])]}
+        if n > 3 and _leading_rank(leads.values(), gaussian) == sr.dim(n):
+            rank = sr.dim(n)
         else:
-            # a sorted monomial's prefix is a degree n-1 monomial: one more factor each
-            products = {
-                mono: pres.integer_product(products[mono[:-1]], degree_one[mono[-1]])
-                for mono in monos
-            }
-        rows = _column_rows(list(products.values()))
-        if n <= 3:
-            kern = kernel_vectors(rows, len(monos), gaussian)
-            rank = len(monos) - len(kern)
-            kernel_gens[n] = [
-                {"*".join(sr.element_label(1, j) for j in monos[k]): str(c)
-                 for k, c in sorted({fc: one, **entries}.items())}
-                for fc, entries in kern
-            ]
-        else:
-            rank = len(pivot_columns(rows))
+            for k in range(built + 1, n + 1):
+                # a sorted monomial's prefix is a degree k-1 monomial: one more factor each
+                products = {mono: pres.integer_product(products[mono[:-1]], degree_one[mono[-1]])
+                            for mono in monomials[k]}
+            built = n
+            rows = _column_rows(list(products.values()))
+            if n <= 3:
+                kern = kernel_vectors(rows, len(monos), gaussian)
+                rank = len(monos) - len(kern)
+                kernel_gens[n] = [
+                    {"*".join(sr.element_label(1, j) for j in monos[k]): str(c)
+                     for k, c in sorted({fc: one, **entries}.items())}
+                    for fc, entries in kern
+                ]
+            else:
+                rank = len(pivot_columns(rows))
         # surjective: the products span P_n
         surjective[n] = rank == sr.dim(n)
         kernel_dims[n] = len(monos) - rank
-        monomials[n] = monos
     return GenerationReport(
         degrees=list(range(1, sr.D + 1)),
         surjective=surjective,
@@ -194,3 +213,22 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
         kernel_generators=kernel_gens,
         monomials=monomials,
     )
+
+
+def _check_graded(sr):
+    """EmbeddingNotRingMap unless each b_i * b_j, b_j in P_1's support, has degree <= deg b_i + deg b_j."""
+    pres, degree = sr.pres, sr.pres.degree_of
+    for j in {j for v in sr.bases[1] for j in v}:
+        for i in pres.basis_up_to(sr.D - degree(j)):
+            rule, d = pres.mul_basis(i, j), degree(i) + degree(j)
+            if any(c != 0 and degree(k) > d for k, c in rule.items()):
+                raise EmbeddingNotRingMap(f"{pres.name}: {pres.label(i)}*{pres.label(j)} = "
+                                          f"{pres.element_label(rule)} has degree > {d}")
+
+
+def _leading_rank(leads, gaussian):
+    """sum over pole orders m of r_m, the k0-rank of the leading numerators (re, im) at m."""
+    rep = {m: (x, y) for m, x, y in leads}
+    # over Q, r_m = 2 when some coefficient at m is not Q-proportional to rep[m]
+    full = {m for m, x, y in leads if not gaussian and rep[m][0] * y != rep[m][1] * x}
+    return len(rep) + len(full)

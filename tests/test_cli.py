@@ -227,6 +227,15 @@ def test_section_ring_past_the_declared_degree_exits_1(capsys, tmp_path, rescale
     assert code == 0 and "[1, 3, 5, 7, 9, 11, 13]" in out
 
 
+def test_section_ring_on_a_rule_that_leaves_its_degree_exits_1(capsys, tmp_path, p1_file):
+    # t1*t1 = t9 with t9 embedded as t^2 passes every check through degree 8 but the graded one
+    curve = tmp_path / "curve.txt"
+    curve.write_text(p1_file(10, lambda k: 2 if k == 9 else k).replace("mul t1 t1 = 1*t2", "mul t1 t1 = 1*t9"))
+    code, out, err = run(capsys, "section-ring", "--curve", str(curve), "--max-degree", "8")
+    assert (code, out) == (1, "")
+    assert err == f"error: section-ring: EmbeddingNotRingMap: {curve}: t1*t1 = t9 has degree > 2\n"
+
+
 def test_pipeline_pass(capsys):
     code, out, _ = run(capsys, "pipeline", "--f", "1", "--M", "16")
     assert code == 0

@@ -34,6 +34,29 @@ def sr_tw():
     return build_section_ring(twistor_presentation(), 8)
 
 
+def _real_t_file(top: int) -> str:
+    """Q[t] + i*t^2*Q[t] inside Q(i)[t] up to degree ``top``: p<d> = t^d, and q<d> = i*t^d for d >= 2.
+
+    Degree 1 is {t} alone, so every monomial in P_1 = {1, t} is real and
+    they span Q[t] only: the leading-coefficient certificate falls short in
+    every degree from 2 on, and so does surjectivity.
+    """
+    basis = [("p", d) for d in range(top + 1)] + [("q", d) for d in range(2, top + 1)]
+    lines = ["fields rational gaussian", "flags leading_exact"]
+    lines += [f"basis {s}{d} {d}" for s, d in basis]
+    for k, (s, a) in enumerate(basis):
+        for r, b in basis[k:]:
+            if a + b <= top:  # i*i = -1
+                lines.append(f"mul {s}{a} {r}{b} = {'-1' if s == r == 'q' else '1'}*{'p' if s == r else 'q'}{a + b}")
+    lines += [f"embed {s}{d} = {'1i' if s == 'q' else '1'}*t^{d}" for s, d in basis]
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def sr_real_t():
+    return build_section_ring(load_presentation(_real_t_file(8), name="real-t"), 8)
+
+
 def _gaussian_scale(k):
     """lambda_k = (k+1) + i/(k+2): b_i*b_j = lambda_i*lambda_j/lambda_(i+j) * b_(i+j)."""
     return GaussianRational(Fraction(k + 1), Fraction(1, k + 2))
@@ -256,7 +279,10 @@ def _reference_generation(sr):
 
 
 def test_generation_kernels_match_expressing_in_p_n(rings):
-    for name, sr in rings.items():
+    # the leading-coefficient certificate decides every degree >= 4 of the larger rings too
+    larger = {"twistor D=12": build_section_ring(twistor_presentation(), 12),
+              "p1 D=20": build_section_ring(p1_presentation(), 20)}
+    for name, sr in {**rings, **larger}.items():
         report = degree_one_generation(sr)
         got = (report.surjective, report.kernel_dims, report.kernel_generators)
         assert got == _reference_generation(sr), name
@@ -282,8 +308,8 @@ def test_one_h0_per_ring_and_one_elimination_per_degree(monkeypatch):
     sr = build_section_ring(twistor_presentation(), 6)
     assert [args[1:] for args in h0_calls] == [(6, 6)]
     degree_one_generation(sr)
-    # degrees 1..3 list the kernel, 4..6 read the rank off the forward pass alone
-    assert len(kernels) == 3 and len(forward) == 3
+    # degrees 1..3 list the kernel; in 4..6 the leading coefficients certify the rank
+    assert len(kernels) == 3 and len(forward) == 0
     assert dense == [[], [], []]
 
 
@@ -307,10 +333,36 @@ def test_build_rejects_degrees_past_the_declared_top(rescaled_twistor_file):
         build_section_ring(pres, 9)
 
 
-def test_generation_multiplies_once_per_monomial(sr_tw, monkeypatch):
-    products = _counting(monkeypatch, sr_tw.pres, "integer_product")
-    fraction_products = _counting(monkeypatch, sr_tw.pres, "mul_elements")
-    report = degree_one_generation(sr_tw)
-    # every monomial of degree >= 2 is its prefix times one more factor, in integer form
-    assert len(products) == sum(len(report.monomials[n]) for n in range(2, sr_tw.D + 1))
-    assert fraction_products == []
+def test_generation_multiplies_once_per_monomial(sr_tw, sr_real_t, monkeypatch):
+    # a monomial is its prefix times one more factor, in integer form, and only where
+    # no certificate gives the rank: degrees 2..3 on twistor, every degree >= 2 on real-t
+    for sr, top in ((sr_tw, 3), (sr_real_t, sr_real_t.D)):
+        products = _counting(monkeypatch, sr.pres, "integer_product")
+        fraction_products = _counting(monkeypatch, sr.pres, "mul_elements")
+        report = degree_one_generation(sr)
+        assert len(products) == sum(len(report.monomials[n]) for n in range(2, top + 1))
+        assert fraction_products == []
+
+
+def test_short_certificate_falls_back_to_the_forward_pass(sr_real_t, monkeypatch):
+    assert hilbert_function(sr_real_t) == [1, 2, 4, 6, 8, 10, 12, 14, 16]
+    forward = _counting(monkeypatch, section_ring, "pivot_columns")
+    report = degree_one_generation(sr_real_t)
+    assert len(forward) == sr_real_t.D - 3  # one per degree 4..D
+    assert report.surjective == {n: n == 1 for n in range(1, 9)}
+    assert report.kernel_dims == {n: 0 for n in range(1, 9)}
+    assert (report.surjective, report.kernel_dims, report.kernel_generators) == _reference_generation(sr_real_t)
+
+
+def test_degrees_outside_the_ring_raise():
+    small = build_section_ring(p1_presentation(), 4)
+    one = small.pres.pair.base_one()
+    calls = {-1: (small.dim, -1), 5: (small.dim, 5), -2: (small.element_label, -2, 0),
+             6: (small.express, 6, {0: one})}
+    for degree, (call, *args) in calls.items():
+        with pytest.raises(ValueError, match=rf"^degree {degree} outside the ring's degrees 0\.\.4$"):
+            call(*args)
+    with pytest.raises(ValueError, match=r"^degree -1 outside"):
+        small.multiply(-1, 0, 1, 0)
+    with pytest.raises(ValueError, match=r"^product degree 5 exceeds ring cutoff 4$"):
+        small.multiply(2, 0, 3, 0)
