@@ -30,9 +30,10 @@ User presentations load from a small text format, see ``load_presentation``.
 
 from __future__ import annotations
 
+import re as _re
 from fractions import Fraction
 from functools import cache, partial
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import EmbeddingNotRingMap
 from .kronecker import pack
@@ -47,7 +48,6 @@ from .scalars import (
     integer_parts,
     integer_product,
     outside_q_i,
-    parse_gaussian,
 )
 from .series import LaurentWindow, gaussian_window, linear_combination
 
@@ -118,8 +118,17 @@ class AffinePresentation:
         return pivots
 
     def mul_basis(self, i: int, j: int) -> dict:
-        """Structure constants of b_i * b_j as {index: k0 coefficient}."""
+        """Structure constants of b_i * b_j as {index: k0 coefficient}; a loaded presentation's read back."""
         return self._mul(i, j)
+
+    def rule(self, i: int, j: int) -> tuple:
+        """b_i * b_j in integer form (``integer_element``, named zeros kept), once; b_j * b_i's if equal."""
+        cache = self._rule_cache
+        rule = cache.get((i, j))
+        if rule is None:
+            rule = integer_element(self.mul_basis(i, j), named=True)
+            rule = cache[i, j] = cache[j, i] if cache.get((j, i)) == rule else rule
+        return rule
 
     # -- elements ------------------------------------------------------------
 
@@ -130,8 +139,8 @@ class AffinePresentation:
     def integer_product(self, a: tuple, b: tuple) -> tuple:
         """a * b for elements in integer form (``integer_element``), in lowest terms.
 
-        Each rule b_i * b_j is cleared once per presentation. A product
-        brings the rules it reads to their common denominator and adds up
+        It reads each rule b_i * b_j in integer form (``rule``), brings the
+        rules to their common denominator and adds up
         (x_a + i*y_a)(x_b + i*y_b)(u + i*v) over their terms as Python ints.
         """
         (da, a_terms), (db, b_terms) = a, b
@@ -139,9 +148,7 @@ class AffinePresentation:
         terms = []
         for i, (xa, ya) in a_terms.items():
             for j, (xb, yb) in b_terms.items():
-                rule = rules.get((i, j))
-                if rule is None:
-                    rule = rules[i, j] = integer_element(self.mul_basis(i, j), named=True)
+                rule = rules.get((i, j)) or self.rule(i, j)
                 terms.append((xa * xb - ya * yb, xa * yb + ya * xb, rule))
         common = lcm(*{d for _, _, (d, _) in terms})
         out = {}
@@ -157,11 +164,7 @@ class AffinePresentation:
 
     def mul_elements(self, a: dict, b: dict) -> dict:
         """a * b for elements {index: k0 coefficient}: ``integer_product``, read back."""
-        den, terms = self.integer_product(integer_element(a), integer_element(b))
-        if self.pair.split and not any(y for _, y in terms.values()):
-            return {k: Fraction(x, den) for k, (x, _) in terms.items()}
-        return {k: GaussianRational(Fraction(x, den), Fraction(y, den))
-                for k, (x, y) in terms.items()}
+        return k0_coefficients(self.pair, *self.integer_product(integer_element(a), integer_element(b)))
 
     def element_label(self, coeffs: dict) -> str:
         parts = []
@@ -219,6 +222,13 @@ def integer_element(coeffs: dict, named: bool = False) -> tuple:
     return den, {k: (x, y) for k, x, y in zip(coeffs, re, im) if named or x or y}
 
 
+def k0_coefficients(pair: FieldPair, den: int, terms: dict) -> dict:
+    """An element in integer form as {index: k0 coefficient}: Fractions over Q when real, else Q(i)."""
+    if pair.split and not any(y for _, y in terms.values()):
+        return {k: Fraction(x, den) for k, (x, _) in terms.items()}
+    return {k: GaussianRational(Fraction(x, den), Fraction(y, den)) for k, (x, y) in terms.items()}
+
+
 def combine(window, coeffs: dict) -> LaurentWindow:
     """sum of c * window(i) over coeffs {i: k0 coefficient}, over one denominator."""
     return linear_combination([(c, window(i)) for i, c in coeffs.items()])
@@ -230,14 +240,14 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     ``window`` maps basis indices to Laurent windows: the presentation's own
     embedding or one into a formal-disc model. Each window is read once and
     its numerators N_k are brought to the common denominator Delta of all
-    windows read. Each rule b_i * b_j = sum (u_k + i*v_k)/rho * b_k is
-    cleared once per presentation (``integer_element``, keeping the indices
-    it names with coefficient 0) and kept in the cache of cleared rules that
-    ``AffinePresentation.integer_product`` reads and fills too, so a
-    presentation's rules are fixed once it is built. A rule met for the
-    first time is read with ``mul_basis``; b_j * b_i shares the cleared form
-    of b_i * b_j when the two rules are equal. ``mul_basis`` is called again
-    only to report a failing product. The product holds when the
+    windows read. Each rule b_i * b_j = sum (u_k + i*v_k)/rho * b_k is read
+    in integer form from the cache that ``AffinePresentation.integer_product``
+    reads too, so a presentation's rules are fixed once it is built. A
+    loaded presentation fills it at load. Any other clears a rule met for
+    the first time from ``mul_basis`` (``integer_element``, keeping the
+    indices it names with coefficient 0), and b_j * b_i shares b_i * b_j's
+    cleared form when the two rules are equal. ``mul_basis`` is otherwise
+    called only to report a failing product. The product holds when the
     Gaussian-integer polynomial D = rho*N_i*N_j - Delta*sum (u_k + i*v_k)*N_k
     vanishes at every exponent >= c, the cutoff ``LaurentWindow.agrees_with``
     compares above (the larger of the product's and the right-hand side's
@@ -257,7 +267,7 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     or windows far apart) checks the same identity on the same numerators
     by ``scalars.integer_product``. Windows are built only to report a
     failing product. Window products commute, so b_j * b_i is checked only
-    when its cleared rule differs from b_i * b_j's.
+    when its cleared rule is another tuple than b_i * b_j's.
     """
     basis = pres.basis_up_to(max_degree)
     degrees = [pres.degree_of(i) for i in basis]
@@ -280,7 +290,7 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
                 if y > x:
                     raw[key] = given
                 rule = cleared[key] = integer_element(given, named=True)
-            elif y < x and cleared[j, i] == rule:
+            elif y < x and cleared[j, i] is rule:
                 continue
             products.append((i, j, *rule))
             for k in (i, j, *rule[1]):
@@ -301,12 +311,10 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     clipped = any(w.cutoff is not None for w in windows.values())
     packed = {}
 
-    def packed_window(k):
-        """N_k at t = 2^bits from its lowest exponent, as (re, im), once per call."""
-        if k not in packed:
-            lo = frame[k][0]
-            packed[k] = tuple(scale[k] * pack(part, bits, lo) for part in windows[k].terms)
-        return packed[k]
+    def pack_window(k):
+        """N_k at t = 2^bits from its lowest exponent, as (re, im), kept for the call."""
+        p = packed[k] = tuple(scale[k] * pack(part, bits, frame[k][0]) for part in windows[k].terms)
+        return p
 
     def numerators(k, factor=1):
         """factor * N_k as term lists (re, im)."""
@@ -315,45 +323,51 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
                                                       for part in windows[k].terms)
 
     for i, j, rho, constants in products:
-        a, b = windows[i], windows[j]
         cut = None
         if clipped:  # the larger of the product's and the right-hand side's cutoffs
-            cut = max((c for c in (a.product_cutoff(b), *(windows[k].cutoff for k in constants))
-                       if c is not None), default=None)
-        # the frames of D's terms: each nonzero N_k the rule names (a coefficient 0 adds nothing
-        # to D), and rho*N_i*N_j unless a factor is zero
-        rhs = [k for k in constants if k in frame]
-        ends = [frame[k] for k in rhs]
-        lhs = i in frame and j in frame
-        if lhs:
-            (lo_i, top_i, n_i), (lo_j, top_j, n_j) = frame[i], frame[j]
-            ends.append((lo_i + lo_j, top_i + top_j, n_i + n_j))
-        if not ends:
+            cut = max((c for c in (windows[i].product_cutoff(windows[j]),
+                                   *(windows[k].cutoff for k in constants)) if c is not None), default=None)
+        # the frame of D: rho*N_i*N_j unless a factor is zero, and each nonzero N_k the rule
+        # names (a coefficient 0 adds nothing to D)
+        fi, fj = frame.get(i), frame.get(j)
+        lhs = fi is not None and fj is not None
+        lo, top, count = (fi[0] + fj[0], fi[1] + fj[1], fi[2] + fj[2]) if lhs else (inf, -inf, 0)
+        for k in constants:
+            f = frame.get(k)
+            if f is not None:
+                lo, top, count = min(lo, f[0]), max(top, f[1]), count + f[2]
+        if not count:
             continue
-        lows, tops, counts = zip(*ends)
-        lo = min(lows)
-        if max(tops) - lo < _PACKED_SPAN * sum(counts):
+        if top - lo < _PACKED_SPAN * count:
             re = im = 0
-            for k in rhs:
-                (pr, pi), (u, v), shift = packed_window(k), constants[k], bits * (frame[k][0] - lo)
-                re += (u * pr - v * pi) << shift
-                im += (u * pi + v * pr) << shift
+            for k, (u, v) in constants.items():
+                f = frame.get(k)
+                if f is not None:
+                    pr, pi = packed.get(k) or pack_window(k)
+                    shift = bits * (f[0] - lo)
+                    if v:
+                        re += (u * pr - v * pi) << shift
+                        im += (u * pi + v * pr) << shift
+                    else:
+                        re += u * pr << shift
+                        im += u * pi << shift
             re, im = -delta * re, -delta * im
             if lhs:
-                (ar, ai), (br, bi), shift = packed_window(i), packed_window(j), bits * (lo_i + lo_j - lo)
+                (ar, ai), (br, bi) = packed.get(i) or pack_window(i), packed.get(j) or pack_window(j)
+                shift = bits * (fi[0] + fj[0] - lo)
                 re += rho * (ar * br - ai * bi) << shift
                 im += rho * (ar * bi + ai * br) << shift
             limit = 0 if cut is None or cut <= lo else bits * (cut - lo) - 1
             holds = re.bit_length() <= limit and im.bit_length() <= limit
         else:
             out = integer_product(numerators(i, rho), numerators(j), cut) if lhs else ({}, {})
-            for k in rhs:
-                u, v = constants[k]
-                integer_product(([(0, -delta * u)] if u else [], [(0, -delta * v)] if v else []),
-                                numerators(k), cut, out=out)
+            for k, (u, v) in constants.items():
+                if k in frame:
+                    integer_product(([(0, -delta * u)] if u else [], [(0, -delta * v)] if v else []),
+                                    numerators(k), cut, out=out)
             holds = not any(out[0].values()) and not any(out[1].values())
         if not holds:
-            product, image = a * b, combine(windows.__getitem__, pres.mul_basis(i, j))
+            product, image = windows[i] * windows[j], combine(windows.__getitem__, pres.mul_basis(i, j))
             raise EmbeddingNotRingMap(
                 f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
                 f"!= embed of the product: {product} vs {image}"
@@ -529,8 +543,8 @@ def twistor_presentation() -> AffinePresentation:
 # declarative text format
 # ---------------------------------------------------------------------------
 #
-#   fields rational gaussian      (or: fields gaussian gaussian)
-#   flags leading_exact
+#   fields rational gaussian      (or: fields gaussian gaussian; exactly one line)
+#   flags leading_exact           (at most one line; leading_exact is the one flag)
 #   basis <symbol> <degree>
 #   mul <sym> <sym> = <coeff>*<sym> + <coeff>*<sym> + ...
 #   embed <sym> = <coeff>*t^<exp> + ...
@@ -541,6 +555,16 @@ def twistor_presentation() -> AffinePresentation:
 # or monomial follows. Lines starting with '#' are comments. Products not
 # listed default to commutativity (mul b a is looked up when mul a b is
 # absent); everything else must be explicit.
+
+#: each directive: the pattern of the text after it, and the form a malformed line is told
+_FORMS = {
+    "fields": (_re.compile(r"(rational|gaussian)\s+gaussian"), "fields rational|gaussian gaussian"),
+    "flags": (_re.compile(r".*"), "flags <flag> ..."),
+    "basis": (_re.compile(r"(\S+)\s+([+-]?\d+)"), "basis <symbol> <degree>"),
+    "mul": (_re.compile(r"([^\s=]+)\s+([^\s=]+)\s*=(.*)"), "mul <symbol> <symbol> = <coeff>*<symbol> + ..."),
+    "embed": (_re.compile(r"([^\s=]+)\s*=(.*)"), "embed <symbol> = <coeff>*t^<exponent> + ..."),
+}
+_EXPONENT = _re.compile(r"t\^\s*([+-]?\d+)")
 
 
 def _parse_term(term: str, read):
@@ -566,8 +590,8 @@ def _parse_term(term: str, read):
 
 def _embed_exponent(mono: str):
     """The exponent of an embed monomial "t", "t^e" or "1"; None for anything else."""
-    if mono.startswith("t^"):
-        return int(mono[2:])
+    if m := _EXPONENT.fullmatch(mono):
+        return int(m[1])
     return 1 if mono == "t" else 0 if mono == "1" else None
 
 
@@ -579,22 +603,31 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     """Parse the declarative text format and verify the declared flags.
 
     A malformed line raises ValueError naming its number: besides text that
-    does not parse, a repeated basis symbol, a negative degree, a second
-    rule for one ordered product or a second embedding of one symbol, a
-    symbol repeated on the right of a rule, an exponent repeated in one
-    embedding, and a rule or embedding of an undeclared symbol.
+    does not parse or lacks its directive's form, a second ``fields`` or
+    ``flags`` line, a flag other than leading_exact, a repeated basis
+    symbol, a negative degree, a second rule for one ordered product or a
+    second embedding of one symbol, a symbol repeated on the right of a
+    rule, an exponent repeated in one embedding, a rule or embedding of an
+    undeclared symbol, and a constant with an i part over (Q, Q(i)).
 
-    Both checks run up to ``LOAD_VERIFY_DEGREE`` (capped at the file's top
-    degree) here; a computation that reads higher degrees extends them from
-    there, the leading_exact check first (``certified_through``).
+    Each structure constant is parsed once per distinct text, and each rule
+    kept once in integer form (``AffinePresentation.rule``), b * a sharing
+    a * b's tuple when only a * b is listed. Both checks run up to
+    ``LOAD_VERIFY_DEGREE`` (capped at the top degree) here; a computation
+    that reads higher degrees extends them, leading_exact first
+    (``certified_through``).
     """
-    pair = None
-    leading_exact = False
-    symbols: list[str] = []
-    degrees: dict[str, int] = {}
-    mul_table: dict[tuple[str, str], dict[str, str]] = {}
+    pair = flags = imaginary = None  # imaginary: (line, text) of the first constant with an i part
+    symbols, degrees, index = [], [], {}
+    mul_table: dict[tuple[str, str], tuple] = {}  # (a, b) -> (den, {index: (re, im)})
     embeds: dict[str, LaurentWindow] = {}
     sources: dict[tuple, int] = {}  # ("mul", a, b) or ("embed", s) -> its line, for symbol checks
+
+    @cache
+    def constant(coeff):  # (den, (re, im)) in lowest terms, as integer_element clears it
+        den, re, im = gaussian_numerators(coeff)
+        g = gcd(den, re, im)
+        return den // g, (re // g, im // g)
 
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -602,109 +635,103 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
             continue
         try:  # a malformed line raises ValueError, reported with its number
             head, *rest = line.split(None, 1)
-            body = rest[0] if rest else ""
+            if head not in _FORMS:
+                raise ValueError(f"unknown directive {head!r}")
+            m = _FORMS[head][0].fullmatch(rest[0] if rest else "")
+            if m is None:
+                raise ValueError(f"expected {_FORMS[head][1]!r}, got {line!r}")
             if head == "fields":
-                k0, k1 = body.split()
-                if (k0, k1) == ("rational", "gaussian"):
-                    pair = REAL_IN_GAUSSIAN
-                elif (k0, k1) == ("gaussian", "gaussian"):
-                    pair = GAUSSIAN_PAIR
-                else:
-                    raise ValueError(f"unsupported field pair {k0} {k1}")
+                if pair is not None:
+                    raise ValueError("second 'fields' line")
+                pair = REAL_IN_GAUSSIAN if m[1] == "rational" else GAUSSIAN_PAIR
             elif head == "flags":
-                leading_exact = "leading_exact" in body.split()
+                if flags is not None:
+                    raise ValueError("second 'flags' line")
+                flags = m[0].split()
+                if unknown := [f for f in flags if f != "leading_exact"]:
+                    raise ValueError(f"unknown flag {unknown[0]!r}, expected 'leading_exact'")
             elif head == "basis":
-                sym, deg = body.split()
-                if sym in degrees:
+                sym, deg = m[1], int(m[2])
+                if sym in index:
                     raise ValueError(f"basis symbol {sym!r} declared twice")
-                if int(deg) < 0:
+                if deg < 0:
                     raise ValueError(f"negative degree {deg} for {sym!r}")
+                index[sym] = len(symbols)
                 symbols.append(sym)
-                degrees[sym] = int(deg)
+                degrees.append(deg)
             elif head == "mul":
-                lhs, rhs = body.split("=", 1)
-                a, b = lhs.split()
+                a, b, rhs = m.groups()
                 if (a, b) in mul_table:
                     raise ValueError(f"second rule for {a} * {b}")
-                entry = {}
+                dens, terms = {}, {}  # index -> den and (re, im) of its constant
                 for term in rhs.strip().split(" + "):
-                    coeff, sym, degree = _parse_term(term, degrees.get)
-                    if degree is None:
+                    coeff, sym, k = _parse_term(term, index.get)
+                    if k is None:
                         raise ValueError(f"mul result references unknown symbol {sym!r}")
-                    if sym in entry:
+                    if k in terms:
                         raise ValueError(f"symbol {sym!r} repeated in the rule for {a} * {b}")
-                    entry[sym] = coeff
-                mul_table[(a, b)] = entry
+                    dens[k], terms[k] = constant(coeff)
+                    if terms[k][1] and imaginary is None:
+                        imaginary = number, coeff
+                den = lcm(*dens.values())
+                if den != 1:
+                    terms = {k: (x * (den // dens[k]), y * (den // dens[k])) for k, (x, y) in terms.items()}
+                mul_table[a, b] = den, terms
                 sources["mul", a, b] = number
-            elif head == "embed":
-                sym, rhs = body.split("=", 1)
-                sym = sym.strip()
+            else:  # embed
+                sym, rhs = m.groups()
                 if sym in embeds:
                     raise ValueError(f"second embedding of {sym!r}")
                 terms = {}  # exponent -> (den, re, im) numerators
                 for term in rhs.strip().split(" + "):
                     coeff, mono, e = _parse_term(term, _embed_exponent)
                     if e is None:
-                        raise ValueError(f"bad embed monomial {mono!r}")
+                        raise ValueError(f"bad embed monomial {mono!r}, expected 't^<exponent>', 't' or '1'")
                     if e in terms:
                         raise ValueError(f"exponent {e} repeated in the embedding of {sym!r}")
                     terms[e] = gaussian_numerators(coeff)
                 embeds[sym] = LaurentWindow.from_integers(*common_denominator(terms))
                 sources["embed", sym] = number
-            else:
-                raise ValueError(f"unknown directive {head!r}")
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
 
     if pair is None:
         raise ValueError("missing 'fields' line")
+    if pair.split and imaginary:
+        raise ValueError(f"line {imaginary[0]}: structure constant {imaginary[1]!r} is not rational")
     for key, number in sources.items():
-        unknown = [s for s in key[1:] if s not in degrees]
+        unknown = [s for s in key[1:] if s not in index]
         if unknown:
             raise ValueError(f"line {number}: {key[0]} names undeclared symbol {unknown[0]!r}")
     missing = [s for s in symbols if s not in embeds]
     if missing:
         raise ValueError(f"missing embeddings for {missing}")
-
-    index = {s: i for i, s in enumerate(symbols)}
     by_degree: dict[int, list[int]] = {}
-    for s in symbols:
-        by_degree.setdefault(degrees[s], []).append(index[s])
-    # structure constants as k0 scalars, parsed once: a malformed one fails the load
-    @cache
-    def k0_scalar(text):  # in the grammar of an embed coefficient; a rational pair refuses i
-        z = parse_gaussian(text)
-        if pair.split and z.im:
-            raise ValueError(f"structure constant {text!r} is not rational")
-        return z.re if pair.split else z
-    rules = {}
-    for key, entry in mul_table.items():
-        try:
-            rules[key] = {index[s]: k0_scalar(c) for s, c in entry.items()}
-        except ValueError as exc:
-            raise ValueError(f"line {sources['mul', *key]}: {exc}") from None
+    for i, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(i)
 
     def mul(i, j):
-        key = (symbols[i], symbols[j])
-        rule = rules.get(key) or rules.get((key[1], key[0]))
-        if rule is None:
-            raise ValueError(f"no product rule for {key[0]} * {key[1]}")
-        return rule
+        if (i, j) not in rules:
+            raise ValueError(f"no product rule for {symbols[i]} * {symbols[j]}")
+        return k0_coefficients(pair, *rules[i, j])
 
     pres = AffinePresentation(
         name=name,
         pair=pair,
-        degree_fn=lambda i: degrees[symbols[i]],
-        indices_of_degree_fn=lambda d: sorted(by_degree.get(d, [])),
+        degree_fn=degrees.__getitem__,
+        indices_of_degree_fn=lambda d: by_degree.get(d, []),
         embed_fn=lambda i: embeds[symbols[i]],
         mul_fn=mul,
-        label_fn=lambda i: symbols[i],
-        leading_exact=leading_exact,
-        max_degree=max(degrees.values()) if degrees else 0,
+        label_fn=symbols.__getitem__,
+        leading_exact="leading_exact" in (flags or ()),
+        max_degree=max(degrees, default=0),
     )
+    rules = pres._rule_cache  # b * a shares the tuple of a * b, unless the file lists b * a too
+    rules.update({(index[b], index[a]): rule for (a, b), rule in mul_table.items()})
+    rules.update({(index[a], index[b]): rule for (a, b), rule in mul_table.items()})
     cap = min(LOAD_VERIFY_DEGREE, pres.max_degree)
     pres.verify_ring_map(cap)
-    if leading_exact:
+    if pres.leading_exact:
         pres.verify_leading_exact(cap)
     pres.verified_degree = cap
     return pres

@@ -165,6 +165,7 @@ GAUSSIAN_I = GaussianRational(Fraction(0), Fraction(1))
 
 _IMAG_TERM = _re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*?)?i(?:/(\d+))?$")
 _REAL_TERM = _re.compile(r"^([+-]?\d+(?:/\d+)?)$")
+_RATIONAL = _re.compile(r"([+-]?\d+)(?:/(\d+))?")
 #: the start of a term: a sign that none of ``+-*/^`` precedes
 _TERM_START = _re.compile(r"(?<=[^+\-*/^])(?=[+-])")
 
@@ -183,8 +184,11 @@ def gaussian_numerators(text: str) -> tuple:
 
     Each term "a/b" or "a/b*i" (also "i/2", "-i") is added as integers, so
     no Fraction is built; ``den`` is a common denominator, not always the least.
+    A plain "a" or "a/b" with b != 0 is read by one match.
     """
     s = text.replace(" ", "")
+    if (m := _RATIONAL.fullmatch(s)) and (den := int(m[2] or 1)):
+        return den, int(m[1]), 0
     if not s:
         raise ValueError("empty Gaussian rational")
     den, re, im = 1, 0, 0

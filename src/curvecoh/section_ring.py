@@ -131,7 +131,6 @@ def quadric_quotient_reference(D: int) -> list:
 
 @dataclass
 class GenerationReport:
-    degrees: list
     surjective: dict        # n -> bool
     kernel_dims: dict       # n -> int
     kernel_generators: dict  # n -> list of {monomial label: coeff str}, degrees <= 3 only
@@ -207,7 +206,6 @@ def degree_one_generation(sr: SectionRing) -> GenerationReport:
         surjective[n] = rank == sr.dim(n)
         kernel_dims[n] = len(monos) - rank
     return GenerationReport(
-        degrees=list(range(1, sr.D + 1)),
         surjective=surjective,
         kernel_dims=kernel_dims,
         kernel_generators=kernel_gens,
@@ -220,10 +218,10 @@ def _check_graded(sr):
     pres, degree = sr.pres, sr.pres.degree_of
     for j in {j for v in sr.bases[1] for j in v}:
         for i in pres.basis_up_to(sr.D - degree(j)):
-            rule, d = pres.mul_basis(i, j), degree(i) + degree(j)
-            if any(c != 0 and degree(k) > d for k, c in rule.items()):
+            (_, constants), d = pres.rule(i, j), degree(i) + degree(j)
+            if any((u or v) and degree(k) > d for k, (u, v) in constants.items()):
                 raise EmbeddingNotRingMap(f"{pres.name}: {pres.label(i)}*{pres.label(j)} = "
-                                          f"{pres.element_label(rule)} has degree > {d}")
+                                          f"{pres.element_label(pres.mul_basis(i, j))} has degree > {d}")
 
 
 def _leading_rank(leads, gaussian):

@@ -123,24 +123,43 @@ def test_load_presentation_requires_fields():
         load_presentation("basis one 0\nembed one = 1*t^0")
 
 
-# what the file does wrong -> (line of RESCALED_P1 replaced, or None to append; new lines).
-# The last new line is the one refused.
+# what the file does wrong -> (line of RESCALED_P1 replaced, or None to append; new lines;
+# the start of the message, after "line N: "). The last new line is the one refused.
 _MALFORMED = {
-    "repeated_embed_exponent": ("embed a = 2*t^1", ["embed a = 1*t^1 + 1*t^1"]),
-    "repeated_mul_symbol": ("mul a a = 1*a2", ["mul a a = 1/2*a2 + 1/2*a2"]),
-    "second_embed_line": (None, ["embed a = 2*t^1"]),
-    "second_mul_line": (None, ["mul a a = 1*a2"]),
-    "undeclared_embed_symbol": (None, ["embed b = 1*t^1"]),
-    "undeclared_mul_symbol": (None, ["mul b a = 1*a2"]),
-    "negative_basis_degree": ("basis a4 4", ["embed b = 1*t^-1", "basis a4 4", "basis b -1"]),
-    "repeated_basis_line": ("basis a4 4", ["basis a4 4", "basis a 1"]),
-    "malformed_mul_constant": ("mul a a = 1*a2", ["mul a a = 1/0*a2"]),
+    "repeated_embed_exponent": ("embed a = 2*t^1", ["embed a = 1*t^1 + 1*t^1"], "exponent 1 repeated"),
+    "repeated_mul_symbol": ("mul a a = 1*a2", ["mul a a = 1/2*a2 + 1/2*a2"], "symbol 'a2' repeated"),
+    "second_embed_line": (None, ["embed a = 2*t^1"], "second embedding of 'a'"),
+    "second_mul_line": (None, ["mul a a = 1*a2"], "second rule for a * a"),
+    "undeclared_embed_symbol": (None, ["embed b = 1*t^1"], "embed names undeclared symbol 'b'"),
+    "undeclared_mul_symbol": (None, ["mul b a = 1*a2"], "mul names undeclared symbol 'b'"),
+    "negative_basis_degree": ("basis a4 4", ["embed b = 1*t^-1", "basis a4 4", "basis b -1"],
+                              "negative degree -1 for 'b'"),
+    "repeated_basis_line": ("basis a4 4", ["basis a4 4", "basis a 1"], "basis symbol 'a' declared twice"),
+    "malformed_mul_constant": ("mul a a = 1*a2", ["mul a a = 1/0*a2"], "zero denominator"),
+    # one fields line and one flags line, with known flags only
+    "second_fields_line": (None, ["fields rational gaussian"], "second 'fields' line"),
+    "second_flags_line": (None, ["flags"], "second 'flags' line"),
+    "unknown_flag": ("flags leading_exact", ["flags leading_exat"],
+                     "unknown flag 'leading_exat', expected 'leading_exact'"),
+    # a directive without its form is told the form
+    "basis_without_degree": (None, ["basis t1"], "expected 'basis <symbol> <degree>', got 'basis t1'"),
+    "basis_degree_not_an_integer": (None, ["basis t1 x"], "expected 'basis <symbol> <degree>', got 'basis t1 x'"),
+    "fields_with_one_field": ("fields gaussian gaussian", ["fields gaussian"],
+                              "expected 'fields rational|gaussian gaussian', got 'fields gaussian'"),
+    "mul_with_one_symbol": (None, ["mul one = 1*a"], "expected 'mul <symbol> <symbol> = "),
+    "mul_without_equals": (None, ["mul one a 1*a"], "expected 'mul <symbol> <symbol> = "),
+    "mul_with_three_symbols": (None, ["mul one a a = 1*a"], "expected 'mul <symbol> <symbol> = "),
+    "embed_without_equals": (None, ["embed a 1*t^1"], "expected 'embed <symbol> = "),
+    "embed_exponent_not_an_integer": ("embed a = 2*t^1", ["embed a = 2*t^x"],
+                                      "bad embed monomial 't^x', expected"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_load_presentation_refuses_malformed_lines(case, tmp_path, capsys):
-    old, new = _MALFORMED[case]
+    import re
+
+    old, new, why = _MALFORMED[case]
     lines = RESCALED_P1.splitlines()
     if old is None:
         lines += new
@@ -148,7 +167,20 @@ def test_load_presentation_refuses_malformed_lines(case, tmp_path, capsys):
         k = lines.index(old)
         lines[k:k + 1] = new
     number = len(lines) - lines[::-1].index(new[-1])
-    _assert_refused("\n".join(lines) + "\n", number, "", tmp_path, capsys)
+    _assert_refused("\n".join(lines) + "\n", number, re.escape(why), tmp_path, capsys)
+
+
+def test_a_fields_line_after_the_rules_still_reads_them_in_its_pair(tmp_path, capsys):
+    last = [line for line in RESCALED_P1.splitlines() if not line.startswith("fields")]
+    last.append("fields gaussian gaussian")
+    assert load_presentation("\n".join(last)).mul_basis(1, 1) == {2: GaussianRational.of(1)}
+    # over (Q, Q(i)) an i constant is still refused at its rule's line
+    last[-1] = "fields rational gaussian"
+    assert load_presentation("\n".join(last)).mul_basis(1, 1) == {2: Fraction(1)}
+    number = last.index("mul a a2 = 1*a3") + 1
+    last[number - 1] = "mul a a2 = 1/2*i*a3"
+    _assert_refused("\n".join(last) + "\n", number, r"structure constant '1/2\*i' is not rational",
+                    tmp_path, capsys)
 
 
 @pytest.mark.parametrize("constant", ["0.5", "1e0", "1/2*i"])
@@ -445,6 +477,8 @@ def test_ring_map_check_reads_the_rules_integer_product_cleared():
         for j in basis:
             tw.integer_product(integer_element({i: 1}), integer_element({j: 1}))
     assert len(tw._rule_cache) == len(basis) ** 2
+    # the twistor line's rules commute: each pair of orders holds one tuple, checked once
+    assert all(tw._rule_cache[i, j] is tw._rule_cache[j, i] for i in basis for j in basis)
     rng = random.Random(19)
     for _ in range(6):
         k = rng.choice(tw.basis_up_to(4))
@@ -600,6 +634,71 @@ def test_ring_map_checks_both_orders_when_the_rules_differ(p1_file):
     # t1*t2 and t2*t1 share the window product but not the rule
     with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t2\)\*embed\(t1\) != "):
         load_presentation(p1_file(6, lambda k: k) + "\nmul t2 t1 = 1*t2")
+    # the same when the file lists b * a before a * b, and no failure when both agree
+    lines = p1_file(6, lambda k: k).splitlines()
+    k = lines.index("mul t1 t2 = 1*t3")
+    with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t2\)\*embed\(t1\) != "):
+        load_presentation("\n".join(lines[:k] + ["mul t2 t1 = 1*t2"] + lines[k:]))
+    load_presentation("\n".join(lines[:k] + ["mul t2 t1 = 1*t3"] + lines[k:]))
+
+
+def _file_rules(text: str, gaussian: bool) -> dict:
+    """{(a, b): {symbol: k0 value}} of a file's ``mul`` lines read with ``parse_gaussian``, b * a filled in."""
+    rules = {}
+    for line in text.splitlines():
+        if line.startswith("mul "):
+            lhs, rhs = line[4:].split("=")
+            values = {}
+            for term in rhs.strip().split(" + "):
+                coeff, sym = term.rsplit("*", 1)
+                z = parse_gaussian(coeff)
+                values[sym] = z if gaussian else z.re
+            rules[tuple(lhs.split())] = values
+    return {**{(b, a): v for (a, b), v in rules.items()}, **rules}
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian", "unreduced"])
+def test_mul_basis_reads_the_rules_back_as_k0_values(kind, rescaled_twistor_file):
+    # one form per rule: mul_basis reads it back with the types a k0 value has, and
+    # the rule is what clearing that read-back gives (lowest terms, named zeros kept)
+    from curvecoh.presentation import integer_element
+
+    zs = [GaussianRational(Fraction(k + 2, 3), Fraction(1 - 2 * k, 5)) for k in range(9)]
+    text = {"rational": lambda: rescaled_twistor_file(8, Fraction(3, 2)),
+            "gaussian": lambda: _scaled_line_text(zs, True),
+            "unreduced": lambda: RESCALED_P1.replace("= 1*a2", "= 6/6*a2 + 0/4*a4").replace(
+                "= 1*a3", "= 2/2+0*i*a3")}[kind]()
+    pres = load_presentation(text)
+    rules = _file_rules(text, kind != "rational")
+    top = pres.max_degree
+    basis = pres.basis_up_to(top)
+    index = {pres.label(i): i for i in basis}
+    assert len(rules) == sum(pres.degree_of(i) + pres.degree_of(j) <= top for i in basis for j in basis)
+    for (a, b), values in rules.items():
+        got = pres.mul_basis(index[a], index[b])
+        assert got == {index[s]: v for s, v in values.items()}
+        assert {type(v) for v in got.values()} == {Fraction if kind == "rational" else GaussianRational}
+        assert pres.rule(index[a], index[b]) == integer_element(got, named=True)
+
+
+def test_a_loaded_curve_reads_its_rules_in_one_form(monkeypatch, rescaled_twistor_file):
+    from curvecoh import presentation
+    from curvecoh.section_ring import build_section_ring, degree_one_generation
+
+    pres = load_presentation(rescaled_twistor_file(14, Fraction(3, 2)))
+    read, cleared = [], []
+    read_back, clear = AffinePresentation.mul_basis, presentation.integer_element
+    monkeypatch.setattr(AffinePresentation, "mul_basis",
+                        lambda self, i, j: read.append((i, j)) or read_back(self, i, j))
+    monkeypatch.setattr(presentation, "integer_element",
+                        lambda coeffs, named=False: (named and cleared.append(coeffs)) or clear(coeffs, named))
+    presentation.check_ring_map(pres, pres.embed_basis, 14)
+    sr = build_section_ring(pres, 9)
+    report = degree_one_generation(sr)
+    assert report.kernel_dims[2] == 1 and all(report.surjective.values())
+    assert read == [] and cleared == []
+    # a rule the file lists once serves both orders as one tuple
+    assert pres._rule_cache[1, 2] is pres._rule_cache[2, 1]
 
 
 def _sparse_tail_text(G: int, top: int = 8) -> str:

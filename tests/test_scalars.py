@@ -769,3 +769,24 @@ def test_compose_packs_sparse_inner_series_only(monkeypatch):
         packed.clear()
         assert sigma.reversion().compose(sigma) == rational_tps([0, 1], 25)
         assert len(packed) == packs, f
+
+
+def test_a_plain_rational_reads_as_the_general_parser_reads_it(monkeypatch):
+    import re
+
+    from curvecoh import scalars
+
+    rng = random.Random(SEED + 23)
+    texts = ["0", "-0", "+7", "12/8", "-3/9", "0/5", " 1 / 2 ", "1/0", "3\n", "1/-2", "2/3i", "1+i", "", "x"]
+    texts += [f"{rng.choice(['', '-', '+'])}{rng.randint(0, 10**30)}/{rng.randint(1, 10**20)}" for _ in range(40)]
+
+    def outcome(text):
+        try:
+            return scalars.gaussian_numerators(text)
+        except ValueError as exc:
+            return str(exc)
+
+    fast = [outcome(t) for t in texts]
+    monkeypatch.setattr(scalars, "_RATIONAL", re.compile(r"(?!)"))  # matches nothing: the general path
+    assert fast == [outcome(t) for t in texts]
+    assert fast[:4] == [(1, 0, 0), (1, 0, 0), (1, 7, 0), (8, 12, 0)]
