@@ -1,7 +1,8 @@
 """Graded presentations of the algebra of sections regular away from infinity.
 
 An ``AffinePresentation`` lists a k0-basis b_0, b_1, ... with degrees, a
-multiplication table with structure constants in k0, and an embedding of
+multiplication table whose k0 structure constants are Gaussian integers over
+one denominator per rule (``AffinePresentation.rule``), and an embedding of
 each basis element into the Laurent field k1((t^-1)) as an exact window.
 Two presentations are built in, each one shared value per process:
 
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import cache, partial
 from math import gcd, inf, lcm
 
-from .errors import EmbeddingNotRingMap
+from .errors import CutoffTooLarge, EmbeddingNotRingMap
 from .kronecker import pack
 from .linalg import phi, pivot_columns
 from .scalars import (
@@ -118,15 +119,19 @@ class AffinePresentation:
         return pivots
 
     def mul_basis(self, i: int, j: int) -> dict:
-        """Structure constants of b_i * b_j as {index: k0 coefficient}; a loaded presentation's read back."""
-        return self._mul(i, j)
+        """Structure constants of b_i * b_j as {index: k0 coefficient}: ``rule``, read back."""
+        return k0_coefficients(self.pair, *self.rule(i, j))
 
     def rule(self, i: int, j: int) -> tuple:
-        """b_i * b_j in integer form (``integer_element``, named zeros kept), once; b_j * b_i's if equal."""
+        """b_i * b_j as ``mul_fn`` gives it, asked once: (rho, {k: (u, v)}) for constants (u + i*v)/rho.
+
+        b_j * b_i's tuple is kept for it when the two are equal. An index named with (0, 0) is kept:
+        its window's cutoff bounds what ``check_ring_map`` compares.
+        """
         cache = self._rule_cache
         rule = cache.get((i, j))
         if rule is None:
-            rule = integer_element(self.mul_basis(i, j), named=True)
+            rule = self._mul(i, j)
             rule = cache[i, j] = cache[j, i] if cache.get((j, i)) == rule else rule
         return rule
 
@@ -209,17 +214,13 @@ class AffinePresentation:
         return True
 
 
-def integer_element(coeffs: dict, named: bool = False) -> tuple:
-    """(den, {index: (re, im)}): re + i*im == den*coeffs[index] in Python ints.
-
-    Zeros are dropped unless ``named``: a cleared rule keeps every index it
-    names, since their windows' cutoffs bound what ``check_ring_map`` compares.
-    """
+def integer_element(coeffs: dict) -> tuple:
+    """(den, {index: (re, im)}): re + i*im == den*coeffs[index] in Python ints, zeros dropped."""
     parts = integer_parts(coeffs.values())
     if parts is None:
         raise outside_q_i(coeffs.values())
     den, re, im, _ = parts
-    return den, {k: (x, y) for k, x, y in zip(coeffs, re, im) if named or x or y}
+    return den, {k: (x, y) for k, x, y in zip(coeffs, re, im) if x or y}
 
 
 def k0_coefficients(pair: FieldPair, den: int, terms: dict) -> dict:
@@ -241,12 +242,10 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     embedding or one into a formal-disc model. Each window is read once and
     its numerators N_k are brought to the common denominator Delta of all
     windows read. Each rule b_i * b_j = sum (u_k + i*v_k)/rho * b_k is read
-    in integer form from the cache that ``AffinePresentation.integer_product``
-    reads too, so a presentation's rules are fixed once it is built. A
-    loaded presentation fills it at load. Any other clears a rule met for
-    the first time from ``mul_basis`` (``integer_element``, keeping the
-    indices it names with coefficient 0), and b_j * b_i shares b_i * b_j's
-    cleared form when the two rules are equal. ``mul_basis`` is otherwise
+    from the cache that ``AffinePresentation.integer_product`` reads too
+    (``AffinePresentation.rule``), so a presentation's rules are fixed once
+    it is built. A loaded presentation fills the cache at load; any other
+    asks its ``mul_fn`` for a rule met for the first time. ``mul_basis`` is
     called only to report a failing product. The product holds when the
     Gaussian-integer polynomial D = rho*N_i*N_j - Delta*sum (u_k + i*v_k)*N_k
     vanishes at every exponent >= c, the cutoff ``LaurentWindow.agrees_with``
@@ -267,12 +266,11 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     or windows far apart) checks the same identity on the same numerators
     by ``scalars.integer_product``. Windows are built only to report a
     failing product. Window products commute, so b_j * b_i is checked only
-    when its cleared rule is another tuple than b_i * b_j's.
+    when its rule is another tuple than b_i * b_j's.
     """
     basis = pres.basis_up_to(max_degree)
     degrees = [pres.degree_of(i) for i in basis]
-    cleared, raw, products, windows = pres._rule_cache, {}, [], {}
-    lookup, mul = cleared.get, pres.mul_basis
+    rules, products, windows = pres._rule_cache, [], {}
     for x, i in enumerate(basis):
         for y, j in enumerate(basis):
             d = degrees[x] + degrees[y]
@@ -280,17 +278,8 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
                 break  # the basis is ordered by degree
             if d <= above:
                 continue
-            key = i, j
-            rule = lookup(key)
-            if rule is None:
-                given = mul(i, j)
-                if y < x and raw.get((j, i)) == given:  # b_j * b_i, met before, has this rule
-                    cleared[key] = cleared[j, i]
-                    continue
-                if y > x:
-                    raw[key] = given
-                rule = cleared[key] = integer_element(given, named=True)
-            elif y < x and cleared[j, i] is rule:
+            rule = rules.get((i, j)) or pres.rule(i, j)
+            if y < x and rules[j, i] is rule:  # b_j * b_i, met before, has this rule
                 continue
             products.append((i, j, *rule))
             for k in (i, j, *rule[1]):
@@ -447,7 +436,7 @@ def p1_presentation() -> AffinePresentation:
         degree_fn=lambda i: i,
         indices_of_degree_fn=lambda d: [d],
         embed_fn=lambda i: gaussian_window({i: 1}),
-        mul_fn=lambda i, j: {i + j: GaussianRational.of(1)},
+        mul_fn=lambda i, j: (1, {i + j: (1, 0)}),
         label_fn=label,
         leading_exact=True,
     )
@@ -511,12 +500,9 @@ def twistor_presentation() -> AffinePresentation:
         pj, fj = _twistor_decode(j)
         p = pi + pj
         if not (fi and fj):
-            return {_twistor_encode(p, fi or fj): Fraction(1)}
+            return 1, {_twistor_encode(p, fi or fj): (1, 0)}
         # v^2 = -1 - u^2
-        return {
-            _twistor_encode(p, False): Fraction(-1),
-            _twistor_encode(p + 2, False): Fraction(-1),
-        }
+        return 1, {_twistor_encode(p, False): (-1, 0), _twistor_encode(p + 2, False): (-1, 0)}
 
     def label(i):
         p, has_v = _twistor_decode(i)
@@ -552,9 +538,11 @@ def twistor_presentation() -> AffinePresentation:
 # Coefficients are rationals "a/b" or Gaussians "a/b+c/d*i"; terms are
 # separated by " + " (the spaces matter, Gaussian coefficients contain
 # bare '+'), and a term's coefficient ends at the first '*' that a symbol
-# or monomial follows. Lines starting with '#' are comments. Products not
-# listed default to commutativity (mul b a is looked up when mul a b is
-# absent); everything else must be explicit.
+# or monomial follows. Lines starting with '#' are comments. Lines may come
+# in any order: a symbol may be used above its basis line. A product a * b
+# whose degree is at most the top declared degree needs a rule; when only
+# one of mul a b and mul b a is listed, it serves both orders. Everything
+# else must be explicit.
 
 #: each directive: the pattern of the text after it, and the form a malformed line is told
 _FORMS = {
@@ -602,13 +590,17 @@ LOAD_VERIFY_DEGREE = 6
 def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     """Parse the declarative text format and verify the declared flags.
 
-    A malformed line raises ValueError naming its number: besides text that
-    does not parse or lacks its directive's form, a second ``fields`` or
-    ``flags`` line, a flag other than leading_exact, a repeated basis
-    symbol, a negative degree, a second rule for one ordered product or a
-    second embedding of one symbol, a symbol repeated on the right of a
-    rule, an exponent repeated in one embedding, a rule or embedding of an
-    undeclared symbol, and a constant with an i part over (Q, Q(i)).
+    The ``fields``, ``flags`` and ``basis`` lines are read before the ``mul``
+    and ``embed`` lines, each pass in line order. A malformed line raises
+    ValueError naming its number: besides text that does not parse or lacks
+    its directive's form, a second ``fields`` or ``flags`` line, a flag
+    other than leading_exact, a repeated basis symbol, a negative degree, a
+    second rule for one ordered product or a second embedding of one
+    symbol, a symbol repeated on the right of a rule, an exponent repeated
+    in one embedding, an undeclared symbol, and a constant with an i part
+    over (Q, Q(i)). A file is refused too without a ``fields`` line (before
+    its rules are read), with a symbol not embedded, or with a product of
+    degree at most the top one that has no rule in either order.
 
     Each structure constant is parsed once per distinct text, and each rule
     kept once in integer form (``AffinePresentation.rule``), b * a sharing
@@ -617,15 +609,17 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     that reads higher degrees extends them, leading_exact first
     (``certified_through``).
     """
-    pair = flags = imaginary = None  # imaginary: (line, text) of the first constant with an i part
+    pair = flags = None
     symbols, degrees, index = [], [], {}
-    mul_table: dict[tuple[str, str], tuple] = {}  # (a, b) -> (den, {index: (re, im)})
+    rules: dict[tuple[int, int], tuple] = {}  # (a, b) by index -> (den, {index: (re, im)})
     embeds: dict[str, LaurentWindow] = {}
-    sources: dict[tuple, int] = {}  # ("mul", a, b) or ("embed", s) -> its line, for symbol checks
+    later = []  # (line number, directive, match) of each mul and embed line
 
     @cache
     def constant(coeff):  # (den, (re, im)) in lowest terms, as integer_element clears it
         den, re, im = gaussian_numerators(coeff)
+        if im and pair.split:
+            raise ValueError(f"structure constant {coeff!r} is not rational")
         g = gcd(den, re, im)
         return den // g, (re // g, im // g)
 
@@ -659,9 +653,20 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
                 index[sym] = len(symbols)
                 symbols.append(sym)
                 degrees.append(deg)
-            elif head == "mul":
+            else:
+                later.append((number, head, m))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    if pair is None:
+        raise ValueError("missing 'fields' line")
+
+    for number, head, m in later:
+        try:
+            if head == "mul":
                 a, b, rhs = m.groups()
-                if (a, b) in mul_table:
+                if unknown := [s for s in (a, b) if s not in index]:
+                    raise ValueError(f"mul names undeclared symbol {unknown[0]!r}")
+                if (index[a], index[b]) in rules:
                     raise ValueError(f"second rule for {a} * {b}")
                 dens, terms = {}, {}  # index -> den and (re, im) of its constant
                 for term in rhs.strip().split(" + "):
@@ -671,15 +676,14 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
                     if k in terms:
                         raise ValueError(f"symbol {sym!r} repeated in the rule for {a} * {b}")
                     dens[k], terms[k] = constant(coeff)
-                    if terms[k][1] and imaginary is None:
-                        imaginary = number, coeff
                 den = lcm(*dens.values())
                 if den != 1:
                     terms = {k: (x * (den // dens[k]), y * (den // dens[k])) for k, (x, y) in terms.items()}
-                mul_table[a, b] = den, terms
-                sources["mul", a, b] = number
+                rules[index[a], index[b]] = den, terms
             else:  # embed
                 sym, rhs = m.groups()
+                if sym not in index:
+                    raise ValueError(f"embed names undeclared symbol {sym!r}")
                 if sym in embeds:
                     raise ValueError(f"second embedding of {sym!r}")
                 terms = {}  # exponent -> (den, re, im) numerators
@@ -691,29 +695,24 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
                         raise ValueError(f"exponent {e} repeated in the embedding of {sym!r}")
                     terms[e] = gaussian_numerators(coeff)
                 embeds[sym] = LaurentWindow.from_integers(*common_denominator(terms))
-                sources["embed", sym] = number
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
-
-    if pair is None:
-        raise ValueError("missing 'fields' line")
-    if pair.split and imaginary:
-        raise ValueError(f"line {imaginary[0]}: structure constant {imaginary[1]!r} is not rational")
-    for key, number in sources.items():
-        unknown = [s for s in key[1:] if s not in index]
-        if unknown:
-            raise ValueError(f"line {number}: {key[0]} names undeclared symbol {unknown[0]!r}")
-    missing = [s for s in symbols if s not in embeds]
-    if missing:
+    if missing := [s for s in symbols if s not in embeds]:
         raise ValueError(f"missing embeddings for {missing}")
+    for (i, j), rule in list(rules.items()):  # b * a shares a * b's tuple, unless the file lists b * a
+        rules.setdefault((j, i), rule)
+    top = max(degrees, default=0)
+    gaps = ((i, j) for i in range(len(symbols)) for j in range(i, len(symbols))
+            if degrees[i] + degrees[j] <= top and (i, j) not in rules)
+    if gap := next(gaps, None):
+        raise ValueError(f"no product rule for {symbols[gap[0]]} * {symbols[gap[1]]} in either order")
     by_degree: dict[int, list[int]] = {}
     for i, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(i)
 
-    def mul(i, j):
-        if (i, j) not in rules:
-            raise ValueError(f"no product rule for {symbols[i]} * {symbols[j]}")
-        return k0_coefficients(pair, *rules[i, j])
+    def past_top(i, j):  # every listed rule is in the cache, so b_i * b_j lies past the top degree
+        raise CutoffTooLarge(f"presentation declares degrees up to {top}; "
+                             f"{symbols[i]} * {symbols[j]} has degree {degrees[i] + degrees[j]}")
 
     pres = AffinePresentation(
         name=name,
@@ -721,15 +720,13 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
         degree_fn=degrees.__getitem__,
         indices_of_degree_fn=lambda d: by_degree.get(d, []),
         embed_fn=lambda i: embeds[symbols[i]],
-        mul_fn=mul,
+        mul_fn=past_top,
         label_fn=symbols.__getitem__,
         leading_exact="leading_exact" in (flags or ()),
-        max_degree=max(degrees, default=0),
+        max_degree=top,
     )
-    rules = pres._rule_cache  # b * a shares the tuple of a * b, unless the file lists b * a too
-    rules.update({(index[b], index[a]): rule for (a, b), rule in mul_table.items()})
-    rules.update({(index[a], index[b]): rule for (a, b), rule in mul_table.items()})
-    cap = min(LOAD_VERIFY_DEGREE, pres.max_degree)
+    pres._rule_cache.update(rules)
+    cap = min(LOAD_VERIFY_DEGREE, top)
     pres.verify_ring_map(cap)
     if pres.leading_exact:
         pres.verify_leading_exact(cap)

@@ -646,7 +646,7 @@ def test_a_hand_built_leading_exact_flag_is_checked():
         degree_fn=lambda i: i,
         indices_of_degree_fn=lambda d: [d],
         embed_fn=lambda i: gaussian_window({2 * i: 1}),
-        mul_fn=lambda i, j: {i + j: GaussianRational.of(1)},
+        mul_fn=lambda i, j: (1, {i + j: (1, 0)}),
         label_fn=lambda i: f"t^{i}",
         leading_exact=True,
     )
@@ -766,7 +766,7 @@ def test_clipped_windows_read_h0_off_their_own_columns(p1):
             degree_fn=lambda i: i,
             indices_of_degree_fn=lambda d: [d],
             embed_fn=clipped_at(cutoff),
-            mul_fn=lambda i, j: {i + j: GaussianRational.of(1)},
+            mul_fn=lambda i, j: (1, {i + j: (1, 0)}),
             label_fn=lambda i: f"t^{i}",
             leading_exact=True,
         )
@@ -789,7 +789,7 @@ def _clipped_p1(clips: dict, leading_exact=True) -> AffinePresentation:
         degree_fn=lambda i: i,
         indices_of_degree_fn=lambda d: [d],
         embed_fn=window,
-        mul_fn=lambda i, j: {i + j: GaussianRational.of(1)},
+        mul_fn=lambda i, j: (1, {i + j: (1, 0)}),
         label_fn=lambda i: f"t^{i}",
         leading_exact=leading_exact,
     )

@@ -36,8 +36,8 @@ def _outcome(parse, text):
         return exc
 
 
-def _cli_exit(argv):
-    """Exit code of ``main(argv)``; fails on a traceback or an unnamed exception."""
+def _cli_run(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; fails on a traceback or an unnamed exception."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -45,7 +45,12 @@ def _cli_exit(argv):
         except SystemExit as exc:
             code = exc.code
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_exit(argv):
+    """Exit code of ``main(argv)``; fails on a traceback or an unnamed exception."""
+    return _cli_run(argv)[0]
 
 
 def _expected_exit(outcome):
@@ -126,6 +131,20 @@ def _edited(edits):
     return "\n".join(lines)
 
 
+# the line to degree 8, past the degrees the loader's ring-map check reads, with
+# w_i * w_j listed in both orders when 3 divides i + j: dropping one of those leaves
+# its mirror rule, dropping any other leaves a product without a rule
+_MIRRORED = [
+    "fields gaussian gaussian", "flags leading_exact",
+    *(f"basis w{k} {k}" for k in range(9)),
+    *(f"mul w{a} w{b} = 1*w{i + j}" for i in range(9) for j in range(i, 9 - i)
+      for a, b in ((i, j), (j, i))[:1 + ((i + j) % 3 == 0 and i != j)]),
+    *(f"embed w{k} = 1*t^{k}" for k in range(9)),
+]
+_dropped_rules = st.sampled_from([_BASE, _MIRRORED]).flatmap(
+    lambda lines: st.sampled_from([k for k, line in enumerate(lines) if line.startswith("mul ")]).map(
+        lambda k: (lines, k)))
+
 _edits = st.tuples(st.sampled_from(["keep"] * 9 + ["replace", "drop", "add"]), _lines)
 presentation_texts = st.lists(_edits, min_size=len(_BASE), max_size=len(_BASE)).map(_edited)
 
@@ -162,3 +181,25 @@ def test_cli_presentation_file_parse_failures_exit_2(text):
         path.write_text(text)
         code = _cli_exit(["cohomology", "--curve", str(path), "--n", "0"])
     assert code in _expected_exit(_outcome(load_presentation, text))
+
+
+@FUZZ
+@given(_dropped_rules)
+def test_a_dropped_rule_is_covered_by_its_mirror_or_refused_at_load(case):
+    lines, k = case
+    full, text = "\n".join(lines), "\n".join(lines[:k] + lines[k + 1:])
+    value = _outcome(load_presentation, text)
+    assert isinstance(value, (AffinePresentation, ValueError))
+    top = max(int(line.split()[2]) for line in lines if line.startswith("basis "))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, curve in (("full", full), ("dropped", text)):
+            (Path(tmp) / f"{name}.pres").write_text(curve)
+        for argv in (["cohomology", "--n", f"-1..{top - 2}", "--format", "json"],
+                     ["section-ring", "--max-degree", str(top), "--format", "json"]):
+            want, got = (_cli_run([*argv, "--curve", str(Path(tmp) / f"{name}.pres")])
+                         for name in ("full", "dropped"))
+            assert want[0] == 0
+            if isinstance(value, ValueError):  # refused at load, with the loader's message
+                assert got[:2] == (2, "") and str(value) in got[2]
+            else:  # the mirror rule gives the same answer
+                assert got == want

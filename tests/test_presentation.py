@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -413,6 +414,13 @@ def _perturbed(window, k, e, delta):
     return perturbed
 
 
+def _integer_rule(coeffs: dict) -> tuple:
+    """{index: k0 value} in integer form (den, {index: (re, im)}), lowest terms, zeros kept."""
+    values = {k: GaussianRational.of(c) for k, c in coeffs.items()}
+    den = lcm(*(q.denominator for z in values.values() for q in (z.re, z.im)))
+    return den, {k: (int(z.re * den), int(z.im * den)) for k, z in values.items()}
+
+
 def _gaussian_constants_presentation(max_degree=8):
     """Basis b_k = c^k t^k over (Q(i), Q(i)): b_i * b_j = (c^i c^j / c^(i+j)) b_(i+j), c^k varying."""
     from curvecoh.scalars import GAUSSIAN_PAIR
@@ -424,7 +432,7 @@ def _gaussian_constants_presentation(max_degree=8):
         degree_fn=lambda i: i,
         indices_of_degree_fn=lambda d: [d],
         embed_fn=lambda i: LaurentWindow({i: scales[i]}, None),
-        mul_fn=lambda i, j: {i + j: scales[i] * scales[j] / scales[i + j]},
+        mul_fn=lambda i, j: _integer_rule({i + j: scales[i] * scales[j] / scales[i + j]}),
         label_fn=lambda i: f"b{i}",
         leading_exact=True,
         max_degree=max_degree,
@@ -450,18 +458,22 @@ def test_integer_ring_map_check_matches_window_products(tw, p1, rescaled_twistor
     assert failures == {False}
 
 
+def _plus_i_over(rule: tuple, m: int) -> tuple:
+    """An integer-form rule with i/m added to each constant."""
+    den, constants = rule
+    return m * den, {k: (m * u, m * v + den) for k, (u, v) in constants.items()}
+
+
 def test_integer_ring_map_check_matches_with_gaussian_constants():
-    # a presentation's rules are fixed once it is built (its cleared rules are
-    # kept), so each perturbation gets a fresh presentation
+    # a presentation's rules are fixed once it is built (each rule is kept once
+    # asked for), so each perturbation gets a fresh presentation
     for i, j in ((1, 2), (3, 3), (0, 5), (4, 4)):
         pres = _gaussian_constants_presentation()
         rules = pres._mul
 
         def perturbed(a, b, i=i, j=j, rules=rules):
             rule = rules(a, b)
-            if (a, b) == (i, j):
-                return {k: s + GaussianRational(Fraction(0), Fraction(1, 7)) for k, s in rule.items()}
-            return rule
+            return _plus_i_over(rule, 7) if (a, b) == (i, j) else rule
 
         pres._mul = perturbed
         message = _same_outcome(pres, pres.embed_basis, 8)
@@ -471,7 +483,7 @@ def test_integer_ring_map_check_matches_with_gaussian_constants():
 def test_ring_map_check_reads_the_rules_integer_product_cleared():
     from curvecoh.presentation import integer_element
 
-    tw = twistor_presentation.__wrapped__()  # a fresh value, its rules cleared by integer_product only
+    tw = twistor_presentation.__wrapped__()  # a fresh value, its rules read by integer_product only
     basis = tw.basis_up_to(8)
     for i in basis:
         for j in basis:
@@ -487,27 +499,22 @@ def test_ring_map_check_reads_the_rules_integer_product_cleared():
         assert message.startswith("twistor: embed(") and " != embed of the product: " in message
 
 
-def test_ring_map_check_clears_each_rule_once_per_presentation(monkeypatch):
+def test_ring_map_check_clears_each_rule_once_per_presentation():
     from curvecoh import presentation
 
     tw = twistor_presentation.__wrapped__()
-    rules, cleared = tw._mul, []
-    calls = []
+    rules, calls = tw._mul, []
     tw._mul = lambda i, j: calls.append((i, j)) or rules(i, j)
-    clear = presentation.integer_element
-    monkeypatch.setattr(presentation, "integer_element",
-                        lambda *args, **kwargs: cleared.append(args) or clear(*args, **kwargs))
     presentation.check_ring_map(tw, tw.embed_basis, 8)
-    # a cold cache: one rule call per ordered pair, one clearing per rule that
-    # differs from the other order's
+    # a cold cache: one mul_fn call per ordered pair; the twistor line's rules
+    # commute, so each pair of orders keeps one tuple
     basis = tw.basis_up_to(8)
     pairs = [(i, j) for i in basis for j in basis if tw.degree_of(i) + tw.degree_of(j) <= 8]
-    distinct = [(i, j) for i, j in pairs if basis.index(j) >= basis.index(i) or rules(i, j) != rules(j, i)]
-    assert calls == pairs and len(cleared) == len(distinct)
+    assert calls == pairs
+    assert all(tw._rule_cache[i, j] is tw._rule_cache[j, i] for i, j in pairs)
     calls.clear()
-    cleared.clear()
     presentation.check_ring_map(tw, tw.embed_basis, 8)
-    assert calls == [] and cleared == []
+    assert calls == []
 
 
 def test_ring_map_check_reads_both_orders_of_an_asymmetric_rule():
@@ -518,8 +525,7 @@ def test_ring_map_check_reads_both_orders_of_an_asymmetric_rule():
     for warm in (False, True):
         pres = _gaussian_constants_presentation()
         rules = pres._mul
-        pres._mul = lambda a, b: ({k: s + GAUSSIAN_I for k, s in rules(a, b).items()} if (a, b) == (2, 1)
-                                  else rules(a, b))
+        pres._mul = lambda a, b: _plus_i_over(rules(a, b), 1) if (a, b) == (2, 1) else rules(a, b)
         if warm:
             for i in pres.basis_up_to(8):
                 for j in pres.basis_up_to(8 - i):
@@ -531,8 +537,8 @@ def test_ring_map_check_reads_both_orders_of_an_asymmetric_rule():
 def test_cleared_rules_keep_the_indices_named_with_zero_coefficients():
     from curvecoh.presentation import integer_element
 
-    # b_1 * b_1 = 0*b_2: b_2's cutoff still bounds the comparison when the
-    # rule was first cleared by integer_product
+    # b_1 * b_1 = 0*b_2, the rule (1, {2: (0, 0)}): b_2's cutoff still bounds
+    # the comparison when the rule was first read by integer_product
     h = 5
     w1 = LaurentWindow.from_integers(1, {1: h}, {})
     for cut, holds in ((3, True), (2, False)):
@@ -642,6 +648,60 @@ def test_ring_map_checks_both_orders_when_the_rules_differ(p1_file):
     load_presentation("\n".join(lines[:k] + ["mul t2 t1 = 1*t3"] + lines[k:]))
 
 
+def _cli_json(argv, text, tmp_path, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)`` on ``text`` written as the curve file."""
+    from curvecoh.cli import main
+
+    (tmp_path / "curve.pres").write_text(text)
+    try:
+        code = main([*argv, "--curve", str(tmp_path / "curve.pres")])
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_a_symbol_may_be_used_above_its_basis_line(p1_file, tmp_path, capsys):
+    # every basis line last: each mul right-hand side, left-hand side and embed names a
+    # symbol declared further down, and the curve is the one declared first
+    lines = p1_file(8, lambda k: k).splitlines()
+    last = [line for line in lines if not line.startswith("basis ")] + [
+        line for line in lines if line.startswith("basis ")]
+    assert last[2].startswith("mul t0 t0 = ") and last[-1] == "basis t8 8"
+    for argv in (["cohomology", "--n", "-2..6", "--format", "json"],
+                 ["section-ring", "--max-degree", "8", "--format", "json"]):
+        first, later = (_cli_json(argv, "\n".join(t) + "\n", tmp_path, capsys) for t in (lines, last))
+        assert first[0] == 0 and first[1] and later == first
+
+
+def test_a_product_inside_the_declared_degrees_needs_a_rule(tmp_path, capsys):
+    text = _workloads().rescaled_twistor_text(Fraction(3, 2), 10)
+    gap = "".join(line + "\n" for line in text.splitlines() if not line.startswith("mul u3 u4 "))
+    assert len(gap) < len(text) and "mul u4 u3 " not in text
+    assert _cli_json(["cohomology", "--n", "0"], text, tmp_path, capsys)[0] == 0
+    with pytest.raises(ValueError, match=r"^no product rule for u3 \* u4 in either order$"):
+        load_presentation(gap)
+    code, out, err = _cli_json(["cohomology", "--n", "0"], gap, tmp_path, capsys)
+    assert (code, out) == (2, "") and "no product rule for u3 * u4" in err
+    # the mirror rule covers the gap
+    mirrored = text.replace("mul u3 u4 ", "mul u4 u3 ")
+    pres = load_presentation(mirrored)
+    u3, u4 = (next(i for i in pres.basis_up_to(10) if pres.label(i) == s) for s in ("u3", "u4"))
+    assert pres._rule_cache[u3, u4] is pres._rule_cache[u4, u3]
+    assert _cli_json(["cohomology", "--n", "0..6"], mirrored, tmp_path, capsys) == _cli_json(
+        ["cohomology", "--n", "0..6"], text, tmp_path, capsys)
+
+
+def test_a_product_past_the_top_degree_may_be_left_out(p1_file):
+    from curvecoh.errors import CutoffTooLarge
+
+    # the file lists t_i * t_j for i + j <= 6 only
+    pres = load_presentation(p1_file(6, lambda k: k))
+    assert all(pres.degree_of(i) + pres.degree_of(j) <= 6 for i, j in pres._rule_cache)
+    assert pres.certified_through(6) and pres.mul_elements({3: 1}, {3: 1}) == {6: GaussianRational.of(1)}
+    with pytest.raises(CutoffTooLarge, match=r"t3 \* t4 has degree 7"):
+        pres.mul_elements({3: 1}, {4: 1})
+
+
 def _file_rules(text: str, gaussian: bool) -> dict:
     """{(a, b): {symbol: k0 value}} of a file's ``mul`` lines read with ``parse_gaussian``, b * a filled in."""
     rules = {}
@@ -659,10 +719,9 @@ def _file_rules(text: str, gaussian: bool) -> dict:
 
 @pytest.mark.parametrize("kind", ["rational", "gaussian", "unreduced"])
 def test_mul_basis_reads_the_rules_back_as_k0_values(kind, rescaled_twistor_file):
-    # one form per rule: mul_basis reads it back with the types a k0 value has, and
-    # the rule is what clearing that read-back gives (lowest terms, named zeros kept)
-    from curvecoh.presentation import integer_element
-
+    # one form per rule: the rule is the file's constants over their least common
+    # denominator (lowest terms, named zeros kept), and mul_basis reads it back with
+    # the types a k0 value has
     zs = [GaussianRational(Fraction(k + 2, 3), Fraction(1 - 2 * k, 5)) for k in range(9)]
     text = {"rational": lambda: rescaled_twistor_file(8, Fraction(3, 2)),
             "gaussian": lambda: _scaled_line_text(zs, True),
@@ -675,10 +734,11 @@ def test_mul_basis_reads_the_rules_back_as_k0_values(kind, rescaled_twistor_file
     index = {pres.label(i): i for i in basis}
     assert len(rules) == sum(pres.degree_of(i) + pres.degree_of(j) <= top for i in basis for j in basis)
     for (a, b), values in rules.items():
+        expected = {index[s]: v for s, v in values.items()}
+        assert pres.rule(index[a], index[b]) == _integer_rule(expected)
         got = pres.mul_basis(index[a], index[b])
-        assert got == {index[s]: v for s, v in values.items()}
+        assert got == expected
         assert {type(v) for v in got.values()} == {Fraction if kind == "rational" else GaussianRational}
-        assert pres.rule(index[a], index[b]) == integer_element(got, named=True)
 
 
 def test_a_loaded_curve_reads_its_rules_in_one_form(monkeypatch, rescaled_twistor_file):
@@ -686,17 +746,17 @@ def test_a_loaded_curve_reads_its_rules_in_one_form(monkeypatch, rescaled_twisto
     from curvecoh.section_ring import build_section_ring, degree_one_generation
 
     pres = load_presentation(rescaled_twistor_file(14, Fraction(3, 2)))
-    read, cleared = [], []
-    read_back, clear = AffinePresentation.mul_basis, presentation.integer_element
+    read, asked = [], []
+    read_back, rules = AffinePresentation.mul_basis, pres._mul
     monkeypatch.setattr(AffinePresentation, "mul_basis",
                         lambda self, i, j: read.append((i, j)) or read_back(self, i, j))
-    monkeypatch.setattr(presentation, "integer_element",
-                        lambda coeffs, named=False: (named and cleared.append(coeffs)) or clear(coeffs, named))
+    pres._mul = lambda i, j: asked.append((i, j)) or rules(i, j)
     presentation.check_ring_map(pres, pres.embed_basis, 14)
     sr = build_section_ring(pres, 9)
     report = degree_one_generation(sr)
     assert report.kernel_dims[2] == 1 and all(report.surjective.values())
-    assert read == [] and cleared == []
+    # every rule was in the cache from load, and none is read back as k0 values
+    assert read == [] and asked == []
     # a rule the file lists once serves both orders as one tuple
     assert pres._rule_cache[1, 2] is pres._rule_cache[2, 1]
 
@@ -745,8 +805,6 @@ def test_sparse_tail_checks_term_by_term(tmp_path, capsys, monkeypatch):
 
 
 def test_ring_map_check_is_exact_on_numerators_of_200_bits(rescaled_twistor_file):
-    from math import lcm
-
     # b<k> stands for (7/5)^k times the built-in element: structure constants over 5^m and 7^m
     pres = load_presentation(rescaled_twistor_file(14, Fraction(97, 89), lambda k: Fraction(7, 5) ** k))
     basis = pres.basis_up_to(14)
@@ -773,7 +831,7 @@ def _clipped_square_presentation(windows, square=1):
     return AffinePresentation(
         name="clipped", pair=GAUSSIAN_PAIR, degree_fn=lambda i: i, indices_of_degree_fn=lambda d: [d],
         embed_fn=windows.__getitem__,
-        mul_fn=lambda i, j: {i + j: GaussianRational.of(square if (i, j) == (1, 1) else 1)},
+        mul_fn=lambda i, j: (1, {i + j: (square if (i, j) == (1, 1) else 1, 0)}),
         label_fn=lambda i: f"b{i}", max_degree=2,
     )
 
@@ -864,8 +922,8 @@ def test_ring_map_check_packs_each_window_once(tw, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _benchmark_curve_text() -> str:
-    """The rescaled twistor file of the benchmark's seed-1 cohomology sweep (degrees 0..14)."""
+def _workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     import importlib.util
     import sys
     from pathlib import Path
@@ -874,7 +932,12 @@ def _benchmark_curve_text() -> str:
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)  # its dataclasses look their module up by name
-    return workloads.build("cohomology-sweep", 1).curve_text
+    return workloads
+
+
+def _benchmark_curve_text() -> str:
+    """The rescaled twistor file of the benchmark's seed-1 cohomology sweep (degrees 0..14)."""
+    return _workloads().build("cohomology-sweep", 1).curve_text
 
 
 def _gaussian_line_text(top: int, c: GaussianRational) -> str:
