@@ -10,16 +10,19 @@ Subcommands::
 Output is an aligned table by default or canonical JSON with
 ``--format json`` (sorted keys, two-space indent, re-serializable to the
 same bytes). A JSON config file can replace flags (``--config``); flags
-given explicitly win. Exit codes: 0 success, 1 computation failure (a
-result too large to print included), 2 usage/config failure. Reports
-always include certification status and the cutoffs used, so heuristic
-results are never silently exact-looking.
+given explicitly win. Each input is parsed once, before any computation.
+Exit codes: 0 success, 1 computation failure (a result too large to print
+included), 2 usage/config failure (a malformed input or an unwritable
+``--output``). Reports always include certification status and the cutoffs
+used, so heuristic results are never silently exact-looking.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import re
 import sys
 from contextlib import contextmanager
@@ -49,97 +52,67 @@ def parse_range(text: str) -> list:
     return [int(text)]
 
 
+#: the characters an f-expression may use: Python-only forms (``_``, comments, line breaks) stay out
+_F_CHARS = frozenset("0123456789xi+-*/^() ")
+_F_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
 def parse_f_expression(text: str, order: int) -> TruncatedPowerSeries:
-    """Tiny expression grammar over Q[[xi]]: numbers, xi, + - * ^ ( )."""
-    tokens = []
-    i, s = 0, text.replace(" ", "")
-    while i < len(s):
-        ch = s[i]
-        if ch.isdigit():
-            j = i
-            while j < len(s) and (s[j].isdigit() or s[j] == "/"):
-                j += 1
-            tokens.append(("num", as_fraction(s[i:j])))
-            i = j
-        elif s.startswith("xi", i):
-            tokens.append(("xi", None))
-            i += 2
-        elif ch in "+-*^()":
-            tokens.append((ch, None))
-            i += 1
-        else:
-            raise ValueError(f"bad character {ch!r} in f-expression {text!r}")
-    pos = 0
+    """The series in Q[[xi]] mod xi^order that ``text`` names, such as "1+xi" or "xi*(1-xi)^2".
 
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
+    Spaces are ignored, a number ``a/b`` is one token (``-3/2`` is
+    ``-(3/2)`` and ``3/2^2`` is ``(3/2)^2``) and ``^`` is read as ``**``;
+    Python's own expression parser then reads the text, so unary minus
+    binds looser than ``^`` (``-xi^2`` is ``-(xi^2)``). Only these nodes are
+    evaluated: decimal int literals, ``xi``, unary minus, ``+ - *``, ``**``
+    with an int-literal exponent (by square-and-multiply) and ``a/b``
+    between two int literals. Anything else, hex literals and text nested
+    too deeply for the parser included, raises ValueError.
+    """
+    bad = next((ch for ch in text if ch not in _F_CHARS), None)
+    if bad is not None:
+        raise ValueError(f"bad character {bad!r} in f-expression {text!r}")
+    source = re.sub(r"\d+/\d+", r"(\g<0>)", text.replace(" ", "")).replace("^", "**")
 
-    def take():
-        nonlocal pos
-        if pos == len(tokens):
-            raise ValueError(f"f-expression {text!r} ends early")
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def literal(node):
+        """The value of a decimal int literal (not 0x1), else None."""
+        if isinstance(node, ast.Constant) and source[node.col_offset:node.end_col_offset].isdigit():
+            return node.value
+        return None
 
-    def atom() -> TruncatedPowerSeries:
-        kind, value = take()
-        if kind == "num":
-            return rational_tps([value], order)
-        if kind == "xi":
+    def value(node) -> TruncatedPowerSeries:
+        if (k := literal(node)) is not None:
+            return rational_tps([k], order)
+        if isinstance(node, ast.Name) and node.id == "xi":
             return rational_tps([0, 1], order)
-        if kind == "(":
-            e = expr()
-            if peek() != ")":
-                raise ValueError("unbalanced parentheses in f-expression")
-            take()
-            return e
-        raise ValueError(f"unexpected token {kind!r} in f-expression")
-
-    def factor() -> TruncatedPowerSeries:
-        # unary minus binds looser than ^: -a^b is -(a^b)
-        if peek() == "-":
-            take()
-            return -factor()
-        base = atom()
-        while peek() == "^":
-            take()
-            kind, value = take()
-            if kind != "num" or value.denominator != 1:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        op = type(getattr(node, "op", None))
+        if op in _F_OPS:
+            return _F_OPS[op](value(node.left), value(node.right))
+        if op is ast.Div and None not in (a := literal(node.left), b := literal(node.right)):
+            return rational_tps([as_fraction(f"{a}/{b}")], order)
+        if op is ast.Pow:
+            k = literal(node.right)
+            if k is None:
                 raise ValueError("exponent must be a non-negative integer")
             # square-and-multiply: O(log k) products for base^k
-            k, out = int(value), rational_tps([1], order)
+            base, out = value(node.left), rational_tps([1], order)
             while k:
                 if k & 1:
                     out = out * base
                 k >>= 1
                 if k:
                     base = base * base
-            base = out
-        return base
-
-    def term() -> TruncatedPowerSeries:
-        out = factor()
-        while peek() == "*":
-            take()
-            out = out * factor()
-        return out
-
-    def expr() -> TruncatedPowerSeries:
-        out = term()
-        while peek() in ("+", "-"):
-            kind, _ = take()
-            rhs = term()
-            out = out + rhs if kind == "+" else out - rhs
-        return out
+            return out
+        raise ValueError(f"unsupported {type(node).__name__} in f-expression {text!r}")
 
     try:
-        result = expr()
-    except RecursionError:
+        return value(ast.parse(source, mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse f-expression {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # how the parser and ``value`` meet deep nesting
         raise ValueError("f-expression nested too deeply") from None
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in f-expression {text!r}")
-    return result
 
 
 def resolve_curve(name: str):
@@ -153,18 +126,6 @@ def resolve_curve(name: str):
     except OSError as exc:
         raise ValueError(f"unknown curve {name!r} (not a builtin or readable file): {exc}")
     return load_presentation(text, name=name)
-
-
-def emit(payload, args) -> None:
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 @contextmanager
@@ -191,127 +152,95 @@ def _table(rows: list, header: list) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each returning (report, exit code): a table's text or a JSON value
 # ---------------------------------------------------------------------------
 
 
-def cmd_cohomology(args) -> int:
-    pres = resolve_curve(args.curve)
-    ns = parse_range(str(args.n))
-    for n in ns:
-        default = coh.resolved_default_cutoff(pres, n)
+def cmd_cohomology(args):
+    for n in args.n:
+        default = coh.resolved_default_cutoff(args.curve, n)
         if args.cutoff is not None and args.cutoff < default and not args.uncertified_ok:
             raise CutoffTooSmall(
                 f"cutoff {args.cutoff} below the default {default} for n={n} "
                 f"(pass --uncertified-ok to force)"
             )
-    with _printable():
-        results = coh.compute_twists(pres, ns, D=args.cutoff)
-        if args.format == "json":
-            payload = results[0].to_json() if len(results) == 1 else [r.to_json() for r in results]
-            emit(payload, args)
-        else:
-            rows = []
-            for r in results:
-                gr = ", ".join(f"{m}:{g0 + g1}" for m, (g0, g1) in r.graded.items())
-                rows.append([r.n, r.h0_dim, r.h1_dim, gr or "-", r.certified, r.cutoff_used])
-            emit(_table(rows, ["n", "h0", "h1", "gr", "certified", "cutoff"]), args)
-        return 0
+    results = coh.compute_twists(args.curve, args.n, D=args.cutoff)
+    if args.format == "json":
+        return (results[0].to_json() if len(results) == 1 else [r.to_json() for r in results]), 0
+    rows = []
+    for r in results:
+        gr = ", ".join(f"{m}:{g0 + g1}" for m, (g0, g1) in r.graded.items())
+        rows.append([r.n, r.h0_dim, r.h1_dim, gr or "-", r.certified, r.cutoff_used])
+    return _table(rows, ["n", "h0", "h1", "gr", "certified", "cutoff"]), 0
 
 
-def cmd_section_ring(args) -> int:
-    pres = resolve_curve(args.curve)
-    with _printable():
-        sr = sect.build_section_ring(pres, args.max_degree)
-        hilbert = sect.hilbert_function(sr)
-        report = sect.degree_one_generation(sr)
-        if args.format == "json":
-            payload = {"hilbert": hilbert, **report.to_json()}
-            emit(payload, args)
-        else:
-            lines = [f"hilbert function: {hilbert}"]
-            rows = [
-                [n, report.surjective[n], report.kernel_dims[n]]
-                for n in sorted(report.surjective)
-            ]
-            lines.append(_table(rows, ["degree", "surjective", "relations"]))
-            for n, gens in sorted(report.kernel_generators.items()):
-                for gen in gens:
-                    terms = " + ".join(f"{c}*{m}" if c != "1" else m for m, c in gen.items())
-                    lines.append(f"degree-{n} relation: {terms}")
-            emit("\n".join(lines), args)
-        return 0
+def cmd_section_ring(args):
+    sr = sect.build_section_ring(args.curve, args.max_degree)
+    hilbert = sect.hilbert_function(sr)
+    report = sect.degree_one_generation(sr)
+    if args.format == "json":
+        return {"hilbert": hilbert, **report.to_json()}, 0
+    lines = [f"hilbert function: {hilbert}"]
+    rows = [[n, report.surjective[n], report.kernel_dims[n]] for n in sorted(report.surjective)]
+    lines.append(_table(rows, ["degree", "surjective", "relations"]))
+    for n, gens in sorted(report.kernel_generators.items()):
+        for gen in gens:
+            terms = " + ".join(f"{c}*{m}" if c != "1" else m for m, c in gen.items())
+            lines.append(f"degree-{n} relation: {terms}")
+    return "\n".join(lines), 0
 
 
 #: the parameter xi at any tracked order, as a series prints it
 _PARAMETER = re.compile(r"xi \+ O\(xi\^\d+\)")
 
 
-def cmd_pipeline(args) -> int:
-    f = parse_f_expression(args.f, args.M)
-    with _printable():
-        pres = TwoPeriodicPresentation(f=f)
-        trace = pipeline_trace(pres, args.M if args.prec is None else args.prec)
-        # series print one form per value, so this is rebase_round_trip(model) == xi + O(xi^order)
-        round_trip = _PARAMETER.fullmatch(trace["rebase_round_trip"]) is not None
-        checks_pass = trace["hfp_image_equals_fil0"] and trace["injective"] and round_trip
-        if args.format == "json":
-            emit(trace, args)
-        else:
-            lines = [
-                f"f = {args.f}  (A = k[[xi]] mod xi^{args.M})",
-                f"beta*v = {trace['beta_v']}",
-                f"jump index = {trace['jump_index']}, carrier = {trace['carrier']}",
-                f"reversion: {trace['reversion']}",
-                f"rebase round trip: {trace['rebase_round_trip']}{'' if round_trip else '  FAIL'}",
-                f"fixed-point image = Fil_0: {'PASS' if trace['hfp_image_equals_fil0'] else 'FAIL'}",
-                f"injectivity: {'PASS' if trace['injective'] else 'FAIL'}",
-            ]
-            emit("\n".join(lines), args)
-        return 0 if checks_pass else 1
+def cmd_pipeline(args):
+    pres = TwoPeriodicPresentation(f=args.f_series)
+    trace = pipeline_trace(pres, args.M if args.prec is None else args.prec)
+    # series print one form per value, so this is rebase_round_trip(model) == xi + O(xi^order)
+    round_trip = _PARAMETER.fullmatch(trace["rebase_round_trip"]) is not None
+    code = 0 if trace["hfp_image_equals_fil0"] and trace["injective"] and round_trip else 1
+    if args.format == "json":
+        return trace, code
+    lines = [
+        f"f = {args.f}  (A = k[[xi]] mod xi^{args.M})",
+        f"beta*v = {trace['beta_v']}",
+        f"jump index = {trace['jump_index']}, carrier = {trace['carrier']}",
+        f"reversion: {trace['reversion']}",
+        f"rebase round trip: {trace['rebase_round_trip']}{'' if round_trip else '  FAIL'}",
+        f"fixed-point image = Fil_0: {'PASS' if trace['hfp_image_equals_fil0'] else 'FAIL'}",
+        f"injectivity: {'PASS' if trace['injective'] else 'FAIL'}",
+    ]
+    return "\n".join(lines), code
 
 
-def cmd_dream(args) -> int:
-    x = parse_gaussian(args.x)
-    r = as_fraction(args.r)
-    ns = parse_range(str(args.n))
-    with _printable():
-        completion = local_completion(x, r, args.M)
-        model = tate_degree_zero(completion.base_presentation(), args.M)
-        curves = [
-            ("twistor", twistor_presentation(), coh.twistor_formal_embedding(model)),
-            ("p1", p1_presentation(), coh.p1_formal_embedding(model)),
-        ]
-        rows, all_ok = [], True
-        for label, pres, embed in curves:
-            pairs = zip(coh.curve_from_parts(pres, model, embed, ns), coh.compute_twists(pres, ns))
-            for n, (assembled, direct) in zip(ns, pairs, strict=True):
-                ok = direct.dims == assembled.dims and direct.graded == assembled.graded
-                all_ok = all_ok and ok
-                rows.append(
-                    [label, n, f"{direct.dims}", f"{assembled.dims}", "PASS" if ok else "FAIL"]
-                )
-        if args.format == "json":
-            payload = {
-                "x": str(x),
-                "r": str(r),
-                "M": args.M,
-                "kernel_generator": poly_str(completion.g),
-                "results": [
-                    {"curve": c, "n": n, "direct": d, "assembled": a, "ok": s == "PASS"}
-                    for c, n, d, a, s in rows
-                ],
-                "all_match": all_ok,
-            }
-            emit(payload, args)
-        else:
-            lines = [
-                f"completion at x = {x} (r = {r}, M = {args.M}); xi = {poly_str(completion.g)}",
-                _table(rows, ["curve", "n", "direct", "assembled", "status"]),
-                f"overall: {'PASS' if all_ok else 'FAIL'}",
-            ]
-            emit("\n".join(lines), args)
-        return 0 if all_ok else 1
+def cmd_dream(args):
+    x, r, ns = args.x, args.r, args.n
+    completion = local_completion(x, r, args.M)
+    model = tate_degree_zero(completion.base_presentation(), args.M)
+    curves = [
+        ("twistor", twistor_presentation(), coh.twistor_formal_embedding(model)),
+        ("p1", p1_presentation(), coh.p1_formal_embedding(model)),
+    ]
+    rows, all_ok = [], True
+    for label, pres, embed in curves:
+        pairs = zip(coh.curve_from_parts(pres, model, embed, ns), coh.compute_twists(pres, ns))
+        for n, (assembled, direct) in zip(ns, pairs, strict=True):
+            ok = direct.dims == assembled.dims and direct.graded == assembled.graded
+            all_ok = all_ok and ok
+            rows.append([label, n, f"{direct.dims}", f"{assembled.dims}", "PASS" if ok else "FAIL"])
+    code = 0 if all_ok else 1
+    if args.format == "json":
+        results = [{"curve": c, "n": n, "direct": d, "assembled": a, "ok": s == "PASS"}
+                   for c, n, d, a, s in rows]
+        return {"x": str(x), "r": str(r), "M": args.M, "kernel_generator": poly_str(completion.g),
+                "results": results, "all_match": all_ok}, code
+    lines = [
+        f"completion at x = {x} (r = {r}, M = {args.M}); xi = {poly_str(completion.g)}",
+        _table(rows, ["curve", "n", "direct", "assembled", "status"]),
+        f"overall: {'PASS' if all_ok else 'FAIL'}",
+    ]
+    return "\n".join(lines), code
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +321,14 @@ _OPTION_TYPES = {
 
 
 def _validate(args, parser) -> None:
+    """Check the merged options and parse each outside input once, in place.
+
+    ``args.n`` becomes the list of twists, ``args.x`` and ``args.r`` the
+    point and radius, ``args.curve`` the presentation, and ``args.f_series``
+    holds the series of ``--f``. A parser's ValueError becomes a usage error
+    (exit 2) here and nowhere else; a ComputationError of a curve's load
+    check reaches ``main``.
+    """
     for key, expected in _OPTION_TYPES.items():
         if not hasattr(args, key):
             continue
@@ -417,22 +354,24 @@ def _validate(args, parser) -> None:
         parser.error("--max-degree must be >= 2")
     if args.func in (cmd_pipeline, cmd_dream) and args.M < 2:
         parser.error("--M must be >= 2")
-    if args.func is cmd_dream:
-        try:
-            x = parse_gaussian(args.x)
-            r = as_fraction(args.r)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if not 0 < r < 1:
-            parser.error(f"r must satisfy 0 < r < 1, got {r}")
-        if x.norm_squared > r * r:
-            parser.error(f"|x| > r: {args.x} lies outside the disc of radius {args.r}")
-    for key in ("n",):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            try:
-                parse_range(str(getattr(args, key)))
-            except ValueError as exc:
-                parser.error(str(exc))
+    if args.func is cmd_pipeline and args.prec is not None and args.prec < 1:
+        parser.error("--prec must be >= 1")
+    try:
+        if args.func is cmd_dream:
+            x, r = parse_gaussian(args.x), as_fraction(args.r)
+            if not 0 < r < 1:
+                parser.error(f"r must satisfy 0 < r < 1, got {r}")
+            if x.norm_squared > r * r:
+                parser.error(f"|x| > r: {args.x} lies outside the disc of radius {args.r}")
+            args.x, args.r = x, r
+        if hasattr(args, "n"):
+            args.n = parse_range(str(args.n))
+        if args.func is cmd_pipeline:
+            args.f_series = parse_f_expression(args.f, args.M)
+        if hasattr(args, "curve"):
+            args.curve = resolve_curve(args.curve)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 _VALUE_FLAGS = {"--n", "--x", "--r", "--f", "--cutoff"}
@@ -459,19 +398,26 @@ def _merge_negative_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = parser.parse_args(_merge_negative_values(sys.argv[1:] if argv is None else list(argv)))
     _apply_config(args, parser)
-    _validate(args, parser)
     try:
-        return args.func(args)
+        _validate(args, parser)
+        with _printable():
+            report, code = args.func(args)
+            if args.format == "json":
+                report = json.dumps(report, sort_keys=True, indent=2)
     except ComputationError as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        parser.error(str(exc))
-        return 2
+    if not args.output:
+        print(report)
+        return code
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(report + "\n")
+    except OSError as exc:  # a usage error, reported without the usage text
+        parser.exit(2, f"{parser.prog}: error: cannot write --output: {exc}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -187,12 +187,12 @@ def poly_parse(text: str):
         if "T" in term:
             coeff_s, _, rest = term.partition("T")
             coeff_s = coeff_s.rstrip("*")
-            coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
+            coeff = as_fraction(coeff_s) if coeff_s else Fraction(1)
             k = int(rest[1:]) if rest.startswith("^") else (1 if not rest else None)
             if k is None or k < 0:
                 raise ValueError(f"bad polynomial term {term!r}")
         else:
-            coeff, k = Fraction(term), 0
+            coeff, k = as_fraction(term), 0
         coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coeff
     out = [Fraction(0)] * (max(coeffs) + 1)
     for k, c in coeffs.items():
@@ -522,19 +522,24 @@ class CertifiedSeries:
 
 
 def parse_element(text: str):
-    """Parse the element grammar: "poly / poly" or "tail ; heads ; bound C s"."""
+    """Parse the element grammar: "poly / poly" or "tail ; heads ; bound C s".
+
+    The tail lists "e:c" at exponents e < 0. Malformed text raises ValueError.
+    """
     if ";" in text:
         tail_s, head_s, bound_s = (part.strip() for part in text.split(";"))
         tail = {}
         if tail_s != "-":
             for item in tail_s.split(","):
                 e, c = item.split(":")
-                tail[int(e)] = Fraction(c)
-        heads = [Fraction(c) for c in head_s.split()]
+                if int(e) >= 0:
+                    raise ValueError(f"tail exponent {e} is not negative")
+                tail[int(e)] = as_fraction(c)
+        heads = [as_fraction(c) for c in head_s.split()]
         parts = bound_s.split()
-        if parts[0] != "bound":
+        if len(parts) != 3 or parts[0] != "bound":
             raise ValueError(f"expected 'bound C s', got {bound_s!r}")
-        C, s = Fraction(parts[1]), Fraction(parts[2])
+        C, s = as_fraction(parts[1]), as_fraction(parts[2])
         offset = -min(tail) if tail else 0
         coeffs = [Fraction(0)] * (offset + len(heads))
         for e, c in tail.items():
@@ -544,7 +549,10 @@ def parse_element(text: str):
         return CertifiedSeries(coeffs, offset, C=C, s=s)
     if " / " in text:
         num_s, den_s = text.split(" / ", 1)
-        return RationalFn(poly_parse(num_s), poly_parse(den_s))
+        den = poly_parse(den_s)
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return RationalFn(poly_parse(num_s), den)
     return RationalFn.from_poly(poly_parse(text))
 
 
@@ -713,7 +721,7 @@ def _inverse_envelope(g):
     return abs(A) / abs(r1) + abs(A) / abs(r2), min(abs(r1), abs(r2))
 
 
-#: coefficients on which ``divide_exact`` re-verifies the round trip q*g = f
+#: coefficients on which ``divide_exact`` re-verifies a CertifiedSeries round trip q*g = f
 VERIFY_WINDOW = 50
 
 
@@ -721,9 +729,11 @@ def divide_exact(f, g, r):
     """Quotient q with f = q * g, for g an integer polynomial kernel generator.
 
     Divisibility is decided exactly (polynomial remainder for RationalFn,
-    known-head long division for CertifiedSeries); the round trip q*g = f
-    is re-verified on ``VERIFY_WINDOW`` coefficients. Quotients may have
-    rational coefficients; they carry is_integral flags.
+    known-head long division for CertifiedSeries), and the round trip q*g = f
+    is re-verified: as an identity of RationalFns, whose gcd-reduced form
+    with den(0) = 1 is unique, and on ``VERIFY_WINDOW`` coefficients for a
+    CertifiedSeries. Quotients may have rational coefficients; they carry
+    is_integral flags.
     """
     g = ptrim([as_fraction(c) for c in g])
     if not g:
@@ -745,8 +755,8 @@ def divide_exact(f, g, r):
         if len(common) > 1:
             raise NotDivisible(f"{f} has a pole at a root of {poly_str(g)}")
         q = RationalFn(q_num, list(f.den))
-        if (q * RationalFn.from_poly(g)).series_prefix(VERIFY_WINDOW) != f.series_prefix(VERIFY_WINDOW):
-            raise NotDivisible("round trip q*g != f on the verification window")
+        if q * RationalFn.from_poly(g) != f:
+            raise NotDivisible("round trip q*g != f")
         return q
     # CertifiedSeries: strip any pure T-power factor of g (T is invertible
     # in the Laurent ring, so this just shifts the window), then long-divide

@@ -23,8 +23,8 @@ denominator into a big int at t = 2^B (``kronecker``), with B large enough
 that every coefficient of a product's difference D has |d| < 2^(B-1); D vanishing
 from the comparison cutoff c up is then |D| < 2^(B*(c-o)-1) for the
 frame's lowest exponent o (D == 0 with no cutoff). A product whose
-exponent span is large against its stored terms checks the same identity
-term by term (``scalars.integer_product``).
+exponent span is large against its stored terms is checked by window
+arithmetic instead (``LaurentWindow`` products and ``agrees_with``).
 
 User presentations load from a small text format, see ``load_presentation``.
 """
@@ -47,7 +47,6 @@ from .scalars import (
     common_denominator,
     gaussian_numerators,
     integer_parts,
-    integer_product,
     outside_q_i,
 )
 from .series import LaurentWindow, gaussian_window, linear_combination
@@ -245,12 +244,12 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     from the cache that ``AffinePresentation.integer_product`` reads too
     (``AffinePresentation.rule``), so a presentation's rules are fixed once
     it is built. A loaded presentation fills the cache at load; any other
-    asks its ``mul_fn`` for a rule met for the first time. ``mul_basis`` is
-    called only to report a failing product. The product holds when the
-    Gaussian-integer polynomial D = rho*N_i*N_j - Delta*sum (u_k + i*v_k)*N_k
-    vanishes at every exponent >= c, the cutoff ``LaurentWindow.agrees_with``
-    compares above (the larger of the product's and the right-hand side's
-    cutoffs); with no cutoff, everywhere.
+    asks its ``mul_fn`` for a rule met for the first time. The product
+    holds when the Gaussian-integer polynomial
+    D = rho*N_i*N_j - Delta*sum (u_k + i*v_k)*N_k vanishes at every
+    exponent >= c, the cutoff ``LaurentWindow.agrees_with`` compares above
+    (the larger of the product's and the right-hand side's cutoffs); with
+    no cutoff, everywhere.
 
     D is one identity on big ints: each N_k is packed at t = 2^B from its
     lowest exponent, the factors are multiplied once and the terms aligned
@@ -263,10 +262,12 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     D == 0 if there is no cutoff or c <= o. A packed frame grows with the
     exponent span, not with the stored terms: a product whose span is at
     least ``_PACKED_SPAN`` times its windows' stored terms (a sparse window,
-    or windows far apart) checks the same identity on the same numerators
-    by ``scalars.integer_product``. Windows are built only to report a
-    failing product. Window products commute, so b_j * b_i is checked only
-    when its rule is another tuple than b_i * b_j's.
+    or windows far apart) is checked by window arithmetic instead, as
+    ``(window(b_i) * window(b_j)).agrees_with`` the rule's combination of
+    windows (``mul_basis``), above the same cutoff. That product and
+    combination are otherwise built only to report a failing product.
+    Window products commute, so b_j * b_i is checked only when its rule is
+    another tuple than b_i * b_j's.
     """
     basis = pres.basis_up_to(max_degree)
     degrees = [pres.degree_of(i) for i in basis]
@@ -305,12 +306,6 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
         p = packed[k] = tuple(scale[k] * pack(part, bits, frame[k][0]) for part in windows[k].terms)
         return p
 
-    def numerators(k, factor=1):
-        """factor * N_k as term lists (re, im)."""
-        m = factor * scale[k]
-        return windows[k].terms if m == 1 else tuple([(e, m * x) for e, x in part]
-                                                      for part in windows[k].terms)
-
     for i, j, rho, constants in products:
         cut = None
         if clipped:  # the larger of the product's and the right-hand side's cutoffs
@@ -327,7 +322,8 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
                 lo, top, count = min(lo, f[0]), max(top, f[1]), count + f[2]
         if not count:
             continue
-        if top - lo < _PACKED_SPAN * count:
+        packs = top - lo < _PACKED_SPAN * count
+        if packs:
             re = im = 0
             for k, (u, v) in constants.items():
                 f = frame.get(k)
@@ -347,16 +343,11 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
                 re += rho * (ar * br - ai * bi) << shift
                 im += rho * (ar * bi + ai * br) << shift
             limit = 0 if cut is None or cut <= lo else bits * (cut - lo) - 1
-            holds = re.bit_length() <= limit and im.bit_length() <= limit
-        else:
-            out = integer_product(numerators(i, rho), numerators(j), cut) if lhs else ({}, {})
-            for k, (u, v) in constants.items():
-                if k in frame:
-                    integer_product(([(0, -delta * u)] if u else [], [(0, -delta * v)] if v else []),
-                                    numerators(k), cut, out=out)
-            holds = not any(out[0].values()) and not any(out[1].values())
-        if not holds:
-            product, image = windows[i] * windows[j], combine(windows.__getitem__, pres.mul_basis(i, j))
+            if re.bit_length() <= limit and im.bit_length() <= limit:
+                continue
+        # a packed product that gets here failed; any other is checked on the windows the report shows
+        product, image = windows[i] * windows[j], combine(windows.__getitem__, pres.mul_basis(i, j))
+        if packs or not product.agrees_with(image):
             raise EmbeddingNotRingMap(
                 f"{pres.name}: embed({pres.label(i)})*embed({pres.label(j)}) "
                 f"!= embed of the product: {product} vs {image}"
@@ -364,7 +355,7 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
 
 
 #: ``check_ring_map`` packs a product whose exponent span is below this many
-#: times the stored terms of its windows, and checks any other term by term
+#: times the stored terms of its windows, and checks any other by window arithmetic
 _PACKED_SPAN = 4
 
 

@@ -34,8 +34,23 @@ def test_parse_f_expression():
     assert parse_f_expression("-(1+xi)^2", 8) == rational_tps([-1, -2, -1], 8)
     assert parse_f_expression("-2^2", 8) == rational_tps([-4], 8)
     assert parse_f_expression("xi*-xi^2", 8) == rational_tps([0, 0, 0, -1], 8)
+    # a/b is one number, bound tighter than unary minus and ^; spaces are ignored
+    assert parse_f_expression("-3/2 + x i", 8) == rational_tps([Fraction(-3, 2), 1], 8)
+    assert parse_f_expression("3/2^2", 8) == rational_tps([Fraction(9, 4)], 8)
+    assert parse_f_expression("1 2*xi**2", 8) == rational_tps([0, 0, 12], 8)
+
+
+@pytest.mark.parametrize("text", [
+    "xi + %",
+    "0x171",  # a hex literal: only decimal digits
+    "01",  # a leading zero, which Python's parser refuses
+    "2^2^3",  # a chained power: once (2^2)^3, while Python reads 2^(2^3)
+    "xi^4/2",  # an exponent written as a/b: once xi^2, while Python reads (xi^4)/2
+    "xi/2", "1/2/3", "+1", "2^-1", "xi^xi", "()",
+])
+def test_parse_f_expression_refuses(text):
     with pytest.raises(ValueError):
-        parse_f_expression("xi + %", 8)
+        parse_f_expression(text, 8)
 
 
 def test_parse_f_expression_powers_by_squaring(monkeypatch):
@@ -177,6 +192,7 @@ _BAD_FILES = {
         ["pipeline", "--config", "@huge-M", "--f", "1"],
         ["dream", "--x", "1" * 5000, *_DREAM],
         ["pipeline", "--f", "1" * 5000 + "+xi", "--M", "4"],
+        ["cohomology", "--curve", "p1", "--n", "0", "--output", "/nonexistent-dir/out.txt"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -187,6 +203,52 @@ def test_malformed_input_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as info:
         main([str(path) if a in _BAD_FILES else a for a in argv])
     assert info.value.code == 2
+
+
+def test_unwritable_output_exits_2_with_one_line(capsys, tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["cohomology", "--curve", "p1", "--n", "0", "--output", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err  # no usage text and no traceback, after the report was built
+    assert err.startswith("curvecoh: error: cannot write --output: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
+def test_a_value_error_of_a_computation_propagates(monkeypatch):
+    from curvecoh import cohomology
+
+    def failing(*args, **kwargs):
+        raise ValueError("a fault inside the computation")
+
+    monkeypatch.setattr(cohomology, "compute_twists", failing)
+    with pytest.raises(ValueError, match="a fault inside the computation"):
+        main(["cohomology", "--curve", "p1", "--n", "0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dream", "--x", "1/3", "--r", "1/2", "--M", "4", "--n", "0..1"],
+    ["pipeline", "--f", "1+xi", "--M", "4"],
+    ["cohomology", "--curve", "FILE", "--n", "0..1"],
+    ["section-ring", "--curve", "FILE", "--max-degree", "4"],
+])
+def test_each_input_is_parsed_once(capsys, monkeypatch, tmp_path, p1_file, argv):
+    from collections import Counter
+
+    from curvecoh import cli
+
+    calls = Counter()
+    for parser in ("parse_range", "parse_gaussian", "as_fraction", "parse_f_expression", "load_presentation"):
+        def counted(*args, _parse=getattr(cli, parser), _parser=parser, **kwargs):
+            calls[_parser] += 1
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, parser, counted)
+    curve = tmp_path / "p1.pres"
+    curve.write_text(p1_file(6, lambda k: k))
+    assert main([str(curve) if a == "FILE" else a for a in argv]) == 0
+    expected = {"dream": ["parse_gaussian", "as_fraction", "parse_range"], "pipeline": ["parse_f_expression"],
+                "cohomology": ["parse_range", "load_presentation"], "section-ring": ["load_presentation"]}
+    assert calls == Counter(expected[argv[0]])
 
 
 @pytest.mark.parametrize("command", [["cohomology", "--n", "1"], ["section-ring", "--max-degree", "8"]])

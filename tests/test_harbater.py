@@ -134,6 +134,22 @@ def test_divide_exact_not_divisible():
     assert "3/2" in str(info.value)  # the nonzero value at the root
 
 
+def test_divide_exact_refuses_a_quotient_off_by_one_term(monkeypatch):
+    # the mutant quotient gains a term T^60, so q*g differs from f only above T^50,
+    # where no comparison of 50-coefficient prefixes looks
+    from curvecoh import harbater
+
+    divmod_ = harbater.pdivmod
+
+    def off_by_one_term(a, b):
+        q, rem = divmod_(a, b)
+        return (q + [Fraction(0)] * (60 - len(q)) + [Fraction(1)] if b == [-1, 3] else q), rem
+
+    monkeypatch.setattr(harbater, "pdivmod", off_by_one_term)
+    with pytest.raises(NotDivisible, match="round trip"):
+        divide_exact(RationalFn.from_poly([-1, 0, 9]), [-1, 3], R)
+
+
 def test_divide_exact_quadratic_generator():
     g = kernel_generator(parse_gaussian("i/2"))
     f = RationalFn.from_poly([1, 0, 5, 0, 4])  # (4T^2+1)(T^2+1)
@@ -339,6 +355,17 @@ def test_negative_exponents_are_rejected(parse, text):
     # T^-1 once landed at the last list index: lost, written over the constant, or IndexError
     with pytest.raises(ValueError, match=r"^bad polynomial term 'T\^-1'$"):
         parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0*T", "1 / 0", "- ; 1 ; bound 1/0 1",  # a zero denominator
+    "- ; 1 2 ; ", "- ; 1 ; bound", "- ; 1 ; bound 1",  # a bound without two values
+    "1:2 ; 1 ; bound 1 1", "0:2 ; 1 2 ; bound 1 1",  # a tail exponent >= 0
+])
+def test_parse_element_refuses_malformed_text(text):
+    # each once raised ZeroDivisionError or IndexError, or read the tail into the head
+    with pytest.raises(ValueError):
+        parse_element(text)
 
 
 def test_str_lists_the_stored_coefficients():

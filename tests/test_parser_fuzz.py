@@ -1,11 +1,15 @@
-"""Fuzzing of the three parsers of outside input: Gaussian literals, f-expressions, presentation files.
+"""Fuzzing of the four parsers of outside input: Gaussian literals, f-expressions, presentation files, elements.
 
 Every input gives a value or a named error (``ValueError`` or a
 ``ComputationError``), and through ``curvecoh.cli.main`` a parse failure
-exits 2 without a traceback. Exponents in f-expressions are kept to one
-digit and two carets, so that no example builds an integer of millions of
-digits. Presentation monomials include t^-1000000000 and t^999999999, whose
-windows span too many exponents for the ring-map check to pack.
+exits 2 without a traceback. Exponents in f-expressions (``^`` or ``**``)
+are kept to one digit and two carets, so that no example builds an integer
+of millions of digits; sympy checks the value of every f-expression that
+parses.
+Presentation monomials include t^-1000000000 and t^999999999, whose windows
+span too many exponents for the ring-map check to pack. Elements keep every
+digit run to two digits: ``poly_parse`` allocates one slot per exponent up
+to the largest, and a tail e:c one per exponent from e up.
 """
 
 import contextlib
@@ -22,6 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from curvecoh.cli import main, parse_f_expression  # noqa: E402
 from curvecoh.errors import ComputationError  # noqa: E402
+from curvecoh.harbater import CertifiedSeries, RationalFn, parse_element  # noqa: E402
 from curvecoh.presentation import AffinePresentation, load_presentation  # noqa: E402
 from curvecoh.scalars import GaussianRational, TruncatedPowerSeries, parse_gaussian  # noqa: E402
 
@@ -72,7 +77,7 @@ def test_parse_gaussian_gives_value_or_value_error(text):
 
 
 def _bounded_exponents(text):
-    s = text.replace(" ", "")
+    s = text.replace(" ", "").replace("**", "^")  # the parser reads ** as ^
     return s.count("^") <= 2 and not re.search(r"\^[\d/]*\d[\d/]*\d", s)
 
 
@@ -84,6 +89,31 @@ f_texts = st.text(alphabet="0123456789/xi+-*^() ", max_size=20).filter(_bounded_
 def test_parse_f_expression_gives_value_or_value_error(text):
     value = _outcome(lambda s: parse_f_expression(s, 4), text)
     assert isinstance(value, (TruncatedPowerSeries, ValueError))
+
+
+_f_atoms = st.sampled_from(["xi", "0", "1", "2", "7", "12", "00", "3/2", "1/7", "x i", "1 2"])
+f_expressions = st.recursive(_f_atoms, lambda e: st.one_of(
+    st.builds("-{}".format, e),
+    st.builds("({})".format, e),
+    st.builds("{}^{}".format, e, st.sampled_from(["0", "1", "2", "3", "(2)"])),
+    st.builds("{}{}{}".format, e, st.sampled_from(["+", "-", "*", " - ", "**", "/"]), e),
+), max_leaves=8)
+
+
+@FUZZ
+@given(f_texts | f_expressions, st.integers(1, 6))
+def test_parse_f_expression_agrees_with_sympy(text, order):
+    sympy = pytest.importorskip("sympy")
+    value = _outcome(lambda s: parse_f_expression(s, order), text)
+    if isinstance(value, ValueError):
+        return
+    xi = sympy.Symbol("xi")
+    # the grammar's two rules that Python's lacks: spaces are ignored and a/b is one number
+    source = re.sub(r"\d+/\d+", r"(\g<0>)", text.replace(" ", "")).replace("^", "**")
+    expected = sympy.expand(sympy.parse_expr(source, local_dict={"xi": xi}))
+    assert value.order == order
+    assert [sympy.Rational(c.numerator, c.denominator) for c in value.coeffs] == [
+        expected.coeff(xi, k) for k in range(order)]
 
 
 # the line t -> t over Q(i) to degree 2; examples keep, replace, drop or add lines
@@ -154,6 +184,32 @@ presentation_texts = st.lists(_edits, min_size=len(_BASE), max_size=len(_BASE)).
 def test_load_presentation_gives_value_or_named_error(text):
     value = _outcome(load_presentation, text)
     assert isinstance(value, (AffinePresentation, ValueError, ComputationError))
+
+
+def _short_digit_runs(text):
+    return not re.search(r"\d{3}", text.replace(" ", ""))
+
+
+_polys = st.lists(st.sampled_from(["1", "-2", "3/4", "1/0", "T", "T^2", "3T", "2*T^3", "T^-1", "x", "", "0", "1.5"]),
+                  min_size=1, max_size=3).map(" + ".join)
+element_texts = st.one_of(
+    st.text(alphabet="0123456789/+-*^T:;,. bound", max_size=16),
+    st.builds("{} / {}".format, _polys, _polys),
+    st.builds(
+        "{} ; {} ; {}".format,
+        st.sampled_from(["-", "-1:2", "-2:1,-1:1/2", "1:2", "0:1", "-1:1/0", "x:1", "-1:", "-1:2:3", ""]),
+        st.sampled_from(["", "1", "1 2 3", "1/0", "x", "1/2 0", "-3/4"]),
+        st.sampled_from(["bound 1 1", "bound 2 3/4", "bound", "bound 1", "bound 1/0 1", "bound 1 0",
+                         "bound 1 -1", "", "bnd 1 1", "bound 1 1 2", "bound 1 1/0", "bound x 1"]),
+    ),
+).filter(_short_digit_runs)
+
+
+@FUZZ
+@given(element_texts)
+def test_parse_element_gives_value_or_value_error(text):
+    value = _outcome(parse_element, text)
+    assert isinstance(value, (RationalFn, CertifiedSeries, ValueError))
 
 
 @FUZZ

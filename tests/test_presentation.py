@@ -779,14 +779,15 @@ def test_sparse_tail_checks_term_by_term(tmp_path, capsys, monkeypatch):
     from curvecoh import presentation
     from curvecoh.cli import main
 
+    # a product check_ring_map does not pack is compared on its windows, by agrees_with
     term_by_term = []
-    product = presentation.integer_product
+    agrees_with = presentation.LaurentWindow.agrees_with
 
-    def recording(*args, **kwargs):
-        term_by_term.append(args[0])
-        return product(*args, **kwargs)
+    def recording(self, other):
+        term_by_term.append(self)
+        return agrees_with(self, other)
 
-    monkeypatch.setattr(presentation, "integer_product", recording)
+    monkeypatch.setattr(presentation.LaurentWindow, "agrees_with", recording)
     # the load checks through degree 6: a packed frame would span 6*(G + 1) exponents
     for G in (10**3, 10**9):  # the smaller tail first, whose packed frames would still fit
         term_by_term.clear()
@@ -905,7 +906,6 @@ def test_ring_map_check_packs_each_window_once(tw, monkeypatch):
     monkeypatch.setattr(series.LaurentWindow, "from_integers", refused)
     monkeypatch.setattr(series, "linear_combination", refused)
     monkeypatch.setattr(presentation, "linear_combination", refused)
-    monkeypatch.setattr(presentation, "integer_product", refused)
     for pres, top in curves:
         reads = Counter()
 
