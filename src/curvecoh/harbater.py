@@ -172,8 +172,15 @@ def poly_str(p) -> str:
     return out
 
 
+#: the largest |exponent| ``poly_parse`` and ``parse_element`` read: their lists hold one slot per exponent
+MAX_EXPONENT = 1 << 16
+
+
 def poly_parse(text: str):
-    """Parse "9*T^2 - 1", "3T-1", "T^3 - 7" into an ascending Q-coefficient list."""
+    """Parse "9*T^2 - 1", "3T-1", "T^3 - 7" into an ascending Q-coefficient list.
+
+    An exponent above ``MAX_EXPONENT`` raises ValueError before the list is built.
+    """
     s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise ValueError("empty polynomial")
@@ -191,6 +198,8 @@ def poly_parse(text: str):
             k = int(rest[1:]) if rest.startswith("^") else (1 if not rest else None)
             if k is None or k < 0:
                 raise ValueError(f"bad polynomial term {term!r}")
+            if k > MAX_EXPONENT:
+                raise ValueError(f"exponent {k} in {term!r} exceeds {MAX_EXPONENT}")
         else:
             coeff, k = as_fraction(term), 0
         coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coeff
@@ -522,9 +531,12 @@ class CertifiedSeries:
 
 
 def parse_element(text: str):
-    """Parse the element grammar: "poly / poly" or "tail ; heads ; bound C s".
+    """Parse the element grammar: "poly / poly" or "tail ; heads ; bound C s [deg k]".
 
-    The tail lists "e:c" at exponents e < 0. Malformed text raises ValueError.
+    The tail lists "e:c" at exponents e < 0, and "deg k" is the envelope's
+    polynomial degree (``CertifiedSeries.poly_deg``, 0 when left out), so
+    that ``str`` of a series reads back. An exponent or a k above
+    ``MAX_EXPONENT`` is refused. Malformed text raises ValueError.
     """
     if ";" in text:
         tail_s, head_s, bound_s = (part.strip() for part in text.split(";"))
@@ -534,19 +546,25 @@ def parse_element(text: str):
                 e, c = item.split(":")
                 if int(e) >= 0:
                     raise ValueError(f"tail exponent {e} is not negative")
+                if int(e) < -MAX_EXPONENT:
+                    raise ValueError(f"tail exponent {e} is below -{MAX_EXPONENT}")
                 tail[int(e)] = as_fraction(c)
         heads = [as_fraction(c) for c in head_s.split()]
         parts = bound_s.split()
-        if len(parts) != 3 or parts[0] != "bound":
-            raise ValueError(f"expected 'bound C s', got {bound_s!r}")
+        if (len(parts) not in (3, 5) or parts[0] != "bound"
+                or len(parts) == 5 and (parts[3] != "deg" or not parts[4].isdecimal())):
+            raise ValueError(f"expected 'bound C s' or 'bound C s deg k', got {bound_s!r}")
         C, s = as_fraction(parts[1]), as_fraction(parts[2])
+        poly_deg = int(parts[4]) if len(parts) == 5 else 0
+        if poly_deg > MAX_EXPONENT:
+            raise ValueError(f"envelope degree {poly_deg} exceeds {MAX_EXPONENT}")
         offset = -min(tail) if tail else 0
         coeffs = [Fraction(0)] * (offset + len(heads))
         for e, c in tail.items():
             coeffs[e + offset] = c
         for j, c in enumerate(heads):
             coeffs[offset + j] = c
-        return CertifiedSeries(coeffs, offset, C=C, s=s)
+        return CertifiedSeries(coeffs, offset, C=C, s=s, poly_deg=poly_deg)
     if " / " in text:
         num_s, den_s = text.split(" / ", 1)
         den = poly_parse(den_s)

@@ -267,7 +267,8 @@ def check_ring_map(pres: AffinePresentation, window, max_degree: int, above: int
     windows (``mul_basis``), above the same cutoff. That product and
     combination are otherwise built only to report a failing product.
     Window products commute, so b_j * b_i is checked only when its rule is
-    another tuple than b_i * b_j's.
+    another tuple than b_i * b_j's: it is the same tuple when a file lists
+    only one order, or both with equal text.
     """
     basis = pres.basis_up_to(max_degree)
     degrees = [pres.degree_of(i) for i in basis]
@@ -544,6 +545,8 @@ _FORMS = {
     "embed": (_re.compile(r"([^\s=]+)\s*=(.*)"), "embed <symbol> = <coeff>*t^<exponent> + ..."),
 }
 _EXPONENT = _re.compile(r"t\^\s*([+-]?\d+)")
+#: an embed term "<int>[/<int>][i]*t^<int>", read without ``_parse_term`` and ``gaussian_numerators``
+_PLAIN_TERM = _re.compile(r"([+-]?\d+)(?:/(\d+))?(i?)\*t\^([+-]?\d+)")
 
 
 def _parse_term(term: str, read):
@@ -593,9 +596,12 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     its rules are read), with a symbol not embedded, or with a product of
     degree at most the top one that has no rule in either order.
 
-    Each structure constant is parsed once per distinct text, and each rule
-    kept once in integer form (``AffinePresentation.rule``), b * a sharing
-    a * b's tuple when only a * b is listed. Both checks run up to
+    Each right-hand side is parsed once per distinct text, and its rule kept
+    once in integer form (``AffinePresentation.rule``): products whose rules
+    have the same text share one tuple, and b * a shares a * b's when only
+    a * b is listed. An embed term "<int>[/<int>][i]*t^<int>" is read by one
+    match; any other term goes through ``_parse_term`` and
+    ``gaussian_numerators``, which word every refusal. Both checks run up to
     ``LOAD_VERIFY_DEGREE`` (capped at the top degree) here; a computation
     that reads higher degrees extends them, leading_exact first
     (``certified_through``).
@@ -605,6 +611,7 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     rules: dict[tuple[int, int], tuple] = {}  # (a, b) by index -> (den, {index: (re, im)})
     embeds: dict[str, LaurentWindow] = {}
     later = []  # (line number, directive, match) of each mul and embed line
+    parsed: dict[str, tuple] = {}  # mul right-hand-side text -> its rule, shared by every product with that text
 
     @cache
     def constant(coeff):  # (den, (re, im)) in lowest terms, as integer_element clears it
@@ -659,18 +666,20 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
                     raise ValueError(f"mul names undeclared symbol {unknown[0]!r}")
                 if (index[a], index[b]) in rules:
                     raise ValueError(f"second rule for {a} * {b}")
-                dens, terms = {}, {}  # index -> den and (re, im) of its constant
-                for term in rhs.strip().split(" + "):
-                    coeff, sym, k = _parse_term(term, index.get)
-                    if k is None:
-                        raise ValueError(f"mul result references unknown symbol {sym!r}")
-                    if k in terms:
-                        raise ValueError(f"symbol {sym!r} repeated in the rule for {a} * {b}")
-                    dens[k], terms[k] = constant(coeff)
-                den = lcm(*dens.values())
-                if den != 1:
-                    terms = {k: (x * (den // dens[k]), y * (den // dens[k])) for k, (x, y) in terms.items()}
-                rules[index[a], index[b]] = den, terms
+                if (rule := parsed.get(rhs)) is None:  # the first line with this text
+                    dens, terms = {}, {}  # index -> den and (re, im) of its constant
+                    for term in rhs.strip().split(" + "):
+                        coeff, sym, k = _parse_term(term, index.get)
+                        if k is None:
+                            raise ValueError(f"mul result references unknown symbol {sym!r}")
+                        if k in terms:
+                            raise ValueError(f"symbol {sym!r} repeated in the rule for {a} * {b}")
+                        dens[k], terms[k] = constant(coeff)
+                    den = lcm(*dens.values())
+                    if den != 1:
+                        terms = {k: (x * (den // dens[k]), y * (den // dens[k])) for k, (x, y) in terms.items()}
+                    rule = parsed[rhs] = den, terms
+                rules[index[a], index[b]] = rule
             else:  # embed
                 sym, rhs = m.groups()
                 if sym not in index:
@@ -679,12 +688,18 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
                     raise ValueError(f"second embedding of {sym!r}")
                 terms = {}  # exponent -> (den, re, im) numerators
                 for term in rhs.strip().split(" + "):
-                    coeff, mono, e = _parse_term(term, _embed_exponent)
-                    if e is None:
-                        raise ValueError(f"bad embed monomial {mono!r}, expected 't^<exponent>', 't' or '1'")
+                    plain = _PLAIN_TERM.fullmatch(term)
+                    if plain and (den := int(plain[2] or 1)):  # (den, re, im) as gaussian_numerators reads it
+                        e, num = int(plain[4]), int(plain[1])
+                        value = (den, 0, num) if plain[3] else (den, num, 0)
+                    else:  # every other term, and every term that is refused
+                        coeff, mono, e = _parse_term(term, _embed_exponent)
+                        if e is None:
+                            raise ValueError(f"bad embed monomial {mono!r}, expected 't^<exponent>', 't' or '1'")
+                        value = None
                     if e in terms:
                         raise ValueError(f"exponent {e} repeated in the embedding of {sym!r}")
-                    terms[e] = gaussian_numerators(coeff)
+                    terms[e] = value or gaussian_numerators(coeff)
                 embeds[sym] = LaurentWindow.from_integers(*common_denominator(terms))
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None

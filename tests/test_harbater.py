@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from curvecoh.errors import (
     RadiusNotCertified,
 )
 from curvecoh.harbater import (
+    MAX_EXPONENT,
     CertifiedSeries,
     Interval,
     RationalFn,
@@ -366,6 +368,44 @@ def test_parse_element_refuses_malformed_text(text):
     # each once raised ZeroDivisionError or IndexError, or read the tail into the head
     with pytest.raises(ValueError):
         parse_element(text)
+
+
+def test_parse_element_reads_the_envelope_degree_str_writes():
+    # a quotient's envelope has degree 1, and str writes "deg 1"; it was refused, and once dropped
+    q = divide_exact(CertifiedSeries([-1] + [2] * 9, 0, C=2, s=1), [-1, 3], Fraction(1, 2))
+    assert q.poly_deg == 1 and str(q).endswith(" deg 1")
+    back = parse_element(str(q))
+    assert (back.poly_deg, back.coeffs, back.offset, back.C, back.s) == (q.poly_deg, q.coeffs, q.offset, q.C, q.s)
+    assert parse_element("- ; 1 ; bound 1 1 deg 0").poly_deg == 0
+
+
+@pytest.mark.parametrize("bound", ["bound 1 1 deg", "bound 1 1 deg -1", "bound 1 1 deg x", "bound 1 1 dg 1",
+                                   "bound 1 1 deg 1 2", f"bound 1 1 deg {MAX_EXPONENT + 1}"])
+def test_parse_element_refuses_a_malformed_degree(bound):
+    with pytest.raises(ValueError):
+        parse_element(f"- ; 1 ; {bound}")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (poly_parse, "T^99999999"),
+    (parse_element, "-99999999:1 ; 1 ; bound 1 1"),
+    (parse_element, "1 / 1 + T^99999999"),
+])
+def test_huge_exponents_are_refused_before_any_list_is_built(parse, text):
+    # one list slot per exponent: about 1.5 GB for either text before the bound
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_exponents_up_to_the_bound_are_read():
+    assert len(poly_parse(f"T^{MAX_EXPONENT}")) == MAX_EXPONENT + 1
+    assert parse_element(f"-{MAX_EXPONENT}:1 ; 1 ; bound 1 1").offset == MAX_EXPONENT
 
 
 def test_str_lists_the_stored_coefficients():

@@ -8,14 +8,17 @@ of millions of digits; sympy checks the value of every f-expression that
 parses.
 Presentation monomials include t^-1000000000 and t^999999999, whose windows
 span too many exponents for the ring-map check to pack. Elements keep every
-digit run to two digits: ``poly_parse`` allocates one slot per exponent up
-to the largest, and a tail e:c one per exponent from e up.
+digit run to three digits: ``parse_element`` refuses an exponent above
+``MAX_EXPONENT`` before it builds a list, but a ``RationalFn`` reduces by a
+dense polynomial gcd, which takes seconds at degrees in the thousands.
 """
 
 import contextlib
 import io
 import re
 import tempfile
+from functools import partial
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,14 @@ from curvecoh.cli import main, parse_f_expression  # noqa: E402
 from curvecoh.errors import ComputationError  # noqa: E402
 from curvecoh.harbater import CertifiedSeries, RationalFn, parse_element  # noqa: E402
 from curvecoh.presentation import AffinePresentation, load_presentation  # noqa: E402
-from curvecoh.scalars import GaussianRational, TruncatedPowerSeries, parse_gaussian  # noqa: E402
+from curvecoh.scalars import (  # noqa: E402
+    GaussianRational,
+    TruncatedPowerSeries,
+    common_denominator,
+    gaussian_numerators,
+    parse_gaussian,
+)
+from curvecoh.series import LaurentWindow  # noqa: E402
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -187,20 +197,24 @@ def test_load_presentation_gives_value_or_named_error(text):
 
 
 def _short_digit_runs(text):
-    return not re.search(r"\d{3}", text.replace(" ", ""))
+    return not re.search(r"\d{4}", text.replace(" ", ""))
 
 
-_polys = st.lists(st.sampled_from(["1", "-2", "3/4", "1/0", "T", "T^2", "3T", "2*T^3", "T^-1", "x", "", "0", "1.5"]),
+_polys = st.lists(st.sampled_from(["1", "-2", "3/4", "1/0", "T", "T^2", "3T", "2*T^3", "T^-1", "x", "", "0", "1.5",
+                                   "T^999", "-201/100*T^100"]),
                   min_size=1, max_size=3).map(" + ".join)
 element_texts = st.one_of(
     st.text(alphabet="0123456789/+-*^T:;,. bound", max_size=16),
     st.builds("{} / {}".format, _polys, _polys),
     st.builds(
         "{} ; {} ; {}".format,
-        st.sampled_from(["-", "-1:2", "-2:1,-1:1/2", "1:2", "0:1", "-1:1/0", "x:1", "-1:", "-1:2:3", ""]),
+        st.sampled_from(["-", "-1:2", "-2:1,-1:1/2", "1:2", "0:1", "-1:1/0", "x:1", "-1:", "-1:2:3", "",
+                         "-999:1,-1:2"]),
         st.sampled_from(["", "1", "1 2 3", "1/0", "x", "1/2 0", "-3/4"]),
         st.sampled_from(["bound 1 1", "bound 2 3/4", "bound", "bound 1", "bound 1/0 1", "bound 1 0",
-                         "bound 1 -1", "", "bnd 1 1", "bound 1 1 2", "bound 1 1/0", "bound x 1"]),
+                         "bound 1 -1", "", "bnd 1 1", "bound 1 1 2", "bound 1 1/0", "bound x 1",
+                         "bound 2 3/4 deg 2", "bound 1 1 deg", "bound 1 1 deg -1", "bound 1 1 deg x",
+                         "bound 1 1 deg 1 2", "bound 1 1 dg 1"]),
     ),
 ).filter(_short_digit_runs)
 
@@ -259,3 +273,141 @@ def test_a_dropped_rule_is_covered_by_its_mirror_or_refused_at_load(case):
                 assert got[:2] == (2, "") and str(value) in got[2]
             else:  # the mirror rule gives the same answer
                 assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the loader against a term-by-term reference
+# ---------------------------------------------------------------------------
+#
+# The reference reads each term as the loader did before it read plain embed
+# terms in one match and each distinct right-hand side once: the term is cut
+# at its first '*' that a target follows, and the coefficient goes through
+# ``gaussian_numerators``.
+
+_REF_EXPONENT = re.compile(r"t\^\s*([+-]?\d+)")
+
+
+def _reference_cut(term, read):
+    """(coefficient, target, read(target)) of one term, cut as the loader cuts it."""
+    first = k = term.find("*")
+    if k < 0:
+        target = term.strip()
+        return "1", target, read(target)
+    while k >= 0:
+        target = term[k + 1:].strip()
+        value = read(target)
+        if value is not None:
+            return term[:k].strip(), target, value
+        k = term.find("*", k + 1)
+    return term[:first].strip(), term[first + 1:].strip(), None
+
+
+def _reference_exponent(mono):
+    if m := _REF_EXPONENT.fullmatch(mono):
+        return int(m[1])
+    return 1 if mono == "t" else 0 if mono == "1" else None
+
+
+def _reference_embedding(sym, rhs):
+    terms = {}
+    for term in rhs.strip().split(" + "):
+        coeff, mono, e = _reference_cut(term, _reference_exponent)
+        if e is None:
+            raise ValueError(f"bad embed monomial {mono!r}, expected 't^<exponent>', 't' or '1'")
+        if e in terms:
+            raise ValueError(f"exponent {e} repeated in the embedding of {sym!r}")
+        terms[e] = gaussian_numerators(coeff)
+    return LaurentWindow.from_integers(*common_denominator(terms))
+
+
+def _reference_rule(a, b, rhs, index, split):
+    dens, terms = {}, {}
+    for term in rhs.strip().split(" + "):
+        coeff, sym, k = _reference_cut(term, index.get)
+        if k is None:
+            raise ValueError(f"mul result references unknown symbol {sym!r}")
+        if k in terms:
+            raise ValueError(f"symbol {sym!r} repeated in the rule for {a} * {b}")
+        den, re_, im = gaussian_numerators(coeff)
+        if im and split:
+            raise ValueError(f"structure constant {coeff!r} is not rational")
+        g = gcd(den, re_, im)
+        dens[k], terms[k] = den // g, (re_ // g, im // g)
+    den = lcm(*dens.values())
+    return den, {k: (x * (den // dens[k]), y * (den // dens[k])) for k, (x, y) in terms.items()}
+
+
+# plain coefficients "<int>[/<int>][i]", the general syntax, and malformed text
+_plain_coeffs = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["", "-", "+"]), st.integers(0, 120),
+    st.one_of(st.just(""), st.just("/0"), st.integers(1, 40).map("/{}".format)), st.sampled_from(["i", ""]))
+_general_coeffs = st.sampled_from(["1/2+1/3i", "i/2", "-i", "i", "3/4*i", "-5/4*i", "1 / 2", " 2", "2 ", "1/-2",
+                                   "-2/3+i", "7 i"])
+_malformed_coeffs = st.sampled_from(["x", "", "1/0i", "1/2+1/0", "1.5", "--1", "2*3", "i2"])
+_term_coeffs = st.one_of(_plain_coeffs, _plain_coeffs, _general_coeffs, _general_coeffs, _malformed_coeffs)
+_embed_monos = st.one_of(
+    st.builds("t^{}".format, st.integers(-9, 9)),
+    st.sampled_from(["t", "1", "t^ 3", "t^+2", "t^-0", " t^1", "t^1 ", "t^x", "u", "", "t^", "t^1.5"]),
+)
+_rule_symbols = st.sampled_from(["one", "z", "a*b"] * 4 + [" z", "one ", "a", "w", ""])
+
+
+def _terms(coeffs, targets):
+    """Terms "c*x", "c * x" or "x" (coefficient 1)."""
+    return st.tuples(st.sampled_from(["{}*{}", "{} * {}", "{1}"]), coeffs, targets).map(
+        lambda term: term[0].format(*term[1:]))
+
+
+_embed_terms = st.one_of(st.builds("{}*t^{}".format, _plain_coeffs, st.integers(-9, 9)),
+                         _terms(_term_coeffs, _embed_monos))
+_rule_texts = st.lists(_terms(_term_coeffs, _rule_symbols), min_size=1, max_size=3).map(" + ".join)
+_differential_cases = st.tuples(
+    st.sampled_from(["rational", "gaussian"]),
+    st.lists(_embed_terms, min_size=1, max_size=4).map(" + ".join),
+    _rule_texts,
+    st.sampled_from(["same", "digit", "longer"]) | _rule_texts,
+)
+#: the second rule's right-hand side as the first's, or a text that differs from it late
+_SECOND = {"same": lambda rule: rule, "digit": lambda rule: rule[::-1].replace("1", "2", 1)[::-1],
+           "longer": lambda rule: rule + " + 0*one"}
+
+
+def _load_against_reference(field, drawn, outcomes):
+    """The file of degree 7 with the ``drawn`` lines, loaded; None when it must be refused.
+
+    ``outcomes`` holds the reference's value, refusal or None for each drawn
+    line; the first refusal must be the loader's, with its line number. one
+    and a*b frame the products one*z and z*one of degree 7, past the degrees
+    the load checks, so the ring-map check reads none of the drawn text.
+    """
+    head = [f"fields {field} gaussian", "basis one 0", "basis z 7", "basis a*b 7",
+            "mul one one = 1*one", "mul one a*b = 1*a*b", "embed one = 1*t^0", "embed a*b = 1*t^7"]
+    text = "\n".join(head + drawn)
+    for number, outcome in enumerate(outcomes, len(head) + 1):
+        if isinstance(outcome, ValueError):
+            with pytest.raises(ValueError) as refused:
+                load_presentation(text)
+            assert str(refused.value) == f"line {number}: {outcome}"
+            return None
+    return load_presentation(text)
+
+
+@settings(FUZZ, max_examples=240)
+@given(_differential_cases)
+def test_loaded_windows_and_rules_match_the_term_by_term_reference(case):
+    # the drawn embedding of z, then the drawn rules for one*z and z*one: the second
+    # rule's right-hand side is the first's (read once), the first's with its last
+    # digit 1 made 2 or with one more term, or its own
+    field, embedding, rule, second = case
+    second = _SECOND[second](rule) if second in _SECOND else second
+    window = _outcome(partial(_reference_embedding, "z"), embedding)
+    if pres := _load_against_reference(field, [f"embed z = {embedding}", "mul one z = 1*z"], [window, None]):
+        assert pres.embed_basis(1) == window
+    index = {"one": 0, "z": 1, "a*b": 2}
+    rules = [_outcome(partial(_reference_rule, a, b, index=index, split=field == "rational"), rhs)
+             for a, b, rhs in (("one", "z", rule), ("z", "one", second))]
+    drawn = ["embed z = 1*t^7", f"mul one z = {rule}", f"mul z one = {second}"]
+    if pres := _load_against_reference(field, drawn, [None, *rules]):
+        assert [pres.rule(0, 1), pres.rule(1, 0)] == rules
+        if second == rule:
+            assert pres.rule(0, 1) is pres.rule(1, 0)

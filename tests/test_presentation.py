@@ -1044,3 +1044,57 @@ def test_star_i_coefficients_load_like_the_short_form(tmp_path, capsys, rescaled
                          "--format", "json"])
             outputs.append((code, capsys.readouterr()))
         assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the loader's work per line
+# ---------------------------------------------------------------------------
+
+
+def test_each_right_hand_side_is_parsed_once_and_plain_embed_terms_in_one_match(monkeypatch):
+    from curvecoh import presentation, scalars
+
+    text = _workloads().rescaled_twistor_text(Fraction(5, 2), 14)
+    sides = [line.split("=", 1)[1] for line in text.splitlines() if line.startswith("mul ")]
+    assert (len(sides), len(set(sides))) == (218, 42)
+    cut, split = [], []
+    parse_term, split_terms = presentation._parse_term, scalars.split_terms
+    monkeypatch.setattr(presentation, "_parse_term", lambda term, read: cut.append(term) or parse_term(term, read))
+    monkeypatch.setattr(scalars, "split_terms", lambda s: split.append(s) or split_terms(s))
+    load_presentation(text)
+    # the terms of the 42 distinct right-hand sides, each cut once, and no embed term
+    assert sorted(cut) == sorted(term for rhs in set(sides) for term in rhs.strip().split(" + "))
+    assert split == []
+    # a coefficient "a/b*i" takes the general path
+    load_presentation(text.replace("/4i*t^1 ", "/4*i*t^1 "))
+    assert len(split) == 1
+
+
+#: t0 and s both embed as 1, b and c as t^6; one*c, s*b and s*c have one right-hand side
+_SHARED_SIDES = """fields gaussian gaussian
+basis t0 0
+basis s 0
+basis b 6
+basis c 6
+mul t0 t0 = 1*t0
+mul t0 s = 1*s
+mul t0 b = 1*b
+mul t0 c = 1*c
+mul s s = 1*t0
+mul s b = 1*c
+mul s c = 1*c
+embed t0 = 1*t^0
+embed s = 1*t^0
+embed b = 1*t^6
+embed c = 1*t^6
+"""
+
+
+def test_products_that_share_a_right_hand_side_are_each_checked():
+    pres = load_presentation(_SHARED_SIDES)
+    t0, s, b, c = pres.basis_up_to(6)
+    assert pres.rule(t0, c) is pres.rule(s, b) is pres.rule(s, c)
+    # s*b is the one product that reads b's window against another: a term added to b
+    # leaves t0*b = b true, so only s*b, whose rule is t0*c's tuple, can refuse it
+    with pytest.raises(EmbeddingNotRingMap, match=r"embed\(s\)\*embed\(b\) != "):
+        load_presentation(_SHARED_SIDES.replace("embed b = 1*t^6", "embed b = 1*t^6 + 1*t^5"))
