@@ -27,7 +27,7 @@ for label, e in [
     ("1/(1-T)", RationalFn([1], [1, -1])),
     ("1/(1-2T)", RationalFn([1], [1, -2])),
     ("1/(1+4T^2)", RationalFn([1], [1, 0, 4])),
-    ("T^3 - 7", RationalFn.from_poly([-7, 0, 0, 1])),
+    ("T^3 - 7", RationalFn([-7, 0, 0, 1])),
 ]:
     verdict = membership(e, r)
     print(f"  {label:12s} {verdict.status:11s} ({radius_lower_bound(e)})")
@@ -35,7 +35,7 @@ for label, e in [
 print()
 geom = RationalFn([1], [1, -1])
 print(f"evaluate 1/(1-T) at 1/3    -> {evaluate(geom, Fraction(1, 3), r)}")
-print(f"evaluate T^2+T at i/2      -> {evaluate(RationalFn.from_poly([0, 1, 1]), parse_gaussian('i/2'), r)}")
+print(f"evaluate T^2+T at i/2      -> {evaluate(RationalFn([0, 1, 1]), parse_gaussian('i/2'), r)}")
 
 cs = CertifiedSeries([1] * 8, 0, C=1, s=1)  # geometric series known to 8 terms
 print(f"interval for a certified tail: {evaluate(cs, Fraction(1, 3), r)}")

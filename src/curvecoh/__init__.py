@@ -94,9 +94,7 @@ from .section_ring import (
 from .series import (
     LaurentWindow,
     MINUS_INFINITY,
-    fil_member,
     gaussian_window,
-    pole_order,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from functools import cache
 from . import cohomology as coh
 from . import section_ring as sect
 from .errors import ComputationError, CutoffTooSmall, ResultTooLarge
-from .harbater import local_completion, poly_str
+from .harbater import disc_point, local_completion, poly_str
 from .periodic import TwoPeriodicPresentation, pipeline_trace, tate_degree_zero
 from .presentation import load_presentation, p1_presentation, twistor_presentation
 from .scalars import (
@@ -358,12 +358,7 @@ def _validate(args, parser) -> None:
         parser.error("--prec must be >= 1")
     try:
         if args.func is cmd_dream:
-            x, r = parse_gaussian(args.x), as_fraction(args.r)
-            if not 0 < r < 1:
-                parser.error(f"r must satisfy 0 < r < 1, got {r}")
-            if x.norm_squared > r * r:
-                parser.error(f"|x| > r: {args.x} lies outside the disc of radius {args.r}")
-            args.x, args.r = x, r
+            args.x, args.r = disc_point(parse_gaussian(args.x), as_fraction(args.r))
         if hasattr(args, "n"):
             args.n = parse_range(str(args.n))
         if args.func is cmd_pipeline:

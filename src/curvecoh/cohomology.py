@@ -365,9 +365,9 @@ def graded_pieces(res: CohomologyResult) -> dict:
     return graded
 
 
-def euler_characteristic(pres: AffinePresentation, n: int, D: int | None = None) -> int:
+def euler_characteristic(pres: AffinePresentation, n: int) -> int:
     """dim H^0 - dim H^1; linear in n for the built-in curves."""
-    res = compute(pres, n, D)
+    res = compute(pres, n)
     if not res.certified:
         raise NotStabilized("euler characteristic requires certified dimensions")
     return res.h0_dim - res.h1_dim

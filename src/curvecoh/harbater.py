@@ -102,22 +102,26 @@ def pscale(a, c):
 
 
 def pdivmod(a, b):
-    """Exact polynomial division over Q: a = q*b + r with deg r < deg b."""
+    """Exact polynomial division over Q: a = q*b + r with deg r < deg b.
+
+    Each step cancels the leading term of the remainder and subtracts c*b
+    on the divisor's nonzero lower terms only, in place.
+    """
     b = ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(ptrim(a))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
+    a, n = ptrim(a), len(b) - 1
+    lower = [(i, cb) for i, cb in enumerate(b[:-1]) if cb]
+    q = [Fraction(0)] * max(len(a) - n, 0)
+    while len(a) > n:
+        c = a.pop() / b[-1]
+        d = len(a) - n
         q[d] = c
-        for i, cb in enumerate(b):
+        for i, cb in lower:
             a[d + i] -= c * cb
-        a = ptrim(a)
-        if not a:
-            break
-    return ptrim(q), a
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
 
 
 def pgcd(a, b):
@@ -344,20 +348,12 @@ class RationalFn:
         self.den = tuple(den)
         self.is_integral = _is_integral_poly(num) and _is_integral_poly(den)
 
-    @classmethod
-    def from_poly(cls, p) -> "RationalFn":
-        return cls(p, [1])
-
-    @classmethod
-    def constant(cls, c) -> "RationalFn":
-        return cls([as_fraction(c)], [1])
-
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "RationalFn":
         if isinstance(other, RationalFn):
             return other
-        return RationalFn.constant(other)
+        return RationalFn([other])
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -571,7 +567,7 @@ def parse_element(text: str):
         if not den:
             raise ValueError(f"zero denominator in {text!r}")
         return RationalFn(poly_parse(num_s), den)
-    return RationalFn.from_poly(poly_parse(text))
+    return RationalFn(poly_parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +606,23 @@ def radius_lower_bound(e) -> RadiusCertificate:
     return RadiusCertificate(s=s, method="classical-bound")
 
 
+def disc_point(x, r) -> tuple:
+    """(x, r) as a Q(i) point and a rational radius, checked: 0 < r < 1 and |x| <= r.
+
+    The one check of a point and its disc, for ``local_completion``,
+    ``evaluate``, ``membership`` and the CLI; ValueError otherwise.
+    """
+    x, r = GaussianRational.of(x), as_fraction(r)
+    if not 0 < r < 1:
+        raise ValueError(f"r must satisfy 0 < r < 1, got {r}")
+    if x.norm_squared > r * r:
+        raise ValueError(f"|x| > r: {x} lies outside the disc of radius {r}")
+    return x, r
+
+
 def membership(e, r) -> Membership:
     """Decide membership in Z((T))_{>r}: certified radius strictly above r."""
-    r = as_fraction(r)
-    if not 0 < r < 1:
-        raise ValueError("membership requires 0 < r < 1")
+    _, r = disc_point(0, r)
     cert = radius_lower_bound(e)
     if cert.exceeds(r):
         return Membership("member", cert)
@@ -624,15 +632,12 @@ def membership(e, r) -> Membership:
 
 
 def evaluate(e, x, r):
-    """The continuous ring map T -> x, |x| <= r.
+    """The continuous ring map T -> x, |x| <= r < 1.
 
     Exact for RationalFn; an Interval (exact head plus a certified tail
     bound) for CertifiedSeries.
     """
-    x = GaussianRational.of(x)
-    r = as_fraction(r)
-    if x.norm_squared > r * r:
-        raise ValueError(f"|x| > r: {x} outside the evaluation disc of radius {r}")
+    x, r = disc_point(x, r)
     if isinstance(e, RationalFn):
         if not peval(list(e.den), x):
             raise PoleAtPoint(f"pole at T = {x}")
@@ -773,7 +778,7 @@ def divide_exact(f, g, r):
         if len(common) > 1:
             raise NotDivisible(f"{f} has a pole at a root of {poly_str(g)}")
         q = RationalFn(q_num, list(f.den))
-        if q * RationalFn.from_poly(g) != f:
+        if q * RationalFn(g) != f:
             raise NotDivisible("round trip q*g != f")
         return q
     # CertifiedSeries: strip any pure T-power factor of g (T is invertible
@@ -821,10 +826,6 @@ class LocalCompletion:
     g: list
     delta_of_xi: TruncatedPowerSeries  # T - x as a series in xi
 
-    def theta(self, e):
-        """Evaluation at the point (reduction modulo xi)."""
-        return evaluate(e, self.x, self.r)
-
     def expand(self, e: RationalFn) -> TruncatedPowerSeries:
         """Taylor expansion of a rational function in powers of xi = g(T)."""
         if not isinstance(e, RationalFn):
@@ -849,26 +850,14 @@ class LocalCompletion:
             raise ValueError("Bott coefficient must live in A = k[[xi]] mod xi^M")
         return TwoPeriodicPresentation(f=f)
 
-    def to_json(self) -> dict:
-        return {
-            "x": str(self.x),
-            "r": str(self.r),
-            "M": self.M,
-            "xi": poly_str(self.g),
-            "delta_of_xi": str(self.delta_of_xi),
-        }
-
 
 def local_completion(x, r, M: int) -> LocalCompletion:
-    """Complete at the point x (|x| <= r): xi = g(T), theta = evaluation at x.
+    """Complete at the point x (|x| <= r < 1): xi = g(T), theta = evaluation at x.
 
     The change of variable T = x + delta is inverted by series reversion
     of xi = g(x + delta), which needs the root to be simple.
     """
-    x = GaussianRational.of(x)
-    r = as_fraction(r)
-    if x.norm_squared > r * r:
-        raise ValueError(f"|x| > r for completion point {x}")
+    x, r = disc_point(x, r)
     if M < 1:
         raise ValueError("M must be >= 1")
     g = kernel_generator(x)

@@ -132,16 +132,6 @@ class FilteredRingModel:
         """t^e as an exact carrier window."""
         return LaurentWindow.monomial(e, self.one)
 
-    def to_json(self) -> dict:
-        return {
-            "carrier": f"k(({self.parameter_name}))",
-            "parameter": str(self.parameter_expression),
-            "unit_parameter": str(self.unit_parameter),
-            "reversion": str(self.reversion),
-            "jump_index": self.jump_index,
-            "prec": self.prec,
-        }
-
 
 def tate_degree_zero(
     pres: TwoPeriodicPresentation, prec: int | None = None

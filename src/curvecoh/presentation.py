@@ -182,11 +182,7 @@ class AffinePresentation:
 
     # -- verification ----------------------------------------------------------
 
-    def verify_ring_map(self, max_degree: int = 6) -> None:
-        """Check embed(b_i)*embed(b_j) == embed(b_i * b_j) up to the degree bound."""
-        check_ring_map(self, self.embed_basis, max_degree)
-
-    def verify_leading_exact(self, max_degree: int = 6, above: int = -1) -> None:
+    def verify_leading_exact(self, max_degree: int, above: int = -1) -> None:
         """Check both leading_exact conditions degree by degree, in degrees (above, max_degree]."""
         failure = leading_exact_failure(self, self.embed_basis, 1, max_degree, above,
                                         self.leading_pivots)
@@ -733,7 +729,7 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     )
     pres._rule_cache.update(rules)
     cap = min(LOAD_VERIFY_DEGREE, top)
-    pres.verify_ring_map(cap)
+    check_ring_map(pres, pres.embed_basis, cap)
     if pres.leading_exact:
         pres.verify_leading_exact(cap)
     pres.verified_degree = cap

@@ -42,15 +42,16 @@ from .kronecker import horner
 
 
 def as_fraction(x) -> Fraction:
+    """``x`` as a Fraction; text is read by ``gaussian_numerators`` and must have no i part."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+        den, re, im = gaussian_numerators(x)
+        if im:
+            raise ValueError(f"{x!r} is not rational")
+        return Fraction(re, den)
     im = getattr(x, "im", None)
     if im is not None and im == 0:
         return x.re  # a Gaussian rational that happens to be real
@@ -526,10 +527,6 @@ class TruncatedPowerSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, c, order: int) -> "TruncatedPowerSeries":
-        return cls([c], order)
-
-    @classmethod
     def variable(cls, one, order: int) -> "TruncatedPowerSeries":
         """The series xi, with 1 represented by ``one`` of the target field."""
         return cls([one * 0, one], order)
@@ -557,7 +554,7 @@ class TruncatedPowerSeries:
         if isinstance(other, TruncatedPowerSeries):
             return other
         if isinstance(other, _SCALARS):
-            return TruncatedPowerSeries.constant(self.zero_coeff + other, self.order)
+            return TruncatedPowerSeries([self.zero_coeff + other], self.order)
         return None
 
     def __add__(self, other):

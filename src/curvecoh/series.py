@@ -272,15 +272,5 @@ def linear_combination(pairs) -> LaurentWindow:
     return LaurentWindow.from_integers(den, re, im, cutoff, gaussian)
 
 
-def pole_order(a: LaurentWindow):
-    return a.pole_order()
-
-
-def fil_member(a: LaurentWindow, n: int) -> bool:
-    return a.fil_member(n)
-
-
-def gaussian_window(terms: dict, cutoff: int | None = None) -> LaurentWindow:
-    return LaurentWindow(
-        {e: GaussianRational.of(c) for e, c in terms.items()}, cutoff
-    )
+def gaussian_window(terms: dict) -> LaurentWindow:
+    return LaurentWindow({e: GaussianRational.of(c) for e, c in terms.items()})

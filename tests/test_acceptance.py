@@ -31,7 +31,7 @@ from curvecoh.scalars import (
     theta,
 )
 from curvecoh.section_ring import build_section_ring, degree_one_generation, hilbert_function
-from curvecoh.series import LaurentWindow, fil_member, gaussian_window, pole_order
+from curvecoh.series import LaurentWindow, gaussian_window
 from curvecoh.harbater import local_completion
 
 SEED = 20250811  # fixed seed for every randomized suite below
@@ -141,17 +141,17 @@ def test_criterion_6_harbater_suite():
     assert membership(geom, r).status == "member"
     assert membership(geom2, r).status == "not_member"
     for poly in ([-7, 0, 0, 1], [1], [0, 1], [5, -3, 0, 0, 2]):
-        assert membership(RationalFn.from_poly(poly), r).status == "member"
+        assert membership(RationalFn(poly), r).status == "member"
     # divisions with 50-coefficient round trips
-    q = divide_exact(RationalFn.from_poly([-1, 0, 9]), [-1, 3], r)
-    assert q == RationalFn.from_poly([1, 3])
-    assert (q * RationalFn.from_poly([-1, 3])).series_prefix(50) == RationalFn.from_poly(
+    q = divide_exact(RationalFn([-1, 0, 9]), [-1, 3], r)
+    assert q == RationalFn([1, 3])
+    assert (q * RationalFn([-1, 3])).series_prefix(50) == RationalFn(
         [-1, 0, 9]
     ).series_prefix(50)
     f = geom - Fraction(3, 2)
     q = divide_exact(f, [-1, 3], r)
     assert q == RationalFn([Fraction(1, 2)], [1, -1])
-    assert (q * RationalFn.from_poly([-1, 3])).series_prefix(50) == f.series_prefix(50)
+    assert (q * RationalFn([-1, 3])).series_prefix(50) == f.series_prefix(50)
     try:
         divide_exact(geom, [-1, 3], r)
         raise AssertionError("expected NotDivisible")
@@ -185,16 +185,16 @@ def test_criterion_7_property_suites():
     for _ in range(200):  # valuation law for pole_order
         a = gaussian_window({rng.randint(-3, 3): rng.randint(1, 5)})
         b = gaussian_window({rng.randint(-3, 3): rng.randint(1, 5)})
-        assert pole_order(a * b) == pole_order(a) + pole_order(b)
+        assert (a * b).pole_order() == a.pole_order() + b.pole_order()
         s = a + b
         if s.coeffs:
-            assert pole_order(s) <= max(pole_order(a), pole_order(b))
+            assert s.pole_order() <= max(a.pole_order(), b.pole_order())
 
     for _ in range(200):  # Fil multiplicativity
         n, m = rng.randint(-3, 3), rng.randint(-3, 3)
         a = gaussian_window({e: 1 for e in range(rng.randint(-4, n), n + 1)})
         b = gaussian_window({e: 1 for e in range(rng.randint(-4, m), m + 1)})
-        assert fil_member(a * b, n + m)
+        assert (a * b).fil_member(n + m)
 
     for _ in range(200):  # theta multiplicativity
         f = rational_tps([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)], 5)

@@ -179,6 +179,9 @@ _BAD_FILES = {
         ["dream", "--x", "1/0", *_DREAM],
         ["dream", "--x", "i/0", *_DREAM],
         ["dream", "--x", "--", *_DREAM],
+        # a radius outside the Gaussian grammar, read by Python's Fraction grammar once
+        # (1e-10000000 took 40 s and exited 1)
+        *(["dream", "--x", "0", "--r", r, "--M", "2", "--n", "0"] for r in ("0.5", "1e-3", "1_0/2_0", "1e-10000000")),
         ["pipeline", "--f", "1", "--M", "4", "--prec", "0"],
         ["dream", "--x=--", *_DREAM],
         ["pipeline", "--f=--", "--M", "4"],

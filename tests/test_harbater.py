@@ -20,12 +20,16 @@ from curvecoh.harbater import (
     RationalFn,
     _inverse_envelope,
     _quadratic_root_data,
+    disc_point,
     divide_exact,
     evaluate,
     kernel_generator,
     local_completion,
     membership,
+    padd,
     parse_element,
+    pdivmod,
+    pmul,
     poly_parse,
     poly_str,
     ptrim,
@@ -63,7 +67,7 @@ def test_membership_verdicts():
     verdict = membership(GEOM2, R)
     assert verdict.status == "not_member"
     assert verdict.witness == Fraction(1, 2)
-    poly = RationalFn.from_poly([-7, 0, 0, 1])  # T^3 - 7 is entire
+    poly = RationalFn([-7, 0, 0, 1])  # T^3 - 7 is entire
     assert membership(poly, R).status == "member"
     assert membership(poly, Fraction(99, 100)).status == "member"
 
@@ -83,7 +87,7 @@ def test_evaluate_examples():
     assert evaluate(GEOM, Fraction(1, 3), R) == Fraction(3, 2)
     with pytest.raises(PoleAtPoint):
         evaluate(QUAD, parse_gaussian("i/2"), R)
-    got = evaluate(RationalFn.from_poly([0, 1, 1]), parse_gaussian("i/2"), R)
+    got = evaluate(RationalFn([0, 1, 1]), parse_gaussian("i/2"), R)
     assert got == parse_gaussian("-1/4+1/2*i")
     with pytest.raises(NotMemberError):
         evaluate(GEOM2, Fraction(1, 3), R)  # not a member at r = 1/2, no pole at 1/3
@@ -112,8 +116,8 @@ def test_kernel_generators():
 
 
 def test_divide_exact_factorization():
-    q = divide_exact(RationalFn.from_poly([-1, 0, 9]), [-1, 3], R)
-    assert q == RationalFn.from_poly([1, 3])
+    q = divide_exact(RationalFn([-1, 0, 9]), [-1, 3], R)
+    assert q == RationalFn([1, 3])
     assert q.is_integral
 
 
@@ -126,7 +130,7 @@ def test_divide_exact_kernel_element():
     assert not q.is_integral
     assert f.is_integral is False  # subtraction of 3/2 already left Z
     # round trip on 50 coefficients
-    back = q * RationalFn.from_poly([-1, 3])
+    back = q * RationalFn([-1, 3])
     assert back.series_prefix(50) == f.series_prefix(50)
 
 
@@ -149,15 +153,15 @@ def test_divide_exact_refuses_a_quotient_off_by_one_term(monkeypatch):
 
     monkeypatch.setattr(harbater, "pdivmod", off_by_one_term)
     with pytest.raises(NotDivisible, match="round trip"):
-        divide_exact(RationalFn.from_poly([-1, 0, 9]), [-1, 3], R)
+        divide_exact(RationalFn([-1, 0, 9]), [-1, 3], R)
 
 
 def test_divide_exact_quadratic_generator():
     g = kernel_generator(parse_gaussian("i/2"))
-    f = RationalFn.from_poly([1, 0, 5, 0, 4])  # (4T^2+1)(T^2+1)
+    f = RationalFn([1, 0, 5, 0, 4])  # (4T^2+1)(T^2+1)
     q = divide_exact(f, g, R)
-    assert q == RationalFn.from_poly([1, 0, 1])
-    back = q * RationalFn.from_poly(g)
+    assert q == RationalFn([1, 0, 1])
+    back = q * RationalFn(g)
     assert back.series_prefix(50) == f.series_prefix(50)
 
 
@@ -334,11 +338,30 @@ def test_local_completion_simple_root_required():
     assert lc.g == [0, 1]
 
 
+@pytest.mark.parametrize("x, r", [("0", "0"), ("0", "-1"), ("0", "1"), ("0", "2"), ("1/2", "1/3"), ("i/2", "1/4")])
+def test_a_point_and_radius_are_refused_alike_everywhere(capsys, x, r):
+    # local_completion once built a completion for any r >= |x|, r = 0, -1, 1 and 2 included
+    from curvecoh.cli import main
+
+    with pytest.raises(ValueError) as info:
+        disc_point(parse_gaussian(x), Fraction(r))
+    why = str(info.value)
+    for check in (lambda: local_completion(parse_gaussian(x), Fraction(r), 4),
+                  lambda: evaluate(GEOM, parse_gaussian(x), Fraction(r))):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == why
+    with pytest.raises(SystemExit) as info:
+        main(["dream", "--x", x, "--r", r, "--M", "2", "--n", "0"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {why}\n")
+
+
 def test_element_grammar_roundtrip():
     el = parse_element("1 / 1 - T")
     assert el == GEOM
     el = parse_element("9*T^2 - 1 / 3*T - 1")
-    assert el == RationalFn.from_poly([1, 3])  # reduced on construction
+    assert el == RationalFn([1, 3])  # reduced on construction
     cs = parse_element("-1:2 ; 1 2 3 ; bound 2 3/4")
     assert cs.offset == 1 and cs.coefficient(-1) == 2 and cs.coefficient(1) == 2
     cs2 = parse_element(str(cs))
@@ -363,6 +386,9 @@ def test_negative_exponents_are_rejected(parse, text):
     "1/0*T", "1 / 0", "- ; 1 ; bound 1/0 1",  # a zero denominator
     "- ; 1 2 ; ", "- ; 1 ; bound", "- ; 1 ; bound 1",  # a bound without two values
     "1:2 ; 1 ; bound 1 1", "0:2 ; 1 2 ; bound 1 1",  # a tail exponent >= 0
+    # a number outside the Gaussian grammar, which Python's Fraction grammar once read
+    "1e5*T", "0.5", "1_0*T^2", "1 / 1 + 0.5*T", "- ; 0.5 ; bound 1 1", "-1:1e3 ; 1 ; bound 1 1",
+    "- ; 1 ; bound 1e-9 1", "- ; 1 ; bound 1 1_0", "i*T - 1", "- ; 1 1/2*i ; bound 1 1",
 ])
 def test_parse_element_refuses_malformed_text(text):
     # each once raised ZeroDivisionError or IndexError, or read the tail into the head
@@ -587,3 +613,53 @@ def test_series_quotients_match_the_recurrence(count):
         stripped = ptrim(g)[next(k for k, c in enumerate(g) if c):]
         assert list(q.coeffs) == series_quotient(coeffs, [Fraction(c) for c in stripped], count)
         assert q.offset == g.index(next(c for c in g if c))
+
+
+def _reference_pdivmod(a, b):
+    """The division loop ``pdivmod`` replaced: every divisor term, a trimmed copy per step."""
+    b = ptrim(b)
+    a = list(ptrim(a))
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        d = len(a) - len(b)
+        q[d] = c
+        for i, cb in enumerate(b):
+            a[d + i] -= c * cb
+        a = ptrim(a)
+        if not a:
+            break
+    return ptrim(q), a
+
+
+def _random_poly(rng, degree, density):
+    """A Fraction list of the given degree with each lower coefficient nonzero at ``density``."""
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < density else Fraction(0)
+              for _ in range(degree)]
+    return coeffs + [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))]
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+def test_pdivmod_matches_the_reference_loop(density):
+    rng = random.Random(SEED + int(10 * density))
+    for _ in range(300):
+        a = _random_poly(rng, rng.randint(0, 40), density) if rng.random() < 0.95 else []
+        b = _random_poly(rng, rng.randint(0, 20), density)
+        q, rem = pdivmod(a, b)
+        assert (q, rem) == _reference_pdivmod(a, b), (a, b)
+        assert padd(pmul(q, b), rem) == ptrim(a)
+
+
+def test_pdivmod_multiplies_by_the_nonzero_lower_divisor_terms_only():
+    class Counted(Fraction):  # Fraction runs a subclass's reflected product first
+        products = 0
+
+        def __rmul__(self, other):
+            Counted.products += 1
+            return Fraction(other) * Fraction(self)
+
+    divisor = [Counted(c) for c in (1, 0, 0, -1, 0, 0, 0, 2)]  # 2 nonzero terms below the leading one
+    a = [Fraction(k % 5 - 2) for k in range(60)] + [Fraction(1)]
+    q, rem = pdivmod(a, divisor)
+    assert (q, rem) == _reference_pdivmod(a, [Fraction(c) for c in divisor])
+    assert Counted.products == 2 * sum(1 for c in q if c)

@@ -9,6 +9,7 @@ import pytest
 from curvecoh.errors import EmbeddingNotRingMap
 from curvecoh.presentation import (
     AffinePresentation,
+    check_ring_map,
     load_presentation,
     p1_presentation,
     twistor_presentation,
@@ -64,10 +65,9 @@ def test_basis_counts(tw, p1):
 
 
 def test_ring_map_and_leading_exact(tw, p1):
-    tw.verify_ring_map(6)
-    tw.verify_leading_exact(6)
-    p1.verify_ring_map(6)
-    p1.verify_leading_exact(6)
+    for pres in (tw, p1):
+        check_ring_map(pres, pres.embed_basis, 6)
+        pres.verify_leading_exact(6)
 
 
 def test_degree_additivity(tw):
@@ -395,8 +395,6 @@ def _outcome(check, pres, window, max_degree, above=-1):
 
 
 def _same_outcome(pres, window, max_degree, above=-1):
-    from curvecoh.presentation import check_ring_map
-
     ours = _outcome(check_ring_map, pres, window, max_degree, above)
     assert ours == _outcome(_reference_check_ring_map, pres, window, max_degree, above)
     return ours
@@ -840,8 +838,6 @@ def _clipped_square_presentation(windows, square=1):
 @pytest.mark.parametrize("unit", [(1, 0), (-1, 0), (0, 1), (1, 1)])
 @pytest.mark.parametrize("signs", ["equal", "alternating"])
 def test_ring_map_check_is_exact_at_the_comparison_cutoff(unit, signs):
-    from curvecoh.presentation import check_ring_map
-
     # w1 = sum h*t^e over e = -20..1 with |h| of 150 bits, integral so that a right-hand
     # side off by one leaves D one unit at the cutoff; below it D holds w1^2's coefficients,
     # up to 22*h^2, of either sign, so the packed D borrows across the cutoff

@@ -12,6 +12,7 @@ from curvecoh.scalars import (
     GAUSSIAN_ONE,
     GaussianRational,
     TruncatedPowerSeries,
+    as_fraction,
     common_denominator,
     form_values,
     gaussian_reciprocal,
@@ -790,3 +791,12 @@ def test_a_plain_rational_reads_as_the_general_parser_reads_it(monkeypatch):
     monkeypatch.setattr(scalars, "_RATIONAL", re.compile(r"(?!)"))  # matches nothing: the general path
     assert fast == [outcome(t) for t in texts]
     assert fast[:4] == [(1, 0, 0), (1, 0, 0), (1, 7, 0), (8, 12, 0)]
+
+
+def test_as_fraction_reads_text_in_the_gaussian_grammar():
+    assert [as_fraction(t) for t in ("3/6", "-2", "1/2+0*i")] == [Fraction(1, 2), Fraction(-2), Fraction(1, 2)]
+    for text in ("0.5", "1e3", "1_0", "1/2/3", ""):
+        with pytest.raises(ValueError):
+            as_fraction(text)
+    with pytest.raises(ValueError, match=r"^'1/2\*i' is not rational$"):
+        as_fraction("1/2*i")
