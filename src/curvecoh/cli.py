@@ -248,6 +248,10 @@ def cmd_dream(args):
 # ---------------------------------------------------------------------------
 
 
+#: the report formats, the first the default; a config file is held to them as the flag is
+_FORMATS = ("table", "json")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: ``main`` never changes it."""
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=["table", "json"], default=None)
+        p.add_argument("--format", choices=_FORMATS, default=None)
         p.add_argument("--output", default=None, help="write the report to a file")
         p.add_argument("--config", default=None, help="JSON file supplying defaults")
 
@@ -340,7 +344,9 @@ def _validate(args, parser) -> None:
         if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
             parser.error(f"--{key.replace('_', '-')}: invalid value {value!r}")
     if args.format is None:
-        args.format = "table"
+        args.format = _FORMATS[0]
+    elif args.format not in _FORMATS:
+        parser.error(f"--format: invalid choice {args.format!r} (choose from {', '.join(_FORMATS)})")
     required = {
         cmd_cohomology: ["curve", "n"],
         cmd_section_ring: ["curve", "max_degree"],

@@ -23,8 +23,11 @@ rows are each window's own integer numerators and denominator
 (``gluing_rows``, realified over Q(i)). ``_section_rows`` reduces them,
 with an identity block, for H^0 and builds exact rationals only for the
 basis vectors it outputs. ``_h1_classes`` runs the stabilization loop
-for H^1, which needs only the image's pivot columns. ``h0``, ``h1``,
-``compute_twists`` and ``curve_from_parts`` all go through these two.
+for H^1, which needs only the image's pivot columns. ``h0`` and ``h1``
+compute one group of one twist through these two. ``compute_twists``
+(Fil_n from the Laurent field) and ``curve_from_parts`` (from a
+formal-disc model) share one loop over the twists, ``_twists``, entered
+once every twist's cutoff and one certificate through max(D_n) + 2 hold.
 
 Where the window used is certified leading_exact through every degree a
 result reads, structure decides what elimination would (a degree-d
@@ -35,12 +38,10 @@ degree <= f // jump and rows of higher degree pivot above t^f, so in the
 reduced echelon form of the rows up to any K >= f // jump the rows that
 pivot at or below t^f (a suffix) are their unique reduced basis over the
 columns read. These end at a twist's column floor (its windows' largest
-cutoff, None if all are exact): one elimination per floor serves a range
-of twists. Lower twists read it before degree K is certified, which is
-safe as on a leading_exact presentation ``certified_through`` returns
-True or raises, and the largest twist certifies through D >= K before
-``compute_twists`` returns. Uncertified windows reduce twist by twist,
-the only way to see drift.
+cutoff, None if all are exact): one elimination per floor, at the
+largest certified twist's K, serves a range of twists, and the
+certificate already covers every degree it reads. Uncertified windows
+reduce twist by twist, the only way to see drift.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -50,12 +51,11 @@ basis vector its pivot exponent and graded pieces a pivot count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
-from .errors import (CutoffTooLarge, CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop,
-                     NotStabilized)
+from .errors import CutoffTooLarge, CutoffTooSmall, IndeterminateTop, NotStabilized
 from .linalg import pivot_columns, reduced_rows
 from .presentation import (
     AffinePresentation,
@@ -167,7 +167,7 @@ def _section_rows(pres: AffinePresentation, window, degree: int, floor: int | No
     pair = pres.pair
     basis = pres.basis_up_to(degree)
     windows = [window(i) for i in basis]
-    # the terms, not pole_order: a shared echelon reads rows that a later twist certifies
+    # the terms, not pole_order: an uncertified window may be zero down to its cutoff
     top = max((part[-1][0] for w in windows for part in w.terms if part), default=0)
     if floor is None:
         floor = min((part[0][0] for w in windows for part in w.terms if part), default=top + 1)
@@ -227,13 +227,19 @@ def _cutoff(pres: AffinePresentation, n: int, D: int | None, what: str) -> int:
     return D
 
 
-def _require_declared(pres: AffinePresentation, D: int):
-    """H^1 stabilization reads degrees up to D + 2: refuse a presentation that stops below."""
-    if pres.max_degree is not None and D + 2 > pres.max_degree:
-        raise CutoffTooLarge(
-            f"presentation declares degrees up to {pres.max_degree}; "
-            f"h1 stabilization needs D + 2 <= {pres.max_degree}, got D={D}"
-        )
+def _cutoffs(pres: AffinePresentation, ns: list, D: int | None, what: str) -> list:
+    """Every twist's cutoff D_n (``_cutoff``), then each checked against the declared degrees.
+
+    H^1 stabilization reads degrees up to D_n + 2: a presentation that stops below is refused.
+    """
+    cutoffs = [_cutoff(pres, n, D, what) for n in ns]
+    for D_n in cutoffs:
+        if pres.max_degree is not None and D_n + 2 > pres.max_degree:
+            raise CutoffTooLarge(
+                f"presentation declares degrees up to {pres.max_degree}; "
+                f"h1 stabilization needs D + 2 <= {pres.max_degree}, got D={D_n}"
+            )
+    return cutoffs
 
 
 def _h1_free_columns(pres: AffinePresentation, window, fil_bound: int, cutoff: int, jump: int,
@@ -287,11 +293,11 @@ def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: 
     return reps, _graded_from_pivots([e for e, _ in free])
 
 
-def h0(pres: AffinePresentation, n: int, D: int | None = None, rows=None) -> CohomologyResult:
-    """Global sections of O(n): affine elements with pole order <= n; if certified, off ``rows(floor)``."""
+def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
+    """Global sections of O(n): affine elements with pole order <= n; if certified, off one echelon."""
     D = _cutoff(pres, n, D, "h0")
     certified = pres.certified_through(D)
-    rows = (rows or partial(_section_rows, pres, pres.embed_basis, n)) if certified else None
+    rows = partial(_section_rows, pres, pres.embed_basis, n) if certified else None
     basis, graded = _sections(pres, pres.embed_basis, n, D, rows)
     return CohomologyResult(
         n=n,
@@ -303,22 +309,19 @@ def h0(pres: AffinePresentation, n: int, D: int | None = None, rows=None) -> Coh
     )
 
 
-def h1(pres: AffinePresentation, n: int, D: int | None = None, monomial=_unit_monomial) -> CohomologyResult:
+def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
     """First cohomology of O(n): Laurent tail classes modulo the affine algebra.
 
-    Representatives are pure monomial classes t^m (and i*t^m for a split
-    coefficient pair) at the free columns of the image echelon, reduced
-    modulo the image by construction, built by ``monomial``.
+    The certificate through D + 2, the highest degree the stabilization
+    reads, is checked before the elimination. Representatives are pure
+    monomial classes t^m (and i*t^m for a split coefficient pair) at the
+    free columns of the image echelon, reduced modulo the image by
+    construction.
     """
-    D = _cutoff(pres, n, D, "h1")
-    _require_declared(pres, D)
-    try:
-        certified = pres.certified_through(D + 2)
-    except EmbeddingNotRingMap:
-        _h1_classes(pres, pres.embed_basis, n, D, 1)  # the elimination's own errors come first
-        raise
-    pivots = pres.leading_pivots if certified else None
-    reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1, pivots, monomial)
+    [D] = _cutoffs(pres, [n], D, "h1")
+    certified = pres.certified_through(D + 2)
+    reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1,
+                               pres.leading_pivots if certified else None)
     return CohomologyResult(
         n=n,
         h1_basis=reps,
@@ -328,20 +331,42 @@ def h1(pres: AffinePresentation, n: int, D: int | None = None, monomial=_unit_mo
     )
 
 
-def compute_twists(pres: AffinePresentation, ns, D: int | None = None) -> list[CohomologyResult]:
-    """``compute`` for each twist n in ``ns``, in order, and with its errors in that order.
+def _twists(pres: AffinePresentation, window, jump: int, ns: list, cutoffs: list, certified: list,
+            pivots) -> list[CohomologyResult]:
+    """Both groups of O(n) for each twist n in ``ns``, in order, with Fil_n of pole order <= n*jump.
 
-    Certified H^0s share one reduced echelon form per column floor at the largest kernel degree,
-    min(max n, D), each built inside the first ``h0`` that reads it, and H^1 representatives are
-    built once per (exponent, part), for this call only.
+    ``cutoffs`` and ``certified`` hold each twist's D_n and flag. A certified
+    twist reads H^1 off ``pivots`` (degree d -> its leading pivots) and H^0
+    off one echelon per column floor at the largest certified n. Both, and
+    the H^1 representatives, are kept for this call only.
+    """
+    kernel = max((n for n, cert in zip(ns, certified) if cert), default=-1)
+    rows = cache(partial(_section_rows, pres, window, kernel))
+    monomial = cache(_unit_monomial)
+    results = []
+    for n, D_n, cert in zip(ns, cutoffs, certified):
+        fil_bound = n * jump  # as FilteredRingModel.fil_pole_bound(n)
+        reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump,
+                                      pivots if cert else None, monomial)
+        basis, h0_graded = _sections(pres, window, fil_bound, D_n, rows if cert else None)
+        results.append(CohomologyResult(n=n, h0_basis=basis, h0_graded=h0_graded, h1_basis=reps,
+                                        h1_graded=h1_graded, certified=cert, cutoff_used=D_n,
+                                        labels={i: pres.label(i) for i in pres.basis_up_to(D_n)}))
+    return results
+
+
+def compute_twists(pres: AffinePresentation, ns, D: int | None = None) -> list[CohomologyResult]:
+    """Both groups of O(n) for each twist n in ``ns``, in order, with Fil_n from the Laurent field.
+
+    Before any twist is computed, every twist's cutoff is checked, then the
+    presentation is certified through max(D_n) + 2, the highest degree any
+    twist reads (``certified_through`` raises on a failing check). The
+    twists then run in ``_twists``, as in ``curve_from_parts``.
     """
     ns = list(ns)
-    kernel = max(ns, default=-1) if D is None else min(max(ns, default=-1), D)
-    rows = cache(partial(_section_rows, pres, pres.embed_basis, kernel))
-    monomial = cache(_unit_monomial)
-    pairs = [(h0(pres, n, D, rows), h1(pres, n, D, monomial)) for n in ns]
-    return [replace(r0, h1_basis=r1.h1_basis, h1_graded=r1.h1_graded,
-                    certified=r0.certified and r1.certified) for r0, r1 in pairs]
+    cutoffs = _cutoffs(pres, ns, D, "h0")
+    certified = pres.certified_through(max(cutoffs, default=0) + 2)
+    return _twists(pres, pres.embed_basis, 1, ns, cutoffs, [certified] * len(ns), pres.leading_pivots)
 
 
 def compute(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
@@ -387,22 +412,17 @@ def curve_from_parts(
 ) -> list[CohomologyResult]:
     """Cohomology of O(n) for each twist n in ``ns``, with Fil_n from a formal-disc model.
 
-    ``embedding`` maps basis indices to windows in the model's carrier; it
-    is cached once and checked once to be a ring map on basis products up
-    to max(D) + 2, the highest degree any twist reads, since neither
-    depends on the twist. Returns one result per twist, in order. For a
-    model with jump_index 1 this reproduces the direct computation. A
-    result is certified when degree-d elements peak at pole d*jump with
-    independent leading coefficients (the leading_exact property, verified
-    in the carrier through D + 2, the highest degree that twist's H^1
-    stabilization reads). Its H^1 is then read off the leading pivots that
-    check computed, its H^0 off one echelon form per column floor at the
-    largest fil_bound // jump, both kept for this call only.
+    ``embedding`` maps basis indices to windows in the model's carrier and
+    is cached once. Before any twist is computed, every twist's cutoff is
+    checked, then the embedding is checked to be a ring map on basis
+    products up to max(D_n) + 2, the highest degree any twist reads. A twist
+    is certified when degree-d elements peak at pole d*jump with independent
+    leading coefficients (leading_exact, verified in the carrier through its
+    D_n + 2). The twists then run in ``_twists``, as in ``compute_twists``,
+    which a model with jump_index 1 reproduces.
     """
     ns = list(ns)
-    cutoffs = [_cutoff(pres, n, D, "assembly") for n in ns]
-    for D_n in cutoffs:
-        _require_declared(pres, D_n)
+    cutoffs = _cutoffs(pres, ns, D, "assembly")
     window = cache(embedding)
     jump = model.jump_index
     top = max(cutoffs, default=0) + 2
@@ -411,26 +431,7 @@ def curve_from_parts(
     # one pass through the highest degree read; twists reading below its failure stay certified
     failure = leading_exact_failure(pres, window, jump, top, pivots=pivots)
     certified = [failure is None or failure[0] > D_n + 2 for D_n in cutoffs]
-    kernel = max((model.fil_pole_bound(n) // jump for n, c in zip(ns, certified) if c), default=-1)
-    rows = cache(partial(_section_rows, pres, window, kernel))
-    monomial = cache(_unit_monomial)
-    results = []
-    for n, D_n, cert in zip(ns, cutoffs, certified):
-        fil_bound = model.fil_pole_bound(n)
-        reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump,
-                                      pivots if cert else None, monomial)
-        basis, h0_graded = _sections(pres, window, fil_bound, D_n, rows if cert else None)
-        results.append(CohomologyResult(
-            n=n,
-            h0_basis=basis,
-            h0_graded=h0_graded,
-            h1_basis=reps,
-            h1_graded=h1_graded,
-            certified=cert,
-            cutoff_used=D_n,
-            labels={i: pres.label(i) for i in pres.basis_up_to(D_n)},
-        ))
-    return results
+    return _twists(pres, window, jump, ns, cutoffs, certified, pivots)
 
 
 def p1_formal_embedding(model):

@@ -56,6 +56,7 @@ from .scalars import (
     gaussian_tps,
     primitive_integer_poly,
     split_terms,
+    without_spaces,
 )
 
 # ---------------------------------------------------------------------------
@@ -125,9 +126,15 @@ def pdivmod(a, b):
 
 
 def pgcd(a, b):
+    """The monic gcd of a and b over Q (Euclid), [] when both are zero.
+
+    Each remainder is made primitive (``primitive_integer_poly``) before the
+    next division: a nonzero scalar factor changes no gcd, and without it
+    the remainders' coefficients grow with every step.
+    """
     a, b = ptrim(a), ptrim(b)
     while b:
-        a, b = b, pdivmod(a, b)[1]
+        a, b = b, [Fraction(c) for c in primitive_integer_poly(pdivmod(a, b)[1])]
     if a:
         a = pscale(a, 1 / a[-1])
     return a
@@ -183,9 +190,10 @@ MAX_EXPONENT = 1 << 16
 def poly_parse(text: str):
     """Parse "9*T^2 - 1", "3T-1", "T^3 - 7" into an ascending Q-coefficient list.
 
-    An exponent above ``MAX_EXPONENT`` raises ValueError before the list is built.
+    Spaces are dropped, except between two digits (``without_spaces``). An
+    exponent above ``MAX_EXPONENT`` raises ValueError before the list is built.
     """
-    s = text.replace(" ", "").replace("**", "^")
+    s = without_spaces(text).replace("**", "^")
     if not s:
         raise ValueError("empty polynomial")
     coeffs: dict[int, Fraction] = {}

@@ -169,6 +169,15 @@ _REAL_TERM = _re.compile(r"^([+-]?\d+(?:/\d+)?)$")
 _RATIONAL = _re.compile(r"([+-]?\d+)(?:/(\d+))?")
 #: the start of a term: a sign that none of ``+-*/^`` precedes
 _TERM_START = _re.compile(r"(?<=[^+\-*/^])(?=[+-])")
+#: two digits that only spaces separate, which dropping the spaces would join into one number
+_SPACED_DIGITS = _re.compile(r"\d +\d")
+
+
+def without_spaces(text: str) -> str:
+    """``text`` with its spaces dropped; ValueError where spaces separate two digits ("1 2" is not 12)."""
+    if (m := _SPACED_DIGITS.search(text)):
+        raise ValueError(f"space between digits {m[0]!r} in {text!r}")
+    return text.replace(" ", "")
 
 
 def split_terms(s: str) -> list:
@@ -185,9 +194,10 @@ def gaussian_numerators(text: str) -> tuple:
 
     Each term "a/b" or "a/b*i" (also "i/2", "-i") is added as integers, so
     no Fraction is built; ``den`` is a common denominator, not always the least.
-    A plain "a" or "a/b" with b != 0 is read by one match.
+    A plain "a" or "a/b" with b != 0 is read by one match. Spaces are
+    dropped, except between two digits (``without_spaces``).
     """
-    s = text.replace(" ", "")
+    s = without_spaces(text)
     if (m := _RATIONAL.fullmatch(s)) and (den := int(m[2] or 1)):
         return den, int(m[1]), 0
     if not s:

@@ -155,6 +155,8 @@ _DREAM = ["--r", "1/2", "--M", "4", "--n", "0"]
 _BAD_FILES = {
     "@bad-mul": "fields rational gaussian\nbasis a 0\nmul a a = 1/0*a\nembed a = 1*t^0\n",
     "@bad-embed": "fields rational gaussian\nbasis a 0\nmul a a = 1*a\nembed a = 1/0*t^0\n",
+    # a space between two digits once joined them: 1 0 read as 10
+    "@spaced-constant": "fields rational gaussian\nbasis a 0\nmul a a = 1*a\nembed a = 1 0*t^0\n",
     "@numeric-x-r": '{"x": 5, "r": 0.5}',
     "@numeric-f": '{"f": 1}',
     "@string-M": '{"M": "8"}',
@@ -162,6 +164,7 @@ _BAD_FILES = {
     "@numeric-switch": '{"uncertified_ok": 1}',
     "@null-switch": '{"uncertified_ok": null}',
     "@huge-M": '{"M": ' + "1" * 5000 + "}",
+    "@bad-format": '{"format": "xml"}',
 }
 
 
@@ -170,6 +173,7 @@ _BAD_FILES = {
     [
         ["cohomology", "--curve", "@bad-mul", "--n", "0"],
         ["cohomology", "--curve", "@bad-embed", "--n", "0"],
+        ["cohomology", "--curve", "@spaced-constant", "--n", "0"],
         ["pipeline", "--f", "1/0", "--M", "4"],
         ["pipeline", "--f", "1+", "--M", "4"],
         ["pipeline", "--f", "xi^", "--M", "4"],
@@ -179,6 +183,8 @@ _BAD_FILES = {
         ["dream", "--x", "1/0", *_DREAM],
         ["dream", "--x", "i/0", *_DREAM],
         ["dream", "--x", "--", *_DREAM],
+        ["dream", "--x", "0 1/3", *_DREAM],
+        ["dream", "--x", "0", "--r", "0 1/2", "--M", "4", "--n", "0"],
         # a radius outside the Gaussian grammar, read by Python's Fraction grammar once
         # (1e-10000000 took 40 s and exited 1)
         *(["dream", "--x", "0", "--r", r, "--M", "2", "--n", "0"] for r in ("0.5", "1e-3", "1_0/2_0", "1e-10000000")),
@@ -189,6 +195,7 @@ _BAD_FILES = {
         ["dream", "--config", "@numeric-x-r", "--M", "4", "--n", "0"],
         ["pipeline", "--config", "@numeric-f", "--M", "4"],
         ["pipeline", "--config", "@string-M", "--f", "1"],
+        ["cohomology", "--curve", "p1", "--n", "0", "--config", "@bad-format"],
         *(["cohomology", "--curve", "p1", "--n", "3", "--cutoff", "4", "--config", switch]
           for switch in ("@string-switch", "@numeric-switch", "@null-switch")),
         # literals and config values over the int-to-str digit limit

@@ -328,12 +328,16 @@ def test_read_off_keeps_the_elimination_errors(p1):
         coh.h1(pres, 0, D=7)
     with pytest.raises(CutoffTooLarge, match="got D=7"):
         coh.curve_from_parts(pres, model, pres.embed_basis, [0], D=7)
-    # the elimination's own error comes before the failing certificate
+    # the elimination alone drifts, but every route fails on the certificate
+    # first, which names the root cause
     with pytest.raises(NotStabilized, match=r"cutoffs 5\.\.7: \[0, 0, 1\]"):
-        coh.h1(pres, 0, D=5)
-    assert pres.verified_degree == 6
+        coh._h1_classes(pres, pres.embed_basis, 0, 5, 1)
+    for run in (lambda: coh.h1(pres, 0, D=5), lambda: coh.compute_twists(pres, [0], D=5)):
+        with pytest.raises(EmbeddingNotRingMap, match=r"pole_order\(embed\(x7\)\) != 7 \(degree 7\)"):
+            run()
     with pytest.raises(EmbeddingNotRingMap):
-        pres.certified_through(7)
+        coh.curve_from_parts(pres, model, pres.embed_basis, [0], D=5)
+    assert pres.verified_degree == 6
 
 
 def test_certified_results_eliminate_only_what_structure_leaves_open(tw, monkeypatch):
@@ -713,10 +717,10 @@ def test_a_certified_range_reduces_once_and_keeps_nothing(tw, monkeypatch):
     assert coh.compute_twists(tw, range(-3, 0)) and reduced[2:] == [0]
 
 
-def test_a_range_reading_a_broken_ring_map_fails_as_one_twist_at_a_time_did(tmp_path, capsys):
-    # x9 -> t^10 breaks leading_exact and the ring map in degree 9, which the
-    # shared H^0 elimination of --n 0..10 reads from the first twist on; the
-    # failure is the one the twists meet in order (n = 3 reads D + 2 = 9)
+def test_a_range_reading_a_broken_ring_map_fails_on_its_certificate(tmp_path, capsys):
+    # x9 -> t^10 breaks leading_exact and the ring map in degree 9. --n 0..10
+    # reads degrees up to 12, so the certificate fails before the first twist
+    # and names the root cause, not the drift of twist 3's H^1 (through degree 9)
     from curvecoh.cli import main
 
     curve = tmp_path / "broken.pres"
@@ -724,8 +728,8 @@ def test_a_range_reading_a_broken_ring_map_fails_as_one_twist_at_a_time_did(tmp_
     assert main(["cohomology", "--curve", str(curve), "--n", "0..10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: cohomology: NotStabilized: h1 dimension still changing "
-                            "at cutoffs 7..9: [0, 0, 1]\n")
+    assert captured.err == (f"error: cohomology: EmbeddingNotRingMap: {curve}: "
+                            "pole_order(embed(x9)) != 9 (degree 9)\n")
     pres = load_presentation(_p1_file(12, {9: "1*t^10"}))
     with pytest.raises(EmbeddingNotRingMap, match=r"\(degree 9\)"):
         coh.compute_twists(pres, [0, 7])
@@ -829,24 +833,22 @@ def test_a_certified_range_reduces_once_per_column_floor(p1, monkeypatch):
         assert (r.h0_basis, r.h0_graded) == _reference_sections(p1, window, r.n, r.cutoff_used)
 
 
-def test_a_clipped_range_fails_as_one_twist_at_a_time_did():
-    # the degree-8 window clipped at 9 is zero above O(t^8), not certified zero
-    def outcome(run):
-        try:
-            return [r.to_json() for r in run()]
-        except IndeterminateTop as exc:
-            return str(exc)
-
-    for clips, ns, D, why in (
-        ({8: 9}, [0, 10], 10, "window is zero above O(t^8)"),
-        ({8: 9}, [0, 3], 10, "window is zero above O(t^8)"),
-        # twist 0 builds the echelon through degree 10 in its H^0, yet its own
-        # H^1 (through degree 6, the degree-5 window clipped at 3) fails first
-        ({8: 9, 5: 3}, [0, 10], None, "only known above O(t^2), need coefficients down to t^1"),
-    ):
-        ours = outcome(lambda: coh.compute_twists(_clipped_p1(clips), ns, D))
-        assert ours == outcome(lambda: [coh.compute(_clipped_p1(clips), n, D) for n in ns])
-        assert why in ours
+def test_a_clipped_range_fails_before_its_first_twist(monkeypatch):
+    # the degree-8 window clipped at 9 is zero above O(t^8), not certified
+    # zero: a range that reads degree 8 fails on its certificate before any
+    # twist is computed, also where a lower twist alone fails in its own H^1
+    computed = []
+    h1_classes = coh._h1_classes
+    monkeypatch.setattr(coh, "_h1_classes", lambda *args: computed.append(args) or h1_classes(*args))
+    for clips, ns, D in (({8: 9}, [0, 10], 10), ({8: 9}, [0, 3], 10), ({8: 9, 5: 3}, [0, 10], None)):
+        with pytest.raises(IndeterminateTop, match=r"window is zero above O\(t\^8\)"):
+            coh.compute_twists(_clipped_p1(clips), ns, D)
+        assert computed == []
+    # twist 0 alone is certified through degree 6 and its H^1 reads the
+    # degree-5 window clipped at 3
+    with pytest.raises(IndeterminateTop, match=r"only known above O\(t\^2\), need coefficients down to t\^1"):
+        coh.compute(_clipped_p1({8: 9, 5: 3}), 0)
+    assert computed
 
 
 def test_an_uncertified_h0_reads_a_window_known_zero_down_to_its_cutoff():
@@ -858,3 +860,29 @@ def test_an_uncertified_h0_reads_a_window_known_zero_down_to_its_cutoff():
         assert (res.dims, res.certified) == ((n + 1, 0), False)
     with pytest.raises(IndeterminateTop, match="only known above O"):
         coh.h0(pres, 2)
+
+
+def test_the_direct_and_the_assembled_routes_agree(p1, tw, rescaled_twistor_file, monkeypatch):
+    # one gluing square with two sources of Fil_n: the Laurent field, and a
+    # formal-disc model with jump 1 that the presentation's own windows embed in
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+    ns = range(-6, 13)
+    for pres in (p1, tw, load_presentation(rescaled_twistor_file(14, Fraction(3, 2)))):
+        direct = coh.compute_twists(pres, ns)
+        assembled = coh.curve_from_parts(pres, model, pres.embed_basis, ns)
+        assert [r.to_json() for r in direct] == [r.to_json() for r in assembled], pres.name
+        assert all(r.certified for r in direct)
+
+    # a broken ring map and a clipped window fail on both routes, alike, before any twist
+    computed = []
+    h1_classes = coh._h1_classes
+    monkeypatch.setattr(coh, "_h1_classes", lambda *args: computed.append(args) or h1_classes(*args))
+    for pres, ns in ((load_presentation(_p1_file(12, {9: "1*t^10"})), range(11)),
+                     (_clipped_p1({8: 9}), [0, 10])):
+        errors = []
+        for route in (partial(coh.compute_twists, pres, ns),
+                      partial(coh.curve_from_parts, pres, model, pres.embed_basis, ns)):
+            with pytest.raises((EmbeddingNotRingMap, IndeterminateTop)) as exc:
+                route()
+            errors.append(type(exc.value))
+        assert errors[0] is errors[1] and computed == [], pres.name

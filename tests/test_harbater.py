@@ -29,7 +29,9 @@ from curvecoh.harbater import (
     padd,
     parse_element,
     pdivmod,
+    pgcd,
     pmul,
+    pscale,
     poly_parse,
     poly_str,
     ptrim,
@@ -368,6 +370,42 @@ def test_element_grammar_roundtrip():
     assert cs2.coeffs == cs.coeffs and cs2.s == cs.s
     assert poly_parse("T^3 - 7") == [-7, 0, 0, 1]
     assert poly_str([-7, 0, 0, 1]) == "T^3 - 7"
+
+
+def _fraction_euclid_gcd(a, b):
+    """The monic gcd by Euclid over Fractions, with no content removed: the reference for ``pgcd``."""
+    a, b = ptrim(a), ptrim(b)
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return pscale(a, 1 / a[-1]) if a else a
+
+
+def test_pgcd_matches_the_fraction_euclid_loop_on_dense_pairs():
+    rng = random.Random(SEED + 30)
+
+    def dense(degree):
+        return [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(degree)] + [Fraction(1)]
+
+    for degree in (1, 4, 12, 24):
+        # a planted common factor with a nonzero constant term, so num/den is a RationalFn
+        common = [Fraction(rng.choice([-3, -1, 1, 2]))] + dense(rng.randint(1, 4))[1:]
+        num, den = pmul(common, dense(degree)), pmul(common, [Fraction(rng.randint(1, 9))] + dense(degree)[1:])
+        expected = _fraction_euclid_gcd(num, den)
+        assert pgcd(num, den) == expected and len(expected) >= len(common)
+        assert pgcd(pscale(num, Fraction(-7, 4)), den) == expected
+        assert pgcd(num, []) == pscale(num, 1 / num[-1]) and pgcd([], []) == []
+        # the reduced form of num/den: divided by the gcd, den(0) normalized to 1
+        q_num, q_den = pdivmod(num, expected)[0], pdivmod(den, expected)[0]
+        form = RationalFn(num, den)
+        assert (list(form.num), list(form.den)) == (pscale(q_num, 1 / q_den[0]), pscale(q_den, 1 / q_den[0]))
+
+
+def test_a_space_between_digits_is_refused():
+    # dropping the spaces once read "1 2*T" as 12*T
+    for text in ("1 2*T", "T^1 0", "1 / 2 3*T"):
+        with pytest.raises(ValueError, match="space between digits"):
+            parse_element(text)
+    assert poly_parse(" 9 * T^2 - 1 ") == poly_parse("9*T^2-1")
 
 
 @pytest.mark.parametrize("parse, text", [

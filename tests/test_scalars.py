@@ -793,6 +793,16 @@ def test_a_plain_rational_reads_as_the_general_parser_reads_it(monkeypatch):
     assert fast[:4] == [(1, 0, 0), (1, 0, 0), (1, 7, 0), (8, 12, 0)]
 
 
+def test_a_space_between_digits_is_refused():
+    # dropping the spaces once joined the digits: "1 2/3" read as 4 and "0 1/2" as 1/2
+    for parse, text in ((parse_gaussian, "1 2/3"), (as_fraction, "0 1/2"), (parse_gaussian, "1/2 3*i"),
+                        (as_fraction, "1/2 0")):
+        with pytest.raises(ValueError, match="space between digits"):
+            parse(text)
+    assert as_fraction(" 1 / 2 ") == Fraction(1, 2)
+    assert parse_gaussian("1 + 2 * i") == parse_gaussian("1+2*i")
+
+
 def test_as_fraction_reads_text_in_the_gaussian_grammar():
     assert [as_fraction(t) for t in ("3/6", "-2", "1/2+0*i")] == [Fraction(1, 2), Fraction(-2), Fraction(1, 2)]
     for text in ("0.5", "1e3", "1_0", "1/2/3", ""):
