@@ -9,13 +9,17 @@ base field k0, truncating the affine algebra at a degree cutoff D.
 When the presentation is ``leading_exact`` the truncation is provably
 enough (an element of degree <= D cannot hide a pole above D), so the
 results carry ``certified=True`` once the presentation's checks cover
-every degree read (D for H^0, D+2 for H^1; see ``certified_through``);
-without the flag they are reported uncertified. The H^1 dimension is
-re-computed at D, D+1, D+2 and must stabilize for every presentation,
-``leading_exact`` or not: leading coefficients that are k0-independent
-need not span k1 over k0, so the image can miss a direction in every
-degree (Q[t] inside Q(i)((t^-1)) never reaches i*t^m) and only the
-drifting dimension shows it.
+every degree read (D_n + 2 for every twist; see ``certified_through``);
+without the flag they are reported uncertified. Certified H^1 is read
+off the conductor c (``_conductor``): the least degree from which every
+degree is full, its leading pivots covering every part of its column.
+H^1(O(n)) is then the columns t^e (and i*t^e), n < e < c, that no
+degree's leading pivots cover. Leading coefficients that are
+k0-independent need not span k1 over k0 (Q[t] inside Q(i)((t^-1)) never
+reaches i*t^m), and a file may stop before its degrees fill up; then no
+conductor is found and NotStabilized is raised before the first twist.
+An uncertified H^1 is re-computed at D, D+1, D+2 and must stabilize,
+and stays uncertified: three equal counts are a heuristic, not a proof.
 
 H^0 and H^1 are the kernel and cokernel of one gluing map, the affine
 algebra up to degree D into the Laurent coefficients above Fil_n. Its
@@ -23,25 +27,27 @@ rows are each window's own integer numerators and denominator
 (``gluing_rows``, realified over Q(i)). ``_section_rows`` reduces them,
 with an identity block, for H^0 and builds exact rationals only for the
 basis vectors it outputs. ``_h1_classes`` runs the stabilization loop
-for H^1, which needs only the image's pivot columns. ``h0`` and ``h1``
-compute one group of one twist through these two. ``compute_twists``
+for an uncertified H^1, which needs only the image's pivot columns.
+``h0`` and ``h1`` compute one group of one twist. ``compute_twists``
 (Fil_n from the Laurent field) and ``curve_from_parts`` (from a
 formal-disc model) share one loop over the twists, ``_twists``, entered
-once every twist's cutoff and one certificate through max(D_n) + 2 hold.
+once every twist's cutoff and one certificate through max(D_n) + 2 hold;
+it finds the conductor before the first twist.
 
 Where the window used is certified leading_exact through every degree a
 result reads, structure decides what elimination would (a degree-d
 element peaks at t^(d*jump) with k0-independent leading coefficients).
 H^1's image pivots are each degree's leading pivots
-(``presentation.leading_pivots``). Elements of pole order <= f have
-degree <= f // jump and rows of higher degree pivot above t^f, so in the
-reduced echelon form of the rows up to any K >= f // jump the rows that
-pivot at or below t^f (a suffix) are their unique reduced basis over the
-columns read. These end at a twist's column floor (its windows' largest
-cutoff, None if all are exact): one elimination per floor, at the
-largest certified twist's K, serves a range of twists, and the
-certificate already covers every degree it reads. Uncertified windows
-reduce twist by twist, the only way to see drift.
+(``presentation.leading_pivots``), and degrees from c on cover every
+column. Elements of pole order <= f have degree <= f // jump and rows of
+higher degree pivot above t^f, so in the reduced echelon form of the
+rows up to any K >= f // jump the rows that pivot at or below t^f (a
+suffix) are their unique reduced basis over the columns read. These end
+at a twist's column floor (its windows' largest cutoff, None if all are
+exact): one elimination per floor, at the largest certified twist's K,
+serves a range of twists, and the certificate already covers every
+degree it reads. Uncertified windows reduce twist by twist, the only
+way to see drift.
 
 Bases are unique: kernel and cokernel representatives are put in reduced
 echelon form with pivot columns ordered by decreasing t-exponent (ties
@@ -148,8 +154,9 @@ def default_cutoff(n: int) -> int:
 def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
     """The default degree cutoff, capped for degree-bounded presentations.
 
-    H^1 stabilization recomputes at D+1 and D+2, so a presentation that
-    only declares degrees up to max_degree supports D <= max_degree - 2.
+    Certificates read degrees up to D+2, and H^1 stabilization recomputes
+    at D+1 and D+2, so a presentation that only declares degrees up to
+    max_degree supports D <= max_degree - 2.
     """
     D = default_cutoff(n)
     if pres.max_degree is not None:
@@ -230,7 +237,8 @@ def _cutoff(pres: AffinePresentation, n: int, D: int | None, what: str) -> int:
 def _cutoffs(pres: AffinePresentation, ns: list, D: int | None, what: str) -> list:
     """Every twist's cutoff D_n (``_cutoff``), then each checked against the declared degrees.
 
-    H^1 stabilization reads degrees up to D_n + 2: a presentation that stops below is refused.
+    The certificate and H^1 stabilization read degrees up to D_n + 2: a presentation that stops
+    below is refused.
     """
     cutoffs = [_cutoff(pres, n, D, what) for n in ns]
     for D_n in cutoffs:
@@ -242,28 +250,17 @@ def _cutoffs(pres: AffinePresentation, ns: list, D: int | None, what: str) -> li
     return cutoffs
 
 
-def _h1_free_columns(pres: AffinePresentation, window, fil_bound: int, cutoff: int, jump: int,
-                     pivots=None) -> list:
+def _h1_free_columns(pres: AffinePresentation, window, fil_bound: int, cutoff: int, jump: int) -> list:
     """The (exponent, part) columns of the H^1 target at ``cutoff`` that the image misses.
 
     The target is span{t^m : fil_bound < m <= max(cutoff*jump, fil_bound)},
     realified for a (Q, Q(i)) pair. The image's pivot columns come from one
-    forward pass over the rows of degree <= cutoff, or, with ``pivots``
-    (degree d -> ``presentation.leading_pivots``, for a window certified
-    leading_exact through ``cutoff``), are read off: a degree-d element
-    peaks at t^(d*jump) with k0-independent leading coefficients, so the
-    image pivots at (d*jump, p) for p among degree d's leading pivots,
-    d*jump > fil_bound, and nowhere else.
+    forward pass over the rows of degree <= cutoff.
     """
     top = max(cutoff * jump, fil_bound)
     cols = [(e, p) for e in range(top, fil_bound, -1) for p in range(pres.pair.coord_count)]
-    if pivots is None:
-        windows = [window(i) for i in pres.basis_up_to(cutoff)]
-        rows = gluing_rows(pres.pair, windows, top, fil_bound + 1)
-        image = {cols[k] for k in pivot_columns(rows)}
-    else:
-        image = {(d * jump, p) for d in range(max(fil_bound // jump + 1, 0), cutoff + 1)
-                 for p in pivots(d)}
+    windows = [window(i) for i in pres.basis_up_to(cutoff)]
+    image = {cols[k] for k in pivot_columns(gluing_rows(pres.pair, windows, top, fil_bound + 1))}
     return [col for col in cols if col not in image]
 
 
@@ -272,25 +269,80 @@ def _unit_monomial(e: int, p: int) -> LaurentWindow:
     return LaurentWindow.monomial(e, _UNITS[p])
 
 
+def _classes(free: list, monomial) -> tuple:
+    """(representatives, graded) of H^1 with free (exponent, part) columns ``free``."""
+    return [monomial(e, p) for e, p in free], _graded_from_pivots(e for e, _ in free)
+
+
 def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: int,
-                pivots=None, monomial=_unit_monomial):
-    """(representatives, graded) of the cokernel, stable over cutoffs D, D+1, D+2.
+                monomial=_unit_monomial):
+    """(representatives, graded) of an uncertified window's cokernel, stable over cutoffs D, D+1, D+2.
 
     At cutoff D' the quotient target is span{t^m : fil_bound < m <=
     max(D'*jump, fil_bound)}, so an image that stops growing leaves new
-    columns uncovered and the dimension drifts. ``pivots`` is passed on to
-    ``_h1_free_columns``, for a window certified leading_exact through D + 2;
-    ``monomial(e, p)`` builds the representative of free column (e, p).
+    columns uncovered and the dimension drifts. Three equal counts are a
+    heuristic (hit pole orders 4, 5, 6 then a missed 7 pass it), so the
+    result stays uncertified; a certified window reads H^1 off its conductor
+    (``_conductor``). ``monomial(e, p)`` builds the representative of free
+    column (e, p).
     """
     _require_known([window(i) for i in pres.basis_up_to(D + 2)], fil_bound + 1)
-    runs = [_h1_free_columns(pres, window, fil_bound, cutoff, jump, pivots)
-            for cutoff in range(D, D + 3)]
+    runs = [_h1_free_columns(pres, window, fil_bound, cutoff, jump) for cutoff in range(D, D + 3)]
     dims = [len(free) for free in runs]
     if not dims[0] == dims[1] == dims[2]:
         raise NotStabilized(f"h1 dimension still changing at cutoffs {D}..{D + 2}: {dims}")
-    free = runs[0]
-    reps = [monomial(e, p) for e, p in free]
-    return reps, _graded_from_pivots([e for e, _ in free])
+    return _classes(runs[0], monomial)
+
+
+def _conductor(pres: AffinePresentation, jump: int, pivots, last: int) -> list:
+    """The leading pivots of degrees 0 .. c - 1, for the conductor c of a window certified leading_exact.
+
+    Degree d is full when ``pivots(d)``, its leading pivots, cover every part
+    of the column at t^d. Let a be the least positive degree with a basis
+    element. A degree-a element has a nonzero leading coefficient, and under
+    a product pole orders add and leading coefficients multiply, so it takes
+    a full degree d to a full degree d + a: once degrees c .. c + a - 1 are
+    all full, every degree >= c is. c is the least such degree, searched
+    through ``last``. With jump > 1 no degree reaches the exponents off the
+    multiples of jump, so H^1 is infinite. NotStabilized is raised when no c
+    is found.
+    """
+    a = next((d for d in range(1, last + 1) if pres.indices_of_degree(d)), None)
+    if jump == 1 and a is not None:
+        leading, run = [], 0
+        for d in range(last + 1):
+            leading.append(pivots(d))
+            run = run + 1 if len(leading[-1]) == pres.pair.coord_count else 0
+            if run == a:
+                return leading[:d - a + 1]
+    raise NotStabilized(f"h1 has no conductor through degree {last} at jump index {jump}")
+
+
+def _conductor_classes(pres: AffinePresentation, leading: list, fil_bound: int, monomial=_unit_monomial):
+    """(representatives, graded) of certified H^1 above Fil_n of pole order <= ``fil_bound``.
+
+    ``leading`` is ``_conductor``'s. The image pivots at (d, p) for every
+    degree d > fil_bound and p among d's leading pivots, and every degree
+    >= c is full, so the free columns are the (e, p) with fil_bound < e < c
+    and e < 0 or p not in leading[e], e decreasing, then p.
+    """
+    free = [(e, p) for e in range(len(leading) - 1, fil_bound, -1) for p in range(pres.pair.coord_count)
+            if e < 0 or p not in leading[e]]
+    return _classes(free, monomial)
+
+
+def _direct_search(pres: AffinePresentation, top: int) -> tuple:
+    """(pivots, last degree) of ``_conductor`` on the presentation's own embedding.
+
+    The search reads up to the declared top, or ``top`` when there is none.
+    Each degree it reads is certified first, so a conductor above ``top``
+    extends ``certified_through`` one degree at a time.
+    """
+    def pivots(d):
+        pres.certified_through(d)
+        return pres.leading_pivots(d)
+
+    return pivots, top if pres.max_degree is None else pres.max_degree
 
 
 def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
@@ -312,16 +364,19 @@ def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
 def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
     """First cohomology of O(n): Laurent tail classes modulo the affine algebra.
 
-    The certificate through D + 2, the highest degree the stabilization
-    reads, is checked before the elimination. Representatives are pure
+    The certificate through D + 2 is checked first, as for ``compute``. A
+    certified result is read off the conductor (``_conductor``), as
+    ``compute`` and ``curve_from_parts`` read it; an uncertified one comes
+    from the stabilization loop (``_h1_classes``). Representatives are pure
     monomial classes t^m (and i*t^m for a split coefficient pair) at the
-    free columns of the image echelon, reduced modulo the image by
-    construction.
+    free columns, reduced modulo the image by construction.
     """
     [D] = _cutoffs(pres, [n], D, "h1")
     certified = pres.certified_through(D + 2)
-    reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1,
-                               pres.leading_pivots if certified else None)
+    if certified:
+        reps, graded = _conductor_classes(pres, _conductor(pres, 1, *_direct_search(pres, D + 2)), n)
+    else:
+        reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1)
     return CohomologyResult(
         n=n,
         h1_basis=reps,
@@ -332,22 +387,29 @@ def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
 
 
 def _twists(pres: AffinePresentation, window, jump: int, ns: list, cutoffs: list, certified: list,
-            pivots) -> list[CohomologyResult]:
+            pivots, last: int) -> list[CohomologyResult]:
     """Both groups of O(n) for each twist n in ``ns``, in order, with Fil_n of pole order <= n*jump.
 
-    ``cutoffs`` and ``certified`` hold each twist's D_n and flag. A certified
-    twist reads H^1 off ``pivots`` (degree d -> its leading pivots) and H^0
-    off one echelon per column floor at the largest certified n. Both, and
-    the H^1 representatives, are kept for this call only.
+    ``cutoffs`` and ``certified`` hold each twist's D_n and flag. If any
+    twist is certified, the conductor is found first, through degree
+    ``last`` from ``pivots`` (degree d -> its leading pivots), or
+    NotStabilized is raised before any twist. A certified twist reads H^1
+    off the conductor and H^0 off one echelon per column floor at the
+    largest certified n; an uncertified one runs the stabilization loop and
+    its own elimination. Echelons and representatives are kept for this
+    call only.
     """
+    leading = _conductor(pres, jump, pivots, last) if any(certified) else None
     kernel = max((n for n, cert in zip(ns, certified) if cert), default=-1)
     rows = cache(partial(_section_rows, pres, window, kernel))
     monomial = cache(_unit_monomial)
     results = []
     for n, D_n, cert in zip(ns, cutoffs, certified):
         fil_bound = n * jump  # as FilteredRingModel.fil_pole_bound(n)
-        reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump,
-                                      pivots if cert else None, monomial)
+        if cert:
+            reps, h1_graded = _conductor_classes(pres, leading, fil_bound, monomial)
+        else:
+            reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump, monomial)
         basis, h0_graded = _sections(pres, window, fil_bound, D_n, rows if cert else None)
         results.append(CohomologyResult(n=n, h0_basis=basis, h0_graded=h0_graded, h1_basis=reps,
                                         h1_graded=h1_graded, certified=cert, cutoff_used=D_n,
@@ -359,14 +421,17 @@ def compute_twists(pres: AffinePresentation, ns, D: int | None = None) -> list[C
     """Both groups of O(n) for each twist n in ``ns``, in order, with Fil_n from the Laurent field.
 
     Before any twist is computed, every twist's cutoff is checked, then the
-    presentation is certified through max(D_n) + 2, the highest degree any
-    twist reads (``certified_through`` raises on a failing check). The
-    twists then run in ``_twists``, as in ``curve_from_parts``.
+    presentation is certified through max(D_n) + 2 (``certified_through``
+    raises on a failing check), and its conductor is searched up to the
+    declared top (``_direct_search``). The twists then run in ``_twists``,
+    as in ``curve_from_parts``.
     """
     ns = list(ns)
     cutoffs = _cutoffs(pres, ns, D, "h0")
-    certified = pres.certified_through(max(cutoffs, default=0) + 2)
-    return _twists(pres, pres.embed_basis, 1, ns, cutoffs, [certified] * len(ns), pres.leading_pivots)
+    top = max(cutoffs, default=0) + 2
+    certified = pres.certified_through(top)
+    return _twists(pres, pres.embed_basis, 1, ns, cutoffs, [certified] * len(ns),
+                   *_direct_search(pres, top))
 
 
 def compute(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
@@ -418,8 +483,9 @@ def curve_from_parts(
     products up to max(D_n) + 2, the highest degree any twist reads. A twist
     is certified when degree-d elements peak at pole d*jump with independent
     leading coefficients (leading_exact, verified in the carrier through its
-    D_n + 2). The twists then run in ``_twists``, as in ``compute_twists``,
-    which a model with jump_index 1 reproduces.
+    D_n + 2). The conductor is searched through the degrees checked below
+    the first leading_exact failure. The twists then run in ``_twists``, as
+    in ``compute_twists``, which a model with jump_index 1 reproduces.
     """
     ns = list(ns)
     cutoffs = _cutoffs(pres, ns, D, "assembly")
@@ -430,8 +496,8 @@ def curve_from_parts(
     pivots = cache(partial(leading_pivots, pres, window, jump))
     # one pass through the highest degree read; twists reading below its failure stay certified
     failure = leading_exact_failure(pres, window, jump, top, pivots=pivots)
-    certified = [failure is None or failure[0] > D_n + 2 for D_n in cutoffs]
-    return _twists(pres, window, jump, ns, cutoffs, certified, pivots)
+    last = top if failure is None else failure[0] - 1
+    return _twists(pres, window, jump, ns, cutoffs, [D_n + 2 <= last for D_n in cutoffs], pivots, last)
 
 
 def p1_formal_embedding(model):

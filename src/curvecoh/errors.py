@@ -34,7 +34,13 @@ class CutoffTooLarge(ComputationError):
 
 
 class NotStabilized(ComputationError):
-    """Heuristic H^1 dimension still changing at the working cutoff."""
+    """H^1 has no certified finite answer here.
+
+    Either an uncertified H^1 dimension still changes over the cutoffs
+    D, D+1, D+2, or a certified window has no conductor within the degrees
+    its checks cover (its H^1 is infinite, or reaches past them), or a
+    result that must be certified is not.
+    """
 
 
 class ResultTooLarge(ComputationError):

@@ -1,4 +1,4 @@
-"""Shared fixtures: the twistor line and the projective line written out as presentation files."""
+"""Shared fixtures: the twistor line, the projective line and numerical-semigroup rings as presentation files."""
 
 from fractions import Fraction
 
@@ -6,6 +6,7 @@ import pytest
 
 from curvecoh.presentation import twistor_presentation
 from curvecoh.scalars import GaussianRational
+from curvecoh.series import gaussian_window
 
 
 def _file_coeff(z: GaussianRational) -> str:
@@ -65,3 +66,30 @@ def _p1_file(top: int, embed_exponent, scale=lambda k: 1) -> str:
 def p1_file():
     """``(top, embed_exponent[, scale]) -> text`` of p1 with t_k embedded as scale(k)*t^embed_exponent(k)."""
     return _p1_file
+
+
+def _semigroup_file(generators, top: int = 16, w=None, fields: str = "gaussian gaussian") -> str:
+    """k[S] = span{t^s : s in S} up to degree ``top`` as a presentation file, with s_K -> w^K.
+
+    ``w`` is a LaurentWindow a*t + b (a != 0), t by default; written out, its
+    powers keep the structure constants s_A * s_B = s_(A+B) and the answer.
+    """
+    w = w or gaussian_window({1: 1})
+    elements = [0]
+    for s in range(1, top + 1):
+        if any(s - g in elements for g in generators):
+            elements.append(s)
+    lines = [f"fields {fields}", "flags leading_exact"]
+    lines += [f"basis s{k} {k}" for k in elements]
+    lines += [f"mul s{a} s{b} = 1*s{a + b}" for a in elements for b in elements if a <= b and a + b <= top]
+    for k in elements:
+        wk = w.power(k)
+        terms = [f"{_file_coeff(GaussianRational.of(wk.coeffs[e]))}*t^{e}" for e in sorted(wk.coeffs, reverse=True)]
+        lines.append(f"embed s{k} = {' + '.join(terms)}")
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="session")
+def semigroup_file():
+    """``(generators[, top, w, fields]) -> text`` of the numerical-semigroup ring k[S] up to ``top``."""
+    return _semigroup_file

@@ -301,23 +301,19 @@ def _p1_file(top: int, embeds: dict) -> str:
 
 def test_read_off_keeps_the_elimination_errors(p1):
     model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
-    # n = 0 reads D = 4, and H^1 reads D + 1 and D + 2: a window there known
-    # only above t^1 is indeterminate, on the read-off path as before
+    # n = 0 reads D = 4: the stabilization loop reads D + 1 and D + 2 too, and
+    # a window there known only above t^1 is indeterminate to it. A certified
+    # twist reads H^1 off the conductor (c = 0), so it reads no such window
     for degree in (5, 6):
         def clipped(i, degree=degree):
             w = p1.embed_basis(i)
             return w.clip(2) if i == degree else w
 
         assert leading_exact_failure(p1, clipped, 1, 6) is None  # certified: the read-off runs
-        messages = []
-        for pivots in (None, partial(leading_pivots, p1, clipped, 1)):
-            with pytest.raises(IndeterminateTop) as exc:
-                coh._h1_classes(p1, clipped, 0, 4, 1, pivots)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
-        with pytest.raises(IndeterminateTop) as exc:
-            coh.curve_from_parts(p1, model, clipped, [0])
-        assert str(exc.value) == messages[0]
+        with pytest.raises(IndeterminateTop, match=r"only known above O\(t\^1\), need coefficients down to t\^1"):
+            coh._h1_classes(p1, clipped, 0, 4, 1)
+        [res] = coh.curve_from_parts(p1, model, clipped, [0])
+        assert res.certified and res.to_json() == coh.compute(p1, 0).to_json()
 
     # x7 -> t^8 breaks leading_exact (and the ring map) in degree 7, above
     # the degree 6 the loader checks
@@ -371,6 +367,40 @@ def test_certified_results_eliminate_only_what_structure_leaves_open(tw, monkeyp
     pres = load_presentation(_p1_file(8, {}).replace("flags leading_exact\n", ""))
     assert not coh.compute(pres, 0, D=4).certified
     assert passes == [5, 6, 7] and reduced == [5]
+
+
+def test_certified_h1_is_read_off_one_conductor_per_call(p1, tw, monkeypatch):
+    # a certified twist runs no H^1 elimination and asks each degree's leading
+    # pivots at most once per call; an uncertified one runs cutoffs D, D+1, D+2
+    from curvecoh import linalg
+
+    model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
+    free_columns, passes, asked = [], [], []
+    h1_free_columns = coh._h1_free_columns
+    monkeypatch.setattr(coh, "_h1_free_columns",
+                        lambda *args: free_columns.append(args[3]) or h1_free_columns(*args))
+    monkeypatch.setattr(coh, "pivot_columns", lambda rows: passes.append(rows) or linalg.pivot_columns(rows))
+
+    def counted(pivots):
+        return lambda *args: asked.append(args[-1]) or pivots(*args)
+
+    for pres, ns, conductor in ((p1, range(-24, 25), [0]), (tw, [24], [0, 1])):
+        monkeypatch.setattr(pres, "leading_pivots", counted(pres.leading_pivots))
+        direct = coh.compute_twists(pres, ns)
+        assert asked == conductor  # the degrees up to c + a - 1
+        asked.clear()
+        monkeypatch.setattr(coh, "leading_pivots", counted(leading_pivots))
+        assembled = coh.curve_from_parts(pres, model, pres.embed_basis, ns)
+        assert asked == list(range(coh.default_cutoff(max(ns)) + 3))  # the certificate: max(D_n) + 2
+        asked.clear()
+        assert all(r.certified for r in direct + assembled)
+        assert [r.to_json() for r in direct] == [r.to_json() for r in assembled]
+        assert free_columns == [] and passes == []
+
+    pres = load_presentation(_p1_file(8, {}).replace("flags leading_exact\n", ""))
+    results = coh.compute_twists(pres, [-2, 0, 1])
+    assert not any(r.certified for r in results)
+    assert free_columns == [4, 5, 6, 4, 5, 6, 5, 6, 7]
 
 
 def _gaussian_coeff(z) -> str:
@@ -433,13 +463,15 @@ def _sympy_gluing_matrix(sympy, pres, n, D):
     """Coordinates at t^m, n < m <= D, of the affine basis up to degree D.
 
     Built with sympy from the basis labels (u = (t - 1/t)/2 and
-    v = -(i/2)(t + 1/t) on the twistor line, wk = ((1+i)t + 1/2)^k on the
-    shifted line), independently of the package's Laurent windows. The
-    kernel is H^0(O(n)), the cokernel H^1(O(n)).
+    v = -(i/2)(t + 1/t) on the twistor line, wk and sk = ((1+i)t + 1/2)^k on
+    the shifted line and the semigroup ring), independently of the package's
+    Laurent windows. The kernel is H^0(O(n)), the cokernel H^1(O(n)) once
+    every degree above D is full.
     """
     t = sympy.Symbol("t")
+    w = (1 + sympy.I) * t + sympy.Rational(1, 2)
     names = {"t": t, "u": (t - 1 / t) / 2, "v": -sympy.I * (t + 1 / t) / 2}
-    names.update({f"w{k}": ((1 + sympy.I) * t + sympy.Rational(1, 2)) ** k for k in range(D + 1)})
+    names.update({f"{x}{k}": w**k for k in range(D + 1) for x in "ws"})
     basis = pres.basis_up_to(D)
     exprs = [sympy.sympify(pres.label(i).replace("^", "**"), locals=names) for i in basis]
     polys = [sympy.Poly(sympy.expand(e * t**D), t) for e in exprs]
@@ -458,18 +490,23 @@ def _sympy_scalar(sympy, c):
     return sympy.Rational(str(z.re)) + sympy.I * sympy.Rational(str(z.im))
 
 
-@pytest.mark.parametrize("curve", ["twistor", "p1", "shifted"])
+@pytest.mark.parametrize("curve", ["twistor", "p1", "shifted", "semigroup"])
 @pytest.mark.parametrize("n", [-4, -1, 0, 3, 8])
-def test_dims_and_h0_span_match_sympy(curve, n):
+def test_dims_and_h0_span_match_sympy(curve, n, semigroup_file):
     sympy = pytest.importorskip("sympy")
+    w = gaussian_window({1: GaussianRational(Fraction(1), Fraction(1)), 0: Fraction(1, 2)})
     pres = {
         "twistor": twistor_presentation,
         "p1": p1_presentation,
         # Gaussian windows: the eliminations see nonzero imaginary parts
         "shifted": lambda: load_presentation(_shifted_line_file(14), name="shifted"),
+        # k[t^4, t^5, t^6] in w = (1+i)t + 1/2: the gap 7 lies above the default cutoff of n <= 2
+        "semigroup": lambda: load_presentation(semigroup_file((4, 5, 6), w=w), name="semigroup"),
     }[curve]()
     res = coh.compute(pres, n)
-    gluing, basis = _sympy_gluing_matrix(sympy, pres, n, res.cutoff_used)
+    # the semigroup ring's degrees are full only from 8 on: its oracle reads up to the declared top
+    top = pres.max_degree if curve == "semigroup" else res.cutoff_used
+    gluing, basis = _sympy_gluing_matrix(sympy, pres, n, top)
     kernel = gluing.nullspace()
     assert res.h0_dim == len(kernel)
     assert res.h1_dim == gluing.rows - gluing.rank()
@@ -543,10 +580,10 @@ def _assert_same_typed(ours, theirs):
         assert type(a) is type(b), (a, b)
 
 
-def _h1_outcome(pres, window, fil_bound, D, jump, pivots):
-    """The free (exponent, part) columns ``_h1_classes`` returns, or its NotStabilized message."""
+def _h1_outcome(run):
+    """The free (exponent, part) columns of the H^1 classes ``run()`` returns, or its NotStabilized message."""
     try:
-        reps, _ = coh._h1_classes(pres, window, fil_bound, D, jump, pivots)
+        reps, _ = run()
     except NotStabilized as exc:
         return str(exc)
     return [(e, coh._UNITS.index(c)) for w in reps for e, c in w.coeffs.items()]
@@ -559,29 +596,30 @@ def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
     needs. H^0 is read off the twist's own rows up to D and, as a certified
     twist reads the echelon at its column floor, off the rows up to
     fil_bound // jump and up to D. H^1's free columns are compared at D,
-    D + 1 and D + 2, and the stabilized classes (or, when not ``stable``,
-    the NotStabilized message) must be the same on both paths.
+    D + 1 and D + 2. When ``stable``, the stabilization loop and the
+    conductor read-off (searched through D + 2) both give the reference's
+    classes; otherwise the loop's dimension drifts and there is no conductor.
     """
     assert leading_exact_failure(pres, window, jump, D + 2) is None
     ref_vecs, ref_graded = _reference_sections(pres, window, fil_bound, D)
     ref_free = [_reference_free_columns(pres, window, fil_bound, c, jump) for c in range(D, D + 3)]
-    outcomes = []
-    read_off = partial(leading_pivots, pres, window, jump)
-    paths = ((None, None), (partial(coh._section_rows, pres, window, fil_bound // jump), read_off),
-             (partial(coh._section_rows, pres, window, D), read_off))
-    for rows, pivots in paths:
+    for rows in (None, partial(coh._section_rows, pres, window, fil_bound // jump),
+                 partial(coh._section_rows, pres, window, D)):
         vecs, graded = coh._sections(pres, window, fil_bound, D, rows)
         assert graded == ref_graded
         assert [list(v) for v in vecs] == [list(v) for v in ref_vecs]  # keys in basis order
         for v, ref in zip(vecs, ref_vecs, strict=True):
             _assert_same_typed(list(v.values()), list(ref.values()))
-        for c, ref in zip(range(D, D + 3), ref_free, strict=True):
-            assert coh._h1_free_columns(pres, window, fil_bound, c, jump, pivots) == ref
-        outcomes.append(_h1_outcome(pres, window, fil_bound, D, jump, pivots))
+    for c, ref in zip(range(D, D + 3), ref_free, strict=True):
+        assert coh._h1_free_columns(pres, window, fil_bound, c, jump) == ref
+    read_off = partial(leading_pivots, pres, window, jump)
+    loop = _h1_outcome(lambda: coh._h1_classes(pres, window, fil_bound, D, jump))
+    conductor = _h1_outcome(lambda: coh._conductor_classes(
+        pres, coh._conductor(pres, jump, read_off, D + 2), fil_bound))
     if stable:
-        assert outcomes == [ref_free[0]] * 3
+        assert loop == conductor == ref_free[0]
     else:
-        assert outcomes[0] == outcomes[1] == outcomes[2] and "still changing" in outcomes[0]
+        assert "still changing" in loop and "no conductor" in conductor
 
 
 def _gaussian_scaled_file(top: int, c: GaussianRational) -> str:
@@ -838,16 +876,17 @@ def test_a_clipped_range_fails_before_its_first_twist(monkeypatch):
     # zero: a range that reads degree 8 fails on its certificate before any
     # twist is computed, also where a lower twist alone fails in its own H^1
     computed = []
-    h1_classes = coh._h1_classes
-    monkeypatch.setattr(coh, "_h1_classes", lambda *args: computed.append(args) or h1_classes(*args))
+    sections = coh._sections
+    monkeypatch.setattr(coh, "_sections", lambda *args: computed.append(args) or sections(*args))
     for clips, ns, D in (({8: 9}, [0, 10], 10), ({8: 9}, [0, 3], 10), ({8: 9, 5: 3}, [0, 10], None)):
         with pytest.raises(IndeterminateTop, match=r"window is zero above O\(t\^8\)"):
             coh.compute_twists(_clipped_p1(clips), ns, D)
         assert computed == []
-    # twist 0 alone is certified through degree 6 and its H^1 reads the
-    # degree-5 window clipped at 3
-    with pytest.raises(IndeterminateTop, match=r"only known above O\(t\^2\), need coefficients down to t\^1"):
-        coh.compute(_clipped_p1({8: 9, 5: 3}), 0)
+    # twist 0 alone is certified through degree 6; its H^0 reads degrees <= 4
+    # and its H^1 the conductor (c = 0), so the degree-5 window clipped at 3 is
+    # read by neither
+    res = coh.compute(_clipped_p1({8: 9, 5: 3}), 0)
+    assert (res.dims, res.certified) == ((1, 0), True)
     assert computed
 
 
@@ -875,8 +914,8 @@ def test_the_direct_and_the_assembled_routes_agree(p1, tw, rescaled_twistor_file
 
     # a broken ring map and a clipped window fail on both routes, alike, before any twist
     computed = []
-    h1_classes = coh._h1_classes
-    monkeypatch.setattr(coh, "_h1_classes", lambda *args: computed.append(args) or h1_classes(*args))
+    sections = coh._sections
+    monkeypatch.setattr(coh, "_sections", lambda *args: computed.append(args) or sections(*args))
     for pres, ns in ((load_presentation(_p1_file(12, {9: "1*t^10"})), range(11)),
                      (_clipped_p1({8: 9}), [0, 10])):
         errors = []
