@@ -8,13 +8,13 @@ base field k0, truncating the affine algebra at a degree cutoff D.
 
 When the presentation is ``leading_exact`` the truncation is provably
 enough (an element of degree <= D cannot hide a pole above D), so the
-results carry ``certified=True`` once the presentation's checks cover
-every degree read (D_n + 2 for every twist; see ``certified_through``);
-without the flag they are reported uncertified. Certified H^1 is read
-off the conductor c (``_conductor``): the least degree from which every
-degree is full, its leading pivots covering every part of its column.
-H^1(O(n)) is then the columns t^e (and i*t^e), n < e < c, that no
-degree's leading pivots cover. Leading coefficients that are
+results carry ``certified=True`` once the embedding's certificate
+(``presentation.EmbeddingCertificate``) covers every degree read (D_n + 2
+for every twist); without the flag they are reported uncertified.
+Certified H^1 is read off the conductor c (``_conductor``): the least
+degree from which every degree is full, its leading pivots covering every
+part of its column. H^1(O(n)) is then the columns t^e (and i*t^e),
+n < e < c, that no degree's leading pivots cover. Leading coefficients that are
 k0-independent need not span k1 over k0 (Q[t] inside Q(i)((t^-1)) never
 reaches i*t^m), and a file may stop before its degrees fill up; then no
 conductor is found and NotStabilized is raised before the first twist.
@@ -28,21 +28,23 @@ rows are each window's own integer numerators and denominator
 with an identity block, for H^0 and builds exact rationals only for the
 basis vectors it outputs. ``_h1_classes`` runs the stabilization loop
 for an uncertified H^1, which needs only the image's pivot columns.
-``h0`` and ``h1`` compute one group of one twist. ``compute_twists``
-(Fil_n from the Laurent field) and ``curve_from_parts`` (from a
-formal-disc model) share one loop over the twists, ``_twists``, entered
-once every twist's cutoff and one certificate through max(D_n) + 2 hold;
-it finds the conductor before the first twist.
+``h0`` computes one group of one twist, ``h1`` is the H^1 half of
+``compute``. ``compute_twists`` (Fil_n from the Laurent field, with the
+presentation's own certificate) and ``curve_from_parts`` (from a
+formal-disc model, with one certificate per call) share one loop over
+the twists, ``_twists``, entered once every twist's cutoff and the
+certificate through max(D_n) + 2 hold; it finds the conductor before the
+first twist, certifying each degree before it reads it.
 
 Where the window used is certified leading_exact through every degree a
 result reads, structure decides what elimination would (a degree-d
 element peaks at t^(d*jump) with k0-independent leading coefficients).
-H^1's image pivots are each degree's leading pivots
-(``presentation.leading_pivots``), and degrees from c on cover every
-column. Elements of pole order <= f have degree <= f // jump and rows of
-higher degree pivot above t^f, so in the reduced echelon form of the
-rows up to any K >= f // jump the rows that pivot at or below t^f (a
-suffix) are their unique reduced basis over the columns read. These end
+H^1's image pivots are each degree's leading pivots (which the
+certificate caches), and degrees from c on cover every column. Elements
+of pole order <= f have degree <= f // jump and rows of higher degree
+pivot above t^f, so in the reduced echelon form of the rows up to any
+K >= f // jump the rows that pivot at or below t^f (a suffix) are their
+unique reduced basis over the columns read. These end
 at a twist's column floor (its windows' largest cutoff, None if all are
 exact): one elimination per floor, at the largest certified twist's K,
 serves a range of twists, and the certificate already covers every
@@ -57,7 +59,7 @@ basis vector its pivot exponent and graded pieces a pivot count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 
@@ -65,10 +67,8 @@ from .errors import CutoffTooLarge, CutoffTooSmall, IndeterminateTop, NotStabili
 from .linalg import pivot_columns, reduced_rows
 from .presentation import (
     AffinePresentation,
-    check_ring_map,
+    EmbeddingCertificate,
     gluing_rows,
-    leading_exact_failure,
-    leading_pivots,
     p1_presentation,
     twistor_presentation,
 )
@@ -154,9 +154,9 @@ def default_cutoff(n: int) -> int:
 def resolved_default_cutoff(pres: AffinePresentation, n: int) -> int:
     """The default degree cutoff, capped for degree-bounded presentations.
 
-    Certificates read degrees up to D+2, and H^1 stabilization recomputes
-    at D+1 and D+2, so a presentation that only declares degrees up to
-    max_degree supports D <= max_degree - 2.
+    A twist reads degrees up to D+2 (the certificate, and an uncertified
+    H^1's stabilization at D+1 and D+2), so a presentation that only
+    declares degrees up to max_degree supports D <= max_degree - 2.
     """
     D = default_cutoff(n)
     if pres.max_degree is not None:
@@ -237,15 +237,15 @@ def _cutoff(pres: AffinePresentation, n: int, D: int | None, what: str) -> int:
 def _cutoffs(pres: AffinePresentation, ns: list, D: int | None, what: str) -> list:
     """Every twist's cutoff D_n (``_cutoff``), then each checked against the declared degrees.
 
-    The certificate and H^1 stabilization read degrees up to D_n + 2: a presentation that stops
-    below is refused.
+    A twist reads degrees up to D_n + 2 (the certificate, and an uncertified H^1's stabilization): a
+    presentation that stops below is refused.
     """
     cutoffs = [_cutoff(pres, n, D, what) for n in ns]
     for D_n in cutoffs:
         if pres.max_degree is not None and D_n + 2 > pres.max_degree:
             raise CutoffTooLarge(
                 f"presentation declares degrees up to {pres.max_degree}; "
-                f"h1 stabilization needs D + 2 <= {pres.max_degree}, got D={D_n}"
+                f"a twist reads degrees up to D + 2 <= {pres.max_degree}, got D={D_n}"
             )
     return cutoffs
 
@@ -294,28 +294,34 @@ def _h1_classes(pres: AffinePresentation, window, fil_bound: int, D: int, jump: 
     return _classes(runs[0], monomial)
 
 
-def _conductor(pres: AffinePresentation, jump: int, pivots, last: int) -> list:
-    """The leading pivots of degrees 0 .. c - 1, for the conductor c of a window certified leading_exact.
+def _conductor(pres: AffinePresentation, certificate: EmbeddingCertificate, top: int) -> list:
+    """The leading pivots of degrees 0 .. c - 1, for the conductor c of a certified window.
 
-    Degree d is full when ``pivots(d)``, its leading pivots, cover every part
-    of the column at t^d. Let a be the least positive degree with a basis
-    element. A degree-a element has a nonzero leading coefficient, and under
-    a product pole orders add and leading coefficients multiply, so it takes
-    a full degree d to a full degree d + a: once degrees c .. c + a - 1 are
-    all full, every degree >= c is. c is the least such degree, searched
-    through ``last``. With jump > 1 no degree reaches the exponents off the
-    multiples of jump, so H^1 is infinite. NotStabilized is raised when no c
-    is found.
+    Degree d is full when its leading pivots cover every part of the column
+    at t^d. Let a be the least positive degree with a basis element. A
+    degree-a element has a nonzero leading coefficient, and under a product
+    pole orders add and leading coefficients multiply, so it takes a full
+    degree d to a full degree d + a: once degrees c .. c + a - 1 are all
+    full, every degree >= c is. c is the least such degree, searched up to
+    the declared top, or ``top`` when there is none; each degree is
+    certified (``certificate.through``) before it is read, and the search
+    stops below the first that is not. With jump > 1 no degree reaches the
+    exponents off the multiples of jump, so H^1 is infinite. NotStabilized
+    is raised when no c is found.
     """
+    last = top if pres.max_degree is None else pres.max_degree
     a = next((d for d in range(1, last + 1) if pres.indices_of_degree(d)), None)
-    if jump == 1 and a is not None:
+    if certificate.jump == 1 and a is not None:
         leading, run = [], 0
         for d in range(last + 1):
-            leading.append(pivots(d))
+            if not certificate.through(d):
+                last = d - 1
+                break
+            leading.append(certificate.pivots(d))
             run = run + 1 if len(leading[-1]) == pres.pair.coord_count else 0
             if run == a:
                 return leading[:d - a + 1]
-    raise NotStabilized(f"h1 has no conductor through degree {last} at jump index {jump}")
+    raise NotStabilized(f"h1 has no conductor through degree {last} at jump index {certificate.jump}")
 
 
 def _conductor_classes(pres: AffinePresentation, leading: list, fil_bound: int, monomial=_unit_monomial):
@@ -329,20 +335,6 @@ def _conductor_classes(pres: AffinePresentation, leading: list, fil_bound: int, 
     free = [(e, p) for e in range(len(leading) - 1, fil_bound, -1) for p in range(pres.pair.coord_count)
             if e < 0 or p not in leading[e]]
     return _classes(free, monomial)
-
-
-def _direct_search(pres: AffinePresentation, top: int) -> tuple:
-    """(pivots, last degree) of ``_conductor`` on the presentation's own embedding.
-
-    The search reads up to the declared top, or ``top`` when there is none.
-    Each degree it reads is certified first, so a conductor above ``top``
-    extends ``certified_through`` one degree at a time.
-    """
-    def pivots(d):
-        pres.certified_through(d)
-        return pres.leading_pivots(d)
-
-    return pivots, top if pres.max_degree is None else pres.max_degree
 
 
 def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
@@ -362,44 +354,30 @@ def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
 
 
 def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
-    """First cohomology of O(n): Laurent tail classes modulo the affine algebra.
+    """First cohomology of O(n), the H^1 half of ``compute``.
 
-    The certificate through D + 2 is checked first, as for ``compute``. A
-    certified result is read off the conductor (``_conductor``), as
-    ``compute`` and ``curve_from_parts`` read it; an uncertified one comes
-    from the stabilization loop (``_h1_classes``). Representatives are pure
-    monomial classes t^m (and i*t^m for a split coefficient pair) at the
-    free columns, reduced modulo the image by construction.
+    Representatives are pure monomial classes t^m (and i*t^m for a split
+    coefficient pair) at the free columns, reduced modulo the image by
+    construction.
     """
-    [D] = _cutoffs(pres, [n], D, "h1")
-    certified = pres.certified_through(D + 2)
-    if certified:
-        reps, graded = _conductor_classes(pres, _conductor(pres, 1, *_direct_search(pres, D + 2)), n)
-    else:
-        reps, graded = _h1_classes(pres, pres.embed_basis, n, D, 1)
-    return CohomologyResult(
-        n=n,
-        h1_basis=reps,
-        h1_graded=graded,
-        certified=certified,
-        cutoff_used=D,
-    )
+    return replace(compute(pres, n, D), h0_basis=None, h0_graded=None, labels=None)
 
 
-def _twists(pres: AffinePresentation, window, jump: int, ns: list, cutoffs: list, certified: list,
-            pivots, last: int) -> list[CohomologyResult]:
+def _twists(pres: AffinePresentation, certificate: EmbeddingCertificate, ns: list, cutoffs: list,
+            certified: list) -> list[CohomologyResult]:
     """Both groups of O(n) for each twist n in ``ns``, in order, with Fil_n of pole order <= n*jump.
 
-    ``cutoffs`` and ``certified`` hold each twist's D_n and flag. If any
-    twist is certified, the conductor is found first, through degree
-    ``last`` from ``pivots`` (degree d -> its leading pivots), or
-    NotStabilized is raised before any twist. A certified twist reads H^1
-    off the conductor and H^0 off one echelon per column floor at the
-    largest certified n; an uncertified one runs the stabilization loop and
-    its own elimination. Echelons and representatives are kept for this
-    call only.
+    The windows and jump are the certificate's. ``cutoffs`` and
+    ``certified`` hold each twist's D_n and flag. If any twist is
+    certified, the conductor is found first (``_conductor``, through
+    max(D_n) + 2 when no top is declared), or NotStabilized is raised
+    before any twist. A certified twist reads H^1 off the conductor and H^0
+    off one echelon per column floor at the largest certified n; an
+    uncertified one runs the stabilization loop and its own elimination.
+    Echelons and representatives are kept for this call only.
     """
-    leading = _conductor(pres, jump, pivots, last) if any(certified) else None
+    window, jump = certificate.window, certificate.jump
+    leading = _conductor(pres, certificate, max(cutoffs, default=0) + 2) if any(certified) else None
     kernel = max((n for n, cert in zip(ns, certified) if cert), default=-1)
     rows = cache(partial(_section_rows, pres, window, kernel))
     monomial = cache(_unit_monomial)
@@ -422,16 +400,13 @@ def compute_twists(pres: AffinePresentation, ns, D: int | None = None) -> list[C
 
     Before any twist is computed, every twist's cutoff is checked, then the
     presentation is certified through max(D_n) + 2 (``certified_through``
-    raises on a failing check), and its conductor is searched up to the
-    declared top (``_direct_search``). The twists then run in ``_twists``,
-    as in ``curve_from_parts``.
+    raises on a failing check). The twists then run in ``_twists`` on the
+    presentation's own certificate, as in ``curve_from_parts``.
     """
     ns = list(ns)
     cutoffs = _cutoffs(pres, ns, D, "h0")
-    top = max(cutoffs, default=0) + 2
-    certified = pres.certified_through(top)
-    return _twists(pres, pres.embed_basis, 1, ns, cutoffs, [certified] * len(ns),
-                   *_direct_search(pres, top))
+    certified = pres.certified_through(max(cutoffs, default=0) + 2)
+    return _twists(pres, pres.certificate, ns, cutoffs, [certified] * len(ns))
 
 
 def compute(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
@@ -478,26 +453,20 @@ def curve_from_parts(
     """Cohomology of O(n) for each twist n in ``ns``, with Fil_n from a formal-disc model.
 
     ``embedding`` maps basis indices to windows in the model's carrier and
-    is cached once. Before any twist is computed, every twist's cutoff is
-    checked, then the embedding is checked to be a ring map on basis
-    products up to max(D_n) + 2, the highest degree any twist reads. A twist
-    is certified when degree-d elements peak at pole d*jump with independent
-    leading coefficients (leading_exact, verified in the carrier through its
-    D_n + 2). The conductor is searched through the degrees checked below
-    the first leading_exact failure. The twists then run in ``_twists``, as
-    in ``compute_twists``, which a model with jump_index 1 reproduces.
+    is cached once, in one certificate for this call. Before any twist is
+    computed, every twist's cutoff is checked, then the certificate through
+    max(D_n) + 2, the highest degree any twist reads: the ring map raises on
+    failure, and a twist is certified when degree-d elements peak at pole
+    d*jump with independent leading coefficients through its D_n + 2
+    (leading_exact, verified in the carrier). The twists then run in
+    ``_twists``, as in ``compute_twists``, which a model with jump_index 1
+    reproduces.
     """
     ns = list(ns)
     cutoffs = _cutoffs(pres, ns, D, "assembly")
-    window = cache(embedding)
-    jump = model.jump_index
-    top = max(cutoffs, default=0) + 2
-    check_ring_map(pres, window, top)
-    pivots = cache(partial(leading_pivots, pres, window, jump))
-    # one pass through the highest degree read; twists reading below its failure stay certified
-    failure = leading_exact_failure(pres, window, jump, top, pivots=pivots)
-    last = top if failure is None else failure[0] - 1
-    return _twists(pres, window, jump, ns, cutoffs, [D_n + 2 <= last for D_n in cutoffs], pivots, last)
+    certificate = EmbeddingCertificate(pres, cache(embedding), model.jump_index)
+    certificate.through(max(cutoffs, default=0) + 2)
+    return _twists(pres, certificate, ns, cutoffs, [certificate.through(D_n + 2) for D_n in cutoffs])
 
 
 def p1_formal_embedding(model):

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndeterminateTop, PrecisionExhausted, ZeroBott
-from .scalars import TruncatedPowerSeries, theta
+from .scalars import TruncatedPowerSeries
 from .series import LaurentWindow
 
 
@@ -204,9 +204,6 @@ class DegreeZeroImage:
         if r.order < M:
             raise IndeterminateTop(f"reversion known to O(xi^{r.order}), need xi^{M - 1}")
         return M < 2 or r.coeffs[1] != 0
-
-    def residue_matches_theta(self, a: TruncatedPowerSeries) -> bool:
-        return self.model.residue(self.expand(a)) == theta(a)
 
 
 def hfp_degree_zero(

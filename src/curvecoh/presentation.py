@@ -16,11 +16,14 @@ Two presentations are built in, each one shared value per process:
 The ``leading_exact`` flag declares that pole_order(embed(b)) equals
 degree(b) and that leading coefficients of equal-degree basis elements
 are k0-linearly independent; this is what turns the downstream linear
-algebra into certified computations, and it is checked, not assumed
-(``verify_leading_exact``), as is the ring map, through every degree a
-result reads. ``check_ring_map`` packs each window's numerators over one
-denominator into a big int at t = 2^B (``kronecker``), with B large enough
-that every coefficient of a product's difference D has |d| < 2^(B-1); D vanishing
+algebra into certified computations, and it is checked, not assumed, as
+is the ring map, through every degree a result reads. One
+``EmbeddingCertificate`` per embedding (the presentation's own, or one per
+``curve_from_parts`` call) extends both checks lazily, leading_exact first,
+and keeps each degree's leading pivots. ``check_ring_map`` packs each
+window's numerators over one denominator into a big int at t = 2^B
+(``kronecker``), with B large enough that every coefficient of a
+product's difference D has |d| < 2^(B-1); D vanishing
 from the comparison cutoff c up is then |D| < 2^(B*(c-o)-1) for the
 frame's lowest exponent o (D == 0 with no cutoff). A product whose
 exponent span is large against its stored terms is checked by window
@@ -69,11 +72,6 @@ class AffinePresentation:
         self.pair = pair
         self.leading_exact = leading_exact
         self.max_degree = max_degree
-        # degree through which leading_exact and the ring map have been
-        # checked: -1 (none yet) for a new presentation, so that
-        # certified_through checks them lazily; None when they hold in every
-        # degree by construction (the built-in curves set it)
-        self.verified_degree: int | None = -1
         self._degree = degree_fn
         self._indices_of_degree = indices_of_degree_fn
         self._embed = embed_fn
@@ -81,7 +79,9 @@ class AffinePresentation:
         self._label = label_fn
         self._embed_cache: dict[int, LaurentWindow] = {}
         self._rule_cache: dict[tuple[int, int], tuple] = {}
-        self._pivot_cache: dict[int, list] = {}
+        # the own embedding's checks; a declared leading_exact flag that fails is refused
+        self.certificate = EmbeddingCertificate(self, self.embed_basis)
+        self.certificate._refuse = leading_exact
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -109,13 +109,6 @@ class AffinePresentation:
         if i not in self._embed_cache:
             self._embed_cache[i] = self._embed(i)
         return self._embed_cache[i]
-
-    def leading_pivots(self, d: int) -> list:
-        """``leading_pivots`` of the presentation's own embedding in degree d, computed once."""
-        pivots = self._pivot_cache.get(d)
-        if pivots is None:
-            pivots = self._pivot_cache[d] = leading_pivots(self, self.embed_basis, 1, d)
-        return pivots
 
     def mul_basis(self, i: int, j: int) -> dict:
         """Structure constants of b_i * b_j as {index: k0 coefficient}: ``rule``, read back."""
@@ -182,31 +175,14 @@ class AffinePresentation:
 
     # -- verification ----------------------------------------------------------
 
-    def verify_leading_exact(self, max_degree: int, above: int = -1) -> None:
-        """Check both leading_exact conditions degree by degree, in degrees (above, max_degree]."""
-        failure = leading_exact_failure(self, self.embed_basis, 1, max_degree, above,
-                                        self.leading_pivots)
-        if failure is not None:
-            raise EmbeddingNotRingMap(f"{self.name}: {failure[1]}")
-
     def certified_through(self, degree: int) -> bool:
         """Whether a result that reads basis degrees <= ``degree`` is certified.
 
-        It is when the presentation declares ``leading_exact`` and both it
-        (the truncation argument rests on it) and the ring map are checked
-        through ``degree``. Checks that so far stop below it are extended
-        here from the covered degree up, leading_exact first, then the ring
-        map (raising EmbeddingNotRingMap on failure); the covered degree is kept.
+        It is when the presentation declares ``leading_exact`` and its own
+        certificate holds through ``degree`` (``EmbeddingCertificate.through``,
+        which raises EmbeddingNotRingMap on a failing check).
         """
-        if not self.leading_exact:
-            return False
-        if self.max_degree is not None:
-            degree = min(degree, self.max_degree)
-        if self.verified_degree is not None and degree > self.verified_degree:
-            self.verify_leading_exact(degree, self.verified_degree)
-            check_ring_map(self, self.embed_basis, degree, self.verified_degree)
-            self.verified_degree = degree
-        return True
+        return self.leading_exact and self.certificate.through(degree)
 
 
 def integer_element(coeffs: dict) -> tuple:
@@ -393,7 +369,7 @@ def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degre
     degree d must have pole order d*jump, and the leading coefficients
     within each degree must be k0-linearly independent, that is, have one
     ``leading_pivots`` entry per element. ``pivots`` maps d to those
-    pivots when the caller keeps them for the H^1 read-off.
+    pivots when the caller caches them (``EmbeddingCertificate.pivots``).
     """
     pivots = pivots or partial(leading_pivots, pres, window, jump)
     for d in range(above + 1, max_degree + 1):
@@ -404,6 +380,51 @@ def leading_exact_failure(pres: AffinePresentation, window, jump: int, max_degre
         if len(pivots(d)) != len(indices):
             return d, f"leading coefficients in degree {d} are k0-dependent"
     return None
+
+
+class EmbeddingCertificate:
+    """Which degrees of one embedding are certified, and their leading pivots.
+
+    ``window`` maps basis indices to windows with Fil_n of pole order <=
+    n*``jump``. ``checked`` is the last degree checked: -1 for a new
+    embedding, None for one that holds by construction (the built-in
+    curves). ``failure`` is the first leading_exact failure (degree, why).
+    """
+
+    #: raise on a leading_exact failure: set on a presentation's own certificate when it declares the flag
+    _refuse = False
+
+    def __init__(self, pres: AffinePresentation, window, jump: int = 1):
+        self.pres, self.window, self.jump = pres, window, jump
+        self.checked: int | None = -1
+        self.failure = None
+        self._pivots: dict[int, list] = {}
+
+    def pivots(self, d: int) -> list:
+        """``leading_pivots`` of degree d, computed once."""
+        if d not in self._pivots:
+            self._pivots[d] = leading_pivots(self.pres, self.window, self.jump, d)
+        return self._pivots[d]
+
+    def through(self, d: int) -> bool:
+        """Whether every degree <= d (capped at the declared top) is certified, the checks extended to d.
+
+        From the last degree checked up, leading_exact first: a failure
+        raises EmbeddingNotRingMap on a refusing certificate, else it ends the
+        certified degrees below it. Then the ring map, which raises on failure.
+        """
+        pres = self.pres
+        if pres.max_degree is not None:
+            d = min(d, pres.max_degree)
+        if self.checked is not None and d > self.checked:
+            failure = self.failure or leading_exact_failure(pres, self.window, self.jump, d, self.checked,
+                                                            self.pivots)
+            if failure and self._refuse:
+                raise EmbeddingNotRingMap(f"{pres.name}: {failure[1]}")
+            self.failure = failure
+            check_ring_map(pres, self.window, d, self.checked)
+            self.checked = d
+        return self.failure is None or d < self.failure[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +449,7 @@ def p1_presentation() -> AffinePresentation:
         label_fn=label,
         leading_exact=True,
     )
-    pres.verified_degree = None
+    pres.certificate.checked = None
     return pres
 
 
@@ -509,7 +530,7 @@ def twistor_presentation() -> AffinePresentation:
         label_fn=label,
         leading_exact=True,
     )
-    pres.verified_degree = None
+    pres.certificate.checked = None
     return pres
 
 
@@ -598,9 +619,9 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
     a * b is listed. An embed term "<int>[/<int>][i]*t^<int>" is read by one
     match; any other term goes through ``_parse_term`` and
     ``gaussian_numerators``, which word every refusal. Both checks run up to
-    ``LOAD_VERIFY_DEGREE`` (capped at the top degree) here; a computation
-    that reads higher degrees extends them, leading_exact first
-    (``certified_through``).
+    ``LOAD_VERIFY_DEGREE`` (capped at the top degree) here, leading_exact
+    first; a computation that reads higher degrees extends them
+    (``EmbeddingCertificate.through``).
     """
     pair = flags = None
     symbols, degrees, index = [], [], {}
@@ -728,9 +749,5 @@ def load_presentation(text: str, name: str = "user") -> AffinePresentation:
         max_degree=top,
     )
     pres._rule_cache.update(rules)
-    cap = min(LOAD_VERIFY_DEGREE, top)
-    check_ring_map(pres, pres.embed_basis, cap)
-    if pres.leading_exact:
-        pres.verify_leading_exact(cap)
-    pres.verified_degree = cap
+    pres.certificate.through(LOAD_VERIFY_DEGREE)
     return pres

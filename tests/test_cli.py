@@ -422,20 +422,21 @@ def test_canonical_json_is_unchanged(capsys, tmp_path, rescaled_twistor_file, co
 
 def test_dream_checks_ring_map_once_per_curve(capsys, monkeypatch):
     import curvecoh.cohomology as coh
+    import curvecoh.presentation as presentation
 
     checks, certified_to = [], []
-    check_ring_map, leading_exact_failure = coh.check_ring_map, coh.leading_exact_failure
+    check_ring_map, leading_exact_failure = presentation.check_ring_map, presentation.leading_exact_failure
 
-    def counting_check(pres, window, max_degree):
+    def counting_check(pres, window, max_degree, *args):
         checks.append((pres.name, max_degree))
-        return check_ring_map(pres, window, max_degree)
+        return check_ring_map(pres, window, max_degree, *args)
 
-    def recording_failure(pres, window, jump, max_degree, **kwargs):
+    def recording_failure(pres, window, jump, max_degree, *args):
         certified_to.append((pres.name, max_degree))
-        return leading_exact_failure(pres, window, jump, max_degree, **kwargs)
+        return leading_exact_failure(pres, window, jump, max_degree, *args)
 
-    monkeypatch.setattr(coh, "check_ring_map", counting_check)
-    monkeypatch.setattr(coh, "leading_exact_failure", recording_failure)
+    monkeypatch.setattr(presentation, "check_ring_map", counting_check)
+    monkeypatch.setattr(presentation, "leading_exact_failure", recording_failure)
     code, out, _ = run(capsys, "dream", "--x", "1/3", "--r", "1/2", "--M", "8", "--n", "-2..3",
                        "--format", "json")
     assert code == 0 and json.loads(out)["all_match"]

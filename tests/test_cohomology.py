@@ -11,8 +11,10 @@ from curvecoh import cohomology as coh
 from curvecoh.errors import (CutoffTooLarge, CutoffTooSmall, EmbeddingNotRingMap, IndeterminateTop,
                              NotStabilized)
 from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
+from curvecoh import presentation
 from curvecoh.presentation import (
     AffinePresentation,
+    EmbeddingCertificate,
     leading_exact_failure,
     leading_pivots,
     load_presentation,
@@ -138,7 +140,7 @@ def test_h1_not_stabilized_for_drifting_presentation():
         lines.append(f"embed x{i} = 1*t^0")
     drifting = load_presentation("\n".join(lines))
 
-    # Q[t] over (Q, Q(i)) passes verify_leading_exact, yet its image never
+    # Q[t] over (Q, Q(i)) passes the leading_exact check, yet its image never
     # reaches i*t^m: H^1 is infinite and only stabilization sees it
     lines = ["fields rational gaussian", "flags leading_exact"]
     for i in range(7):
@@ -176,6 +178,17 @@ def test_h1_cutoff_guard_for_degree_bounded_presentation():
     assert res.dims == (1, 0) and res.certified
     with pytest.raises(CutoffTooLarge):
         coh.h1(pres, 0, D=4)
+
+
+def test_a_twist_past_the_declared_degrees_is_refused_for_the_degrees_it_reads(p1_file):
+    # a certified file runs no H^1 stabilization: the refusal names the degrees D + 2 a twist reads,
+    # on a certified and an uncertified file alike
+    text = p1_file(8, lambda k: k)
+    message = r"presentation declares degrees up to 8; a twist reads degrees up to D \+ 2 <= 8, got D=7"
+    for pres in (load_presentation(text), load_presentation(text.replace("flags leading_exact\n", ""))):
+        for run in (lambda: coh.compute(pres, 0, D=7), lambda: coh.h1(pres, 0, D=7)):
+            with pytest.raises(CutoffTooLarge, match=message):
+                run()
 
 
 def test_curve_from_parts_equals_direct(p1, tw):
@@ -276,14 +289,14 @@ def test_curve_from_parts_certifies_every_degree_h1_reads(p1):
 
 
 def test_a_loaded_presentation_is_collected_after_use():
-    # the leading pivots live on the presentation (and per call in
-    # curve_from_parts), so nothing outlives a loaded file but its results
+    # the leading pivots live on the presentation's certificate (and on a
+    # per-call one in curve_from_parts), so nothing outlives a loaded file but its results
     model = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([1], 16)), 16)
     pres = load_presentation(_shifted_line_file(14), name="shifted")
     results = [coh.compute(pres, 3), coh.h1(pres, -2)]
     results += coh.curve_from_parts(pres, model, pres.embed_basis, [-2, 0, 3])
     assert all(res.certified for res in results)
-    assert pres._pivot_cache  # the read-off ran
+    assert pres.certificate._pivots  # the read-off ran
     ref = weakref.ref(pres)
     del pres
     gc.collect()
@@ -318,7 +331,7 @@ def test_read_off_keeps_the_elimination_errors(p1):
     # x7 -> t^8 breaks leading_exact (and the ring map) in degree 7, above
     # the degree 6 the loader checks
     pres = load_presentation(_p1_file(8, {7: "1*t^8"}))
-    assert pres.verified_degree == 6
+    assert pres.certificate.checked == 6
     # D + 2 > max_degree is refused before any check would reach degree 7
     with pytest.raises(CutoffTooLarge, match="got D=7"):
         coh.h1(pres, 0, D=7)
@@ -333,7 +346,7 @@ def test_read_off_keeps_the_elimination_errors(p1):
             run()
     with pytest.raises(EmbeddingNotRingMap):
         coh.curve_from_parts(pres, model, pres.embed_basis, [0], D=5)
-    assert pres.verified_degree == 6
+    assert pres.certificate.checked == 6
 
 
 def test_certified_results_eliminate_only_what_structure_leaves_open(tw, monkeypatch):
@@ -385,14 +398,15 @@ def test_certified_h1_is_read_off_one_conductor_per_call(p1, tw, monkeypatch):
         return lambda *args: asked.append(args[-1]) or pivots(*args)
 
     for pres, ns, conductor in ((p1, range(-24, 25), [0]), (tw, [24], [0, 1])):
-        monkeypatch.setattr(pres, "leading_pivots", counted(pres.leading_pivots))
+        monkeypatch.setattr(pres.certificate, "pivots", counted(pres.certificate.pivots))
         direct = coh.compute_twists(pres, ns)
         assert asked == conductor  # the degrees up to c + a - 1
         asked.clear()
-        monkeypatch.setattr(coh, "leading_pivots", counted(leading_pivots))
+        monkeypatch.setattr(presentation, "leading_pivots", counted(leading_pivots))
         assembled = coh.curve_from_parts(pres, model, pres.embed_basis, ns)
         assert asked == list(range(coh.default_cutoff(max(ns)) + 3))  # the certificate: max(D_n) + 2
         asked.clear()
+        monkeypatch.setattr(presentation, "leading_pivots", leading_pivots)
         assert all(r.certified for r in direct + assembled)
         assert [r.to_json() for r in direct] == [r.to_json() for r in assembled]
         assert free_columns == [] and passes == []
@@ -599,6 +613,9 @@ def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
     D + 1 and D + 2. When ``stable``, the stabilization loop and the
     conductor read-off (searched through D + 2) both give the reference's
     classes; otherwise the loop's dimension drifts and there is no conductor.
+    The read-off's certificate is taken to hold (``checked`` None): the
+    leading_exact assert above is what it needs, and ``_tailed_window`` is
+    no ring map.
     """
     assert leading_exact_failure(pres, window, jump, D + 2) is None
     ref_vecs, ref_graded = _reference_sections(pres, window, fil_bound, D)
@@ -612,10 +629,11 @@ def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):
             _assert_same_typed(list(v.values()), list(ref.values()))
     for c, ref in zip(range(D, D + 3), ref_free, strict=True):
         assert coh._h1_free_columns(pres, window, fil_bound, c, jump) == ref
-    read_off = partial(leading_pivots, pres, window, jump)
+    certificate = EmbeddingCertificate(pres, window, jump)
+    certificate.checked = None
     loop = _h1_outcome(lambda: coh._h1_classes(pres, window, fil_bound, D, jump))
     conductor = _h1_outcome(lambda: coh._conductor_classes(
-        pres, coh._conductor(pres, jump, read_off, D + 2), fil_bound))
+        pres, coh._conductor(pres, certificate, D + 2), fil_bound))
     if stable:
         assert loop == conductor == ref_free[0]
     else:
@@ -692,11 +710,11 @@ def test_a_hand_built_leading_exact_flag_is_checked():
         label_fn=lambda i: f"t^{i}",
         leading_exact=True,
     )
-    assert doubled.verified_degree == -1
+    assert doubled.certificate.checked == -1
     with pytest.raises(EmbeddingNotRingMap, match=r"\(degree 1\)"):
         coh.compute(doubled, 0)
-    assert p1_presentation().verified_degree is None
-    assert twistor_presentation().verified_degree is None
+    assert p1_presentation().certificate.checked is None
+    assert twistor_presentation().certificate.checked is None
 
 
 def test_integer_gluing_rows_match_dense_rows_with_jump_2(p1):

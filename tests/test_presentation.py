@@ -10,6 +10,7 @@ from curvecoh.errors import EmbeddingNotRingMap
 from curvecoh.presentation import (
     AffinePresentation,
     check_ring_map,
+    leading_exact_failure,
     load_presentation,
     p1_presentation,
     twistor_presentation,
@@ -67,7 +68,7 @@ def test_basis_counts(tw, p1):
 def test_ring_map_and_leading_exact(tw, p1):
     for pres in (tw, p1):
         check_ring_map(pres, pres.embed_basis, 6)
-        pres.verify_leading_exact(6)
+        assert leading_exact_failure(pres, pres.embed_basis, 1, 6) is None
 
 
 def test_degree_additivity(tw):
@@ -349,10 +350,10 @@ def test_certification_extends_leading_exact_check_to_the_degrees_read(p1_file):
     from curvecoh import cohomology as coh
 
     good = load_presentation(p1_file(10, lambda k: k))
-    assert good.verified_degree == 6
+    assert good.certificate.checked == 6
     res = coh.compute(good, 4)  # cutoff 8; H^1 stabilization reads degree 10
     assert res.dims == (5, 0) and res.certified
-    assert good.verified_degree == 10
+    assert good.certificate.checked == 10
 
     # t8 -> t^7 breaks leading_exact at degree 8, past the load-time checks
     bad = load_presentation(p1_file(10, lambda k: 7 if k == 8 else k))
@@ -580,7 +581,7 @@ def test_ring_map_is_certified_through_the_degrees_read(p1_file, tmp_path, capsy
     # a wrong product rule in degree 7, past the load-time checks
     text = p1_file(10, lambda k: k).replace("mul t1 t6 = 1*t7", "mul t1 t6 = 1*t6")
     bad = load_presentation(text)
-    assert bad.verified_degree == 6
+    assert bad.certificate.checked == 6
     assert coh.compute(bad, 1, D=4).certified  # reads degrees <= 6 only
     with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t1\)\*embed\(t6\) != embed of the product"):
         build_section_ring(bad, 8)
@@ -595,7 +596,7 @@ def test_ring_map_is_certified_through_the_degrees_read(p1_file, tmp_path, capsy
     with pytest.raises(EmbeddingNotRingMap, match=r"embed\(t4\)\*embed\(t6\)"):
         coh.compute(top, 4)
     good = load_presentation(p1_file(10, lambda k: k))
-    assert coh.compute(good, 4).certified and good.verified_degree == 10
+    assert coh.compute(good, 4).certified and good.certificate.checked == 10
 
 
 def test_ring_map_extension_checks_each_product_degree_once(p1_file, monkeypatch):
@@ -632,6 +633,17 @@ def test_leading_exact_extension_scans_each_degree_once(monkeypatch):
     res = coh.compute(pres, 11)  # cutoff 12: H^0 reads degree 12, H^1 degree 14
     assert res.certified and res.cutoff_used == 12
     assert scanned == list(range(15))
+
+
+def test_leading_exact_is_checked_before_the_ring_map_at_load_and_past_it(p1_file):
+    # t_k -> t^(k+1) breaks both checks in degree k; each route names the leading_exact failure
+    from curvecoh import cohomology as coh
+
+    with pytest.raises(EmbeddingNotRingMap, match=r"pole_order\(embed\(t5\)\) != 5 \(degree 5\)"):
+        load_presentation(p1_file(12, lambda k: k + 1 if k == 5 else k))
+    pres = load_presentation(p1_file(12, lambda k: k + 1 if k == 8 else k))
+    with pytest.raises(EmbeddingNotRingMap, match=r"pole_order\(embed\(t8\)\) != 8 \(degree 8\)"):
+        coh.compute(pres, 4)
 
 
 def test_ring_map_checks_both_orders_when_the_rules_differ(p1_file):

@@ -14,7 +14,7 @@ from curvecoh import cohomology as coh
 from curvecoh.cli import main
 from curvecoh.errors import NotStabilized
 from curvecoh.periodic import TwoPeriodicPresentation, tate_degree_zero
-from curvecoh.presentation import load_presentation, p1_presentation
+from curvecoh.presentation import load_presentation, p1_presentation, twistor_presentation
 from curvecoh.scalars import GaussianRational, gaussian_tps
 from curvecoh.series import gaussian_window
 
@@ -73,7 +73,7 @@ def test_curves_without_a_conductor_are_refused_before_any_twist(semigroup_file,
         for run in (lambda: coh.compute_twists(pres, [0, 3]), lambda: coh.h1(pres, 0)):
             with pytest.raises(NotStabilized, match=message):
                 run()
-    with pytest.raises(NotStabilized, match="through degree 6 at jump index 1"):
+    with pytest.raises(NotStabilized, match="through degree 9 at jump index 1"):  # the declared top, as above
         coh.curve_from_parts(short, model, short.embed_basis, [0])
     # t^k -> t^2k over a divided Bott model: certified, and the odd exponents are never reached
     divided = tate_degree_zero(TwoPeriodicPresentation(f=gaussian_tps([0, 1], 16)), 16)
@@ -95,3 +95,43 @@ def test_the_command_line_prints_the_gap_above_the_cutoff_and_refuses_a_short_fi
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: cohomology: NotStabilized: h1 has no conductor through degree 9 at jump index 1\n"
+
+
+@pytest.mark.parametrize("w", [None, DENSE], ids=["monomial", "dense"])
+def test_a_single_assembled_twist_searches_the_conductor_as_the_direct_route_does(semigroup_file, model, w):
+    # one twist certifies through its own D + 2 only (6 at n = 0), below the conductor c = 8 and
+    # c + a - 1 = 11: the search certifies each degree above that before it reads it
+    pres = load_presentation(semigroup_file((4, 5, 6), w=w))
+    for n in NS:
+        (res,) = coh.curve_from_parts(pres, model, pres.embed_basis, [n])
+        assert res.certified and res.to_json() == coh.compute(pres, n).to_json()
+
+
+def test_each_degree_is_checked_once_per_call_also_above_the_reach(semigroup_file, model, monkeypatch):
+    from curvecoh import presentation
+
+    checked, asked = [], []
+    check_ring_map, leading_pivots = presentation.check_ring_map, presentation.leading_pivots
+
+    def recording_check(pres, window, max_degree, above=-1):
+        checked.append((above, max_degree))
+        return check_ring_map(pres, window, max_degree, above)
+
+    monkeypatch.setattr(presentation, "check_ring_map", recording_check)
+    monkeypatch.setattr(presentation, "leading_pivots", lambda *args: asked.append(args[-1]) or leading_pivots(*args))
+    pres = load_presentation(semigroup_file((4, 5, 6)))
+    checked.clear()
+    asked.clear()
+    (res,) = coh.curve_from_parts(pres, model, pres.embed_basis, [0])
+    assert res.certified and res.h1_dim == 4
+    # the reach max(D_n) + 2 = 6 in one check, then one degree at a time up to c + a - 1 = 11
+    assert checked == [(-1, 6)] + [(d - 1, d) for d in range(7, 12)]
+    assert asked == list(range(12))
+
+    # the built-in curves hold by construction: no ring-map check and no leading_exact scan
+    scanned = []
+    monkeypatch.setattr(presentation, "leading_exact_failure", lambda *args: scanned.append(args))
+    checked.clear()
+    for builtin in (p1_presentation(), twistor_presentation()):
+        assert all(r.certified for r in coh.compute_twists(builtin, range(-3, 13)))
+    assert checked == [] and scanned == []
