@@ -64,7 +64,6 @@ from .periodic import (
     pipeline_trace,
     rebase_round_trip,
     tate_degree_zero,
-    trivial_action_model,
 )
 from .presentation import (
     AffinePresentation,

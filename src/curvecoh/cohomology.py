@@ -27,14 +27,16 @@ rows are each window's own integer numerators and denominator
 (``gluing_rows``, realified over Q(i)). ``_section_rows`` reduces them,
 with an identity block, for H^0 and builds exact rationals only for the
 basis vectors it outputs. ``_h1_classes`` runs the stabilization loop
-for an uncertified H^1, which needs only the image's pivot columns.
-``h0`` computes one group of one twist, ``h1`` is the H^1 half of
-``compute``. ``compute_twists`` (Fil_n from the Laurent field, with the
-presentation's own certificate) and ``curve_from_parts`` (from a
-formal-disc model, with one certificate per call) share one loop over
-the twists, ``_twists``, entered once every twist's cutoff and the
-certificate through max(D_n) + 2 hold; it finds the conductor before the
-first twist, certifying each degree before it reads it.
+for an uncertified H^1, which needs only the image's pivot columns; a
+class is the window t^m or i*t^m built straight in integer form.
+``h0`` computes one group of one twist, ``h1`` the H^1 half of
+``compute`` with no H^0 echelon. ``compute_twists`` (Fil_n from the
+Laurent field, with the presentation's own certificate) and
+``curve_from_parts`` (from a formal-disc model, with one certificate
+per call) share one loop over the twists, ``_twists``, entered once
+every twist's cutoff and the certificate through max(D_n) + 2 hold; it
+finds the conductor before the first twist, certifying each degree
+before it reads it.
 
 Where the window used is certified leading_exact through every degree a
 result reads, structure decides what elimination would (a degree-d
@@ -59,7 +61,7 @@ basis vector its pivot exponent and graded pieces a pivot count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
@@ -72,10 +74,8 @@ from .presentation import (
     p1_presentation,
     twistor_presentation,
 )
-from .scalars import GAUSSIAN_I, GAUSSIAN_ONE, GaussianRational, gaussian_reciprocal
+from .scalars import GaussianRational, gaussian_reciprocal
 from .series import LaurentWindow
-
-_UNITS = (GAUSSIAN_ONE, GAUSSIAN_I)
 
 
 @dataclass
@@ -265,8 +265,8 @@ def _h1_free_columns(pres: AffinePresentation, window, fil_bound: int, cutoff: i
 
 
 def _unit_monomial(e: int, p: int) -> LaurentWindow:
-    """t^e for part p = 0, i*t^e for p = 1."""
-    return LaurentWindow.monomial(e, _UNITS[p])
+    """t^e for part p = 0, i*t^e for p = 1: the one numerator 1 at t^e over den 1, in lowest terms."""
+    return LaurentWindow.from_form(1, ([(e, 1)], []) if p == 0 else ([], [(e, 1)]), True)
 
 
 def _classes(free: list, monomial) -> tuple:
@@ -354,17 +354,21 @@ def h0(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResu
 
 
 def h1(pres: AffinePresentation, n: int, D: int | None = None) -> CohomologyResult:
-    """First cohomology of O(n), the H^1 half of ``compute``.
+    """First cohomology of O(n): the H^1 half of ``compute``, without H^0.
 
-    Representatives are pure monomial classes t^m (and i*t^m for a split
-    coefficient pair) at the free columns, reduced modulo the image by
-    construction.
+    The cutoff and the certificate are checked as ``compute_twists`` checks
+    them. A certified H^1 is read off the conductor, an uncertified one runs
+    the stabilization loop; no H^0 echelon is built. Representatives are
+    pure monomial classes t^m (and i*t^m for a split coefficient pair) at
+    the free columns, reduced modulo the image by construction.
     """
-    return replace(compute(pres, n, D), h0_basis=None, h0_graded=None, labels=None)
+    cutoffs = _cutoffs(pres, [n], D, "h0")
+    certified = pres.certified_through(cutoffs[0] + 2)
+    return _twists(pres, pres.certificate, [n], cutoffs, [certified], sections=False)[0]
 
 
 def _twists(pres: AffinePresentation, certificate: EmbeddingCertificate, ns: list, cutoffs: list,
-            certified: list) -> list[CohomologyResult]:
+            certified: list, sections: bool = True) -> list[CohomologyResult]:
     """Both groups of O(n) for each twist n in ``ns``, in order, with Fil_n of pole order <= n*jump.
 
     The windows and jump are the certificate's. ``cutoffs`` and
@@ -374,7 +378,8 @@ def _twists(pres: AffinePresentation, certificate: EmbeddingCertificate, ns: lis
     before any twist. A certified twist reads H^1 off the conductor and H^0
     off one echelon per column floor at the largest certified n; an
     uncertified one runs the stabilization loop and its own elimination.
-    Echelons and representatives are kept for this call only.
+    Echelons and representatives are kept for this call only. With
+    ``sections`` off, H^0 is left out (None) and no echelon is built.
     """
     window, jump = certificate.window, certificate.jump
     leading = _conductor(pres, certificate, max(cutoffs, default=0) + 2) if any(certified) else None
@@ -388,10 +393,11 @@ def _twists(pres: AffinePresentation, certificate: EmbeddingCertificate, ns: lis
             reps, h1_graded = _conductor_classes(pres, leading, fil_bound, monomial)
         else:
             reps, h1_graded = _h1_classes(pres, window, fil_bound, D_n, jump, monomial)
-        basis, h0_graded = _sections(pres, window, fil_bound, D_n, rows if cert else None)
-        results.append(CohomologyResult(n=n, h0_basis=basis, h0_graded=h0_graded, h1_basis=reps,
-                                        h1_graded=h1_graded, certified=cert, cutoff_used=D_n,
-                                        labels={i: pres.label(i) for i in pres.basis_up_to(D_n)}))
+        res = CohomologyResult(n=n, h1_basis=reps, h1_graded=h1_graded, certified=cert, cutoff_used=D_n)
+        if sections:
+            res.h0_basis, res.h0_graded = _sections(pres, window, fil_bound, D_n, rows if cert else None)
+            res.labels = {i: pres.label(i) for i in pres.basis_up_to(D_n)}
+        results.append(res)
     return results
 
 

@@ -311,11 +311,6 @@ class Interval:
         diff = self.center - GaussianRational.of(value)
         return diff.norm_squared <= self.radius * self.radius
 
-    def overlaps(self, other: "Interval") -> bool:
-        diff = self.center - other.center
-        reach = self.radius + other.radius
-        return diff.norm_squared <= reach * reach
-
     def __str__(self):
         return f"{self.center} +- {self.radius}"
 

@@ -70,16 +70,6 @@ class TwoPeriodicPresentation:
         }
 
 
-def trivial_action_model(one) -> TwoPeriodicPresentation:
-    """The trivial-action, even case: A = R0 (M = 1), f = 1.
-
-    The pipeline sends this to the Laurent field R0((t^-1)) with the
-    t-adic filtration and t^-1 = beta*v, jump_index 1; its working window
-    is the ``prec`` passed to ``tate_degree_zero``.
-    """
-    return TwoPeriodicPresentation(f=TruncatedPowerSeries([one * 0 + 1], 1))
-
-
 @dataclass
 class FilteredRingModel:
     """k((tau)) with Fil_n = {pole order <= n*jump_index}, tau = t^-1.

@@ -23,7 +23,9 @@ form through the same helpers here (``reduced_form``, ``form_values``,
 Horner composition (on packed big ints, ``kronecker``, when the inner
 series is sparse), the reversion's coefficient recurrence and the
 inverse's quotient recurrence run on the numerators as well, and
-Fractions are built only when a coefficient is read. That inverse is the
+Fractions are built only when a coefficient is read (``coeffs``).
+Printing builds none: ``form_text`` writes each term straight from its
+numerators, one gcd per real or imaginary part. That inverse is the
 one quotient over Q(i): the Laurent window inverse in ``series`` and the
 expansions and divisions in ``harbater`` go through it.
 """
@@ -399,15 +401,39 @@ def common_denominator(values: dict) -> tuple:
     return den, *({e: v[k] * (den // v[0]) for e, v in values.items()} for k in (1, 2))
 
 
-def format_term(c, var: str, e: int) -> str:
-    """c*var^e as series print it: a sum or product c in parentheses, a coefficient 1 left out."""
-    cs = str(c)
-    if any(op in cs[1:] for op in "+-") or "*" in cs:
-        cs = f"({cs})"
-    if e == 0:
-        return cs
-    mono = var if e == 1 else f"{var}^{e}"
-    return mono if cs == "1" else f"{cs}*{mono}"
+def _ratio_text(x: int, den: int) -> str:
+    """``str(Fraction(x, den))``, den > 0, read off one gcd."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def form_text(den: int, terms, gaussian: bool, var: str, descending: bool = False) -> list:
+    """The nonzero terms c*var^e of an integer form as series print them, e ascending or descending.
+
+    Each c is written as ``str`` writes its Fraction or GaussianRational,
+    each part reduced by one gcd, and no coefficient is built: a sum, or a
+    multiple of i other than i and -i, goes in parentheses, a coefficient 1
+    is left out. A form whose ``gaussian`` is off reads only ``re``, as
+    ``form_values`` does.
+    """
+    re = dict(terms[0])
+    im = dict(terms[1]) if gaussian else {}
+    out = []
+    for e in sorted(re.keys() | im.keys(), reverse=descending):
+        x, y = re.get(e, 0), im.get(e, 0)
+        cs = _ratio_text(x, den) if x else ""
+        if y:
+            mag = _ratio_text(abs(y), den)
+            imag = "i" if mag == "1" else f"{mag}*i"
+            cs = f"{cs}{'-' if y < 0 else '+' if x else ''}{imag}"
+            if x or mag != "1":
+                cs = f"({cs})"
+        if e == 0:
+            out.append(cs)
+        else:
+            mono = var if e == 1 else f"{var}^{e}"
+            out.append(mono if cs == "1" else f"{cs}*{mono}")
+    return out
 
 
 def gaussian_reciprocal(x: int, y: int) -> tuple:
@@ -415,29 +441,6 @@ def gaussian_reciprocal(x: int, y: int) -> tuple:
     if y == 0:
         return (1 if x > 0 else -1), 0, abs(x)
     return x, -y, x * x + y * y
-
-
-def series_quotient(num, den, count: int) -> list:
-    """The first ``count`` coefficients of the power series num/den.
-
-    ``num`` and ``den`` are coefficient sequences, lowest degree first, and
-    den[0] must be invertible. Each coefficient comes from the recurrence
-    q[k] = (num[k] - sum_{j>=1} den[j]*q[k-j]) / den[0], run in the
-    coefficients' own arithmetic, dividing by den[0] as a product with
-    one/den[0]. It is the coefficient-loop reference that the tests
-    compare ``TruncatedPowerSeries.inverse`` and ``harbater``'s quotients
-    against; the library's quotients go through that inverse.
-    """
-    one = den[0] / den[0]
-    inv0 = one / den[0]
-    zero = den[0] * 0
-    out = []
-    for k in range(count):
-        acc = num[k] if k < len(num) else zero
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[j] * out[k - j]
-        out.append(inv0 * acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +505,8 @@ class TruncatedPowerSeries:
 
     It is stored in the integer form above, as a ``series.LaurentWindow``
     is, so equal series of one order have one form; ``coeffs`` is built on
-    first read (GaussianRational when some input was Gaussian). A
+    first read (GaussianRational when some input was Gaussian), and
+    ``str`` prints from the numerators without building it. A
     coefficient outside Q(i) is refused at construction with a TypeError.
     """
 
@@ -806,8 +810,7 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries.from_integers(e ** (m - 1) * lam ** (m - 2), g_re, g_im, m, self.gaussian)
 
     def __str__(self):
-        parts = [format_term(c, "xi", j) for j, c in enumerate(self.coeffs) if c]
-        return " + ".join([*parts, f"O(xi^{self.order})"])
+        return " + ".join([*form_text(self.den, self.terms, self.gaussian, "xi"), f"O(xi^{self.order})"])
 
     def __repr__(self):
         return f"TruncatedPowerSeries({self})"

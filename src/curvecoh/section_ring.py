@@ -112,23 +112,6 @@ def hilbert_function(sr: SectionRing) -> list:
     return [sr.dim(n) for n in range(sr.D + 1)]
 
 
-def projective_line_reference(D: int) -> list:
-    """dim of degree-n forms in two variables: n+1."""
-    return [n + 1 for n in range(D + 1)]
-
-
-def quadric_quotient_reference(D: int) -> list:
-    """dim_n of a polynomial ring in three variables modulo one quadric.
-
-    binomial(n+2, 2) - binomial(n, 2) = 2n+1.
-    """
-
-    def binom2(k):
-        return k * (k - 1) // 2
-
-    return [binom2(n + 2) - binom2(n) for n in range(D + 1)]
-
-
 @dataclass
 class GenerationReport:
     surjective: dict        # n -> bool

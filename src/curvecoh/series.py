@@ -18,9 +18,12 @@ imaginary parts, in lowest terms as ``scalars.cleared_terms`` gives them,
 so equal windows have equal forms. Products convolve the numerators
 (``scalars.integer_product``); sums, scalings and comparisons accumulate
 them over one denominator (``linear_combination``). Coefficients are built
-only when read (``coeffs``): GaussianRational when ``gaussian`` is set,
-Fraction otherwise. A coefficient outside Q(i) is refused at construction
-with a TypeError.
+only when read (``coeffs``, ``coefficient``, ``to_json``): GaussianRational
+when ``gaussian`` is set, Fraction otherwise. ``str`` builds none: it
+writes each term straight from the numerators (``scalars.form_text``). A
+form already in lowest terms, such as an H^1 class t^e or i*t^e (one
+numerator 1 over den 1), becomes a window as is (``from_form``). A
+coefficient outside Q(i) is refused at construction with a TypeError.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 from .errors import IndeterminateTop, ZeroInverse
 from .scalars import (GaussianRational, TruncatedPowerSeries, cleared_terms, form_combination,
-                      form_values, format_term, integer_parts, integer_product, outside_q_i,
+                      form_text, form_values, integer_parts, integer_product, outside_q_i,
                       reduced_form)
 
 #: pole order of the zero series
@@ -58,11 +61,13 @@ class LaurentWindow:
     @classmethod
     def from_integers(cls, den: int, re: dict, im: dict, cutoff=None, gaussian=True):
         """The window (re[e] + i*im[e])/den (den > 0) at the exponents e >= cutoff, in lowest terms."""
+        return cls.from_form(*reduced_form(den, re, im, lo=cutoff), gaussian, cutoff)
+
+    @classmethod
+    def from_form(cls, den: int, terms, gaussian: bool, cutoff=None):
+        """The window of an integer form (den, terms) that is already in lowest terms, as is."""
         w = cls.__new__(cls)
-        w.den, w.terms = reduced_form(den, re, im, lo=cutoff)
-        w.gaussian = gaussian
-        w.cutoff = cutoff
-        w._coeffs = None
+        w.den, w.terms, w.gaussian, w.cutoff, w._coeffs = den, terms, gaussian, cutoff, None
         return w
 
     # -- constructors ---------------------------------------------------
@@ -237,8 +242,7 @@ class LaurentWindow:
     # -- i/o -----------------------------------------------------------------
 
     def __str__(self):
-        coeffs = self.coeffs
-        parts = [format_term(coeffs[e], "t", e) for e in sorted(coeffs, reverse=True)]
+        parts = form_text(self.den, self.terms, self.gaussian, "t", descending=True)
         if self.cutoff is not None:
             parts.append(f"O(t^{self.cutoff - 1})")
         return " + ".join(parts) if parts else "0"
@@ -252,13 +256,6 @@ class LaurentWindow:
             "terms": [[e, str(coeffs[e])] for e in sorted(coeffs, reverse=True)],
             "cutoff": self.cutoff,
         }
-
-    @classmethod
-    def from_json(cls, data) -> "LaurentWindow":
-        from .scalars import parse_gaussian
-
-        coeffs = {int(e): parse_gaussian(c) for e, c in data["terms"]}
-        return cls(coeffs, data["cutoff"])
 
 
 def linear_combination(pairs) -> LaurentWindow:

@@ -1,4 +1,9 @@
-"""Shared fixtures: the twistor line, the projective line and numerical-semigroup rings as presentation files."""
+"""Shared fixtures and references.
+
+The fixtures give the twistor line, the projective line and numerical-semigroup
+rings as presentation files. ``series_quotient`` and ``intervals_overlap`` are
+references that more than one test module compares the package against.
+"""
 
 from fractions import Fraction
 
@@ -7,6 +12,35 @@ import pytest
 from curvecoh.presentation import twistor_presentation
 from curvecoh.scalars import GaussianRational
 from curvecoh.series import gaussian_window
+
+
+def series_quotient(num, den, count: int) -> list:
+    """The first ``count`` coefficients of the power series num/den.
+
+    ``num`` and ``den`` are coefficient sequences, lowest degree first, and
+    den[0] must be invertible. Each coefficient comes from the recurrence
+    q[k] = (num[k] - sum_{j>=1} den[j]*q[k-j]) / den[0], run in the
+    coefficients' own arithmetic, dividing by den[0] as a product with
+    one/den[0]: the coefficient-loop reference for
+    ``TruncatedPowerSeries.inverse`` and ``harbater``'s quotients.
+    """
+    one = den[0] / den[0]
+    inv0 = one / den[0]
+    zero = den[0] * 0
+    out = []
+    for k in range(count):
+        acc = num[k] if k < len(num) else zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[j] * out[k - j]
+        out.append(inv0 * acc)
+    return out
+
+
+def intervals_overlap(a, b) -> bool:
+    """Whether the discs of two ``harbater.Interval`` values meet."""
+    diff = a.center - b.center
+    reach = a.radius + b.radius
+    return diff.norm_squared <= reach * reach
 
 
 def _file_coeff(z: GaussianRational) -> str:

@@ -21,7 +21,7 @@ from curvecoh.presentation import (
     p1_presentation,
     twistor_presentation,
 )
-from curvecoh.scalars import GAUSSIAN_PAIR, GaussianRational, gaussian_tps
+from curvecoh.scalars import GAUSSIAN_I, GAUSSIAN_ONE, GAUSSIAN_PAIR, GaussianRational, gaussian_tps
 from curvecoh.series import gaussian_window
 
 
@@ -53,6 +53,33 @@ def test_p1_h1_representatives(p1):
     res = coh.h1(p1, -3)
     assert sorted(str(w) for w in res.h1_basis) == ["t^-1", "t^-2"]
     assert coh.h1(p1, 0).h1_basis == []
+
+
+def test_h1_alone_is_the_h1_half_of_compute_without_any_section_echelon(p1, tw, semigroup_file, monkeypatch):
+    files = [semigroup_file(g) for g in ((4, 5, 6), (3, 5))]
+    # without the flag every twist is uncertified and runs the stabilization loop, which may not settle
+    curves = [p1, tw, *map(load_presentation, files),
+              load_presentation(files[0].replace("flags leading_exact\n", ""))]
+
+    def outcome(run, n):
+        try:
+            res = run(n)
+        except NotStabilized as exc:
+            return str(exc)
+        return (res.h1_dim, [str(w) for w in res.h1_basis], res.h1_graded, res.certified, res.cutoff_used)
+
+    ns = range(-4, 6)
+    full = [[outcome(partial(coh.compute, pres), n) for n in ns] for pres in curves]
+    assert {o[3] for o in full[-1] if not isinstance(o, str)} == {False}
+    assert any(isinstance(o, str) for o in full[-1])
+
+    def refuse(*args):
+        raise AssertionError("h1 built an H^0 echelon")
+
+    monkeypatch.setattr(coh, "_section_rows", refuse)
+    for pres, results in zip(curves, full):
+        assert [outcome(partial(coh.h1, pres), n) for n in ns] == results
+        assert coh.h1(pres, 5).dims[0] is None
 
 
 def test_twistor_dimension_tables(tw):
@@ -600,7 +627,7 @@ def _h1_outcome(run):
         reps, _ = run()
     except NotStabilized as exc:
         return str(exc)
-    return [(e, coh._UNITS.index(c)) for w in reps for e, c in w.coeffs.items()]
+    return [(e, (GAUSSIAN_ONE, GAUSSIAN_I).index(c)) for w in reps for e, c in w.coeffs.items()]
 
 
 def _assert_matches_reference(pres, window, fil_bound, D, jump=1, stable=True):

@@ -16,7 +16,6 @@ from curvecoh.periodic import (
     pipeline_trace,
     rebase_round_trip,
     tate_degree_zero,
-    trivial_action_model,
 )
 from curvecoh.scalars import (
     GAUSSIAN_ONE,
@@ -29,6 +28,16 @@ from curvecoh.scalars import (
 from curvecoh.series import LaurentWindow
 
 M = 16
+
+
+def trivial_action_model(one) -> TwoPeriodicPresentation:
+    """The trivial-action, even case: A = R0 (M = 1), f = 1.
+
+    The pipeline sends this to the Laurent field R0((t^-1)) with the
+    t-adic filtration and t^-1 = beta*v, jump_index 1; its working window
+    is the ``prec`` passed to ``tate_degree_zero``.
+    """
+    return TwoPeriodicPresentation(f=TruncatedPowerSeries([one * 0 + 1], 1))
 
 
 def _cases():

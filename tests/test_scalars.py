@@ -23,10 +23,11 @@ from curvecoh.scalars import (
     primitive_integer_poly,
     rational_tps,
     reduced_form,
-    series_quotient,
     split_terms,
     theta,
 )
+
+from conftest import series_quotient
 
 SEED = 20240817
 

@@ -19,9 +19,24 @@ from curvecoh.section_ring import (
     build_section_ring,
     degree_one_generation,
     hilbert_function,
-    projective_line_reference,
-    quadric_quotient_reference,
 )
+
+
+def projective_line_reference(D: int) -> list:
+    """dim of degree-n forms in two variables: n+1."""
+    return [n + 1 for n in range(D + 1)]
+
+
+def quadric_quotient_reference(D: int) -> list:
+    """dim_n of a polynomial ring in three variables modulo one quadric.
+
+    binomial(n+2, 2) - binomial(n, 2) = 2n+1.
+    """
+
+    def binom2(k):
+        return k * (k - 1) // 2
+
+    return [binom2(n + 2) - binom2(n) for n in range(D + 1)]
 
 
 @pytest.fixture(scope="module")

@@ -4,12 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvecoh.cohomology import _unit_monomial
 from curvecoh.errors import IndeterminateTop, ZeroInverse
-from curvecoh.scalars import GaussianRational
+from curvecoh.scalars import GAUSSIAN_I, GAUSSIAN_ONE, GaussianRational, TruncatedPowerSeries, parse_gaussian
 from curvecoh.series import MINUS_INFINITY, LaurentWindow, gaussian_window
 
 SEED = 911
+
+
+def _window_from_json(data) -> LaurentWindow:
+    """The window that ``LaurentWindow.to_json`` wrote, each coefficient read back by ``parse_gaussian``."""
+    return LaurentWindow({int(e): parse_gaussian(c) for e, c in data["terms"]}, data["cutoff"])
 
 
 def naive_poly_mul(a: dict, b: dict) -> dict:
@@ -156,7 +164,7 @@ def test_str_and_json():
     assert str(w) == "3*t^2 + -1/2 + O(t^-2)"
     data = w.to_json()
     assert data["cutoff"] == -1
-    back = LaurentWindow.from_json(data)
+    back = _window_from_json(data)
     assert back == LaurentWindow({2: GaussianRational.of(3), 0: GaussianRational.of(Fraction(-1, 2))}, cutoff=-1)
     assert str(LaurentWindow.zero()) == "0"
 
@@ -401,7 +409,7 @@ def test_window_carrier_matches_dict_reference():
         assert a.agrees_with(b) == _ref_agrees(ra, rb)
         assert a.agrees_with(a.clip(cut)) and a.clip(cut).agrees_with(a)
         assert (a == b) == (ra.cutoff == rb.cutoff and ra.coeffs == rb.coeffs)
-        assert LaurentWindow.from_json(a.to_json()) == a
+        assert _window_from_json(a.to_json()) == a
         if ra.coeffs:
             prec = rng.randint(-8, 0)
             _assert_same(a.inverse(prec), _ref_inverse(ra, prec))
@@ -475,3 +483,82 @@ def test_monomial_is_the_window_of_its_one_coefficient():
             assert str(ours) == str(theirs)
     with pytest.raises(TypeError):
         LaurentWindow.monomial(1, 1.5)
+
+
+# -- printing straight from the integer form ---------------------------------------
+
+
+def _reference_term(c, var: str, e: int) -> str:
+    """The object path the integer-form printing replaced: ``str`` of the built coefficient c*var^e."""
+    cs = str(c)
+    if any(op in cs[1:] for op in "+-") or "*" in cs:
+        cs = f"({cs})"
+    if e == 0:
+        return cs
+    mono = var if e == 1 else f"{var}^{e}"
+    return mono if cs == "1" else f"{cs}*{mono}"
+
+
+def _reference_window_text(w: LaurentWindow) -> str:
+    parts = [_reference_term(w.coeffs[e], "t", e) for e in sorted(w.coeffs, reverse=True)]
+    if w.cutoff is not None:
+        parts.append(f"O(t^{w.cutoff - 1})")
+    return " + ".join(parts) if parts else "0"
+
+
+def _reference_series_text(s: TruncatedPowerSeries) -> str:
+    parts = [_reference_term(c, "xi", j) for j, c in enumerate(s.coeffs) if c]
+    return " + ".join([*parts, f"O(xi^{s.order})"])
+
+
+#: small numerators (units, so 1, -1, i and -i) and numerators far past a machine word
+_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+_DENS = st.one_of(st.integers(1, 6), st.integers(1, 10**24))
+_PRINTING = settings(max_examples=250, deadline=None, derandomize=True, database=None)
+
+
+def _parts(exponents):
+    return st.dictionaries(exponents, _NUMERATORS, max_size=5)
+
+
+@_PRINTING
+@given(_DENS, _parts(st.integers(-4, 4)), _parts(st.integers(-4, 4)),
+       st.one_of(st.none(), st.integers(-5, 3)), st.booleans())
+def test_a_window_prints_its_integer_form_as_its_coefficients_print(den, re, im, cutoff, gaussian):
+    # gaussian=False with imaginary numerators: only re is read, as the coefficients read it
+    w = LaurentWindow.from_integers(den, re, im, cutoff, gaussian)
+    text = str(w)
+    assert w._coeffs is None
+    assert text == _reference_window_text(w)
+
+
+@_PRINTING
+@given(_DENS, _parts(st.integers(0, 7)), _parts(st.integers(0, 7)), st.integers(1, 8), st.booleans())
+def test_a_series_prints_its_integer_form_as_its_coefficients_print(den, re, im, order, gaussian):
+    s = TruncatedPowerSeries.from_integers(den, re, im, order, gaussian)
+    text = str(s)
+    assert s._coeffs is None
+    assert text == _reference_series_text(s)
+
+
+def test_printing_covers_units_signs_and_the_zero_window():
+    cases = {
+        "t + -1 + O(t^-3)": LaurentWindow.from_integers(1, {1: 1, 0: -1}, {}, -2),
+        "i*t + -i + (1/2+i)*t^-1": LaurentWindow.from_integers(2, {-1: 1}, {1: 2, 0: -2, -1: 2}),
+        "(-2*i)*t^2 + (-1/3-1/3*i)": LaurentWindow.from_integers(3, {0: -1}, {2: -6, 0: -1}),
+        "-1/2*t^3": LaurentWindow.from_integers(2, {3: -1}, {3: 5}, None, False),
+        "O(t^-1)": LaurentWindow.from_integers(1, {}, {}, 0),
+        "0": LaurentWindow.zero(),
+    }
+    for text, w in cases.items():
+        assert str(w) == text == _reference_window_text(w)
+    s = TruncatedPowerSeries.from_integers(4, {0: 4, 1: -2, 3: 1}, {1: 4, 2: 4}, 5, True)
+    assert str(s) == "1 + (-1/2+i)*xi + i*xi^2 + 1/4*xi^3 + O(xi^5)" == _reference_series_text(s)
+
+
+def test_an_h1_class_is_the_monomial_of_its_gaussian_unit():
+    for e in range(-30, 31):
+        for p, unit in enumerate((GAUSSIAN_ONE, GAUSSIAN_I)):
+            ours, theirs = _unit_monomial(e, p), LaurentWindow.monomial(e, unit)
+            assert (ours.den, ours.terms, ours.gaussian, ours.cutoff) == \
+                (theirs.den, theirs.terms, theirs.gaussian, theirs.cutoff), (e, p)
